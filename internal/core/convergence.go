@@ -80,7 +80,8 @@ type MeasureOpts struct {
 	// context that recycles event arenas and endpoint state across runs
 	// instead of reallocating them. Measured values are bit-identical
 	// with or without a session. Sessions are single-owner: never share
-	// one across goroutines (RateDelaySweep gives each worker its own).
+	// one across goroutines (RateDelaySweep borrows one per point from a
+	// pool).
 	Session *network.Session
 }
 
@@ -109,17 +110,11 @@ func MeasureConvergence(f Factory, c units.Rate, rm time.Duration, opts MeasureO
 	spec := network.FlowSpec{Name: "probe", Alg: alg, Rm: rm, MSS: opts.MSS}
 	d := opts.Duration
 	from := time.Duration((1 - opts.WindowFrac) * float64(d))
-	var res *network.Result
-	if opts.Session != nil {
-		var err error
-		res, err = opts.Session.RunWindow(cfg, d, from, d, spec)
-		if err != nil {
-			// The config is assembled here from checked inputs; a
-			// validation failure is a programming error, as in network.New.
-			panic(err.Error())
-		}
-	} else {
-		res = network.New(cfg, spec).RunWindow(d, from, d)
+	res, err := opts.Session.RunWindow(cfg, d, from, d, spec)
+	if err != nil {
+		// The config is assembled here from checked inputs; a validation
+		// failure is a programming error, as in network.New.
+		panic(err.Error())
 	}
 	fr := res.Flows[0]
 

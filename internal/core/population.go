@@ -48,8 +48,8 @@ type PopulationConfig struct {
 	// context that recycles the network's arenas across runs instead of
 	// rebuilding them — the sweep/daemon hot path. The realization is
 	// bit-identical with or without a session. Sessions are single-owner:
-	// never share one across goroutines (PopulationSweep gives each
-	// worker its own).
+	// never share one across goroutines (PopulationSweep borrows one per
+	// seed from a pool).
 	Session *network.Session
 }
 
@@ -97,10 +97,8 @@ func (cfg PopulationConfig) networkConfig() network.Config {
 // Validate reports the first problem with the configuration, with exactly
 // the message RunPopulation would fail with — the single source of the
 // error strings the CLI exits 2 on and the experiment service returns as
-// HTTP 400. It assembles (and discards) the network, so link and flow
-// specs are checked as deeply as a real run would; callers validating
-// ahead of execution must still rebuild fresh flow specs for the run
-// itself, since specs carry stateful CCA instances.
+// HTTP 400. Link and flow specs go through network.Validate, the check
+// every run starts with, so nothing is wired to find out.
 func (cfg PopulationConfig) Validate() error {
 	if len(cfg.Flows) == 0 {
 		return fmt.Errorf("population: no flows")
@@ -108,7 +106,7 @@ func (cfg PopulationConfig) Validate() error {
 	if cfg.Duration <= 0 {
 		return fmt.Errorf("population: duration %v not positive", cfg.Duration)
 	}
-	if _, err := network.NewChecked(cfg.networkConfig(), cfg.Flows...); err != nil {
+	if err := network.Validate(cfg.networkConfig(), cfg.Flows...); err != nil {
 		return fmt.Errorf("population: %w", err)
 	}
 	return nil
@@ -123,19 +121,9 @@ func RunPopulation(cfg PopulationConfig) (*PopulationResult, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("population: duration %v not positive", cfg.Duration)
 	}
-	var res *network.Result
-	if cfg.Session != nil {
-		var err error
-		res, err = cfg.Session.Run(cfg.networkConfig(), cfg.Duration, cfg.Flows...)
-		if err != nil {
-			return nil, fmt.Errorf("population: %w", err)
-		}
-	} else {
-		n, err := network.NewChecked(cfg.networkConfig(), cfg.Flows...)
-		if err != nil {
-			return nil, fmt.Errorf("population: %w", err)
-		}
-		res = n.Run(cfg.Duration)
+	res, err := cfg.Session.Run(cfg.networkConfig(), cfg.Duration, cfg.Flows...)
+	if err != nil {
+		return nil, fmt.Errorf("population: %w", err)
 	}
 	res.Epsilon = cfg.Epsilon
 	return &PopulationResult{Seed: cfg.Seed, Net: res, Stats: res.Population(cfg.Epsilon)}, nil
@@ -145,24 +133,22 @@ func RunPopulation(cfg PopulationConfig) (*PopulationResult, error) {
 // pool (jobs = 0 selects GOMAXPROCS) and returns results indexed like
 // seeds. rebuild must return a fresh PopulationConfig per seed — flow
 // specs carry stateful CCA instances and jitter policies, so realizations
-// cannot share them. Each worker runs its realizations through its own
-// recycled network.Session (a Session set by rebuild is overridden), so
-// the sweep rebuilds each distinct topology once per worker, not once per
-// seed; results are bit-identical to fresh-network runs at any jobs value.
+// cannot share them. Each realization runs through a network.Session
+// borrowed from a pool (a Session set by rebuild is overridden), so the
+// sweep wires each distinct topology once per concurrent worker, not once
+// per seed; results are bit-identical to one-shot runs at any jobs value.
 func PopulationSweep(ctx context.Context, seeds []int64, jobs int, rebuild func(seed int64) (PopulationConfig, error)) ([]*PopulationResult, error) {
 	results := make([]*PopulationResult, len(seeds))
-	sessions := make([]*network.Session, runner.Workers(jobs, len(seeds)))
-	err := runner.ForEachWorker(ctx, jobs, len(seeds), func(ctx context.Context, w, i int) error {
-		if sessions[w] == nil {
-			sessions[w] = network.NewSession()
-		}
+	pool := network.NewSessionPool()
+	err := runner.ForEach(ctx, jobs, len(seeds), func(ctx context.Context, i int) error {
 		cfg, err := rebuild(seeds[i])
 		if err != nil {
 			return err
 		}
 		cfg.Seed = seeds[i]
 		cfg.Ctx = ctx
-		cfg.Session = sessions[w]
+		cfg.Session = pool.Get()
+		defer pool.Put(cfg.Session)
 		results[i], err = RunPopulation(cfg)
 		return err
 	})

@@ -14,8 +14,9 @@ import (
 )
 
 // TestMeasureConvergenceSessionParity pins that a convergence measurement
-// through a reused session equals a fresh-network measurement in every
-// reported field, across repeated runs with varying parameters.
+// equals the one-shot (nil-session) measurement in every reported field
+// whichever session carries it — nil again, or one reused across repeated
+// runs with varying parameters.
 func TestMeasureConvergenceSessionParity(t *testing.T) {
 	mk := func() cca.Algorithm { return vegas.New(vegas.Config{}) }
 	s := network.NewSession()
@@ -29,19 +30,21 @@ func TestMeasureConvergenceSessionParity(t *testing.T) {
 	} {
 		opts := MeasureOpts{Duration: 8 * time.Second}
 		fresh := MeasureConvergence(mk, p.c, p.rm, opts)
-		opts.Session = s
-		reused := MeasureConvergence(mk, p.c, p.rm, opts)
-		if !reflect.DeepEqual(reused, fresh) {
-			t.Errorf("C=%v Rm=%v: session measurement diverged:\n got %+v\nwant %+v",
-				p.c, p.rm, reused, fresh)
+		for _, sess := range []*network.Session{nil, s} {
+			opts.Session = sess
+			got := MeasureConvergence(mk, p.c, p.rm, opts)
+			if !reflect.DeepEqual(got, fresh) {
+				t.Errorf("C=%v Rm=%v session=%v: measurement diverged:\n got %+v\nwant %+v",
+					p.c, p.rm, sess != nil, got, fresh)
+			}
 		}
 	}
 }
 
-// TestPopulationSweepSessionParity pins that the seed sweep — whose
-// workers recycle networks through per-worker sessions — reproduces
-// fresh single-realization runs exactly, including the rendered artifact
-// text the service's byte-parity contract depends on.
+// TestPopulationSweepSessionParity pins that the seed sweep — which
+// recycles networks through pooled sessions — reproduces one-shot
+// (nil-session) single-realization runs exactly, including the rendered
+// artifact text the service's byte-parity contract depends on.
 func TestPopulationSweepSessionParity(t *testing.T) {
 	rebuild := func(seed int64) (PopulationConfig, error) {
 		mkFlows := func() []network.FlowSpec {
@@ -66,7 +69,7 @@ func TestPopulationSweepSessionParity(t *testing.T) {
 	for i, seed := range seeds {
 		cfg, _ := rebuild(seed)
 		cfg.Seed = seed
-		fresh, err := RunPopulation(cfg) // no session: fresh network
+		fresh, err := RunPopulation(cfg) // nil session: one-shot network
 		if err != nil {
 			t.Fatal(err)
 		}

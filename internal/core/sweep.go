@@ -51,10 +51,10 @@ func LogSpace(lo, hi units.Rate, n int) []units.Rate {
 // the sweep is identical — point for point — at any Jobs value; points
 // land in the result slice by rate index, never by completion order.
 //
-// Each worker runs its points through its own recycled network.Session
-// (seeded from opts.Session for worker 0 when set), so a sweep pays
-// network construction once per worker rather than once per rate point;
-// the measured values are unchanged.
+// Each point runs through a network.Session borrowed from a pool (seeded
+// with opts.Session when set), so a sweep wires its network once per
+// concurrent worker rather than once per rate point; the measured values
+// are unchanged.
 func RateDelaySweep(name string, f Factory, rm time.Duration, rates []units.Rate, opts MeasureOpts) *Sweep {
 	opts.fill()
 	sw := &Sweep{Name: name, Rm: rm, Points: make([]SweepPoint, len(rates))}
@@ -62,20 +62,16 @@ func RateDelaySweep(name string, f Factory, rm time.Duration, rates []units.Rate
 	if workers <= 0 {
 		workers = 1 // library default stays sequential; CLIs opt in
 	}
-	sessions := make([]*network.Session, runner.Workers(workers, len(rates)))
-	sessions[0] = opts.Session
+	pool := network.NewSessionPool()
+	pool.Put(opts.Session)
 	// The error is always opts.Ctx's cancellation; the partial sweep is
 	// returned as-is and callers observe the cancellation themselves.
-	_ = runner.ForEachWorker(opts.Ctx, workers, len(rates), func(ctx context.Context, w, i int) error {
-		if sessions[w] == nil {
-			// Lazily built: each worker id is served by one goroutine,
-			// so the slot is worker-private.
-			sessions[w] = network.NewSession()
-		}
+	_ = runner.ForEach(opts.Ctx, workers, len(rates), func(ctx context.Context, i int) error {
 		c := rates[i]
 		o := opts
 		o.Ctx = ctx
-		o.Session = sessions[w]
+		o.Session = pool.Get()
+		defer pool.Put(o.Session)
 		// Ensure the run spans enough packets and RTTs at low rates: at
 		// least ~400 packet-times and 200 RTTs.
 		pktTime := c.TxTime(opts.MSS)

@@ -59,8 +59,8 @@ type FlowSpec struct {
 	StartAt time.Duration
 }
 
-// Validate reports the first problem with the spec. New panics on these
-// (programming errors in scenario code); NewChecked returns them.
+// Validate reports the first problem with the spec on its own; the
+// package-level Validate also checks its path against the topology.
 func (spec FlowSpec) Validate() error {
 	if spec.Alg == nil {
 		return fmt.Errorf("has no CCA")
@@ -164,6 +164,9 @@ type Flow struct {
 	dup              *faults.Duplicator
 	rateSamples      int64
 	lastSampledAcked int64
+	// rttHook feeds RTTTrace from the sender's ACK path; bound once at
+	// wiring and installed as Sender.AckTraceHook on every run.
+	rttHook func(now, rtt time.Duration, ackedBytes int)
 
 	// path is the resolved link route (never nil after wiring).
 	path []int
@@ -248,23 +251,36 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// NewChecked assembles the topology, returning an error for invalid
-// configuration instead of panicking — the entry point for user-supplied
-// (CLI) configs, where a typo is a runtime condition, not a bug.
-func NewChecked(cfg Config, specs ...FlowSpec) (*Network, error) {
+// Validate reports the first problem with a configuration and its flows,
+// with exactly the error NewChecked and Session.RunWindow fail with: the
+// one validation every entry point runs, and the one callers use to check
+// a configuration ahead of time without wiring anything.
+func Validate(cfg Config, specs ...FlowSpec) error {
 	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("network: %w", err)
+		return fmt.Errorf("network: %w", err)
 	}
 	nLinks := len(cfg.linksOf())
 	for i, spec := range specs {
 		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("network: flow %d %w", i, err)
+			return fmt.Errorf("network: flow %d %w", i, err)
 		}
 		if err := validatePath(spec.Path, nLinks); err != nil {
-			return nil, fmt.Errorf("network: flow %d: %w", i, err)
+			return fmt.Errorf("network: flow %d: %w", i, err)
 		}
 	}
-	return newNetwork(cfg, specs...), nil
+	return nil
+}
+
+// NewChecked assembles the topology, returning an error for invalid
+// configuration instead of panicking — the entry point for user-supplied
+// (CLI) configs, where a typo is a runtime condition, not a bug.
+func NewChecked(cfg Config, specs ...FlowSpec) (*Network, error) {
+	if err := Validate(cfg, specs...); err != nil {
+		return nil, err
+	}
+	n := wire(len(cfg.linksOf()), specs)
+	n.configure(cfg, specs)
+	return n, nil
 }
 
 // New assembles the topology. It panics on invalid specs (missing CCA or
@@ -278,22 +294,150 @@ func New(cfg Config, specs ...FlowSpec) *Network {
 	return n
 }
 
-func newNetwork(cfg Config, specs ...FlowSpec) *Network {
+// chain is the set of impairment elements on a flow's forward path. With
+// the link count and the flow's resolved path it is the network's shape:
+// what wire bakes into the element graph and what a Session keys its
+// cache on. Everything else about a configuration is a run parameter.
+type chain byte
+
+const (
+	chainLoss chain = 1 << iota
+	chainGE
+	chainReorder
+	chainDup
+)
+
+func chainOf(spec FlowSpec) chain {
+	var c chain
+	if spec.LossProb > 0 {
+		c |= chainLoss
+	}
+	if fs := spec.Faults; fs != nil {
+		if fs.GE != nil {
+			c |= chainGE
+		}
+		if fs.Reorder != nil {
+			c |= chainReorder
+		}
+		if fs.Duplicate != nil {
+			c |= chainDup
+		}
+	}
+	return c
+}
+
+// wire allocates a network of the given shape: the simulator, the links,
+// each flow's element chain and the closures that bind them. It reads
+// nothing of specs but the shape (chainOf and the path); every element is
+// built with placeholder parameters and must be configured before a run.
+func wire(nLinks int, specs []FlowSpec) *Network {
+	s := sim.New(0)
+	n := &Network{Sim: s}
+	n.sampleFn = n.sample
+
+	// Each link dispatches departing packets to the owning flow's next
+	// stage: the next link of its path (after the hop propagation delay)
+	// or, past the last link, the flow's Rm/jitter stage.
+	n.Links = make([]*netem.Link, nLinks)
+	n.hopArriveFns = make([]func(packet.Packet), nLinks)
+	n.nextHop = make([][]int32, nLinks)
+	for j := range n.Links {
+		j := j
+		link := netem.NewLink(s, 0, 0, func(p packet.Packet) {
+			n.forward(j, p)
+		})
+		n.Links[j] = link
+		n.hopArriveFns[j] = func(p packet.Packet) {
+			n.Flows[p.Flow].hopTransit--
+			link.Enqueue(p)
+		}
+		n.nextHop[j] = make([]int32, len(specs))
+	}
+	if nLinks > 1 {
+		n.LinkQueues = make([]trace.Series, nLinks)
+	}
+
+	n.Flows = make([]*Flow, len(specs))
+	for i, spec := range specs {
+		f := &Flow{ID: packet.FlowID(i), path: pathOf(spec, nLinks)}
+		n.Flows[i] = f
+		for pos, j := range f.path {
+			next := int32(-1)
+			if pos+1 < len(f.path) {
+				next = int32(f.path[pos+1])
+			}
+			n.nextHop[j][i] = next
+		}
+
+		// Reverse path: ack jitter box -> sender.
+		f.AckBox = netem.NewAckDelayBox(s, nil, func(a packet.Ack) {
+			f.Sender.OnAck(a)
+		})
+		// Receiver feeds the ack box.
+		f.Receiver = endpoint.NewReceiver(s, f.ID, endpoint.AckConfig{}, f.AckBox.Send)
+		// Forward path tail: jitter box -> receiver.
+		f.FwdBox = netem.NewDelayBox(s, nil, f.Receiver.OnPacket)
+
+		// Forward path head, built back to front so packets traverse
+		// sender -> duplicator -> reorderer -> GE gate -> loss gate ->
+		// first link of the flow's path. Each element owns a generator of
+		// its own (seeded per run) so adding flows or enabling one element
+		// never perturbs another's realization.
+		var intoLink netem.PacketHandler = n.Links[f.path[0]].Enqueue
+		c := chainOf(spec)
+		if c&chainLoss != 0 {
+			f.gate = netem.NewLossGate(0, newRandSource(0), intoLink)
+			intoLink = f.gate.Send
+		}
+		if c&chainGE != 0 {
+			f.ge = faults.NewGEGate(faults.GEConfig{}, newRandSource(0), intoLink)
+			intoLink = f.ge.Send
+		}
+		if c&chainReorder != 0 {
+			f.reorder = faults.NewReorderer(faults.ReorderConfig{}, newRandSource(0), s, intoLink)
+			intoLink = f.reorder.Send
+		}
+		if c&chainDup != 0 {
+			f.dup = faults.NewDuplicator(faults.DupConfig{}, newRandSource(0), intoLink)
+			intoLink = f.dup.Send
+		}
+		f.Sender = endpoint.NewSender(s, f.ID, nil, 0, intoLink)
+		f.rttHook = func(now, rtt time.Duration, acked int) {
+			if rtt > 0 {
+				f.RTTTrace.Add(now, rtt.Seconds())
+			}
+		}
+	}
+	return n
+}
+
+// configure applies one run's parameters to a wired network of matching
+// shape. It is the only place they are applied — on a network's first run
+// and on every later one — so a recycled network behaves bit-identically
+// to a new one (the golden fresh-vs-reused parity test pins that). The
+// simulator resets first: that invalidates every outstanding timer
+// handle, which is why the element Resets zero their handles and never
+// cancel them.
+func (n *Network) configure(cfg Config, specs []FlowSpec) {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 100 * time.Millisecond
 	}
-	s := sim.New(cfg.Seed)
+	n.Sim.Reset(cfg.Seed)
 	if cfg.Ctx != nil {
-		s.SetContext(cfg.Ctx)
+		n.Sim.SetContext(cfg.Ctx)
 	}
-	n := &Network{Sim: s, cfg: cfg}
-	n.sampleFn = n.sample
-	if cfg.Guard != nil {
+	n.report = guard.Report{}
+	if cfg.Guard == nil {
+		n.monitor = nil
+	} else {
 		// The monitor taps the probe stream; read-only, so guarded and
 		// unguarded runs of the same seed stay bit-identical.
-		n.monitor = guard.NewMonitor()
+		if n.monitor == nil {
+			n.monitor = guard.NewMonitor()
+		} else {
+			n.monitor.Reset()
+		}
 		cfg.Probe = obs.Multi(cfg.Probe, n.monitor)
-		n.cfg.Probe = cfg.Probe
 	}
 	// Flow names must be resolved before the recorder labels its flows and
 	// before any element captures the probe chain.
@@ -302,37 +446,31 @@ func newNetwork(cfg Config, specs ...FlowSpec) *Network {
 			specs[i].Name = fmt.Sprintf("flow%d", i)
 		}
 	}
+	n.linkSpecs = cfg.linksOf()
+	n.telemetry = nil
 	if cfg.Telemetry != nil {
 		// The recorder folds raw events; its derived events (phases,
 		// episode boundaries) go to the pre-existing chain, so an attached
 		// JSONL trace carries them inline. Fair share reads the configured
 		// reporting-bottleneck rate — the same denominator the population
-		// statistics use.
+		// statistics use. It is observation-only and its parameters may
+		// change freely between runs, so it is built per run, not recycled.
 		var fair float64
-		if r := cfg.linksOf()[cfg.Bottleneck].Rate; r > 0 && len(specs) > 0 {
+		if r := n.linkSpecs[cfg.Bottleneck].Rate; r > 0 && len(specs) > 0 {
 			fair = float64(r) / float64(len(specs))
 		}
 		n.telemetry = newTelemetryRecorder(cfg.Telemetry, cfg.SampleEvery, fair, cfg.Probe, specs)
 		cfg.Probe = obs.Multi(cfg.Probe, n.telemetry)
-		n.cfg.Probe = cfg.Probe
 	}
+	n.cfg = cfg
 
-	// Each link dispatches departing packets to the owning flow's next
-	// stage: the next link of its path (after the hop propagation delay)
-	// or, past the last link, the flow's Rm/jitter stage.
-	n.linkSpecs = cfg.linksOf()
-	n.Links = make([]*netem.Link, len(n.linkSpecs))
-	n.hopArriveFns = make([]func(packet.Packet), len(n.linkSpecs))
-	n.nextHop = make([][]int32, len(n.linkSpecs))
 	for j := range n.linkSpecs {
 		ls := &n.linkSpecs[j]
 		if ls.Name == "" {
 			ls.Name = fmt.Sprintf("link%d", j)
 		}
-		j := j
-		link := netem.NewLink(s, ls.Rate, ls.BufferBytes, func(p packet.Packet) {
-			n.forward(j, p)
-		})
+		link := n.Links[j]
+		link.Reset(ls.Rate, ls.BufferBytes)
 		if ls.ECNThresholdBytes > 0 {
 			link.SetECNThreshold(ls.ECNThresholdBytes)
 		}
@@ -340,30 +478,20 @@ func newNetwork(cfg Config, specs ...FlowSpec) *Network {
 			link.SetMarker(ls.Marker)
 		}
 		link.SetProbe(cfg.Probe)
-		n.Links[j] = link
-		n.hopArriveFns[j] = func(p packet.Packet) {
-			n.Flows[p.Flow].hopTransit--
-			link.Enqueue(p)
-		}
-		n.nextHop[j] = make([]int32, len(specs))
 	}
 	n.Link = n.Links[cfg.Bottleneck]
 	for j := range n.linkSpecs {
 		if sched := n.linkSpecs[j].RateSchedule; sched != nil {
-			sched.Apply(s, n.Links[j])
+			sched.Apply(n.Sim, n.Links[j])
 		}
 	}
-	if len(n.Links) > 1 {
-		n.LinkQueues = make([]trace.Series, len(n.Links))
-		for j := range n.LinkQueues {
-			n.LinkQueues[j].Name = n.linkSpecs[j].Name + "_queue_bytes"
-		}
+	n.QueueTrace.Reset()
+	for j := range n.LinkQueues {
+		n.LinkQueues[j].Reset()
+		n.LinkQueues[j].Name = n.linkSpecs[j].Name + "_queue_bytes"
 	}
 
 	for i, spec := range specs {
-		if spec.Name == "" {
-			spec.Name = fmt.Sprintf("flow%d", i)
-		}
 		if spec.MSS <= 0 {
 			spec.MSS = endpoint.DefaultMSS
 		}
@@ -373,76 +501,46 @@ func newNetwork(cfg Config, specs ...FlowSpec) *Network {
 		if spec.AckJitter == nil {
 			spec.AckJitter = jitter.None{}
 		}
-		f := &Flow{Spec: spec, ID: packet.FlowID(i), path: pathOf(spec, len(n.Links))}
-		for pos, j := range f.path {
-			next := int32(-1)
-			if pos+1 < len(f.path) {
-				next = int32(f.path[pos+1])
-			}
-			n.nextHop[j][i] = next
-		}
+		f := n.Flows[i]
+		f.Spec = spec
+		f.RTTTrace.Reset()
 		f.RTTTrace.Name = spec.Name + "_rtt_s"
+		f.RateTrace.Reset()
 		f.RateTrace.Name = spec.Name + "_rate_bps"
+		f.CwndTrace.Reset()
 		f.CwndTrace.Name = spec.Name + "_cwnd_bytes"
 
-		// Reverse path: ack jitter box -> sender.
-		f.AckBox = netem.NewAckDelayBox(s, spec.AckJitter, func(a packet.Ack) {
-			f.Sender.OnAck(a)
-		})
-		// Receiver feeds the ack box.
-		f.Receiver = endpoint.NewReceiver(s, f.ID, spec.Ack, f.AckBox.Send)
+		f.AckBox.Reset(spec.AckJitter)
+		f.Receiver.Reset(spec.Ack)
 		f.Receiver.Probe = cfg.Probe
-		// Forward path tail: jitter box -> receiver.
-		f.FwdBox = netem.NewDelayBox(s, spec.FwdJitter, f.Receiver.OnPacket)
-
-		// Forward path head, built back to front so packets traverse
-		// sender -> duplicator -> reorderer -> GE gate -> loss gate ->
-		// first link of the flow's path.
-		var intoLink netem.PacketHandler = n.Links[f.path[0]].Enqueue
-		if spec.LossProb > 0 {
-			// Each gate gets an independent generator derived from the
-			// run seed so adding flows never perturbs other flows' loss.
-			gateRng := newDerivedRand(cfg.Seed, i)
-			gate := netem.NewLossGate(spec.LossProb, gateRng, intoLink)
-			gate.SetProbe(s, cfg.Probe)
-			f.gate = gate
-			intoLink = gate.Send
+		f.FwdBox.Reset(spec.FwdJitter)
+		if f.gate != nil {
+			f.gate.Reset(spec.LossProb)
+			f.gate.Rng.Seed(derivedSeed(cfg.Seed, i, saltGate))
+			f.gate.SetProbe(n.Sim, cfg.Probe)
 		}
-		if fs := spec.Faults; fs != nil {
-			// Each element draws from its own salted generator so enabling
-			// one never perturbs another's realization.
-			if fs.GE != nil {
-				ge := faults.NewGEGate(*fs.GE, newDerivedRandSalt(cfg.Seed, i, saltGE), intoLink)
-				ge.SetProbe(s, cfg.Probe)
-				f.ge = ge
-				intoLink = ge.Send
-			}
-			if fs.Reorder != nil {
-				ro := faults.NewReorderer(*fs.Reorder, newDerivedRandSalt(cfg.Seed, i, saltReorder), s, intoLink)
-				ro.SetProbe(cfg.Probe)
-				f.reorder = ro
-				intoLink = ro.Send
-			}
-			if fs.Duplicate != nil {
-				du := faults.NewDuplicator(*fs.Duplicate, newDerivedRandSalt(cfg.Seed, i, saltDup), intoLink)
-				du.SetProbe(s, cfg.Probe)
-				f.dup = du
-				intoLink = du.Send
-			}
+		if f.ge != nil {
+			f.ge.Reset(*spec.Faults.GE, derivedSeed(cfg.Seed, i, saltGE))
+			f.ge.SetProbe(n.Sim, cfg.Probe)
 		}
-		f.Sender = endpoint.NewSender(s, f.ID, spec.Alg, spec.MSS, intoLink)
+		if f.reorder != nil {
+			f.reorder.Reset(*spec.Faults.Reorder, derivedSeed(cfg.Seed, i, saltReorder))
+			f.reorder.SetProbe(cfg.Probe)
+		}
+		if f.dup != nil {
+			f.dup.Reset(*spec.Faults.Duplicate, derivedSeed(cfg.Seed, i, saltDup))
+			f.dup.SetProbe(n.Sim, cfg.Probe)
+		}
+		f.Sender.Reset(spec.Alg, spec.MSS)
 		f.Sender.Probe = cfg.Probe
-		f.Sender.AckTraceHook = func(now, rtt time.Duration, acked int) {
-			if rtt > 0 {
-				f.RTTTrace.Add(now, rtt.Seconds())
-			}
-		}
+		f.Sender.AckTraceHook = f.rttHook
+		f.rateSamples = 0
+		f.lastSampledAcked = 0
+		f.hopTransit = 0
 		if n.monitor != nil {
 			n.monitor.Track(f.ID, cfg.Guard.StallAfter(spec.Rm), spec.StartAt)
 		}
-		n.Flows = append(n.Flows, f)
 	}
-	return n
 }
 
 // forward routes a packet departing link j: into the next link of the
@@ -580,17 +678,9 @@ const (
 	saltDup     = 37
 )
 
-func newDerivedRand(seed int64, flow int) *randSource {
-	return newDerivedRandSalt(seed, flow, saltGate)
-}
-
-func newDerivedRandSalt(seed int64, flow int, salt int64) *randSource {
-	return newRandSource(derivedSeed(seed, flow, salt))
-}
-
-// derivedSeed is the seed of a flow element's private random stream. A
-// session reset reseeds the element's existing generator with this value,
-// which is bit-equivalent to the fresh construction above.
+// derivedSeed is the seed of a flow element's private random stream,
+// derived from the run seed so adding flows never perturbs other flows'
+// loss.
 func derivedSeed(seed int64, flow int, salt int64) int64 {
 	return seed*1000003 + int64(flow)*7919 + salt
 }

@@ -70,6 +70,9 @@ func TestPerFlowLossGatesIndependent(t *testing.T) {
 	// Flow 0's own gate decisions must be identical; its *behaviour* will
 	// differ because it shares the link, so compare only the gate RNG
 	// stream indirectly: same seed+index yields the same generator.
+	newDerivedRand := func(seed int64, flow int) *randSource {
+		return newRandSource(derivedSeed(seed, flow, saltGate))
+	}
 	a := newDerivedRand(3, 0)
 	b := newDerivedRand(3, 0)
 	for i := 0; i < 1000; i++ {

@@ -8,6 +8,7 @@ import (
 
 	"starvation/internal/cca/vegas"
 	"starvation/internal/guard"
+	"starvation/internal/netem/faults"
 	"starvation/internal/units"
 )
 
@@ -141,47 +142,94 @@ func TestSessionGuardParity(t *testing.T) {
 	}
 }
 
-// TestSessionShapeChangeRebuilds pins the cache key: configurations with
-// different construction-time shape (impairment elements present, path
-// layout, link count) run on distinct cached networks, and each still
-// matches its fresh hash when revisited.
+// TestSessionShapeChangeRebuilds pins the shape predicate, one case per
+// component: each impairment element on a flow's chain, the flow count,
+// the link count and the path layout wire a distinct network, while a
+// parameter-only change — and a nil path spelled out as the full path —
+// recycles the one already wired. Every run, whether through the session
+// (first and second pass) or through a nil session, must match the hash of
+// the same configuration on a fresh network.New.
 func TestSessionShapeChangeRebuilds(t *testing.T) {
-	shapes := []func() goldenConfig{
-		func() goldenConfig { return sessionScenario(4, units.Mbps(24)) },
-		func() goldenConfig { // adds a loss gate to flow 0: different chain shape
-			gc := sessionScenario(4, units.Mbps(24))
+	base := func() goldenConfig { return sessionScenario(4, units.Mbps(24)) }
+	lot := func() goldenConfig { // two-link parking lot, both flows end to end
+		gc := base()
+		gc.cfg = Config{Links: ParkingLot(2, units.Mbps(24), 32*1500, 2*time.Millisecond), Seed: 4}
+		return gc
+	}
+	cases := []struct {
+		name    string
+		build   func() goldenConfig
+		rewires bool // wires a network no earlier case wired
+	}{
+		{"base", base, true},
+		{"parameters only", func() goldenConfig { return sessionScenario(9, units.Mbps(12)) }, false},
+		{"loss gate", func() goldenConfig {
+			gc := base()
 			gc.specs[0].LossProb = 0.02
 			return gc
-		},
-		func() goldenConfig { // two-link parking lot: different link count
-			gc := sessionScenario(4, units.Mbps(24))
-			gc.cfg = Config{
-				Links: ParkingLot(2, units.Mbps(24), 32*1500, 2*time.Millisecond),
-				Seed:  4,
-			}
+		}, true},
+		{"GE gate", func() goldenConfig {
+			gc := base()
+			gc.specs[0].Faults = &faults.Spec{GE: &faults.GEConfig{PGoodToBad: 0.005, PBadToGood: 0.3, PDropBad: 0.5}}
 			return gc
-		},
+		}, true},
+		{"reorderer", func() goldenConfig {
+			gc := base()
+			gc.specs[0].Faults = &faults.Spec{Reorder: &faults.ReorderConfig{P: 0.02, Delay: 3 * time.Millisecond}}
+			return gc
+		}, true},
+		{"duplicator", func() goldenConfig {
+			gc := base()
+			gc.specs[0].Faults = &faults.Spec{Duplicate: &faults.DupConfig{P: 0.01}}
+			return gc
+		}, true},
+		{"same element, other flow", func() goldenConfig {
+			gc := base()
+			gc.specs[1].LossProb = 0.02
+			return gc
+		}, true},
+		{"flow count", func() goldenConfig {
+			gc := base()
+			gc.specs = append(gc.specs, FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 40 * time.Millisecond})
+			return gc
+		}, true},
+		{"link count", lot, true},
+		{"nil path ≡ explicit full path", func() goldenConfig {
+			gc := lot()
+			gc.specs[0].Path = []int{0, 1}
+			return gc
+		}, false},
+		{"explicit partial path", func() goldenConfig {
+			gc := lot()
+			gc.specs[1].Path = []int{1}
+			return gc
+		}, true},
 	}
-	fresh := make([]string, len(shapes))
-	for i, build := range shapes {
-		gc := build()
-		fresh[i] = hashResult(t, New(gc.cfg, gc.specs...).Run(gc.d))
+	run := func(s *Session, gc goldenConfig) string {
+		res, err := s.Run(gc.cfg, gc.d, gc.specs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hashResult(t, res)
 	}
 	s := NewSession()
 	for pass := 0; pass < 2; pass++ {
-		for i, build := range shapes {
-			gc := build()
-			res, err := s.Run(gc.cfg, gc.d, gc.specs...)
-			if err != nil {
-				t.Fatal(err)
+		for _, tc := range cases {
+			gc := tc.build()
+			fresh := hashResult(t, New(gc.cfg, gc.specs...).Run(gc.d))
+			if pass == 0 {
+				if h := run(nil, tc.build()); h != fresh {
+					t.Errorf("%s: nil session got %s, fresh network %s", tc.name, h, fresh)
+				}
 			}
-			if h := hashResult(t, res); h != fresh[i] {
-				t.Errorf("pass %d shape %d: got %s want %s", pass, i, h, fresh[i])
+			before := len(s.nets)
+			if h := run(s, tc.build()); h != fresh {
+				t.Errorf("pass %d %s: session got %s, fresh network %s", pass, tc.name, h, fresh)
+			}
+			if rewired := len(s.nets) > before; rewired != (tc.rewires && pass == 0) {
+				t.Errorf("pass %d %s: wired a new network = %v, want %v", pass, tc.name, rewired, tc.rewires && pass == 0)
 			}
 		}
-	}
-	if got := len(s.nets); got != len(shapes) {
-		t.Errorf("session cached %d networks, want %d (one per shape)", got, len(shapes))
 	}
 }
 

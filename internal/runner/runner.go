@@ -523,46 +523,21 @@ func (env execEnv) record(id, fp string, status JobStatus, rerr *guard.RunError,
 // sweeps — where results land in caller-owned slices indexed by i.
 // workers ≤ 1 runs inline, preserving strict sequential semantics.
 func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
-	return ForEachWorker(ctx, workers, n, func(ctx context.Context, _, i int) error {
-		return fn(ctx, i)
-	})
-}
-
-// Workers returns the effective worker count ForEachWorker uses for the
-// given request: workers (0 selecting GOMAXPROCS) capped at n, floored at
-// one. Callers that pre-size per-worker scratch state — recycled
-// network sessions, arenas — size it with this.
-func Workers(workers, n int) int {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// ForEachWorker is ForEach with the worker's identity threaded through:
-// fn(ctx, worker, i) with worker in [0, Workers(workers, n)). Every index
-// i runs on exactly one worker, and each worker id is served by exactly
-// one goroutine, so fn may keep per-worker scratch state (a recycled
-// network.Session, a reused buffer) in a slice indexed by worker with no
-// locking. workers ≤ 1 runs inline as worker 0, preserving strict
-// sequential semantics.
-func ForEachWorker(ctx context.Context, workers, n int, fn func(ctx context.Context, worker, i int) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	workers = Workers(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(ctx, 0, i); err != nil {
+			if err := fn(ctx, i); err != nil {
 				return err
 			}
 		}
@@ -573,16 +548,16 @@ func ForEachWorker(ctx context.Context, workers, n int, fn func(ctx context.Cont
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := range idx {
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
 					continue
 				}
-				errs[i] = fn(ctx, w, i)
+				errs[i] = fn(ctx, i)
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < n; i++ {
 		idx <- i

@@ -95,7 +95,7 @@ type Opts struct {
 	// sweep hot path. Realizations are bit-identical with or without a
 	// session (the fresh-vs-reused golden parity test pins this).
 	// Sessions are single-owner like the simulator: never share one
-	// across goroutines (SeedSweep gives each worker its own).
+	// across goroutines (SeedSweep borrows one per seed from a pool).
 	Session *network.Session
 }
 
@@ -108,19 +108,16 @@ func (o *Opts) fill(defaultDur time.Duration) {
 	}
 }
 
-// emulate runs one network for o.Duration — through o.Session when set
-// (recycling its arenas), through a throwaway network otherwise. Scenario
-// configurations are compile-time constants, so a validation failure is a
-// programming error and panics exactly like network.New would.
+// emulate runs one network for o.Duration through o.Session (a nil
+// session runs one-shot on a throwaway network). Scenario configurations
+// are compile-time constants, so a validation failure is a programming
+// error and panics exactly like network.New would.
 func (o Opts) emulate(cfg network.Config, specs ...network.FlowSpec) *network.Result {
-	if o.Session != nil {
-		res, err := o.Session.Run(cfg, o.Duration, specs...)
-		if err != nil {
-			panic(err.Error())
-		}
-		return res
+	res, err := o.Session.Run(cfg, o.Duration, specs...)
+	if err != nil {
+		panic(err.Error())
 	}
-	return network.New(cfg, specs...).Run(o.Duration)
+	return res
 }
 
 // Registry lists all scenarios by ID for the CLI.

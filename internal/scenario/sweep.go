@@ -16,15 +16,16 @@ import (
 //
 // base supplies everything but the seed (and, per worker, the context).
 // base.Probe is shared across runs: leave it nil when jobs > 1, since
-// event-stream writers are not safe for interleaved runs. The same goes
-// for base.Session (sessions are single-owner); when it is nil the sweep
-// gives every worker its own recycled session automatically, so each
-// worker builds its networks once and resets them per seed — the results
-// are bit-identical to fresh-network runs at any jobs value.
+// event-stream writers are not safe for interleaved runs. Every seed runs
+// through a session borrowed from a pool, so the sweep wires each network
+// shape once per concurrent worker and reconfigures it per seed — the
+// results are bit-identical to one-shot runs at any jobs value.
+// base.Session, when set, is one of the pool's sessions: one seed at a
+// time owns it, so it is safe at any jobs value.
 //
 // jobs is the worker count: 0 selects GOMAXPROCS, 1 runs the seeds
 // strictly sequentially. The returned error is non-nil only for an
-// unknown scenario, a shared probe or session, or a cancelled context.
+// unknown scenario, a shared probe, or a cancelled context.
 func SeedSweep(ctx context.Context, name string, seeds []int64, jobs int, base Opts) ([]*Result, error) {
 	fn, ok := Registry[name]
 	if !ok {
@@ -33,22 +34,15 @@ func SeedSweep(ctx context.Context, name string, seeds []int64, jobs int, base O
 	if base.Probe != nil && jobs > 1 {
 		return nil, fmt.Errorf("scenario: SeedSweep with jobs > 1 cannot share a probe")
 	}
-	if base.Session != nil && jobs > 1 {
-		return nil, fmt.Errorf("scenario: SeedSweep with jobs > 1 cannot share a session")
-	}
 	results := make([]*Result, len(seeds))
-	sessions := make([]*network.Session, runner.Workers(jobs, len(seeds)))
-	sessions[0] = base.Session
-	err := runner.ForEachWorker(ctx, jobs, len(seeds), func(ctx context.Context, w, i int) error {
-		if sessions[w] == nil {
-			// Lazily built: each worker id is served by exactly one
-			// goroutine, so the slot is worker-private.
-			sessions[w] = network.NewSession()
-		}
+	pool := network.NewSessionPool()
+	pool.Put(base.Session)
+	err := runner.ForEach(ctx, jobs, len(seeds), func(ctx context.Context, i int) error {
 		o := base
 		o.Seed = seeds[i]
 		o.Ctx = ctx
-		o.Session = sessions[w]
+		o.Session = pool.Get()
+		defer pool.Put(o.Session)
 		results[i] = fn(o)
 		return ctx.Err()
 	})

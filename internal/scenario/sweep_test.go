@@ -50,37 +50,43 @@ func TestSeedSweepParallelParity(t *testing.T) {
 }
 
 // TestSeedSweepSessionFreshParity pins the sweep hot path's correctness
-// contract end to end: SeedSweep workers recycle networks through
-// per-worker sessions, and every observable must still equal a direct
-// fresh-network invocation of the scenario. The population scenario
-// additionally routes through core.RunPopulation's session path.
+// contract end to end: SeedSweep runs every seed through a pooled,
+// recycled session, and every observable must still equal a direct
+// nil-session (one-shot network) invocation of the scenario — whether the
+// pool starts empty or is seeded with a caller's session, which is safe
+// at jobs > 1 because one seed at a time owns it. The population scenario
+// additionally routes through core.RunPopulation.
 func TestSeedSweepSessionFreshParity(t *testing.T) {
 	seeds := []int64{2, 5, 9}
 	for _, name := range []string{"allegro-loss", "pop-mixed"} {
-		opts := Opts{Duration: 4 * time.Second}
-		swept, err := SeedSweep(context.Background(), name, seeds, 2, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for i, seed := range seeds {
-			o := opts
-			o.Seed = seed
-			fresh := Registry[name](o) // no session: throwaway networks
-			a, b := swept[i].Observables, fresh.Observables
-			if len(a) != len(b) {
-				t.Fatalf("%s seed %d: observable sets differ: %v vs %v", name, seed, a, b)
+		for _, sess := range []*network.Session{nil, network.NewSession()} {
+			opts := Opts{Duration: 4 * time.Second, Session: sess}
+			swept, err := SeedSweep(context.Background(), name, seeds, 2, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			for k, v := range b {
-				if a[k] != v {
-					t.Errorf("%s seed %d: %s = %v via session sweep, %v fresh", name, seed, k, a[k], v)
+			for i, seed := range seeds {
+				o := opts
+				o.Seed = seed
+				o.Session = nil // one-shot: a throwaway network per emulation
+				fresh := Registry[name](o)
+				a, b := swept[i].Observables, fresh.Observables
+				if len(a) != len(b) {
+					t.Fatalf("%s seed %d: observable sets differ: %v vs %v", name, seed, a, b)
+				}
+				for k, v := range b {
+					if a[k] != v {
+						t.Errorf("%s seed %d: %s = %v via session sweep, %v fresh", name, seed, k, a[k], v)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestSeedSweepErrors pins the failure modes: unknown scenarios and
-// probe or session sharing under parallelism are refused up front.
+// TestSeedSweepErrors pins the failure modes: unknown scenarios and probe
+// sharing under parallelism are refused up front. A caller's session is
+// not one of them — the sweep pools it (parity is pinned above).
 func TestSeedSweepErrors(t *testing.T) {
 	if _, err := SeedSweep(context.Background(), "no-such-scenario", []int64{2}, 1, Opts{}); err == nil {
 		t.Errorf("unknown scenario did not error")
@@ -88,8 +94,8 @@ func TestSeedSweepErrors(t *testing.T) {
 	if _, err := SeedSweep(context.Background(), "copa-single", []int64{2, 3}, 2, Opts{Probe: obs.Nop{}}); err == nil {
 		t.Errorf("shared probe with jobs > 1 did not error")
 	}
-	if _, err := SeedSweep(context.Background(), "copa-single", []int64{2, 3}, 2, Opts{Session: network.NewSession()}); err == nil {
-		t.Errorf("shared session with jobs > 1 did not error")
+	if _, err := SeedSweep(context.Background(), "copa-single", []int64{2, 3}, 2, Opts{Duration: time.Second, Session: network.NewSession()}); err != nil {
+		t.Errorf("caller session with jobs > 1: %v", err)
 	}
 }
 

@@ -67,6 +67,9 @@ type Server struct {
 	// rather than once per job. Realizations (and thus artifacts and the
 	// cache's server-vs-CLI byte parity) are bit-identical either way.
 	sessions *network.SessionPool
+	// beforeArtifact, when non-nil, runs ahead of every artifact write;
+	// tests set it before Start to slow a write down.
+	beforeArtifact func(job string)
 
 	fams      *obs.FamilySet
 	mJobs     *obs.Family // counter: jobs completed per client
@@ -350,9 +353,13 @@ func (s *Server) execute(b *batch, idx int) {
 			s.logf("service: %s/%s: writing artifact: %v", b.rec.ID, bj.Name, err)
 		}
 	}
+	// The batch is terminal only once no job is still between its terminal
+	// progress event (which bumps done inside pool.Execute) and its
+	// artifact rename above: whoever leaves last finalizes, so batch-done
+	// is never published ahead of an artifact.
 	b.mu.Lock()
 	b.running--
-	terminal := b.done >= len(b.rec.Jobs)
+	terminal := b.done >= len(b.rec.Jobs) && b.running == 0
 	b.mu.Unlock()
 	s.mJobs.Add(b.rec.Client, 1)
 	if terminal {
@@ -363,6 +370,9 @@ func (s *Server) execute(b *batch, idx int) {
 // writeArtifact lands a job's rendered output in the batch tree with
 // write-then-rename (a crashed daemon never leaves a torn artifact).
 func (s *Server) writeArtifact(b *batch, name string, data []byte) error {
+	if s.beforeArtifact != nil {
+		s.beforeArtifact(name)
+	}
 	dir := filepath.Join(b.dir, "artifacts")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err

@@ -343,6 +343,69 @@ func TestServiceConcurrentBatches(t *testing.T) {
 	}
 }
 
+// TestServiceArtifactsLandBeforeBatchDone: a job's terminal progress event
+// precedes its artifact write, so with two workers a quick job used to
+// find the batch fully counted and publish batch-done while a slower
+// worker was still writing. Every artifact must be fetchable the moment
+// batch-done is observed on the event stream.
+func TestServiceArtifactsLandBeforeBatchDone(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2}, false)
+	quick := []string{"q1", "q2", "q3"}
+	jobs := []string{testJobJSON("slow", 1)}
+	for i, q := range quick {
+		jobs = append(jobs, testJobJSON(q, int64(i+2)))
+	}
+	code, out, _ := postBatch(t, ts.URL, `{"jobs":[`+strings.Join(jobs, ",")+`]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", code, out)
+	}
+	id := out["id"].(string)
+	b, _ := s.Batch(id)
+	s.beforeArtifact = func(job string) {
+		if job != "slow" {
+			return
+		}
+		// Hold this write until the other worker has landed every quick
+		// artifact, then a little longer: time for a premature batch-done.
+		for _, q := range quick {
+			for {
+				if _, err := os.Stat(b.artifactPath(q)); err == nil {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	s.Start()
+
+	resp, err := http.Get(ts.URL + "/batches/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	var last Event
+	for sc.Scan() {
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatalf("bad event line %q: %v", sc.Text(), err)
+		}
+	}
+	if last.Type != "batch-done" {
+		t.Fatalf("stream ended on %+v, want batch-done", last)
+	}
+	for _, name := range append([]string{"slow"}, quick...) {
+		resp, err := http.Get(ts.URL + "/batches/" + id + "/artifacts/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("artifact %s: %d right after batch-done", name, resp.StatusCode)
+		}
+	}
+}
+
 // TestServiceFairness: with one worker, a 3-job probe submitted after a
 // 40-job sweep still finishes long before it — each probe job waits at
 // most one job slice, not the sweep's backlog.
