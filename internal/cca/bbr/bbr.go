@@ -75,7 +75,8 @@ type BBR struct {
 
 	// Delivery-rate sampling.
 	delivered     int64
-	history       []histPoint // (time, delivered) samples
+	history       []histPoint // (time, delivered) samples; live from histHead on
+	histHead      int
 	lastAckTime   time.Duration
 	lastRTpropRef time.Duration
 
@@ -243,28 +244,33 @@ func (b *BBR) OnAck(s cca.AckSignal) {
 // BBR v1's conservation dynamics are immaterial to the experiments.
 func (b *BBR) OnLoss(cca.LossSignal) {}
 
+// pruneHistory expires points older than the min-RTT window plus slack by
+// advancing histHead, and compacts only once the dead prefix outgrows the
+// live part, so an ACK pays amortised O(1) however long the flow has run.
 func (b *BBR) pruneHistory(now time.Duration) {
 	keep := b.cfg.RTpropWindow + 5*time.Second
-	i := 0
-	for i < len(b.history) && now-b.history[i].t > keep {
-		i++
+	for b.histHead < len(b.history) && now-b.history[b.histHead].t > keep {
+		b.histHead++
 	}
-	if i > 0 {
-		b.history = append(b.history[:0], b.history[i:]...)
+	if live := len(b.history) - b.histHead; b.histHead > live {
+		copy(b.history, b.history[b.histHead:])
+		b.history = b.history[:live]
+		b.histHead = 0
 	}
 }
 
 // deliveredAt returns the cumulative delivered count at the last history
 // point at or before t, along with that point's timestamp.
 func (b *BBR) deliveredAt(t time.Duration) (int64, time.Duration) {
-	if len(b.history) == 0 {
+	live := b.history[b.histHead:]
+	if len(live) == 0 {
 		return 0, 0
 	}
-	if t <= b.history[0].t {
-		return b.history[0].delivered, b.history[0].t
+	if t <= live[0].t {
+		return live[0].delivered, live[0].t
 	}
-	i := sort.Search(len(b.history), func(i int) bool { return b.history[i].t > t })
-	return b.history[i-1].delivered, b.history[i-1].t
+	i := sort.Search(len(live), func(i int) bool { return live[i].t > t })
+	return live[i-1].delivered, live[i-1].t
 }
 
 func (b *BBR) advance(now time.Duration, inflight int) {

@@ -2,6 +2,7 @@ package bbr
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -189,5 +190,84 @@ func TestIgnoresLoss(t *testing.T) {
 	b.OnLoss(cca.LossSignal{Now: 2 * time.Second, Bytes: 1500, NewEvent: true})
 	if b.Window() != w || b.PacingRate() != p {
 		t.Error("the §5.2 BBR model must not react to loss")
+	}
+}
+
+// memmoveHistory is the delivery history as it was before the head index:
+// every prune shifts the surviving points to the front of the slice.
+// TestHistoryPruneMatchesMemmove pins the head-indexed history against it.
+type memmoveHistory struct {
+	keep   time.Duration
+	points []histPoint
+}
+
+func (h *memmoveHistory) add(now time.Duration, delivered int64) {
+	h.points = append(h.points, histPoint{now, delivered})
+	i := 0
+	for i < len(h.points) && now-h.points[i].t > h.keep {
+		i++
+	}
+	if i > 0 {
+		h.points = append(h.points[:0], h.points[i:]...)
+	}
+}
+
+func (h *memmoveHistory) deliveredAt(t time.Duration) (int64, time.Duration) {
+	if len(h.points) == 0 {
+		return 0, 0
+	}
+	if t <= h.points[0].t {
+		return h.points[0].delivered, h.points[0].t
+	}
+	i := sort.Search(len(h.points), func(i int) bool { return h.points[i].t > t })
+	return h.points[i-1].delivered, h.points[i-1].t
+}
+
+// TestHistoryPruneMatchesMemmove feeds 30 emulated seconds of irregularly
+// spaced ACKs — twice the 15 s the history keeps, so points expire on most
+// of them — and checks after every ACK that the live history and
+// deliveredAt lookups across it (before the oldest point, at and between
+// points, at now) equal the memmove implementation's, and that the dead
+// prefix never outgrows the live part.
+func TestHistoryPruneMatchesMemmove(t *testing.T) {
+	b := newTestBBR()
+	ref := &memmoveHistory{keep: b.cfg.RTpropWindow + 5*time.Second}
+	rng := rand.New(rand.NewSource(7))
+	var delivered int64
+	now := time.Duration(0)
+	for now < 30*time.Second {
+		gap := time.Duration(100+rng.Intn(800)) * time.Microsecond
+		if rng.Intn(20000) == 0 {
+			gap = time.Duration(rng.Intn(3000)) * time.Millisecond // an idle spell expires a long run at once
+		}
+		now += gap
+		n := 1500 * rng.Intn(3)
+		delivered += int64(n)
+		b.OnAck(cca.AckSignal{Now: now, RTT: 40 * time.Millisecond, AckedBytes: n,
+			DeliveredBytes: n, Packets: 1, InFlight: 30000})
+		ref.add(now, delivered)
+
+		live := b.history[b.histHead:]
+		if len(live) != len(ref.points) || live[0] != ref.points[0] {
+			t.Fatalf("t=%v: live history %d points from %+v, want %d from %+v",
+				now, len(live), live[0], len(ref.points), ref.points[0])
+		}
+		if b.histHead > len(live) {
+			t.Fatalf("t=%v: dead prefix %d exceeds live part %d", now, b.histHead, len(live))
+		}
+		for _, at := range []time.Duration{
+			live[0].t - time.Millisecond, live[0].t, now - 16*time.Second,
+			now - time.Duration(rng.Int63n(int64(15*time.Second))),
+			now - 40*time.Millisecond, now,
+		} {
+			gd, gt := b.deliveredAt(at)
+			wd, wt := ref.deliveredAt(at)
+			if gd != wd || gt != wt {
+				t.Fatalf("t=%v: deliveredAt(%v) = (%d, %v), want (%d, %v)", now, at, gd, gt, wd, wt)
+			}
+		}
+	}
+	if ref.points[0].t < 14*time.Second {
+		t.Fatalf("history never expired: oldest point at %v after %v", ref.points[0].t, now)
 	}
 }

@@ -6,6 +6,7 @@
 package endpoint
 
 import (
+	"math/bits"
 	"time"
 
 	"starvation/internal/cca"
@@ -21,10 +22,16 @@ const (
 	DefaultMSS    = 1500
 	DefaultMinRTO = 200 * time.Millisecond
 	dupThresh     = 3
+	// maxSackScan caps how many segments above cumAck one ACK's loss
+	// detection considers.
+	maxSackScan = 512
+	// minRing is the scoreboard's initial size: one bitmap word.
+	minRing = 64
 )
 
+// segState is one scoreboard entry. Every segment is exactly mss bytes, so
+// the entry carries no size.
 type segState struct {
-	size   int
 	sentAt time.Duration
 	retx   bool
 	lost   bool // marked lost, removed from pipe, awaiting retransmit/ack
@@ -41,15 +48,25 @@ type Sender struct {
 	alg  cca.Algorithm
 	out  netem.PacketHandler
 
-	// Sequence state.
-	nextSeq int64
-	cumAck  int64
-	pipe    int
-	segs    map[int64]*segState
-	retxQ   []int64
-	// segFree recycles acked segState records: steady-state transmission
-	// allocates one record per distinct in-flight segment, not per packet.
-	segFree []*segState
+	// Sequence state. cumAck and nextSeq are multiples of mss and the
+	// scoreboard holds exactly the segments of [cumAck, nextSeq). head and
+	// tail are cumAck/mss and nextSeq/mss, stepped alongside them so the
+	// per-packet path never divides.
+	nextSeq    int64
+	cumAck     int64
+	head, tail int64
+	pipe       int
+	// Scoreboard: segment seq lives in ring[(seq/mss)&(len(ring)-1)]. The
+	// ring's length is a power of two, at least one bitmap word, and doubles
+	// when the window fills it. inPipe keeps one bit per slot, set exactly
+	// when the slot holds a segment that is neither sacked nor lost — the
+	// only segments loss detection ever has to look at.
+	ring   []segState
+	inPipe []uint64
+	// retxQ[retxHead:] is the retransmission queue, oldest first. Popping
+	// advances retxHead; both rewind to the array's start when it empties.
+	retxQ    []int64
+	retxHead int
 
 	// Recovery state.
 	dupAcks       int
@@ -115,7 +132,8 @@ func NewSender(s *sim.Simulator, flow packet.FlowID, alg cca.Algorithm, mss int,
 		mss:    mss,
 		alg:    alg,
 		out:    out,
-		segs:   make(map[int64]*segState),
+		ring:   make([]segState, minRing),
+		inPipe: make([]uint64, minRing/64),
 		minRTO: DefaultMinRTO,
 	}
 	sn.trySendFn = sn.trySend
@@ -125,7 +143,7 @@ func NewSender(s *sim.Simulator, flow packet.FlowID, alg cca.Algorithm, mss int,
 
 // Reset returns the sender to the state NewSender(s, flow, alg, mss, out)
 // would produce while keeping the warm buffers that dominate per-run setup
-// cost: the segment map's buckets, the segState recycling pool, the
+// cost: the scoreboard ring at whatever size earlier runs grew it to, the
 // retransmission queue's capacity, and the bound timer callbacks. The
 // caller must reset the shared simulator first — pending timer handles are
 // zeroed here, never cancelled, because they went stale with the
@@ -138,12 +156,12 @@ func (sn *Sender) Reset(alg cca.Algorithm, mss int) {
 	sn.mss = mss
 	sn.alg = alg
 	sn.nextSeq, sn.cumAck = 0, 0
+	sn.head, sn.tail = 0, 0
 	sn.pipe = 0
-	for seq, st := range sn.segs {
-		delete(sn.segs, seq)
-		sn.segFree = append(sn.segFree, st)
-	}
-	sn.retxQ = sn.retxQ[:0]
+	// An empty window needs no slot cleared (sendSegment initialises the
+	// slot it claims), only the bits.
+	clear(sn.inPipe)
+	sn.retxQ, sn.retxHead = sn.retxQ[:0], 0
 	sn.dupAcks = 0
 	sn.inRecovery = false
 	sn.recoverPoint, sn.highestSacked = 0, 0
@@ -234,15 +252,13 @@ func (sn *Sender) trySend() {
 		// queued here. Resending it would recreate state below cumAck
 		// that no ACK can ever clear.
 		for len(sn.retxQ) > 0 {
-			seq := sn.retxQ[0]
-			st, ok := sn.segs[seq]
-			if ok && seq >= sn.cumAck && st.lost {
-				break
+			if s := sn.slotOf(sn.retxQ[sn.retxHead]); s >= 0 {
+				if sn.ring[s].lost {
+					break
+				}
+				sn.ring[s].queued = false
 			}
-			if ok {
-				st.queued = false
-			}
-			sn.retxQ = sn.retxQ[1:]
+			sn.popRetx()
 		}
 		// Retransmissions have priority but obey the same limits.
 		haveRetx := len(sn.retxQ) > 0
@@ -263,14 +279,21 @@ func (sn *Sender) trySend() {
 			sn.nextSend += pr.Interval(sn.mss)
 		}
 		if haveRetx {
-			seq := sn.retxQ[0]
-			sn.retxQ = sn.retxQ[1:]
-			sn.sendSegment(seq, true)
+			sn.sendSegment(sn.popRetx(), true)
 			continue
 		}
 		sn.sendSegment(sn.nextSeq, false)
-		sn.nextSeq += int64(sn.mss)
 	}
+}
+
+// popRetx removes and returns the oldest queued retransmission.
+func (sn *Sender) popRetx() int64 {
+	seq := sn.retxQ[sn.retxHead]
+	sn.retxHead++
+	if sn.retxHead == len(sn.retxQ) {
+		sn.retxQ, sn.retxHead = sn.retxQ[:0], 0
+	}
+	return seq
 }
 
 func (sn *Sender) scheduleWake(at time.Duration) {
@@ -280,35 +303,88 @@ func (sn *Sender) scheduleWake(at time.Duration) {
 	sn.sendTimer = sn.sim.At(at, sn.trySendFn)
 }
 
+// slot returns the ring slot of segment index i.
+func (sn *Sender) slot(i int64) int { return int(i) & (len(sn.ring) - 1) }
+
+// slotOf returns the ring slot of the segment that starts at seq, or -1
+// when no segment of [cumAck, nextSeq) starts there.
+func (sn *Sender) slotOf(seq int64) int {
+	if seq < sn.cumAck || seq >= sn.nextSeq {
+		return -1
+	}
+	i := seq / int64(sn.mss)
+	if i*int64(sn.mss) != seq {
+		return -1
+	}
+	return sn.slot(i)
+}
+
+func (sn *Sender) setInPipe(s int)   { sn.inPipe[s>>6] |= 1 << (s & 63) }
+func (sn *Sender) clearInPipe(s int) { sn.inPipe[s>>6] &^= 1 << (s & 63) }
+
+// pipeWord returns the in-pipe bits of segment i and the segments after it
+// in the same bitmap word — bit k stands for segment i+k — and the index
+// of the first segment of the next word, wrapping with the ring. A scan
+// that starts at head and follows next meets the in-pipe segments in index
+// order; should it come round to the word it started in, the bits it has
+// seen before decode to indices of tail or more, after every live one.
+func (sn *Sender) pipeWord(i int64) (w uint64, next int64) {
+	s := sn.slot(i)
+	return sn.inPipe[s>>6] >> (s & 63), i + int64(64-s&63)
+}
+
+// growRing doubles the scoreboard and moves every live segment to its slot
+// in the larger ring, rebuilding the bitmap from the segments' flags.
+func (sn *Sender) growRing() {
+	old := sn.ring
+	sn.ring = make([]segState, 2*len(old))
+	sn.inPipe = make([]uint64, len(sn.ring)/64)
+	for i := sn.head; i < sn.tail; i++ {
+		st := old[int(i)&(len(old)-1)]
+		s := sn.slot(i)
+		sn.ring[s] = st
+		if !st.sacked && !st.lost {
+			sn.setInPipe(s)
+		}
+	}
+}
+
+// sendSegment transmits the segment at seq: a retransmission of a segment
+// the scoreboard holds, or a new segment, which always enters at nextSeq.
 func (sn *Sender) sendSegment(seq int64, retx bool) {
 	now := sn.sim.Now()
-	st, ok := sn.segs[seq]
-	if !ok {
-		if n := len(sn.segFree); n > 0 {
-			st = sn.segFree[n-1]
-			sn.segFree = sn.segFree[:n-1]
-			*st = segState{size: sn.mss}
-		} else {
-			st = &segState{size: sn.mss}
+	var s int
+	if retx {
+		s = sn.slotOf(seq)
+	} else {
+		if sn.tail-sn.head == int64(len(sn.ring)) {
+			sn.growRing()
 		}
-		sn.segs[seq] = st
+		s = sn.slot(sn.tail)
+		sn.ring[s] = segState{}
+		sn.nextSeq += int64(sn.mss)
+		sn.tail++
 	}
+	st := &sn.ring[s]
 	st.sentAt = now
 	st.retx = retx
 	st.lost = false
 	st.queued = false
-	sn.pipe += st.size
-	sn.SentBytes += int64(st.size)
+	if !st.sacked {
+		sn.setInPipe(s)
+	}
+	sn.pipe += sn.mss
+	sn.SentBytes += int64(sn.mss)
 	sn.SentPackets++
 	if retx {
-		sn.RetxBytes += int64(st.size)
+		sn.RetxBytes += int64(sn.mss)
 		sn.RetxPackets++
 	}
 	if so, ok := sn.alg.(cca.SendObserver); ok {
-		so.OnSend(cca.SendSignal{Now: now, Bytes: st.size, Seq: seq, Retx: retx})
+		so.OnSend(cca.SendSignal{Now: now, Bytes: sn.mss, Seq: seq, Retx: retx})
 	}
 	sn.touchRTO()
-	sn.out(packet.Packet{Flow: sn.flow, Seq: seq, Size: st.size, SentAt: now, Retx: retx})
+	sn.out(packet.Packet{Flow: sn.flow, Seq: seq, Size: sn.mss, SentAt: now, Retx: retx})
 }
 
 // OnAck processes an acknowledgment arriving from the reverse path.
@@ -348,11 +424,13 @@ func (sn *Sender) OnAck(a packet.Ack) {
 	// SackSeq, so the sender knows that segment is held by the receiver
 	// even while a hole below it pins the cumulative ACK.
 	if a.SackSeq > sn.cumAck {
-		if st, ok := sn.segs[a.SackSeq]; ok && !st.sacked {
+		if s := sn.slotOf(a.SackSeq); s >= 0 && !sn.ring[s].sacked {
+			st := &sn.ring[s]
 			st.sacked = true
 			if !st.lost {
-				sn.pipe -= st.size
+				sn.pipe -= sn.mss
 			}
+			sn.clearInPipe(s)
 		}
 		if a.SackSeq > sn.highestSacked {
 			sn.highestSacked = a.SackSeq
@@ -361,22 +439,19 @@ func (sn *Sender) OnAck(a packet.Ack) {
 
 	newly := 0
 	if a.CumAck > sn.cumAck {
-		for seq := sn.cumAck; seq < a.CumAck; {
-			st, ok := sn.segs[seq]
-			if !ok {
-				// Should not happen; advance by MSS to stay live.
-				seq += int64(sn.mss)
-				continue
+		// The receiver acknowledges whole segments it was sent, so the walk
+		// ends exactly at a.CumAck; it stops at nextSeq regardless, which
+		// keeps cumAck on a segment boundary of the scoreboard.
+		for sn.cumAck < a.CumAck && sn.head < sn.tail {
+			s := sn.slot(sn.head)
+			if st := &sn.ring[s]; !st.lost && !st.sacked {
+				sn.pipe -= sn.mss
 			}
-			if !st.lost && !st.sacked {
-				sn.pipe -= st.size
-			}
-			newly += st.size
-			delete(sn.segs, seq)
-			sn.segFree = append(sn.segFree, st)
-			seq += int64(st.size)
+			sn.clearInPipe(s)
+			newly += sn.mss
+			sn.cumAck += int64(sn.mss)
+			sn.head++
 		}
-		sn.cumAck = a.CumAck
 		sn.AckedBytes += int64(newly)
 		sn.dupAcks = 0
 		sn.rtoBackoff = 0
@@ -450,41 +525,50 @@ func (sn *Sender) detectSackLosses(now time.Duration) {
 		return
 	}
 	limit := sn.highestSacked - int64(dupThresh*sn.mss)
-	scanned := 0
-	for seq := sn.cumAck; seq <= limit && scanned < 512; seq += int64(sn.mss) {
-		scanned++
-		st, ok := sn.segs[seq]
-		if !ok || st.sacked || st.lost {
-			continue
+	if limit < sn.cumAck {
+		return
+	}
+	// Only in-pipe segments can be newly lost, so visit those alone, in
+	// sequence order, instead of probing every segment up to limit.
+	end := min(sn.head+(limit-sn.cumAck)/int64(sn.mss)+1, sn.head+maxSackScan, sn.tail)
+	grace := sn.srtt + sn.rttvar*4 + time.Millisecond
+	for i := sn.head; i < end; {
+		w, next := sn.pipeWord(i)
+		for ; w != 0; w &= w - 1 {
+			j := i + int64(bits.TrailingZeros64(w))
+			if j >= end {
+				return
+			}
+			s := sn.slot(j)
+			if st := &sn.ring[s]; st.retx && now-st.sentAt < grace {
+				// A recently retransmitted segment gets a round trip (with
+				// variance margin) before it can be re-declared lost.
+				continue
+			}
+			newEvent := !sn.inRecovery
+			if newEvent {
+				sn.inRecovery = true
+				sn.recoverPoint = sn.nextSeq
+				sn.LossEvents++
+			}
+			sn.markLost(s, j*int64(sn.mss), newEvent, now)
 		}
-		if st.retx && now-st.sentAt < sn.srtt+sn.rttvar*4+time.Millisecond {
-			// A recently retransmitted segment gets a round trip (with
-			// variance margin) before it can be re-declared lost.
-			continue
-		}
-		newEvent := !sn.inRecovery
-		if newEvent {
-			sn.inRecovery = true
-			sn.recoverPoint = sn.nextSeq
-			sn.LossEvents++
-		}
-		sn.markLost(seq, newEvent, now)
+		i = next
 	}
 }
 
-// markLost marks the segment at seq lost, queues its retransmission, and
-// informs the CCA. newEvent tags the start of a recovery epoch. Segments
-// already marked lost (e.g. by an RTO sweep) are still queued if they are
-// not already awaiting retransmission — partial ACKs walk holes this way.
-func (sn *Sender) markLost(seq int64, newEvent bool, now time.Duration) {
-	st, ok := sn.segs[seq]
-	if !ok {
-		return
-	}
+// markLost marks the segment at seq (ring slot s) lost, queues its
+// retransmission, and informs the CCA. newEvent tags the start of a recovery
+// epoch. Segments already marked lost (e.g. by an RTO sweep) are still
+// queued if they are not already awaiting retransmission — partial ACKs
+// walk holes this way.
+func (sn *Sender) markLost(s int, seq int64, newEvent bool, now time.Duration) {
+	st := &sn.ring[s]
 	freshLoss := !st.lost
 	if freshLoss {
 		st.lost = true
-		sn.pipe -= st.size
+		sn.pipe -= sn.mss
+		sn.clearInPipe(s)
 	}
 	if !st.queued {
 		st.queued = true
@@ -493,7 +577,7 @@ func (sn *Sender) markLost(seq int64, newEvent bool, now time.Duration) {
 	if freshLoss {
 		sn.alg.OnLoss(cca.LossSignal{
 			Now:      now,
-			Bytes:    st.size,
+			Bytes:    sn.mss,
 			NewEvent: newEvent,
 			InFlight: sn.pipe,
 		})
@@ -550,12 +634,12 @@ func (sn *Sender) onRTO() {
 	sn.Timeouts++
 	sn.rtoBackoff++
 	sn.dupAcks = 0
-	for _, seq := range sn.retxQ {
-		if st, ok := sn.segs[seq]; ok {
-			st.queued = false
+	for _, seq := range sn.retxQ[sn.retxHead:] {
+		if s := sn.slotOf(seq); s >= 0 {
+			sn.ring[s].queued = false
 		}
 	}
-	sn.retxQ = sn.retxQ[:0]
+	sn.retxQ, sn.retxHead = sn.retxQ[:0], 0
 	sn.inRecovery = false // enterRecoveryTimeout re-establishes it
 	sn.enterRecoveryTimeout(now)
 	sn.armRTO()
@@ -572,19 +656,24 @@ func (sn *Sender) enterRecoveryTimeout(now time.Duration) {
 	// holes. Retransmitting the whole range would flood the path with
 	// duplicates the receiver discards — for a rate-based CCA that can
 	// choke goodput for seconds.
-	for seq := sn.cumAck; seq < sn.nextSeq; seq += int64(sn.mss) {
-		st, ok := sn.segs[seq]
-		if !ok || st.sacked {
-			continue // sacked segments are at the receiver, not lost
+	// Sacked segments are at the receiver, not lost, and lost ones are
+	// counted already: the in-pipe segments are exactly the rest. Each bit
+	// is cleared as it is met, so none is met twice.
+	for i := sn.head; i < sn.tail; {
+		w, next := sn.pipeWord(i)
+		for ; w != 0; w &= w - 1 {
+			s := sn.slot(i + int64(bits.TrailingZeros64(w)))
+			sn.ring[s].lost = true
+			sn.pipe -= sn.mss
+			sn.clearInPipe(s)
 		}
-		if !st.lost {
-			st.lost = true
-			sn.pipe -= st.size
-		}
+		i = next
 	}
-	if st, ok := sn.segs[sn.cumAck]; ok && !st.queued {
-		st.queued = true
-		sn.retxQ = append(sn.retxQ, sn.cumAck)
+	if sn.head < sn.tail {
+		if st := &sn.ring[sn.slot(sn.head)]; !st.queued {
+			st.queued = true
+			sn.retxQ = append(sn.retxQ, sn.cumAck)
+		}
 	}
 	sn.alg.OnLoss(cca.LossSignal{
 		Now:      now,
@@ -606,10 +695,4 @@ func (sn *Sender) Throughput(now time.Duration) units.Rate {
 		return 0
 	}
 	return units.RateFromBytes(int(sn.DeliveredBytes), el)
-}
-
-// DebugState reports internal sender state for diagnostics and tests.
-func (sn *Sender) DebugState() (pipe int, retxQ int, segs int, cumAck, nextSeq int64, rtoPending, sendPending, inRecovery bool) {
-	return sn.pipe, len(sn.retxQ), len(sn.segs), sn.cumAck, sn.nextSeq,
-		sn.rtoTimer.Pending(), sn.sendTimer.Pending(), sn.inRecovery
 }

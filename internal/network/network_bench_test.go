@@ -4,6 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"starvation/internal/cca/bbr"
+	"starvation/internal/cca/copa"
+	"starvation/internal/cca/cubic"
+	"starvation/internal/cca/reno"
 	"starvation/internal/cca/vegas"
 	"starvation/internal/units"
 )
@@ -77,6 +81,49 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(2*float64(b.N)/b.Elapsed().Seconds(), "flowsec/sec")
+}
+
+// BenchmarkLossyPopulation is the loss-recovery counterpart of
+// BenchmarkSweepThroughput, whose two Vegas flows never lose a packet: 32
+// flows of four CCAs (Reno, Cubic, BBR, Copa; 40 ms) share 100 Mbit/s
+// through a 64-packet drop-tail buffer for one emulated second, run
+// back-to-back through one recycled Session. The buffer overflows
+// throughout, so the time goes to the sender's scoreboard — SACK
+// bookkeeping, loss detection, retransmission queue, RTO sweeps — and to
+// drop-tail itself. The seed is fixed so pkts/simsec is the realization's
+// determinism check, as in BenchmarkEmulatedSecond.
+func BenchmarkLossyPopulation(b *testing.B) {
+	s := NewSession()
+	specs := make([]FlowSpec, 32)
+	run := func() *Result {
+		for i := range specs {
+			fs := FlowSpec{Rm: 40 * time.Millisecond}
+			switch i % 4 {
+			case 0:
+				fs.Alg = reno.New(reno.Config{})
+			case 1:
+				fs.Alg = cubic.New(cubic.Config{})
+			case 2:
+				fs.Alg = bbr.New(bbr.Config{})
+			case 3:
+				fs.Alg = copa.New(copa.Config{})
+			}
+			specs[i] = fs
+		}
+		res, err := s.Run(Config{Rate: units.Mbps(100), BufferBytes: 64 * 1500, Seed: 1}, time.Second, specs...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	if res := run(); res.Dropped == 0 { // also the warm pass that builds the cached network
+		b.Fatal("no packet was dropped: the benchmark would not exercise loss recovery")
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.ReportMetric(float64(run().Delivered), "pkts/simsec")
+	}
 }
 
 // BenchmarkPacketRate measures raw packet-forwarding throughput of the

@@ -53,18 +53,26 @@ type eventRec struct {
 	kind     uint8
 }
 
-// alloc takes a record slot from the free list, growing the arena when the
-// list is empty. The returned record keeps its generation (bumped at free
-// time), so handles minted against it are distinguishable from handles of
-// the slot's previous lives.
+// alloc takes a record slot from the free list, extending the arena when
+// the list is empty. The returned record keeps its generation (bumped at
+// free time), so handles minted against it are distinguishable from handles
+// of the slot's previous lives — including lives before a Reset, whose
+// records wait, generations intact, in the arena's capacity: extending
+// reslices into that capacity and appends only once it is used up.
 func (s *Simulator) alloc() int32 {
 	if s.freeHead != noSlot {
 		slot := s.freeHead
 		s.freeHead = s.arena[slot].nextFree
 		return slot
 	}
-	s.arena = append(s.arena, eventRec{heapIdx: noSlot, nextFree: noSlot})
-	return int32(len(s.arena) - 1)
+	n := len(s.arena)
+	if n < cap(s.arena) {
+		s.arena = s.arena[:n+1]
+	} else {
+		s.arena = append(s.arena, eventRec{})
+	}
+	s.arena[n].heapIdx, s.arena[n].nextFree = noSlot, noSlot
+	return int32(n)
 }
 
 // free returns a slot to the free list, invalidating all outstanding

@@ -98,3 +98,65 @@ func TestResetClearsWatchdogAndContext(t *testing.T) {
 		t.Error("context survived Reset")
 	}
 }
+
+// TestResetKeepsGenerationsAndCapacity pins what makes an O(pending) Reset
+// safe: the arena is truncated, not walked, yet a record handed out again
+// after Reset still carries the generation its pre-reset lives left it —
+// so a handle from before the Reset, whether its event had fired, been
+// cancelled or was still pending, can neither report the slot's new event
+// as its own nor cancel it — and the arena's capacity survives, so the
+// next run schedules without allocating.
+func TestResetKeepsGenerationsAndCapacity(t *testing.T) {
+	s := New(1)
+	const n = 1000
+	old := make([]Handle, n)
+	for i := range old {
+		old[i] = s.At(time.Duration(i+1)*time.Millisecond, func() {})
+	}
+	old[10].Cancel()
+	s.Run(n / 2 * time.Millisecond) // half fire, half stay pending
+	pending := s.Pending()
+	if pending == 0 || pending >= n-1 {
+		t.Fatalf("pending %d: want some fired and some not", pending)
+	}
+	capBefore := cap(s.arena)
+	s.Reset(1)
+	if len(s.arena) != 0 || cap(s.arena) != capBefore || s.Pending() != 0 {
+		t.Fatalf("after Reset: arena len %d cap %d (was %d), pending %d",
+			len(s.arena), cap(s.arena), capBefore, s.Pending())
+	}
+
+	fired := 0
+	fresh := make([]Handle, n)
+	for i := range fresh {
+		fresh[i] = s.At(time.Millisecond, func() { fired++ })
+		if int(fresh[i].slot) != i {
+			t.Fatalf("event %d after Reset got slot %d; a fresh simulator assigns %d", i, fresh[i].slot, i)
+		}
+	}
+	for i, h := range old {
+		if h.Pending() {
+			t.Fatalf("pre-reset handle %d reports the slot's new event as pending", i)
+		}
+		h.Cancel()
+	}
+	for i, h := range fresh {
+		if !h.Pending() {
+			t.Fatalf("pre-reset handle cancelled the new event in slot %d", i)
+		}
+	}
+	s.Run(time.Millisecond)
+	if fired != n {
+		t.Errorf("fired %d of %d events scheduled after Reset", fired, n)
+	}
+
+	fn := func() {}
+	if a := testing.AllocsPerRun(10, func() {
+		s.Reset(1)
+		for i := 0; i < n; i++ {
+			s.At(time.Millisecond, fn)
+		}
+	}); a != 0 {
+		t.Errorf("scheduling into a reset arena allocated %v times per run", a)
+	}
+}

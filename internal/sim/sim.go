@@ -41,6 +41,9 @@ func (h Handle) Cancel() {
 	if s == nil {
 		return
 	}
+	if int(h.slot) >= len(s.arena) {
+		return // stale: minted before a Reset, slot not handed out again yet
+	}
 	rec := &s.arena[h.slot]
 	if rec.gen != h.gen {
 		return // stale: the event fired or was cancelled, slot may be reused
@@ -53,7 +56,7 @@ func (h Handle) Cancel() {
 
 // Pending reports whether the event is still scheduled to fire.
 func (h Handle) Pending() bool {
-	return h.s != nil && h.s.arena[h.slot].gen == h.gen
+	return h.s != nil && int(h.slot) < len(h.s.arena) && h.s.arena[h.slot].gen == h.gen
 }
 
 // Simulator owns the virtual clock and the event queue.
@@ -273,29 +276,23 @@ func (s *Simulator) Pending() int { return s.live }
 
 // Reset returns the simulator to the state New(seed) would produce while
 // keeping the arena and heap capacity, so a reused simulator schedules
-// allocation-free up to the previous run's high-water mark.
+// allocation-free up to the previous run's high-water mark. Its cost is
+// the number of events still pending, not that high-water mark.
 //
-// Every arena record's generation is bumped, which invalidates every
-// outstanding Handle: a stale Cancel or Pending after Reset is a safe
-// no-op, exactly as if the event had fired. (Truncating the arena instead
-// would restart generations and let a pre-reset handle collide with a
-// fresh event in the same slot.) The free list is rebuilt in ascending
-// slot order so a reset simulator assigns slots in the same order a fresh
-// one does.
+// The pending records are freed, which bumps their generations like any
+// fired event's, and the arena is truncated to length zero over the same
+// backing array. Every record therefore keeps the generation its last free
+// gave it — alloc re-extends into that capacity without zeroing — so every
+// outstanding Handle is stale: its slot is either past the arena's length
+// or holds a later generation, and a Cancel or Pending after Reset is a
+// safe no-op, exactly as if the event had fired. With the free list empty
+// a reset simulator hands out slots 0, 1, 2, … like a fresh one.
 func (s *Simulator) Reset(seed int64) {
-	for i := range s.arena {
-		rec := &s.arena[i]
-		rec.gen++
-		rec.fn, rec.pfn, rec.afn = nil, nil, nil
-		rec.heapIdx = noSlot
-		rec.nextFree = int32(i + 1)
+	for _, slot := range s.heap {
+		s.free(slot)
 	}
-	if n := len(s.arena); n > 0 {
-		s.arena[n-1].nextFree = noSlot
-		s.freeHead = 0
-	} else {
-		s.freeHead = noSlot
-	}
+	s.arena = s.arena[:0]
+	s.freeHead = noSlot
 	s.heap = s.heap[:0]
 	s.now = 0
 	s.seq, s.fired, s.cancelled = 0, 0, 0
