@@ -150,13 +150,50 @@ func TestResetKeepsGenerationsAndCapacity(t *testing.T) {
 		t.Errorf("fired %d of %d events scheduled after Reset", fired, n)
 	}
 
+	// Both tiers refill without allocating: the wheel is part of the
+	// Simulator, the overflow heap keeps its capacity.
 	fn := func() {}
 	if a := testing.AllocsPerRun(10, func() {
 		s.Reset(1)
 		for i := 0; i < n; i++ {
-			s.At(time.Millisecond, fn)
+			s.At(time.Duration(i)*time.Millisecond, fn)
 		}
 	}); a != 0 {
 		t.Errorf("scheduling into a reset arena allocated %v times per run", a)
+	}
+
+	// Reset visits occupied buckets only. An unoccupied bucket's list ends
+	// are never read, so poison them all and see which Reset rewrote: none
+	// — it clears bits, not buckets — while every occupancy word is zero.
+	occupied := 0
+	for i := range s.wheel {
+		if s.occupied[i>>6]&(1<<(i&63)) != 0 {
+			occupied++
+			continue
+		}
+		s.wheel[i] = bucket{head: -7, tail: -7}
+	}
+	if over := len(s.heap); occupied == 0 || over == 0 || occupied+over != n {
+		t.Fatalf("%d buckets occupied + %d in overflow, want both tiers in use and %d in all", occupied, over, n)
+	}
+	s.Reset(1)
+	poisoned := 0
+	for i := range s.wheel {
+		if s.wheel[i] == (bucket{head: -7, tail: -7}) {
+			poisoned++
+		}
+	}
+	if poisoned != wheelBuckets-occupied {
+		t.Errorf("Reset rewrote %d unoccupied buckets", wheelBuckets-occupied-poisoned)
+	}
+	if s.occupied != [wheelWords]uint64{} || len(s.heap) != 0 || s.origin != 0 {
+		t.Errorf("after Reset: occupancy bits left set, %d in overflow, origin %d", len(s.heap), s.origin)
+	}
+	ran := 0
+	s.At(0, func() { ran++ })
+	s.At(time.Hour, func() { ran++ })
+	s.Run(time.Hour)
+	if ran != 2 {
+		t.Errorf("%d of 2 events fired across the poisoned wheel", ran)
 	}
 }

@@ -6,15 +6,17 @@
 // run is a pure function of the scenario configuration and its RNG seeds.
 //
 // The event queue is allocation-free on the hot path: records live in a
-// pooled arena ordered by an intrusive 4-ary min-heap (see queue.go), and
-// the typed entry points (AtPacket/AfterPacket, AtAck/AfterAck) carry a
-// packet or ACK payload inline in the record so per-packet call sites need
-// no capturing closure.
+// pooled arena, ordered by a calendar wheel for the next 67 ms and by an
+// intrusive 4-ary min-heap beyond that (see queue.go), and the typed entry
+// points (AtPacket/AfterPacket, AtAck/AfterAck) carry a packet or ACK
+// payload inline in the record so per-packet call sites need no capturing
+// closure.
 package sim
 
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -48,7 +50,11 @@ func (h Handle) Cancel() {
 	if rec.gen != h.gen {
 		return // stale: the event fired or was cancelled, slot may be reused
 	}
-	s.heapRemove(rec.heapIdx)
+	if rec.heapIdx != noSlot {
+		s.heapRemove(rec.heapIdx)
+	} else {
+		s.wheelUnlink(h.slot)
+	}
 	s.free(h.slot)
 	s.live--
 	s.cancelled++
@@ -62,9 +68,12 @@ func (h Handle) Pending() bool {
 // Simulator owns the virtual clock and the event queue.
 type Simulator struct {
 	now       Time
-	arena     []eventRec // pooled event records
-	heap      []int32    // 4-ary min-heap of arena indices, ordered by (at, seq)
-	freeHead  int32      // head of the free-slot list (noSlot when empty)
+	arena     []eventRec           // pooled event records
+	freeHead  int32                // head of the free-slot list (noSlot when empty)
+	origin    int64                // absolute bucket (at>>wheelShift) of the last event fired
+	heap      []int32              // overflow: 4-ary min-heap of the records at or beyond origin+wheelBuckets
+	occupied  [wheelWords]uint64   // bit i set: wheel[i]'s list is non-empty
+	wheel     [wheelBuckets]bucket // absolute bucket b waits at wheel[b&wheelMask]
 	seq       uint64
 	fired     uint64
 	cancelled uint64
@@ -120,7 +129,11 @@ func (s *Simulator) schedule(t Time) (int32, *eventRec) {
 	rec.seq = s.seq
 	s.seq++
 	s.live++
-	s.heapPush(slot)
+	if int64(t>>wheelShift)-s.origin < wheelBuckets {
+		s.wheelInsert(slot)
+	} else {
+		s.heapPush(slot)
+	}
 	return slot, rec
 }
 
@@ -227,18 +240,22 @@ func (s *Simulator) guardsTripped() bool {
 }
 
 // Run executes events until the queue is empty, the horizon is reached, or
-// Halt is called. The clock is left at the later of its current value and
-// the horizon (when the horizon terminated the run).
+// the run is halted (Halt, the watchdog, a cancelled context). When the
+// horizon or an empty queue ended the run the clock is left at the later
+// of its current value and the horizon; a halted run leaves it at the last
+// event fired, its pending events still ahead of it, so a later Run
+// resumes where this one stopped.
 func (s *Simulator) Run(horizon Time) {
-	s.halted = false
-	if s.ctx != nil && s.ctx.Err() != nil {
-		s.halted = true
-	}
-	for len(s.heap) > 0 && !s.halted {
-		if s.arena[s.heap[0]].at > horizon {
+	s.halted = s.ctx != nil && s.ctx.Err() != nil
+	for {
+		if s.halted {
+			return
+		}
+		slot := s.earliest()
+		if slot == noSlot || s.arena[slot].at > horizon {
 			break
 		}
-		s.fireRoot()
+		s.fire(slot)
 		if s.guardsTripped() {
 			s.halted = true
 		}
@@ -259,10 +276,14 @@ func (s *Simulator) Step() bool {
 	if s.ctx != nil && s.ctx.Err() != nil {
 		s.halted = true
 	}
-	if s.halted || len(s.heap) == 0 {
+	if s.halted {
 		return false
 	}
-	s.fireRoot()
+	slot := s.earliest()
+	if slot == noSlot {
+		return false
+	}
+	s.fire(slot)
 	if s.guardsTripped() {
 		s.halted = true
 	}
@@ -275,9 +296,11 @@ func (s *Simulator) Step() bool {
 func (s *Simulator) Pending() int { return s.live }
 
 // Reset returns the simulator to the state New(seed) would produce while
-// keeping the arena and heap capacity, so a reused simulator schedules
-// allocation-free up to the previous run's high-water mark. Its cost is
-// the number of events still pending, not that high-water mark.
+// keeping the arena, the wheel and the overflow heap's capacity, so a
+// reused simulator schedules allocation-free up to the previous run's
+// high-water mark. Its cost is the number of events still pending plus one
+// pass over the occupancy bitmap, not that high-water mark: only occupied
+// buckets are visited and only their words cleared.
 //
 // The pending records are freed, which bumps their generations like any
 // fired event's, and the arena is truncated to length zero over the same
@@ -288,12 +311,27 @@ func (s *Simulator) Pending() int { return s.live }
 // safe no-op, exactly as if the event had fired. With the free list empty
 // a reset simulator hands out slots 0, 1, 2, … like a fresh one.
 func (s *Simulator) Reset(seed int64) {
+	for w := range s.occupied {
+		m := s.occupied[w]
+		if m == 0 {
+			continue
+		}
+		s.occupied[w] = 0
+		for ; m != 0; m &= m - 1 {
+			for slot := s.wheel[w<<6+bits.TrailingZeros64(m)].head; slot != noSlot; {
+				next := s.arena[slot].next
+				s.free(slot)
+				slot = next
+			}
+		}
+	}
 	for _, slot := range s.heap {
 		s.free(slot)
 	}
 	s.arena = s.arena[:0]
 	s.freeHead = noSlot
 	s.heap = s.heap[:0]
+	s.origin = 0
 	s.now = 0
 	s.seq, s.fired, s.cancelled = 0, 0, 0
 	s.live = 0

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -138,6 +139,59 @@ func TestHalt(t *testing.T) {
 	s.Run(time.Second)
 	if count != 3 {
 		t.Errorf("events fired = %d, want 3 (halted)", count)
+	}
+}
+
+// TestHaltLeavesClockAtLastEvent pins that only the horizon or an empty
+// queue moves the clock to the horizon. Were a halted Run to set it there
+// too, with events still pending before it, the resumed Run would fire
+// them in its past and move Now() backwards.
+func TestHaltLeavesClockAtLastEvent(t *testing.T) {
+	s := New(1)
+	var at []Time
+	for i := 1; i <= 10; i++ {
+		s.At(time.Duration(i)*time.Millisecond, func() {
+			at = append(at, s.Now())
+			if len(at) == 3 {
+				s.Halt()
+			}
+		})
+	}
+	s.Run(time.Second)
+	if s.Now() != 3*time.Millisecond || s.Pending() != 7 {
+		t.Fatalf("after Halt: Now = %v with %d pending, want 3ms with 7", s.Now(), s.Pending())
+	}
+	s.Run(2 * time.Second)
+	if len(at) != 10 || s.Now() != 2*time.Second {
+		t.Fatalf("resumed Run fired %d of 10 events and left Now = %v", len(at), s.Now())
+	}
+	for i := 1; i < len(at); i++ {
+		if at[i] < at[i-1] {
+			t.Fatalf("clock ran backwards across the resumed Run: %v", at)
+		}
+	}
+
+	// The watchdog and a cancelled context halt the same way.
+	s = New(1)
+	s.Watchdog(2, func() bool { return false })
+	for i := 1; i <= 4; i++ {
+		s.At(time.Duration(i)*time.Millisecond, func() {})
+	}
+	s.Run(time.Second)
+	if s.Now() != 2*time.Millisecond {
+		t.Errorf("after a watchdog halt: Now = %v, want 2ms", s.Now())
+	}
+
+	s = New(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	s.SetContext(ctx)
+	s.At(0, cancel)
+	for i := 1; i < 2*ctxCheckEvery; i++ {
+		s.At(time.Duration(i)*time.Microsecond, func() {})
+	}
+	s.Run(time.Second)
+	if want := time.Duration(ctxCheckEvery-1) * time.Microsecond; s.Now() != want {
+		t.Errorf("after a context halt: Now = %v, want %v", s.Now(), want)
 	}
 }
 
@@ -285,18 +339,21 @@ func TestStatsAndLiveCounter(t *testing.T) {
 }
 
 // TestPendingMatchesQueueScan cross-checks the maintained counter against a
-// brute-force scan under a random schedule/cancel/step workload. Cancelled
-// events leave the heap eagerly, so every heap entry is live; the scan also
-// verifies the heap/arena cross-links and that heap plus free list account
-// for every arena slot.
+// brute-force walk of both tiers under a random schedule/cancel/step
+// workload whose delays straddle the wheel's horizon. Cancelled events
+// leave their tier eagerly, so every queued entry is live; checkQueue
+// (oracle_test.go) verifies the rest: each live slot in exactly one tier,
+// occupancy bit set exactly for the non-empty buckets, lists sorted,
+// overflow entries at or beyond the horizon, free + queued == arena.
 func TestPendingMatchesQueueScan(t *testing.T) {
 	s := New(7)
 	rng := rand.New(rand.NewSource(99))
 	var handles []Handle
-	for i := 0; i < 500; i++ {
+	overflowed := false
+	for i := 0; i < 2000; i++ {
 		switch rng.Intn(3) {
 		case 0:
-			handles = append(handles, s.After(time.Duration(rng.Intn(50))*time.Millisecond, func() {}))
+			handles = append(handles, s.After(time.Duration(rng.Intn(150_000))*time.Microsecond, func() {}))
 		case 1:
 			if len(handles) > 0 {
 				handles[rng.Intn(len(handles))].Cancel()
@@ -304,20 +361,10 @@ func TestPendingMatchesQueueScan(t *testing.T) {
 		case 2:
 			s.Step()
 		}
-		if len(s.heap) != s.Pending() {
-			t.Fatalf("step %d: Pending = %d, heap len = %d", i, s.Pending(), len(s.heap))
-		}
-		for pos, slot := range s.heap {
-			if got := s.arena[slot].heapIdx; got != int32(pos) {
-				t.Fatalf("step %d: slot %d at heap pos %d records heapIdx %d", i, slot, pos, got)
-			}
-		}
-		free := 0
-		for f := s.freeHead; f != noSlot; f = s.arena[f].nextFree {
-			free++
-		}
-		if free+len(s.heap) != len(s.arena) {
-			t.Fatalf("step %d: %d free + %d queued != %d arena slots", i, free, len(s.heap), len(s.arena))
-		}
+		checkQueue(t, s)
+		overflowed = overflowed || len(s.heap) > 0
+	}
+	if !overflowed {
+		t.Error("no event ever waited in the overflow tier")
 	}
 }
