@@ -52,12 +52,6 @@
 //
 //	starvesim -cca allegro -cca2 allegro -faults "ge:0.008,0.2,0.5;flap:5s,200ms"
 //
-// -chaos <spec> runs the orchestration chaos self-test instead of an
-// experiment: a synthetic batch is executed under injected faults (see
-// internal/runner/chaos for the spec grammar; "default" selects a canned
-// spec) and must converge, via retries and cache quarantine, to artifacts
-// byte-identical to a fault-free run.
-//
 // An interrupt (SIGINT or SIGTERM) cancels the run context: the event
 // loop halts at the next tick, the trace/metrics/telemetry exporters
 // flush what the truncated run produced, and the command exits 3.
@@ -128,8 +122,6 @@ func main() {
 		loss1  = flag.Float64("loss", 0, "freeform mode: flow 0 random loss probability")
 		ackPer = flag.Duration("ackagg", 0, "freeform mode: flow 0 ACK aggregation period")
 
-		chaosArg = flag.String("chaos", "", "run the orchestration chaos self-test with this fault spec (\"default\" for a canned one; see internal/runner/chaos)")
-
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	)
@@ -146,11 +138,6 @@ func main() {
 	// run so the event loop halts at the next tick and exporters flush.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-
-	if *chaosArg != "" {
-		runChaosSelfTest(ctx, *chaosArg, *jobsN)
-		return
-	}
 
 	observing := *tracePath != "" || *metricsPath != "" || *watchEvery > 0
 	if observing && *name == "all" {

@@ -1,0 +1,124 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"starvation/internal/scenario"
+)
+
+// cliEnv makes the test binary behave as the starvesim command: the tests
+// below re-execute themselves with it set instead of building the CLI.
+const cliEnv = "STARVESIM_TEST_AS_CLI"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(cliEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// starvesim runs the CLI with args and returns its exit status and output.
+func starvesim(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), cliEnv+"=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatalf("starvesim %v: %v", args, err)
+	}
+	return code, out.String(), errb.String()
+}
+
+// TestExitStatus pins the contract of the package comment: 0 on success,
+// 1 on a runtime failure, 2 on a malformed configuration — for a bad
+// population spec with exactly the message the experiment service returns
+// as HTTP 400.
+func TestExitStatus(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "ev.jsonl")
+	badSpec := scenario.PopulationSpec{Flows: "nosuchcca*2"}.Validate().Error()
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stderr string // a whole line of standard error
+	}{
+		{[]string{"-list"}, 0, ""},
+		{[]string{"-scenario", "nosuch"}, 1, "unknown scenario \"nosuch\"; use -list\n"},
+		{[]string{"-flows", "nosuchcca*2"}, 2, "starvesim: " + badSpec + "\n"},
+		{[]string{"-trace", tracePath, "-scenario", "all"}, 1,
+			"starvesim: -trace/-metrics/-watch observe one scenario; run them with a single -scenario name\n"},
+		// Refused before anything is dialled.
+		{[]string{"-server", "localhost:1"}, 2, "starvesim: -server runs population mode on a daemon; it needs -flows\n"},
+	} {
+		if code, _, errOut := starvesim(t, tc.args...); code != tc.code || !strings.Contains(errOut, tc.stderr) {
+			t.Errorf("starvesim %v: exit %d, stderr %q; want %d, %q", tc.args, code, errOut, tc.code, tc.stderr)
+		}
+	}
+	if _, err := os.Stat(tracePath); !os.IsNotExist(err) {
+		t.Errorf("refused -trace run left a trace file behind (stat: %v)", err)
+	}
+}
+
+var tookLine = regexp.MustCompile(`(?m)^\(took .*\)\n`)
+
+// TestScenarioOutputDeterministic checks the printed result is a function
+// of the flags alone: identical across runs, and unmoved by the -trace and
+// -metrics observers, once the wall-clock line is dropped.
+func TestScenarioOutputDeterministic(t *testing.T) {
+	run := func(extra ...string) string {
+		t.Helper()
+		args := append([]string{"-scenario", "quickstart-vegas", "-duration", "2s"}, extra...)
+		code, out, errOut := starvesim(t, args...)
+		if code != 0 {
+			t.Fatalf("starvesim %v: exit %d, stderr %q", args, code, errOut)
+		}
+		if !tookLine.MatchString(out) {
+			t.Fatalf("starvesim %v: no (took …) line in %q", args, out)
+		}
+		return tookLine.ReplaceAllString(out, "")
+	}
+	first := run()
+	if again := run(); again != first {
+		t.Errorf("two runs differ:\n%s\n---\n%s", first, again)
+	}
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "ev.jsonl"), filepath.Join(dir, "met.txt")
+	if observed := run("-trace", tracePath, "-metrics", metricsPath); observed != first {
+		t.Errorf("-trace/-metrics moved the result:\n%s\n---\n%s", first, observed)
+	}
+	for _, p := range []string{tracePath, metricsPath} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("%s not written (stat: %v)", filepath.Base(p), err)
+		}
+	}
+}
+
+// TestPopulationEpsilonAgreement is the regression test for a report that
+// used two thresholds: -eps must reach the episode detector too, so the
+// population line and the telemetry line of one run state the same ε.
+func TestPopulationEpsilonAgreement(t *testing.T) {
+	code, out, errOut := starvesim(t, "-flows", "vegas*3;reno*3", "-eps", "0.5", "-telemetry", "-duration", "5s")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errOut)
+	}
+	pop := regexp.MustCompile(`at eps=(\S+)\)`).FindStringSubmatch(out)
+	tel := regexp.MustCompile(`(?m)^telemetry: .* eps (\S+) `).FindStringSubmatch(out)
+	if pop == nil || tel == nil {
+		t.Fatalf("population or telemetry line missing:\n%s", out)
+	}
+	if pop[1] != "0.5" || tel[1] != pop[1] {
+		t.Errorf("population statistics use eps=%s, episode detector eps %s; want 0.5 for both", pop[1], tel[1])
+	}
+}

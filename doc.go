@@ -5,12 +5,12 @@
 // PCC Allegro) and the loss-based baselines (Reno, Cubic), the bounded
 // non-congestive delay network model of §3, the constructive machinery of
 // Theorems 1 and 2, the §6.3 starvation-resistant Algorithm 1, and a
-// benchmark harness that regenerates every figure and table.
+// harness (cmd/figures) that regenerates every figure and table.
 //
 // Start with DESIGN.md for the system inventory, EXPERIMENTS.md for
 // paper-vs-measured results, and examples/quickstart for code.
 //
-// The root package holds only the benchmark harness (bench_test.go); the
-// implementation lives under internal/ and the runnable tools under cmd/
-// and examples/.
+// The root package holds only this documentation; the implementation
+// lives under internal/, the runnable tools under cmd/ and examples/, and
+// the repository's benchmark, a Go module of its own, under bench/.
 package starvation

@@ -57,13 +57,14 @@ type Convergence struct {
 	Rate *trace.Series
 }
 
+// windowFrac is the trailing fraction of a measurement run taken as the
+// equilibrium window: the last 40%.
+const windowFrac = 0.4
+
 // MeasureOpts tunes a convergence measurement.
 type MeasureOpts struct {
 	// Duration of the run (default 60 s).
 	Duration time.Duration
-	// WindowFrac is the trailing fraction used as the equilibrium window
-	// (default 0.4: the last 40% of the run).
-	WindowFrac float64
 	// MSS (default 1500).
 	MSS int
 	// Seed for the run (default 1).
@@ -89,9 +90,6 @@ func (o *MeasureOpts) fill() {
 	if o.Duration <= 0 {
 		o.Duration = 60 * time.Second
 	}
-	if o.WindowFrac <= 0 || o.WindowFrac >= 1 {
-		o.WindowFrac = 0.4
-	}
 	if o.MSS <= 0 {
 		o.MSS = 1500
 	}
@@ -109,7 +107,7 @@ func MeasureConvergence(f Factory, c units.Rate, rm time.Duration, opts MeasureO
 	cfg := network.Config{Rate: c, Seed: opts.Seed, Ctx: opts.Ctx}
 	spec := network.FlowSpec{Name: "probe", Alg: alg, Rm: rm, MSS: opts.MSS}
 	d := opts.Duration
-	from := time.Duration((1 - opts.WindowFrac) * float64(d))
+	from := time.Duration((1 - windowFrac) * float64(d))
 	res, err := opts.Session.RunWindow(cfg, d, from, d, spec)
 	if err != nil {
 		// The config is assembled here from checked inputs; a validation

@@ -38,7 +38,7 @@ func TestEstimateConvergenceTimeImmediate(t *testing.T) {
 func TestMeasureOptsDefaults(t *testing.T) {
 	var o MeasureOpts
 	o.fill()
-	if o.Duration != 60*time.Second || o.WindowFrac != 0.4 || o.MSS != 1500 || o.Seed != 1 {
+	if o.Duration != 60*time.Second || o.MSS != 1500 || o.Seed != 1 {
 		t.Errorf("defaults = %+v", o)
 	}
 }

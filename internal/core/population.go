@@ -40,9 +40,10 @@ type PopulationConfig struct {
 	Guard *guard.Options
 	Probe obs.Probe
 	Ctx   context.Context
-	// Telemetry passes through to network.Config.Telemetry, enabling the
-	// flight recorder (windowed series + online episode detection) on the
-	// population run.
+	// Telemetry, when non-nil, enables the flight recorder (windowed
+	// series + online episode detection) on the population run. A non-zero
+	// Epsilon above is also the episode detector's threshold, so the
+	// population statistics and the episode log of one report agree.
 	Telemetry *network.TelemetryConfig
 	// Session, when non-nil, runs the realization through a reusable run
 	// context that recycles the network's arenas across runs instead of
@@ -86,6 +87,12 @@ func (cfg PopulationConfig) networkConfig() network.Config {
 		Probe:      cfg.Probe,
 		Ctx:        cfg.Ctx,
 		Telemetry:  cfg.Telemetry,
+	}
+	if cfg.Telemetry != nil && cfg.Epsilon > 0 {
+		// A copy: the caller's config may be shared across runs.
+		tc := *cfg.Telemetry
+		tc.Epsilon = cfg.Epsilon
+		ncfg.Telemetry = &tc
 	}
 	if cfg.Links == nil {
 		ncfg.Rate = cfg.Rate

@@ -81,3 +81,26 @@ func TestPopulationSweepSessionParity(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPopulationEpsilonReachesDetector pins that one report uses one
+// threshold: the population's Epsilon is also the episode detector's, and
+// it gets there without writing through the caller's TelemetryConfig,
+// which sweeps share across realizations.
+func TestRunPopulationEpsilonReachesDetector(t *testing.T) {
+	tc := &network.TelemetryConfig{}
+	res, err := RunPopulation(PopulationConfig{
+		Flows:    []network.FlowSpec{{Alg: vegas.New(vegas.Config{}), Rm: 30 * time.Millisecond}},
+		Rate:     units.Mbps(24),
+		Duration: time.Second,
+		Epsilon:  0.5, Telemetry: tc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Net.Telemetry.Epsilon; got != 0.5 || res.Stats.Epsilon != 0.5 {
+		t.Errorf("detector threshold %g, population statistics %g, want 0.5 for both", got, res.Stats.Epsilon)
+	}
+	if tc.Epsilon != 0 {
+		t.Errorf("RunPopulation wrote %g into the caller's TelemetryConfig", tc.Epsilon)
+	}
+}

@@ -88,6 +88,11 @@ func (spec FlowSpec) Validate() error {
 	return nil
 }
 
+// sampleEvery is the trace sampling interval: the stride of the rate, cwnd
+// and queue-depth traces, of the rate-sample events a Probe receives, and
+// of the flight recorder's windows.
+const sampleEvery = 100 * time.Millisecond
+
 // Config describes the shared bottleneck and run parameters.
 type Config struct {
 	// Links, when non-nil, describes a multi-link topology (parking-lot
@@ -130,8 +135,6 @@ type Config struct {
 	// is observation-only — a run with a context is event-for-event
 	// identical to one without until cancellation.
 	Ctx context.Context
-	// SampleEvery is the trace sampling interval (default 100 ms).
-	SampleEvery time.Duration
 	// Probe receives the packet-lifecycle event stream from every element
 	// (bottleneck, loss gates, endpoints) plus periodic rate samples. Nil
 	// (the default) disables event emission; the counters registry in
@@ -213,9 +216,6 @@ type Network struct {
 
 // Validate reports the first problem with the bottleneck configuration.
 func (cfg Config) Validate() error {
-	if cfg.SampleEvery < 0 {
-		return fmt.Errorf("negative sample interval %v", cfg.SampleEvery)
-	}
 	if len(cfg.Links) > 0 {
 		// Topology mode: the legacy single-bottleneck fields must stay
 		// zero so a config cannot describe two contradictory networks.
@@ -419,9 +419,6 @@ func wire(nLinks int, specs []FlowSpec) *Network {
 // handle, which is why the element Resets zero their handles and never
 // cancel them.
 func (n *Network) configure(cfg Config, specs []FlowSpec) {
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 100 * time.Millisecond
-	}
 	n.Sim.Reset(cfg.Seed)
 	if cfg.Ctx != nil {
 		n.Sim.SetContext(cfg.Ctx)
@@ -459,7 +456,7 @@ func (n *Network) configure(cfg Config, specs []FlowSpec) {
 		if r := n.linkSpecs[cfg.Bottleneck].Rate; r > 0 && len(specs) > 0 {
 			fair = float64(r) / float64(len(specs))
 		}
-		n.telemetry = newTelemetryRecorder(cfg.Telemetry, cfg.SampleEvery, fair, cfg.Probe, specs)
+		n.telemetry = newTelemetryRecorder(cfg.Telemetry, fair, cfg.Probe, specs)
 		cfg.Probe = obs.Multi(cfg.Probe, n.telemetry)
 	}
 	n.cfg = cfg
@@ -585,7 +582,7 @@ func (n *Network) RunWindow(d, from, to time.Duration) *Result {
 	// sampling interval: reserve them up front so the run itself never
 	// regrows a trace buffer. (The RTT trace is ACK-paced and unknowable
 	// here; it keeps amortized appends.)
-	samples := int(d/n.cfg.SampleEvery) + 2
+	samples := int(d/sampleEvery) + 2
 	if n.telemetry != nil {
 		n.telemetry.begin(d, from, to)
 	}
@@ -650,7 +647,7 @@ func (n *Network) sample() {
 		acked := f.Sender.DeliveredBytes
 		delta := acked - f.lastSampledAcked
 		f.lastSampledAcked = acked
-		rate := units.RateFromBytes(int(delta), n.cfg.SampleEvery)
+		rate := units.RateFromBytes(int(delta), sampleEvery)
 		f.RateTrace.Add(now, float64(rate))
 		f.CwndTrace.Add(now, float64(f.Sender.Algorithm().Window()))
 		if n.cfg.Probe != nil {
@@ -665,7 +662,7 @@ func (n *Network) sample() {
 		// zero events to the realization.
 		n.telemetry.tick(now, n.Sim.Pending())
 	}
-	n.Sim.After(n.cfg.SampleEvery, n.sampleFn)
+	n.Sim.After(sampleEvery, n.sampleFn)
 }
 
 // Salts separate the random streams of a flow's impairment elements; the

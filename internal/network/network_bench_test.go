@@ -9,90 +9,62 @@ import (
 	"starvation/internal/cca/cubic"
 	"starvation/internal/cca/reno"
 	"starvation/internal/cca/vegas"
+	"starvation/internal/obs"
 	"starvation/internal/units"
 )
 
-// BenchmarkEmulatedSecond measures end-to-end emulator speed: how much
-// wall-clock time one simulated second of a loaded two-flow path costs.
-// The figure-regeneration harness simulates tens of minutes of virtual
-// time; this bench is its unit cost.
-func BenchmarkEmulatedSecond(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		n := New(
-			Config{Rate: units.Mbps(100), Seed: 1},
-			FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
-			FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
-		)
-		res := n.Run(time.Second)
-		pkts := float64(res.Delivered)
-		b.ReportMetric(pkts, "pkts/simsec")
+// The emulator's hot-path workloads. Each constructor returns one run: an
+// emulated second whose result it hands back. TestHotPathBudget holds every
+// run to an allocation ceiling and an exact delivered-packet count; the
+// Benchmark of the same name times the same run for profiling by hand.
+
+func twoVegas() []FlowSpec {
+	return []FlowSpec{
+		{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
+		{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
 	}
 }
 
-// BenchmarkEmulatedSecondTelemetry is the same workload with the flight
-// recorder on: windowed sampler, episode detector, phase machine, and the
-// RTT/fault emissions the recorder unlocks. benchcheck pins its ns/op
-// within tolerance of its own baseline and its pkts/simsec exactly equal
-// to BenchmarkEmulatedSecond's — the realization must not move.
-func BenchmarkEmulatedSecondTelemetry(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		n := New(
-			Config{Rate: units.Mbps(100), Seed: 1, Telemetry: &TelemetryConfig{}},
-			FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
-			FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
-		)
-		res := n.Run(time.Second)
-		pkts := float64(res.Delivered)
-		b.ReportMetric(pkts, "pkts/simsec")
-	}
+// emulatedSecond is end-to-end emulator cost on a network built for the
+// run: what one simulated second of a loaded two-flow path (two Vegas
+// flows, 100 Mbit/s) costs. cfg carries only the run's observers, if any:
+// Telemetry turns the flight recorder on (windowed sampler, episode
+// detector, phase machine, and the RTT/fault emissions it unlocks), Probe
+// the event stream.
+func emulatedSecond(cfg Config) func() *Result {
+	cfg.Rate, cfg.Seed = units.Mbps(100), 1
+	return func() *Result { return New(cfg, twoVegas()...).Run(time.Second) }
 }
 
-// BenchmarkSweepThroughput measures the sweep hot path: the
-// BenchmarkEmulatedSecond workload (two Vegas flows, 100 Mbit/s, one
-// emulated second) run back-to-back through one recycled Session with
-// seeds cycling over a 100-seed sweep, exactly as the sweep drivers do.
-// allocs/op is the per-run allocation cost with arena recycling on —
-// compare BenchmarkEmulatedSecond, which pays full network construction
-// every run. The flowsec/sec metric is emulated flow-seconds per wall
-// second (per core: the loop is single-threaded).
-func BenchmarkSweepThroughput(b *testing.B) {
+// sweepThroughput is the sweep hot path: the emulatedSecond workload run
+// back-to-back through one recycled Session with seeds cycling over a
+// 100-seed sweep, exactly as the sweep drivers do. What still allocates is
+// flow-spec plumbing, result detachment and the per-run trace clones —
+// compare emulatedSecond, which pays full network construction every run.
+func sweepThroughput(tb testing.TB) func() *Result {
 	s := NewSession()
-	run := func(seed int64) *Result {
-		res, err := s.Run(
-			Config{Rate: units.Mbps(100), Seed: seed},
-			time.Second,
-			FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
-			FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond},
-		)
+	i := 0
+	run := func() *Result {
+		res, err := s.Run(Config{Rate: units.Mbps(100), Seed: int64(1 + i%100)}, time.Second, twoVegas()...)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		i++
 		return res
 	}
-	// Warm pass: build the cached network once so the timed loop measures
-	// recycled runs, which is what every sweep iteration after the first is.
-	run(1)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		run(int64(1 + i%100))
-	}
-	b.StopTimer()
-	b.ReportMetric(2*float64(b.N)/b.Elapsed().Seconds(), "flowsec/sec")
+	run() // build the cached network: every later run is a recycled one
+	return run
 }
 
-// BenchmarkLossyPopulation is the loss-recovery counterpart of
-// BenchmarkSweepThroughput, whose two Vegas flows never lose a packet: 32
-// flows of four CCAs (Reno, Cubic, BBR, Copa; 40 ms) share 100 Mbit/s
-// through a 64-packet drop-tail buffer for one emulated second, run
-// back-to-back through one recycled Session. The buffer overflows
-// throughout, so the time goes to the sender's scoreboard — SACK
-// bookkeeping, loss detection, retransmission queue, RTO sweeps — and to
-// drop-tail itself. The seed is fixed so pkts/simsec is the realization's
-// determinism check, as in BenchmarkEmulatedSecond.
-func BenchmarkLossyPopulation(b *testing.B) {
+// lossyPopulation is the loss-recovery counterpart of sweepThroughput,
+// whose two Vegas flows never lose a packet: 32 flows of four CCAs (Reno,
+// Cubic, BBR, Copa; 40 ms) share 100 Mbit/s through a 64-packet drop-tail
+// buffer for one emulated second at a fixed seed, run back-to-back through
+// one recycled Session. The buffer overflows throughout, so the time goes
+// to the sender's scoreboard — SACK bookkeeping, loss detection,
+// retransmission queue, RTO sweeps — and to drop-tail itself: the regime
+// where a 5x regression once sat unnoticed behind loss-free workloads.
+func lossyPopulation(tb testing.TB) func() *Result {
 	s := NewSession()
 	specs := make([]FlowSpec, 32)
 	run := func() *Result {
@@ -112,18 +84,81 @@ func BenchmarkLossyPopulation(b *testing.B) {
 		}
 		res, err := s.Run(Config{Rate: units.Mbps(100), BufferBytes: 64 * 1500, Seed: 1}, time.Second, specs...)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
+		}
+		if res.Dropped == 0 {
+			tb.Fatal("no packet was dropped: the workload would not exercise loss recovery")
 		}
 		return res
 	}
-	if res := run(); res.Dropped == 0 { // also the warm pass that builds the cached network
-		b.Fatal("no packet was dropped: the benchmark would not exercise loss recovery")
+	run() // build the cached network
+	return run
+}
+
+// TestHotPathBudget is the emulator's allocation and determinism gate. The
+// per-packet path allocates nothing, so each ceiling bounds per-run
+// construction — the count measured when the workload's allocations last
+// changed (140 / 160 / 34 / 596; go1.24 reads 141 / 161 / 35 / 596 today,
+// give or take one, and up to 143 / 162 / 37 / 615 under -race) plus a
+// quarter — and one allocation per packet overshoots any of them several
+// times over. A delivered count that moves means the realization itself
+// changed: events fired in another order, an observer that injected
+// something. Nothing in the two-Vegas runs draws on the seed, and the
+// flight recorder and the session only observe and recycle, so all three
+// are held to one count.
+func TestHotPathBudget(t *testing.T) {
+	const twoVegasDelivered = 3908
+	for _, w := range []struct {
+		name      string
+		run       func() *Result
+		maxAllocs float64
+		delivered int64
+	}{
+		{"EmulatedSecond", emulatedSecond(Config{}), 175, twoVegasDelivered},
+		{"EmulatedSecondTelemetry", emulatedSecond(Config{Telemetry: &TelemetryConfig{}}), 200, twoVegasDelivered},
+		{"SweepThroughput", sweepThroughput(t), 42, twoVegasDelivered},
+		{"LossyPopulation", lossyPopulation(t), 745, 6751},
+	} {
+		var res *Result
+		allocs := testing.AllocsPerRun(5, func() { res = w.run() })
+		if allocs > w.maxAllocs {
+			t.Errorf("%s: %v allocations per run, budget %v", w.name, allocs, w.maxAllocs)
+		}
+		if res.Delivered != w.delivered {
+			t.Errorf("%s: delivered %d packets, want exactly %d", w.name, res.Delivered, w.delivered)
+		}
+		t.Logf("%s: %v allocs/run, %d delivered, %d dropped", w.name, allocs, res.Delivered, res.Dropped)
 	}
-	b.ResetTimer()
+}
+
+func benchRun(b *testing.B, run func() *Result) {
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.ReportMetric(float64(run().Delivered), "pkts/simsec")
+		run()
 	}
+}
+
+func BenchmarkEmulatedSecond(b *testing.B)  { benchRun(b, emulatedSecond(Config{})) }
+func BenchmarkSweepThroughput(b *testing.B) { benchRun(b, sweepThroughput(b)) }
+func BenchmarkLossyPopulation(b *testing.B) { benchRun(b, lossyPopulation(b)) }
+func BenchmarkEmulatedSecondTelemetry(b *testing.B) {
+	benchRun(b, emulatedSecond(Config{Telemetry: &TelemetryConfig{}}))
+}
+
+// BenchmarkNoopProbe bounds the cost of the observability layer on the
+// emulatedSecond workload:
+//
+//	disabled — Probe nil, the default for every existing scenario: pure
+//	           instrumentation-plumbing overhead (budget: ≤ 5%).
+//	noop     — an enabled probe that discards events: the dispatch cost
+//	           of the event stream itself.
+//	registry — events folded into the counters registry, the cheapest
+//	           useful consumer.
+func BenchmarkNoopProbe(b *testing.B) {
+	b.Run("disabled", func(b *testing.B) { benchRun(b, emulatedSecond(Config{})) })
+	b.Run("noop", func(b *testing.B) { benchRun(b, emulatedSecond(Config{Probe: obs.Nop{}})) })
+	b.Run("registry", func(b *testing.B) { benchRun(b, emulatedSecond(Config{Probe: obs.NewRegistry()})) })
 }
 
 // BenchmarkPacketRate measures raw packet-forwarding throughput of the

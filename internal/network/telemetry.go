@@ -21,21 +21,17 @@ import (
 // trace-sampling tick) and draws no randomness, so fixed-seed
 // realizations are bit-identical with the recorder on or off
 // (TestGoldenParityTelemetry pins this).
+//
+// The sampler stride is the trace sampling interval (sampleEvery), so
+// every window is guaranteed to close on the next rate sample even for a
+// flow that never delivers a byte; each flow's ring is sized from the run
+// horizon at RunWindow time (the trace.Series.Reserve idiom), and the
+// detector keeps its default two-window hysteresis on both edges.
 type TelemetryConfig struct {
-	// Window is the sampler stride (default Config.SampleEvery, so every
-	// window is guaranteed to close on the next rate sample even for a
-	// flow that never delivers a byte).
-	Window time.Duration
 	// Epsilon is the starvation threshold as a fraction of fair share
 	// (<= 0 selects metrics.DefaultStarvationEpsilon, matching the
 	// population statistics).
 	Epsilon float64
-	// OpenAfter/CloseAfter are the detector's hysteresis in windows
-	// (defaults 2/2).
-	OpenAfter, CloseAfter int
-	// MaxWindows caps each flow's retained ring; 0 derives it from the
-	// run horizon at RunWindow time (the trace.Series.Reserve idiom).
-	MaxWindows int
 }
 
 // Phase is one run-phase span of a telemetry result.
@@ -103,7 +99,6 @@ type TelemetryResult struct {
 type telemetryRecorder struct {
 	sampler *timeseries.Sampler
 	det     *detect.Detector
-	window  time.Duration
 
 	// phase state, driven by tick() from the trace sampler.
 	warmupEnd time.Duration
@@ -119,25 +114,19 @@ type telemetryRecorder struct {
 
 // newTelemetryRecorder builds the recorder for the given specs. fair is
 // the per-flow fair share in bit/s (bottleneck capacity / N).
-func newTelemetryRecorder(tc *TelemetryConfig, sampleEvery time.Duration, fair float64, downstream obs.Probe, specs []FlowSpec) *telemetryRecorder {
-	window := tc.Window
-	if window <= 0 {
-		window = sampleEvery
-	}
-	r := &telemetryRecorder{window: window, phase: -1, downstream: downstream}
+func newTelemetryRecorder(tc *TelemetryConfig, fair float64, downstream obs.Probe, specs []FlowSpec) *telemetryRecorder {
+	r := &telemetryRecorder{phase: -1, downstream: downstream}
 	r.det = detect.New(detect.Config{
 		FairShare: fair,
 		Epsilon:   tc.Epsilon,
-		OpenAfter: tc.OpenAfter, CloseAfter: tc.CloseAfter,
-		Probe: downstream,
+		Probe:     downstream,
 	}, len(specs))
 	for i, spec := range specs {
 		r.det.Label(packet.FlowID(i), spec.Name, spec.Cohort)
 	}
 	r.sampler = timeseries.NewSampler(timeseries.Config{
-		Stride:     window,
-		MaxWindows: tc.MaxWindows,
-		OnWindow:   r.det.Observe,
+		Stride:   sampleEvery,
+		OnWindow: r.det.Observe,
 	}, len(specs))
 	return r
 }
@@ -200,7 +189,7 @@ func (r *telemetryRecorder) finish(d time.Duration, specs []*Flow) *TelemetryRes
 	r.self.NumGC = ms.NumGC
 
 	tr := &TelemetryResult{
-		Window:    r.window,
+		Window:    sampleEvery,
 		Epsilon:   r.det.Epsilon(),
 		FairShare: r.det.FairShare(),
 		Episodes:  r.det.Episodes(),
@@ -220,7 +209,7 @@ func (r *telemetryRecorder) finish(d time.Duration, specs []*Flow) *TelemetryRes
 			ft.MinRTT = fs.MinRTT()
 			if n := fs.Len(); n > 0 {
 				last := fs.At(n - 1)
-				ft.LastRateBps = last.RateBps(r.window)
+				ft.LastRateBps = last.RateBps(sampleEvery)
 				ft.SRTT = last.MeanRTT()
 				if ft.SRTT > ft.MinRTT && ft.MinRTT > 0 {
 					ft.QueueDelay = ft.SRTT - ft.MinRTT

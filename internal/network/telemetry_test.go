@@ -42,7 +42,7 @@ func TestTelemetryResultPopulated(t *testing.T) {
 	if tr == nil {
 		t.Fatal("Result.Telemetry is nil with Telemetry configured")
 	}
-	if tr.Window != defaultSampleEvery(t) {
+	if tr.Window != sampleEvery {
 		t.Errorf("window = %v, want the trace-sampling interval", tr.Window)
 	}
 	if tr.Epsilon != metrics.DefaultStarvationEpsilon {
@@ -106,13 +106,6 @@ func TestTelemetryResultPopulated(t *testing.T) {
 	if !strings.Contains(res.String(), "telemetry: window") {
 		t.Error("Result.String() missing telemetry section")
 	}
-}
-
-func defaultSampleEvery(t *testing.T) time.Duration {
-	t.Helper()
-	n := New(Config{Rate: units.Mbps(20), Seed: 1},
-		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 20 * time.Millisecond})
-	return n.cfg.SampleEvery
 }
 
 func TestTelemetryDetectsStarvedFlow(t *testing.T) {

@@ -40,7 +40,7 @@ func Algo1Ablation(o Opts) *Result {
 			})
 		}
 		res := o.emulate(
-			network.Config{Rate: units.Mbps(100), Seed: o.Seed, Probe: o.Probe, Guard: o.Guard, Ctx: o.Ctx, Telemetry: o.Telemetry},
+			network.Config{Rate: units.Mbps(100)},
 			network.FlowSpec{
 				Name: "jittered", Alg: mk(), Rm: rm,
 				FwdJitter: &jitter.Uniform{Max: d, Rng: rand.New(rand.NewSource(o.Seed*17 + 1))},

@@ -33,7 +33,7 @@ func Algo1Fairness(o Opts) *Result {
 		})
 	}
 	res := o.emulate(
-		network.Config{Rate: units.Mbps(100), Seed: o.Seed, Probe: o.Probe, Guard: o.Guard, Ctx: o.Ctx, Telemetry: o.Telemetry},
+		network.Config{Rate: units.Mbps(100)},
 		network.FlowSpec{
 			Name:      "jittered",
 			Alg:       mk(),
@@ -84,7 +84,7 @@ func VegasUnderJitter(o Opts) *Result {
 		},
 	}
 	res := o.emulate(
-		network.Config{Rate: units.Mbps(100), Seed: o.Seed, Probe: o.Probe, Guard: o.Guard, Ctx: o.Ctx, Telemetry: o.Telemetry},
+		network.Config{Rate: units.Mbps(100)},
 		network.FlowSpec{
 			Name:      "jittered",
 			Alg:       vegas.New(vegas.Config{}),
@@ -115,7 +115,7 @@ func VegasUnderJitter(o Opts) *Result {
 func QuickstartVegas(o Opts) *Result {
 	o.fill(60 * time.Second)
 	res := o.emulate(
-		network.Config{Rate: units.Mbps(48), Seed: o.Seed, Probe: o.Probe, Guard: o.Guard, Ctx: o.Ctx, Telemetry: o.Telemetry},
+		network.Config{Rate: units.Mbps(48)},
 		network.FlowSpec{Name: "flow0", Alg: vegas.New(vegas.Config{}), Rm: 80 * time.Millisecond},
 		network.FlowSpec{Name: "flow1", Alg: vegas.New(vegas.Config{}), Rm: 80 * time.Millisecond,
 			StartAt: 5 * time.Second},

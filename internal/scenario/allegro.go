@@ -36,7 +36,7 @@ func allegroFlow(name string, seed int64, loss float64) network.FlowSpec {
 func AllegroRandomLoss(o Opts) *Result {
 	o.fill(60 * time.Second)
 	res := o.emulate(
-		network.Config{Rate: units.Mbps(allegroRate), BufferBytes: allegroBDP(), Seed: o.Seed, Probe: o.Probe, Guard: o.Guard, Ctx: o.Ctx, Telemetry: o.Telemetry},
+		network.Config{Rate: units.Mbps(allegroRate), BufferBytes: allegroBDP()},
 		allegroFlow("lossy", o.Seed*13+1, 0.02),
 		allegroFlow("clean", o.Seed*13+2, 0),
 	)
@@ -68,7 +68,7 @@ func AllegroBurstLoss(o Opts) *Result {
 	bursty := allegroFlow("bursty", o.Seed*13+1, 0)
 	bursty.Faults = &faults.Spec{GE: &ge}
 	res := o.emulate(
-		network.Config{Rate: units.Mbps(allegroRate), BufferBytes: allegroBDP(), Seed: o.Seed, Probe: o.Probe, Guard: o.Guard, Ctx: o.Ctx, Telemetry: o.Telemetry},
+		network.Config{Rate: units.Mbps(allegroRate), BufferBytes: allegroBDP()},
 		bursty,
 		allegroFlow("clean", o.Seed*13+2, 0),
 	)
@@ -98,7 +98,7 @@ func AllegroBurstLoss(o Opts) *Result {
 func AllegroBothLossy(o Opts) *Result {
 	o.fill(60 * time.Second)
 	res := o.emulate(
-		network.Config{Rate: units.Mbps(allegroRate), BufferBytes: allegroBDP(), Seed: o.Seed, Probe: o.Probe, Guard: o.Guard, Ctx: o.Ctx, Telemetry: o.Telemetry},
+		network.Config{Rate: units.Mbps(allegroRate), BufferBytes: allegroBDP()},
 		allegroFlow("lossy0", o.Seed*13+1, 0.02),
 		allegroFlow("lossy1", o.Seed*13+2, 0.02),
 	)
@@ -122,7 +122,7 @@ func AllegroBothLossy(o Opts) *Result {
 func AllegroSingleLossy(o Opts) *Result {
 	o.fill(60 * time.Second)
 	res := o.emulate(
-		network.Config{Rate: units.Mbps(allegroRate), BufferBytes: allegroBDP(), Seed: o.Seed, Probe: o.Probe, Guard: o.Guard, Ctx: o.Ctx, Telemetry: o.Telemetry},
+		network.Config{Rate: units.Mbps(allegroRate), BufferBytes: allegroBDP()},
 		allegroFlow("lossy", o.Seed*13+1, 0.02),
 	)
 	return &Result{

@@ -29,7 +29,7 @@ func BBRTwoFlowRTT(o Opts) *Result {
 		}
 	}
 	res := o.emulate(
-		network.Config{Rate: units.Mbps(120), Seed: o.Seed, Probe: o.Probe, Guard: o.Guard, Ctx: o.Ctx, Telemetry: o.Telemetry},
+		network.Config{Rate: units.Mbps(120)},
 		mk("rtt40", 40*time.Millisecond, o.Seed*7+1),
 		mk("rtt80", 80*time.Millisecond, o.Seed*7+2),
 	)

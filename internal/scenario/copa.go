@@ -45,7 +45,7 @@ func copaPoisonFlow(name string, poisoned bool) network.FlowSpec {
 func CopaSingleFlowPoison(o Opts) *Result {
 	o.fill(60 * time.Second)
 	res := o.emulate(
-		network.Config{Rate: units.Mbps(120), Seed: o.Seed, Probe: o.Probe, Guard: o.Guard, Ctx: o.Ctx, Telemetry: o.Telemetry},
+		network.Config{Rate: units.Mbps(120)},
 		copaPoisonFlow("copa", true),
 	)
 	return &Result{
@@ -65,7 +65,7 @@ func CopaSingleFlowPoison(o Opts) *Result {
 func CopaTwoFlowPoison(o Opts) *Result {
 	o.fill(60 * time.Second)
 	res := o.emulate(
-		network.Config{Rate: units.Mbps(120), Seed: o.Seed, Probe: o.Probe, Guard: o.Guard, Ctx: o.Ctx, Telemetry: o.Telemetry},
+		network.Config{Rate: units.Mbps(120)},
 		copaPoisonFlow("poisoned", true),
 		copaPoisonFlow("clean", false),
 	)

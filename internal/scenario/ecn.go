@@ -34,11 +34,6 @@ func ECNAvoidsStarvation(o Opts) *Result {
 					MinBytes: 20 * 1500, MaxBytes: 80 * 1500, MaxP: 0.2,
 					Rng: rand.New(rand.NewSource(o.Seed*31 + 5)),
 				},
-				Seed:      o.Seed,
-				Probe:     o.Probe,
-				Guard:     o.Guard,
-				Ctx:       o.Ctx,
-				Telemetry: o.Telemetry,
 			},
 			network.FlowSpec{
 				Name: "lossy", Alg: mk(), Rm: 40 * time.Millisecond,

@@ -21,15 +21,7 @@ import (
 func fig7(o Opts, id, name string, mk func() cca.Algorithm, claim string) *Result {
 	o.fill(200 * time.Second)
 	res := o.emulate(
-		network.Config{
-			Rate:        units.Mbps(6),
-			BufferBytes: 60 * endpoint.DefaultMSS,
-			Seed:        o.Seed,
-			Probe:       o.Probe,
-			Guard:       o.Guard,
-			Ctx:         o.Ctx,
-			Telemetry:   o.Telemetry,
-		},
+		network.Config{Rate: units.Mbps(6), BufferBytes: 60 * endpoint.DefaultMSS},
 		network.FlowSpec{
 			Name: "delacked",
 			Alg:  mk(),

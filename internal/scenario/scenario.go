@@ -1,6 +1,6 @@
 // Package scenario packages the paper's empirical experiments (§5 and
-// Fig. 7) with their published parameters, so the CLI, the examples, and
-// the benchmark harness all run exactly the same configurations.
+// Fig. 7) with their published parameters, so the CLI, the examples, the
+// figure harness and the benchmark all run exactly the same configurations.
 //
 // Each scenario returns a Result carrying the raw network run plus the
 // named observables the paper reports, and records the paper's measured
@@ -109,10 +109,12 @@ func (o *Opts) fill(defaultDur time.Duration) {
 }
 
 // emulate runs one network for o.Duration through o.Session (a nil
-// session runs one-shot on a throwaway network). Scenario configurations
-// are compile-time constants, so a validation failure is a programming
-// error and panics exactly like network.New would.
+// session runs one-shot on a throwaway network). The scenario states only
+// the link in cfg; the seed and the run's attachments come from o.
+// Scenario configurations are compile-time constants, so a validation
+// failure is a programming error and panics exactly like network.New would.
 func (o Opts) emulate(cfg network.Config, specs ...network.FlowSpec) *network.Result {
+	cfg.Seed, cfg.Probe, cfg.Guard, cfg.Ctx, cfg.Telemetry = o.Seed, o.Probe, o.Guard, o.Ctx, o.Telemetry
 	res, err := o.Session.Run(cfg, o.Duration, specs...)
 	if err != nil {
 		panic(err.Error())

@@ -28,7 +28,7 @@ func VivaceAckAggregation(o Opts) *Result {
 		return spec
 	}
 	res := o.emulate(
-		network.Config{Rate: units.Mbps(120), Seed: o.Seed, Probe: o.Probe, Guard: o.Guard, Ctx: o.Ctx, Telemetry: o.Telemetry},
+		network.Config{Rate: units.Mbps(120)},
 		mk("quantized", o.Seed*11+1, true),
 		mk("clean", o.Seed*11+2, false),
 	)
