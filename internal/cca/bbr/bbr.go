@@ -73,6 +73,12 @@ type BBR struct {
 	pacingGain float64
 	cwndGain   float64
 
+	// cwnd and rate are window() and pacingRate() as of the last point
+	// their inputs moved: New, and the end of every OnAck. The sender reads
+	// both several times per paced segment; the formulas run once per ACK.
+	cwnd int
+	rate units.Rate
+
 	// Delivery-rate sampling.
 	delivered     int64
 	history       []histPoint // (time, delivered) samples; live from histHead on
@@ -139,6 +145,7 @@ func New(cfg Config) *BBR {
 	b.rtProp.Window = cfg.RTpropWindow
 	b.btlBw.Window = time.Second // retuned as RTT estimates arrive
 	b.srtt.Alpha = 0.125
+	b.cwnd, b.rate = b.window(), b.pacingRate()
 	return b
 }
 
@@ -177,7 +184,14 @@ func (b *BBR) RTprop() time.Duration {
 func (b *BBR) BtlBw() units.Rate { return units.Rate(b.btlBw.Get(0) * 8) }
 
 // Window implements cca.Algorithm: cwnd = gain·BDP + α quanta.
-func (b *BBR) Window() int {
+func (b *BBR) Window() int { return b.cwnd }
+
+// PacingRate implements cca.Algorithm.
+func (b *BBR) PacingRate() units.Rate { return b.rate }
+
+// window evaluates cwnd = gain·BDP + α quanta from the filters, the gains
+// and the state.
+func (b *BBR) window() int {
 	if b.st == stProbeRTT {
 		return 4 * b.cfg.MSS
 	}
@@ -195,8 +209,8 @@ func (b *BBR) Window() int {
 	return int(w)
 }
 
-// PacingRate implements cca.Algorithm.
-func (b *BBR) PacingRate() units.Rate {
+// pacingRate evaluates pacing_gain × bandwidth_estimate.
+func (b *BBR) pacingRate() units.Rate {
 	bw := b.btlBw.Get(0)
 	if bw <= 0 {
 		return 0 // ACK-clocked bootstrap until the first sample
@@ -238,6 +252,9 @@ func (b *BBR) OnAck(s cca.AckSignal) {
 		}
 	}
 	b.advance(s.Now, s.InFlight)
+	// Everything window() and pacingRate() read — the two filters, the
+	// gains, the state — changes above and nowhere else.
+	b.cwnd, b.rate = b.window(), b.pacingRate()
 }
 
 // OnLoss implements cca.Algorithm. The §5.2 model does not react to loss;

@@ -271,3 +271,65 @@ func TestHistoryPruneMatchesMemmove(t *testing.T) {
 		t.Fatalf("history never expired: oldest point at %v after %v", ref.points[0].t, now)
 	}
 }
+
+// TestWindowAndPacingRateAreCurrent pins the once-per-ACK evaluation: right
+// after New and after every OnAck, Window and PacingRate equal the formulas
+// evaluated afresh. The seeded ACK streams — irregular spacing, bursts,
+// Karn-filtered samples, a slowly rising RTT that lets the RTprop estimate
+// go stale — cross Startup → Drain → ProbeBW and, where the configuration
+// allows it, enter and leave ProbeRTT.
+func TestWindowAndPacingRateAreCurrent(t *testing.T) {
+	states := []string{"startup", "drain", "probebw", "probertt"}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want []string
+	}{
+		{"default", Config{}, states},
+		{"rtprop-hint", Config{RTpropHint: 33 * time.Millisecond}, states[:3]},
+		{"no-probertt", Config{DisableProbeRTT: true}, states[:3]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				cfg := tc.cfg
+				cfg.MSS, cfg.Rng = 1500, rand.New(rand.NewSource(seed))
+				b := New(cfg)
+				check := func(when string) {
+					t.Helper()
+					if w, r := b.Window(), b.PacingRate(); w != b.window() || r != b.pacingRate() {
+						t.Fatalf("seed %d, %s in %s: Window %d PacingRate %v, the formulas give %d and %v",
+							seed, when, b.State(), w, r, b.window(), b.pacingRate())
+					}
+				}
+				check("after New")
+				seen := map[string]bool{}
+				leftProbeRTT := false
+				now, rtt := time.Duration(0), 40*time.Millisecond
+				for now < 25*time.Second {
+					now += 200*time.Microsecond + time.Duration(rng.Int63n(int64(2*time.Millisecond)))
+					rtt += 2 * time.Microsecond
+					s := cca.AckSignal{Now: now, RTT: rtt, Packets: 1, InFlight: rng.Intn(120000)}
+					s.AckedBytes = 1500 * rng.Intn(4)
+					s.DeliveredBytes = s.AckedBytes
+					if rng.Intn(16) == 0 {
+						s.RTT = 0 // echo of a retransmission
+					}
+					was := b.State()
+					b.OnAck(s)
+					check("at " + now.String())
+					seen[b.State()] = true
+					leftProbeRTT = leftProbeRTT || was == "probertt" && b.State() != was
+				}
+				for _, st := range tc.want {
+					if !seen[st] {
+						t.Errorf("seed %d: never in %s (saw %v)", seed, st, seen)
+					}
+				}
+				if seen["probertt"] != leftProbeRTT || len(seen) != len(tc.want) {
+					t.Errorf("seed %d: states %v, left ProbeRTT %v; want exactly %v", seed, seen, leftProbeRTT, tc.want)
+				}
+			}
+		})
+	}
+}

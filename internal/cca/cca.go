@@ -65,6 +65,12 @@ type SendSignal struct {
 }
 
 // Algorithm is a congestion control algorithm.
+//
+// Window and PacingRate are pure reads: they change no state, and between
+// two calls of OnAck, OnLoss, Ticker.OnTick or SendObserver.OnSend they
+// return the same values however often they are asked. The sender relies
+// on that (it consults both for every segment it considers sending), and
+// an implementation may therefore compute them once per signal.
 type Algorithm interface {
 	// Name identifies the algorithm (stable, lowercase).
 	Name() string

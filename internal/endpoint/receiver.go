@@ -1,6 +1,8 @@
 package endpoint
 
 import (
+	"fmt"
+	"math/bits"
 	"time"
 
 	"starvation/internal/netem"
@@ -28,15 +30,29 @@ type AckConfig struct {
 
 // Receiver consumes data packets, maintains cumulative-ACK state, and emits
 // ACKs per its policy.
+//
+// Every packet of a run must be one whole segment of one size: Size equal
+// to that of the run's first packet and Seq a multiple of it, which is what
+// every Sender emits and every netem element preserves. A packet that is
+// not cannot be filed in the reassembly bitmap, and OnPacket panics on it
+// (naming flow, seq, size and the expected size) rather than mis-file it.
 type Receiver struct {
 	sim  *sim.Simulator
 	flow packet.FlowID
 	cfg  AckConfig
 	out  netem.AckHandler
 
+	// Reassembly. seg is the run's segment size, learnt from its first
+	// packet (0 until then), and head is expected/seg, stepped alongside it.
+	// Segment i, buffered above the in-order point, is bit i&(64·len(ooo)−1)
+	// of ooo: the ring's length is a power of two, covers the segments of
+	// (head, head+64·len(ooo)) and doubles when one arrives beyond it. The
+	// segments all being seg bytes, presence is all there is to record.
 	expected  int64
-	ooo       map[int64]int // out-of-order segments: seq -> size
-	delivered int64         // distinct payload bytes accepted, any order
+	seg       int
+	head      int64
+	ooo       []uint64
+	delivered int64 // distinct payload bytes accepted, any order
 
 	// Pending (not yet acknowledged to the sender) state.
 	pendCount  int
@@ -71,22 +87,24 @@ func NewReceiver(s *sim.Simulator, flow packet.FlowID, cfg AckConfig, out netem.
 	if cfg.DelayCount > 1 && cfg.DelayTimeout <= 0 {
 		cfg.DelayTimeout = 40 * time.Millisecond
 	}
-	r := &Receiver{sim: s, flow: flow, cfg: cfg, out: out, ooo: make(map[int64]int)}
+	r := &Receiver{sim: s, flow: flow, cfg: cfg, out: out, ooo: make([]uint64, minRing/64)}
 	r.flushFn = r.flush
 	return r
 }
 
 // Reset returns the receiver to the state NewReceiver(s, flow, cfg, out)
-// would produce while keeping the out-of-order map's buckets, the ACK
-// buffer's capacity, and the bound flush callback. The caller resets the
-// shared simulator first; the pending flush-timer handle is zeroed, not
-// cancelled. The probe is cleared; reinstall it before the run.
+// would produce while keeping the reassembly ring at whatever size earlier
+// runs grew it to (its bits are cleared), the ACK buffer's capacity, and the
+// bound flush callback. The segment size is forgotten: the next run may use
+// another. The caller resets the shared simulator first; the pending
+// flush-timer handle is zeroed, not cancelled. The probe is cleared;
+// reinstall it before the run.
 func (r *Receiver) Reset(cfg AckConfig) {
 	if cfg.DelayCount > 1 && cfg.DelayTimeout <= 0 {
 		cfg.DelayTimeout = 40 * time.Millisecond
 	}
 	r.cfg = cfg
-	r.expected = 0
+	r.expected, r.seg, r.head = 0, 0, 0
 	clear(r.ooo)
 	r.delivered = 0
 	r.pendCount, r.pendNewly, r.pendECE = 0, 0, false
@@ -109,28 +127,42 @@ func (r *Receiver) OnPacket(p packet.Packet) {
 		r.Probe.Emit(obs.Event{Type: obs.EvDeliver, At: now, Flow: r.flow,
 			Seq: p.Seq, Bytes: p.Size, Queue: -1, Retx: p.Retx, Dup: p.Dup})
 	}
+	if r.seg == 0 {
+		r.seg = p.Size // the run's first packet fixes the segment size
+	}
+	seg := int64(r.seg)
+	if p.Size != r.seg || seg <= 0 {
+		r.reject(p)
+	}
+	// k is the packet's distance from the in-order point, in segments.
+	var k int64
+	if d := p.Seq - r.expected; d != 0 {
+		if k = d / seg; k*seg != d {
+			r.reject(p)
+		}
+	}
 	newly := 0
-	inOrder := true
 	switch {
-	case p.Seq == r.expected:
-		r.expected = p.End()
-		newly += p.Size
-		r.delivered += int64(p.Size)
-		// Drain any buffered segments that are now in order.
+	case k == 0:
+		// The arriving segment, then every buffered one it puts in order.
 		for {
-			size, ok := r.ooo[r.expected]
-			if !ok {
+			r.expected += seg
+			r.head++
+			newly += r.seg
+			w, bit := r.oooBit(r.head)
+			if *w&bit == 0 {
 				break
 			}
-			delete(r.ooo, r.expected)
-			newly += size
-			r.expected += int64(size)
+			*w &^= bit
 		}
-	case p.Seq > r.expected:
-		inOrder = false
-		if _, dup := r.ooo[p.Seq]; !dup {
-			r.ooo[p.Seq] = p.Size
-			r.delivered += int64(p.Size)
+		r.delivered += seg
+	case k > 0:
+		if k >= int64(len(r.ooo))<<6 {
+			r.growRing(k)
+		}
+		if w, bit := r.oooBit(r.head + k); *w&bit == 0 {
+			*w |= bit
+			r.delivered += seg
 		}
 	default:
 		// Duplicate of already-received data (spurious retransmission);
@@ -164,7 +196,7 @@ func (r *Receiver) OnPacket(p packet.Packet) {
 	}
 
 	switch {
-	case !inOrder:
+	case k > 0:
 		// Out-of-order data: ACK immediately so the sender sees dup ACKs.
 		r.flush()
 	case r.cfg.DelayCount > 1:
@@ -176,6 +208,40 @@ func (r *Receiver) OnPacket(p packet.Packet) {
 	default:
 		r.flush()
 	}
+}
+
+// oooBit returns the bitmap word and mask of segment i.
+func (r *Receiver) oooBit(i int64) (*uint64, uint64) {
+	s := int(i) & (len(r.ooo)<<6 - 1)
+	return &r.ooo[s>>6], 1 << (s & 63)
+}
+
+// growRing doubles the reassembly ring until it covers the segment k ahead
+// of head, and moves every buffered segment's bit to its place in the
+// larger ring.
+func (r *Receiver) growRing(k int64) {
+	old := r.ooo
+	n := 2 * len(old)
+	for int64(n)<<6 <= k {
+		n *= 2
+	}
+	r.ooo = make([]uint64, n)
+	oldMask := int64(len(old))<<6 - 1
+	for wi, w := range old {
+		for ; w != 0; w &= w - 1 {
+			// The bit's slot, taken round from head's, is its segment's
+			// distance from head.
+			s := int64(wi<<6 + bits.TrailingZeros64(w))
+			nw, bit := r.oooBit(r.head + (s-r.head)&oldMask)
+			*nw |= bit
+		}
+	}
+}
+
+// reject panics on a packet that is not a whole segment of this run.
+func (r *Receiver) reject(p packet.Packet) {
+	panic(fmt.Sprintf("endpoint: receiver of flow %d: packet seq %d size %d is not a whole segment of size %d",
+		r.flow, p.Seq, p.Size, r.seg))
 }
 
 func (r *Receiver) armAggregate(now time.Duration) {

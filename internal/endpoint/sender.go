@@ -84,9 +84,11 @@ type Sender struct {
 	rtoBackoff   int
 	rtoTimer     sim.Handle
 
-	// CCA tick driver.
+	// CCA tick driver, and the CCA's optional interfaces: both resolved
+	// once per life, in Start.
 	tickTimer sim.Handle
 	ticker    cca.Ticker
+	sendObs   cca.SendObserver
 
 	// Timer callbacks bound once at construction/start: the scheduler is
 	// handed these stored func values, never a freshly bound method value,
@@ -170,7 +172,7 @@ func (sn *Sender) Reset(alg cca.Algorithm, mss int) {
 	sn.srtt, sn.rttvar = 0, 0
 	sn.minRTO = DefaultMinRTO
 	sn.rtoBackoff = 0
-	sn.ticker = nil
+	sn.ticker, sn.sendObs = nil, nil
 	sn.started, sn.stopped = false, false
 	sn.AckedBytes, sn.DeliveredBytes, sn.SentBytes, sn.RetxBytes = 0, 0, 0, 0
 	sn.SentPackets, sn.RetxPackets, sn.AcksReceived = 0, 0, 0
@@ -201,6 +203,7 @@ func (sn *Sender) Start() {
 	}
 	sn.started = true
 	sn.StartedAt = sn.sim.Now()
+	sn.sendObs, _ = sn.alg.(cca.SendObserver)
 	if t, ok := sn.alg.(cca.Ticker); ok {
 		sn.armTick(t)
 	}
@@ -272,11 +275,12 @@ func (sn *Sender) trySend() {
 				sn.scheduleWake(sn.nextSend)
 				return
 			}
-			if sn.nextSend < now-pr.Interval(sn.mss) {
+			gap := pr.Interval(sn.mss)
+			if sn.nextSend < now-gap {
 				// Don't accumulate unbounded sending credit while idle.
-				sn.nextSend = now - pr.Interval(sn.mss)
+				sn.nextSend = now - gap
 			}
-			sn.nextSend += pr.Interval(sn.mss)
+			sn.nextSend += gap
 		}
 		if haveRetx {
 			sn.sendSegment(sn.popRetx(), true)
@@ -380,8 +384,8 @@ func (sn *Sender) sendSegment(seq int64, retx bool) {
 		sn.RetxBytes += int64(sn.mss)
 		sn.RetxPackets++
 	}
-	if so, ok := sn.alg.(cca.SendObserver); ok {
-		so.OnSend(cca.SendSignal{Now: now, Bytes: sn.mss, Seq: seq, Retx: retx})
+	if sn.sendObs != nil {
+		sn.sendObs.OnSend(cca.SendSignal{Now: now, Bytes: sn.mss, Seq: seq, Retx: retx})
 	}
 	sn.touchRTO()
 	sn.out(packet.Packet{Flow: sn.flow, Seq: seq, Size: sn.mss, SentAt: now, Retx: retx})
