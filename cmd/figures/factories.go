@@ -6,22 +6,10 @@ import (
 	"starvation/internal/cca"
 	"starvation/internal/cca/vegas"
 	"starvation/internal/core"
-
-	// Register every algorithm with the cca registry.
-	_ "starvation/internal/cca/algo1"
-	_ "starvation/internal/cca/allegro"
-	_ "starvation/internal/cca/bbr"
-	_ "starvation/internal/cca/constwnd"
-	_ "starvation/internal/cca/copa"
-	_ "starvation/internal/cca/cubic"
-	_ "starvation/internal/cca/fast"
-	_ "starvation/internal/cca/ledbat"
-	_ "starvation/internal/cca/reno"
-	_ "starvation/internal/cca/verus"
-	_ "starvation/internal/cca/vivace"
 )
 
-// ccaFactory adapts the registry to core.Factory with a fixed seed per
+// ccaFactory adapts the registry (filled by the CCA packages that
+// internal/scenario imports) to core.Factory with a fixed seed per
 // instantiation, so every measurement run is reproducible.
 func ccaFactory(name string) core.Factory {
 	f := cca.Lookup(name)

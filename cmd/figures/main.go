@@ -719,12 +719,11 @@ func ecnSection(ctx context.Context, r *reporter) {
 func theorem2(ctx context.Context, r *reporter) {
 	r.section("X-T2", "Theorem 2: arbitrary under-utilization")
 	res := core.UnderutilizationConstruction(core.UnderutilizationSpec{
-		Make:       vegasRestartable,
-		Rm:         50 * time.Millisecond,
-		C:          units.Mbps(12),
-		Multiplier: 50,
-		Measure:    core.MeasureOpts{Duration: dur(20*time.Second, 10*time.Second), Ctx: ctx},
-		Duration:   dur(20*time.Second, 10*time.Second),
+		Make:     vegasRestartable,
+		Rm:       50 * time.Millisecond,
+		C:        units.Mbps(12),
+		Measure:  core.MeasureOpts{Duration: dur(20*time.Second, 10*time.Second), Ctx: ctx},
+		Duration: dur(20*time.Second, 10*time.Second),
 	})
 	r.row("- emulated C=%v on C'=%v with D=%v: utilization %.4f",
 		res.Conv.C, res.BigLink, res.D.Round(time.Millisecond), res.Utilization)

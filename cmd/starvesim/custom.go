@@ -16,20 +16,6 @@ import (
 	"starvation/internal/network"
 	"starvation/internal/obs"
 	"starvation/internal/units"
-
-	// Register every algorithm.
-	_ "starvation/internal/cca/algo1"
-	_ "starvation/internal/cca/allegro"
-	_ "starvation/internal/cca/bbr"
-	_ "starvation/internal/cca/constwnd"
-	_ "starvation/internal/cca/copa"
-	_ "starvation/internal/cca/cubic"
-	_ "starvation/internal/cca/fast"
-	_ "starvation/internal/cca/ledbat"
-	_ "starvation/internal/cca/reno"
-	_ "starvation/internal/cca/vegas"
-	_ "starvation/internal/cca/verus"
-	_ "starvation/internal/cca/vivace"
 )
 
 // customFlags describe the freeform experiment builder: any registered CCA

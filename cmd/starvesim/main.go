@@ -8,7 +8,7 @@
 //	starvesim -scenario allegro-burst -telemetry
 //	starvesim -scenario allegro-burst -watch 1s -trace events.jsonl
 //	starvesim -scenario all [-jobs 4]
-//	starvesim -scenario bbr-two -sweep 10 [-sweep-jobs 4]
+//	starvesim -scenario bbr-two -sweep 10 [-jobs 4]
 //	starvesim -flows "vegas*8;reno*8:rm=120ms" -rate 48 -buffer 128
 //	starvesim -flows "vegas*8;reno*8" -topology fanin:4 -eps 0.1
 //	starvesim -server localhost:8377 -flows "vegas*8;reno*8"
@@ -26,14 +26,16 @@
 // families. -watch <interval> additionally renders a live one-line view
 // to stderr as the run progresses (and flushes -trace each tick); it
 // implies -telemetry. The recorder only observes: fixed-seed runs
-// produce bit-identical realizations with it on or off.
+// produce bit-identical realizations with it on or off. Like -trace and
+// -metrics it observes one local run, so -sweep and -server refuse it
+// (exit 2) rather than drop it.
 //
-// -jobs runs the scenarios of "-scenario all" in parallel; output stays
-// in sorted scenario order regardless of completion order. -sweep N runs
-// one scenario across N consecutive seeds (starting at -seed, default 2)
-// and prints one observables line per seed; -sweep-jobs bounds the sweep
-// workers (0 = GOMAXPROCS). Every run is an independent deterministic
-// simulator, so parallelism never changes any measured number.
+// -sweep N runs one scenario across N consecutive seeds (starting at
+// -seed, default 2) and prints one observables line per seed. -jobs bounds
+// the parallel workers of "-scenario all" and of -sweep (0 = GOMAXPROCS);
+// output stays in scenario or seed order regardless of completion order.
+// Every run is an independent deterministic simulator, so parallelism
+// never changes any measured number.
 //
 // -flows runs population mode: semicolon-separated flow groups
 // (cca[*count][:key=val,...]) over a -topology (single, parkinglot:<n>,
@@ -100,9 +102,8 @@ func main() {
 		guardOn  = flag.Bool("guard", false, "enable the run-guard layer (stall watchdog, conservation checks)")
 		deadline = flag.Duration("deadline", 0, "wall-clock budget per run; exceeding it halts the run (implies -guard)")
 
-		jobsN     = flag.Int("jobs", 0, "scenarios to run in parallel with -scenario all (0 = GOMAXPROCS)")
-		sweepN    = flag.Int("sweep", 0, "run the scenario across this many consecutive seeds, one observables line per seed")
-		sweepJobs = flag.Int("sweep-jobs", 0, "parallel workers for -sweep (0 = GOMAXPROCS)")
+		jobsN  = flag.Int("jobs", 0, "parallel workers for -scenario all and -sweep (0 = GOMAXPROCS)")
+		sweepN = flag.Int("sweep", 0, "run the scenario across this many consecutive seeds, one observables line per seed")
 
 		// Population mode: -flows selects it.
 		flows    = flag.String("flows", "", "population mode: semicolon-separated flow groups, cca[*count][:key=val,...] (keys: rm, start, stagger, jitter, loss, ackagg, path, cohort)")
@@ -191,8 +192,8 @@ func main() {
 			Duration: *duration, Seed: *seed,
 		}
 		if *server != "" {
-			if observing || *guardOn || *deadline > 0 {
-				usagef("starvesim: -trace/-metrics/-watch/-guard observe local runs; they cannot attach to -server")
+			if observing || tcfg != nil || *guardOn || *deadline > 0 {
+				usagef("starvesim: -trace/-metrics/-watch/-telemetry/-guard observe local runs; they cannot attach to -server")
 			}
 			runServerPopulation(ctx, *server, spec)
 			return
@@ -248,10 +249,10 @@ func main() {
 		if *name == "" || *name == "all" {
 			usagef("starvesim: -sweep needs a single -scenario name")
 		}
-		if observing {
-			usagef("starvesim: -trace/-metrics observe one run; they cannot attach to a -sweep")
+		if observing || tcfg != nil {
+			usagef("starvesim: -trace/-metrics/-watch/-telemetry observe one run; they cannot attach to a -sweep")
 		}
-		runSweep(ctx, *name, *seed, *sweepN, *sweepJobs, *duration, guardOpts)
+		runSweep(ctx, *name, *seed, *sweepN, *jobsN, *duration, guardOpts)
 		return
 	}
 	if *name == "all" {

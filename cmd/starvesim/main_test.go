@@ -61,6 +61,11 @@ func TestExitStatus(t *testing.T) {
 			"starvesim: -trace/-metrics/-watch observe one scenario; run them with a single -scenario name\n"},
 		// Refused before anything is dialled.
 		{[]string{"-server", "localhost:1"}, 2, "starvesim: -server runs population mode on a daemon; it needs -flows\n"},
+		// The flight recorder observes a local run: refused, not dropped.
+		{[]string{"-server", "localhost:1", "-flows", "vegas*2", "-telemetry"}, 2,
+			"starvesim: -trace/-metrics/-watch/-telemetry/-guard observe local runs; they cannot attach to -server\n"},
+		{[]string{"-scenario", "quickstart-vegas", "-sweep", "2", "-duration", "1s", "-telemetry"}, 2,
+			"starvesim: -trace/-metrics/-watch/-telemetry observe one run; they cannot attach to a -sweep\n"},
 	} {
 		if code, _, errOut := starvesim(t, tc.args...); code != tc.code || !strings.Contains(errOut, tc.stderr) {
 			t.Errorf("starvesim %v: exit %d, stderr %q; want %d, %q", tc.args, code, errOut, tc.code, tc.stderr)

@@ -8,7 +8,8 @@
 // harness (cmd/figures) that regenerates every figure and table.
 //
 // Start with DESIGN.md for the system inventory, EXPERIMENTS.md for
-// paper-vs-measured results, and examples/quickstart for code.
+// paper-vs-measured results, and `starvesim -scenario quickstart-vegas`
+// (internal/scenario.QuickstartVegas) for code.
 //
 // The root package holds only this documentation; the implementation
 // lives under internal/, the runnable tools under cmd/ and examples/, and

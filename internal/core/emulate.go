@@ -37,8 +37,6 @@ type EmulationSpec struct {
 	Measure MeasureOpts
 	// Duration of the two-flow emulation (default 60 s).
 	Duration time.Duration
-	// MSS (default 1500).
-	MSS int
 }
 
 // EmulationResult reports the constructed starvation scenario.
@@ -75,10 +73,6 @@ func EmulateTwoFlow(spec EmulationSpec) *EmulationResult {
 	if spec.Duration <= 0 {
 		spec.Duration = 60 * time.Second
 	}
-	if spec.MSS <= 0 {
-		spec.MSS = 1500
-	}
-	spec.Measure.MSS = spec.MSS
 
 	// Step 2: single-flow trajectories on ideal paths of rates C1 and C2.
 	conv1 := MeasureConvergence(func() cca.Algorithm { return spec.Make(nil) }, spec.C1, spec.Rm, spec.Measure)
@@ -132,15 +126,9 @@ func EmulateTwoFlow(spec EmulationSpec) *EmulationResult {
 	res.Shaper2 = &RTTShaper{Target: res.Target2, D: spec.D, SkipUntil: skip}
 
 	n := network.New(
-		network.Config{Rate: spec.C1 + spec.C2, Seed: spec.Measure.Seed, Ctx: spec.Measure.Ctx},
-		network.FlowSpec{
-			Name: "starved", Alg: spec.Make(conv1), Rm: spec.Rm,
-			MSS: spec.MSS, FwdJitter: res.Shaper1,
-		},
-		network.FlowSpec{
-			Name: "fast", Alg: spec.Make(conv2), Rm: spec.Rm,
-			MSS: spec.MSS, FwdJitter: res.Shaper2,
-		},
+		network.Config{Rate: spec.C1 + spec.C2, Seed: emulationSeed, Ctx: spec.Measure.Ctx},
+		network.FlowSpec{Name: "starved", Alg: spec.Make(conv1), Rm: spec.Rm, FwdJitter: res.Shaper1},
+		network.FlowSpec{Name: "fast", Alg: spec.Make(conv2), Rm: spec.Rm, FwdJitter: res.Shaper2},
 	)
 	n.Link.Prime(dStar0 - spec.Rm)
 	res.TwoFlow = n.Run(spec.Duration)
@@ -178,15 +166,16 @@ type UnderutilizationSpec struct {
 	Rm time.Duration
 	// C is the ideal-path rate whose trajectory is emulated.
 	C units.Rate
-	// Multiplier scales the real link: C' = Multiplier × C (default 100).
-	Multiplier float64
 	// Measure tunes the probe run.
 	Measure MeasureOpts
 	// Duration of the emulated run (default 60 s).
 	Duration time.Duration
-	// MSS (default 1500).
-	MSS int
 }
+
+// bigLinkMultiplier is the emulation link's rate over the emulated one in
+// the Theorem 2 and 3 constructions: large enough that the link's own
+// queueing is negligible, so the delay element alone shapes the RTT.
+const bigLinkMultiplier = 50
 
 // UnderutilizationResult reports the Theorem 2 outcome.
 type UnderutilizationResult struct {
@@ -204,19 +193,13 @@ type UnderutilizationResult struct {
 }
 
 // UnderutilizationConstruction runs Theorem 2: a CCA whose dmax(C) ≤ D can
-// be held to throughput ≈ C on a link of rate Multiplier × C by emulating
-// its ideal-path delay trajectory entirely with non-congestive delay.
+// be held to throughput ≈ C on a link of rate bigLinkMultiplier × C by
+// emulating its ideal-path delay trajectory entirely with non-congestive
+// delay.
 func UnderutilizationConstruction(spec UnderutilizationSpec) *UnderutilizationResult {
 	if spec.Duration <= 0 {
 		spec.Duration = 60 * time.Second
 	}
-	if spec.MSS <= 0 {
-		spec.MSS = 1500
-	}
-	if spec.Multiplier <= 1 {
-		spec.Multiplier = 100
-	}
-	spec.Measure.MSS = spec.MSS
 
 	conv := MeasureConvergence(func() cca.Algorithm { return spec.Make(nil) }, spec.C, spec.Rm, spec.Measure)
 	target := conv.RTT // emulate from t=0: same initial state, same trace
@@ -229,13 +212,10 @@ func UnderutilizationConstruction(spec UnderutilizationSpec) *UnderutilizationRe
 	d += 2 * time.Millisecond
 
 	shaper := &RTTShaper{Target: target, D: d}
-	big := units.Rate(float64(spec.C) * spec.Multiplier)
+	big := units.Rate(float64(spec.C) * bigLinkMultiplier)
 	n := network.New(
-		network.Config{Rate: big, Seed: spec.Measure.Seed, Ctx: spec.Measure.Ctx},
-		network.FlowSpec{
-			Name: "emulated", Alg: spec.Make(nil), Rm: spec.Rm,
-			MSS: spec.MSS, FwdJitter: shaper,
-		},
+		network.Config{Rate: big, Seed: emulationSeed, Ctx: spec.Measure.Ctx},
+		network.FlowSpec{Name: "emulated", Alg: spec.Make(nil), Rm: spec.Rm, FwdJitter: shaper},
 	)
 	res := n.Run(spec.Duration)
 	return &UnderutilizationResult{

@@ -103,12 +103,11 @@ func TestTheorem1VegasConstantTargets(t *testing.T) {
 
 func TestTheorem2Underutilization(t *testing.T) {
 	res := UnderutilizationConstruction(UnderutilizationSpec{
-		Make:       vegasMake,
-		Rm:         50 * time.Millisecond,
-		C:          units.Mbps(12),
-		Multiplier: 50,
-		Measure:    MeasureOpts{Duration: 20 * time.Second},
-		Duration:   20 * time.Second,
+		Make:     vegasMake,
+		Rm:       50 * time.Millisecond,
+		C:        units.Mbps(12),
+		Measure:  MeasureOpts{Duration: 20 * time.Second},
+		Duration: 20 * time.Second,
 	})
 	t.Logf("emulated C=%v on C'=%v: utilization %.4f (D=%v)",
 		res.Conv.C, res.BigLink, res.Utilization, res.D)

@@ -36,11 +36,6 @@ type StrongModelSpec struct {
 	S float64
 	// Duration of each emulated trace (default 20 s).
 	Duration time.Duration
-	// MSS (default 1500).
-	MSS int
-	// BigLinkFactor scales the emulation link so its own queueing is
-	// negligible (default 50× λ).
-	BigLinkFactor float64
 	// MaxSteps bounds the iteration (default 12).
 	MaxSteps int
 	// Ctx, when non-nil, cancels the construction's emulations at
@@ -81,12 +76,6 @@ func StrongModelConstruction(spec StrongModelSpec) *StrongModelResult {
 	if spec.Duration <= 0 {
 		spec.Duration = 20 * time.Second
 	}
-	if spec.MSS <= 0 {
-		spec.MSS = 1500
-	}
-	if spec.BigLinkFactor <= 1 {
-		spec.BigLinkFactor = 50
-	}
 	if spec.MaxSteps <= 0 {
 		spec.MaxSteps = 12
 	}
@@ -98,14 +87,14 @@ func StrongModelConstruction(spec StrongModelSpec) *StrongModelResult {
 
 	// Step 0: ideal path at rate λ.
 	conv := MeasureConvergence(func() cca.Algorithm { return spec.Make(nil) },
-		spec.Lambda, spec.Rm, MeasureOpts{Duration: spec.Duration, MSS: spec.MSS, Ctx: spec.Ctx})
+		spec.Lambda, spec.Rm, MeasureOpts{Duration: spec.Duration, Ctx: spec.Ctx})
 	prevTrace := conv.RTT
 	prevThpt := throughputOfTrace(conv)
 	res.Steps = append(res.Steps, StrongModelStep{
 		Index: 0, MaxDelay: conv.DMax, Throughput: prevThpt,
 	})
 
-	big := units.Rate(float64(spec.Lambda) * spec.BigLinkFactor)
+	big := units.Rate(float64(spec.Lambda) * bigLinkMultiplier)
 	for k := 1; k <= spec.MaxSteps; k++ {
 		// Target delay: previous trajectory lowered by k·D, floored at Rm.
 		reduction := time.Duration(k) * spec.D
@@ -122,11 +111,8 @@ func StrongModelConstruction(spec StrongModelSpec) *StrongModelResult {
 		}
 		shaper := &RTTShaper{Target: target, D: time.Hour /* strong model: unbounded */}
 		n := network.New(
-			network.Config{Rate: big, Seed: 1, Ctx: spec.Ctx},
-			network.FlowSpec{
-				Name: "strong", Alg: spec.Make(nil), Rm: spec.Rm,
-				MSS: spec.MSS, FwdJitter: shaper,
-			},
+			network.Config{Rate: big, Seed: measureSeed, Ctx: spec.Ctx},
+			network.FlowSpec{Name: "strong", Alg: spec.Make(nil), Rm: spec.Rm, FwdJitter: shaper},
 		)
 		run := n.Run(spec.Duration)
 		thpt := run.Flows[0].Stat.SteadyThpt

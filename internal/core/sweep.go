@@ -1,14 +1,13 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
 	"time"
 
+	"starvation/internal/endpoint"
 	"starvation/internal/network"
-	"starvation/internal/runner"
 	"starvation/internal/units"
 )
 
@@ -46,36 +45,25 @@ func LogSpace(lo, hi units.Rate, n int) []units.Rate {
 // link rate, regenerating one panel of Figure 3. Lower rates get longer
 // runs so slow flows still converge.
 //
-// With opts.Jobs > 1 the rate points run in parallel on a bounded worker
-// pool. Every point is an independent simulator with its own seed, so
-// the sweep is identical — point for point — at any Jobs value; points
-// land in the result slice by rate index, never by completion order.
-//
-// Each point runs through a network.Session borrowed from a pool (seeded
-// with opts.Session when set), so a sweep wires its network once per
-// concurrent worker rather than once per rate point; the measured values
-// are unchanged.
+// The points run in rate order through one network.Session (opts.Session,
+// or one the sweep creates), so the sweep wires its network once; the
+// measured values are those of one-shot runs. A cancelled opts.Ctx halts
+// the point in flight and ends the sweep before the next one; the partial
+// sweep is returned and callers observe the cancellation themselves.
 func RateDelaySweep(name string, f Factory, rm time.Duration, rates []units.Rate, opts MeasureOpts) *Sweep {
 	opts.fill()
-	sw := &Sweep{Name: name, Rm: rm, Points: make([]SweepPoint, len(rates))}
-	workers := opts.Jobs
-	if workers <= 0 {
-		workers = 1 // library default stays sequential; CLIs opt in
+	if opts.Session == nil {
+		opts.Session = network.NewSession()
 	}
-	pool := network.NewSessionPool()
-	pool.Put(opts.Session)
-	// The error is always opts.Ctx's cancellation; the partial sweep is
-	// returned as-is and callers observe the cancellation themselves.
-	_ = runner.ForEach(opts.Ctx, workers, len(rates), func(ctx context.Context, i int) error {
-		c := rates[i]
+	sw := &Sweep{Name: name, Rm: rm, Points: make([]SweepPoint, len(rates))}
+	for i, c := range rates {
+		if opts.Ctx != nil && opts.Ctx.Err() != nil {
+			break
+		}
 		o := opts
-		o.Ctx = ctx
-		o.Session = pool.Get()
-		defer pool.Put(o.Session)
 		// Ensure the run spans enough packets and RTTs at low rates: at
 		// least ~400 packet-times and 200 RTTs.
-		pktTime := c.TxTime(opts.MSS)
-		if min := 400 * pktTime; o.Duration < min {
+		if min := 400 * c.TxTime(endpoint.DefaultMSS); o.Duration < min {
 			o.Duration = min
 		}
 		if min := 200 * rm; o.Duration < min {
@@ -89,8 +77,7 @@ func RateDelaySweep(name string, f Factory, rm time.Duration, rates []units.Rate
 			Delta:      conv.Delta,
 			Efficiency: conv.Efficiency(),
 		}
-		return ctx.Err()
-	})
+	}
 	return sw
 }
 

@@ -56,6 +56,6 @@ func (r *REDMarker) Mark(queuedBytes int) bool {
 	return r.Rng.Float64() < p
 }
 
-// SetMarker installs an AQM policy on the link, replacing any threshold
-// configured via SetECNThreshold.
+// SetMarker installs an AQM policy on the link; nil (the default) marks
+// nothing.
 func (l *Link) SetMarker(m Marker) { l.marker = m }

@@ -31,7 +31,6 @@ type Link struct {
 	sim    *sim.Simulator
 	rate   units.Rate
 	buf    int // bytes; 0 = infinite
-	ecn    int // bytes; 0 = simple threshold ECN disabled
 	marker Marker
 	out    PacketHandler
 	probe  obs.Probe
@@ -91,20 +90,15 @@ func NewLink(s *sim.Simulator, rate units.Rate, bufferBytes int, out PacketHandl
 	return l
 }
 
-// SetECNThreshold enables ECN marking for packets that arrive when the
-// queue holds at least thresholdBytes.
-func (l *Link) SetECNThreshold(thresholdBytes int) { l.ecn = thresholdBytes }
-
 // Reset returns the link to the state NewLink(s, rate, bufferBytes, out)
 // would produce, keeping the queue registry and per-flow counter capacity
 // and the bound departure callback. The caller must reset the shared
 // simulator first: queued departure events are abandoned wholesale (their
 // handles went stale with the simulator reset), not cancelled one by one.
-// ECN threshold, marker, and probe are cleared; reinstall them after.
+// Marker and probe are cleared; reinstall them after.
 func (l *Link) Reset(rate units.Rate, bufferBytes int) {
 	l.rate = rate
 	l.buf = bufferBytes
-	l.ecn = 0
 	l.marker = nil
 	l.probe = nil
 	l.queuedBytes = 0
@@ -237,18 +231,9 @@ func (l *Link) Enqueue(p packet.Packet) {
 		}
 		return
 	}
-	marked := false
-	switch {
-	case l.marker != nil:
-		if l.marker.Mark(l.queuedBytes) {
-			p.ECN = true
-			marked = true
-		}
-	case l.ecn > 0 && l.queuedBytes >= l.ecn:
-		p.ECN = true
-		marked = true
-	}
+	marked := l.marker != nil && l.marker.Mark(l.queuedBytes)
 	if marked {
+		p.ECN = true
 		l.Marked++
 		l.flow(p.Flow).Marked++
 	}

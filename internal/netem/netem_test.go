@@ -142,7 +142,7 @@ func TestLinkECNMarking(t *testing.T) {
 			unmarked++
 		}
 	})
-	l.SetECNThreshold(3000)
+	l.SetMarker(ThresholdMarker{Bytes: 3000})
 	s.At(0, func() {
 		for i := 0; i < 5; i++ {
 			l.Enqueue(packet.Packet{Size: 1500})
@@ -152,6 +152,10 @@ func TestLinkECNMarking(t *testing.T) {
 	// Packets 0,1 arrive below threshold; 2,3,4 at or above.
 	if unmarked != 2 || marked != 3 {
 		t.Errorf("marked=%d unmarked=%d, want 3/2", marked, unmarked)
+	}
+	if l.Marked != 3 || l.Dropped != 0 || l.Delivered != 5 {
+		t.Errorf("link counters marked=%d dropped=%d delivered=%d, want 3/0/5",
+			l.Marked, l.Dropped, l.Delivered)
 	}
 }
 
@@ -298,7 +302,7 @@ func TestLinkLifecycleEvents(t *testing.T) {
 	s := sim.New(1)
 	var events []obs.Event
 	l := NewLink(s, units.Mbps(12), 3*1500, func(p packet.Packet) {})
-	l.SetECNThreshold(2 * 1500)
+	l.SetMarker(ThresholdMarker{Bytes: 2 * 1500})
 	l.SetProbe(probeFunc(func(e obs.Event) { events = append(events, e) }))
 	s.At(0, func() {
 		for i := 0; i < 4; i++ {
@@ -330,8 +334,11 @@ func TestLinkLifecycleEvents(t *testing.T) {
 	if f0.Enqueued != 2 || f1.Enqueued != 1 || f1.Dropped != 1 {
 		t.Errorf("per-flow stats = %+v / %+v", f0, f1)
 	}
-	if f0.Marked != 1 {
-		t.Errorf("flow0 marked = %d, want 1", f0.Marked)
+	if f0.Marked != 1 || f1.Marked != 0 {
+		t.Errorf("marked = %d / %d, want 1 / 0", f0.Marked, f1.Marked)
+	}
+	if l.Marked != 1 || l.Dropped != 1 {
+		t.Errorf("link marked=%d dropped=%d, want 1/1", l.Marked, l.Dropped)
 	}
 	if got := l.FlowStats(99); got != (FlowLinkStats{}) {
 		t.Errorf("unknown flow stats = %+v, want zeros", got)

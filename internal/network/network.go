@@ -53,8 +53,6 @@ type FlowSpec struct {
 	// Faults selects additional impairment elements on the data path
 	// (bursty loss, reordering, duplication); nil leaves them out.
 	Faults *faults.Spec
-	// MSS is the segment size (defaults to endpoint.DefaultMSS).
-	MSS int
 	// StartAt delays the flow's first transmission.
 	StartAt time.Duration
 }
@@ -70,9 +68,6 @@ func (spec FlowSpec) Validate() error {
 	}
 	if spec.LossProb < 0 || spec.LossProb > 1 {
 		return fmt.Errorf("loss probability %g outside [0, 1]", spec.LossProb)
-	}
-	if spec.MSS < 0 {
-		return fmt.Errorf("negative MSS %d", spec.MSS)
 	}
 	if spec.StartAt < 0 {
 		return fmt.Errorf("negative StartAt %v", spec.StartAt)
@@ -98,7 +93,7 @@ type Config struct {
 	// Links, when non-nil, describes a multi-link topology (parking-lot
 	// chain, shared-uplink fan-in); flows pick their route with
 	// FlowSpec.Path. When nil, the legacy single-bottleneck fields below
-	// (Rate, BufferBytes, ECNThresholdBytes, Marker, RateSchedule) define
+	// (Rate, BufferBytes, Marker, RateSchedule) define
 	// the one shared link, wired exactly as before the topology layer —
 	// fixed-seed realizations are bit-identical. The two styles are
 	// mutually exclusive.
@@ -114,9 +109,8 @@ type Config struct {
 	// BufferBytes is the drop-tail buffer size; 0 means effectively
 	// infinite (the ideal-path queue of Definition 1).
 	BufferBytes int
-	// ECNThresholdBytes enables ECN marking above this queue depth.
-	ECNThresholdBytes int
-	// Marker installs an AQM policy (overrides ECNThresholdBytes).
+	// Marker installs an AQM policy that ECN-marks arriving packets
+	// (netem.ThresholdMarker, netem.REDMarker); nil marks nothing.
 	Marker netem.Marker
 	// RateSchedule varies the bottleneck rate over the run (piecewise
 	// steps or on-off flaps); nil keeps Rate constant.
@@ -219,9 +213,8 @@ func (cfg Config) Validate() error {
 	if len(cfg.Links) > 0 {
 		// Topology mode: the legacy single-bottleneck fields must stay
 		// zero so a config cannot describe two contradictory networks.
-		if cfg.Rate != 0 || cfg.BufferBytes != 0 || cfg.ECNThresholdBytes != 0 ||
-			cfg.Marker != nil || cfg.RateSchedule != nil {
-			return fmt.Errorf("Links is set: leave the legacy single-bottleneck fields (Rate, BufferBytes, ECNThresholdBytes, Marker, RateSchedule) zero and describe every link in Links")
+		if cfg.Rate != 0 || cfg.BufferBytes != 0 || cfg.Marker != nil || cfg.RateSchedule != nil {
+			return fmt.Errorf("Links is set: leave the legacy single-bottleneck fields (Rate, BufferBytes, Marker, RateSchedule) zero and describe every link in Links")
 		}
 		if cfg.Bottleneck < 0 || cfg.Bottleneck >= len(cfg.Links) {
 			return fmt.Errorf("bottleneck index %d out of range [0, %d)", cfg.Bottleneck, len(cfg.Links))
@@ -241,9 +234,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.BufferBytes < 0 {
 		return fmt.Errorf("negative buffer %d bytes", cfg.BufferBytes)
-	}
-	if cfg.ECNThresholdBytes < 0 {
-		return fmt.Errorf("negative ECN threshold %d bytes", cfg.ECNThresholdBytes)
 	}
 	if err := cfg.RateSchedule.Validate(); err != nil {
 		return fmt.Errorf("rate schedule: %w", err)
@@ -468,12 +458,7 @@ func (n *Network) configure(cfg Config, specs []FlowSpec) {
 		}
 		link := n.Links[j]
 		link.Reset(ls.Rate, ls.BufferBytes)
-		if ls.ECNThresholdBytes > 0 {
-			link.SetECNThreshold(ls.ECNThresholdBytes)
-		}
-		if ls.Marker != nil {
-			link.SetMarker(ls.Marker)
-		}
+		link.SetMarker(ls.Marker)
 		link.SetProbe(cfg.Probe)
 	}
 	n.Link = n.Links[cfg.Bottleneck]
@@ -489,9 +474,6 @@ func (n *Network) configure(cfg Config, specs []FlowSpec) {
 	}
 
 	for i, spec := range specs {
-		if spec.MSS <= 0 {
-			spec.MSS = endpoint.DefaultMSS
-		}
 		if spec.FwdJitter == nil {
 			spec.FwdJitter = jitter.None{}
 		}
@@ -528,7 +510,7 @@ func (n *Network) configure(cfg Config, specs []FlowSpec) {
 			f.dup.Reset(*spec.Faults.Duplicate, derivedSeed(cfg.Seed, i, saltDup))
 			f.dup.SetProbe(n.Sim, cfg.Probe)
 		}
-		f.Sender.Reset(spec.Alg, spec.MSS)
+		f.Sender.Reset(spec.Alg, endpoint.DefaultMSS)
 		f.Sender.Probe = cfg.Probe
 		f.Sender.AckTraceHook = f.rttHook
 		f.rateSamples = 0

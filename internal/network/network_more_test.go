@@ -9,6 +9,7 @@ import (
 	"starvation/internal/cca/vegas"
 	"starvation/internal/cca/vivace"
 	"starvation/internal/endpoint"
+	"starvation/internal/netem"
 	"starvation/internal/netem/jitter"
 	"starvation/internal/units"
 )
@@ -114,18 +115,22 @@ func TestAckPathJitter(t *testing.T) {
 	}
 }
 
-func TestECNThresholdMarksAndReacts(t *testing.T) {
+func TestThresholdMarkerMarksAndReacts(t *testing.T) {
 	// An ECN-reacting Reno on a deep queue holds the queue near the mark
 	// threshold instead of the full buffer (§6.4's direction).
 	n := New(
 		Config{Rate: units.Mbps(12), BufferBytes: 300 * 1500,
-			ECNThresholdBytes: 20 * 1500, Seed: 1},
+			Marker: netem.ThresholdMarker{Bytes: 20 * 1500}, Seed: 1},
 		FlowSpec{Name: "ecn", Alg: reno.New(reno.Config{ReactToECN: true}),
 			Rm: 40 * time.Millisecond},
 	)
 	res := n.Run(20 * time.Second)
 	if res.Dropped != 0 {
 		t.Errorf("drops with ECN reaction on deep buffer: %d", res.Dropped)
+	}
+	// The fixed-seed realization marks exactly this many packets.
+	if m := res.Obs.Global.PacketsMarked; m != 772 || n.Link.Marked != m {
+		t.Errorf("marked %d (link %d), want 772", m, n.Link.Marked)
 	}
 	// Queue must stay well below the physical buffer.
 	if q, ok := res.QueueTrace.Mean(10*time.Second, 20*time.Second); !ok || q > 60*1500 {

@@ -6,23 +6,24 @@ import (
 	"time"
 
 	"starvation/internal/cca/vegas"
+	"starvation/internal/netem"
 	"starvation/internal/obs"
 	"starvation/internal/packet"
 	"starvation/internal/units"
 )
 
 // runInstrumented runs a two-flow scenario that exercises every lifecycle
-// event: a small drop-tail buffer (tail drops), an ECN threshold (marks),
+// event: a small drop-tail buffer (tail drops), a threshold marker (marks),
 // and a random-loss gate on one flow (gate drops).
 func runInstrumented(t *testing.T, probe obs.Probe) *Result {
 	t.Helper()
 	n := New(
 		Config{
-			Rate:              units.Mbps(20),
-			BufferBytes:       20 * 1500,
-			ECNThresholdBytes: 15 * 1500,
-			Seed:              2,
-			Probe:             probe,
+			Rate:        units.Mbps(20),
+			BufferBytes: 20 * 1500,
+			Marker:      netem.ThresholdMarker{Bytes: 15 * 1500},
+			Seed:        2,
+			Probe:       probe,
 		},
 		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 20 * time.Millisecond},
 		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 40 * time.Millisecond, LossProb: 0.005},
@@ -111,6 +112,14 @@ func TestJSONLRoundTripReconciles(t *testing.T) {
 	// otherwise the reconciliation above is vacuous.
 	if w.PacketsDropped == 0 || w.PacketsMarked == 0 || w.AcksReceived == 0 {
 		t.Errorf("degenerate scenario: global counters %+v", w)
+	}
+	// The fixed-seed realization: 26 tail drops plus 21 at flow 1's loss
+	// gate, and 37 + 7 marks.
+	if w.PacketsDropped != 47 || res.Dropped != 26 || w.PacketsMarked != 44 ||
+		res.Obs.Flows[0].PacketsMarked != 37 || res.Obs.Flows[1].PacketsMarked != 7 {
+		t.Errorf("dropped %d (link %d), marked %d (%d + %d); want 47 (26), 44 (37 + 7)",
+			w.PacketsDropped, res.Dropped, w.PacketsMarked,
+			res.Obs.Flows[0].PacketsMarked, res.Obs.Flows[1].PacketsMarked)
 	}
 
 	// Event stream timestamps are monotone per the simulator's clock.

@@ -20,9 +20,8 @@ type LinkSpec struct {
 	Rate units.Rate
 	// BufferBytes is the drop-tail buffer; 0 means effectively infinite.
 	BufferBytes int
-	// ECNThresholdBytes enables ECN marking above this queue depth.
-	ECNThresholdBytes int
-	// Marker installs an AQM policy (overrides ECNThresholdBytes).
+	// Marker installs an AQM policy that ECN-marks arriving packets; nil
+	// marks nothing.
 	Marker netem.Marker
 	// RateSchedule varies this link's rate over the run; nil keeps it
 	// constant.
@@ -40,9 +39,6 @@ func (ls LinkSpec) Validate() error {
 	}
 	if ls.BufferBytes < 0 {
 		return fmt.Errorf("negative buffer %d bytes", ls.BufferBytes)
-	}
-	if ls.ECNThresholdBytes < 0 {
-		return fmt.Errorf("negative ECN threshold %d bytes", ls.ECNThresholdBytes)
 	}
 	if ls.HopDelay < 0 {
 		return fmt.Errorf("negative hop delay %v", ls.HopDelay)
@@ -108,12 +104,11 @@ func (cfg Config) linksOf() []LinkSpec {
 		return cfg.Links
 	}
 	return []LinkSpec{{
-		Name:              "bottleneck",
-		Rate:              cfg.Rate,
-		BufferBytes:       cfg.BufferBytes,
-		ECNThresholdBytes: cfg.ECNThresholdBytes,
-		Marker:            cfg.Marker,
-		RateSchedule:      cfg.RateSchedule,
+		Name:         "bottleneck",
+		Rate:         cfg.Rate,
+		BufferBytes:  cfg.BufferBytes,
+		Marker:       cfg.Marker,
+		RateSchedule: cfg.RateSchedule,
 	}}
 }
 

@@ -66,16 +66,16 @@ type Config struct {
 	// Epsilon is the starvation threshold as a fraction of FairShare
 	// (<= 0 selects metrics.DefaultStarvationEpsilon).
 	Epsilon float64
-	// OpenAfter is the number of consecutive starved windows before an
-	// episode opens; CloseAfter the number of healthy windows before it
-	// closes. Both default to 2 — one-window hysteresis in each
-	// direction, so a single noisy window neither opens nor splits an
-	// episode.
-	OpenAfter, CloseAfter int
 	// Probe, when non-nil, receives EvStarveOnset/EvStarveEnd events as
 	// episodes open and close.
 	Probe obs.Probe
 }
+
+// openAfter is the number of consecutive starved windows before an episode
+// opens, closeAfter the number of healthy windows before it closes: a
+// one-window hysteresis in each direction, so a single noisy window
+// neither opens nor splits an episode.
+const openAfter, closeAfter = 2, 2
 
 type detFlow struct {
 	name, cohort string
@@ -100,12 +100,6 @@ type Detector struct {
 func New(cfg Config, nflows int) *Detector {
 	if cfg.Epsilon <= 0 {
 		cfg.Epsilon = metrics.DefaultStarvationEpsilon
-	}
-	if cfg.OpenAfter <= 0 {
-		cfg.OpenAfter = 2
-	}
-	if cfg.CloseAfter <= 0 {
-		cfg.CloseAfter = 2
 	}
 	return &Detector{cfg: cfg, flows: make([]detFlow, nflows)}
 }
@@ -159,7 +153,7 @@ func (d *Detector) starvedWindow(flow packet.FlowID, f *detFlow, w *timeseries.W
 	}
 	fold(&f.pend, w, share)
 	f.starvedRun++
-	if f.starvedRun >= d.cfg.OpenAfter {
+	if f.starvedRun >= openAfter {
 		f.open = true
 		f.cur = f.pend
 		if d.cfg.Probe != nil {
@@ -179,7 +173,7 @@ func (d *Detector) healthyWindow(flow packet.FlowID, f *detFlow, w *timeseries.W
 		f.cur.End = w.Start
 	}
 	f.healthyRun++
-	if f.healthyRun >= d.cfg.CloseAfter {
+	if f.healthyRun >= closeAfter {
 		d.seal(flow, f, false)
 	}
 }

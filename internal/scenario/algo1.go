@@ -110,8 +110,9 @@ func VegasUnderJitter(o Opts) *Result {
 	}
 }
 
-// QuickstartVegas is the minimal two-identical-flows sanity scenario used
-// by the quickstart example: on a clean path, two Vegas flows share fairly.
+// QuickstartVegas is the minimal two-identical-flows sanity scenario
+// (starvesim -scenario quickstart-vegas): on a clean path, two Vegas flows
+// share fairly, the baseline every starvation scenario perturbs.
 func QuickstartVegas(o Opts) *Result {
 	o.fill(60 * time.Second)
 	res := o.emulate(

@@ -1,6 +1,7 @@
 // Package scenario packages the paper's empirical experiments (§5 and
-// Fig. 7) with their published parameters, so the CLI, the examples, the
-// figure harness and the benchmark all run exactly the same configurations.
+// Fig. 7) with their published parameters, so the CLI, the figure harness,
+// the experiment service and the benchmark all run exactly the same
+// configurations.
 //
 // Each scenario returns a Result carrying the raw network run plus the
 // named observables the paper reports, and records the paper's measured
