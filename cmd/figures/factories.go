@@ -1,11 +1,10 @@
 package main
 
 import (
-	"math/rand"
-
 	"starvation/internal/cca"
 	"starvation/internal/cca/vegas"
 	"starvation/internal/core"
+	"starvation/internal/rng"
 )
 
 // ccaFactory adapts the registry (filled by the CCA packages that
@@ -17,7 +16,7 @@ func ccaFactory(name string) core.Factory {
 		panic("unknown CCA " + name)
 	}
 	return func() cca.Algorithm {
-		return f(1500, rand.New(rand.NewSource(7)))
+		return f(1500, rng.New(7))
 	}
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 	"time"
@@ -15,6 +14,7 @@ import (
 	"starvation/internal/netem/jitter"
 	"starvation/internal/network"
 	"starvation/internal/obs"
+	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -48,7 +48,7 @@ func runCustom(f customFlags, probe obs.Probe) (*network.Result, error) {
 			return nil, fmt.Errorf("unknown CCA %q (known: %s)",
 				name, strings.Join(cca.Names(), ", "))
 		}
-		return fac(endpoint.DefaultMSS, rand.New(rand.NewSource(seed))), nil
+		return fac(endpoint.DefaultMSS, rng.New(seed)), nil
 	}
 
 	alg1, err := mk(f.cca1, f.seed*11+1)
@@ -109,7 +109,7 @@ func runCustom(f customFlags, probe obs.Probe) (*network.Result, error) {
 // parseJitter turns "kind:value" into a jitter policy with this run's
 // derived rng (see jitter.Parse for the grammar).
 func parseJitter(spec string, seed int64) (jitter.Policy, error) {
-	return jitter.Parse(spec, rand.New(rand.NewSource(seed*101+3)))
+	return jitter.Parse(spec, rng.New(seed*101+3))
 }
 
 func fatalf(format string, args ...any) {

@@ -15,29 +15,29 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"starvation/internal/cca/vegas"
 	"starvation/internal/netem/jitter"
 	"starvation/internal/network"
+	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
 func main() {
 	mkJitter := func(name string) jitter.Policy {
-		rng := rand.New(rand.NewSource(11))
+		gen := rng.New(11)
 		switch name {
 		case "ideal":
 			return jitter.None{}
 		case "os-noise (uniform ≤5ms)":
-			return &jitter.Uniform{Max: 5 * time.Millisecond, Rng: rng}
+			return &jitter.Uniform{Max: 5 * time.Millisecond, Rng: gen}
 		case "ack-aggregation (20ms)":
 			return jitter.PeriodicAggregation{Period: 20 * time.Millisecond}
 		case "wifi-bursts (GE, 10ms)":
 			return &jitter.GilbertElliott{
 				PGoodToBad: 0.02, PBadToGood: 0.2,
-				BadDelay: 10 * time.Millisecond, Rng: rng,
+				BadDelay: 10 * time.Millisecond, Rng: gen,
 			}
 		case "scheduler-spikes (10ms/100ms)":
 			return jitter.PeriodicSpike{Period: 100 * time.Millisecond, SpikeLen: 10 * time.Millisecond}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"starvation/internal/cca"
+	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -122,7 +123,7 @@ func New(cfg Config) *Allegro {
 		cfg.MinRate = units.Mbps(0.05)
 	}
 	if cfg.Rng == nil {
-		cfg.Rng = rand.New(rand.NewSource(1))
+		cfg.Rng = rng.New(1)
 	}
 	a := &Allegro{cfg: cfg, rate: cfg.InitialRate.Mbit(), st: stStarting, eps: cfg.EpsilonMin,
 		// The first interval only fills the pipeline; never score it.

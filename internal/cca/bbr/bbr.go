@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"starvation/internal/cca"
+	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -134,7 +135,7 @@ func New(cfg Config) *BBR {
 		cfg.InitialCwndPkts = 10
 	}
 	if cfg.Rng == nil {
-		cfg.Rng = rand.New(rand.NewSource(1))
+		cfg.Rng = rng.New(1)
 	}
 	b := &BBR{
 		cfg:        cfg,

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"starvation/internal/cca"
+	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -108,7 +109,7 @@ func New(cfg Config) *Vivace {
 		cfg.MinRate = units.Mbps(0.05)
 	}
 	if cfg.Rng == nil {
-		cfg.Rng = rand.New(rand.NewSource(1))
+		cfg.Rng = rng.New(1)
 	}
 	v := &Vivace{cfg: cfg, rate: cfg.InitialRate.Mbit(), ph: phSlowStart,
 		// The first interval only fills the pipeline; never score it.

@@ -8,27 +8,6 @@ import (
 	"starvation/internal/sim"
 )
 
-// Propagation is a fixed delay: every packet is delivered exactly d later.
-// It models the minimum packet propagation RTT Rm of the paper (we fold the
-// whole round trip's propagation into one direction, which is equivalent
-// from the sender's point of view).
-type Propagation struct {
-	sim *sim.Simulator
-	d   time.Duration
-	out PacketHandler
-}
-
-// NewPropagation returns a fixed-delay element.
-func NewPropagation(s *sim.Simulator, d time.Duration, out PacketHandler) *Propagation {
-	return &Propagation{sim: s, d: d, out: out}
-}
-
-// Send delays p by the propagation time. The packet rides inline in the
-// event record (AfterPacket), so forwarding is allocation-free.
-func (pr *Propagation) Send(p packet.Packet) {
-	pr.sim.AfterPacket(pr.d, pr.out, p)
-}
-
 // DelayBox is the paper's per-flow non-congestive delay element for data
 // packets: it holds each packet for a policy-chosen duration in [0, D] and
 // never reorders (release times are clamped to be monotone).

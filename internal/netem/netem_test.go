@@ -205,17 +205,6 @@ func TestAckDelayBoxNoReorder(t *testing.T) {
 	}
 }
 
-func TestPropagation(t *testing.T) {
-	s := sim.New(1)
-	var at time.Duration
-	pr := NewPropagation(s, 40*time.Millisecond, func(p packet.Packet) { at = s.Now() })
-	s.At(time.Millisecond, func() { pr.Send(packet.Packet{}) })
-	s.Run(time.Second)
-	if at != 41*time.Millisecond {
-		t.Errorf("delivered at %v, want 41ms", at)
-	}
-}
-
 func TestLossGate(t *testing.T) {
 	s := sim.New(1)
 	passed := 0

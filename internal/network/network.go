@@ -18,6 +18,7 @@ import (
 	"starvation/internal/netem/jitter"
 	"starvation/internal/obs"
 	"starvation/internal/packet"
+	"starvation/internal/rng"
 	"starvation/internal/sim"
 	"starvation/internal/trace"
 	"starvation/internal/units"
@@ -376,19 +377,19 @@ func wire(nLinks int, specs []FlowSpec) *Network {
 		var intoLink netem.PacketHandler = n.Links[f.path[0]].Enqueue
 		c := chainOf(spec)
 		if c&chainLoss != 0 {
-			f.gate = netem.NewLossGate(0, newRandSource(0), intoLink)
+			f.gate = netem.NewLossGate(0, rng.New(0), intoLink)
 			intoLink = f.gate.Send
 		}
 		if c&chainGE != 0 {
-			f.ge = faults.NewGEGate(faults.GEConfig{}, newRandSource(0), intoLink)
+			f.ge = faults.NewGEGate(faults.GEConfig{}, rng.New(0), intoLink)
 			intoLink = f.ge.Send
 		}
 		if c&chainReorder != 0 {
-			f.reorder = faults.NewReorderer(faults.ReorderConfig{}, newRandSource(0), s, intoLink)
+			f.reorder = faults.NewReorderer(faults.ReorderConfig{}, rng.New(0), s, intoLink)
 			intoLink = f.reorder.Send
 		}
 		if c&chainDup != 0 {
-			f.dup = faults.NewDuplicator(faults.DupConfig{}, newRandSource(0), intoLink)
+			f.dup = faults.NewDuplicator(faults.DupConfig{}, rng.New(0), intoLink)
 			intoLink = f.dup.Send
 		}
 		f.Sender = endpoint.NewSender(s, f.ID, nil, 0, intoLink)
@@ -495,6 +496,11 @@ func (n *Network) configure(cfg Config, specs []FlowSpec) {
 		f.FwdBox.Reset(spec.FwdJitter)
 		if f.gate != nil {
 			f.gate.Reset(spec.LossProb)
+			// Known collision: derivedSeed(seed, i, saltGate) equals the
+			// seed scenario.ParseFlows gives flow i's CCA generator
+			// (seed·1000003 + i·7919 + 17), so a drawing CCA and this gate
+			// read the same stream. Left as is: either salt moving shifts
+			// realizations (ROADMAP open items).
 			f.gate.Rng.Seed(derivedSeed(cfg.Seed, i, saltGate))
 			f.gate.SetProbe(n.Sim, cfg.Probe)
 		}

@@ -11,6 +11,7 @@ import (
 	"starvation/internal/endpoint"
 	"starvation/internal/netem"
 	"starvation/internal/netem/jitter"
+	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -71,8 +72,8 @@ func TestPerFlowLossGatesIndependent(t *testing.T) {
 	// Flow 0's own gate decisions must be identical; its *behaviour* will
 	// differ because it shares the link, so compare only the gate RNG
 	// stream indirectly: same seed+index yields the same generator.
-	newDerivedRand := func(seed int64, flow int) *randSource {
-		return newRandSource(derivedSeed(seed, flow, saltGate))
+	newDerivedRand := func(seed int64, flow int) *rand.Rand {
+		return rng.New(derivedSeed(seed, flow, saltGate))
 	}
 	a := newDerivedRand(3, 0)
 	b := newDerivedRand(3, 0)

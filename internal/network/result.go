@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -12,11 +11,6 @@ import (
 	"starvation/internal/trace"
 	"starvation/internal/units"
 )
-
-// randSource is a thin alias so network.go reads cleanly.
-type randSource = rand.Rand
-
-func newRandSource(seed int64) *randSource { return rand.New(rand.NewSource(seed)) }
 
 // FaultCounters is the per-flow drop/impairment accounting, filled from
 // element counters so it is visible without a probe attached.

@@ -1,12 +1,12 @@
 package scenario
 
 import (
-	"math/rand"
 	"time"
 
 	"starvation/internal/cca/algo1"
 	"starvation/internal/netem/jitter"
 	"starvation/internal/network"
+	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -43,7 +43,7 @@ func Algo1Ablation(o Opts) *Result {
 			network.Config{Rate: units.Mbps(100)},
 			network.FlowSpec{
 				Name: "jittered", Alg: mk(), Rm: rm,
-				FwdJitter: &jitter.Uniform{Max: d, Rng: rand.New(rand.NewSource(o.Seed*17 + 1))},
+				FwdJitter: &jitter.Uniform{Max: d, Rng: rng.New(o.Seed*17 + 1)},
 			},
 			network.FlowSpec{Name: "clean", Alg: mk(), Rm: rm},
 		)

@@ -1,13 +1,13 @@
 package scenario
 
 import (
-	"math/rand"
 	"time"
 
 	"starvation/internal/cca/algo1"
 	"starvation/internal/cca/vegas"
 	"starvation/internal/netem/jitter"
 	"starvation/internal/network"
+	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -38,7 +38,7 @@ func Algo1Fairness(o Opts) *Result {
 			Name:      "jittered",
 			Alg:       mk(),
 			Rm:        rm,
-			FwdJitter: &jitter.Uniform{Max: d, Rng: rand.New(rand.NewSource(o.Seed*17 + 1))},
+			FwdJitter: &jitter.Uniform{Max: d, Rng: rng.New(o.Seed*17 + 1)},
 		},
 		network.FlowSpec{
 			Name: "clean",

@@ -1,12 +1,12 @@
 package scenario
 
 import (
-	"math/rand"
 	"time"
 
 	"starvation/internal/cca/allegro"
 	"starvation/internal/netem/faults"
 	"starvation/internal/network"
+	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -23,7 +23,7 @@ func allegroBDP() int {
 func allegroFlow(name string, seed int64, loss float64) network.FlowSpec {
 	return network.FlowSpec{
 		Name:     name,
-		Alg:      allegro.New(allegro.Config{Rng: rand.New(rand.NewSource(seed))}),
+		Alg:      allegro.New(allegro.Config{Rng: rng.New(seed)}),
 		Rm:       allegroRm,
 		LossProb: loss,
 	}

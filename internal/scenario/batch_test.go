@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +43,43 @@ func TestPopulationSpecValidateStrings(t *testing.T) {
 	good := PopulationSpec{Flows: "reno*2", Duration: 100 * time.Millisecond}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
+	}
+}
+
+// TestPopulationSpecValidateAllocBytes bounds the heap bytes one Validate
+// allocates. Validation builds every flow's CCA and its generator only to
+// drop them, so a generator must cost nothing until drawn: each eager
+// math/rand source is ~4.9 KB, which would put the eight-flow service spec
+// near 47 KB and the 500-flow spec near 3 MB.
+func TestPopulationSpecValidateAllocBytes(t *testing.T) {
+	const calls = 50
+	for _, c := range []struct {
+		name     string
+		spec     PopulationSpec
+		maxBytes uint64
+	}{
+		{"service 8-flow", PopulationSpec{Flows: "vegas*4;reno*4", RateMbps: 12, BufferPkts: 200,
+			Duration: 500 * time.Millisecond, Seed: 7}, 8 << 10},
+		{"pop-mixed-500", PopulationSpec{Flows: "vegas*125:stagger=8ms;reno*125:stagger=8ms;" +
+			"copa*125:stagger=8ms;bbr*125:stagger=8ms", RateMbps: 250, BufferPkts: 512,
+			Duration: 8 * time.Second}, 1 << 20},
+	} {
+		if err := c.spec.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if err := c.spec.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / calls
+		if per >= c.maxBytes {
+			t.Errorf("%s: Validate allocates %d bytes per call, want < %d", c.name, per, c.maxBytes)
+		}
+		t.Logf("%s: %d bytes per Validate", c.name, per)
 	}
 }
 

@@ -1,12 +1,12 @@
 package scenario
 
 import (
-	"math/rand"
 	"time"
 
 	"starvation/internal/cca/bbr"
 	"starvation/internal/netem/jitter"
 	"starvation/internal/network"
+	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -20,12 +20,11 @@ import (
 func BBRTwoFlowRTT(o Opts) *Result {
 	o.fill(60 * time.Second)
 	mk := func(name string, rm time.Duration, seed int64) network.FlowSpec {
-		rng := rand.New(rand.NewSource(seed))
 		return network.FlowSpec{
 			Name:      name,
-			Alg:       bbr.New(bbr.Config{Rng: rng}),
+			Alg:       bbr.New(bbr.Config{Rng: rng.New(seed)}),
 			Rm:        rm,
-			FwdJitter: &jitter.Uniform{Max: 2 * time.Millisecond, Rng: rand.New(rand.NewSource(seed + 1000))},
+			FwdJitter: &jitter.Uniform{Max: 2 * time.Millisecond, Rng: rng.New(seed + 1000)},
 		}
 	}
 	res := o.emulate(

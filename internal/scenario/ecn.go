@@ -1,12 +1,12 @@
 package scenario
 
 import (
-	"math/rand"
 	"time"
 
 	"starvation/internal/cca/reno"
 	"starvation/internal/netem"
 	"starvation/internal/network"
+	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -32,7 +32,7 @@ func ECNAvoidsStarvation(o Opts) *Result {
 				BufferBytes: 400 * 1500,
 				Marker: &netem.REDMarker{
 					MinBytes: 20 * 1500, MaxBytes: 80 * 1500, MaxP: 0.2,
-					Rng: rand.New(rand.NewSource(o.Seed*31 + 5)),
+					Rng: rng.New(o.Seed*31 + 5),
 				},
 			},
 			network.FlowSpec{

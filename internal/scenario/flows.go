@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 	"time"
@@ -11,6 +10,7 @@ import (
 	"starvation/internal/endpoint"
 	"starvation/internal/netem/jitter"
 	"starvation/internal/network"
+	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -98,7 +98,7 @@ func ParseFlows(spec string, seed int64, topo *Topology) ([]network.FlowSpec, er
 					// Validated here, instantiated per flow below (policies
 					// are stateful and carry per-flow rngs).
 					jitterSpec = val
-					_, err = jitter.Parse(val, rand.New(rand.NewSource(1)))
+					_, err = jitter.Parse(val, rng.New(1))
 				case "loss":
 					base.LossProb, err = strconv.ParseFloat(val, 64)
 					if err == nil && (base.LossProb < 0 || base.LossProb >= 1) {
@@ -135,10 +135,15 @@ func ParseFlows(spec string, seed int64, topo *Topology) ([]network.FlowSpec, er
 			}
 			// Per-flow derived seeds: the CCA's rng and any jitter rng are
 			// functions of (seed, i) alone, so editing one group never
-			// perturbs flows outside it.
-			f.Alg = fac(endpoint.DefaultMSS, rand.New(rand.NewSource(seed*1000003+int64(i)*7919+17)))
+			// perturbs flows outside it. Known collision: the CCA's seed is
+			// the one network.configure gives flow i's loss gate
+			// (derivedSeed(seed, i, saltGate), saltGate = 17), so with loss=
+			// a drawing CCA (allegro, bbr, vivace) shares the gate's stream.
+			// Left as is: either salt moving shifts realizations (ROADMAP
+			// open items).
+			f.Alg = fac(endpoint.DefaultMSS, rng.New(seed*1000003+int64(i)*7919+17))
 			if jitterSpec != "" {
-				pol, err := jitter.Parse(jitterSpec, rand.New(rand.NewSource(seed*1000003+int64(i)*7919+101)))
+				pol, err := jitter.Parse(jitterSpec, rng.New(seed*1000003+int64(i)*7919+101))
 				if err != nil {
 					return nil, fmt.Errorf("flows: group %q: jitter: %v", g, err)
 				}

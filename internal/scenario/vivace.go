@@ -1,12 +1,12 @@
 package scenario
 
 import (
-	"math/rand"
 	"time"
 
 	"starvation/internal/cca/vivace"
 	"starvation/internal/endpoint"
 	"starvation/internal/network"
+	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -19,7 +19,7 @@ func VivaceAckAggregation(o Opts) *Result {
 	mk := func(name string, seed int64, aggregate bool) network.FlowSpec {
 		spec := network.FlowSpec{
 			Name: name,
-			Alg:  vivace.New(vivace.Config{Rng: rand.New(rand.NewSource(seed))}),
+			Alg:  vivace.New(vivace.Config{Rng: rng.New(seed)}),
 			Rm:   60 * time.Millisecond,
 		}
 		if aggregate {

@@ -5,6 +5,12 @@
 // virtual clock. Events with equal timestamps fire in scheduling order, so a
 // run is a pure function of the scenario configuration and its RNG seeds.
 //
+// The engine itself draws no randomness. Every stochastic element — a CCA,
+// a jitter policy, a loss or fault gate, a RED marker — owns a generator
+// built with rng.New from a seed derived from the run seed (network.Config's
+// Seed, a scenario's Opts.Seed), so adding or enabling one element never
+// perturbs another's stream.
+//
 // The event queue is allocation-free on the hot path: records live in a
 // pooled arena, ordered by a calendar wheel for the next 67 ms and by an
 // intrusive 4-ary min-heap beyond that (see queue.go), and the typed entry
@@ -21,6 +27,7 @@ import (
 	"time"
 
 	"starvation/internal/packet"
+	"starvation/internal/rng"
 )
 
 // Time is virtual time since the start of the simulation.
@@ -87,17 +94,18 @@ type Simulator struct {
 	ctx context.Context
 }
 
-// New returns a simulator whose RNG is seeded with seed. All stochastic
-// behaviour in a scenario must draw from Rand() (or from generators derived
-// from it) so runs are reproducible.
+// New returns a simulator whose generator, Rand(), is seeded with seed.
+// No network element draws from it (see the package doc); it costs nothing
+// until something does.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed)), freeHead: noSlot}
+	return &Simulator{rng: rng.New(seed), freeHead: noSlot}
 }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Rand returns the simulation's deterministic random source.
+// Rand returns the simulator's generator, seeded by New and Reset, for
+// drivers that want a stream tied to the simulator's seed.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // Events returns the number of events fired so far (useful for benchmarks).
