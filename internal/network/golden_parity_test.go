@@ -88,6 +88,45 @@ func goldenConfigs(tc *TelemetryConfig) map[string]func() goldenConfig {
 				d: 5 * time.Second,
 			}
 		},
+		// deep holds packets in every FIFO delay element at once: two BBR
+		// flows drive the unbuffered bottleneck's queue past the wheel's
+		// 67 ms window, the access link flaps to 0 and back with packets
+		// held, the bottleneck steps its rate with a backlog queued, the
+		// access link's HopDelay propagates between the two, and the
+		// second flow's forward path reorders.
+		"deep": func() goldenConfig {
+			return goldenConfig{
+				cfg: Config{
+					Links: []LinkSpec{
+						{Name: "access", Rate: units.Mbps(48), HopDelay: 2 * time.Millisecond,
+							RateSchedule: faults.Flap(time.Second, 50*time.Millisecond)},
+						{Name: "bottleneck", Rate: units.Mbps(12),
+							RateSchedule: &faults.RateSchedule{Steps: []faults.RateStep{
+								{At: 1500 * time.Millisecond, Rate: units.Mbps(8)},
+								{At: 2500 * time.Millisecond, Rate: faults.Restore},
+							}}},
+					},
+					Bottleneck: 1,
+					Seed:       13,
+					Telemetry:  tc,
+				},
+				specs: []FlowSpec{
+					{
+						Alg:       bbr.New(bbr.Config{}),
+						Rm:        40 * time.Millisecond,
+						AckJitter: &jitter.Uniform{Max: 2 * time.Millisecond, Rng: rand.New(rand.NewSource(3))},
+					},
+					{
+						Alg:       bbr.New(bbr.Config{}),
+						Rm:        20 * time.Millisecond,
+						FwdJitter: &jitter.Uniform{Max: 3 * time.Millisecond, Rng: rand.New(rand.NewSource(4))},
+						StartAt:   300 * time.Millisecond,
+						Faults:    &faults.Spec{Reorder: &faults.ReorderConfig{P: 0.02, Delay: 3 * time.Millisecond}},
+					},
+				},
+				d: 4 * time.Second,
+			}
+		},
 	}
 }
 
