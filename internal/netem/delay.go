@@ -19,11 +19,10 @@ type DelayBox struct {
 	lastRelease time.Duration
 	inTransit   int64
 
-	// deliverFn/releaseFn are the deliver and release methods bound once at
-	// construction so the per-packet scheduling calls pass an existing func
-	// value instead of allocating a method-value closure each time.
-	deliverFn func(packet.Packet)
-	releaseFn func(packet.Packet)
+	// prop holds packets in SendAfter's fixed extra delay, rel those in
+	// the policy delay; only each lane's head is a live event.
+	prop sim.Lane[packet.Packet]
+	rel  sim.Lane[packet.Packet]
 
 	// MaxApplied records the largest delay actually applied, for checking
 	// that a scenario stayed within its declared bound D.
@@ -38,17 +37,19 @@ func (b *DelayBox) InTransit() int64 { return b.inTransit }
 // NewDelayBox returns a delay element applying the given policy.
 func NewDelayBox(s *sim.Simulator, p jitter.Policy, out PacketHandler) *DelayBox {
 	b := &DelayBox{sim: s, policy: p, out: out}
-	b.deliverFn = b.deliver
-	b.releaseFn = b.release
+	b.prop.Init(s, b.deliver)
+	b.rel.Init(s, b.release)
 	return b
 }
 
 // Reset returns the box to the state NewDelayBox(s, p, out) would produce,
-// keeping the bound callbacks. Packets held at reset time are abandoned
-// (the caller resets the shared simulator first, which drops their release
-// events), so the in-transit gauge restarts at zero.
+// keeping the lanes' capacity. Packets held at reset time are abandoned
+// (the caller resets the shared simulator first, which drops their lanes'
+// head events), so the in-transit gauge restarts at zero.
 func (b *DelayBox) Reset(p jitter.Policy) {
 	b.policy = p
+	b.prop.Reset()
+	b.rel.Reset()
 	b.lastRelease = 0
 	b.inTransit = 0
 	b.MaxApplied = 0
@@ -62,14 +63,15 @@ func (b *DelayBox) Send(p packet.Packet) {
 
 // SendAfter first applies a fixed extra delay (e.g. propagation) and then
 // the policy delay. The policy is consulted at the packet's arrival time at
-// the box, i.e. after the extra delay has elapsed.
+// the box, i.e. after the extra delay has elapsed. The extra delay is a
+// FIFO stage: it must not shrink from one packet to the next within a run.
 func (b *DelayBox) SendAfter(p packet.Packet, extra time.Duration) {
 	b.inTransit++
 	if extra <= 0 {
 		b.deliver(p)
 		return
 	}
-	b.sim.AfterPacket(extra, b.deliverFn, p)
+	b.prop.Push(b.sim.Now()+extra, p)
 }
 
 func (b *DelayBox) deliver(p packet.Packet) {
@@ -91,7 +93,7 @@ func (b *DelayBox) deliver(p packet.Packet) {
 		release = b.lastRelease // preserve FIFO order within the flow
 	}
 	b.lastRelease = release
-	b.sim.AtPacket(release, b.releaseFn, p)
+	b.rel.Push(release, p)
 }
 
 // release hands a held packet downstream at its scheduled release time.
@@ -104,21 +106,24 @@ func (b *DelayBox) release(p packet.Packet) {
 type AckDelayBox struct {
 	sim    *sim.Simulator
 	policy jitter.Policy
-	out    AckHandler
 
 	lastRelease time.Duration
+	rel         sim.Lane[packet.Ack] // ACKs held, delivered to out
 	MaxApplied  time.Duration
 }
 
 // NewAckDelayBox returns an ACK-path delay element applying the policy.
 func NewAckDelayBox(s *sim.Simulator, p jitter.Policy, out AckHandler) *AckDelayBox {
-	return &AckDelayBox{sim: s, policy: p, out: out}
+	b := &AckDelayBox{sim: s, policy: p}
+	b.rel.Init(s, out)
+	return b
 }
 
 // Reset returns the box to the state NewAckDelayBox(s, p, out) would
 // produce; see DelayBox.Reset for the simulator-first contract.
 func (b *AckDelayBox) Reset(p jitter.Policy) {
 	b.policy = p
+	b.rel.Reset()
 	b.lastRelease = 0
 	b.MaxApplied = 0
 }
@@ -138,5 +143,5 @@ func (b *AckDelayBox) Send(a packet.Ack) {
 		release = b.lastRelease
 	}
 	b.lastRelease = release
-	b.sim.AtAck(release, b.out, a)
+	b.rel.Push(release, a)
 }

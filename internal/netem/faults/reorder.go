@@ -42,10 +42,9 @@ type Reorderer struct {
 
 	probe obs.Probe
 	held  int64
-
-	// releaseFn is the release method bound once so deferrals schedule
-	// without a per-packet closure allocation.
-	releaseFn func(packet.Packet)
+	// lane holds the deferred packets: every deferral is the same Delay,
+	// so they come due in the order they were deferred.
+	lane sim.Lane[packet.Packet]
 
 	Passed   int64 // packets forwarded in order
 	Deferred int64 // packets deliberately deferred
@@ -54,7 +53,7 @@ type Reorderer struct {
 // NewReorderer returns a reordering element feeding out.
 func NewReorderer(cfg ReorderConfig, rng *rand.Rand, s *sim.Simulator, out netem.PacketHandler) *Reorderer {
 	r := &Reorderer{cfg: cfg, rng: rng, sim: s, out: out}
-	r.releaseFn = r.release
+	r.lane.Init(s, r.release)
 	return r
 }
 
@@ -75,6 +74,7 @@ func (r *Reorderer) Reset(cfg ReorderConfig, seed int64) {
 	r.rng.Seed(seed)
 	r.probe = nil
 	r.held = 0
+	r.lane.Reset()
 	r.Passed, r.Deferred = 0, 0
 }
 
@@ -87,7 +87,7 @@ func (r *Reorderer) Send(p packet.Packet) {
 			r.probe.Emit(obs.Event{Type: obs.EvReorder, At: r.sim.Now(), Flow: p.Flow,
 				Seq: p.Seq, Bytes: p.Size, Queue: -1, Retx: p.Retx, Dup: p.Dup})
 		}
-		r.sim.AfterPacket(r.cfg.Delay, r.releaseFn, p)
+		r.lane.Push(r.sim.Now()+r.cfg.Delay, p)
 		return
 	}
 	r.Passed++

@@ -43,14 +43,15 @@ func TestGEGateResetIndistinguishableFromFresh(t *testing.T) {
 
 // TestReordererResetIndistinguishableFromFresh pins reuse of the deferral
 // element: with the simulator reset first and the reorderer reset to the
-// same seed, release times and order match a fresh reorderer exactly.
+// same seed — while its dirty run still holds deferred packets — release
+// times and order match a fresh reorderer exactly.
 func TestReordererResetIndistinguishableFromFresh(t *testing.T) {
 	cfg := ReorderConfig{P: 0.1, Delay: 4 * time.Millisecond}
 	type arrival struct {
 		At  time.Duration
 		Seq int64
 	}
-	scenario := func(s *sim.Simulator, r *Reorderer, log *[]arrival) {
+	scenario := func(s *sim.Simulator, r *Reorderer, log *[]arrival, horizon time.Duration) {
 		r.out = func(p packet.Packet) { *log = append(*log, arrival{s.Now(), p.Seq}) }
 		for i := 0; i < 200; i++ {
 			i := i
@@ -58,22 +59,25 @@ func TestReordererResetIndistinguishableFromFresh(t *testing.T) {
 				r.Send(packet.Packet{Seq: int64(i), Size: 1500})
 			})
 		}
-		s.Run(time.Second)
+		s.Run(horizon)
 	}
 
 	var want []arrival
 	fs := sim.New(1)
 	fresh := NewReorderer(cfg, rand.New(rand.NewSource(21)), fs, nil)
-	scenario(fs, fresh, &want)
+	scenario(fs, fresh, &want, time.Second)
 
 	var got []arrival
 	rs := sim.New(2)
 	reused := NewReorderer(ReorderConfig{P: 0.9, Delay: 50 * time.Millisecond}, rand.New(rand.NewSource(5)), rs, nil)
-	scenario(rs, reused, &got)
+	scenario(rs, reused, &got, 100*time.Millisecond)
+	if reused.Held() == 0 {
+		t.Fatal("dirty run holds no deferred packet at reset")
+	}
 	rs.Reset(1)
 	reused.Reset(cfg, 21)
 	got = got[:0]
-	scenario(rs, reused, &got)
+	scenario(rs, reused, &got, time.Second)
 
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("reset reorderer release log diverged (%d vs %d releases)", len(got), len(want))

@@ -38,19 +38,11 @@ type Link struct {
 	queuedBytes   int
 	lastDeparture time.Duration
 
-	// departFn is departHead bound once at construction: the hot enqueue
-	// path passes it to the scheduler instead of re-binding the method
-	// value (which would allocate a closure per packet).
-	departFn func()
-
-	// pending[head:] are the queued packets in FIFO order, each with the
-	// handle of its scheduled departure so SetRate can reschedule them. At
-	// a constant rate this registry is pure bookkeeping: departures are
-	// computed at enqueue time exactly as they always were, so fixed-seed
-	// realizations are unchanged.
-	pending []linkPend
-	head    int
-	down    bool // rate is 0: nothing departs until SetRate(>0)
+	// lane holds the queued packets in FIFO order, each with its departure
+	// time, fixed at enqueue time while the rate holds; only the head's
+	// departure is a live event.
+	lane sim.Lane[packet.Packet]
+	down bool // rate is 0: the lane is held until SetRate(>0)
 
 	// Stats.
 	Delivered     int64 // packets delivered
@@ -61,12 +53,6 @@ type Link struct {
 	EnqueuedBytes int64 // bytes accepted into the queue
 	RateChanges   int64 // SetRate calls that changed the drain rate
 	perFlow       []FlowLinkStats
-}
-
-type linkPend struct {
-	pkt    packet.Packet
-	handle sim.Handle
-	depart time.Duration
 }
 
 // FlowLinkStats breaks the link's counters down by owning flow.
@@ -86,15 +72,15 @@ type FlowLinkStats struct {
 // delivers departing packets to out.
 func NewLink(s *sim.Simulator, rate units.Rate, bufferBytes int, out PacketHandler) *Link {
 	l := &Link{sim: s, rate: rate, buf: bufferBytes, out: out}
-	l.departFn = l.departHead
+	l.lane.Init(s, l.depart)
 	return l
 }
 
 // Reset returns the link to the state NewLink(s, rate, bufferBytes, out)
-// would produce, keeping the queue registry and per-flow counter capacity
-// and the bound departure callback. The caller must reset the shared
-// simulator first: queued departure events are abandoned wholesale (their
-// handles went stale with the simulator reset), not cancelled one by one.
+// would produce, keeping the queue's and per-flow counters' capacity and
+// the bound departure callback. The caller must reset the shared
+// simulator first: the queued packets are abandoned wholesale with the
+// head's departure event, not cancelled.
 // Marker and probe are cleared; reinstall them after.
 func (l *Link) Reset(rate units.Rate, bufferBytes int) {
 	l.rate = rate
@@ -103,8 +89,7 @@ func (l *Link) Reset(rate units.Rate, bufferBytes int) {
 	l.probe = nil
 	l.queuedBytes = 0
 	l.lastDeparture = 0
-	l.pending = l.pending[:0]
-	l.head = 0
+	l.lane.Reset()
 	l.down = false
 	l.Delivered, l.Dropped, l.Marked = 0, 0, 0
 	l.MaxQueue = 0
@@ -158,31 +143,26 @@ func (l *Link) SetRate(r units.Rate) {
 			Seq: int64(r), Queue: l.queuedBytes})
 	}
 	if r == 0 {
-		for i := l.head; i < len(l.pending); i++ {
-			l.pending[i].handle.Cancel()
-		}
+		l.lane.Hold()
 		l.down = true
 		return
 	}
 	prev := now
-	for i := l.head; i < len(l.pending); i++ {
-		pe := &l.pending[i]
-		pe.handle.Cancel()
+	l.lane.Retime(func(i int, depart time.Duration, p packet.Packet) time.Duration {
 		var tx time.Duration
-		if i == l.head && !l.down {
+		if i == 0 && !l.down {
 			// Head keeps its progress: scale the remaining time.
-			if rem := pe.depart - now; rem > 0 {
+			if rem := depart - now; rem > 0 {
 				tx = time.Duration(float64(rem) * float64(old) / float64(r))
 			}
 		} else {
-			tx = r.TxTime(pe.pkt.Size)
+			tx = r.TxTime(p.Size)
 		}
 		prev += tx
-		pe.depart = prev
-		pe.handle = l.sim.At(prev, l.departFn)
-	}
+		return prev
+	})
 	l.down = false
-	if l.head < len(l.pending) {
+	if l.lane.Len() > 0 {
 		l.lastDeparture = prev
 	}
 }
@@ -263,31 +243,14 @@ func (l *Link) Enqueue(p packet.Packet) {
 		l.probe.Emit(obs.Event{Type: obs.EvEnqueue, At: now, Flow: p.Flow,
 			Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Dup: p.Dup})
 	}
-	if l.down {
-		// Held until the link comes back up; SetRate schedules it then.
-		l.pending = append(l.pending, linkPend{pkt: p})
-		return
-	}
-	handle := l.sim.At(depart, l.departFn)
-	l.pending = append(l.pending, linkPend{pkt: p, handle: handle, depart: depart})
+	// While the link is down the lane is held: the packet waits for
+	// SetRate to time it.
+	l.lane.Push(depart, p)
 }
 
-// departHead completes serialization of the oldest queued packet. All
-// departure events route here: the pending registry is FIFO and departures
-// are scheduled in FIFO order, so the firing event always belongs to the
-// head entry.
-func (l *Link) departHead() {
-	p := l.pending[l.head].pkt
-	l.pending[l.head] = linkPend{}
-	l.head++
-	if l.head == len(l.pending) {
-		l.pending = l.pending[:0]
-		l.head = 0
-	} else if l.head >= 64 && l.head*2 >= len(l.pending) {
-		n := copy(l.pending, l.pending[l.head:])
-		l.pending = l.pending[:n]
-		l.head = 0
-	}
+// depart completes serialization of the oldest queued packet, the lane's
+// head.
+func (l *Link) depart(p packet.Packet) {
 	l.queuedBytes -= p.Size
 	l.Delivered++
 	fs := l.flow(p.Flow)

@@ -123,6 +123,63 @@ func TestDelayBoxResetIndistinguishableFromFresh(t *testing.T) {
 	}
 }
 
+// TestDelayBoxResetWithPacketsHeld resets boxes whose lanes still hold
+// packets — in SendAfter's propagation stage, in the policy delay, and on
+// the ACK path — and requires the next run to match a fresh box's: the
+// same releases at the same times, the same event counts, and nothing of
+// the abandoned packets surfacing.
+func TestDelayBoxResetWithPacketsHeld(t *testing.T) {
+	policy := func(seed int64) jitter.Policy {
+		return &jitter.Uniform{Max: 4 * time.Millisecond, Rng: rand.New(rand.NewSource(seed))}
+	}
+	scenario := func(s *sim.Simulator, box *DelayBox, ackBox *AckDelayBox, horizon time.Duration) {
+		for i := 0; i < 30; i++ {
+			i := i
+			s.At(time.Duration(i)*500*time.Microsecond, func() {
+				box.SendAfter(packet.Packet{Seq: int64(i), Size: 1500}, 10*time.Millisecond)
+				box.Send(packet.Packet{Seq: 1000 + int64(i), Size: 1500})
+				ackBox.Send(packet.Ack{CumAck: int64(i)})
+			})
+		}
+		s.Run(horizon)
+	}
+	build := func(s *sim.Simulator, log *[]arrival) (*DelayBox, *AckDelayBox) {
+		box := NewDelayBox(s, policy(5), func(p packet.Packet) { *log = append(*log, arrival{s.Now(), p.Seq}) })
+		ack := NewAckDelayBox(s, policy(6), func(a packet.Ack) { *log = append(*log, arrival{s.Now(), -a.CumAck - 1}) })
+		return box, ack
+	}
+
+	var freshLog []arrival
+	fs := sim.New(1)
+	fBox, fAck := build(fs, &freshLog)
+	scenario(fs, fBox, fAck, time.Second)
+
+	var log []arrival
+	rs := sim.New(3)
+	rBox, rAck := build(rs, &log)
+	scenario(rs, rBox, rAck, 12*time.Millisecond) // cut off with every stage holding packets
+	if rBox.prop.Len() == 0 || rBox.rel.Len() == 0 || rAck.rel.Len() == 0 {
+		t.Fatalf("dirty run holds %d/%d/%d packets: every lane must hold some at reset",
+			rBox.prop.Len(), rBox.rel.Len(), rAck.rel.Len())
+	}
+	rs.Reset(1)
+	rBox.Reset(policy(5))
+	rAck.Reset(policy(6))
+	log = log[:0]
+	scenario(rs, rBox, rAck, time.Second)
+
+	if !reflect.DeepEqual(log, freshLog) {
+		t.Errorf("boxes reset with packets held diverged:\n got %v\nwant %v", log, freshLog)
+	}
+	if rs.Stats() != fs.Stats() {
+		t.Errorf("event counters diverged: %+v, fresh %+v", rs.Stats(), fs.Stats())
+	}
+	if rBox.InTransit() != 0 || rBox.prop.Len()+rBox.rel.Len()+rAck.rel.Len() != 0 {
+		t.Errorf("InTransit = %d, lanes %d/%d/%d after drain",
+			rBox.InTransit(), rBox.prop.Len(), rBox.rel.Len(), rAck.rel.Len())
+	}
+}
+
 // TestLossGateResetIndistinguishableFromFresh pins that a reset gate (with
 // its exported Rng reseeded, as the session does) makes the identical
 // drop decisions as a fresh gate with the same seed.

@@ -191,9 +191,10 @@ type Network struct {
 	// the flow enters after departing link j, -1 for the Rm/jitter stage.
 	linkSpecs []LinkSpec
 	nextHop   [][]int32
-	// hopArriveFns[k] delivers a propagated packet into Links[k], bound
-	// once so inter-link forwarding never allocates a closure per packet.
-	hopArriveFns []func(packet.Packet)
+	// hops[j] holds the packets propagating from link j to the next link
+	// of their path (HopDelay); every packet in it has the same delay, so
+	// they arrive in the order they departed.
+	hops []sim.Lane[packet.Packet]
 
 	monitor   *guard.Monitor
 	report    guard.Report
@@ -330,18 +331,17 @@ func wire(nLinks int, specs []FlowSpec) *Network {
 	// stage: the next link of its path (after the hop propagation delay)
 	// or, past the last link, the flow's Rm/jitter stage.
 	n.Links = make([]*netem.Link, nLinks)
-	n.hopArriveFns = make([]func(packet.Packet), nLinks)
+	n.hops = make([]sim.Lane[packet.Packet], nLinks)
 	n.nextHop = make([][]int32, nLinks)
 	for j := range n.Links {
 		j := j
-		link := netem.NewLink(s, 0, 0, func(p packet.Packet) {
+		n.Links[j] = netem.NewLink(s, 0, 0, func(p packet.Packet) {
 			n.forward(j, p)
 		})
-		n.Links[j] = link
-		n.hopArriveFns[j] = func(p packet.Packet) {
+		n.hops[j].Init(s, func(p packet.Packet) {
 			n.Flows[p.Flow].hopTransit--
-			link.Enqueue(p)
-		}
+			n.Links[n.nextHop[j][p.Flow]].Enqueue(p)
+		})
 		n.nextHop[j] = make([]int32, len(specs))
 	}
 	if nLinks > 1 {
@@ -459,6 +459,7 @@ func (n *Network) configure(cfg Config, specs []FlowSpec) {
 		}
 		link := n.Links[j]
 		link.Reset(ls.Rate, ls.BufferBytes)
+		n.hops[j].Reset()
 		link.SetMarker(ls.Marker)
 		link.SetProbe(cfg.Probe)
 	}
@@ -542,7 +543,7 @@ func (n *Network) forward(j int, p packet.Packet) {
 	p.Hop++
 	if d := n.linkSpecs[j].HopDelay; d > 0 {
 		n.Flows[p.Flow].hopTransit++
-		n.Sim.AfterPacket(d, n.hopArriveFns[next], p)
+		n.hops[j].Push(n.Sim.Now()+d, p)
 		return
 	}
 	n.Links[next].Enqueue(p)

@@ -71,7 +71,8 @@ type FlowTelemetry struct {
 type SelfStats struct {
 	// Ticks counts self-samples (one per trace-sampling interval).
 	Ticks int64 `json:"ticks"`
-	// SimQueueMax/SimQueueLast gauge the event-queue depth.
+	// SimQueueMax/SimQueueLast gauge the event-queue depth: lane heads and
+	// timers, not queued packets (see package sim).
 	SimQueueMax  int `json:"sim_queue_max"`
 	SimQueueLast int `json:"sim_queue_last"`
 	// HeapAllocBytes/TotalAllocs/NumGC are process-wide memory counters
@@ -275,7 +276,7 @@ func WriteTelemetryPrometheus(w io.Writer, tr *TelemetryResult) error {
 		{"starvesim_telemetry_epsilon", "Starvation threshold as a fraction of fair share.", "gauge", tr.Epsilon},
 		{"starvesim_fair_share_bps", "Per-flow fair share of the bottleneck.", "gauge", tr.FairShare},
 		{"starvesim_self_ticks_total", "Self-telemetry samples taken.", "counter", float64(tr.Self.Ticks)},
-		{"starvesim_self_sim_queue_max", "High-water mark of the simulator's pending-event queue.", "gauge", float64(tr.Self.SimQueueMax)},
+		{"starvesim_self_sim_queue_max", "High-water mark of the simulator's pending events: FIFO lane heads and timers, not queued packets.", "gauge", float64(tr.Self.SimQueueMax)},
 		{"starvesim_self_heap_alloc_bytes", "Live heap at end of run (runtime.ReadMemStats, off the hot path).", "gauge", float64(tr.Self.HeapAllocBytes)},
 	}
 	for _, g := range globals {

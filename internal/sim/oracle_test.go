@@ -14,15 +14,19 @@ import (
 // interpreter. Every fired event must be the reference's minimum at the
 // reference's clock, and after every operation Pending, Stats, Now, the
 // liveness of every handle ever minted and the two tiers' structural
-// invariants (checkQueue) must agree with it.
+// invariants (checkQueue) must agree with it. A ticketed event is modelled
+// as an event whose seq was taken when its ticket was reserved; one whose
+// place the dispatch cursor has passed must be refused with a panic.
 
-// Opcodes (first byte of an operation, modulo 8) and the bytes that follow.
+// Opcodes (first byte of an operation, modulo 10) and the bytes that follow.
 const (
 	opSchedule = 0 // also 1, 2: class, magnitude, flavor, a, b
 	opCancel   = 3 // hi, lo: index into every handle ever minted, live or stale
 	opStep     = 4
 	opRun      = 5 // also 6: class, magnitude of the horizon's distance from now
 	opRare     = 7 // arg: Reset when arg%16 == 0, else Step
+	opReserve  = 8
+	opTicketed = 9 // k, class, magnitude, flavor, a, b: schedule in unused ticket k's place
 )
 
 // Delay classes (modulo 8), each scaled by a magnitude byte m.
@@ -37,13 +41,14 @@ const (
 	delayHundreds = 7 // m × 100 µs
 )
 
-// Handler flavors (modulo 6); a and b parameterise them.
+// Handler flavors (modulo 7); a and b parameterise them.
 const (
 	flavorPlain    = 0 // also 1
 	flavorChildNow = 2 // schedules a plain child at now
 	flavorChild    = 3 // schedules a plain child at delay(a, b)
 	flavorCancel   = 4 // cancels handle a<<8|b (modulo the handles minted)
 	flavorHalt     = 5
+	flavorTicket   = 6 // schedules a plain child at delay(a, b) in the oldest unused ticket's place
 )
 
 // wheelSpan is the time the wheel's window covers.
@@ -56,9 +61,13 @@ type queueOracle struct {
 	queue   []modelEvent // live events sorted by (at, seq)
 	handles []Handle     // by id
 	alive   []bool       // by id
+	tickets []Ticket     // reserved and not yet used, oldest first
 	now     Time
+	floor   uint64 // seqs below it at now have been dispatched
 	halted  bool
 	stats   Stats
+
+	ticketed, refused int // ticketed schedules booked and refused
 }
 
 func newQueueOracle(t testing.TB) *queueOracle {
@@ -90,21 +99,70 @@ func (o *queueOracle) delay(class, m byte) Time {
 	return 0
 }
 
-// schedule books one event with both queues. Its handler first checks
-// itself against the reference, then acts out its flavor.
+// schedule books one event with both queues in the next place.
 func (o *queueOracle) schedule(d Time, flavor, a, b byte) {
+	seq := o.stats.Scheduled
+	o.stats.Scheduled++
+	o.book(o.now+d, seq, flavor, a, b, func(fn func()) Handle { return o.s.After(d, fn) })
+}
+
+// reserve takes a ticket with both queues.
+func (o *queueOracle) reserve() {
+	tk := o.s.Reserve()
+	if uint64(tk) != o.stats.Scheduled {
+		o.t.Fatalf("Reserve = %d, reference seq %d", tk, o.stats.Scheduled)
+	}
+	o.stats.Scheduled++
+	o.tickets = append(o.tickets, tk)
+}
+
+// scheduleTicket books one event in the place of unused ticket k — or,
+// when the dispatch cursor has passed that place, checks that AtTicket
+// refuses it and leaves the queue as it was.
+func (o *queueOracle) scheduleTicket(k int, d Time, flavor, a, b byte) {
+	o.t.Helper()
+	if len(o.tickets) == 0 {
+		return
+	}
+	k %= len(o.tickets)
+	tk := o.tickets[k]
+	o.tickets = append(o.tickets[:k], o.tickets[k+1:]...)
+	at := o.now + d
+	if at == o.now && uint64(tk) < o.floor {
+		func() {
+			defer func() {
+				if recover() == nil {
+					o.t.Fatalf("AtTicket(%v, %d) accepted a place the cursor passed (seq %d fired at %v)",
+						at, tk, o.floor-1, o.now)
+				}
+			}()
+			o.s.AtTicket(at, tk, func() { o.t.Fatal("a refused ticket's event fired") })
+		}()
+		o.refused++
+		return
+	}
+	o.ticketed++
+	o.book(at, uint64(tk), flavor, a, b, func(fn func()) Handle { return o.s.AtTicket(at, tk, fn) })
+}
+
+// book files event (at, seq) in the reference and, through sched, in the
+// simulator. Its handler first checks itself against the reference, then
+// acts out its flavor.
+func (o *queueOracle) book(at Time, seq uint64, flavor, a, b byte, sched func(func()) Handle) {
 	id := len(o.handles)
-	ev := modelEvent{at: o.now + d, seq: o.stats.Scheduled, id: id}
-	i := sort.Search(len(o.queue), func(i int) bool { return o.queue[i].at > ev.at })
+	ev := modelEvent{at: at, seq: seq, id: id}
+	i := sort.Search(len(o.queue), func(i int) bool {
+		q := o.queue[i]
+		return q.at > at || q.at == at && q.seq > seq
+	})
 	o.queue = append(o.queue, modelEvent{})
 	copy(o.queue[i+1:], o.queue[i:])
 	o.queue[i] = ev
 	o.alive = append(o.alive, true)
-	o.stats.Scheduled++
 	o.stats.Live++
-	o.handles = append(o.handles, o.s.After(d, func() {
+	o.handles = append(o.handles, sched(func() {
 		o.fired(id)
-		switch flavor % 6 {
+		switch flavor % 7 {
 		case flavorChildNow:
 			o.schedule(0, flavorPlain, 0, 0)
 		case flavorChild:
@@ -114,6 +172,8 @@ func (o *queueOracle) schedule(d Time, flavor, a, b byte) {
 		case flavorHalt:
 			o.s.Halt()
 			o.halted = true
+		case flavorTicket:
+			o.scheduleTicket(0, o.delay(a, b), flavorPlain, 0, 0)
 		}
 	}))
 }
@@ -131,6 +191,7 @@ func (o *queueOracle) fired(id int) {
 	o.queue = o.queue[1:]
 	o.alive[id] = false
 	o.now = want.at
+	o.floor = want.seq + 1
 	o.stats.Fired++
 	o.stats.Live--
 }
@@ -179,7 +240,9 @@ func (o *queueOracle) run(d Time) {
 	if len(o.queue) > 0 && o.queue[0].at <= horizon {
 		o.t.Fatalf("Run(%v) returned with event %d due at %v", horizon, o.queue[0].id, o.queue[0].at)
 	}
-	o.now = horizon
+	if horizon > o.now {
+		o.now, o.floor = horizon, 0
+	}
 }
 
 func (o *queueOracle) reset() {
@@ -188,7 +251,8 @@ func (o *queueOracle) reset() {
 	for id := range o.alive {
 		o.alive[id] = false
 	}
-	o.now, o.halted, o.stats = 0, false, Stats{}
+	o.tickets = o.tickets[:0] // void: Reset restarts the seqs they hold
+	o.now, o.floor, o.halted, o.stats = 0, 0, false, Stats{}
 }
 
 // agree compares everything observable, then the queue's insides.
@@ -223,7 +287,7 @@ func (o *queueOracle) play(ops []byte) uint64 {
 		return b
 	}
 	for n := 0; len(ops) > 0; n++ {
-		switch op := next() % 8; op {
+		switch op := next() % 10; op {
 		case opCancel:
 			o.cancel(int(next())<<8 | int(next()))
 		case opStep:
@@ -237,6 +301,10 @@ func (o *queueOracle) play(ops []byte) uint64 {
 			} else {
 				o.step()
 			}
+		case opReserve:
+			o.reserve()
+		case opTicketed:
+			o.scheduleTicket(int(next()), o.delay(next(), next()), next(), next(), next())
 		default:
 			o.schedule(o.delay(next(), next()), next(), next(), next())
 		}
@@ -326,16 +394,19 @@ func checkQueue(t testing.TB, s *Simulator) {
 }
 
 // TestQueueOracleSeeded plays seeded random streams. Uniform bytes give
-// three schedules to every cancel, step and two runs, so queues grow to a
-// few hundred events in both tiers and drain through every delay class.
+// three schedules and a reserve-and-ticketed-schedule pair to every
+// cancel, step and two runs, so queues grow to a few hundred events in
+// both tiers and drain through every delay class, and some tickets are
+// used after the cursor has passed their place.
 func TestQueueOracleSeeded(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 6000)
 		rng.Read(ops)
 		o := newQueueOracle(t)
-		if fired := o.play(ops); fired < 200 {
-			t.Errorf("seed %d: only %d events fired; the stream exercises too little", seed, fired)
+		if fired := o.play(ops); fired < 200 || o.ticketed < 20 || o.refused == 0 {
+			t.Errorf("seed %d: %d events fired, %d ticketed, %d refused; the stream exercises too little",
+				seed, fired, o.ticketed, o.refused)
 		}
 	}
 }
@@ -412,6 +483,65 @@ var queueScripts = []struct {
 		opSchedule, delayFar, 50, flavorPlain, 0, 0,
 		opRun, delayFar, 100,
 	}},
+	{"tickets", []byte{
+		// The lane's pattern: E reserves-ahead T1, and when E fires its
+		// handler schedules at now in T1's place, which is still ahead.
+		opSchedule, delayHundreds, 1, flavorTicket, delayNow, 0,
+		opReserve,
+		opStep,
+		opStep,
+		// A ticket reserved before an event fires names a place behind it
+		// once it has: A's child in T2's place at now must be refused.
+		opReserve,
+		opSchedule, delayNow, 0, flavorTicket, delayNow, 0,
+		opStep,
+		// Ahead of the cursor a ticket takes its reservation's place: T4
+		// at now fires before C, and at D's time before D, though D was
+		// scheduled first.
+		opReserve,
+		opSchedule, delayNanos, 10, flavorPlain, 0, 0,
+		opTicketed, 0, delayNow, 0, flavorPlain, 0, 0,
+		opReserve,
+		opSchedule, delayNanos, 20, flavorPlain, 0, 0,
+		opTicketed, 0, delayNanos, 20, flavorPlain, 0, 0,
+		// One far enough out to wait in the overflow tier, then a Reset
+		// that voids the ticket still unused.
+		opReserve,
+		opTicketed, 0, delayFar, 20, flavorPlain, 0, 0,
+		opReserve,
+		opRun, delayFar, 30,
+		opRare, 0,
+		opTicketed, 0, delayNow, 0, flavorPlain, 0, 0,
+		opSchedule, delayNow, 0, flavorPlain, 0, 0,
+		opStep,
+	}},
+}
+
+// TestAtTicketRefusesPassedPlaces pins the panics directly: a place at or
+// before the event being dispatched, a time before now, and a ticket never
+// reserved.
+func TestAtTicketRefusesPassedPlaces(t *testing.T) {
+	refused := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: AtTicket did not panic", what)
+			}
+		}()
+		fn()
+	}
+	s := New(1)
+	early := s.Reserve()
+	s.At(time.Millisecond, func() {
+		refused("ticket reserved before the firing event", func() { s.AtTicket(s.Now(), early, func() {}) })
+		refused("time before now", func() { s.AtTicket(s.Now()-1, s.Reserve(), func() {}) })
+		refused("unreserved ticket", func() { s.AtTicket(s.Now(), Ticket(1<<40), func() {}) })
+		s.AtTicket(s.Now()+1, early, func() {}) // later time: the place is ahead
+	})
+	s.Run(time.Second)
+	if st := s.Stats(); st.Fired != 2 {
+		t.Errorf("fired %d events, want the timer and the re-timed ticket", st.Fired)
+	}
 }
 
 func TestQueueOracleScripted(t *testing.T) {

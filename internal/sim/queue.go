@@ -36,10 +36,12 @@ import (
 // slot is detected and ignored without keeping the record alive.
 //
 // Dispatch order is the total order (at, seq), seq being the global
-// schedule counter: buckets partition time, each list is sorted by it, and
-// the heap is ordered by it. Which tier an event waited in never shows, so
-// a fixed-seed run dispatches the same event sequence as it did under the
-// heap alone, and under container/heap before that.
+// schedule counter — taken when the event is scheduled, or earlier, when
+// its Ticket was reserved (a lane's next head): buckets partition time,
+// each list is sorted by it, and the heap is ordered by it. Which tier an
+// event waited in never shows, so a fixed-seed run dispatches the same
+// event sequence as it did under the heap alone, and under container/heap
+// before that.
 
 // Wheel geometry: 8.192 µs buckets, 8192 of them, a 67.1 ms window. Chosen
 // by measurement (DESIGN.md, "Event-loop internals"): one bottleneck
@@ -138,8 +140,9 @@ func (s *Simulator) less(a, b int32) bool {
 }
 
 // wheelInsert links slot into its bucket's list in (at, seq) order. The
-// walk starts at the tail: a newly scheduled event carries the highest seq
-// so far and, more often than not, the latest time in its bucket.
+// walk starts at the tail: a newly scheduled event usually carries the
+// highest seq so far (a ticketed one an older seq) and, more often than
+// not, the latest time in its bucket.
 func (s *Simulator) wheelInsert(slot int32) {
 	rec := &s.arena[slot]
 	i := uint(rec.at>>wheelShift) & wheelMask
@@ -315,6 +318,7 @@ func (s *Simulator) siftDown(i int) {
 func (s *Simulator) fire(slot int32) {
 	rec := &s.arena[slot]
 	s.now = rec.at
+	s.floor = rec.seq + 1
 	s.fired++
 	s.live--
 	b := int64(rec.at >> wheelShift)

@@ -17,6 +17,18 @@
 // points (AtPacket/AfterPacket, AtAck/AfterAck) carry a packet or ACK
 // payload inline in the record so per-packet call sites need no capturing
 // closure.
+//
+// The queue holds elements, not packets. A FIFO delay element — the
+// bottleneck's departures, a delay box, the reorderer's deferral, the
+// hop between two links — keeps its packets in a Lane, of which only the
+// head is a live event. Each packet reserves its place in the dispatch
+// order (Reserve, a Ticket) when it enters the lane, and its event is
+// scheduled in that place (AtTicket) when it reaches the head, so it fires
+// exactly where an event scheduled on entry would have: same time, same
+// tie-break, same Stats().Scheduled and Fired. What the queue holds live
+// is therefore lane heads and timers — O(elements + timers), however deep
+// the queues — and a standing queue of packets never reaches the overflow
+// heap.
 package sim
 
 import (
@@ -82,11 +94,13 @@ type Simulator struct {
 	occupied  [wheelWords]uint64   // bit i set: wheel[i]'s list is non-empty
 	wheel     [wheelBuckets]bucket // absolute bucket b waits at wheel[b&wheelMask]
 	seq       uint64
+	floor     uint64 // seqs below it at now are dispatched: the fired event's seq + 1
 	fired     uint64
 	cancelled uint64
 	live      int // scheduled and not yet fired or cancelled
 	rng       *rand.Rand
 	halted    bool
+	pools     []resetter // lane node pools, one per payload type (lane.go)
 
 	wdEvery uint64
 	wdFn    func() bool
@@ -113,7 +127,7 @@ func (s *Simulator) Events() uint64 { return s.fired }
 
 // Stats summarizes event-loop activity for observability snapshots.
 type Stats struct {
-	Scheduled uint64 // events ever scheduled
+	Scheduled uint64 // places ever taken in the dispatch order: events scheduled plus tickets reserved
 	Fired     uint64 // events executed
 	Cancelled uint64 // events cancelled while still queued
 	Live      int    // events currently awaiting dispatch
@@ -124,18 +138,26 @@ func (s *Simulator) Stats() Stats {
 	return Stats{Scheduled: s.seq, Fired: s.fired, Cancelled: s.cancelled, Live: s.live}
 }
 
-// schedule claims a pooled record for an event at t and queues it. The
-// caller fills the kind-specific payload fields of the returned record;
-// this is safe because nothing can run between schedule and that fill.
+// schedule claims a pooled record for an event at t, taking the next
+// place in the dispatch order, and queues it. The caller fills the
+// kind-specific payload fields of the returned record; this is safe
+// because nothing can run between schedule and that fill.
 func (s *Simulator) schedule(t Time) (int32, *eventRec) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
+	seq := s.seq
+	s.seq++
+	return s.scheduleSeq(t, seq)
+}
+
+// scheduleSeq claims a pooled record for an event at (t, seq) and files
+// it in the wheel or the overflow heap.
+func (s *Simulator) scheduleSeq(t Time, seq uint64) (int32, *eventRec) {
 	slot := s.alloc()
 	rec := &s.arena[slot]
 	rec.at = t
-	rec.seq = s.seq
-	s.seq++
+	rec.seq = seq
 	s.live++
 	if int64(t>>wheelShift)-s.origin < wheelBuckets {
 		s.wheelInsert(slot)
@@ -149,6 +171,36 @@ func (s *Simulator) schedule(t Time) (int32, *eventRec) {
 // panics: that is always a logic error in a network element.
 func (s *Simulator) At(t Time, fn func()) Handle {
 	slot, rec := s.schedule(t)
+	rec.kind = kindFunc
+	rec.fn = fn
+	return Handle{s, slot, rec.gen}
+}
+
+// Ticket is a place in the dispatch order reserved ahead of its event:
+// Reserve takes the seq an event scheduled at that moment would have
+// taken, and AtTicket later schedules an event in that place. Among
+// events at one instant, a ticketed event fires where an event scheduled
+// at reservation time would have fired. A ticket serves one event, and
+// Reset voids every ticket reserved before it.
+type Ticket uint64
+
+// Reserve takes the next place in the dispatch order without scheduling
+// anything. It counts in Stats().Scheduled like a scheduled event.
+func (s *Simulator) Reserve() Ticket {
+	tk := Ticket(s.seq)
+	s.seq++
+	return tk
+}
+
+// AtTicket schedules fn to run at t in the place tk reserved. It panics
+// if (t, tk) is at or before the event being dispatched (or the last one
+// dispatched at the current instant): that place has been passed.
+func (s *Simulator) AtTicket(t Time, tk Ticket, fn func()) Handle {
+	if t < s.now || t == s.now && uint64(tk) < s.floor || uint64(tk) >= s.seq {
+		panic(fmt.Sprintf("sim: ticket %d at %v is not ahead of the dispatch cursor (now %v, next seq at now %d, reserved %d)",
+			tk, t, s.now, s.floor, s.seq))
+	}
+	slot, rec := s.scheduleSeq(t, uint64(tk))
 	rec.kind = kindFunc
 	rec.fn = fn
 	return Handle{s, slot, rec.gen}
@@ -270,6 +322,7 @@ func (s *Simulator) Run(horizon Time) {
 	}
 	if s.now < horizon {
 		s.now = horizon
+		s.floor = 0
 	}
 }
 
@@ -339,9 +392,12 @@ func (s *Simulator) Reset(seed int64) {
 	s.arena = s.arena[:0]
 	s.freeHead = noSlot
 	s.heap = s.heap[:0]
+	for _, p := range s.pools {
+		p.reset()
+	}
 	s.origin = 0
 	s.now = 0
-	s.seq, s.fired, s.cancelled = 0, 0, 0
+	s.seq, s.floor, s.fired, s.cancelled = 0, 0, 0, 0
 	s.live = 0
 	s.rng.Seed(seed)
 	s.halted = false
