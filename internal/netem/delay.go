@@ -14,13 +14,12 @@ import (
 type DelayBox struct {
 	sim    *sim.Simulator
 	policy jitter.Policy
-	out    PacketHandler
 
 	lastRelease time.Duration
-	inTransit   int64
 
 	// prop holds packets in SendAfter's fixed extra delay, rel those in
-	// the policy delay; only each lane's head is a live event.
+	// the policy delay, delivered to out; only each lane's head is a live
+	// event.
 	prop sim.Lane[packet.Packet]
 	rel  sim.Lane[packet.Packet]
 
@@ -32,32 +31,30 @@ type DelayBox struct {
 // InTransit returns the number of packets currently inside the box
 // (accepted but not yet released downstream). Conservation ledgers use it
 // to account for packets in flight at the horizon.
-func (b *DelayBox) InTransit() int64 { return b.inTransit }
+func (b *DelayBox) InTransit() int64 { return int64(b.prop.Len() + b.rel.Len()) }
 
 // NewDelayBox returns a delay element applying the given policy.
 func NewDelayBox(s *sim.Simulator, p jitter.Policy, out PacketHandler) *DelayBox {
-	b := &DelayBox{sim: s, policy: p, out: out}
+	b := &DelayBox{sim: s, policy: p}
 	b.prop.Init(s, b.deliver)
-	b.rel.Init(s, b.release)
+	b.rel.Init(s, out)
 	return b
 }
 
 // Reset returns the box to the state NewDelayBox(s, p, out) would produce,
 // keeping the lanes' capacity. Packets held at reset time are abandoned
 // (the caller resets the shared simulator first, which drops their lanes'
-// head events), so the in-transit gauge restarts at zero.
+// head events).
 func (b *DelayBox) Reset(p jitter.Policy) {
 	b.policy = p
 	b.prop.Reset()
 	b.rel.Reset()
 	b.lastRelease = 0
-	b.inTransit = 0
 	b.MaxApplied = 0
 }
 
 // Send applies the policy delay to p.
 func (b *DelayBox) Send(p packet.Packet) {
-	b.inTransit++
 	b.deliver(p)
 }
 
@@ -66,7 +63,6 @@ func (b *DelayBox) Send(p packet.Packet) {
 // the box, i.e. after the extra delay has elapsed. The extra delay is a
 // FIFO stage: it must not shrink from one packet to the next within a run.
 func (b *DelayBox) SendAfter(p packet.Packet, extra time.Duration) {
-	b.inTransit++
 	if extra <= 0 {
 		b.deliver(p)
 		return
@@ -94,12 +90,6 @@ func (b *DelayBox) deliver(p packet.Packet) {
 	}
 	b.lastRelease = release
 	b.rel.Push(release, p)
-}
-
-// release hands a held packet downstream at its scheduled release time.
-func (b *DelayBox) release(p packet.Packet) {
-	b.inTransit--
-	b.out(p)
 }
 
 // AckDelayBox is the same element for the reverse (ACK) path.

@@ -41,7 +41,6 @@ type Reorderer struct {
 	out netem.PacketHandler
 
 	probe obs.Probe
-	held  int64
 	// lane holds the deferred packets: every deferral is the same Delay,
 	// so they come due in the order they were deferred.
 	lane sim.Lane[packet.Packet]
@@ -63,17 +62,15 @@ func (r *Reorderer) SetProbe(p obs.Probe) { r.probe = p }
 
 // Held returns the number of packets currently deferred inside the box —
 // a gauge for conservation ledgers.
-func (r *Reorderer) Held() int64 { return r.held }
+func (r *Reorderer) Held() int64 { return int64(r.lane.Len()) }
 
 // Reset returns the element to the state NewReorderer(cfg, rng, s, out)
 // would produce with a generator freshly seeded with seed. Packets still
-// deferred are abandoned (the caller resets the shared simulator first),
-// so the held gauge restarts at zero.
+// deferred are abandoned (the caller resets the shared simulator first).
 func (r *Reorderer) Reset(cfg ReorderConfig, seed int64) {
 	r.cfg = cfg
 	r.rng.Seed(seed)
 	r.probe = nil
-	r.held = 0
 	r.lane.Reset()
 	r.Passed, r.Deferred = 0, 0
 }
@@ -82,7 +79,6 @@ func (r *Reorderer) Reset(cfg ReorderConfig, seed int64) {
 func (r *Reorderer) Send(p packet.Packet) {
 	if r.cfg.P > 0 && r.rng.Float64() < r.cfg.P {
 		r.Deferred++
-		r.held++
 		if r.probe != nil {
 			r.probe.Emit(obs.Event{Type: obs.EvReorder, At: r.sim.Now(), Flow: p.Flow,
 				Seq: p.Seq, Bytes: p.Size, Queue: -1, Retx: p.Retx, Dup: p.Dup})
@@ -96,6 +92,5 @@ func (r *Reorderer) Send(p packet.Packet) {
 
 // release forwards a deferred packet at the end of its displacement.
 func (r *Reorderer) release(p packet.Packet) {
-	r.held--
 	r.out(p)
 }
