@@ -194,7 +194,8 @@ func (s *Simulator) Reserve() Ticket {
 
 // AtTicket schedules fn to run at t in the place tk reserved. It panics
 // if (t, tk) is at or before the event being dispatched (or the last one
-// dispatched at the current instant): that place has been passed.
+// dispatched at the current instant), since that place has been passed,
+// and if tk was never reserved.
 func (s *Simulator) AtTicket(t Time, tk Ticket, fn func()) Handle {
 	if t < s.now || t == s.now && uint64(tk) < s.floor || uint64(tk) >= s.seq {
 		panic(fmt.Sprintf("sim: ticket %d at %v is not ahead of the dispatch cursor (now %v, next seq at now %d, reserved %d)",
@@ -357,9 +358,9 @@ func (s *Simulator) Step() bool {
 func (s *Simulator) Pending() int { return s.live }
 
 // Reset returns the simulator to the state New(seed) would produce while
-// keeping the arena, the wheel and the overflow heap's capacity, so a
-// reused simulator schedules allocation-free up to the previous run's
-// high-water mark. Its cost is the number of events still pending plus one
+// keeping the arena, the wheel, the overflow heap's and the lane node
+// pools' capacity, so a reused simulator schedules allocation-free up to
+// the previous run's high-water mark. Every lane must be Reset after it. Its cost is the number of events still pending plus one
 // pass over the occupancy bitmap, not that high-water mark: only occupied
 // buckets are visited and only their words cleared.
 //
