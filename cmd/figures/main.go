@@ -43,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -441,7 +442,7 @@ func main() {
 	if injector != nil {
 		jobs = injector.Wrap(jobs)
 	}
-	results := pool.Run(ctx, jobs)
+	results := runBatch(ctx, pool, jobs)
 
 	man := collectErrors(results)
 	errPath := filepath.Join(*outDir, "errors.json")
@@ -471,6 +472,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "figures: %d section(s) failed; see %s\n", len(man.Errors), errPath)
 		exit(1)
 	}
+}
+
+// runBatch runs the batch on the pool, then folds the manifest's journal
+// back into a bare snapshot — also after an interrupt — so a finished
+// batch leaves manifest.json in its snapshot form. The fold keeps every
+// retry record (figures never trims history); a failed fold only leaves
+// the journal for the next run to replay.
+func runBatch(ctx context.Context, pool *runner.Pool, jobs []runner.Job) []runner.JobResult {
+	results := pool.Run(ctx, jobs)
+	if pool.Manifest != nil {
+		if _, err := pool.Manifest.Compact(math.MaxInt); err != nil {
+			fmt.Fprintf(os.Stderr, "figures: manifest: %v\n", err)
+		}
+	}
+	return results
 }
 
 // writeChaosArtifacts records what the injector did under <out>/.chaos/:

@@ -82,7 +82,7 @@ func snapshotTree(t *testing.T, dir string) map[string]string {
 // assemble — exactly as main does, into the current *outDir.
 func runDriver(t *testing.T, secs []batchSection, w io.Writer, pool *runner.Pool) ([]runner.JobResult, guard.Manifest) {
 	t.Helper()
-	results := pool.Run(context.Background(), sectionJobs(secs, nil))
+	results := runBatch(context.Background(), pool, sectionJobs(secs, nil))
 	man := collectErrors(results)
 	if err := man.WriteFile(filepath.Join(*outDir, "errors.json")); err != nil {
 		t.Fatalf("errors.json: %v", err)
@@ -161,6 +161,38 @@ func TestWarmCacheRerun(t *testing.T) {
 	for rel, want := range coldTree {
 		if warmTree[rel] != want {
 			t.Errorf("%s differs after warm rerun", rel)
+		}
+	}
+}
+
+// TestWarmRerunsKeepManifest pins the batch-end fold: the cold run's
+// manifest.json is a bare snapshot, and warm reruns of the same -out —
+// which restore every section — leave it byte-identical.
+func TestWarmRerunsKeepManifest(t *testing.T) {
+	out, _ := withDirs(t)
+	cache := &runner.Cache{Dir: filepath.Join(out, ".cache")}
+	manPath := filepath.Join(out, "manifest.json")
+	secs := fakeSections(6)
+	run := func() []byte {
+		t.Helper()
+		runDriver(t, secs, io.Discard, &runner.Pool{Jobs: 2, Cache: cache, Manifest: runner.LoadManifest(manPath)})
+		data, err := os.ReadFile(manPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	cold := run()
+	var snap struct {
+		Schema int                             `json:"schema"`
+		Jobs   map[string]runner.ManifestEntry `json:"jobs"`
+	}
+	if err := json.Unmarshal(cold, &snap); err != nil || len(snap.Jobs) != len(secs) {
+		t.Fatalf("cold manifest is not a bare snapshot of %d sections (%v):\n%s", len(secs), err, cold)
+	}
+	for i := 1; i <= 3; i++ {
+		if warm := run(); string(warm) != string(cold) {
+			t.Errorf("warm rerun %d changed manifest.json:\n%s\n--- cold:\n%s", i, warm, cold)
 		}
 	}
 }

@@ -12,8 +12,9 @@ import (
 
 // FuzzLoadManifest throws arbitrary bytes at the manifest loader. The
 // contract under any input: no panic, recovered state is well-formed,
-// and the manifest remains usable — a Record over the damaged file
-// produces a cleanly reloadable manifest.
+// a foreign schema resumes nothing, and the manifest remains usable — a
+// Record over the damaged file (appended or rewritten) produces a
+// cleanly reloadable manifest.
 func FuzzLoadManifest(f *testing.F) {
 	valid := `{
   "schema": 1,
@@ -32,6 +33,15 @@ func FuzzLoadManifest(f *testing.F) {
 	f.Add([]byte(`{"jobs":{"F1":{"fingerprint":"aaaa","status":"done"}},"schema":1}`))
 	f.Add([]byte(`{"future-field":[1,2,{"x":3}],"schema":1,"jobs":{}}`))
 	f.Add([]byte(`[1,2,3]`))
+	// Journal shapes: a snapshot followed by appended one-line records.
+	snapshot := `{"schema":1,"jobs":{"F1":{"fingerprint":"aaaa","status":"done"}}}` + "\n"
+	journal := snapshot +
+		`{"id":"F2","entry":{"fingerprint":"bbbb","status":"done","attempts":1}}` + "\n" +
+		`{"id":"F1","entry":{"fingerprint":"a2a2","status":"failed","err":{"scenario":"F1","kind":"panic","msg":"boom"}}}` + "\n"
+	f.Add([]byte(journal))
+	f.Add([]byte(journal[:len(journal)-20])) // torn append
+	f.Add([]byte(snapshot + `{"id":"F2"}` + "\n" + `{"id":"F3","entry":{"fingerprint":"cccc","status":"done"}}` + "\n"))
+	f.Add([]byte(`{"schema":2,"jobs":{}}` + "\n" + `{"id":"F1","entry":{"fingerprint":"aaaa","status":"done"}}` + "\n"))
 	f.Add([]byte("not json at all"))
 	f.Add([]byte{})
 
@@ -49,6 +59,12 @@ func FuzzLoadManifest(f *testing.F) {
 					t.Errorf("entry %q with status %q reported resumable", id, e.Status)
 				}
 			}
+		}
+		// A cleanly decoded snapshot of another schema resumes nothing, not
+		// even journal lines appended after it.
+		var snap manifestFile
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&snap) == nil && snap.Schema != SchemaVersion && m.Len() != 0 {
+			t.Errorf("foreign-schema manifest resumed %d entries", m.Len())
 		}
 		// The damaged manifest must stay writable and round-trip cleanly.
 		if err := m.Record("fuzz-probe", "abcd", StatusDone, nil, 1, nil); err != nil {

@@ -1,10 +1,14 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -139,5 +143,175 @@ func TestPoolResume(t *testing.T) {
 	}
 	if st := p3.Stats(); st.CacheHits != 6 {
 		t.Errorf("warm stats = %+v, want 6 cache hits", st)
+	}
+}
+
+// TestManifestConcurrentRecordsLand is the regression test for lost
+// records: concurrent Records into one manifest (a service batch's
+// workers) must all reach the file, whatever order they interleave in.
+func TestManifestConcurrentRecordsLand(t *testing.T) {
+	const trials, writers, perWriter = 200, 4, 2
+	dir := t.TempDir()
+	for trial := 0; trial < trials; trial++ {
+		path := filepath.Join(dir, fmt.Sprintf("manifest-%d.json", trial))
+		m := LoadManifest(path)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					if err := m.Record(fmt.Sprintf("w%d-%d", w, i), "ffff", StatusDone, nil, 1, nil); err != nil {
+						t.Errorf("Record: %v", err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		re := LoadManifest(path)
+		for w := 0; w < writers; w++ {
+			for i := 0; i < perWriter; i++ {
+				if id := fmt.Sprintf("w%d-%d", w, i); !re.Done(id, "ffff") {
+					t.Fatalf("trial %d: entry %s lost on disk (%d of %d reloaded)", trial, id, re.Len(), writers*perWriter)
+				}
+			}
+		}
+	}
+}
+
+// journalFixture builds a manifest file of a snapshot followed by lines,
+// two of which override snapshot entries. It returns the file, the byte
+// offset at which each record's encoding ends (snapshot entries first,
+// then lines, in replay order), and the records themselves.
+func journalFixture(t *testing.T) (data []byte, ends []int, ids []string, entries []ManifestEntry) {
+	t.Helper()
+	snap := map[string]ManifestEntry{
+		"A": {Fingerprint: "aaaa", Status: StatusDone, Attempts: 1},
+		"B": {Fingerprint: "bbbb", Status: StatusDone, Attempts: 2,
+			History: []AttemptError{{Attempt: 1, Kind: guard.KindDeadline, Msg: "slow"}}},
+	}
+	head, err := json.MarshalIndent(manifestFile{Schema: SchemaVersion, Jobs: snap}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The snapshot's entries end where the salvage walk finishes decoding
+	// each one.
+	dec := json.NewDecoder(bytes.NewReader(head))
+	for tok, _ := dec.Token(); tok != "jobs"; tok, _ = dec.Token() {
+	}
+	dec.Token() // the jobs object's '{'
+	for dec.More() {
+		tok, _ := dec.Token()
+		var e ManifestEntry
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		ids, entries, ends = append(ids, tok.(string)), append(entries, e), append(ends, int(dec.InputOffset()))
+	}
+	data = append(head, '\n')
+	for _, l := range []struct {
+		id string
+		e  ManifestEntry
+	}{
+		{"C", ManifestEntry{Fingerprint: "cccc", Status: StatusDone, Attempts: 1}},
+		{"A", ManifestEntry{Fingerprint: "a2a2", Status: StatusDone}},
+		{"D", ManifestEntry{Fingerprint: "dddd", Status: StatusFailed, Attempts: 3,
+			Err: &guard.RunError{Scenario: "D", Kind: guard.KindPanic, Msg: "boom"}}},
+		{"B", ManifestEntry{Fingerprint: "bbbb", Status: StatusFailed, Attempts: 1,
+			Err: &guard.RunError{Scenario: "B", Kind: guard.KindDeadline, Msg: "slow"}}},
+	} {
+		line, err := json.Marshal(journalLine{ID: &l.id, Entry: &l.e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(data, line...)
+		ids, entries, ends = append(ids, l.id), append(entries, l.e), append(ends, len(data))
+		data = append(data, '\n')
+	}
+	return data, ends, ids, entries
+}
+
+// TestManifestTornJournal cuts a snapshot-plus-lines manifest at every
+// byte offset: LoadManifest must recover exactly the records complete
+// before the cut, later lines winning, report damage inside a line, and
+// a following Record must land alongside everything recovered.
+func TestManifestTornJournal(t *testing.T) {
+	data, ends, ids, entries := journalFixture(t)
+	snapEnd := bytes.Index(data, []byte("\n{\"id\"")) // the snapshot's closing newline
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	for cut := 0; cut <= len(data); cut++ {
+		want := map[string]ManifestEntry{}
+		for i, end := range ends {
+			if end <= cut {
+				want[ids[i]] = entries[i]
+			}
+		}
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m := LoadManifest(path)
+		if !reflect.DeepEqual(m.jobs, want) {
+			t.Fatalf("cut at %d of %d: recovered %v, want %v", cut, len(data), m.jobs, want)
+		}
+		// Damage inside a journal line is disclosed; a cut on a line
+		// boundary is a clean (shorter) journal.
+		if cut > snapEnd {
+			start := bytes.LastIndexByte(data[:cut], '\n') + 1
+			end := start + bytes.IndexByte(data[start:], '\n')
+			if torn := cut > start && cut < end; torn != (m.RecoveredFrom != "") {
+				t.Errorf("cut at %d (line %d..%d): RecoveredFrom %q", cut, start, end, m.RecoveredFrom)
+			}
+		}
+		if err := m.Record("probe", "eeee", StatusDone, nil, 1, nil); err != nil {
+			t.Fatalf("cut at %d: Record: %v", cut, err)
+		}
+		want["probe"] = ManifestEntry{Fingerprint: "eeee", Status: StatusDone, Attempts: 1}
+		if re := LoadManifest(path); !reflect.DeepEqual(re.jobs, want) || re.RecoveredFrom != "" {
+			t.Fatalf("cut at %d: after Record reloaded %v (%q), want %v", cut, re.jobs, re.RecoveredFrom, want)
+		}
+	}
+}
+
+// TestManifestJournalFold checks the on-disk shape: Records append one
+// line each after the first snapshot, and Compact folds them into exactly
+// the bytes a whole-map snapshot has — the form a finished batch leaves.
+func TestManifestJournalFold(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	m := LoadManifest(path)
+	for i := 0; i < 8; i++ {
+		if err := m.Record(fmt.Sprintf("seed-%d", i), "ffff", StatusDone, nil, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Record("seed-3", "ffff", StatusFailed, &guard.RunError{Scenario: "seed-3", Kind: guard.KindPanic, Msg: "x"}, 2, nil)
+	journal, _ := os.ReadFile(path)
+	if lines := bytes.Count(journal, []byte(`{"id":`)); lines != 8 {
+		t.Errorf("manifest after 9 Records holds %d journal lines, want 8 (the first Record writes the snapshot)", lines)
+	}
+	if _, err := m.Compact(8); err != nil {
+		t.Fatal(err)
+	}
+	folded, _ := os.ReadFile(path)
+	want, err := json.MarshalIndent(manifestFile{Schema: SchemaVersion, Jobs: m.jobs}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(folded) != string(want)+"\n" {
+		t.Errorf("folded manifest is not the bare snapshot:\n%s", folded)
+	}
+	if e, _ := LoadManifest(path).Entry("seed-3"); e.Status != StatusFailed {
+		t.Errorf("fold lost the later record: seed-3 = %+v", e)
+	}
+	// Nothing appended since the fold: Compact leaves the file alone (a
+	// rewrite would rename a new file into place).
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Compact(8); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.Stat(path); err != nil || !os.SameFile(before, after) {
+		t.Errorf("Compact rewrote an already-folded manifest (%v)", err)
 	}
 }
