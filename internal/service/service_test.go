@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"starvation/internal/runner"
 	"starvation/internal/scenario"
 )
 
@@ -498,6 +500,46 @@ func TestServiceDrainAndResume(t *testing.T) {
 	}
 	if string(data) != want.Render() {
 		t.Fatal("healed artifact diverges from the original rendering")
+	}
+}
+
+// TestServiceFoldsFinishedJournal: a finished batch whose manifest still
+// carries journal lines (its daemon died before finalize folded them) is
+// folded back to the finished snapshot when the next daemon loads it.
+func TestServiceFoldsFinishedJournal(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{DataDir: dir, Workers: 2}, true)
+	code, out, _ := postBatch(t, ts1.URL, `{"jobs":[`+testJobJSON("a", 51)+`,`+testJobJSON("b", 52)+`]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	id := out["id"].(string)
+	waitBatch(t, s1, id)
+	s1.Drain()
+	ts1.Close()
+
+	path := filepath.Join(dir, "batches", id, "manifest.json")
+	folded, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Replay the last record as a journal line, as a kill before the fold
+	// leaves it.
+	m := runner.LoadManifest(path)
+	e, _ := m.Entry("b")
+	if err := m.Record("b", e.Fingerprint, e.Status, e.Err, e.Attempts, e.History); err != nil {
+		t.Fatal(err)
+	}
+	if journaled, _ := os.ReadFile(path); len(journaled) <= len(folded) {
+		t.Fatalf("Record did not append a journal line")
+	}
+
+	s2, _ := newTestServer(t, Config{DataDir: dir}, false)
+	if b, ok := s2.Batch(id); !ok || b.status().State != StateDone {
+		t.Fatalf("finished batch not restored as done (found: %v)", ok)
+	}
+	if got, _ := os.ReadFile(path); string(got) != string(folded) {
+		t.Errorf("restored finished batch's manifest not folded:\n%s\n--- want:\n%s", got, folded)
 	}
 }
 
