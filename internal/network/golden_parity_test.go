@@ -127,6 +127,31 @@ func goldenConfigs(tc *TelemetryConfig) map[string]func() goldenConfig {
 				d: 4 * time.Second,
 			}
 		},
+		// probertt-backlog keeps two BBR flows past the 10 s RTprop window,
+		// so each enters ProbeRTT, and starts the 80 ms flow 4 s late, so
+		// that its first ProbeRTT (at ~14 s) finds the other flow's queue
+		// standing and its own ~400 packets in flight, well above the
+		// 4-packet floor: the exit rule is pinned by a backlog, not by an
+		// idle path.
+		"probertt-backlog": func() goldenConfig {
+			return goldenConfig{
+				cfg: Config{Rate: units.Mbps(24), Seed: 17, Telemetry: tc},
+				specs: []FlowSpec{
+					{
+						Alg:       bbr.New(bbr.Config{Rng: rand.New(rand.NewSource(21))}),
+						Rm:        40 * time.Millisecond,
+						FwdJitter: &jitter.Uniform{Max: 2 * time.Millisecond, Rng: rand.New(rand.NewSource(22))},
+					},
+					{
+						Alg:       bbr.New(bbr.Config{Rng: rand.New(rand.NewSource(23))}),
+						Rm:        80 * time.Millisecond,
+						FwdJitter: &jitter.Uniform{Max: 2 * time.Millisecond, Rng: rand.New(rand.NewSource(24))},
+						StartAt:   4 * time.Second,
+					},
+				},
+				d: 30 * time.Second,
+			}
+		},
 	}
 }
 
