@@ -97,9 +97,13 @@ type BBR struct {
 	cycleIndex int
 	cycleStart time.Duration
 
-	// ProbeRTT.
-	probeRTTStart time.Duration
+	// ProbeRTT. probeRTTFloor is when inflight first fell to the 4-packet
+	// floor in this episode (zero until then); probeRTTDone is the
+	// earliest exit, ProbeRTTDuration after that; probeRTTRound is set
+	// once a segment sent at or after the floor has been acknowledged.
+	probeRTTFloor time.Duration
 	probeRTTDone  time.Duration
+	probeRTTRound bool
 
 	// Stats.
 	CwndLimitedAcks  int64
@@ -252,7 +256,7 @@ func (b *BBR) OnAck(s cca.AckSignal) {
 			}
 		}
 	}
-	b.advance(s.Now, s.InFlight)
+	b.advance(s)
 	// Everything window() and pacingRate() read — the two filters, the
 	// gains, the state — changes above and nowhere else.
 	b.cwnd, b.rate = b.window(), b.pacingRate()
@@ -291,16 +295,17 @@ func (b *BBR) deliveredAt(t time.Duration) (int64, time.Duration) {
 	return live[i-1].delivered, live[i-1].t
 }
 
-func (b *BBR) advance(now time.Duration, inflight int) {
-	// ProbeRTT entry: the RTprop estimate has gone stale.
+func (b *BBR) advance(s cca.AckSignal) {
+	now, inflight := s.Now, s.InFlight
+	// ProbeRTT entry: the RTprop estimate has gone stale. The same ACK
+	// goes on to the ProbeRTT case below, as in Linux's
+	// bbr_update_min_rtt.
 	if !b.cfg.DisableProbeRTT && b.cfg.RTpropHint == 0 &&
 		b.st != stProbeRTT && now-b.lastRTpropRef > b.cfg.RTpropWindow {
 		b.st = stProbeRTT
-		b.probeRTTStart = now
-		b.probeRTTDone = now + b.cfg.ProbeRTTDuration
+		b.probeRTTFloor, b.probeRTTDone, b.probeRTTRound = 0, 0, false
 		b.pacingGain = 1
 		b.cwndGain = 1
-		return
 	}
 
 	switch b.st {
@@ -327,7 +332,23 @@ func (b *BBR) advance(now time.Duration, inflight int) {
 			b.pacingGain = gainCycle[b.cycleIndex]
 		}
 	case stProbeRTT:
-		if now >= b.probeRTTDone {
+		// Linux BBRv1's exit: first drain to the 4-packet floor, then hold
+		// it for max(ProbeRTTDuration, one packet-timed round). Leaving a
+		// fixed time after entry, whatever inflight is, lets a flow whose
+		// own packets still queue re-arm RTprop on a queue-inflated sample.
+		if b.probeRTTFloor == 0 {
+			if inflight <= 4*b.cfg.MSS {
+				b.probeRTTFloor = now
+				b.probeRTTDone = now + b.cfg.ProbeRTTDuration
+			}
+			return
+		}
+		// A round has passed once an ACK echoes a segment sent at or after
+		// the floor (Karn-filtered echoes carry no send time).
+		if s.RTT > 0 && now-s.RTT >= b.probeRTTFloor {
+			b.probeRTTRound = true
+		}
+		if b.probeRTTRound && now >= b.probeRTTDone {
 			b.lastRTpropRef = now
 			if b.fullPipe {
 				b.enterProbeBW(now)

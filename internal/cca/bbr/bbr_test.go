@@ -103,28 +103,90 @@ func TestCwndFormula(t *testing.T) {
 	}
 }
 
-func TestProbeRTTEntryOnStaleEstimate(t *testing.T) {
-	b := newTestBBR()
-	// Feed a steadily increasing RTT: the min filter's sample goes stale
-	// after RTpropWindow (10 s) without refresh.
+// enterProbeRTT feeds b a steadily increasing RTT with 40 packets in
+// flight: the min filter's sample goes stale after RTpropWindow (10 s)
+// without refresh. It returns the time of the ACK that entered ProbeRTT,
+// or 0 if none did.
+func enterProbeRTT(b *BBR) time.Duration {
 	now := time.Duration(0)
 	rtt := 40 * time.Millisecond
-	entered := false
 	for now < 12*time.Second {
 		now += 10 * time.Millisecond
 		rtt += 2 * time.Microsecond
 		b.OnAck(cca.AckSignal{Now: now, RTT: rtt, AckedBytes: 1500,
 			DeliveredBytes: 1500, InFlight: 60000})
 		if b.State() == "probertt" {
-			entered = true
-			break
+			return now
 		}
 	}
-	if !entered {
+	return 0
+}
+
+func TestProbeRTTEntryOnStaleEstimate(t *testing.T) {
+	b := newTestBBR()
+	if enterProbeRTT(b) == 0 {
 		t.Fatal("never entered ProbeRTT with a stale estimate")
 	}
 	if got := b.Window(); got != 4*1500 {
 		t.Errorf("ProbeRTT window = %d, want 4 MSS", got)
+	}
+}
+
+// TestProbeRTTExitWaitsForFloor feeds ProbeRTT a standing queue: the
+// flow's own backlog drains one packet per 10 ms, from 40 packets to the
+// 4-packet floor (360 ms, longer than ProbeRTTDuration), with every RTT
+// sample inflated. BBR must stay in ProbeRTT until inflight reaches the
+// floor, and then for max(ProbeRTTDuration, one packet-timed round): until
+// an ACK echoes a segment sent at or after the floor was reached. An echo
+// of a retransmission (RTT 0, Karn-filtered) carries no send time and
+// never completes the round.
+func TestProbeRTTExitWaitsForFloor(t *testing.T) {
+	const mss, step = 1500, 10 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		rtt  time.Duration // every sample's RTT from the floor on
+		exit time.Duration // after the floor
+	}{
+		{"round shorter than the dwell", 40 * time.Millisecond, 200 * time.Millisecond},
+		{"round longer than the dwell", 300 * time.Millisecond, 300 * time.Millisecond},
+		{"Karn-filtered echoes", 0, time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newTestBBR()
+			now := enterProbeRTT(b)
+			if now == 0 {
+				t.Fatal("never entered ProbeRTT")
+			}
+			entered := now
+			ack := func(rtt time.Duration, inflight int) {
+				now += step
+				b.OnAck(cca.AckSignal{Now: now, RTT: rtt, AckedBytes: mss,
+					DeliveredBytes: mss, Packets: 1, InFlight: inflight})
+			}
+			for inflight := 40 * mss; inflight > 4*mss; {
+				inflight -= mss
+				ack(400*time.Millisecond, inflight)
+				if b.State() != "probertt" {
+					t.Fatalf("left ProbeRTT %v after entry with %d B in flight, above the 4-packet floor",
+						now-entered, inflight)
+				}
+			}
+			floor := now
+			for now+step < floor+tc.exit {
+				ack(tc.rtt, 4*mss)
+				if b.State() != "probertt" {
+					t.Fatalf("left ProbeRTT %v after reaching the floor, want %v", now-floor, tc.exit)
+				}
+			}
+			rtt := tc.rtt
+			if rtt == 0 {
+				rtt = 40 * time.Millisecond // the first echo with a send time
+			}
+			ack(rtt, 4*mss)
+			if b.State() == "probertt" {
+				t.Fatalf("still in ProbeRTT %v after reaching the floor, want exit at %v", now-floor, tc.exit)
+			}
+		})
 	}
 }
 
