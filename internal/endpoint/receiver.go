@@ -61,10 +61,7 @@ type Receiver struct {
 	lastSeq    int64
 	lastSentAt time.Duration
 	lastRetx   bool
-	flushTimer sim.Handle
-	// flushFn is the flush method bound once so arming the delayed-ACK or
-	// aggregation timer never allocates a method-value closure.
-	flushFn func()
+	flushTimer sim.Timer // the delayed-ACK or aggregation release
 	// pendAcks buffers fully formed per-packet ACKs in aggregation mode:
 	// an aggregating element (Wi-Fi, interrupt coalescing) holds the ACK
 	// packets themselves and releases them in a burst, it does not merge
@@ -88,17 +85,16 @@ func NewReceiver(s *sim.Simulator, flow packet.FlowID, cfg AckConfig, out netem.
 		cfg.DelayTimeout = 40 * time.Millisecond
 	}
 	r := &Receiver{sim: s, flow: flow, cfg: cfg, out: out, ooo: make([]uint64, minRing/64)}
-	r.flushFn = r.flush
+	r.flushTimer.Init(s, r.flush)
 	return r
 }
 
 // Reset returns the receiver to the state NewReceiver(s, flow, cfg, out)
 // would produce while keeping the reassembly ring at whatever size earlier
 // runs grew it to (its bits are cleared), the ACK buffer's capacity, and the
-// bound flush callback. The segment size is forgotten: the next run may use
-// another. The caller resets the shared simulator first; the pending
-// flush-timer handle is zeroed, not cancelled. The probe is cleared;
-// reinstall it before the run.
+// flush timer. The segment size is forgotten: the next run may use another.
+// The caller resets the shared simulator first, which disarms the timer.
+// The probe is cleared; reinstall it before the run.
 func (r *Receiver) Reset(cfg AckConfig) {
 	if cfg.DelayCount > 1 && cfg.DelayTimeout <= 0 {
 		cfg.DelayTimeout = 40 * time.Millisecond
@@ -109,7 +105,6 @@ func (r *Receiver) Reset(cfg AckConfig) {
 	r.delivered = 0
 	r.pendCount, r.pendNewly, r.pendECE = 0, 0, false
 	r.lastSeq, r.lastSentAt, r.lastRetx = 0, 0, false
-	r.flushTimer = sim.Handle{}
 	r.pendAcks = r.pendAcks[:0]
 	r.Received, r.AcksSent = 0, 0
 	r.Probe = nil
@@ -202,8 +197,8 @@ func (r *Receiver) OnPacket(p packet.Packet) {
 	case r.cfg.DelayCount > 1:
 		if r.pendCount >= r.cfg.DelayCount {
 			r.flush()
-		} else if !r.flushTimer.Pending() {
-			r.flushTimer = r.sim.After(r.cfg.DelayTimeout, r.flushFn)
+		} else if !r.flushTimer.Armed() {
+			r.flushTimer.Set(now + r.cfg.DelayTimeout)
 		}
 	default:
 		r.flush()
@@ -245,7 +240,7 @@ func (r *Receiver) reject(p packet.Packet) {
 }
 
 func (r *Receiver) armAggregate(now time.Duration) {
-	if r.flushTimer.Pending() {
+	if r.flushTimer.Armed() {
 		return
 	}
 	period := r.cfg.AggregatePeriod
@@ -254,14 +249,14 @@ func (r *Receiver) armAggregate(now time.Duration) {
 	if rem == 0 {
 		wait = 0
 	}
-	r.flushTimer = r.sim.After(wait, r.flushFn)
+	r.flushTimer.Set(now + wait)
 }
 
 func (r *Receiver) flush() {
 	if len(r.pendAcks) > 0 {
 		// Aggregation mode: release the buffered per-packet ACKs as a
 		// burst stamped with the release time.
-		r.flushTimer.Cancel()
+		r.flushTimer.Stop()
 		now := r.sim.Now()
 		burst := r.pendAcks
 		r.pendCount, r.pendNewly, r.pendECE = 0, 0, false
@@ -278,7 +273,7 @@ func (r *Receiver) flush() {
 	if r.pendCount == 0 {
 		return
 	}
-	r.flushTimer.Cancel()
+	r.flushTimer.Stop()
 	a := packet.Ack{
 		Flow:       r.flow,
 		CumAck:     r.expected,

@@ -13,22 +13,24 @@
 //
 // The event queue is allocation-free on the hot path: records live in a
 // pooled arena, ordered by a calendar wheel for the next 67 ms and by an
-// intrusive 4-ary min-heap beyond that (see queue.go), and the typed entry
-// points (AtPacket/AfterPacket, AtAck/AfterAck) carry a packet or ACK
-// payload inline in the record so per-packet call sites need no capturing
-// closure.
+// intrusive 4-ary min-heap beyond that (see queue.go).
 //
-// The queue holds elements, not packets. A FIFO delay element — the
-// bottleneck's departures, a delay box, the reorderer's deferral, the
-// hop between two links — keeps its packets in a Lane, of which only the
-// head is a live event. Each packet reserves its place in the dispatch
-// order (Reserve, a Ticket) when it enters the lane, and its event is
-// scheduled in that place (AtTicket) when it reaches the head, so it fires
-// exactly where an event scheduled on entry would have: same time, same
-// tie-break, same Stats().Scheduled and Fired. What the queue holds live
-// is therefore lane heads and timers — O(elements + timers), however deep
-// the queues — and a standing queue of packets never reaches the overflow
-// heap.
+// The queue holds elements, not packets, and network elements schedule
+// through two typed sources rather than through At. A FIFO delay element
+// — the bottleneck's departures, a delay box, the reorderer's deferral,
+// the hop between two links — keeps its packets in a Lane, of which only
+// the head is a live event. Each packet reserves its place in the
+// dispatch order (Reserve, a Ticket) when it enters the lane, and its
+// event is scheduled in that place (AtTicket) when it reaches the head, so
+// it fires exactly where an event scheduled on entry would have: same
+// time, same tie-break, same Stats().Scheduled and Fired. An endpoint's
+// timeouts and wakes are Timers: one queued record each, re-armed in
+// place, so a retransmission timeout pushed back by every ACK costs a
+// ticket, not a heap removal and a push (timer.go). What the queue holds
+// live is therefore lane heads and timers — O(elements + timers), however
+// deep the queues — and a standing queue of packets never reaches the
+// overflow heap. Both sources own their handlers, bound once, so neither
+// allocates per event; At's Handle remains for one-off events.
 package sim
 
 import (
@@ -65,15 +67,10 @@ func (h Handle) Cancel() {
 	if int(h.slot) >= len(s.arena) {
 		return // stale: minted before a Reset, slot not handed out again yet
 	}
-	rec := &s.arena[h.slot]
-	if rec.gen != h.gen {
+	if s.arena[h.slot].gen != h.gen {
 		return // stale: the event fired or was cancelled, slot may be reused
 	}
-	if rec.heapIdx != noSlot {
-		s.heapRemove(rec.heapIdx)
-	} else {
-		s.wheelUnlink(h.slot)
-	}
+	s.unfile(h.slot)
 	s.free(h.slot)
 	s.live--
 	s.cancelled++
@@ -159,11 +156,7 @@ func (s *Simulator) scheduleSeq(t Time, seq uint64) (int32, *eventRec) {
 	rec.at = t
 	rec.seq = seq
 	s.live++
-	if int64(t>>wheelShift)-s.origin < wheelBuckets {
-		s.wheelInsert(slot)
-	} else {
-		s.heapPush(slot)
-	}
+	s.file(slot)
 	return slot, rec
 }
 
@@ -360,9 +353,14 @@ func (s *Simulator) Pending() int { return s.live }
 // Reset returns the simulator to the state New(seed) would produce while
 // keeping the arena, the wheel, the overflow heap's and the lane node
 // pools' capacity, so a reused simulator schedules allocation-free up to
-// the previous run's high-water mark. Every lane must be Reset after it. Its cost is the number of events still pending plus one
-// pass over the occupancy bitmap, not that high-water mark: only occupied
-// buckets are visited and only their words cleared.
+// the previous run's high-water mark. Its cost is the number of events
+// still pending plus one pass over the occupancy bitmap, not that
+// high-water mark: only occupied buckets are visited and only their words
+// cleared.
+//
+// Every Lane on the simulator must be Reset after it, since a lane's own
+// fields still describe the payloads Reset abandoned. A Timer needs
+// nothing: its record is freed here, so it reads as disarmed.
 //
 // The pending records are freed, which bumps their generations like any
 // fired event's, and the arena is truncated to length zero over the same
