@@ -16,18 +16,27 @@ import (
 // liveness of every handle ever minted and the two tiers' structural
 // invariants (checkQueue) must agree with it. A ticketed event is modelled
 // as an event whose seq was taken when its ticket was reserved; one whose
-// place the dispatch cursor has passed must be refused with a panic.
+// place the dispatch cursor has passed must be refused with a panic. A
+// Timer's Set is modelled as a Cancel of its previous event, if armed,
+// followed by a schedule in the next place, and Armed must agree with
+// whether that event is still live.
 
-// Opcodes (first byte of an operation, modulo 10) and the bytes that follow.
+// Opcodes (first byte of an operation, modulo 13) and the bytes that follow.
 const (
-	opSchedule = 0 // also 1, 2: class, magnitude, flavor, a, b
-	opCancel   = 3 // hi, lo: index into every handle ever minted, live or stale
-	opStep     = 4
-	opRun      = 5 // also 6: class, magnitude of the horizon's distance from now
-	opRare     = 7 // arg: Reset when arg%16 == 0, else Step
-	opReserve  = 8
-	opTicketed = 9 // k, class, magnitude, flavor, a, b: schedule in unused ticket k's place
+	opSchedule  = 0  // also 1, 2: class, magnitude, flavor, a, b
+	opCancel    = 3  // hi, lo: index into every handle ever minted, live or stale
+	opStep      = 4  //
+	opRun       = 5  // also 6: class, magnitude of the horizon's distance from now
+	opRare      = 7  // arg: Reset when arg%16 == 0, else Step
+	opReserve   = 8  //
+	opTicketed  = 9  // k, class, magnitude, flavor, a, b: schedule in unused ticket k's place
+	opTimerSet  = 10 // k, class, magnitude, flavor, a, b: Set timer k to now+delay
+	opTimerSame = 11 // k, flavor, a, b: Set timer k to its current deadline (now if disarmed)
+	opTimerStop = 12 // k: Stop timer k
 )
+
+// oracleTimers is how many timers the oracle drives.
+const oracleTimers = 3
 
 // Delay classes (modulo 8), each scaled by a magnitude byte m.
 const (
@@ -41,7 +50,7 @@ const (
 	delayHundreds = 7 // m × 100 µs
 )
 
-// Handler flavors (modulo 7); a and b parameterise them.
+// Handler flavors (modulo 8); a and b parameterise them.
 const (
 	flavorPlain    = 0 // also 1
 	flavorChildNow = 2 // schedules a plain child at now
@@ -49,6 +58,7 @@ const (
 	flavorCancel   = 4 // cancels handle a<<8|b (modulo the handles minted)
 	flavorHalt     = 5
 	flavorTicket   = 6 // schedules a plain child at delay(a, b) in the oldest unused ticket's place
+	flavorTimer    = 7 // Sets timer a%oracleTimers, plain, at delay(a/oracleTimers, b)
 )
 
 // wheelSpan is the time the wheel's window covers.
@@ -59,19 +69,30 @@ type queueOracle struct {
 	s *Simulator
 
 	queue   []modelEvent // live events sorted by (at, seq)
-	handles []Handle     // by id
+	handles []Handle     // by id; the zero Handle for a timer's event
 	alive   []bool       // by id
+	timerOf []int        // by id: the timer whose event it is, or -1
 	tickets []Ticket     // reserved and not yet used, oldest first
 	now     Time
 	floor   uint64 // seqs below it at now have been dispatched
 	halted  bool
 	stats   Stats
 
+	timers   [oracleTimers]Timer
+	timerFn  [oracleTimers]func() // the handler of each timer's latest Set
+	timerEv  [oracleTimers]int    // the id of each timer's latest Set, or -1
+	timerSet [3]int               // Sets of an armed timer to a later, the same and an earlier deadline
+
 	ticketed, refused int // ticketed schedules booked and refused
 }
 
 func newQueueOracle(t testing.TB) *queueOracle {
-	return &queueOracle{t: t, s: New(1)}
+	o := &queueOracle{t: t, s: New(1)}
+	for k := range o.timers {
+		o.timers[k].Init(o.s, func() { o.timerFn[k]() })
+		o.timerEv[k] = -1
+	}
+	return o
 }
 
 func (o *queueOracle) delay(class, m byte) Time {
@@ -103,7 +124,40 @@ func (o *queueOracle) delay(class, m byte) Time {
 func (o *queueOracle) schedule(d Time, flavor, a, b byte) {
 	seq := o.stats.Scheduled
 	o.stats.Scheduled++
-	o.book(o.now+d, seq, flavor, a, b, func(fn func()) Handle { return o.s.After(d, fn) })
+	o.book(o.now+d, seq, -1, flavor, a, b, func(fn func()) Handle { return o.s.After(d, fn) })
+}
+
+// setTimer re-arms timer k for at: in the reference, a cancel of its
+// previous event if that is live, then an event booked in the next place.
+func (o *queueOracle) setTimer(k int, at Time, flavor, a, b byte) {
+	if id := o.timerEv[k]; id >= 0 && o.alive[id] {
+		prev := o.queue[o.queueIndex(id)]
+		switch {
+		case at > prev.at:
+			o.timerSet[0]++
+		case at == prev.at:
+			o.timerSet[1]++
+		default:
+			o.timerSet[2]++
+		}
+		o.drop(id)
+	}
+	seq := o.stats.Scheduled
+	o.stats.Scheduled++
+	o.timerEv[k] = len(o.handles)
+	o.book(at, seq, k, flavor, a, b, func(fn func()) Handle {
+		o.timerFn[k] = fn
+		o.timers[k].Set(at)
+		return Handle{}
+	})
+}
+
+// stopTimer stops timer k with both queues.
+func (o *queueOracle) stopTimer(k int) {
+	o.timers[k].Stop()
+	if id := o.timerEv[k]; id >= 0 && o.alive[id] {
+		o.drop(id)
+	}
 }
 
 // reserve takes a ticket with both queues.
@@ -142,13 +196,14 @@ func (o *queueOracle) scheduleTicket(k int, d Time, flavor, a, b byte) {
 		return
 	}
 	o.ticketed++
-	o.book(at, uint64(tk), flavor, a, b, func(fn func()) Handle { return o.s.AtTicket(at, tk, fn) })
+	o.book(at, uint64(tk), -1, flavor, a, b, func(fn func()) Handle { return o.s.AtTicket(at, tk, fn) })
 }
 
 // book files event (at, seq) in the reference and, through sched, in the
-// simulator. Its handler first checks itself against the reference, then
-// acts out its flavor.
-func (o *queueOracle) book(at Time, seq uint64, flavor, a, b byte, sched func(func()) Handle) {
+// simulator; timer is the timer it is the latest Set of, or -1. Its
+// handler first checks itself against the reference, then acts out its
+// flavor.
+func (o *queueOracle) book(at Time, seq uint64, timer int, flavor, a, b byte, sched func(func()) Handle) {
 	id := len(o.handles)
 	ev := modelEvent{at: at, seq: seq, id: id}
 	i := sort.Search(len(o.queue), func(i int) bool {
@@ -159,10 +214,11 @@ func (o *queueOracle) book(at Time, seq uint64, flavor, a, b byte, sched func(fu
 	copy(o.queue[i+1:], o.queue[i:])
 	o.queue[i] = ev
 	o.alive = append(o.alive, true)
+	o.timerOf = append(o.timerOf, timer)
 	o.stats.Live++
 	o.handles = append(o.handles, sched(func() {
 		o.fired(id)
-		switch flavor % 7 {
+		switch flavor % 8 {
 		case flavorChildNow:
 			o.schedule(0, flavorPlain, 0, 0)
 		case flavorChild:
@@ -174,6 +230,8 @@ func (o *queueOracle) book(at Time, seq uint64, flavor, a, b byte, sched func(fu
 			o.halted = true
 		case flavorTicket:
 			o.scheduleTicket(0, o.delay(a, b), flavorPlain, 0, 0)
+		case flavorTimer:
+			o.setTimer(int(a)%oracleTimers, o.now+o.delay(a/oracleTimers, b), flavorPlain, 0, 0)
 		}
 	}))
 }
@@ -196,25 +254,36 @@ func (o *queueOracle) fired(id int) {
 	o.stats.Live--
 }
 
+// cancel cancels handle k (modulo the handles minted) with both queues. A
+// timer's event has no handle: cancelling it is a no-op in both.
 func (o *queueOracle) cancel(k int) {
 	if len(o.handles) == 0 {
 		return
 	}
 	id := k % len(o.handles)
 	o.handles[id].Cancel()
-	if !o.alive[id] {
-		return
+	if o.alive[id] && o.timerOf[id] < 0 {
+		o.drop(id)
 	}
+}
+
+// drop removes live event id from the reference as a cancellation.
+func (o *queueOracle) drop(id int) {
+	o.queue = append(o.queue[:o.queueIndex(id)], o.queue[o.queueIndex(id)+1:]...)
 	o.alive[id] = false
 	o.stats.Cancelled++
 	o.stats.Live--
+}
+
+// queueIndex returns the position of live event id in the reference queue.
+func (o *queueOracle) queueIndex(id int) int {
 	for i, ev := range o.queue {
 		if ev.id == id {
-			o.queue = append(o.queue[:i], o.queue[i+1:]...)
-			return
+			return i
 		}
 	}
 	o.t.Fatalf("event %d alive but not in the reference queue", id)
+	return -1
 }
 
 func (o *queueOracle) step() {
@@ -266,8 +335,14 @@ func (o *queueOracle) agree(op int) {
 			op, o.s.Pending(), o.s.Stats(), len(o.queue), o.stats)
 	}
 	for id, h := range o.handles {
-		if h.Pending() != o.alive[id] {
+		if o.timerOf[id] < 0 && h.Pending() != o.alive[id] {
 			o.t.Fatalf("op %d: handle %d Pending = %v, reference %v", op, id, h.Pending(), o.alive[id])
+		}
+	}
+	for k := range o.timers {
+		want := o.timerEv[k] >= 0 && o.alive[o.timerEv[k]]
+		if got := o.timers[k].Armed(); got != want {
+			o.t.Fatalf("op %d: timer %d Armed = %v, reference %v", op, k, got, want)
 		}
 	}
 	checkQueue(o.t, o.s)
@@ -287,7 +362,7 @@ func (o *queueOracle) play(ops []byte) uint64 {
 		return b
 	}
 	for n := 0; len(ops) > 0; n++ {
-		switch op := next() % 10; op {
+		switch op := next() % 13; op {
 		case opCancel:
 			o.cancel(int(next())<<8 | int(next()))
 		case opStep:
@@ -305,6 +380,17 @@ func (o *queueOracle) play(ops []byte) uint64 {
 			o.reserve()
 		case opTicketed:
 			o.scheduleTicket(int(next()), o.delay(next(), next()), next(), next(), next())
+		case opTimerSet:
+			k := int(next()) % oracleTimers
+			o.setTimer(k, o.now+o.delay(next(), next()), next(), next(), next())
+		case opTimerSame:
+			k, at := int(next())%oracleTimers, o.now
+			if id := o.timerEv[k]; id >= 0 && o.alive[id] {
+				at = o.queue[o.queueIndex(id)].at
+			}
+			o.setTimer(k, at, next(), next(), next())
+		case opTimerStop:
+			o.stopTimer(int(next()) % oracleTimers)
 		default:
 			o.schedule(o.delay(next(), next()), next(), next(), next())
 		}
@@ -394,19 +480,21 @@ func checkQueue(t testing.TB, s *Simulator) {
 }
 
 // TestQueueOracleSeeded plays seeded random streams. Uniform bytes give
-// three schedules and a reserve-and-ticketed-schedule pair to every
-// cancel, step and two runs, so queues grow to a few hundred events in
-// both tiers and drain through every delay class, and some tickets are
-// used after the cursor has passed their place.
+// three schedules, a reserve-and-ticketed-schedule pair and three timer
+// operations to every cancel, step and two runs, so queues grow to a few
+// hundred events in both tiers and drain through every delay class, some
+// tickets are used after the cursor has passed their place, and armed
+// timers are set later, earlier and (via opTimerSame) for the same time.
 func TestQueueOracleSeeded(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]byte, 6000)
 		rng.Read(ops)
 		o := newQueueOracle(t)
-		if fired := o.play(ops); fired < 200 || o.ticketed < 20 || o.refused == 0 {
-			t.Errorf("seed %d: %d events fired, %d ticketed, %d refused; the stream exercises too little",
-				seed, fired, o.ticketed, o.refused)
+		if fired := o.play(ops); fired < 200 || o.ticketed < 20 || o.refused == 0 ||
+			o.timerSet[0] == 0 || o.timerSet[1] == 0 || o.timerSet[2] == 0 {
+			t.Errorf("seed %d: %d events fired, %d ticketed, %d refused, armed timers set later/same/earlier %v; the stream exercises too little",
+				seed, fired, o.ticketed, o.refused, o.timerSet)
 		}
 	}
 }
@@ -515,6 +603,41 @@ var queueScripts = []struct {
 		opSchedule, delayNow, 0, flavorPlain, 0, 0,
 		opStep,
 	}},
+	{"timers", timerScript},
+}
+
+// timerScript re-arms three timers every way Set can move a deadline. It
+// is one of queueScripts; TestQueueOracleScripted also requires it to
+// reach a later, the same and an earlier deadline.
+var timerScript = []byte{
+	// Timer 0 waits in the overflow tier; a later deadline is only
+	// recorded, and a plain event between the two deadlines must fire
+	// before the timer, which is re-filed when its old place comes up.
+	opTimerSet, 0, delayFar, 20, flavorPlain, 0, 0,
+	opTimerSet, 0, delayFar, 30, flavorPlain, 0, 0,
+	opSchedule, delayFar, 25, flavorPlain, 0, 0,
+	// Timer 1 set again for the same instant after a plain event there:
+	// it takes the newer place, behind the event.
+	opTimerSet, 1, delayHundreds, 5, flavorPlain, 0, 0,
+	opSchedule, delayHundreds, 5, flavorPlain, 0, 0,
+	opTimerSame, 1, flavorTimer, 2 + oracleTimers*delayHundreds, 3,
+	// Timer 2 pulled from the overflow tier into the current bucket: an
+	// earlier deadline is re-filed at once.
+	opTimerSet, 2, delayFar, 10, flavorPlain, 0, 0,
+	opTimerSet, 2, delayNanos, 50, flavorPlain, 0, 0,
+	opRun, delayHundreds, 6, // timer 1 fires and re-arms timer 2 from its handler
+	opTimerStop, 2,
+	opTimerStop, 2,
+	opRun, delayFar, 40,
+	// Reset with two timers armed (0 moved to a later deadline) disarms
+	// them; they are set afresh afterwards.
+	opTimerSet, 0, delayFar, 20, flavorPlain, 0, 0,
+	opTimerSet, 0, delayFar, 60, flavorPlain, 0, 0,
+	opTimerSet, 1, delayHundreds, 1, flavorPlain, 0, 0,
+	opRare, 0,
+	opTimerSet, 1, delayHundreds, 1, flavorPlain, 0, 0,
+	opTimerSame, 0, flavorPlain, 0, 0,
+	opRun, delayFar, 100,
 }
 
 // TestAtTicketRefusesPassedPlaces pins the panics directly: a place at or
@@ -551,6 +674,9 @@ func TestQueueOracleScripted(t *testing.T) {
 			o.play(sc.ops)
 			if o.stats.Fired == 0 {
 				t.Error("script fired nothing")
+			}
+			if sc.name == "timers" && (o.timerSet[0] == 0 || o.timerSet[1] == 0 || o.timerSet[2] == 0) {
+				t.Errorf("armed timers set later, at the same time, earlier: %v; want each", o.timerSet)
 			}
 		})
 	}
