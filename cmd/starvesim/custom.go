@@ -42,22 +42,24 @@ func runCustom(f customFlags, probe obs.Probe) (*network.Result, error) {
 	if f.cca1 == "" {
 		return nil, fmt.Errorf("custom mode needs -cca")
 	}
-	mk := func(name string, seed int64) (cca.Algorithm, error) {
+	// Flow i's generators are seeded as scenario.ParseFlows seeds them, so
+	// a freeform run and the equivalent -flows set realize identically.
+	mk := func(name string, flow int) (cca.Algorithm, error) {
 		fac := cca.Lookup(name)
 		if fac == nil {
 			return nil, fmt.Errorf("unknown CCA %q (known: %s)",
 				name, strings.Join(cca.Names(), ", "))
 		}
-		return fac(endpoint.DefaultMSS, rng.New(seed)), nil
+		return fac(endpoint.DefaultMSS, rng.New(rng.Derive(f.seed, flow, rng.CCA))), nil
 	}
 
-	alg1, err := mk(f.cca1, f.seed*11+1)
+	alg1, err := mk(f.cca1, 0)
 	if err != nil {
 		return nil, err
 	}
 	spec1 := network.FlowSpec{Name: f.cca1 + "-0", Alg: alg1, Rm: f.rm1, LossProb: f.loss1}
 	if f.jitterSpec != "" {
-		pol, err := parseJitter(f.jitterSpec, f.seed)
+		pol, err := jitter.Parse(f.jitterSpec, rng.New(rng.Derive(f.seed, 0, rng.FwdJitter)))
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +82,7 @@ func runCustom(f customFlags, probe obs.Probe) (*network.Result, error) {
 
 	specs := []network.FlowSpec{spec1}
 	if f.cca2 != "" {
-		alg2, err := mk(f.cca2, f.seed*11+2)
+		alg2, err := mk(f.cca2, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -104,12 +106,6 @@ func runCustom(f customFlags, probe obs.Probe) (*network.Result, error) {
 		return nil, err
 	}
 	return n.Run(f.duration), nil
-}
-
-// parseJitter turns "kind:value" into a jitter policy with this run's
-// derived rng (see jitter.Parse for the grammar).
-func parseJitter(spec string, seed int64) (jitter.Policy, error) {
-	return jitter.Parse(spec, rng.New(seed*101+3))
 }
 
 func fatalf(format string, args ...any) {

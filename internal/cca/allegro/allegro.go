@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"starvation/internal/cca"
-	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -123,7 +122,7 @@ func New(cfg Config) *Allegro {
 		cfg.MinRate = units.Mbps(0.05)
 	}
 	if cfg.Rng == nil {
-		cfg.Rng = rng.New(1)
+		panic("allegro: Config.Rng is nil")
 	}
 	a := &Allegro{cfg: cfg, rate: cfg.InitialRate.Mbit(), st: stStarting, eps: cfg.EpsilonMin,
 		// The first interval only fills the pipeline; never score it.

@@ -183,3 +183,14 @@ func TestRateBasedInterface(t *testing.T) {
 		t.Error("Allegro must pace")
 	}
 }
+
+// TestNewWithoutRngPanics checks New refuses a missing generator instead
+// of drawing from a stream outside the run's seed tree.
+func TestNewWithoutRngPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "allegro: Config.Rng is nil" {
+			t.Errorf("New(Config{}) recovered %v, want a panic naming Config.Rng", r)
+		}
+	}()
+	New(Config{})
+}

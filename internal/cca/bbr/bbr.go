@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"starvation/internal/cca"
-	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -139,7 +138,7 @@ func New(cfg Config) *BBR {
 		cfg.InitialCwndPkts = 10
 	}
 	if cfg.Rng == nil {
-		cfg.Rng = rng.New(1)
+		panic("bbr: Config.Rng is nil")
 	}
 	b := &BBR{
 		cfg:        cfg,

@@ -395,3 +395,14 @@ func TestWindowAndPacingRateAreCurrent(t *testing.T) {
 		})
 	}
 }
+
+// TestNewWithoutRngPanics checks New refuses a missing generator instead
+// of drawing from a stream outside the run's seed tree.
+func TestNewWithoutRngPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "bbr: Config.Rng is nil" {
+			t.Errorf("New(Config{}) recovered %v, want a panic naming Config.Rng", r)
+		}
+	}()
+	New(Config{})
+}

@@ -103,10 +103,11 @@ type SendObserver interface {
 
 // Factory constructs a fresh algorithm instance for one flow. mss is the
 // segment size in bytes; rng is a flow-private deterministic generator,
-// seeded by the caller from the run seed and the flow's index (see
-// scenario.ParseFlows). Only BBR, Allegro and Vivace draw from it. Callers
-// build it with rng.New, which costs nothing until the first draw, so a
-// CCA that never draws may ignore it.
+// seeded by the caller with rng.Derive(run seed, flow index, rng.CCA), a
+// stream no other element of the run reads. Only BBR, Allegro and Vivace
+// draw from it, and they panic without one. Callers build it with rng.New,
+// which costs nothing until the first draw, so a CCA that never draws may
+// ignore it.
 type Factory func(mss int, rng *rand.Rand) Algorithm
 
 var registry = map[string]Factory{}

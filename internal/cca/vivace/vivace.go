@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"starvation/internal/cca"
-	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -109,7 +108,7 @@ func New(cfg Config) *Vivace {
 		cfg.MinRate = units.Mbps(0.05)
 	}
 	if cfg.Rng == nil {
-		cfg.Rng = rng.New(1)
+		panic("vivace: Config.Rng is nil")
 	}
 	v := &Vivace{cfg: cfg, rate: cfg.InitialRate.Mbit(), ph: phSlowStart,
 		// The first interval only fills the pipeline; never score it.

@@ -157,3 +157,14 @@ func TestRateBasedInterface(t *testing.T) {
 		t.Error("tick interval must be positive")
 	}
 }
+
+// TestNewWithoutRngPanics checks New refuses a missing generator instead
+// of drawing from a stream outside the run's seed tree.
+func TestNewWithoutRngPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "vivace: Config.Rng is nil" {
+			t.Errorf("New(Config{}) recovered %v, want a panic naming Config.Rng", r)
+		}
+	}()
+	New(Config{})
+}

@@ -56,7 +56,7 @@ func goldenConfigs(tc *TelemetryConfig) map[string]func() goldenConfig {
 						Ack:       endpoint.AckConfig{DelayCount: 2},
 					},
 					{
-						Alg:       bbr.New(bbr.Config{}),
+						Alg:       bbr.New(bbr.Config{Rng: rand.New(rand.NewSource(1))}),
 						Rm:        80 * time.Millisecond,
 						AckJitter: &jitter.Uniform{Max: 2 * time.Millisecond, Rng: rand.New(rand.NewSource(9))},
 						StartAt:   500 * time.Millisecond,
@@ -112,12 +112,12 @@ func goldenConfigs(tc *TelemetryConfig) map[string]func() goldenConfig {
 				},
 				specs: []FlowSpec{
 					{
-						Alg:       bbr.New(bbr.Config{}),
+						Alg:       bbr.New(bbr.Config{Rng: rand.New(rand.NewSource(1))}),
 						Rm:        40 * time.Millisecond,
 						AckJitter: &jitter.Uniform{Max: 2 * time.Millisecond, Rng: rand.New(rand.NewSource(3))},
 					},
 					{
-						Alg:       bbr.New(bbr.Config{}),
+						Alg:       bbr.New(bbr.Config{Rng: rand.New(rand.NewSource(1))}),
 						Rm:        20 * time.Millisecond,
 						FwdJitter: &jitter.Uniform{Max: 3 * time.Millisecond, Rng: rand.New(rand.NewSource(4))},
 						StartAt:   300 * time.Millisecond,

@@ -371,9 +371,10 @@ func wire(nLinks int, specs []FlowSpec) *Network {
 
 		// Forward path head, built back to front so packets traverse
 		// sender -> duplicator -> reorderer -> GE gate -> loss gate ->
-		// first link of the flow's path. Each element owns a generator of
-		// its own (seeded per run) so adding flows or enabling one element
-		// never perturbs another's realization.
+		// first link of the flow's path. Each element owns a generator,
+		// seeded per run by configure from rng.Derive's stream for it, so
+		// adding flows or enabling one element never perturbs another's
+		// realization.
 		var intoLink netem.PacketHandler = n.Links[f.path[0]].Enqueue
 		c := chainOf(spec)
 		if c&chainLoss != 0 {
@@ -497,24 +498,19 @@ func (n *Network) configure(cfg Config, specs []FlowSpec) {
 		f.FwdBox.Reset(spec.FwdJitter)
 		if f.gate != nil {
 			f.gate.Reset(spec.LossProb)
-			// Known collision: derivedSeed(seed, i, saltGate) equals the
-			// seed scenario.ParseFlows gives flow i's CCA generator
-			// (seed·1000003 + i·7919 + 17), so a drawing CCA and this gate
-			// read the same stream. Left as is: either salt moving shifts
-			// realizations (ROADMAP open items).
-			f.gate.Rng.Seed(derivedSeed(cfg.Seed, i, saltGate))
+			f.gate.Rng.Seed(rng.Derive(cfg.Seed, i, rng.Gate))
 			f.gate.SetProbe(n.Sim, cfg.Probe)
 		}
 		if f.ge != nil {
-			f.ge.Reset(*spec.Faults.GE, derivedSeed(cfg.Seed, i, saltGE))
+			f.ge.Reset(*spec.Faults.GE, rng.Derive(cfg.Seed, i, rng.GE))
 			f.ge.SetProbe(n.Sim, cfg.Probe)
 		}
 		if f.reorder != nil {
-			f.reorder.Reset(*spec.Faults.Reorder, derivedSeed(cfg.Seed, i, saltReorder))
+			f.reorder.Reset(*spec.Faults.Reorder, rng.Derive(cfg.Seed, i, rng.Reorder))
 			f.reorder.SetProbe(cfg.Probe)
 		}
 		if f.dup != nil {
-			f.dup.Reset(*spec.Faults.Duplicate, derivedSeed(cfg.Seed, i, saltDup))
+			f.dup.Reset(*spec.Faults.Duplicate, rng.Derive(cfg.Seed, i, rng.Dup))
 			f.dup.SetProbe(n.Sim, cfg.Probe)
 		}
 		f.Sender.Reset(spec.Alg, endpoint.DefaultMSS)
@@ -652,21 +648,4 @@ func (n *Network) sample() {
 		n.telemetry.tick(now, n.Sim.Pending())
 	}
 	n.Sim.After(sampleEvery, n.sampleFn)
-}
-
-// Salts separate the random streams of a flow's impairment elements; the
-// Bernoulli gate keeps the original 17 so pre-faults realizations are
-// unchanged.
-const (
-	saltGate    = 17
-	saltGE      = 29
-	saltReorder = 31
-	saltDup     = 37
-)
-
-// derivedSeed is the seed of a flow element's private random stream,
-// derived from the run seed so adding flows never perturbs other flows'
-// loss.
-func derivedSeed(seed int64, flow int, salt int64) int64 {
-	return seed*1000003 + int64(flow)*7919 + salt
 }

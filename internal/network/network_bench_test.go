@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -76,7 +77,7 @@ func lossyPopulation(tb testing.TB) func() *Result {
 			case 1:
 				fs.Alg = cubic.New(cubic.Config{})
 			case 2:
-				fs.Alg = bbr.New(bbr.Config{})
+				fs.Alg = bbr.New(bbr.Config{Rng: rand.New(rand.NewSource(1))})
 			case 3:
 				fs.Alg = copa.New(copa.Config{})
 			}

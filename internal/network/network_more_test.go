@@ -73,7 +73,7 @@ func TestPerFlowLossGatesIndependent(t *testing.T) {
 	// differ because it shares the link, so compare only the gate RNG
 	// stream indirectly: same seed+index yields the same generator.
 	newDerivedRand := func(seed int64, flow int) *rand.Rand {
-		return rng.New(derivedSeed(seed, flow, saltGate))
+		return rng.New(rng.Derive(seed, flow, rng.Gate))
 	}
 	a := newDerivedRand(3, 0)
 	b := newDerivedRand(3, 0)

@@ -1,7 +1,8 @@
 // Package rng builds the deterministic random generators every randomized
 // element of the emulator owns: BBR's ProbeBW phase, PCC Allegro/Vivace's
 // randomized monitor intervals, jitter policies, loss and fault gates, RED
-// marking.
+// marking. Derive seeds the generators of a flow set: one stream per
+// (flow, consumer) pair of a run, none shared.
 //
 // A math/rand source seeds 607 words of state (~12 µs) when it is built, and
 // most generators handed out are never drawn from: the CCAs that ignore

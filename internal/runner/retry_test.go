@@ -325,7 +325,7 @@ func TestSeededUnitStable(t *testing.T) {
 // manifest: complete entries survive, the torn trailing record is
 // dropped, and the damage is reported.
 func TestManifestRecovery(t *testing.T) {
-	full := `{"schema":1,"jobs":{` +
+	full := fmt.Sprintf(`{"schema":%d,"jobs":{`, SchemaVersion) +
 		`"F1":{"fingerprint":"aaaa","status":"done","attempts":2,"history":[{"attempt":1,"kind":"deadline","msg":"slow"}]},` +
 		`"F3":{"fingerprint":"bbbb","status":"done"},` +
 		`"F5":{"fingerprint":"cccc","status":"done"}}}`

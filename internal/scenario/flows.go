@@ -135,15 +135,10 @@ func ParseFlows(spec string, seed int64, topo *Topology) ([]network.FlowSpec, er
 			}
 			// Per-flow derived seeds: the CCA's rng and any jitter rng are
 			// functions of (seed, i) alone, so editing one group never
-			// perturbs flows outside it. Known collision: the CCA's seed is
-			// the one network.configure gives flow i's loss gate
-			// (derivedSeed(seed, i, saltGate), saltGate = 17), so with loss=
-			// a drawing CCA (allegro, bbr, vivace) shares the gate's stream.
-			// Left as is: either salt moving shifts realizations (ROADMAP
-			// open items).
-			f.Alg = fac(endpoint.DefaultMSS, rng.New(seed*1000003+int64(i)*7919+17))
+			// perturbs flows outside it.
+			f.Alg = fac(endpoint.DefaultMSS, rng.New(rng.Derive(seed, i, rng.CCA)))
 			if jitterSpec != "" {
-				pol, err := jitter.Parse(jitterSpec, rng.New(seed*1000003+int64(i)*7919+101))
+				pol, err := jitter.Parse(jitterSpec, rng.New(rng.Derive(seed, i, rng.FwdJitter)))
 				if err != nil {
 					return nil, fmt.Errorf("flows: group %q: jitter: %v", g, err)
 				}

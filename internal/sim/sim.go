@@ -8,7 +8,8 @@
 // The engine itself draws no randomness. Every stochastic element — a CCA,
 // a jitter policy, a loss or fault gate, a RED marker — owns a generator
 // built with rng.New from a seed derived from the run seed (network.Config's
-// Seed, a scenario's Opts.Seed), so adding or enabling one element never
+// Seed, a scenario's Opts.Seed); in a flow set, rng.Derive gives each
+// flow's elements a stream apiece, so adding or enabling one element never
 // perturbs another's stream.
 //
 // The event queue is allocation-free on the hot path: records live in a
