@@ -478,9 +478,16 @@ func main() {
 // back into a bare snapshot — also after an interrupt — so a finished
 // batch leaves manifest.json in its snapshot form. The fold keeps every
 // retry record (figures never trims history); a failed fold only leaves
-// the journal for the next run to replay.
+// the journal for the next run to replay. A cache that could not be
+// written costs the next run its warm restores, not this one its
+// results, so it gets one line on stderr and no change of exit status.
 func runBatch(ctx context.Context, pool *runner.Pool, jobs []runner.Job) []runner.JobResult {
 	results := pool.Run(ctx, jobs)
+	if pool.Cache != nil {
+		if err := pool.Cache.Flush(); err != nil {
+			fmt.Fprintf(os.Stderr, "figures: cache: %v (the next run re-simulates what was not cached)\n", err)
+		}
+	}
 	if pool.Manifest != nil {
 		if _, err := pool.Manifest.Compact(math.MaxInt); err != nil {
 			fmt.Fprintf(os.Stderr, "figures: manifest: %v\n", err)

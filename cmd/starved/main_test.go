@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"math/rand"
 	"net/http"
 	"os"
@@ -19,6 +18,7 @@ import (
 	"time"
 
 	"starvation/internal/runner"
+	"starvation/internal/scenario"
 )
 
 // daemonEnv makes the test binary behave as the starved command: the
@@ -204,42 +204,65 @@ func (d *daemon) finish(id string) map[string][]byte {
 	return arts
 }
 
-// landedEntries counts the cache entries on disk that read back intact:
-// the jobs a restart restores instead of simulating.
-func landedEntries(t *testing.T, dir string) int {
+// restartWork reads a killed daemon's data directory and counts, per job
+// of the batch, what a restart must redo. A job is satisfied when its
+// manifest records it done under its fingerprint and its artifact file
+// exists (the restart skips it); it has landed when its cache entry reads
+// back intact (the restart restores it). fresh counts the jobs that are
+// neither: exactly the ones the restart simulates. doneNotLanded counts
+// the jobs the manifest calls done whose cache entry was still pending
+// when the kill came.
+func restartWork(t *testing.T, data, id string) (fresh, landed, doneNotLanded int) {
 	t.Helper()
-	cache := &runner.Cache{Dir: dir, Warn: func(runner.CorruptionEvent) {}}
-	n := 0
-	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil
-			}
-			return err
-		}
-		if e.IsDir() && e.Name() == runner.CorruptDirName {
-			return fs.SkipDir
-		}
-		fp, ok := strings.CutSuffix(e.Name(), ".json")
-		if !e.IsDir() && ok {
-			if _, hit := cache.Get(fp); hit {
-				n++
-			}
-		}
-		return nil
-	})
+	dir := filepath.Join(data, "batches", id)
+	raw, err := os.ReadFile(filepath.Join(dir, "batch.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n
+	var rec struct {
+		Jobs []struct {
+			Name        string                  `json:"name"`
+			Spec        scenario.PopulationSpec `json:"spec"`
+			DurationSec float64                 `json:"duration_sec"`
+		} `json:"jobs"`
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Jobs) != crashJobs {
+		t.Fatalf("batch record lists %d jobs, want %d", len(rec.Jobs), crashJobs)
+	}
+	cache := &runner.Cache{Dir: filepath.Join(data, "cache"), Warn: func(runner.CorruptionEvent) {}}
+	man := runner.LoadManifest(filepath.Join(dir, "manifest.json"))
+	for _, j := range rec.Jobs {
+		spec := j.Spec
+		if j.DurationSec > 0 {
+			spec.Duration = time.Duration(j.DurationSec * float64(time.Second))
+		}
+		fp := cache.Fingerprint(spec.Key())
+		done := man.Done(j.Name, fp)
+		_, statErr := os.Stat(filepath.Join(dir, "artifacts", j.Name+".txt"))
+		_, hit := cache.Get(fp)
+		if hit {
+			landed++
+		} else if done {
+			doneNotLanded++
+		}
+		if !(done && statErr == nil) && !hit {
+			fresh++
+		}
+	}
+	return fresh, landed, doneNotLanded
 }
 
 // TestCrashRestartConverges is the daemon's crash-consistency harness: a
 // batch whose daemon is SIGKILLed after its k-th job event (k drawn from
 // a seed), or right after batch-done, must complete after a restart on
 // the same data directory with artifacts byte-identical to an
-// uninterrupted run, re-simulating only the jobs whose cache entries had
-// not landed before the kill.
+// uninterrupted run, re-simulating exactly the jobs that were neither
+// satisfied in the batch tree nor landed in the cache at the kill. Cache
+// writes are write-behind, so a job can be done in the manifest, with its
+// artifact written, before its cache entry lands.
 func TestCrashRestartConverges(t *testing.T) {
 	ref := startDaemon(t, t.TempDir())
 	want := ref.finish(ref.submit())
@@ -276,8 +299,9 @@ func TestCrashRestartConverges(t *testing.T) {
 				return p.stop(jobEvents, ev)
 			})
 			d.kill()
-			landed := landedEntries(t, filepath.Join(data, "cache"))
-			t.Logf("killed after %d job events; %d of %d cache entries had landed", jobEvents, landed, crashJobs)
+			fresh, landed, doneNotLanded := restartWork(t, data, id)
+			t.Logf("killed after %d job events; %d of %d cache entries had landed; %d jobs done but not landed",
+				jobEvents, landed, crashJobs, doneNotLanded)
 
 			re := startDaemon(t, data)
 			got := re.finish(id)
@@ -295,8 +319,8 @@ func TestCrashRestartConverges(t *testing.T) {
 					t.Errorf("artifact %s differs from the uninterrupted run", name)
 				}
 			}
-			if fresh := int64(crashJobs - landed); q.Stats.Executed != fresh {
-				t.Errorf("restart executed %d jobs, want %d (the jobs whose cache entries had not landed)",
+			if q.Stats.Executed != int64(fresh) {
+				t.Errorf("restart executed %d jobs, want %d (the jobs neither satisfied in the batch tree nor landed in the cache)",
 					q.Stats.Executed, fresh)
 			}
 			raw, err := os.ReadFile(filepath.Join(data, "batches", id, "manifest.json"))

@@ -1,12 +1,14 @@
 package runner
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 )
 
@@ -27,6 +29,11 @@ const CorruptDirName = "corrupt"
 // re-runs the job and the fresh Put heals the cache. A schema-version
 // mismatch is not corruption (it is a deliberate invalidation) and reads
 // as a plain miss.
+//
+// Writes are write-behind (see Put): an entry is served from memory until
+// its write lands, so a job's result moves on without waiting for two
+// fsyncs. Read the directory itself only after Flush, or after Pool.Run
+// returns. The zero value with Dir set is ready to use.
 type Cache struct {
 	// Dir is the cache root; it is created on first Put.
 	Dir string
@@ -40,6 +47,28 @@ type Cache struct {
 	Warn func(CorruptionEvent)
 
 	corrupt atomic.Int64
+
+	// beforeRename, when non-nil, runs in a write after its temp file is
+	// complete and synced, just before the rename; tests set it to hold a
+	// write in flight.
+	beforeRename func(fp, tmp string)
+
+	mu      sync.Mutex
+	pending map[string]*pendingPut // by fingerprint: entries whose write has not finished; built on first Put
+	landed  *sync.Cond             // broadcast whenever a pending entry retires; built with pending
+	err     error                  // first write error since the last Flush
+}
+
+// maxPendingWrites bounds the fingerprints a Cache holds pending at once,
+// and so its write goroutines and the memory behind them.
+const maxPendingWrites = 16
+
+// pendingPut is the newest artifact Put for one fingerprint whose write
+// has not finished; gen counts the Puts that replaced it.
+type pendingPut struct {
+	key      Key
+	artifact []byte
+	gen      uint64
 }
 
 // CorruptionEvent describes one quarantined cache entry.
@@ -85,12 +114,20 @@ func (c *Cache) path(fp string) string {
 // value since creation.
 func (c *Cache) CorruptCount() int64 { return c.corrupt.Load() }
 
-// Get returns the cached artifact for the fingerprint. A missing file or
-// a schema mismatch is a plain miss. A defective entry — undecodable
-// envelope or checksum-mismatched artifact — is quarantined (see the
-// type comment) and also reads as a miss: the caller re-runs the job and
-// the fresh Put overwrites the address.
+// Get returns the cached artifact for the fingerprint: the pending
+// artifact while its write is in flight, else the entry on disk. A
+// missing file or a schema mismatch is a plain miss. A defective entry —
+// undecodable envelope or checksum-mismatched artifact — is quarantined
+// (see the type comment) and also reads as a miss: the caller re-runs
+// the job and the fresh Put overwrites the address.
 func (c *Cache) Get(fp string) ([]byte, bool) {
+	c.mu.Lock()
+	if p, ok := c.pending[fp]; ok {
+		art := bytes.Clone(p.artifact)
+		c.mu.Unlock()
+		return art, true
+	}
+	c.mu.Unlock()
 	data, err := os.ReadFile(c.path(fp))
 	if err != nil {
 		return nil, false
@@ -135,14 +172,103 @@ func (c *Cache) quarantine(fp, reason string) {
 	fmt.Fprintf(os.Stderr, "runner: cache entry quarantined: %s\n", line)
 }
 
-// Put stores the artifact under the fingerprint: write to a temp file,
-// fsync it, rename into place, then fsync the directory. The rename makes
-// a concurrent reader see either the old entry or the complete new one;
-// the two fsyncs make the same guarantee hold across a power cut or a
-// killed daemon — without them a crash shortly after Put could surface a
-// renamed-but-empty file, which the quarantine path would then eat on
-// restart as corruption that never really happened.
+// Put stores the artifact under the fingerprint. It is write-behind: the
+// artifact is held in memory as pending, Get answers it from there, and
+// the write runs on a goroutine of its own. Put returns once the entry is
+// pending, so its error is always nil; a failed write surfaces at Flush.
+// Put keeps its own copy of artifact.
+//
+// At most maxPendingWrites fingerprints are pending at once; a Put of a
+// new fingerprint past that bound blocks until a write finishes, so a
+// stalled disk stalls the caller as a synchronous write would. A Put of a
+// fingerprint already pending replaces the pending artifact without
+// blocking, and the write in flight for it then writes again, so the
+// entry that lands is always the one from the last Put.
+//
+// The write itself is write-to-temp, fsync, rename into place, fsync the
+// directory. The rename makes a concurrent reader see either the old
+// entry or the complete new one; the two fsyncs make the same guarantee
+// hold across a power cut or a killed daemon — without them a crash
+// shortly after the rename could surface a renamed-but-empty file, which
+// the quarantine path would then eat on restart as corruption that never
+// really happened. A kill loses at most the pending entries, and each of
+// them reads as a plain miss.
 func (c *Cache) Put(fp string, key Key, artifact []byte) error {
+	art := bytes.Clone(artifact)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		if p := c.pending[fp]; p != nil {
+			// The write in flight for fp lands this artifact next.
+			p.key, p.artifact = key, art
+			p.gen++
+			return nil
+		}
+		if len(c.pending) < maxPendingWrites {
+			break
+		}
+		c.landed.Wait()
+	}
+	if c.pending == nil {
+		c.pending = map[string]*pendingPut{}
+		c.landed = sync.NewCond(&c.mu)
+	}
+	p := &pendingPut{key: key, artifact: art}
+	c.pending[fp] = p
+	go c.land(fp, p)
+	return nil
+}
+
+// Flush waits until no write is pending and returns the first write
+// error since the previous Flush (nil when every write landed).
+func (c *Cache) Flush() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.settleLocked()
+	err := c.err
+	c.err = nil
+	return err
+}
+
+// settle waits until no write is pending, leaving any write error for
+// the cache owner's Flush.
+func (c *Cache) settle() {
+	c.mu.Lock()
+	c.settleLocked()
+	c.mu.Unlock()
+}
+
+func (c *Cache) settleLocked() {
+	for len(c.pending) > 0 {
+		c.landed.Wait()
+	}
+}
+
+// land writes a pending entry, writes it again for as long as a newer Put
+// replaced it during the write, then retires it. Writes of one
+// fingerprint therefore never overlap, and the last Put's lands last.
+func (c *Cache) land(fp string, p *pendingPut) {
+	c.mu.Lock()
+	for {
+		gen, key, art := p.gen, p.key, p.artifact
+		c.mu.Unlock()
+		err := c.write(fp, key, art)
+		c.mu.Lock()
+		if err != nil && c.err == nil {
+			c.err = err
+		}
+		if p.gen == gen {
+			break
+		}
+	}
+	delete(c.pending, fp)
+	c.landed.Broadcast()
+	c.mu.Unlock()
+}
+
+// write lands one entry on disk: encode, temp file, fsync, rename,
+// directory fsync.
+func (c *Cache) write(fp string, key Key, artifact []byte) error {
 	sum := sha256.Sum256(artifact)
 	e := entry{
 		Schema:   c.schema(),
@@ -175,6 +301,9 @@ func (c *Cache) Put(fp string, key Key, artifact []byte) error {
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
 		return err
+	}
+	if c.beforeRename != nil {
+		c.beforeRename(fp, tmp.Name())
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())

@@ -2,9 +2,17 @@ package runner
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // TestCacheHitMiss covers the basic contract: a miss before Put, a
@@ -22,6 +30,9 @@ func TestCacheHitMiss(t *testing.T) {
 	art := []byte(`{"rows":[1,2,3]}`)
 	if err := c.Put(fp1, k1, art); err != nil {
 		t.Fatalf("Put: %v", err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 	got, ok := c.Get(fp1)
 	if !ok || !bytes.Equal(got, art) {
@@ -46,6 +57,9 @@ func TestCacheSchemaBump(t *testing.T) {
 	if err := v1.Put(v1.Fingerprint(k), k, oldArt); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
+	if err := v1.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
 	if _, ok := v2.Get(v2.Fingerprint(k)); ok {
 		t.Fatalf("schema-2 cache hit a schema-1 entry")
 	}
@@ -58,6 +72,9 @@ func TestCacheSchemaBump(t *testing.T) {
 	newArt := []byte("schema-2 artifact")
 	if err := v2.Put(v2.Fingerprint(k), k, newArt); err != nil {
 		t.Fatalf("Put under schema 2: %v", err)
+	}
+	if err := v2.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 	if got, ok := v2.Get(v2.Fingerprint(k)); !ok || !bytes.Equal(got, newArt) {
 		t.Fatalf("schema-2 Get = %q, %v; want %q, true", got, ok, newArt)
@@ -108,6 +125,9 @@ func TestCacheCorruption(t *testing.T) {
 			if err := c.Put(fp, k, art); err != nil {
 				t.Fatalf("Put: %v", err)
 			}
+			if err := c.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
 			if err := tc.mangle(filepath.Join(c.Dir, fp[:2], fp+".json")); err != nil {
 				t.Fatalf("mangle: %v", err)
 			}
@@ -118,9 +138,223 @@ func TestCacheCorruption(t *testing.T) {
 			if err := c.Put(fp, k, art); err != nil {
 				t.Fatalf("re-Put over corrupted entry: %v", err)
 			}
+			if err := c.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
 			if got, ok := c.Get(fp); !ok || !bytes.Equal(got, art) {
 				t.Fatalf("cache did not heal: %q, %v", got, ok)
 			}
 		})
+	}
+}
+
+// heldWrites installs the cache's before-rename hook so every write
+// parks, complete and synced but not yet renamed, until released. Each
+// parked write reports its fingerprint and temp path on held; send on
+// release to let one write finish, close it to let all of them through.
+type heldWrites struct {
+	held    chan [2]string
+	release chan struct{}
+}
+
+func holdWrites(c *Cache) *heldWrites {
+	// held is buffered past every write a test parks, so the hook never
+	// blocks on reporting, only on release.
+	h := &heldWrites{held: make(chan [2]string, 4*maxPendingWrites), release: make(chan struct{})}
+	c.beforeRename = func(fp, tmp string) {
+		h.held <- [2]string{fp, tmp}
+		<-h.release
+	}
+	return h
+}
+
+// next waits for the next write to park and returns its fingerprint and
+// temp path.
+func (h *heldWrites) next(t *testing.T) (string, string) {
+	t.Helper()
+	select {
+	case w := <-h.held:
+		return w[0], w[1]
+	case <-time.After(10 * time.Second):
+		t.Fatal("no write reached the rename")
+		return "", ""
+	}
+}
+
+// TestCacheWriteBehind: a job's result moves on while its cache write is
+// still in flight. Execute returns and Get hits from memory; on disk the
+// final name does not exist yet and the temp file already holds the whole
+// synced entry; once released and flushed, a fresh Cache reads it.
+func TestCacheWriteBehind(t *testing.T) {
+	c := &Cache{Dir: t.TempDir()}
+	h := holdWrites(c)
+	pool := &Pool{Cache: c}
+	art := []byte("artifact computed once")
+	job := Job{ID: "j", Key: referenceKey(), Run: func(context.Context) ([]byte, error) { return art, nil }}
+
+	res := pool.Execute(context.Background(), Exec{Job: job})
+	if res.Err != nil || !bytes.Equal(res.Artifact, art) {
+		t.Fatalf("Execute: %+v", res)
+	}
+	fp, tmp := h.next(t)
+	if fp != c.Fingerprint(job.Key) {
+		t.Fatalf("held write is for %s, want %s", fp, c.Fingerprint(job.Key))
+	}
+	if got, ok := c.Get(fp); !ok || !bytes.Equal(got, art) {
+		t.Fatalf("Get during the write = %q, %v; want the pending artifact", got, ok)
+	}
+	if _, err := os.Stat(c.path(fp)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("final path exists before the rename (%v)", err)
+	}
+	data, err := os.ReadFile(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e entry
+	if err := json.Unmarshal(data, &e); err != nil || !bytes.Equal(e.Artifact, art) {
+		t.Fatalf("temp file is not the complete entry (%v): %q", err, data)
+	}
+	if sum := sha256.Sum256(e.Artifact); hex.EncodeToString(sum[:]) != e.Sum {
+		t.Fatal("temp file's checksum does not match its artifact")
+	}
+
+	close(h.release)
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if got, ok := (&Cache{Dir: c.Dir}).Get(fp); !ok || !bytes.Equal(got, art) {
+		t.Fatalf("fresh cache after Flush = %q, %v; want the landed entry", got, ok)
+	}
+}
+
+// TestCachePutBound: with maxPendingWrites writes parked, one more Put of
+// a new fingerprint blocks until a write finishes.
+func TestCachePutBound(t *testing.T) {
+	c := &Cache{Dir: t.TempDir()}
+	h := holdWrites(c)
+	put := func(i int) {
+		k := referenceKey()
+		k.Seed = int64(100 + i)
+		if err := c.Put(c.Fingerprint(k), k, []byte(fmt.Sprint(i))); err != nil {
+			t.Errorf("Put %d: %v", i, err)
+		}
+	}
+	for i := 0; i < maxPendingWrites; i++ {
+		put(i)
+	}
+	for i := 0; i < maxPendingWrites; i++ {
+		h.next(t)
+	}
+	returned := make(chan struct{})
+	go func() {
+		put(maxPendingWrites)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+		t.Fatalf("Put number %d returned with %d writes in flight", maxPendingWrites+1, maxPendingWrites)
+	case <-time.After(100 * time.Millisecond):
+	}
+	h.release <- struct{}{}
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Put stayed blocked after a write finished")
+	}
+	close(h.release)
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+}
+
+// TestCachePutOrdered: a second Put of a fingerprint whose first write is
+// still in flight is the entry that lands.
+func TestCachePutOrdered(t *testing.T) {
+	c := &Cache{Dir: t.TempDir()}
+	h := holdWrites(c)
+	k := referenceKey()
+	fp := c.Fingerprint(k)
+	if err := c.Put(fp, k, []byte("A")); err != nil {
+		t.Fatal(err)
+	}
+	h.next(t) // A's write is parked before its rename
+	if err := c.Put(fp, k, []byte("B")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Get(fp); !ok || string(got) != "B" {
+		t.Fatalf("Get after the second Put = %q, %v; want B", got, ok)
+	}
+	close(h.release)
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if got, ok := (&Cache{Dir: c.Dir}).Get(fp); !ok || string(got) != "B" {
+		t.Fatalf("landed entry = %q, %v; want B", got, ok)
+	}
+}
+
+// TestCacheConcurrentStress: Put, Get and Flush from many goroutines at
+// once (run it under -race). A hit always carries an artifact put for
+// that fingerprint, and after the last Flush every fingerprint holds the
+// last artifact its owner put.
+func TestCacheConcurrentStress(t *testing.T) {
+	c := &Cache{Dir: t.TempDir()}
+	const owners, keysEach, rounds = 4, 6, 3
+	fps := make([][]string, owners)
+	keys := make([][]Key, owners)
+	for o := range fps {
+		for i := 0; i < keysEach; i++ {
+			k := referenceKey()
+			k.Scenario = fmt.Sprintf("owner%d", o)
+			k.Seed = int64(i)
+			keys[o] = append(keys[o], k)
+			fps[o] = append(fps[o], c.Fingerprint(k))
+		}
+	}
+	errs := make(chan error, owners) // an owner stops at its first error
+	done := make(chan struct{})
+	for o := 0; o < owners; o++ {
+		go func(o int) {
+			defer func() { done <- struct{}{} }()
+			for r := 0; r < rounds; r++ {
+				for i, fp := range fps[o] {
+					if err := c.Put(fp, keys[o][i], []byte(fmt.Sprintf("%s/%d", fp, r))); err != nil {
+						errs <- err
+						return
+					}
+					// Read a neighbour's fingerprint too.
+					other := fps[(o+1)%owners][i]
+					if got, ok := c.Get(other); ok && !bytes.HasPrefix(got, []byte(other+"/")) {
+						errs <- fmt.Errorf("Get(%s) returned %q", other, got)
+						return
+					}
+				}
+				if r == 1 {
+					if err := c.Flush(); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}(o)
+	}
+	for o := 0; o < owners; o++ {
+		<-done
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	fresh := &Cache{Dir: c.Dir}
+	for o := range fps {
+		for _, fp := range fps[o] {
+			want := fmt.Sprintf("%s/%d", fp, rounds-1)
+			if got, ok := fresh.Get(fp); !ok || string(got) != want {
+				t.Errorf("%s landed as %q, %v; want %q", fp, got, ok, want)
+			}
+		}
 	}
 }

@@ -179,6 +179,9 @@ func TestCorruptCache(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if err := cache.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		in := New(spec)
 		n, err := in.CorruptCache(dir)
 		if err != nil || n != 2 {

@@ -46,6 +46,9 @@ func TestExecuteSharedPool(t *testing.T) {
 	if !man.Done("shared-a", fp) {
 		t.Fatalf("manifest does not record the execution")
 	}
+	if err := pool.Cache.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
 
 	// A second execution — as after a daemon restart — restores from the
 	// shared cache without re-running the body.
@@ -126,6 +129,9 @@ func TestExecuteConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	if err := pool.Cache.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("execution %d: %v", i, err)

@@ -131,6 +131,9 @@ func FuzzCacheEntry(f *testing.F) {
 		if err := c.Put(fp, key, []byte("fresh")); err != nil {
 			t.Fatalf("Put after fuzzed Get: %v", err)
 		}
+		if err := c.Flush(); err != nil {
+			t.Fatalf("Flush after fuzzed Get: %v", err)
+		}
 		if art, ok := c.Get(fp); !ok || string(art) != "fresh" {
 			t.Errorf("cache not healed by Put: ok=%v art=%q", ok, art)
 		}

@@ -297,6 +297,8 @@ func (p *Pool) emit(ev ProgressEvent) {
 // on for byte-identical parallel output. Duplicate job IDs are a
 // programming error and panic. Cancelling ctx stops the batch: running
 // jobs are cancelled and unstarted jobs report a cancellation RunError.
+// Run returns once every cache write it started has landed; a write error
+// stays with the cache for its owner's Cache.Flush.
 func (p *Pool) Run(ctx context.Context, jobs []Job) []JobResult {
 	seen := make(map[string]bool, len(jobs))
 	for _, j := range jobs {
@@ -327,6 +329,9 @@ func (p *Pool) Run(ctx context.Context, jobs []Job) []JobResult {
 	}
 	close(idx)
 	wg.Wait()
+	if p.Cache != nil {
+		p.Cache.settle()
+	}
 	return results
 }
 
@@ -337,7 +342,9 @@ func (p *Pool) Run(ctx context.Context, jobs []Job) []JobResult {
 // concurrently from many goroutines, and routes its progress events and
 // manifest records to the Exec's own sinks instead of the pool's. The
 // caller bounds concurrency itself (the pool's Jobs field only sizes
-// Run's worker set).
+// Run's worker set). The job's cache entry may still be pending when
+// Execute returns; the pool's owner calls Cache.Flush before reading the
+// cache directory or exiting.
 func (p *Pool) Execute(ctx context.Context, ex Exec) JobResult {
 	env := execEnv{emit: func(ev ProgressEvent) {
 		if ex.Progress != nil {
@@ -395,8 +402,9 @@ func (p *Pool) runOne(ctx context.Context, job Job, env execEnv) JobResult {
 		if rerr == nil {
 			p.executed.Add(1)
 			if fp != "" {
-				// Best-effort: a full or read-only cache dir degrades warm
-				// re-runs (the job re-simulates next time), not this batch.
+				// Write-behind: a full or read-only cache dir degrades warm
+				// re-runs (the job re-simulates next time), not this batch;
+				// the write error surfaces at Cache.Flush.
 				_ = p.Cache.Put(fp, job.Key, art)
 			}
 			env.record(job.ID, fp, StatusDone, nil, attempt, history)

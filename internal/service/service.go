@@ -595,7 +595,8 @@ func (s *Server) activeBatches() int {
 // Drain shuts the server down cleanly: admission stops (503), queued jobs
 // are discarded (their manifests resume them next start), and running
 // jobs get DrainGrace to finish before their contexts are cancelled.
-// Blocks until every worker has exited.
+// Blocks until every worker has exited and the cache's pending writes
+// have landed (a failed write is logged once).
 func (s *Server) Drain() {
 	s.mu.Lock()
 	if s.draining {
@@ -625,5 +626,8 @@ func (s *Server) Drain() {
 		<-done
 	}
 	s.rootCancel()
+	if err := s.pool.Cache.Flush(); err != nil {
+		s.logf("service: cache writes failed (later runs re-simulate those jobs): %v", err)
+	}
 	s.logf("service: drained")
 }

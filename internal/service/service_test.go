@@ -591,6 +591,81 @@ func TestServiceChaosBatch(t *testing.T) {
 	}
 }
 
+// TestServiceUnwritableCache: a cache directory that cannot be created
+// (its path runs through a regular file, so every write fails with
+// ENOTDIR) costs warm restores, never results. The batch finishes with
+// byte-correct artifacts, a resubmission re-simulates instead of
+// wedging, and Drain reports the failed writes in one log line.
+func TestServiceUnwritableCache(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "cache"), []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logs []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	s, ts := newTestServer(t, Config{DataDir: dir, Workers: 2, Logf: logf}, true)
+	body := `{"jobs":[` + testJobJSON("a", 61) + `,` + testJobJSON("b", 62) + `]}`
+	seeds := map[string]int64{"a": 61, "b": 62}
+
+	for round := 1; round <= 2; round++ {
+		code, out, _ := postBatch(t, ts.URL, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("round %d submit: %d %v", round, code, out)
+		}
+		id := out["id"].(string)
+		if st := waitBatch(t, s, id); st.State != StateDone {
+			t.Fatalf("round %d batch ended %+v, want done", round, st)
+		}
+		b, _ := s.Batch(id)
+		for name, seed := range seeds {
+			want, err := testSpec(seed).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(b.artifactPath(name))
+			if err != nil || string(got) != want.Render() {
+				t.Fatalf("round %d artifact %s is not the CLI rendering (%v)", round, name, err)
+			}
+		}
+		// The failed writes retire their pending entries; only then is a
+		// resubmission sure to find nothing to restore.
+		for _, seed := range seeds {
+			fp := s.pool.Cache.Fingerprint(testSpec(seed).Key())
+			deadline := time.Now().Add(10 * time.Second)
+			for _, hit := s.pool.Cache.Get(fp); hit; _, hit = s.pool.Cache.Get(fp) {
+				if time.Now().After(deadline) {
+					t.Fatalf("entry %s still served after its write failed", fp)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	if st := s.pool.Stats(); st.Executed != 4 || st.CacheHits != 0 {
+		t.Fatalf("executed %d, cache hits %d; want every job of both rounds simulated", st.Executed, st.CacheHits)
+	}
+
+	s.Drain()
+	mu.Lock()
+	defer mu.Unlock()
+	reported := 0
+	for _, line := range logs {
+		if strings.Contains(line, "cache writes failed") {
+			reported++
+			if !strings.Contains(line, "not a directory") {
+				t.Errorf("cache failure line does not carry the write error: %s", line)
+			}
+		}
+	}
+	if reported != 1 {
+		t.Fatalf("Drain logged the cache failure %d times, want once; log:\n%s", reported, strings.Join(logs, "\n"))
+	}
+}
+
 // TestServiceDrainRejects: a draining daemon answers 503 on submission
 // and on health checks.
 func TestServiceDrainRejects(t *testing.T) {
