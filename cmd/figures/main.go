@@ -265,8 +265,8 @@ func sectionJobs(secs []batchSection, filter map[string]bool) []runner.Job {
 }
 
 // collectErrors gathers the batch's failures into the errors.json
-// manifest, preserving the old guard.Section contract: an explicit empty
-// list distinguishes "clean" from "never ran".
+// manifest. A clean batch still writes one: an explicit empty list
+// distinguishes "clean" from "never ran".
 func collectErrors(results []runner.JobResult) guard.Manifest {
 	var man guard.Manifest
 	for _, res := range results {

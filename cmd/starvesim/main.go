@@ -49,22 +49,26 @@
 // exits 2 with the same message a local run would.
 //
 // -guard enables the run-guard layer (stall watchdog, conservation
-// checks); -deadline adds a wall-clock budget per run. -faults injects
-// path impairments in freeform (-cca) mode, e.g.
+// checks). -faults injects path impairments in freeform (-cca) mode, e.g.
 //
 //	starvesim -cca allegro -cca2 allegro -faults "ge:0.008,0.2,0.5;flap:5s,200ms"
 //
-// An interrupt (SIGINT or SIGTERM) cancels the run context: the event
-// loop halts at the next tick, the trace/metrics/telemetry exporters
-// flush what the truncated run produced, and the command exits 3.
+// -deadline bounds the wall-clock time of the whole invocation — one run,
+// or every run of -scenario all or -sweep together — as a deadline on the
+// command's context. An interrupt (SIGINT or SIGTERM) cancels the same
+// context. Either way the event loop halts at its next context poll, the
+// trace/metrics/telemetry exporters flush what the truncated run
+// produced, and one line on standard error says which of the two stopped
+// it.
 //
-// Exit status: 0 on success, 1 on runtime failure (unknown scenario,
-// guard deadline), 2 on a malformed configuration, 3 after an interrupt
-// with a clean drain.
+// Exit status: 0 on success, 1 on runtime failure (unknown scenario, a
+// guard violation, an expired -deadline), 2 on a malformed configuration,
+// 3 after an interrupt with a clean drain.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -100,7 +104,7 @@ func main() {
 		watchEvery  = flag.Duration("watch", 0, "render a live telemetry view to stderr every interval, e.g. -watch 1s (implies -telemetry; flushes -trace periodically)")
 
 		guardOn  = flag.Bool("guard", false, "enable the run-guard layer (stall watchdog, conservation checks)")
-		deadline = flag.Duration("deadline", 0, "wall-clock budget per run; exceeding it halts the run (implies -guard)")
+		deadline = flag.Duration("deadline", 0, "wall-clock budget for the whole invocation; exceeding it halts every run, flushes outputs and exits 1")
 
 		jobsN  = flag.Int("jobs", 0, "parallel workers for -scenario all and -sweep (0 = GOMAXPROCS)")
 		sweepN = flag.Int("sweep", 0, "run the scenario across this many consecutive seeds, one observables line per seed")
@@ -135,10 +139,16 @@ func main() {
 	stopProfiles = stop
 	defer stopProfiles()
 
-	// An interrupt cancels this context; every mode threads it into its
-	// run so the event loop halts at the next tick and exporters flush.
+	// An interrupt cancels this context and -deadline expires it; every
+	// mode threads it into its runs so the event loop halts at the next
+	// poll and exporters flush.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
+	if *deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *deadline)
+		defer cancel()
+	}
 
 	observing := *tracePath != "" || *metricsPath != "" || *watchEvery > 0
 	if observing && *name == "all" {
@@ -174,7 +184,10 @@ func main() {
 		runProbe = watch.sync
 	}
 
-	guardOpts := guardOptions(*guardOn, *deadline)
+	var guardOpts *guard.Options
+	if *guardOn {
+		guardOpts = &guard.Options{}
+	}
 	if *fspec != "" && *cca1 == "" {
 		usagef("starvesim: -faults applies to freeform (-cca) mode; scenarios define their own impairments")
 	}
@@ -265,10 +278,11 @@ func main() {
 // finishRun closes the run's observers in order — live view first (its
 // final state line), then the sink (surfacing any export failure as a
 // structured guard.KindExport RunError) — and exits non-zero on export or
-// guard failure. An interrupted run exits 3 after the drain: the
-// exporters flushed what the truncated run produced, and the interrupt —
-// not whatever the halted simulation looks like to the guard — is the
-// outcome callers should see.
+// guard failure. A run the context stopped exits after the drain with
+// stopped's status: the exporters flushed what the truncated run
+// produced, and the interrupt or expired -deadline — not whatever the
+// halted simulation looks like to the guard — is the outcome callers
+// should see.
 func finishRun(ctx context.Context, sink *obsSink, watch *watcher, res *network.Result, name string, seed int64) {
 	if watch != nil {
 		watch.halt()
@@ -278,10 +292,10 @@ func finishRun(ctx context.Context, sink *obsSink, watch *watcher, res *network.
 		fmt.Fprintln(os.Stderr, rerr.Error())
 		code = 1
 	}
-	if ctx != nil && ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "starvesim: interrupted; partial outputs flushed")
+	if why, c := stopped(ctx); c != 0 {
+		fmt.Fprintf(os.Stderr, "starvesim: %s; partial outputs flushed\n", why)
 		stopProfiles()
-		os.Exit(3)
+		os.Exit(c)
 	}
 	if guardFailed(res) {
 		fmt.Fprintln(os.Stderr, res.Guard.String())
@@ -295,8 +309,8 @@ func finishRun(ctx context.Context, sink *obsSink, watch *watcher, res *network.
 
 // runAll executes every registered scenario, -jobs at a time, and prints
 // the reports in sorted scenario order regardless of completion order.
-// It exits the process with 1 when any guarded run failed, 3 when the
-// batch was interrupted.
+// It exits the process with 1 when any guarded run failed, otherwise
+// with stopped's status when the context cut the batch short.
 func runAll(ctx context.Context, jobs int, opts scenario.Opts) {
 	names := scenario.Names()
 	outputs := make([]string, len(names))
@@ -321,9 +335,9 @@ func runAll(ctx context.Context, jobs int, opts scenario.Opts) {
 			code = 1
 		}
 	}
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "starvesim: interrupted; completed scenarios printed")
-		code = 3
+	if why, c := stopped(ctx); c != 0 {
+		fmt.Fprintf(os.Stderr, "starvesim: %s; completed scenarios printed\n", why)
+		code = c
 	}
 	stopProfiles()
 	os.Exit(code)
@@ -342,10 +356,10 @@ func runSweep(ctx context.Context, name string, baseSeed int64, n, jobs int, dur
 	results, err := scenario.SeedSweep(ctx, name, seeds, jobs,
 		scenario.Opts{Duration: duration, Guard: guardOpts})
 	if err != nil {
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "starvesim: interrupted")
+		if why, code := stopped(ctx); code != 0 {
+			fmt.Fprintf(os.Stderr, "starvesim: %s\n", why)
 			stopProfiles()
-			os.Exit(3)
+			os.Exit(code)
 		}
 		fatalf("starvesim: %v", err)
 	}
@@ -354,7 +368,7 @@ func runSweep(ctx context.Context, name string, baseSeed int64, n, jobs int, dur
 	for i, res := range results {
 		fmt.Printf("  seed %d: %s\n", seeds[i], observablesLine(res))
 		if guardFailed(res.Net) {
-			fmt.Print(res.Net.Guard.String())
+			fmt.Println(res.Net.Guard.String())
 			code = 1
 		}
 	}
@@ -385,13 +399,18 @@ func run(name string, opts scenario.Opts) *network.Result {
 	return res.Net
 }
 
-// guardOptions builds the run-guard configuration from the CLI flags; nil
-// when the layer is disabled.
-func guardOptions(on bool, deadline time.Duration) *guard.Options {
-	if !on && deadline <= 0 {
-		return nil
+// stopped reports whether ctx cut the runs short, and how: the phrase for
+// standard error and the exit status — 1 when the -deadline budget ran
+// out, 3 after an interrupt. A live context returns code 0.
+func stopped(ctx context.Context) (why string, code int) {
+	switch err := ctx.Err(); {
+	case err == nil:
+		return "", 0
+	case errors.Is(err, context.DeadlineExceeded):
+		return "-deadline exceeded", 1
+	default:
+		return "interrupted", 3
 	}
-	return &guard.Options{WallClock: deadline}
 }
 
 func guardFailed(res *network.Result) bool {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -43,9 +45,10 @@ func starvesim(t *testing.T, args ...string) (code int, stdout, stderr string) {
 }
 
 // TestExitStatus pins the contract of the package comment: 0 on success,
-// 1 on a runtime failure, 2 on a malformed configuration — for a bad
-// population spec with exactly the message the experiment service returns
-// as HTTP 400.
+// 1 on a runtime failure — an expired -deadline among them, whether it
+// cuts one run or a batch short — 2 on a malformed configuration — for a
+// bad population spec with exactly the message the experiment service
+// returns as HTTP 400.
 func TestExitStatus(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "ev.jsonl")
 	badSpec := scenario.PopulationSpec{Flows: "nosuchcca*2"}.Validate().Error()
@@ -66,6 +69,10 @@ func TestExitStatus(t *testing.T) {
 			"starvesim: -trace/-metrics/-watch/-telemetry/-guard observe local runs; they cannot attach to -server\n"},
 		{[]string{"-scenario", "quickstart-vegas", "-sweep", "2", "-duration", "1s", "-telemetry"}, 2,
 			"starvesim: -trace/-metrics/-watch/-telemetry observe one run; they cannot attach to a -sweep\n"},
+		{[]string{"-cca", "vegas", "-duration", "600s", "-deadline", "1ms"}, 1,
+			"starvesim: -deadline exceeded; partial outputs flushed\n"},
+		{[]string{"-scenario", "all", "-duration", "60s", "-deadline", "1ms"}, 1,
+			"starvesim: -deadline exceeded; completed scenarios printed\n"},
 	} {
 		if code, _, errOut := starvesim(t, tc.args...); code != tc.code || !strings.Contains(errOut, tc.stderr) {
 			t.Errorf("starvesim %v: exit %d, stderr %q; want %d, %q", tc.args, code, errOut, tc.code, tc.stderr)
@@ -73,6 +80,42 @@ func TestExitStatus(t *testing.T) {
 	}
 	if _, err := os.Stat(tracePath); !os.IsNotExist(err) {
 		t.Errorf("refused -trace run left a trace file behind (stat: %v)", err)
+	}
+}
+
+// TestInterruptExitStatus pins exit 3: SIGINT mid-run halts the event
+// loop, flushes the exporters and exits 3 — not 1, which an expired
+// -deadline owns.
+func TestInterruptExitStatus(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-cca", "vegas", "-duration", "3600s", "-watch", "10ms")
+	cmd.Env = append(os.Environ(), cliEnv+"=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(stderr)
+	// The first live-view line means the run is under way with the
+	// interrupt handler installed.
+	if _, err := r.ReadString('\n'); err != nil {
+		_ = cmd.Process.Kill()
+		t.Fatalf("no live-view line before the run ended: %v", err)
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := io.ReadAll(r)
+	code := 0
+	var exit *exec.ExitError
+	if err := cmd.Wait(); errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	if want := "starvesim: interrupted; partial outputs flushed\n"; code != 3 || !strings.Contains(string(rest), want) {
+		t.Errorf("interrupted run: exit %d, stderr tail %q; want 3, %q", code, rest, want)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
-	"time"
 )
 
 // ErrKind classifies a RunError.
@@ -48,18 +47,13 @@ func (k ErrKind) Retryable() bool {
 }
 
 // RunError is the structured failure of one scenario run: enough context
-// (scenario ID, seed, last observed event) to reproduce the failure
-// offline, in a form a batch driver can serialize and skip past.
+// (scenario ID, seed) to reproduce the failure offline, in a form a batch
+// driver can serialize and skip past.
 type RunError struct {
 	Scenario string  `json:"scenario"`
 	Seed     int64   `json:"seed,omitempty"`
 	Kind     ErrKind `json:"kind"`
 	Msg      string  `json:"msg"`
-	// At is the virtual time of the last observation before failure.
-	At time.Duration `json:"at_ns,omitempty"`
-	// LastEvent describes the last probe event before the failure, when a
-	// Monitor was watching the run.
-	LastEvent string `json:"last_event,omitempty"`
 	// Stack is the panic stack trace, when Kind is KindPanic.
 	Stack string `json:"stack,omitempty"`
 }
@@ -70,63 +64,25 @@ func (e *RunError) Error() string {
 	if e.Seed != 0 {
 		s += fmt.Sprintf(" (seed %d)", e.Seed)
 	}
-	if e.LastEvent != "" {
-		s += fmt.Sprintf(" [last event: %s]", e.LastEvent)
-	}
 	return s
 }
 
 // Capture runs fn, converting a panic into a RunError tagged with the
-// scenario ID and seed. When a Monitor is supplied its last event is
-// attached as failure context. Returns nil when fn completes normally.
-func Capture(scenario string, seed int64, m *Monitor, fn func()) (rerr *RunError) {
+// scenario ID and seed. Returns nil when fn completes normally.
+func Capture(scenario string, seed int64, fn func()) (rerr *RunError) {
 	defer func() {
 		if r := recover(); r != nil {
-			e := &RunError{
+			rerr = &RunError{
 				Scenario: scenario,
 				Seed:     seed,
 				Kind:     KindPanic,
 				Msg:      fmt.Sprint(r),
 				Stack:    string(debug.Stack()),
 			}
-			if m != nil {
-				if ev, ok := m.LastEvent(); ok {
-					e.At = ev.At
-					e.LastEvent = fmt.Sprintf("%s flow=%d seq=%d at=%v", ev.Type, ev.Flow, ev.Seq, ev.At)
-				}
-			}
-			rerr = e
 		}
 	}()
 	fn()
 	return nil
-}
-
-// Section runs fn under Capture with a wall-clock deadline. fn executes in
-// a separate goroutine; on deadline the goroutine is abandoned (Go offers
-// no way to kill it — it keeps running to completion in the background)
-// and a deadline RunError is returned so the caller's batch can continue.
-// A deadline of 0 disables the timer.
-func Section(id string, deadline time.Duration, fn func()) *RunError {
-	done := make(chan *RunError, 1)
-	go func() {
-		done <- Capture(id, 0, nil, fn)
-	}()
-	if deadline <= 0 {
-		return <-done
-	}
-	t := time.NewTimer(deadline)
-	defer t.Stop()
-	select {
-	case e := <-done:
-		return e
-	case <-t.C:
-		return &RunError{
-			Scenario: id,
-			Kind:     KindDeadline,
-			Msg:      fmt.Sprintf("exceeded wall-clock deadline %v; abandoned", deadline),
-		}
-	}
 }
 
 // Manifest accumulates the RunErrors of a batch for serialization to an

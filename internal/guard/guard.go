@@ -2,10 +2,13 @@
 // self-checking. It folds the observability probe stream (internal/obs)
 // into a packet-conservation ledger (every sent packet must be delivered,
 // dropped, or accounted in-flight — per flow and globally), watches flow
-// progress so stalled flows and livelocked runs are flagged instead of
-// silently producing garbage, enforces per-run wall-clock deadlines, and
-// converts panics into structured RunError values so a batch driver
-// (cmd/figures) can record a failing scenario and keep going.
+// progress so stalled flows are flagged instead of silently producing
+// garbage, and converts panics into structured RunError values so a batch
+// driver (internal/runner) can record a failing run and keep going.
+//
+// A wall-clock budget is not the guard's business: it is a context
+// deadline (network.Config.Ctx, runner.Pool.JobDeadline), which the
+// simulator polls on event count, so even a livelocked run halts.
 //
 // The layer is strictly read-only with respect to the simulation: the
 // Monitor draws no randomness and schedules no events, and the periodic
@@ -18,53 +21,22 @@ import (
 	"time"
 )
 
-// Options configures the run-guard layer for one run. The zero value of
-// each field selects the documented default.
-type Options struct {
-	// StallK flags a flow as stalled when it has delivered nothing to its
-	// receiver for StallK × its Rm of virtual time. Default 1000 — with
-	// Rm = 40 ms that is 40 s without a single delivery, far beyond any
-	// legitimate RTO backoff, yet a starved-but-alive flow (the paper's
-	// subject) still trickles often enough to stay clear.
-	StallK float64
-	// CheckEvery is the virtual-time cadence of the progress sweep.
-	// Default 1 s.
-	CheckEvery time.Duration
-	// WallClock bounds the real (wall) time of one run; a run exceeding it
-	// is halted and reported as a deadline RunError. 0 disables. This is
-	// the livelock backstop: a run whose virtual clock stops advancing
-	// never reaches a virtual-time check, but it still burns wall time.
-	WallClock time.Duration
-}
+// Options enables the run-guard layer for one run; it has no settings.
+type Options struct{}
 
-// DefaultStallK is the stall threshold multiple applied when
-// Options.StallK is zero.
-const DefaultStallK = 1000
+// StallK flags a flow as stalled when it has delivered nothing to its
+// receiver for StallK × its Rm of virtual time. With Rm = 40 ms that is
+// 40 s without a single delivery, far beyond any legitimate RTO backoff,
+// yet a starved-but-alive flow (the paper's subject) still trickles often
+// enough to stay clear.
+const StallK = 1000
 
-// DefaultCheckEvery is the sweep cadence applied when Options.CheckEvery
-// is zero.
-const DefaultCheckEvery = time.Second
-
-func (o Options) stallK() float64 {
-	if o.StallK > 0 {
-		return o.StallK
-	}
-	return DefaultStallK
-}
+// CheckEvery is the virtual-time cadence of the progress sweep.
+const CheckEvery = time.Second
 
 // StallAfter returns the no-delivery duration after which a flow with the
 // given Rm counts as stalled.
-func (o Options) StallAfter(rm time.Duration) time.Duration {
-	return time.Duration(o.stallK() * float64(rm))
-}
-
-// CheckInterval returns the effective sweep cadence.
-func (o Options) CheckInterval() time.Duration {
-	if o.CheckEvery > 0 {
-		return o.CheckEvery
-	}
-	return DefaultCheckEvery
-}
+func StallAfter(rm time.Duration) time.Duration { return StallK * rm }
 
 // Violation is one invariant breach observed during or after a run.
 // Violations are diagnostics, not control flow: the run completes and the
@@ -93,13 +65,10 @@ func (v Violation) String() string {
 type Report struct {
 	// Violations lists invariant breaches in detection order.
 	Violations []Violation
-	// Err is set when the guard had to terminate the run (wall-clock
-	// deadline exceeded).
-	Err *RunError
 }
 
 // Ok reports whether the run passed every check.
-func (r *Report) Ok() bool { return len(r.Violations) == 0 && r.Err == nil }
+func (r *Report) Ok() bool { return len(r.Violations) == 0 }
 
 // String renders the report for CLI output.
 func (r *Report) String() string {
@@ -109,9 +78,6 @@ func (r *Report) String() string {
 	s := fmt.Sprintf("guard: %d violation(s)", len(r.Violations))
 	for _, v := range r.Violations {
 		s += "\n  " + v.String()
-	}
-	if r.Err != nil {
-		s += "\n  fatal: " + r.Err.Error()
 	}
 	return s
 }

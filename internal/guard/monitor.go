@@ -9,15 +9,12 @@ import (
 )
 
 // Monitor is an obs.Probe that folds the event stream into liveness state:
-// the last event seen (panic context), per-flow delivery progress (stall
-// detection), and event-derived counter inequalities. It is read-only with
-// respect to the simulation — it schedules nothing and draws no
-// randomness — so installing it never perturbs a realization.
+// per-flow delivery progress (stall detection) and event-derived counter
+// inequalities. It is read-only with respect to the simulation — it
+// schedules nothing and draws no randomness — so installing it never
+// perturbs a realization.
 type Monitor struct {
-	flows    []monFlow
-	last     obs.Event
-	seenAny  bool
-	eventCnt uint64
+	flows []monFlow
 }
 
 type monFlow struct {
@@ -40,9 +37,6 @@ func NewMonitor() *Monitor { return &Monitor{} }
 // reuse) behaves exactly like a new one.
 func (m *Monitor) Reset() {
 	m.flows = m.flows[:0]
-	m.last = obs.Event{}
-	m.seenAny = false
-	m.eventCnt = 0
 }
 
 // Track registers a flow for stall detection: it is flagged when no
@@ -65,9 +59,6 @@ func (m *Monitor) flow(id packet.FlowID) *monFlow {
 
 // Emit implements obs.Probe.
 func (m *Monitor) Emit(e obs.Event) {
-	m.last = e
-	m.seenAny = true
-	m.eventCnt++
 	if e.Flow < 0 {
 		return
 	}
@@ -84,12 +75,6 @@ func (m *Monitor) Emit(e obs.Event) {
 		f.stalled = false // progress re-arms the stall latch
 	}
 }
-
-// LastEvent returns the most recent event and whether any was seen.
-func (m *Monitor) LastEvent() (obs.Event, bool) { return m.last, m.seenAny }
-
-// Events returns the number of events observed.
-func (m *Monitor) Events() uint64 { return m.eventCnt }
 
 // Sweep evaluates stall conditions at virtual time now and returns newly
 // detected violations. A flow reports once per stall episode: the latch

@@ -16,22 +16,20 @@ func vegasSpec(name string) FlowSpec {
 	return FlowSpec{Name: name, Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond}
 }
 
-// TestStalledFlowTripsWatchdog is the acceptance case for the progress
-// watchdog: a flow whose every packet is dropped (LossProb 1) never
-// delivers, so the stall sweep must flag it — while the conservation
-// ledger still balances, because the gate reports its drops.
-func TestStalledFlowTripsWatchdog(t *testing.T) {
+// TestStalledFlowTripsStallSweep is the acceptance case for the progress
+// sweep: a flow whose every packet is dropped (LossProb 1) never
+// delivers, so the stall sweep must flag it once its 1000 × Rm = 50 s
+// threshold passes — while the conservation ledger still balances,
+// because the gate reports its drops.
+func TestStalledFlowTripsStallSweep(t *testing.T) {
 	blackhole := vegasSpec("blackhole")
 	blackhole.LossProb = 1
 	n := New(
-		Config{
-			Rate: units.Mbps(12), Seed: 1,
-			Guard: &guard.Options{StallK: 10, CheckEvery: 100 * time.Millisecond},
-		},
+		Config{Rate: units.Mbps(12), Seed: 1, Guard: &guard.Options{}},
 		blackhole,
 		vegasSpec("healthy"),
 	)
-	res := n.Run(5 * time.Second)
+	res := n.Run(55 * time.Second)
 	if res.Guard == nil {
 		t.Fatal("guarded run has no report")
 	}
@@ -54,28 +52,6 @@ func TestStalledFlowTripsWatchdog(t *testing.T) {
 	}
 	if res.Flows[1].Stat.AckedBytes == 0 {
 		t.Errorf("healthy flow made no progress")
-	}
-}
-
-// TestWallClockDeadlineHaltsRun: a 1ns budget trips at the first watchdog
-// check, cutting the run short with a structured deadline error.
-func TestWallClockDeadlineHaltsRun(t *testing.T) {
-	n := New(
-		Config{Rate: units.Mbps(12), Seed: 1, Guard: &guard.Options{WallClock: time.Nanosecond}},
-		vegasSpec("v0"),
-	)
-	res := n.Run(30 * time.Second)
-	if res.Guard == nil || res.Guard.Err == nil {
-		t.Fatal("no deadline error on a 1ns budget")
-	}
-	if res.Guard.Err.Kind != guard.KindDeadline {
-		t.Errorf("Err.Kind = %q, want deadline", res.Guard.Err.Kind)
-	}
-	if res.Guard.Err.LastEvent == "" {
-		t.Errorf("deadline error carries no last-event context")
-	}
-	if res.Guard.Ok() {
-		t.Errorf("report Ok despite deadline")
 	}
 }
 
@@ -156,7 +132,7 @@ func TestGuardsPreserveRealization(t *testing.T) {
 		return New(cfg, specs...).Run(10 * time.Second)
 	}
 	off := run(nil)
-	on := run(&guard.Options{CheckEvery: 250 * time.Millisecond})
+	on := run(&guard.Options{})
 	if on.Guard == nil {
 		t.Fatal("guarded run has no report")
 	}

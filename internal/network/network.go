@@ -116,10 +116,11 @@ type Config struct {
 	// RateSchedule varies the bottleneck rate over the run (piecewise
 	// steps or on-off flaps); nil keeps Rate constant.
 	RateSchedule *faults.RateSchedule
-	// Guard enables the run-guard layer: periodic stall sweeps, an
-	// optional wall-clock deadline, and end-of-run conservation and
-	// counter checks, reported in Result.Guard. Nil disables the layer;
-	// the conservation ledger in Result.Ledger is filled either way.
+	// Guard enables the run-guard layer: periodic stall sweeps and
+	// end-of-run conservation and counter checks, reported in
+	// Result.Guard. Nil disables the layer; the conservation ledger in
+	// Result.Ledger is filled either way. A wall-clock budget is a
+	// deadline on Ctx, not a guard setting.
 	Guard *guard.Options
 	// Seed feeds all randomness in the run.
 	Seed int64
@@ -520,7 +521,7 @@ func (n *Network) configure(cfg Config, specs []FlowSpec) {
 		f.lastSampledAcked = 0
 		f.hopTransit = 0
 		if n.monitor != nil {
-			n.monitor.Track(f.ID, cfg.Guard.StallAfter(spec.Rm), spec.StartAt)
+			n.monitor.Track(f.ID, guard.StallAfter(spec.Rm), spec.StartAt)
 		}
 	}
 }
@@ -588,33 +589,12 @@ func (n *Network) RunWindow(d, from, to time.Duration) *Result {
 		// state only — it schedules nothing beyond its own recurrence and
 		// draws no randomness, so relative ordering of network events (and
 		// thus the realization) is unchanged.
-		every := n.cfg.Guard.CheckInterval()
 		var sweep func()
 		sweep = func() {
 			n.report.Violations = append(n.report.Violations, n.monitor.Sweep(n.Sim.Now())...)
-			n.Sim.After(every, sweep)
+			n.Sim.After(guard.CheckEvery, sweep)
 		}
-		n.Sim.After(every, sweep)
-		if wall := n.cfg.Guard.WallClock; wall > 0 {
-			// Wall-clock deadline on event count, so even a livelocked run
-			// (virtual clock stuck) reaches the check.
-			start := time.Now()
-			n.Sim.Watchdog(4096, func() bool {
-				if time.Since(start) <= wall {
-					return true
-				}
-				e := &guard.RunError{
-					Kind: guard.KindDeadline,
-					Msg:  fmt.Sprintf("run exceeded wall-clock budget %v at virtual time %v", wall, n.Sim.Now()),
-					At:   n.Sim.Now(),
-				}
-				if ev, ok := n.monitor.LastEvent(); ok {
-					e.LastEvent = fmt.Sprintf("%s flow=%d seq=%d at=%v", ev.Type, ev.Flow, ev.Seq, ev.At)
-				}
-				n.report.Err = e
-				return false
-			})
-		}
+		n.Sim.After(guard.CheckEvery, sweep)
 	}
 	n.sample() // also schedules itself
 	n.Sim.Run(d)

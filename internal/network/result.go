@@ -81,8 +81,8 @@ type Result struct {
 	// packet is accounted for (delivered, dropped, or in flight).
 	Ledger guard.Ledger
 	// Guard is the run-guard report, non-nil only when Config.Guard was
-	// set: progress-sweep violations, end-of-run conservation and counter
-	// checks, and the deadline error if the run was cut short.
+	// set: progress-sweep violations and end-of-run conservation and
+	// counter checks.
 	Guard *guard.Report
 	// Epsilon is the starvation threshold String() passes to Population()
 	// when rendering large runs (<= 0 selects the metrics default). Set

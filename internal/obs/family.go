@@ -85,14 +85,6 @@ func (f *Family) Value(labelValue string) int64 {
 	return f.vals[labelValue]
 }
 
-// Forget drops the sample for the label value — a completed batch's gauge
-// should leave the exposition rather than linger at its final value.
-func (f *Family) Forget(labelValue string) {
-	f.mu.Lock()
-	delete(f.vals, labelValue)
-	f.mu.Unlock()
-}
-
 // WritePrometheus renders every family in the text exposition format:
 // families in registration order, samples sorted by label value so the
 // output is diffable run to run.

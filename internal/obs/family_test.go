@@ -50,25 +50,6 @@ func TestFamilyReregister(t *testing.T) {
 	s.Gauge("svc_x_total", "x", "client")
 }
 
-// TestFamilyForget: a forgotten label value leaves the exposition.
-func TestFamilyForget(t *testing.T) {
-	s := NewFamilySet()
-	g := s.Gauge("svc_batch_inflight", "In-flight jobs per batch.", "batch")
-	g.Set("b1", 4)
-	g.Set("b2", 2)
-	g.Forget("b1")
-	var b strings.Builder
-	if err := s.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "b1") {
-		t.Fatalf("forgotten sample still exposed:\n%s", b.String())
-	}
-	if g.Value("b2") != 2 {
-		t.Fatal("Forget disturbed a sibling sample")
-	}
-}
-
 // TestFamilyConcurrent: the multi-writer contract Registry refuses —
 // increments from many goroutines while another renders the exposition.
 func TestFamilyConcurrent(t *testing.T) {

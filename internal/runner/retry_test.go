@@ -147,8 +147,8 @@ func TestRetrySimHaltLatchAcrossAttempts(t *testing.T) {
 			// to s.Now() and must not sit a virtual hour past the leftover
 			// chain.
 			s.Run(s.Now() + 10*time.Second)
-			if s.Interrupted() {
-				return nil, ctx.Err()
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
 			return []byte("unreachable"), nil
 		}

@@ -445,7 +445,7 @@ func (p *Pool) attempt(ctx context.Context, job Job) ([]byte, time.Duration, *gu
 	start := time.Now()
 	go func() {
 		var o outcome
-		o.rerr = guard.Capture(job.ID, job.Key.Seed, nil, func() {
+		o.rerr = guard.Capture(job.ID, job.Key.Seed, func() {
 			o.art, o.err = job.Run(jctx)
 		})
 		done <- o

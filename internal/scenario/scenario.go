@@ -76,8 +76,8 @@ type Opts struct {
 	// event-for-event identical to one without.
 	Probe obs.Probe
 	// Guard, when non-nil, enables the run-guard layer (stall sweeps,
-	// wall-clock deadline, end-of-run conservation checks) on every
-	// network the scenario assembles. Like Probe it is read-only: flow
+	// end-of-run conservation checks) on every network the scenario
+	// assembles; a wall-clock budget is a deadline on Ctx. Like Probe it is read-only: flow
 	// results are bit-identical with guards on or off.
 	Guard *guard.Options
 	// Ctx, when non-nil, cancels the scenario's emulations at run-tick

@@ -28,8 +28,30 @@ func TestRunContextCancel(t *testing.T) {
 	if fired > 100+ctxCheckEvery {
 		t.Errorf("loop fired %d events after cancellation, want ≤ %d", fired-100, ctxCheckEvery)
 	}
-	if !s.Interrupted() {
-		t.Errorf("Interrupted() = false after cancelled run")
+	if s.Now() == time.Hour {
+		t.Errorf("cancelled run reached its horizon")
+	}
+}
+
+// TestRunContextLivelock pins the context deadline as the livelock
+// backstop: a handler that re-schedules itself at the current instant
+// never lets the virtual clock advance, so no virtual-time check would
+// ever run, yet the event-count poll still halts Run once the wall-clock
+// deadline expires.
+func TestRunContextLivelock(t *testing.T) {
+	s := New(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	s.SetContext(ctx)
+	var spin func()
+	spin = func() { s.At(s.Now(), spin) }
+	s.At(0, spin)
+	s.Run(time.Hour)
+	if ctx.Err() == nil {
+		t.Fatal("Run returned before the deadline")
+	}
+	if s.Now() != 0 {
+		t.Errorf("livelocked run left Now = %v, want 0", s.Now())
 	}
 }
 

@@ -204,24 +204,7 @@ func TestStepHonorsContext(t *testing.T) {
 	if ran != 1 {
 		t.Errorf("ran = %d, want 1", ran)
 	}
-	if !s.Interrupted() {
-		t.Error("Interrupted() = false after cancelled Step loop")
-	}
-}
-
-// TestStepHonorsWatchdog verifies a watchdog that demands a halt stops a
-// Step-driven loop at its event-count cadence.
-func TestStepHonorsWatchdog(t *testing.T) {
-	s := New(1)
-	s.Watchdog(4, func() bool { return s.Events() < 8 })
-	for i := 0; i < 100; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func() {})
-	}
-	steps := 0
-	for s.Step() {
-		steps++
-	}
-	if steps != 8 {
-		t.Errorf("Step loop fired %d events, want 8 (watchdog cadence 4, trip at 8)", steps)
+	if s.Pending() != 1 {
+		t.Errorf("Pending = %d after the cancelled Step, want 1", s.Pending())
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -79,23 +80,26 @@ func TestResetInvalidatesHandles(t *testing.T) {
 	}
 }
 
-// TestResetClearsWatchdogAndContext pins that Reset removes the watchdog
-// and context like a fresh simulator.
-func TestResetClearsWatchdogAndContext(t *testing.T) {
+// TestResetClearsContext pins that Reset removes the context like a fresh
+// simulator: a dead context installed before the Reset halts nothing after
+// it.
+func TestResetClearsContext(t *testing.T) {
 	s := New(3)
-	s.Watchdog(1, func() bool { return false })
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.SetContext(ctx)
 	s.At(time.Millisecond, func() {})
 	s.Run(time.Millisecond)
+	if s.Pending() != 1 {
+		t.Fatalf("dead context let %d of 1 events fire", 1-s.Pending())
+	}
 	s.Reset(3)
 	n := 0
 	s.At(time.Millisecond, func() { n++ })
 	s.At(2*time.Millisecond, func() { n++ })
 	s.Run(5 * time.Millisecond)
 	if n != 2 {
-		t.Errorf("watchdog survived Reset: %d of 2 events fired", n)
-	}
-	if s.Interrupted() {
-		t.Error("context survived Reset")
+		t.Errorf("context survived Reset: %d of 2 events fired", n)
 	}
 }
 

@@ -100,9 +100,6 @@ type Simulator struct {
 	halted    bool
 	pools     []resetter // lane node pools, one per payload type (lane.go)
 
-	wdEvery uint64
-	wdFn    func() bool
-
 	ctx context.Context
 }
 
@@ -263,43 +260,21 @@ const ctxCheckEvery = 1024
 // until the moment of cancellation. A nil ctx removes the check.
 func (s *Simulator) SetContext(ctx context.Context) { s.ctx = ctx }
 
-// Interrupted reports whether the installed context has been cancelled
-// (the run, if halted, was cut short rather than completed).
-func (s *Simulator) Interrupted() bool { return s.ctx != nil && s.ctx.Err() != nil }
-
-// Watchdog installs fn to be consulted every everyN fired events during
-// Run; returning false halts the run. The cadence is event count rather
-// than virtual time so a livelocked run (events firing without the clock
-// advancing) still reaches the watchdog. Watchdog calls schedule nothing
-// and draw no randomness, so enabling one never perturbs a realization.
-// A nil fn (or everyN of 0) removes the watchdog.
-func (s *Simulator) Watchdog(everyN uint64, fn func() bool) {
-	if everyN == 0 {
-		fn = nil
-	}
-	s.wdEvery = everyN
-	s.wdFn = fn
-}
-
-// guardsTripped applies the watchdog and context checks at their event-
-// count cadences; it reports whether either demands a halt. Shared by Run
-// and Step so a Step-driven loop honors the same guards as Run.
-func (s *Simulator) guardsTripped() bool {
-	if s.wdFn != nil && s.fired%s.wdEvery == 0 && !s.wdFn() {
-		return true
-	}
-	if s.ctx != nil && s.fired%ctxCheckEvery == 0 && s.ctx.Err() != nil {
-		return true
-	}
-	return false
+// ctxDone applies the context check at its event-count cadence and
+// reports whether the run must halt. The cadence is event count rather
+// than virtual time, so a livelocked run (events firing without the clock
+// advancing) still reaches it. Shared by Run and Step so a Step-driven
+// loop stops on the same signal as Run.
+func (s *Simulator) ctxDone() bool {
+	return s.ctx != nil && s.fired%ctxCheckEvery == 0 && s.ctx.Err() != nil
 }
 
 // Run executes events until the queue is empty, the horizon is reached, or
-// the run is halted (Halt, the watchdog, a cancelled context). When the
-// horizon or an empty queue ended the run the clock is left at the later
-// of its current value and the horizon; a halted run leaves it at the last
-// event fired, its pending events still ahead of it, so a later Run
-// resumes where this one stopped.
+// the run is halted (Halt, a cancelled context). When the horizon or an
+// empty queue ended the run the clock is left at the later of its current
+// value and the horizon; a halted run leaves it at the last event fired,
+// its pending events still ahead of it, so a later Run resumes where this
+// one stopped.
 func (s *Simulator) Run(horizon Time) {
 	s.halted = s.ctx != nil && s.ctx.Err() != nil
 	for {
@@ -311,7 +286,7 @@ func (s *Simulator) Run(horizon Time) {
 			break
 		}
 		s.fire(slot)
-		if s.guardsTripped() {
+		if s.ctxDone() {
 			s.halted = true
 		}
 	}
@@ -322,12 +297,11 @@ func (s *Simulator) Run(horizon Time) {
 }
 
 // Step executes exactly one pending event and reports whether an event
-// fired. It honors the same guards as Run: a cancelled context stops the
-// loop before the next event fires, the watchdog is consulted at its usual
-// event-count cadence, and a halted simulator (Halt, a tripped watchdog, or
-// a dead context) steps no further — so a Step-driven driver cannot bypass
-// the protections a Run-driven one gets. Run resets the halt latch on
-// entry, as before.
+// fired. It stops on the same signals as Run: a cancelled context stops
+// the loop before the next event fires and is polled at Run's event-count
+// cadence after it, and a halted simulator (Halt or a dead context) steps
+// no further — so a Step-driven driver cannot outrun a deadline a
+// Run-driven one honors. Run resets the halt latch on entry, as before.
 func (s *Simulator) Step() bool {
 	if s.ctx != nil && s.ctx.Err() != nil {
 		s.halted = true
@@ -340,7 +314,7 @@ func (s *Simulator) Step() bool {
 		return false
 	}
 	s.fire(slot)
-	if s.guardsTripped() {
+	if s.ctxDone() {
 		s.halted = true
 	}
 	return true
@@ -401,6 +375,5 @@ func (s *Simulator) Reset(seed int64) {
 	s.live = 0
 	s.rng.Seed(seed)
 	s.halted = false
-	s.wdEvery, s.wdFn = 0, nil
 	s.ctx = nil
 }

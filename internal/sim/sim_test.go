@@ -171,17 +171,7 @@ func TestHaltLeavesClockAtLastEvent(t *testing.T) {
 		}
 	}
 
-	// The watchdog and a cancelled context halt the same way.
-	s = New(1)
-	s.Watchdog(2, func() bool { return false })
-	for i := 1; i <= 4; i++ {
-		s.At(time.Duration(i)*time.Millisecond, func() {})
-	}
-	s.Run(time.Second)
-	if s.Now() != 2*time.Millisecond {
-		t.Errorf("after a watchdog halt: Now = %v, want 2ms", s.Now())
-	}
-
+	// A cancelled context halts the same way.
 	s = New(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	s.SetContext(ctx)

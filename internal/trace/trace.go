@@ -112,20 +112,6 @@ func (s *Series) Mean(from, to time.Duration) (mean float64, ok bool) {
 	return sum / float64(len(pts)), true
 }
 
-// Resample returns the step-function values of the series on a fixed grid
-// from start to end with the given step; def fills times before the first
-// sample.
-func (s *Series) Resample(start, end, step time.Duration, def float64) *Series {
-	out := &Series{Name: s.Name}
-	if step > 0 && end >= start {
-		out.Reserve(int((end-start)/step) + 1)
-	}
-	for t := start; t <= end; t += step {
-		out.Add(t, s.At(t, def))
-	}
-	return out
-}
-
 // Shift returns a copy with all timestamps shifted by -offset (samples
 // before offset are dropped). Used to re-origin a trajectory at its
 // convergence time, the d̄(t) = d(t+T) of the Theorem 1 proof.

@@ -85,20 +85,6 @@ func TestShift(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	s := mkSeries(1, 2, 3)
-	r := s.Resample(0, 2*time.Second, 500*time.Millisecond, 0)
-	want := []float64{1, 1, 2, 2, 3}
-	if r.Len() != len(want) {
-		t.Fatalf("resampled length = %d, want %d", r.Len(), len(want))
-	}
-	for i, w := range want {
-		if r.Points[i].V != w {
-			t.Errorf("resampled[%d] = %v, want %v", i, r.Points[i].V, w)
-		}
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	s := mkSeries(1.5, 2.5)
 	var b strings.Builder
@@ -163,20 +149,6 @@ func TestAtExactBoundary(t *testing.T) {
 	}
 }
 
-func TestResampleStepLargerThanRange(t *testing.T) {
-	s := mkSeries(4, 5)
-	// step > end-start: only the start grid point exists.
-	r := s.Resample(0, time.Second, time.Minute, -1)
-	if r.Len() != 1 || r.Points[0].T != 0 || r.Points[0].V != 4 {
-		t.Errorf("resample with step>range = %v, want [(0, 4)]", r.Points)
-	}
-	// start == end degenerates to a single point too.
-	r = s.Resample(time.Second, time.Second, time.Minute, -1)
-	if r.Len() != 1 || r.Points[0].V != 5 {
-		t.Errorf("resample with start==end = %v, want [(1s, 5)]", r.Points)
-	}
-}
-
 func TestEmptySeriesStats(t *testing.T) {
 	s := &Series{Name: "empty"}
 	if _, _, ok := s.MinMax(0, time.Hour); ok {
@@ -187,12 +159,6 @@ func TestEmptySeriesStats(t *testing.T) {
 	}
 	if got := s.Shift(time.Second).Len(); got != 0 {
 		t.Errorf("Shift on empty series has %d points", got)
-	}
-	r := s.Resample(0, time.Second, time.Second, 42)
-	for _, p := range r.Points {
-		if p.V != 42 {
-			t.Errorf("resampled empty series point %v, want default 42", p)
-		}
 	}
 }
 
