@@ -48,8 +48,9 @@
 // stdout is byte-identical to a local run. A spec the daemon rejects
 // exits 2 with the same message a local run would.
 //
-// -guard enables the run-guard layer (stall watchdog, conservation
-// checks). -faults injects path impairments in freeform (-cca) mode, e.g.
+// -guard enables the run-guard layer (stall and conservation checks on
+// element counters). -faults injects path impairments in freeform (-cca)
+// mode, e.g.
 //
 //	starvesim -cca allegro -cca2 allegro -faults "ge:0.008,0.2,0.5;flap:5s,200ms"
 //
@@ -103,7 +104,7 @@ func main() {
 		telemetry   = flag.Bool("telemetry", false, "enable the flight recorder: windowed per-flow series, online starvation-episode detection, run-phase spans (appends an episode table to the result; adds episode/series metrics to -metrics)")
 		watchEvery  = flag.Duration("watch", 0, "render a live telemetry view to stderr every interval, e.g. -watch 1s (implies -telemetry; flushes -trace periodically)")
 
-		guardOn  = flag.Bool("guard", false, "enable the run-guard layer (stall watchdog, conservation checks)")
+		guardOn  = flag.Bool("guard", false, "enable the run-guard layer (stall and conservation checks)")
 		deadline = flag.Duration("deadline", 0, "wall-clock budget for the whole invocation; exceeding it halts every run, flushes outputs and exits 1")
 
 		jobsN  = flag.Int("jobs", 0, "parallel workers for -scenario all and -sweep (0 = GOMAXPROCS)")

@@ -153,6 +153,39 @@ func TestScenarioOutputDeterministic(t *testing.T) {
 	}
 }
 
+// TestGuardLeavesMetricsUnchanged: the run guard reads element counters
+// only, so -guard must not move a single exported counter — the sim
+// event-loop gauges included — and the -metrics file must come out
+// byte-identical with and without it.
+func TestGuardLeavesMetricsUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	metrics := func(name string, extra ...string) []byte {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		args := append([]string{"-scenario", "quickstart-vegas", "-duration", "2s", "-metrics", path}, extra...)
+		if code, _, errOut := starvesim(t, args...); code != 0 {
+			t.Fatalf("starvesim %v: exit %d, stderr %q", args, code, errOut)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	plain, guarded := metrics("plain.txt"), metrics("guarded.txt", "-guard")
+	if !bytes.Equal(plain, guarded) {
+		pl, gl := strings.Split(string(plain), "\n"), strings.Split(string(guarded), "\n")
+		for i := 0; i < len(pl) && i < len(gl); i++ {
+			if pl[i] != gl[i] {
+				t.Errorf("-guard moved the metrics file: line %d\n off %s\n on  %s", i+1, pl[i], gl[i])
+			}
+		}
+		if len(pl) != len(gl) {
+			t.Errorf("-guard moved the metrics file: %d lines vs %d", len(pl), len(gl))
+		}
+	}
+}
+
 // TestPopulationEpsilonAgreement is the regression test for a report that
 // used two thresholds: -eps must reach the episode detector too, so the
 // population line and the telemetry line of one run state the same ε.

@@ -15,9 +15,6 @@ const (
 	KindPanic ErrKind = "panic"
 	// KindDeadline: the run exceeded its wall-clock budget.
 	KindDeadline ErrKind = "deadline"
-	// KindInvariant: a guard invariant (conservation, stall) was treated
-	// as fatal by the caller.
-	KindInvariant ErrKind = "invariant"
 	// KindCancelled: the run was stopped because its batch was cancelled
 	// (not a failure of the run itself).
 	KindCancelled ErrKind = "cancelled"
@@ -33,10 +30,8 @@ const (
 // the fault is transient or environmental rather than a property of the
 // configuration itself. Panics, blown deadlines, export failures, and
 // ordinary errors all qualify — a flaky scenario, a hung job, or a full
-// disk can succeed on the next attempt. Cancellation is terminal (the
-// batch is going away, retrying fights the operator) and invariant
-// violations are terminal (the run *completed* and produced provably
-// wrong data; running it again deterministically reproduces the breach).
+// disk can succeed on the next attempt. Cancellation is terminal: the
+// batch is going away, and retrying fights the operator.
 // This table is the supervision contract internal/runner enforces.
 func (k ErrKind) Retryable() bool {
 	switch k {

@@ -1,19 +1,21 @@
 // Package guard is the run-guard layer: it makes every emulator run
-// self-checking. It folds the observability probe stream (internal/obs)
-// into a packet-conservation ledger (every sent packet must be delivered,
-// dropped, or accounted in-flight — per flow and globally), watches flow
-// progress so stalled flows are flagged instead of silently producing
-// garbage, and converts panics into structured RunError values so a batch
-// driver (internal/runner) can record a failing run and keep going.
+// self-checking. It defines the packet-conservation ledger (every sent
+// packet must be delivered, dropped, or accounted in-flight — per flow and
+// globally), which internal/network fills from element counters, and the
+// stall threshold past which a flow that stopped delivering is flagged
+// instead of silently producing garbage. It also converts panics into
+// structured RunError values so a batch driver (internal/runner) can
+// record a failing run and keep going.
 //
 // A wall-clock budget is not the guard's business: it is a context
 // deadline (network.Config.Ctx, runner.Pool.JobDeadline), which the
 // simulator polls on event count, so even a livelocked run halts.
 //
 // The layer is strictly read-only with respect to the simulation: the
-// Monitor draws no randomness and schedules no events, and the periodic
-// guard sweeps in internal/network only read counters, so a fixed-seed run
-// produces bit-identical flow results with guards on or off.
+// stall check in internal/network reads the receivers' delivery counters
+// on the trace sampler's existing tick, so it draws no randomness,
+// schedules no events and emits nothing, and a fixed-seed run produces a
+// bit-identical Result with guards on or off (plus the report).
 package guard
 
 import (
@@ -31,7 +33,7 @@ type Options struct{}
 // enough to stay clear.
 const StallK = 1000
 
-// CheckEvery is the virtual-time cadence of the progress sweep.
+// CheckEvery is the virtual-time cadence of the stall check.
 const CheckEvery = time.Second
 
 // StallAfter returns the no-delivery duration after which a flow with the
@@ -42,9 +44,8 @@ func StallAfter(rm time.Duration) time.Duration { return StallK * rm }
 // Violations are diagnostics, not control flow: the run completes and the
 // report carries them.
 type Violation struct {
-	// Kind is "stall" (a flow made no delivery progress), "conservation"
-	// (the packet ledger does not balance), or "counter" (an event-derived
-	// counter inequality failed).
+	// Kind is "stall" (a flow made no delivery progress) or
+	// "conservation" (the packet ledger does not balance).
 	Kind string
 	// Flow is the offending flow, -1 for global violations.
 	Flow int

@@ -10,7 +10,6 @@ import (
 
 	"starvation/internal/netem"
 	"starvation/internal/netem/faults"
-	"starvation/internal/obs"
 	"starvation/internal/packet"
 	"starvation/internal/sim"
 	"starvation/internal/units"
@@ -131,68 +130,6 @@ func TestRogueElementCaught(t *testing.T) {
 	}
 }
 
-func deliverEvent(flow packet.FlowID, at time.Duration) obs.Event {
-	return obs.Event{Type: obs.EvDeliver, Flow: flow, At: at, Seq: 1, Bytes: 1500}
-}
-
-func TestMonitorStallDetection(t *testing.T) {
-	m := NewMonitor()
-	m.Track(0, 2*time.Second, 0)
-	m.Emit(deliverEvent(0, 1*time.Second))
-	if v := m.Sweep(2 * time.Second); len(v) != 0 {
-		t.Errorf("violations at 1s idle (threshold 2s): %v", v)
-	}
-	v := m.Sweep(4 * time.Second)
-	if len(v) != 1 || v[0].Kind != "stall" || v[0].Flow != 0 {
-		t.Fatalf("Sweep = %v, want one stall on flow 0", v)
-	}
-	// Latched: the same episode reports once.
-	if v := m.Sweep(5 * time.Second); len(v) != 0 {
-		t.Errorf("stall reported twice for one episode: %v", v)
-	}
-	// A delivery re-arms the latch; a fresh episode reports again.
-	m.Emit(deliverEvent(0, 6*time.Second))
-	if v := m.Sweep(7 * time.Second); len(v) != 0 {
-		t.Errorf("violations right after progress: %v", v)
-	}
-	if v := m.Sweep(9 * time.Second); len(v) != 1 {
-		t.Errorf("second stall episode not reported: %v", v)
-	}
-}
-
-func TestMonitorNeverDeliveredMeasuresFromStart(t *testing.T) {
-	m := NewMonitor()
-	m.Track(0, time.Second, 10*time.Second) // starts at t=10s
-	if v := m.Sweep(5 * time.Second); len(v) != 0 {
-		t.Errorf("stall before the flow even starts: %v", v)
-	}
-	if v := m.Sweep(10500 * time.Millisecond); len(v) != 0 {
-		t.Errorf("stall within threshold of start: %v", v)
-	}
-	if v := m.Sweep(12 * time.Second); len(v) != 1 {
-		t.Errorf("flow that never delivered not flagged: %v", v)
-	}
-}
-
-func TestMonitorCheckCounters(t *testing.T) {
-	m := NewMonitor()
-	m.Emit(obs.Event{Type: obs.EvEnqueue, Flow: 0})
-	m.Emit(obs.Event{Type: obs.EvDequeue, Flow: 0})
-	m.Emit(obs.Event{Type: obs.EvDequeue, Flow: 0}) // invented packet
-	v := m.CheckCounters(time.Second)
-	if len(v) != 1 || v[0].Kind != "counter" {
-		t.Fatalf("CheckCounters = %v, want one counter violation", v)
-	}
-	if !strings.Contains(v[0].Msg, "dequeued 2 > enqueued 1") {
-		t.Errorf("violation message %q", v[0].Msg)
-	}
-	// Global events (negative flow) must not disturb per-flow counters.
-	m.Emit(obs.Event{Type: obs.EvLinkRate, Flow: -1})
-	if again := m.CheckCounters(time.Second); len(again) != 1 || again[0] != v[0] {
-		t.Errorf("CheckCounters after a global event = %v, want %v", again, v)
-	}
-}
-
 func TestCaptureAttachesContext(t *testing.T) {
 	e := Capture("bbr-two", 42, func() { panic("element bug") })
 	if e == nil {
@@ -238,7 +175,7 @@ func TestManifestRoundTrip(t *testing.T) {
 
 // TestOptionsDefaults pins the guard's fixed thresholds, which every
 // guarded run gets: a flow stalls after 1000 × Rm without a delivery, and
-// the progress sweep runs every virtual second.
+// the stall check runs every virtual second.
 func TestOptionsDefaults(t *testing.T) {
 	if got := StallAfter(40 * time.Millisecond); got != 40*time.Second {
 		t.Errorf("StallAfter(40ms) = %v, want 40s (K=1000)", got)

@@ -8,7 +8,6 @@ import (
 	"starvation/internal/cca/vegas"
 	"starvation/internal/guard"
 	"starvation/internal/netem/faults"
-	"starvation/internal/obs"
 	"starvation/internal/units"
 )
 
@@ -16,11 +15,11 @@ func vegasSpec(name string) FlowSpec {
 	return FlowSpec{Name: name, Alg: vegas.New(vegas.Config{}), Rm: 50 * time.Millisecond}
 }
 
-// TestStalledFlowTripsStallSweep is the acceptance case for the progress
-// sweep: a flow whose every packet is dropped (LossProb 1) never
-// delivers, so the stall sweep must flag it once its 1000 × Rm = 50 s
-// threshold passes — while the conservation ledger still balances,
-// because the gate reports its drops.
+// TestStalledFlowTripsStallSweep is the acceptance case for the stall
+// check: a flow whose every packet is dropped (LossProb 1) never
+// delivers, so the check must flag it once its 1000 × Rm = 50 s threshold
+// passes, saying it never delivered — while the conservation ledger still
+// balances, because the gate reports its drops.
 func TestStalledFlowTripsStallSweep(t *testing.T) {
 	blackhole := vegasSpec("blackhole")
 	blackhole.LossProb = 1
@@ -46,6 +45,9 @@ func TestStalledFlowTripsStallSweep(t *testing.T) {
 		if v.Flow != 0 {
 			t.Errorf("stall on flow %d, want only the blackhole flow 0: %s", v.Flow, v)
 		}
+	}
+	if want := "no delivery since it started at 0s (threshold 50s)"; stalls[0].Msg != want || stalls[0].At != 51*time.Second {
+		t.Errorf("stall = %s, want %q at 51s", stalls[0], want)
 	}
 	if err := res.Ledger.Check(); err != nil {
 		t.Errorf("ledger unbalanced despite reported drops: %v", err)
@@ -122,9 +124,10 @@ func TestFaultsDeterministic(t *testing.T) {
 }
 
 // TestGuardsPreserveRealization is the bit-identity acceptance case: the
-// guard layer observes but never steers, so flow-visible results must be
-// byte-for-byte identical with guards on or off. Only the sim event-loop
-// gauges may differ (the sweep itself is scheduled).
+// guard layer reads counters but never steers, schedules or emits, so
+// results must be identical with guards on or off — flow statistics, the
+// ledger and the whole obs snapshot, event-loop gauges and emission
+// tallies included.
 func TestGuardsPreserveRealization(t *testing.T) {
 	run := func(g *guard.Options) *Result {
 		cfg, specs := faultySpecs()
@@ -148,24 +151,100 @@ func TestGuardsPreserveRealization(t *testing.T) {
 	if !reflect.DeepEqual(off.Ledger, on.Ledger) {
 		t.Errorf("ledger differs with guards on")
 	}
-	// The obs registries must agree except for the emission gauges: the
-	// sim event-loop counts (the sweep schedules events) and the
-	// CwndUpdates/RateSamples tallies, which count emitted probe events
-	// and so exist only when a probe — here the guard monitor — is
-	// installed. Every packet-visible counter must match exactly.
-	a, b := off.Obs, on.Obs
-	a.Global.SimEventsScheduled, b.Global.SimEventsScheduled = 0, 0
-	a.Global.SimEventsFired, b.Global.SimEventsFired = 0, 0
-	for _, s := range []*obs.Snapshot{&a, &b} {
-		for i := range s.Flows {
-			s.Flows[i].CwndUpdates = 0
-			s.Flows[i].RateSamples = 0
-		}
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("obs snapshots differ with guards on:\n off %+v\n on  %+v", a, b)
+	if !reflect.DeepEqual(off.Obs, on.Obs) {
+		t.Errorf("obs snapshots differ with guards on:\n off %+v\n on  %+v", off.Obs, on.Obs)
 	}
 	if off.Dropped != on.Dropped || off.Delivered != on.Delivered || off.MaxQueue != on.MaxQueue {
 		t.Errorf("link totals differ with guards on")
+	}
+}
+
+// outageConfig is a guarded single Vegas flow with Rm = 1 ms, so
+// guard.StallAfter is 1 s, on a link that goes down for 4 s every 6 s:
+// down over [2.5s, 6.5s) and [8.5s, 12.5s). The outages leave the flow's
+// packets queued at the link, which delivers them as soon as it is back.
+func outageConfig() (Config, FlowSpec) {
+	spec := vegasSpec("outage")
+	spec.Rm = time.Millisecond
+	cfg := Config{
+		Rate: units.Mbps(12), Seed: 3, Guard: &guard.Options{},
+		RateSchedule: &faults.RateSchedule{Repeat: 6 * time.Second, Steps: []faults.RateStep{
+			{At: 2500 * time.Millisecond, Rate: 0},
+			{At: 6500 * time.Millisecond, Rate: faults.Restore},
+		}},
+	}
+	return cfg, spec
+}
+
+// TestStallLatchesPerEpisode pins the stall check's timing and latch. The
+// check runs on whole virtual seconds and sees only whether the receiver
+// count moved since the previous check. In each outage the last check to
+// see it move is the first one after the link went down (3s, then 9s),
+// so the flag comes at the first check more than 1 s after that one (5s,
+// then 11s), not 1 s after the last delivery. The check at 6s (and 12s)
+// finds the flow still stalled and stays quiet; progress at 7s re-arms
+// the latch for the second episode.
+func TestStallLatchesPerEpisode(t *testing.T) {
+	if guard.CheckEvery%sampleEvery != 0 {
+		t.Fatalf("guard.CheckEvery %v is not a multiple of the sample tick %v", guard.CheckEvery, sampleEvery)
+	}
+	cfg, spec := outageConfig()
+	res := New(cfg, spec).Run(14 * time.Second)
+	want := []guard.Violation{
+		{Kind: "stall", Flow: 0, At: 5 * time.Second, Msg: "no delivery since the check at 3s (threshold 1s)"},
+		{Kind: "stall", Flow: 0, At: 11 * time.Second, Msg: "no delivery since the check at 9s (threshold 1s)"},
+	}
+	if !reflect.DeepEqual(res.Guard.Violations, want) {
+		t.Errorf("violations:\n got %v\nwant %v", res.Guard.Violations, want)
+	}
+}
+
+// TestStallMeasuredFromStartAt: a flow that never delivers is measured
+// from its StartAt, so nothing is flagged while it has not started — here
+// for 5 s, five times its threshold — and it trips at the first check
+// more than 1 s after its start. A healthy flow alongside never trips.
+func TestStallMeasuredFromStartAt(t *testing.T) {
+	late := vegasSpec("late-blackhole")
+	late.Rm = time.Millisecond
+	late.LossProb = 1
+	late.StartAt = 5 * time.Second
+	healthy := vegasSpec("healthy")
+	healthy.Rm = time.Millisecond
+	res := New(Config{Rate: units.Mbps(12), Seed: 1, Guard: &guard.Options{}}, late, healthy).Run(10 * time.Second)
+	want := []guard.Violation{
+		{Kind: "stall", Flow: 0, At: 7 * time.Second, Msg: "no delivery since it started at 5s (threshold 1s)"},
+	}
+	if !reflect.DeepEqual(res.Guard.Violations, want) {
+		t.Errorf("violations:\n got %v\nwant %v", res.Guard.Violations, want)
+	}
+}
+
+// TestSessionStallStateResets: the stall state lives on the recycled
+// flows, so a stalled run followed by a clean one on the same session
+// must report nothing the second time, and the stalled run repeated must
+// report exactly what it did first.
+func TestSessionStallStateResets(t *testing.T) {
+	s := NewSession()
+	run := func(outage bool) *guard.Report {
+		t.Helper()
+		cfg, spec := outageConfig()
+		if !outage {
+			cfg.RateSchedule = nil
+		}
+		res, err := s.Run(cfg, 14*time.Second, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Guard
+	}
+	first := run(true)
+	if first.Ok() {
+		t.Fatal("outage run reported no stall")
+	}
+	if clean := run(false); !clean.Ok() {
+		t.Errorf("clean run after a stalled one on the same session: %s", clean)
+	}
+	if again := run(true); !reflect.DeepEqual(again, first) {
+		t.Errorf("stalled run repeated on the session:\n got %s\nwant %s", again, first)
 	}
 }

@@ -116,9 +116,11 @@ type Config struct {
 	// RateSchedule varies the bottleneck rate over the run (piecewise
 	// steps or on-off flaps); nil keeps Rate constant.
 	RateSchedule *faults.RateSchedule
-	// Guard enables the run-guard layer: periodic stall sweeps and
-	// end-of-run conservation and counter checks, reported in
-	// Result.Guard. Nil disables the layer; the conservation ledger in
+	// Guard enables the run-guard layer: a stall check on the receivers'
+	// delivery counters every guard.CheckEvery and at the end of the run,
+	// plus the end-of-run conservation check, reported in Result.Guard.
+	// It reads counters only, so it schedules no events and emits
+	// nothing. Nil disables the layer; the conservation ledger in
 	// Result.Ledger is filled either way. A wall-clock budget is a
 	// deadline on Ctx, not a guard setting.
 	Guard *guard.Options
@@ -173,6 +175,12 @@ type Flow struct {
 	// (departed one bottleneck, propagating toward the next) — a gauge for
 	// the conservation ledger.
 	hopTransit int64
+	// The run guard's stall state: the receiver count at the last check,
+	// the time of the last check that saw it move (StartAt until the
+	// first delivery), and a latch so each stall episode reports once.
+	checkedReceived int64
+	lastProgress    time.Duration
+	stalled         bool
 }
 
 // Network is a fully wired scenario ready to run.
@@ -197,7 +205,6 @@ type Network struct {
 	// they arrive in the order they departed.
 	hops []sim.Lane[packet.Packet]
 
-	monitor   *guard.Monitor
 	report    guard.Report
 	telemetry *telemetryRecorder
 
@@ -417,18 +424,6 @@ func (n *Network) configure(cfg Config, specs []FlowSpec) {
 		n.Sim.SetContext(cfg.Ctx)
 	}
 	n.report = guard.Report{}
-	if cfg.Guard == nil {
-		n.monitor = nil
-	} else {
-		// The monitor taps the probe stream; read-only, so guarded and
-		// unguarded runs of the same seed stay bit-identical.
-		if n.monitor == nil {
-			n.monitor = guard.NewMonitor()
-		} else {
-			n.monitor.Reset()
-		}
-		cfg.Probe = obs.Multi(cfg.Probe, n.monitor)
-	}
 	// Flow names must be resolved before the recorder labels its flows and
 	// before any element captures the probe chain.
 	for i := range specs {
@@ -520,9 +515,9 @@ func (n *Network) configure(cfg Config, specs []FlowSpec) {
 		f.rateSamples = 0
 		f.lastSampledAcked = 0
 		f.hopTransit = 0
-		if n.monitor != nil {
-			n.monitor.Track(f.ID, guard.StallAfter(spec.Rm), spec.StartAt)
-		}
+		f.checkedReceived = 0
+		f.lastProgress = spec.StartAt
+		f.stalled = false
 	}
 }
 
@@ -584,18 +579,6 @@ func (n *Network) RunWindow(d, from, to time.Duration) *Result {
 		fl := f
 		n.Sim.At(fl.Spec.StartAt, fl.Sender.Start)
 	}
-	if n.monitor != nil {
-		// Progress sweeps on virtual time. The sweep closure reads monitor
-		// state only — it schedules nothing beyond its own recurrence and
-		// draws no randomness, so relative ordering of network events (and
-		// thus the realization) is unchanged.
-		var sweep func()
-		sweep = func() {
-			n.report.Violations = append(n.report.Violations, n.monitor.Sweep(n.Sim.Now())...)
-			n.Sim.After(guard.CheckEvery, sweep)
-		}
-		n.Sim.After(guard.CheckEvery, sweep)
-	}
 	n.sample() // also schedules itself
 	n.Sim.Run(d)
 	return n.collect(d, from, to)
@@ -627,5 +610,37 @@ func (n *Network) sample() {
 		// zero events to the realization.
 		n.telemetry.tick(now, n.Sim.Pending())
 	}
+	if n.cfg.Guard != nil && now%guard.CheckEvery == 0 {
+		n.checkProgress(now) // guard.CheckEvery is a multiple of sampleEvery
+	}
 	n.Sim.After(sampleEvery, n.sampleFn)
+}
+
+// checkProgress is the run guard's stall check at virtual time now. It
+// reads the receivers' delivery counters, the ones Result.Ledger reads. A
+// flow whose count moved since the previous check made progress at this
+// check and re-arms its latch; a flow whose count has not moved for more
+// than guard.StallAfter(Rm) since its last progress is flagged once.
+func (n *Network) checkProgress(now time.Duration) {
+	for _, f := range n.Flows {
+		if got := f.Receiver.Received; got != f.checkedReceived {
+			f.checkedReceived = got
+			f.lastProgress = now
+			f.stalled = false
+			continue
+		}
+		after := guard.StallAfter(f.Spec.Rm)
+		if f.stalled || now-f.lastProgress <= after {
+			continue
+		}
+		f.stalled = true
+		since := "it started"
+		if f.checkedReceived > 0 {
+			since = "the check"
+		}
+		n.report.Violations = append(n.report.Violations, guard.Violation{
+			Kind: "stall", Flow: int(f.ID), At: now,
+			Msg: fmt.Sprintf("no delivery since %s at %v (threshold %v)", since, f.lastProgress, after),
+		})
+	}
 }

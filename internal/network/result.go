@@ -73,16 +73,17 @@ type Result struct {
 	Delivered int64
 	MaxQueue  int
 	// Obs is the end-of-run registry snapshot: per-flow and global
-	// packet-lifecycle counters plus event-loop gauges. It is assembled
-	// from element counters on every run, probe installed or not.
+	// packet-lifecycle counters plus event-loop gauges, assembled from
+	// element counters on every run. CwndUpdates and RateSamples count
+	// emitted events, so they stay 0 unless Config.Probe or
+	// Config.Telemetry is set.
 	Obs obs.Snapshot
 	// Ledger is the packet-conservation ledger assembled from element
 	// counters on every run. Ledger.Check() == nil means every transmitted
 	// packet is accounted for (delivered, dropped, or in flight).
 	Ledger guard.Ledger
 	// Guard is the run-guard report, non-nil only when Config.Guard was
-	// set: progress-sweep violations and end-of-run conservation and
-	// counter checks.
+	// set: stall violations and the end-of-run conservation check.
 	Guard *guard.Report
 	// Epsilon is the starvation threshold String() passes to Population()
 	// when rendering large runs (<= 0 selects the metrics default). Set
@@ -172,12 +173,10 @@ func (n *Network) collect(d, from, to time.Duration) *Result {
 		res.Telemetry = n.telemetry.finish(d, n.Flows)
 	}
 	if n.cfg.Guard != nil {
-		// Fold the end-of-run checks into the report: a final progress
-		// sweep, the event-derived counter inequalities, and the
-		// conservation ledger.
+		// Fold the end-of-run checks into the report: a final stall
+		// check and the conservation ledger.
 		now := n.Sim.Now()
-		n.report.Violations = append(n.report.Violations, n.monitor.Sweep(now)...)
-		n.report.Violations = append(n.report.Violations, n.monitor.CheckCounters(now)...)
+		n.checkProgress(now)
 		if err := res.Ledger.Check(); err != nil {
 			n.report.Violations = append(n.report.Violations, guard.Violation{
 				Kind: "conservation", Flow: -1, At: now, Msg: err.Error(),

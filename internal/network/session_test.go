@@ -102,8 +102,8 @@ func TestSessionParameterChangesReset(t *testing.T) {
 }
 
 // TestSessionGuardParity pins that guarded session runs match guarded
-// fresh runs (the monitor is recycled via Reset), and that toggling the
-// guard off between runs leaves no monitor behind.
+// fresh runs, and that toggling the guard off between runs leaves no
+// report behind.
 func TestSessionGuardParity(t *testing.T) {
 	gopts := &guard.Options{}
 	withGuard := func(gc goldenConfig) goldenConfig {

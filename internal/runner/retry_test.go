@@ -171,10 +171,10 @@ func TestRetrySimHaltLatchAcrossAttempts(t *testing.T) {
 	}
 }
 
-// TestRetryTerminalKinds checks the retryability table: cancelled and
-// invariant failures must not burn retry budget.
+// TestRetryTerminalKinds checks the retryability table: terminal
+// failures (cancellation) must not burn retry budget.
 func TestRetryTerminalKinds(t *testing.T) {
-	for _, kind := range []guard.ErrKind{guard.KindCancelled, guard.KindInvariant} {
+	for _, kind := range []guard.ErrKind{guard.KindCancelled} {
 		var attempts atomic.Int64
 		pool := &Pool{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 4, Base: time.Millisecond, Jitter: -1}}
 		job := artifactJob(fmt.Sprintf("terminal-%s", kind), func(context.Context) ([]byte, error) {

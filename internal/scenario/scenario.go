@@ -75,10 +75,11 @@ type Opts struct {
 	// It never alters scheduling or randomness: a run with a probe is
 	// event-for-event identical to one without.
 	Probe obs.Probe
-	// Guard, when non-nil, enables the run-guard layer (stall sweeps,
-	// end-of-run conservation checks) on every network the scenario
-	// assembles; a wall-clock budget is a deadline on Ctx. Like Probe it is read-only: flow
-	// results are bit-identical with guards on or off.
+	// Guard, when non-nil, enables the run-guard layer (stall and
+	// conservation checks on element counters) on every network the
+	// scenario assembles; a wall-clock budget is a deadline on Ctx. It
+	// reads counters only: results are bit-identical with guards on or
+	// off.
 	Guard *guard.Options
 	// Ctx, when non-nil, cancels the scenario's emulations at run-tick
 	// granularity (wired into network.Config.Ctx). Observation-only:

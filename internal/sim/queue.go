@@ -24,7 +24,7 @@ import (
 //     unlinks the head, Cancel unlinks anywhere: all O(1), no compares
 //     against unrelated events.
 //   - Events at or beyond origin+wheelBuckets (a retransmission timeout's
-//     Timer record, the guard sweep, a late flow's start) wait in the
+//     Timer record, a late flow's start) wait in the
 //     overflow heap. The origin is the bucket of
 //     the last event fired; each time it advances, the heap's roots that
 //     the window now covers are pulled into their buckets. So every
