@@ -32,7 +32,7 @@
 //
 // Usage:
 //
-//	figures [-out results] [-quick] [-only F3,T5.2] [-jobs N] [-deadline 10m]
+//	figures [-out results] [-quick] [-only F3,T5] [-jobs N] [-deadline 10m]
 //	        [-retries N] [-chaos "seed:7;fail:0.3;panic:0.1"]
 package main
 
@@ -308,6 +308,30 @@ func assemble(w io.Writer, results []runner.JobResult) error {
 	return os.WriteFile(filepath.Join(*outDir, "summary.md"), []byte(summary.String()), 0o644)
 }
 
+// parseOnly turns the -only list into a section filter (nil runs every
+// section). An ID that names no section is an error listing the IDs that
+// -list prints, so a typo never runs an empty batch over -out.
+func parseOnly(spec string, secs []batchSection) (map[string]bool, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	known := map[string]bool{}
+	ids := make([]string, len(secs))
+	for i, s := range secs {
+		known[s.id] = true
+		ids[i] = s.id
+	}
+	filter := map[string]bool{}
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(id)
+		if !known[id] {
+			return nil, fmt.Errorf("-only: unknown section %q (sections: %s)", id, strings.Join(ids, ", "))
+		}
+		filter[id] = true
+	}
+	return filter, nil
+}
+
 // listSections prints the section IDs in run order, annotated with the
 // recorded outcome from the manifest when one exists: status, attempt
 // count, and — when the manifest on disk was damaged and salvaged — one
@@ -336,6 +360,11 @@ func main() {
 		listSections(os.Stdout, runner.LoadManifest(filepath.Join(*outDir, "manifest.json")))
 		return
 	}
+	filter, err := parseOnly(*only, sections)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		os.Exit(2)
+	}
 	var injector *chaos.Injector
 	if *chaosArg != "" {
 		spec, err := chaos.Parse(*chaosArg)
@@ -362,14 +391,6 @@ func main() {
 			exit(1)
 		}
 	}
-	var filter map[string]bool
-	if *only != "" {
-		filter = map[string]bool{}
-		for _, id := range strings.Split(*only, ",") {
-			filter[strings.TrimSpace(id)] = true
-		}
-	}
-
 	// An interrupt (SIGINT or SIGTERM) cancels the batch context: running
 	// sections stop at the next run tick, the manifest records what
 	// completed, errors.json and the summary flush, and the command exits

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,6 +19,51 @@ import (
 	"starvation/internal/runner"
 	"starvation/internal/runner/chaos"
 )
+
+// figuresCLIEnv makes the test binary run as the figures command, so a
+// test can check what main does before any section runs.
+const figuresCLIEnv = "FIGURES_TEST_CLI"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(figuresCLIEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestOnlyRejectsUnknownIDs pins -only's contract: an ID that names no
+// section is a usage error (exit 2) that names the IDs -list prints, and
+// it is refused before anything under -out is written.
+func TestOnlyRejectsUnknownIDs(t *testing.T) {
+	out := t.TempDir()
+	summary := filepath.Join(out, "summary.md")
+	if err := os.WriteFile(summary, []byte("earlier results\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-out", out, "-quick", "-only", "F3,F9")
+	cmd.Env = append(os.Environ(), figuresCLIEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("figures -only F3,F9: %v, want exit status 2; stderr:\n%s", err, stderr.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, `"F9"`) || !strings.Contains(msg, sections[0].id) {
+		t.Errorf("stderr does not name the bad ID and the known ones:\n%s", msg)
+	}
+	if got, err := os.ReadFile(summary); err != nil || string(got) != "earlier results\n" {
+		t.Errorf("summary.md = %q, %v; a refused -only must leave -out untouched", got, err)
+	}
+	if ents, _ := os.ReadDir(out); len(ents) != 1 {
+		t.Errorf("-out holds %d entries after a refused -only, want only summary.md", len(ents))
+	}
+
+	if filter, err := parseOnly(" F3 ,T5", sections); err != nil || !filter["F3"] || !filter["T5"] || len(filter) != 2 {
+		t.Errorf("parseOnly(known IDs) = %v, %v", filter, err)
+	}
+}
 
 // withDirs points the output flags at temp dirs for one test.
 func withDirs(t *testing.T) (out, obs string) {
@@ -217,8 +265,10 @@ func TestPartialThenFullBatch(t *testing.T) {
 	if st := full.Stats(); st.Executed != 3 || st.CacheHits != 2 {
 		t.Errorf("full stats = %+v, want 3 executed 2 cached", st)
 	}
-	if full.Manifest.Len() != 5 {
-		t.Errorf("manifest records %d jobs, want 5", full.Manifest.Len())
+	for _, sec := range secs {
+		if _, ok := full.Manifest.Entry(sec.id); !ok {
+			t.Errorf("manifest lacks %s", sec.id)
+		}
 	}
 }
 
@@ -236,13 +286,13 @@ func TestBatchDegradesGracefully(t *testing.T) {
 		{"stuck", func(context.Context, *reporter) { <-release }},
 		{"ok-after", func(_ context.Context, r *reporter) { r.row("- ok-after ran") }},
 	}
-	pool := &runner.Pool{Jobs: 1, JobDeadline: 50 * time.Millisecond, Grace: 50 * time.Millisecond}
+	pool := &runner.Pool{Jobs: 1, JobDeadline: 50 * time.Millisecond}
 	_, man := runDriver(t, secs, io.Discard, pool)
 
 	if len(man.Errors) != 2 {
 		t.Fatalf("manifest has %d errors, want 2: %+v", len(man.Errors), man.Errors)
 	}
-	if man.Errors[0].Scenario != "boom" || man.Errors[0].Kind != guard.KindPanic {
+	if man.Errors[0].Scenario != "boom" || man.Errors[0].Kind != "panic" {
 		t.Errorf("first error = %+v, want scenario boom kind panic", man.Errors[0])
 	}
 	if !strings.Contains(man.Errors[0].Msg, "forced failure") {
@@ -348,7 +398,7 @@ func TestReporterSaveRecoverable(t *testing.T) {
 	}
 	results := (&runner.Pool{Jobs: 1}).Run(context.Background(), sectionJobs(secs, nil))
 	e := results[0].Err
-	if e == nil || e.Kind != guard.KindPanic || !strings.Contains(e.Msg, "serialization broke") {
+	if e == nil || e.Kind != "panic" || !strings.Contains(e.Msg, "serialization broke") {
 		t.Fatalf("failed save: got %+v, want captured panic", e)
 	}
 }
@@ -476,10 +526,11 @@ func TestChaosParity(t *testing.T) {
 
 	// The faults must actually have fired: enough body failures to cover
 	// >=10%% of the batch, at least one hang, at least one corruption.
-	counts := in.Counts()
-	if in.BodyFaults() < 2 {
+	counts := chaosCounts(t, in)
+	bodyFaults := counts["error"] + counts["panic"] + counts["hang"]
+	if bodyFaults < 2 {
 		t.Errorf("only %d injected body faults over 12 sections, want >= 2 (10%% of the batch): %v",
-			in.BodyFaults(), counts)
+			bodyFaults, counts)
 	}
 	if counts["hang"] < 1 {
 		t.Errorf("no hung job injected: %v", counts)
@@ -499,7 +550,7 @@ func TestChaosParity(t *testing.T) {
 		}
 	}
 	if retriesSeen == 0 {
-		t.Errorf("no retry progress events despite %d injected faults", in.BodyFaults())
+		t.Errorf("no retry progress events despite %d injected faults", bodyFaults)
 	}
 	// The warm pass re-simulates exactly the quarantined entries and
 	// restores every other section from the cache.
@@ -526,7 +577,7 @@ func TestListSectionsAnnotated(t *testing.T) {
 	if err := m.Record("F1", "aaaa", runner.StatusDone, nil, 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Record("F3", "bbbb", runner.StatusFailed,
+	if err := m.Record("F3", "bbbb", "failed",
 		&guard.RunError{Scenario: "F3", Kind: guard.KindDeadline, Msg: "slow"}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -568,4 +619,23 @@ func TestSectionKeySensitivity(t *testing.T) {
 	if outFP != base {
 		t.Errorf("-out changed the section fingerprint; artifacts are location-independent and must stay cached")
 	}
+}
+
+// chaosCounts reads the injector's per-kind counts back from its
+// Prometheus exposition, the .chaos/metrics.txt a chaos batch writes.
+func chaosCounts(t *testing.T, in *chaos.Injector) map[string]int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := in.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		var kind string
+		var n int
+		if _, err := fmt.Sscanf(line, "starvesim_chaos_injected_total{kind=%q} %d", &kind, &n); err == nil {
+			counts[kind] = n
+		}
+	}
+	return counts
 }

@@ -232,7 +232,7 @@ func restartWork(t *testing.T, data, id string) (fresh, landed, doneNotLanded in
 	if len(rec.Jobs) != crashJobs {
 		t.Fatalf("batch record lists %d jobs, want %d", len(rec.Jobs), crashJobs)
 	}
-	cache := &runner.Cache{Dir: filepath.Join(data, "cache"), Warn: func(runner.CorruptionEvent) {}}
+	cache := &runner.Cache{Dir: filepath.Join(data, "cache")}
 	man := runner.LoadManifest(filepath.Join(dir, "manifest.json"))
 	for _, j := range rec.Jobs {
 		spec := j.Spec

@@ -42,7 +42,7 @@ func runCustom(f customFlags, probe obs.Probe) (*network.Result, error) {
 	if f.cca1 == "" {
 		return nil, fmt.Errorf("custom mode needs -cca")
 	}
-	// Flow i's generators are seeded as scenario.ParseFlows seeds them, so
+	// Flow i's generators are seeded as the -flows parser seeds them, so
 	// a freeform run and the equivalent -flows set realize identically.
 	mk := func(name string, flow int) (cca.Algorithm, error) {
 		fac := cca.Lookup(name)

@@ -107,17 +107,17 @@ func init() {
 // Name implements cca.Algorithm.
 func (a *Algo1) Name() string { return "algo1" }
 
-// Rm returns the propagation-RTT estimate in use.
-func (a *Algo1) Rm() time.Duration {
+// rmEstimate returns the propagation-RTT estimate in use.
+func (a *Algo1) rmEstimate() time.Duration {
 	if a.cfg.Rm > 0 {
 		return a.cfg.Rm
 	}
 	return a.base.Get(0)
 }
 
-// TargetRate evaluates the exponential rate-delay mapping at RTT d.
-func (a *Algo1) TargetRate(d time.Duration) units.Rate {
-	rm := a.Rm()
+// targetRate evaluates the exponential rate-delay mapping at RTT d.
+func (a *Algo1) targetRate(d time.Duration) units.Rate {
+	rm := a.rmEstimate()
 	q := d - rm // estimated queueing delay
 	if q < 0 {
 		q = 0
@@ -126,16 +126,10 @@ func (a *Algo1) TargetRate(d time.Duration) units.Rate {
 	return units.Rate(float64(a.cfg.MuMin) * math.Pow(a.cfg.S, exp))
 }
 
-// MuPlus returns the top of the s-fair rate range, μ+ = μ(Rm + D).
-func (a *Algo1) MuPlus() units.Rate {
-	exp := (a.cfg.RmaxOffset - a.cfg.D).Seconds() / a.cfg.D.Seconds()
-	return units.Rate(float64(a.cfg.MuMin) * math.Pow(a.cfg.S, exp))
-}
-
 // Window implements cca.Algorithm: a safety cap of 2·μ·Rmax keeps the flow
 // resilient to sudden capacity drops, per the paper's discussion.
 func (a *Algo1) Window() int {
-	rm := a.Rm()
+	rm := a.rmEstimate()
 	if rm <= 0 {
 		return 64 * a.cfg.MSS
 	}
@@ -153,7 +147,7 @@ func (a *Algo1) PacingRate() units.Rate { return units.Rate(a.mu) }
 // TickInterval implements cca.Ticker: the update runs once per Rm,
 // independent of ACK arrivals (a CCAC-guided design detail from §6.3).
 func (a *Algo1) TickInterval() time.Duration {
-	if rm := a.Rm(); rm > 0 {
+	if rm := a.rmEstimate(); rm > 0 {
 		return rm
 	}
 	return 10 * time.Millisecond
@@ -176,7 +170,7 @@ func (a *Algo1) update(frac float64) {
 		a.mu += float64(a.cfg.A) * frac
 		return
 	}
-	if units.Rate(a.mu) < a.TargetRate(d) {
+	if units.Rate(a.mu) < a.targetRate(d) {
 		a.mu += float64(a.cfg.A) * frac
 	} else if a.cfg.AIAD {
 		a.mu -= float64(a.cfg.A) * frac
@@ -198,7 +192,7 @@ func (a *Algo1) OnAck(s cca.AckSignal) {
 		// One full step per window of ACKs: the per-ACK ablation. Faster
 		// flows take more steps per RTT — the scaling pathology the
 		// default per-Rm update deliberately avoids.
-		rm := a.Rm()
+		rm := a.rmEstimate()
 		if rm <= 0 {
 			return
 		}

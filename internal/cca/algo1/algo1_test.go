@@ -23,8 +23,8 @@ func TestTargetRateExponentialSpacing(t *testing.T) {
 	// Per the §6.3 design, rates a factor s apart map to delays D apart:
 	// μ(d) / μ(d+D) = s for any d.
 	d := 70 * time.Millisecond
-	r1 := a.TargetRate(d).BitsPerSec()
-	r2 := a.TargetRate(d + 10*time.Millisecond).BitsPerSec()
+	r1 := float64(a.targetRate(d))
+	r2 := float64(a.targetRate(d + 10*time.Millisecond))
 	if got := r1 / r2; math.Abs(got-2) > 1e-9 {
 		t.Errorf("rate ratio across D of delay = %v, want s = 2", got)
 	}
@@ -34,8 +34,8 @@ func TestTargetRateAtRmax(t *testing.T) {
 	a := newTest()
 	// At d = Rm + RmaxOffset, the target is exactly μ−.
 	d := 50*time.Millisecond + 120*time.Millisecond
-	got := a.TargetRate(d)
-	if math.Abs(got.BitsPerSec()-a.cfg.MuMin.BitsPerSec()) > 1 {
+	got := a.targetRate(d)
+	if math.Abs(float64(got)-float64(a.cfg.MuMin)) > 1 {
 		t.Errorf("μ(Rmax) = %v, want μ− = %v", got, a.cfg.MuMin)
 	}
 }
@@ -44,7 +44,7 @@ func TestMuPlus(t *testing.T) {
 	a := newTest()
 	// μ+ = μ−·s^((Rmax−D)/D) = 100 Kbit/s · 2^11 = 204.8 Mbit/s.
 	want := 100e3 * math.Pow(2, 11)
-	if got := a.MuPlus().BitsPerSec(); math.Abs(got-want)/want > 1e-9 {
+	if got := float64(a.muPlus()); math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("μ+ = %v, want %v", got, want)
 	}
 }
@@ -75,7 +75,7 @@ func TestConvergesToTargetAtFixedDelay(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		a.OnTick(time.Duration(i) * 50 * time.Millisecond)
 	}
-	target := a.TargetRate(d).BitsPerSec()
+	target := float64(a.targetRate(d))
 	got := a.mu
 	if got < target*a.cfg.B*0.9 || got > target/a.cfg.B*1.1 {
 		t.Errorf("rate = %v, want within AIMD band of target %v", got, target)
@@ -134,9 +134,15 @@ func TestFigureOfMeritMatchesTheory(t *testing.T) {
 	// The supported range μ+/μ− must equal Equation 2's s^((Rmax−D)/D)
 	// evaluated with queueing-delay budget Rmax (the paper's Rmax − Rm).
 	a := newTest()
-	got := a.MuPlus().BitsPerSec() / a.cfg.MuMin.BitsPerSec()
+	got := float64(a.muPlus()) / float64(a.cfg.MuMin)
 	want := math.Pow(2, (120.0-10)/10)
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("μ+/μ− = %v, want %v", got, want)
 	}
+}
+
+// muPlus returns the top of the s-fair rate range, μ+ = μ(Rm + D).
+func (a *Algo1) muPlus() units.Rate {
+	exp := (a.cfg.RmaxOffset - a.cfg.D).Seconds() / a.cfg.D.Seconds()
+	return units.Rate(float64(a.cfg.MuMin) * math.Pow(a.cfg.S, exp))
 }

@@ -34,8 +34,6 @@ type Config struct {
 	MinRate units.Rate
 	// Rng randomizes probe-order assignments; required.
 	Rng *rand.Rand
-	// Debug, when set, receives a line per scored monitor interval.
-	Debug func(format string, args ...any)
 }
 
 type state int
@@ -155,9 +153,6 @@ func (a *Allegro) PacingRate() units.Rate {
 	return units.Mbps(r)
 }
 
-// Rate returns the base rate in Mbit/s.
-func (a *Allegro) Rate() float64 { return a.rate }
-
 // TickInterval implements cca.Ticker.
 func (a *Allegro) TickInterval() time.Duration { return a.miLen }
 
@@ -173,15 +168,6 @@ func (a *Allegro) OnTick(now time.Duration) {
 	}
 	u := a.score(a.cur)
 	a.MIsScored++
-	if a.cfg.Debug != nil {
-		loss := 0.0
-		if a.cur.sentB > 0 && a.cur.sentB > a.cur.ackedB {
-			loss = float64(a.cur.sentB-a.cur.ackedB) / float64(a.cur.sentB)
-		}
-		a.cfg.Debug("mi t=%v st=%d rate=%.2f acked=%d sent=%d loss=%.3f u=%.3f prevU=%.3f eps=%.3f",
-			now, a.st, a.cur.rate, a.cur.ackedB, a.cur.sentB, loss, u, a.prevUtil, a.eps)
-	}
-
 	switch a.st {
 	case stStarting:
 		switch {

@@ -55,13 +55,13 @@ func TestScoreSmoothsLossAcrossMIs(t *testing.T) {
 
 func TestStartingDoubles(t *testing.T) {
 	a := newTest()
-	r0 := a.Rate()
+	r0 := a.rate
 	now := time.Duration(0)
 	for i := 0; i < 4; i++ {
 		tick(a, &now, 1.0)
 	}
-	if a.Rate() < 8*r0 {
-		t.Errorf("rate after 4 clean MIs = %v, want >= %v", a.Rate(), 8*r0)
+	if a.rate < 8*r0 {
+		t.Errorf("rate after 4 clean MIs = %v, want >= %v", a.rate, 8*r0)
 	}
 	if a.st != stStarting {
 		t.Error("left Starting despite increasing utility")
@@ -73,7 +73,7 @@ func TestStartingToleratesOneNoisyMI(t *testing.T) {
 	now := time.Duration(0)
 	tick(a, &now, 1.0)
 	tick(a, &now, 1.0)
-	r := a.Rate()
+	r := a.rate
 	// One bad interval (8% loss): debounced, remains in Starting.
 	tick(a, &now, 0.92)
 	if a.st != stStarting {
@@ -81,8 +81,8 @@ func TestStartingToleratesOneNoisyMI(t *testing.T) {
 	}
 	// A clean re-measure resumes doubling.
 	tick(a, &now, 1.0)
-	if a.Rate() < r {
-		t.Errorf("rate fell after recovery: %v < %v", a.Rate(), r)
+	if a.rate < r {
+		t.Errorf("rate fell after recovery: %v < %v", a.rate, r)
 	}
 }
 
@@ -92,15 +92,15 @@ func TestStartingExitsOnPersistentCollapse(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tick(a, &now, 1.0)
 	}
-	peak := a.Rate()
+	peak := a.rate
 	// Two consecutive heavily lossy MIs: revert and probe.
 	tick(a, &now, 0.5)
 	tick(a, &now, 0.5)
 	if a.st == stStarting {
 		t.Fatal("still Starting after two collapsed MIs")
 	}
-	if a.Rate() >= peak {
-		t.Errorf("rate not reverted: %v >= %v", a.Rate(), peak)
+	if a.rate >= peak {
+		t.Errorf("rate not reverted: %v >= %v", a.rate, peak)
 	}
 }
 
@@ -169,8 +169,8 @@ func TestRateFloorHolds(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		tick(a, &now, 0.3) // catastrophic loss forever
 	}
-	if a.Rate() < a.cfg.MinRate.Mbit() {
-		t.Errorf("rate %v below floor", a.Rate())
+	if a.rate < a.cfg.MinRate.Mbit() {
+		t.Errorf("rate %v below floor", a.rate)
 	}
 }
 

@@ -103,10 +103,6 @@ type BBR struct {
 	probeRTTFloor time.Duration
 	probeRTTDone  time.Duration
 	probeRTTRound bool
-
-	// Stats.
-	CwndLimitedAcks  int64
-	PacingLimitedAck int64
 }
 
 type histPoint struct {
@@ -162,30 +158,13 @@ func init() {
 // Name implements cca.Algorithm.
 func (b *BBR) Name() string { return "bbr" }
 
-// State returns the current state name (for traces and tests).
-func (b *BBR) State() string {
-	switch b.st {
-	case stStartup:
-		return "startup"
-	case stDrain:
-		return "drain"
-	case stProbeBW:
-		return "probebw"
-	default:
-		return "probertt"
-	}
-}
-
-// RTprop returns the current min-RTT estimate.
-func (b *BBR) RTprop() time.Duration {
+// rtprop returns the current min-RTT estimate.
+func (b *BBR) rtprop() time.Duration {
 	if b.cfg.RTpropHint > 0 {
 		return b.cfg.RTpropHint
 	}
 	return time.Duration(b.rtProp.Get(0) * float64(time.Second))
 }
-
-// BtlBw returns the bandwidth estimate.
-func (b *BBR) BtlBw() units.Rate { return units.Rate(b.btlBw.Get(0) * 8) }
 
 // Window implements cca.Algorithm: cwnd = gain·BDP + α quanta.
 func (b *BBR) Window() int { return b.cwnd }
@@ -200,7 +179,7 @@ func (b *BBR) window() int {
 		return 4 * b.cfg.MSS
 	}
 	bw := b.btlBw.Get(0) // bytes/s
-	rt := b.RTprop()
+	rt := b.rtprop()
 	if bw <= 0 || rt <= 0 {
 		return int(b.cfg.InitialCwndPkts) * b.cfg.MSS
 	}
@@ -316,12 +295,12 @@ func (b *BBR) advance(s cca.AckSignal) {
 			b.cwndGain = b.cfg.CwndGain
 		}
 	case stDrain:
-		bdp := b.btlBw.Get(0) * b.RTprop().Seconds()
+		bdp := b.btlBw.Get(0) * b.rtprop().Seconds()
 		if float64(inflight) <= bdp {
 			b.enterProbeBW(now)
 		}
 	case stProbeBW:
-		rt := b.RTprop()
+		rt := b.rtprop()
 		if rt <= 0 {
 			rt = 10 * time.Millisecond
 		}

@@ -28,8 +28,8 @@ func feedSteady(b *BBR, start time.Duration, rateBps float64, rtt, span time.Dur
 
 func TestStartupState(t *testing.T) {
 	b := newTestBBR()
-	if b.State() != "startup" {
-		t.Errorf("initial state = %s, want startup", b.State())
+	if b.stateName() != "startup" {
+		t.Errorf("initial state = %s, want startup", b.stateName())
 	}
 	if b.PacingRate() != 0 {
 		t.Error("pacing before any bandwidth sample should be unlimited (ACK-clocked)")
@@ -40,7 +40,7 @@ func TestBandwidthEstimate(t *testing.T) {
 	b := newTestBBR()
 	const rate = 1.5e6 // bytes/s = 12 Mbit/s
 	feedSteady(b, 0, rate, 40*time.Millisecond, time.Second)
-	got := b.BtlBw().BytesPerSec()
+	got := b.btlBw.Get(0)
 	if got < rate*0.9 || got > rate*1.2 {
 		t.Errorf("BtlBw = %.0f bytes/s, want ~%.0f", got, rate)
 	}
@@ -51,7 +51,7 @@ func TestRTpropIsWindowedMin(t *testing.T) {
 	feedSteady(b, 0, 1.5e6, 50*time.Millisecond, 200*time.Millisecond)
 	feedSteady(b, 200*time.Millisecond, 1.5e6, 40*time.Millisecond, 200*time.Millisecond)
 	feedSteady(b, 400*time.Millisecond, 1.5e6, 60*time.Millisecond, 200*time.Millisecond)
-	if got := b.RTprop(); got != 40*time.Millisecond {
+	if got := b.rtprop(); got != 40*time.Millisecond {
 		t.Errorf("RTprop = %v, want windowed min 40ms", got)
 	}
 }
@@ -59,7 +59,7 @@ func TestRTpropIsWindowedMin(t *testing.T) {
 func TestExitsStartupWhenBwPlateaus(t *testing.T) {
 	b := newTestBBR()
 	feedSteady(b, 0, 1.5e6, 40*time.Millisecond, 2*time.Second)
-	if b.State() == "startup" {
+	if b.stateName() == "startup" {
 		t.Errorf("still in startup after 50 RTTs of flat bandwidth")
 	}
 }
@@ -71,8 +71,8 @@ func TestReachesProbeBWAndCycles(t *testing.T) {
 	b.OnAck(cca.AckSignal{Now: now, RTT: 40 * time.Millisecond, AckedBytes: 1500,
 		DeliveredBytes: 1500, InFlight: 0})
 	feedSteady(b, now, 1.5e6, 40*time.Millisecond, time.Second)
-	if b.State() != "probebw" {
-		t.Fatalf("state = %s, want probebw", b.State())
+	if b.stateName() != "probebw" {
+		t.Fatalf("state = %s, want probebw", b.stateName())
 	}
 	// Over a full gain cycle the pacing gain must visit 1.25 and 0.75.
 	seen := map[float64]bool{}
@@ -115,7 +115,7 @@ func enterProbeRTT(b *BBR) time.Duration {
 		rtt += 2 * time.Microsecond
 		b.OnAck(cca.AckSignal{Now: now, RTT: rtt, AckedBytes: 1500,
 			DeliveredBytes: 1500, InFlight: 60000})
-		if b.State() == "probertt" {
+		if b.stateName() == "probertt" {
 			return now
 		}
 	}
@@ -166,7 +166,7 @@ func TestProbeRTTExitWaitsForFloor(t *testing.T) {
 			for inflight := 40 * mss; inflight > 4*mss; {
 				inflight -= mss
 				ack(400*time.Millisecond, inflight)
-				if b.State() != "probertt" {
+				if b.stateName() != "probertt" {
 					t.Fatalf("left ProbeRTT %v after entry with %d B in flight, above the 4-packet floor",
 						now-entered, inflight)
 				}
@@ -174,7 +174,7 @@ func TestProbeRTTExitWaitsForFloor(t *testing.T) {
 			floor := now
 			for now+step < floor+tc.exit {
 				ack(tc.rtt, 4*mss)
-				if b.State() != "probertt" {
+				if b.stateName() != "probertt" {
 					t.Fatalf("left ProbeRTT %v after reaching the floor, want %v", now-floor, tc.exit)
 				}
 			}
@@ -183,7 +183,7 @@ func TestProbeRTTExitWaitsForFloor(t *testing.T) {
 				rtt = 40 * time.Millisecond // the first echo with a send time
 			}
 			ack(rtt, 4*mss)
-			if b.State() == "probertt" {
+			if b.stateName() == "probertt" {
 				t.Fatalf("still in ProbeRTT %v after reaching the floor, want exit at %v", now-floor, tc.exit)
 			}
 		})
@@ -198,7 +198,7 @@ func TestProbeRTTDisabled(t *testing.T) {
 		b.OnAck(cca.AckSignal{Now: now, RTT: 40 * time.Millisecond, AckedBytes: 1500,
 			DeliveredBytes: 1500, InFlight: 60000})
 	}
-	if b.State() == "probertt" {
+	if b.stateName() == "probertt" {
 		t.Error("ProbeRTT entered despite DisableProbeRTT")
 	}
 }
@@ -206,7 +206,7 @@ func TestProbeRTTDisabled(t *testing.T) {
 func TestRTpropHintPins(t *testing.T) {
 	b := New(Config{MSS: 1500, Rng: rand.New(rand.NewSource(1)), RTpropHint: 33 * time.Millisecond})
 	feedSteady(b, 0, 1.5e6, 50*time.Millisecond, time.Second)
-	if got := b.RTprop(); got != 33*time.Millisecond {
+	if got := b.rtprop(); got != 33*time.Millisecond {
 		t.Errorf("RTprop = %v, want pinned 33ms", got)
 	}
 }
@@ -361,7 +361,7 @@ func TestWindowAndPacingRateAreCurrent(t *testing.T) {
 					t.Helper()
 					if w, r := b.Window(), b.PacingRate(); w != b.window() || r != b.pacingRate() {
 						t.Fatalf("seed %d, %s in %s: Window %d PacingRate %v, the formulas give %d and %v",
-							seed, when, b.State(), w, r, b.window(), b.pacingRate())
+							seed, when, b.stateName(), w, r, b.window(), b.pacingRate())
 					}
 				}
 				check("after New")
@@ -377,11 +377,11 @@ func TestWindowAndPacingRateAreCurrent(t *testing.T) {
 					if rng.Intn(16) == 0 {
 						s.RTT = 0 // echo of a retransmission
 					}
-					was := b.State()
+					was := b.stateName()
 					b.OnAck(s)
 					check("at " + now.String())
-					seen[b.State()] = true
-					leftProbeRTT = leftProbeRTT || was == "probertt" && b.State() != was
+					seen[b.stateName()] = true
+					leftProbeRTT = leftProbeRTT || was == "probertt" && b.stateName() != was
 				}
 				for _, st := range tc.want {
 					if !seen[st] {
@@ -405,4 +405,18 @@ func TestNewWithoutRngPanics(t *testing.T) {
 		}
 	}()
 	New(Config{})
+}
+
+// stateName returns the current state name.
+func (b *BBR) stateName() string {
+	switch b.st {
+	case stStartup:
+		return "startup"
+	case stDrain:
+		return "drain"
+	case stProbeBW:
+		return "probebw"
+	default:
+		return "probertt"
+	}
 }

@@ -90,17 +90,8 @@ func (c *Copa) Window() int { return int(c.cwnd * float64(c.cfg.MSS)) }
 // clock, as the original user-space implementation is also window-driven.
 func (c *Copa) PacingRate() units.Rate { return 0 }
 
-// CwndPkts returns the window in packets.
-func (c *Copa) CwndPkts() float64 { return c.cwnd }
-
-// SetCwndPkts overrides the window (Theorem 1 construction support).
-func (c *Copa) SetCwndPkts(w float64) {
-	c.cwnd = w
-	c.inSlowStart = false
-}
-
-// MinRTT returns Copa's current minimum-RTT estimate.
-func (c *Copa) MinRTT() time.Duration {
+// minRTT returns Copa's current minimum-RTT estimate.
+func (c *Copa) minRTT() time.Duration {
 	if c.cfg.MinRTTHint > 0 {
 		return c.cfg.MinRTTHint
 	}
@@ -124,7 +115,7 @@ func (c *Copa) OnAck(s cca.AckSignal) {
 	c.standing.Window = srtt / 2
 	c.standing.Update(s.Now, float64(s.RTT))
 
-	minRTT := c.MinRTT()
+	minRTT := c.minRTT()
 	standingRTT := time.Duration(c.standing.Get(float64(s.RTT)))
 	dq := standingRTT - minRTT
 	if minRTT <= 0 || standingRTT <= 0 {

@@ -33,7 +33,7 @@ func TestMinRTTTracking(t *testing.T) {
 	feed(c, 0, 120*time.Millisecond)
 	feed(c, time.Millisecond, 100*time.Millisecond)
 	feed(c, 2*time.Millisecond, 110*time.Millisecond)
-	if got := c.MinRTT(); got != 100*time.Millisecond {
+	if got := c.minRTT(); got != 100*time.Millisecond {
 		t.Errorf("MinRTT = %v, want 100ms (lifetime)", got)
 	}
 }
@@ -42,11 +42,11 @@ func TestWindowedMinRTTExpires(t *testing.T) {
 	c := New(Config{MSS: 1500, MinRTTWindow: 10 * time.Second})
 	feed(c, 0, 99*time.Millisecond)
 	feed(c, time.Second, 100*time.Millisecond)
-	if got := c.MinRTT(); got != 99*time.Millisecond {
+	if got := c.minRTT(); got != 99*time.Millisecond {
 		t.Errorf("MinRTT = %v, want 99ms while in window", got)
 	}
 	feed(c, 15*time.Second, 100*time.Millisecond)
-	if got := c.MinRTT(); got != 100*time.Millisecond {
+	if got := c.minRTT(); got != 100*time.Millisecond {
 		t.Errorf("MinRTT = %v, want 99ms sample expired", got)
 	}
 }
@@ -101,7 +101,7 @@ func TestSteadyStateOscillatesNearTarget(t *testing.T) {
 
 func TestVelocityResetsOnDirectionChange(t *testing.T) {
 	c := New(Config{MSS: 1500})
-	c.SetCwndPkts(50)
+	c.cwnd, c.inSlowStart = 50, false
 	feed(c, 0, 100*time.Millisecond)
 	// Drive up for several RTTs (empty queue → below target).
 	drive(c, time.Millisecond, 100*time.Millisecond, 8)
@@ -115,9 +115,9 @@ func TestVelocityResetsOnDirectionChange(t *testing.T) {
 
 func TestLossHalves(t *testing.T) {
 	c := New(Config{MSS: 1500})
-	c.SetCwndPkts(40)
+	c.cwnd, c.inSlowStart = 40, false
 	c.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
-	if got := c.CwndPkts(); got != 20 {
+	if got := c.cwnd; got != 20 {
 		t.Errorf("cwnd after loss = %v, want 20", got)
 	}
 }
@@ -127,11 +127,11 @@ func TestPoisonedMinRTTThrottles(t *testing.T) {
 	// perceiving ≥1ms of queueing forever, capping its rate at
 	// 1/(δ·1ms) = 2000 pkt/s regardless of capacity.
 	c := New(Config{MSS: 1500})
-	c.SetCwndPkts(800)
+	c.cwnd, c.inSlowStart = 800, false
 	feed(c, 0, 99*time.Millisecond) // poison
 	drive(c, time.Millisecond, 100*time.Millisecond, 40)
 	// cwnd should head toward 2000 pkt/s × 0.1s = 200 packets.
-	if got := c.CwndPkts(); got > 400 {
+	if got := c.cwnd; got > 400 {
 		t.Errorf("poisoned Copa cwnd = %v, want < 400 (throttled)", got)
 	}
 }

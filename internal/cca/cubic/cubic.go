@@ -75,9 +75,6 @@ func (c *Cubic) Window() int { return int(c.cwnd * float64(c.cfg.MSS)) }
 // PacingRate implements cca.Algorithm.
 func (c *Cubic) PacingRate() units.Rate { return 0 }
 
-// CwndPkts returns the window in packets.
-func (c *Cubic) CwndPkts() float64 { return c.cwnd }
-
 // OnAck implements cca.Algorithm.
 func (c *Cubic) OnAck(s cca.AckSignal) {
 	if s.RTT > 0 {

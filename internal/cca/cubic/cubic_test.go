@@ -13,11 +13,11 @@ func ack(now time.Duration, bytes int) cca.AckSignal {
 
 func TestSlowStartGrowth(t *testing.T) {
 	c := New(Config{MSS: 1500, InitialCwndPkts: 10})
-	w0 := c.CwndPkts()
+	w0 := c.cwnd
 	for i := 0; i < 10; i++ {
 		c.OnAck(ack(time.Duration(i)*10*time.Millisecond, 1500))
 	}
-	if got := c.CwndPkts(); got != w0+10 {
+	if got := c.cwnd; got != w0+10 {
 		t.Errorf("slow start growth = %v, want %v", got, w0+10)
 	}
 }
@@ -25,7 +25,7 @@ func TestSlowStartGrowth(t *testing.T) {
 func TestLossDecreaseByBeta(t *testing.T) {
 	c := New(Config{MSS: 1500, InitialCwndPkts: 100})
 	c.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
-	if got := c.CwndPkts(); got != 70 {
+	if got := c.cwnd; got != 70 {
 		t.Errorf("cwnd after loss = %v, want 70 (β=0.7)", got)
 	}
 }
@@ -42,10 +42,10 @@ func TestCubicConcaveRecovery(t *testing.T) {
 	for i := 0; i < 100000 && atWmax == 0; i++ {
 		now += time.Millisecond
 		c.OnAck(ack(now, 1500))
-		if at80 == 0 && c.CwndPkts() >= 80 {
+		if at80 == 0 && c.cwnd >= 80 {
 			at80 = now
 		}
-		if c.CwndPkts() >= 100 {
+		if c.cwnd >= 100 {
 			atWmax = now
 		}
 	}
@@ -73,7 +73,7 @@ func TestFastConvergence(t *testing.T) {
 func TestTimeoutReset(t *testing.T) {
 	c := New(Config{MSS: 1500, InitialCwndPkts: 100})
 	c.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true, Timeout: true})
-	if got := c.CwndPkts(); got != 1 {
+	if got := c.cwnd; got != 1 {
 		t.Errorf("cwnd after timeout = %v, want 1", got)
 	}
 }
@@ -81,9 +81,9 @@ func TestTimeoutReset(t *testing.T) {
 func TestSameEpochLossIgnored(t *testing.T) {
 	c := New(Config{MSS: 1500, InitialCwndPkts: 100})
 	c.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
-	w := c.CwndPkts()
+	w := c.cwnd
 	c.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: false})
-	if c.CwndPkts() != w {
+	if c.cwnd != w {
 		t.Error("non-new-event loss reduced cwnd")
 	}
 }
@@ -107,8 +107,8 @@ func TestTCPFriendlyFloor(t *testing.T) {
 		now += 10 * time.Millisecond
 		noFloor.OnAck(ack(now, 1500))
 	}
-	if c.CwndPkts() < noFloor.CwndPkts() {
-		t.Errorf("TCP-friendly cwnd (%v) below plain cubic (%v)", c.CwndPkts(), noFloor.CwndPkts())
+	if c.cwnd < noFloor.cwnd {
+		t.Errorf("TCP-friendly cwnd (%v) below plain cubic (%v)", c.cwnd, noFloor.cwnd)
 	}
 }
 

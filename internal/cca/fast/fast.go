@@ -68,12 +68,6 @@ func (f *Fast) Window() int { return int(f.cwnd * float64(f.cfg.MSS)) }
 // PacingRate implements cca.Algorithm.
 func (f *Fast) PacingRate() units.Rate { return 0 }
 
-// CwndPkts returns the window in packets.
-func (f *Fast) CwndPkts() float64 { return f.cwnd }
-
-// SetCwndPkts overrides the window (Theorem 1 construction support).
-func (f *Fast) SetCwndPkts(w float64) { f.cwnd = w }
-
 // OnAck implements cca.Algorithm.
 func (f *Fast) OnAck(s cca.AckSignal) {
 	if s.RTT <= 0 {

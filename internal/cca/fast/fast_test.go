@@ -29,12 +29,12 @@ func TestFixedPoint(t *testing.T) {
 	// exactly α packets. Feed the consistent RTT and verify w is stable.
 	f := New(Config{MSS: 1500, Alpha: 4, BaseRTT: 100 * time.Millisecond})
 	w := 100.0
-	f.SetCwndPkts(w)
+	f.cwnd = w
 	// rtt such that queued = w·(rtt−base)/rtt = α → rtt = base·w/(w−α).
 	base := 100 * time.Millisecond
 	rtt := time.Duration(float64(base) * w / (w - 4))
 	drive(f, 0, rtt, 10)
-	if got := f.CwndPkts(); math.Abs(got-w) > 0.5 {
+	if got := f.cwnd; math.Abs(got-w) > 0.5 {
 		t.Errorf("cwnd drifted from fixed point: %v, want ~%v", got, w)
 	}
 }
@@ -43,9 +43,9 @@ func TestConvergesTowardFixedPoint(t *testing.T) {
 	// Starting below the fixed point with an empty queue (rtt = base),
 	// FAST grows multiplicatively.
 	f := New(Config{MSS: 1500, Alpha: 4, BaseRTT: 100 * time.Millisecond})
-	f.SetCwndPkts(10)
+	f.cwnd = 10
 	drive(f, 0, 100*time.Millisecond, 3)
-	got := f.CwndPkts()
+	got := f.cwnd
 	if got <= 10 {
 		t.Errorf("cwnd did not grow at empty queue: %v", got)
 	}
@@ -57,12 +57,12 @@ func TestConvergesTowardFixedPoint(t *testing.T) {
 
 func TestBacksOffWhenOverQueued(t *testing.T) {
 	f := New(Config{MSS: 1500, Alpha: 4, BaseRTT: 100 * time.Millisecond})
-	f.SetCwndPkts(100)
+	f.cwnd = 100
 	// RTT 1.5× base: 33 packets queued ≫ α. Each per-RTT update moves the
 	// window a γ-weighted step toward the fixed point w = 4·rtt/(rtt−base)
 	// = 12: w ← 0.833·w + 2, so ~20 RTTs reach within a few packets.
 	drive(f, 0, 150*time.Millisecond, 20)
-	got := f.CwndPkts()
+	got := f.cwnd
 	if got > 17 {
 		t.Errorf("cwnd = %v, want near 12 (drain toward α packets)", got)
 	}
@@ -70,22 +70,22 @@ func TestBacksOffWhenOverQueued(t *testing.T) {
 
 func TestLossHalves(t *testing.T) {
 	f := New(Config{MSS: 1500})
-	f.SetCwndPkts(60)
+	f.cwnd = 60
 	f.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
-	if got := f.CwndPkts(); got != 30 {
+	if got := f.cwnd; got != 30 {
 		t.Errorf("cwnd after loss = %v, want 30", got)
 	}
 	f.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: false})
-	if got := f.CwndPkts(); got != 30 {
+	if got := f.cwnd; got != 30 {
 		t.Error("same-epoch loss halved twice")
 	}
 }
 
 func TestWindowFloor(t *testing.T) {
 	f := New(Config{MSS: 1500, BaseRTT: 100 * time.Millisecond})
-	f.SetCwndPkts(2)
+	f.cwnd = 2
 	drive(f, 0, 500*time.Millisecond, 10) // massive queueing
-	if got := f.CwndPkts(); got < 2 {
+	if got := f.cwnd; got < 2 {
 		t.Errorf("cwnd fell below floor: %v", got)
 	}
 }

@@ -39,12 +39,6 @@ func (f *WindowedMin) Get(def float64) float64 {
 	return f.q[0].v
 }
 
-// Empty reports whether the filter holds no live samples.
-func (f *WindowedMin) Empty() bool { return len(f.q) == 0 }
-
-// Reset discards all samples.
-func (f *WindowedMin) Reset() { f.q = f.q[:0] }
-
 func (f *WindowedMin) expire(now time.Duration) {
 	for len(f.q) > 0 && now-f.q[0].t > f.Window {
 		f.q = f.q[1:]
@@ -67,12 +61,6 @@ func (f *WindowedMax) Get(def float64) float64 {
 	}
 	return f.q[0].v
 }
-
-// Empty reports whether the filter holds no live samples.
-func (f *WindowedMax) Empty() bool { return len(f.q) == 0 }
-
-// Reset discards all samples.
-func (f *WindowedMax) Reset() { f.q = f.q[:0] }
 
 func (f *WindowedMax) expire(now time.Duration) {
 	for len(f.q) > 0 && now-f.q[0].t > f.Window {
@@ -105,9 +93,6 @@ func (m *MinRTT) Get(def time.Duration) time.Duration {
 	}
 	return m.rtt
 }
-
-// Valid reports whether any sample has been folded in.
-func (m *MinRTT) Valid() bool { return m.set }
 
 // EWMA is an exponentially weighted moving average with gain Alpha in
 // (0, 1]: avg ← (1−Alpha)·avg + Alpha·sample.

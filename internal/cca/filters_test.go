@@ -43,23 +43,14 @@ func TestWindowedEmptyDefault(t *testing.T) {
 	if min.Get(42) != 42 || max.Get(42) != 42 {
 		t.Error("empty filters must return the default")
 	}
-	if !min.Empty() || !max.Empty() {
+	if len(min.q) != 0 || len(max.q) != 0 {
 		t.Error("fresh filters must report empty")
-	}
-}
-
-func TestWindowedReset(t *testing.T) {
-	f := WindowedMin{Window: time.Second}
-	f.Update(0, 5)
-	f.Reset()
-	if !f.Empty() {
-		t.Error("Reset did not clear")
 	}
 }
 
 func TestMinRTT(t *testing.T) {
 	var m MinRTT
-	if m.Valid() {
+	if m.set {
 		t.Error("fresh MinRTT reports valid")
 	}
 	if m.Get(time.Second) != time.Second {

@@ -88,14 +88,8 @@ func (l *Ledbat) Window() int { return int(l.cwnd * float64(l.cfg.MSS)) }
 // PacingRate implements cca.Algorithm.
 func (l *Ledbat) PacingRate() units.Rate { return 0 }
 
-// CwndPkts returns the window in packets.
-func (l *Ledbat) CwndPkts() float64 { return l.cwnd }
-
-// SetCwndPkts overrides the window (Theorem 1 construction support).
-func (l *Ledbat) SetCwndPkts(w float64) { l.cwnd = w }
-
-// BaseDelay returns the current base-delay estimate.
-func (l *Ledbat) BaseDelay() time.Duration {
+// baseDelay returns the current base-delay estimate.
+func (l *Ledbat) baseDelay() time.Duration {
 	if l.cfg.BaseDelayHint > 0 {
 		return l.cfg.BaseDelayHint
 	}
@@ -129,7 +123,7 @@ func (l *Ledbat) OnAck(s cca.AckSignal) {
 	l.epochStart = s.Now
 	l.epochMinRTT = 0
 
-	base := l.BaseDelay()
+	base := l.baseDelay()
 	if base <= 0 {
 		return
 	}

@@ -68,9 +68,6 @@ func (r *Reno) Window() int { return int(r.cwnd) }
 // PacingRate implements cca.Algorithm. Reno is purely ACK-clocked.
 func (r *Reno) PacingRate() units.Rate { return 0 }
 
-// Cwnd returns the window in bytes (for traces and tests).
-func (r *Reno) Cwnd() float64 { return r.cwnd }
-
 // OnAck implements cca.Algorithm.
 func (r *Reno) OnAck(s cca.AckSignal) {
 	if s.RTT > 0 {

@@ -13,12 +13,12 @@ func ack(now time.Duration, rtt time.Duration, bytes int) cca.AckSignal {
 
 func TestSlowStartDoublesPerRTT(t *testing.T) {
 	r := New(Config{MSS: 1500, InitialCwndPkts: 10})
-	start := r.Cwnd()
+	start := r.cwnd
 	// One window's worth of ACKs doubles the window in slow start.
 	for acked := 0.0; acked < start; acked += 1500 {
 		r.OnAck(ack(time.Duration(acked), 100*time.Millisecond, 1500))
 	}
-	if got := r.Cwnd(); got != 2*start {
+	if got := r.cwnd; got != 2*start {
 		t.Errorf("cwnd after one RTT of acks = %v, want %v", got, 2*start)
 	}
 }
@@ -27,12 +27,12 @@ func TestCongestionAvoidanceLinear(t *testing.T) {
 	r := New(Config{MSS: 1500})
 	// Force CA by taking a loss first.
 	r.OnLoss(cca.LossSignal{Now: 0, Bytes: 1500, NewEvent: true})
-	w0 := r.Cwnd()
+	w0 := r.cwnd
 	// One full window of ACKs grows cwnd by ~1 MSS.
 	for acked := 0.0; acked < w0; acked += 1500 {
 		r.OnAck(ack(time.Second, 100*time.Millisecond, 1500))
 	}
-	growth := r.Cwnd() - w0
+	growth := r.cwnd - w0
 	// Slightly under one MSS because the denominator grows within the RTT.
 	if growth < 1300 || growth > 1600 {
 		t.Errorf("CA growth per RTT = %v, want ~1 MSS", growth)
@@ -41,9 +41,9 @@ func TestCongestionAvoidanceLinear(t *testing.T) {
 
 func TestMultiplicativeDecrease(t *testing.T) {
 	r := New(Config{MSS: 1500, InitialCwndPkts: 20})
-	w0 := r.Cwnd()
+	w0 := r.cwnd
 	r.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
-	if got := r.Cwnd(); got != w0/2 {
+	if got := r.cwnd; got != w0/2 {
 		t.Errorf("cwnd after loss = %v, want %v", got, w0/2)
 	}
 }
@@ -51,9 +51,9 @@ func TestMultiplicativeDecrease(t *testing.T) {
 func TestNonNewEventLossIgnored(t *testing.T) {
 	r := New(Config{MSS: 1500, InitialCwndPkts: 20})
 	r.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
-	w := r.Cwnd()
+	w := r.cwnd
 	r.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: false})
-	if r.Cwnd() != w {
+	if r.cwnd != w {
 		t.Error("same-epoch loss halved cwnd twice")
 	}
 }
@@ -62,16 +62,16 @@ func TestOncePerRTTDecrease(t *testing.T) {
 	r := New(Config{MSS: 1500, InitialCwndPkts: 64})
 	r.OnAck(ack(0, 100*time.Millisecond, 1500)) // establish lastRTT
 	r.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
-	w := r.Cwnd()
+	w := r.cwnd
 	// A second "new" event within the same RTT is treated as the same
 	// congestion episode.
 	r.OnLoss(cca.LossSignal{Now: time.Second + 10*time.Millisecond, Bytes: 1500, NewEvent: true})
-	if r.Cwnd() != w {
-		t.Errorf("cwnd halved twice within one RTT: %v -> %v", w, r.Cwnd())
+	if r.cwnd != w {
+		t.Errorf("cwnd halved twice within one RTT: %v -> %v", w, r.cwnd)
 	}
 	// After an RTT has passed, a new event does reduce again.
 	r.OnLoss(cca.LossSignal{Now: time.Second + 200*time.Millisecond, Bytes: 1500, NewEvent: true})
-	if r.Cwnd() >= w {
+	if r.cwnd >= w {
 		t.Error("decrease suppressed after a full RTT")
 	}
 }
@@ -89,21 +89,21 @@ func TestFloorAtTwoMSS(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.OnLoss(cca.LossSignal{Now: time.Duration(i) * time.Second, Bytes: 1500, NewEvent: true})
 	}
-	if got := r.Cwnd(); got < 2*1500 {
+	if got := r.cwnd; got < 2*1500 {
 		t.Errorf("cwnd fell below 2 MSS: %v", got)
 	}
 }
 
 func TestECNReaction(t *testing.T) {
 	r := New(Config{MSS: 1500, InitialCwndPkts: 20, ReactToECN: true})
-	w0 := r.Cwnd()
+	w0 := r.cwnd
 	r.OnAck(cca.AckSignal{Now: time.Second, RTT: 100 * time.Millisecond, AckedBytes: 1500, ECE: true})
-	if r.Cwnd() >= w0 {
+	if r.cwnd >= w0 {
 		t.Error("ECE did not reduce cwnd with ReactToECN")
 	}
 	r2 := New(Config{MSS: 1500, InitialCwndPkts: 20})
 	r2.OnAck(cca.AckSignal{Now: time.Second, RTT: 100 * time.Millisecond, AckedBytes: 1500, ECE: true})
-	if r2.Cwnd() < w0 {
+	if r2.cwnd < w0 {
 		t.Error("ECE reduced cwnd without ReactToECN")
 	}
 }

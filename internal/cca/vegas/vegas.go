@@ -76,9 +76,6 @@ func (v *Vegas) Window() int { return int(v.cwnd * float64(v.cfg.MSS)) }
 // PacingRate implements cca.Algorithm.
 func (v *Vegas) PacingRate() units.Rate { return 0 }
 
-// CwndPkts returns the window in packets.
-func (v *Vegas) CwndPkts() float64 { return v.cwnd }
-
 // SetCwndPkts overrides the window; the Theorem 1 construction uses this to
 // start a flow from its converged state.
 func (v *Vegas) SetCwndPkts(w float64) {
@@ -86,8 +83,8 @@ func (v *Vegas) SetCwndPkts(w float64) {
 	v.inSlowStart = false
 }
 
-// BaseRTT returns the current minimum-RTT estimate.
-func (v *Vegas) BaseRTT() time.Duration {
+// baseRTT returns the current minimum-RTT estimate.
+func (v *Vegas) baseRTT() time.Duration {
 	return v.base.Get(v.cfg.BaseRTT)
 }
 
@@ -114,7 +111,7 @@ func (v *Vegas) OnAck(s cca.AckSignal) {
 	v.epochStart = s.Now
 	v.epochMinRTT = 0
 
-	base := v.BaseRTT()
+	base := v.baseRTT()
 	if base <= 0 || rtt <= 0 {
 		return
 	}

@@ -35,7 +35,7 @@ func TestHoldsInsideBand(t *testing.T) {
 	base := 100 * time.Millisecond
 	rtt := time.Duration(float64(base) * 50.0 / 46.0)
 	drive(v, 0, rtt, 10)
-	if got := v.CwndPkts(); got != 50 {
+	if got := v.cwnd; got != 50 {
 		t.Errorf("cwnd moved inside the band: %v, want 50", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestIncreasesBelowAlpha(t *testing.T) {
 	base := 100 * time.Millisecond
 	rtt := time.Duration(float64(base) * 50.0 / 49.0)
 	drive(v, 0, rtt, 5)
-	got := v.CwndPkts()
+	got := v.cwnd
 	if got < 52 || got > 56 {
 		t.Errorf("cwnd after 5 low-queue RTTs = %v, want ~54-55", got)
 	}
@@ -60,7 +60,7 @@ func TestDecreasesAboveBeta(t *testing.T) {
 	base := 100 * time.Millisecond
 	rtt := time.Duration(float64(base) * 50.0 / 43.0)
 	drive(v, 0, rtt, 5)
-	got := v.CwndPkts()
+	got := v.cwnd
 	if got < 44 || got > 48 {
 		t.Errorf("cwnd after 5 high-queue RTTs = %v, want ~45-46", got)
 	}
@@ -72,7 +72,7 @@ func TestGrossOverloadSnapsToBDP(t *testing.T) {
 	// RTT double the base: 500 packets queued, far beyond 2β. Two epochs
 	// produce exactly one evaluation (the first only arms the epoch).
 	drive(v, 0, 200*time.Millisecond, 2)
-	got := v.CwndPkts()
+	got := v.cwnd
 	// Snap target: w·base/rtt + α = 1000/2 + 3 = 503.
 	if got < 450 || got > 560 {
 		t.Errorf("cwnd after overload snap = %v, want ~503", got)
@@ -89,9 +89,9 @@ func TestMinRTTPoisoningThrottles(t *testing.T) {
 	// True floor is 100 ms; with 800 packets at 96 Mbit/s queueing is
 	// negligible, so the observed RTT sits at ~100ms while the estimator
 	// believes 99ms: diff = 800·1/100 = 8 > β → persistent decrease.
-	before := v.CwndPkts()
+	before := v.cwnd
 	drive(v, time.Millisecond, 100*time.Millisecond, 30)
-	if got := v.CwndPkts(); got >= before {
+	if got := v.cwnd; got >= before {
 		t.Errorf("poisoned Vegas did not throttle: %v -> %v", before, got)
 	}
 }
@@ -100,11 +100,11 @@ func TestLossHalves(t *testing.T) {
 	v := New(Config{MSS: 1500})
 	v.SetCwndPkts(40)
 	v.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
-	if got := v.CwndPkts(); got != 20 {
+	if got := v.cwnd; got != 20 {
 		t.Errorf("cwnd after loss = %v, want 20", got)
 	}
 	v.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: false})
-	if got := v.CwndPkts(); got != 20 {
+	if got := v.cwnd; got != 20 {
 		t.Errorf("same-epoch loss reduced again: %v", got)
 	}
 }
@@ -121,7 +121,7 @@ func TestSlowStartExitDeflates(t *testing.T) {
 		t.Error("did not exit slow start despite queueing")
 	}
 	// Deflation: w·base/rtt + α = 64·100/150 + 3 ≈ 45.7.
-	if got := v.CwndPkts(); got < 40 || got > 50 {
+	if got := v.cwnd; got < 40 || got > 50 {
 		t.Errorf("deflated cwnd = %v, want ~46", got)
 	}
 }
@@ -131,7 +131,7 @@ func TestBaseRTTLearning(t *testing.T) {
 	v.OnAck(cca.AckSignal{Now: 0, RTT: 120 * time.Millisecond, AckedBytes: 1500})
 	v.OnAck(cca.AckSignal{Now: time.Millisecond, RTT: 100 * time.Millisecond, AckedBytes: 1500})
 	v.OnAck(cca.AckSignal{Now: 2 * time.Millisecond, RTT: 110 * time.Millisecond, AckedBytes: 1500})
-	if got := v.BaseRTT(); got != 100*time.Millisecond {
+	if got := v.baseRTT(); got != 100*time.Millisecond {
 		t.Errorf("BaseRTT = %v, want lifetime min 100ms", got)
 	}
 }
@@ -139,7 +139,7 @@ func TestBaseRTTLearning(t *testing.T) {
 func TestOracularBaseRTTPinned(t *testing.T) {
 	v := New(Config{MSS: 1500, BaseRTT: 100 * time.Millisecond})
 	v.OnAck(cca.AckSignal{Now: 0, RTT: 50 * time.Millisecond, AckedBytes: 1500})
-	if got := v.BaseRTT(); got != 100*time.Millisecond {
+	if got := v.baseRTT(); got != 100*time.Millisecond {
 		t.Errorf("pinned BaseRTT moved: %v", got)
 	}
 }

@@ -114,28 +114,16 @@ func (v *Verus) Window() int { return int(v.cwnd * float64(v.cfg.MSS)) }
 // PacingRate implements cca.Algorithm.
 func (v *Verus) PacingRate() units.Rate { return 0 }
 
-// CwndPkts returns the window in packets.
-func (v *Verus) CwndPkts() float64 { return v.cwnd }
-
-// SetCwndPkts overrides the window (theory-construction support).
-func (v *Verus) SetCwndPkts(w float64) {
-	v.cwnd = w
-	v.inSlowStart = false
-}
-
-// MinDelay returns the minimum-delay estimate.
-func (v *Verus) MinDelay() time.Duration {
+// minDelay returns the minimum-delay estimate.
+func (v *Verus) minDelay() time.Duration {
 	if v.cfg.MinRTTHint > 0 {
 		return v.cfg.MinRTTHint
 	}
 	return v.minRTT.Get(0)
 }
 
-// TargetDelay returns the current delay target (for tests/traces).
-func (v *Verus) TargetDelay() time.Duration { return v.targetDelay }
-
 func (v *Verus) bucket(d time.Duration) int {
-	min := v.MinDelay()
+	min := v.minDelay()
 	if min <= 0 || d < min {
 		return 0
 	}
@@ -195,7 +183,7 @@ func (v *Verus) OnAck(s cca.AckSignal) {
 // endEpoch runs the Verus control decision.
 func (v *Verus) endEpoch() {
 	v.Epochs++
-	min := v.MinDelay()
+	min := v.minDelay()
 	if min <= 0 || v.epochMaxRTT <= 0 {
 		return
 	}

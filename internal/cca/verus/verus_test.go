@@ -16,14 +16,14 @@ func feed(v *Verus, now, rtt time.Duration) {
 
 func TestSlowStartRampsUntilDelayRatio(t *testing.T) {
 	v := New(Config{MSS: 1500, MinRTTHint: 50 * time.Millisecond})
-	w0 := v.CwndPkts()
+	w0 := v.cwnd
 	// Low delay: stays in slow start, multiplies per epoch.
 	now := time.Duration(0)
 	for i := 0; i < 200; i++ {
 		now += 5 * time.Millisecond
 		feed(v, now, 55*time.Millisecond)
 	}
-	if got := v.CwndPkts(); got < 4*w0 {
+	if got := v.cwnd; got < 4*w0 {
 		t.Errorf("cwnd after low-delay epochs = %v, want ramped", got)
 	}
 	if !v.inSlowStart {
@@ -41,7 +41,7 @@ func TestSlowStartRampsUntilDelayRatio(t *testing.T) {
 
 func TestTargetDelayDynamics(t *testing.T) {
 	v := New(Config{MSS: 1500, MinRTTHint: 50 * time.Millisecond})
-	v.SetCwndPkts(20)
+	v.cwnd, v.inSlowStart = 20, false
 	v.targetDelay = 80 * time.Millisecond
 	v.smoothedMax.Update(float64(80 * time.Millisecond))
 
@@ -86,14 +86,14 @@ func TestProfileLearning(t *testing.T) {
 
 func TestLossReaction(t *testing.T) {
 	v := New(Config{MSS: 1500})
-	v.SetCwndPkts(40)
+	v.cwnd, v.inSlowStart = 40, false
 	v.targetDelay = 100 * time.Millisecond
 	v.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
-	if v.CwndPkts() != 20 || v.targetDelay != 50*time.Millisecond {
-		t.Errorf("after loss: cwnd %v target %v", v.CwndPkts(), v.targetDelay)
+	if v.cwnd != 20 || v.targetDelay != 50*time.Millisecond {
+		t.Errorf("after loss: cwnd %v target %v", v.cwnd, v.targetDelay)
 	}
 	v.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: false})
-	if v.CwndPkts() != 20 {
+	if v.cwnd != 20 {
 		t.Error("same-epoch loss reduced twice")
 	}
 }

@@ -134,9 +134,6 @@ func (v *Vivace) Window() int { return 0 }
 // PacingRate implements cca.Algorithm.
 func (v *Vivace) PacingRate() units.Rate { return units.Mbps(v.currentMIRate()) }
 
-// Rate returns the base (non-probing) rate in Mbit/s.
-func (v *Vivace) Rate() float64 { return v.rate }
-
 func (v *Vivace) currentMIRate() float64 {
 	r := v.mi.rate
 	if r < v.cfg.MinRate.Mbit() {

@@ -69,7 +69,7 @@ func TestUtilityPenalizesLoss(t *testing.T) {
 
 func TestSlowStartDoublesWhileUtilityGrows(t *testing.T) {
 	v := newTest()
-	r0 := v.Rate()
+	r0 := v.rate
 	now := time.Duration(0)
 	// Three full MIs (warmup+measure) with clean, fast delivery.
 	for i := 0; i < 6; i++ {
@@ -79,8 +79,8 @@ func TestSlowStartDoublesWhileUtilityGrows(t *testing.T) {
 		v.mi.sentB = v.mi.ackedB
 		v.OnTick(now)
 	}
-	if v.Rate() < 4*r0 {
-		t.Errorf("rate after 3 clean MIs = %v, want >= %v (doubling)", v.Rate(), 4*r0)
+	if v.rate < 4*r0 {
+		t.Errorf("rate after 3 clean MIs = %v, want >= %v (doubling)", v.rate, 4*r0)
 	}
 }
 
@@ -137,8 +137,8 @@ func TestRateFloor(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		v.step(0, 100) // hard down
 	}
-	if v.Rate() < v.cfg.MinRate.Mbit() {
-		t.Errorf("rate %v fell below floor %v", v.Rate(), v.cfg.MinRate.Mbit())
+	if v.rate < v.cfg.MinRate.Mbit() {
+		t.Errorf("rate %v fell below floor %v", v.rate, v.cfg.MinRate.Mbit())
 	}
 	if v.PacingRate() < units.Mbps(v.cfg.MinRate.Mbit()) {
 		t.Error("pacing below floor")

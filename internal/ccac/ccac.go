@@ -36,8 +36,6 @@ type Params struct {
 	// InjectLoss grants the adversary per-step non-congestive loss
 	// against flow 1.
 	InjectLoss bool
-	// InitialStates optionally overrides the searched start states.
-	InitialStates []State
 }
 
 // State is one configuration of the discrete two-flow system.
@@ -71,9 +69,9 @@ type Result struct {
 	StatesExplored int
 }
 
-// DefaultInitialStates returns a representative set of starting conditions,
+// initialStates returns a representative set of starting conditions,
 // including the adversarial one where flow 2 owns the whole pipe.
-func DefaultInitialStates(cPkts, buffer int) []State {
+func initialStates(cPkts, buffer int) []State {
 	return []State{
 		{W1: 1, W2: 1, Q: 0},                  // both starting
 		{W1: cPkts / 2, W2: cPkts / 2, Q: 0},  // converged fair share
@@ -97,12 +95,8 @@ func Search(p Params) *Result {
 	if p.Depth <= 0 {
 		p.Depth = 10
 	}
-	inits := p.InitialStates
-	if inits == nil {
-		inits = DefaultInitialStates(p.CPkts, p.BufferPkts)
-	}
 	res := &Result{}
-	for _, st := range inits {
+	for _, st := range initialStates(p.CPkts, p.BufferPkts) {
 		trace := make([]Step, 0, p.Depth)
 		explore(p, st, 0, 0, 0, trace, res)
 	}

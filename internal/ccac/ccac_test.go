@@ -74,7 +74,7 @@ func TestDefaults(t *testing.T) {
 	if res.MaxRatio <= 0 {
 		t.Error("default search produced no ratio")
 	}
-	states := DefaultInitialStates(20, 20)
+	states := initialStates(20, 20)
 	if len(states) == 0 {
 		t.Error("no default initial states")
 	}

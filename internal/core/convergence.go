@@ -145,9 +145,9 @@ func estimateConvergenceTime(rtt *trace.Series, lo, hi time.Duration) time.Durat
 	return t
 }
 
-// Efficiency returns the achieved fraction of link capacity, the f of
+// efficiency returns the achieved fraction of link capacity, the f of
 // Definition 4 evaluated at this operating point.
-func (c *Convergence) Efficiency() float64 {
+func (c *Convergence) efficiency() float64 {
 	if c.C <= 0 {
 		return 0
 	}

@@ -55,10 +55,10 @@ func TestConvergenceCapturesFinalState(t *testing.T) {
 	if conv.SteadyMeanRTT < conv.DMin || conv.SteadyMeanRTT > conv.DMax {
 		t.Errorf("mean %v outside [dmin %v, dmax %v]", conv.SteadyMeanRTT, conv.DMin, conv.DMax)
 	}
-	if conv.Efficiency() < 0.95 || conv.Efficiency() > 1.05 {
-		t.Errorf("efficiency = %v", conv.Efficiency())
+	if conv.efficiency() < 0.95 || conv.efficiency() > 1.05 {
+		t.Errorf("efficiency = %v", conv.efficiency())
 	}
-	if conv.RTT.Len() == 0 || conv.Rate.Len() == 0 {
+	if len(conv.RTT.Points) == 0 || len(conv.Rate.Points) == 0 {
 		t.Error("trajectories not recorded")
 	}
 }

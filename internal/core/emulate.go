@@ -25,14 +25,14 @@ type EmulationSpec struct {
 	C1, C2 units.Rate
 	// D is the non-congestive delay bound; Theorem 1 requires D > 2·δmax.
 	D time.Duration
-	// ConstantTargets selects the emulation flavor. False (default)
+	// constantTargets selects the emulation flavor. False (default)
 	// replays each flow's recorded RTT trajectory — the literal step-3
 	// construction. True instead holds each flow at the constant center of
 	// its recorded equilibrium band, a "persistent non-congestive delay"
 	// adversary that is also admissible in the §3 model and, unlike the
 	// replay, phase-locks perfectly in a packet-granular emulator (the
 	// equilibrium hysteresis of the CCA freezes the operating point).
-	ConstantTargets bool
+	constantTargets bool
 	// Measure tunes the step-2 single-flow runs.
 	Measure MeasureOpts
 	// Duration of the two-flow emulation (default 60 s).
@@ -90,7 +90,7 @@ func EmulateTwoFlow(spec EmulationSpec) *EmulationResult {
 	}
 	res.PreconditionsHold = res.Epsilon > 0 && res.DelayGap <= res.DeltaMax+res.Epsilon
 
-	if spec.ConstantTargets {
+	if spec.constantTargets {
 		res.Target1 = constantSeries(conv1.SteadyMeanRTT)
 		res.Target2 = constantSeries(conv2.SteadyMeanRTT)
 	} else {
@@ -153,7 +153,7 @@ func (r *EmulationResult) String() string {
 		r.DeltaMax.Round(time.Microsecond), r.Epsilon.Round(time.Microsecond),
 		r.DelayGap.Round(time.Microsecond), r.PreconditionsHold,
 		r.DStar0.Round(time.Microsecond), r.Ratio,
-		100*r.Shaper1.ViolationFraction(), 100*r.Shaper2.ViolationFraction(),
+		100*r.Shaper1.violationFraction(), 100*r.Shaper2.violationFraction(),
 		r.TwoFlow)
 }
 

@@ -18,18 +18,14 @@ func fastMake(conv *Convergence) cca.Algorithm {
 	if conv == nil {
 		return fast.New(fast.Config{})
 	}
-	f := fast.New(fast.Config{BaseRTT: conv.Rm})
-	f.SetCwndPkts(conv.FinalCwndPkts)
-	return f
+	return fast.New(fast.Config{BaseRTT: conv.Rm, InitialCwndPkts: conv.FinalCwndPkts})
 }
 
 func ledbatMake(conv *Convergence) cca.Algorithm {
 	if conv == nil {
 		return ledbat.New(ledbat.Config{Target: 5 * time.Millisecond})
 	}
-	l := ledbat.New(ledbat.Config{Target: 5 * time.Millisecond, BaseDelayHint: conv.Rm})
-	l.SetCwndPkts(conv.FinalCwndPkts)
-	return l
+	return ledbat.New(ledbat.Config{Target: 5 * time.Millisecond, BaseDelayHint: conv.Rm, InitialCwndPkts: conv.FinalCwndPkts})
 }
 
 func TestTheorem1FASTStarvation(t *testing.T) {
@@ -39,7 +35,7 @@ func TestTheorem1FASTStarvation(t *testing.T) {
 		C1:              units.Mbps(12),
 		C2:              units.Mbps(384),
 		D:               20 * time.Millisecond,
-		ConstantTargets: true,
+		constantTargets: true,
 		Measure:         MeasureOpts{Duration: 25 * time.Second},
 		Duration:        25 * time.Second,
 	})
@@ -58,7 +54,7 @@ func TestTheorem1LEDBATStarvation(t *testing.T) {
 		C1:              units.Mbps(12),
 		C2:              units.Mbps(384),
 		D:               20 * time.Millisecond,
-		ConstantTargets: true,
+		constantTargets: true,
 		Measure:         MeasureOpts{Duration: 25 * time.Second},
 		Duration:        25 * time.Second,
 	})

@@ -86,7 +86,7 @@ func TestTheorem1VegasConstantTargets(t *testing.T) {
 		C1:              units.Mbps(12),
 		C2:              units.Mbps(384),
 		D:               20 * time.Millisecond,
-		ConstantTargets: true,
+		constantTargets: true,
 		Measure:         MeasureOpts{Duration: 30 * time.Second},
 		Duration:        30 * time.Second,
 	})

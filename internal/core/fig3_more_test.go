@@ -29,8 +29,8 @@ func TestFig3LEDBAT(t *testing.T) {
 	if conv.SteadyMeanRTT < lo || conv.SteadyMeanRTT > hi {
 		t.Errorf("steady mean RTT %v, want within [%v, %v]", conv.SteadyMeanRTT, lo, hi)
 	}
-	if conv.Efficiency() < 0.9 {
-		t.Errorf("efficiency %.3f", conv.Efficiency())
+	if conv.efficiency() < 0.9 {
+		t.Errorf("efficiency %.3f", conv.efficiency())
 	}
 	if conv.Delta > 35*time.Millisecond {
 		t.Errorf("δ = %v, want bounded (delay-convergent)", conv.Delta)
@@ -50,8 +50,8 @@ func TestFig3Verus(t *testing.T) {
 	if conv.DMin < fig3Rm {
 		t.Errorf("dmin %v below Rm", conv.DMin)
 	}
-	if conv.Efficiency() < 0.7 {
-		t.Errorf("efficiency %.3f", conv.Efficiency())
+	if conv.efficiency() < 0.7 {
+		t.Errorf("efficiency %.3f", conv.efficiency())
 	}
 }
 

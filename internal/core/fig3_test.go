@@ -38,8 +38,8 @@ func TestFig3Vegas(t *testing.T) {
 			t.Errorf("C=%v: measured [%v, %v], want within [%v, %v]",
 				c, conv.DMin, conv.DMax, lo, hi)
 		}
-		if conv.Efficiency() < 0.95 {
-			t.Errorf("C=%v: efficiency %.3f, want >= 0.95", c, conv.Efficiency())
+		if conv.efficiency() < 0.95 {
+			t.Errorf("C=%v: efficiency %.3f, want >= 0.95", c, conv.efficiency())
 		}
 		// Vegas's hallmark: δ(C) shrinks toward zero (a couple of packet
 		// times at most).
@@ -60,8 +60,8 @@ func TestFig3Fast(t *testing.T) {
 	if conv.DMax > want+slack || conv.DMin < fig3Rm {
 		t.Errorf("measured [%v, %v], want ~%v", conv.DMin, conv.DMax, want)
 	}
-	if conv.Efficiency() < 0.95 {
-		t.Errorf("efficiency %.3f", conv.Efficiency())
+	if conv.efficiency() < 0.95 {
+		t.Errorf("efficiency %.3f", conv.efficiency())
 	}
 }
 
@@ -78,8 +78,8 @@ func TestFig3Copa(t *testing.T) {
 	if conv.DMax > fig3Rm+10*c.TxTime(1500) {
 		t.Errorf("dmax %v too far above Rm (queue > 10 pkts)", conv.DMax)
 	}
-	if conv.Efficiency() < 0.9 {
-		t.Errorf("efficiency %.3f, want >= 0.9", conv.Efficiency())
+	if conv.efficiency() < 0.9 {
+		t.Errorf("efficiency %.3f, want >= 0.9", conv.efficiency())
 	}
 }
 
@@ -98,8 +98,8 @@ func TestFig3BBRPacingMode(t *testing.T) {
 	if conv.DMax > hi+slack {
 		t.Errorf("dmax %v above 1.25·Rm (+slack)", conv.DMax)
 	}
-	if conv.Efficiency() < 0.9 {
-		t.Errorf("efficiency %.3f", conv.Efficiency())
+	if conv.efficiency() < 0.9 {
+		t.Errorf("efficiency %.3f", conv.efficiency())
 	}
 }
 
@@ -124,8 +124,8 @@ func TestFig3Vivace(t *testing.T) {
 	if conv.DMax > fig3Rm+60*time.Millisecond {
 		t.Errorf("probe excursions unbounded: dmax %v", conv.DMax)
 	}
-	if conv.Efficiency() < 0.8 {
-		t.Errorf("efficiency %.3f, want >= 0.8", conv.Efficiency())
+	if conv.efficiency() < 0.8 {
+		t.Errorf("efficiency %.3f, want >= 0.8", conv.efficiency())
 	}
 }
 

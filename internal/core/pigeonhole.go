@@ -62,7 +62,7 @@ func PigeonholeSearch(f Factory, rm time.Duration, s, fEff float64, eps time.Dur
 		conv := MeasureConvergence(f, c, rm, opts)
 		res.Tried = append(res.Tried, SweepPoint{
 			C: c, DMin: conv.DMin, DMax: conv.DMax,
-			Delta: conv.Delta, Efficiency: conv.Efficiency(),
+			Delta: conv.Delta, Efficiency: conv.efficiency(),
 		})
 		for _, m := range seen {
 			diff := conv.DMax - m.conv.DMax

@@ -81,9 +81,9 @@ func (r *RTTShaper) Delay(now time.Duration, seq int64) time.Duration {
 // Bound implements jitter.Policy.
 func (r *RTTShaper) Bound() time.Duration { return r.D }
 
-// ViolationFraction returns the fraction of shaped packets whose required
+// violationFraction returns the fraction of shaped packets whose required
 // delay fell outside [0, D].
-func (r *RTTShaper) ViolationFraction() float64 {
+func (r *RTTShaper) violationFraction() float64 {
 	if r.Applied == 0 {
 		return 0
 	}

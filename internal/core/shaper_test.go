@@ -89,8 +89,8 @@ func TestShaperSkipUntilSuppressesStats(t *testing.T) {
 	if sh.ClampedLow != 1 {
 		t.Error("clamp after SkipUntil not counted")
 	}
-	if sh.ViolationFraction() != 0.5 {
-		t.Errorf("violation fraction = %v, want 0.5 (1 of 2 applied)", sh.ViolationFraction())
+	if sh.violationFraction() != 0.5 {
+		t.Errorf("violation fraction = %v, want 0.5 (1 of 2 applied)", sh.violationFraction())
 	}
 }
 

@@ -116,8 +116,7 @@ func StrongModelConstruction(spec StrongModelSpec) *StrongModelResult {
 		)
 		run := n.Run(spec.Duration)
 		thpt := run.Flows[0].Stat.SteadyThpt
-		lo, hi, _ := run.Flows[0].RTT.MinMax(spec.Duration/2, spec.Duration)
-		_ = lo
+		_, hi, _ := run.Flows[0].RTT.MinMax(spec.Duration/2, spec.Duration)
 		res.Steps = append(res.Steps, StrongModelStep{
 			Index:      k,
 			MaxDelay:   time.Duration(hi * float64(time.Second)),

@@ -75,7 +75,7 @@ func RateDelaySweep(name string, f Factory, rm time.Duration, rates []units.Rate
 			DMin:       conv.DMin,
 			DMax:       conv.DMax,
 			Delta:      conv.Delta,
-			Efficiency: conv.Efficiency(),
+			Efficiency: conv.efficiency(),
 		}
 	}
 	return sw

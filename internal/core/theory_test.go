@@ -94,8 +94,8 @@ func TestExponentialRateDelayMatchesAlgo1(t *testing.T) {
 		60*time.Millisecond, 50*time.Millisecond, 10*time.Millisecond)
 	// Queueing delay 10ms: μ = μ−·2^((120−10)/10) = 100k·2^11.
 	want := 100e3 * math.Pow(2, 11)
-	if math.Abs(mu.BitsPerSec()-want)/want > 1e-9 {
-		t.Errorf("μ = %v, want %v", mu.BitsPerSec(), want)
+	if math.Abs(float64(mu)-want)/want > 1e-9 {
+		t.Errorf("μ = %v, want %v", float64(mu), want)
 	}
 }
 

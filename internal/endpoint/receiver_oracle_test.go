@@ -31,6 +31,7 @@ type oracleReceiver struct {
 	lastSentAt time.Duration
 	lastRetx   bool
 	flushTimer sim.Handle
+	flushArmed bool // flushTimer is scheduled and has neither fired nor been cancelled
 	// flushFn is the flush method bound once so arming the delayed-ACK or
 	// aggregation timer never allocates a method-value closure.
 	flushFn func()
@@ -52,7 +53,7 @@ func newOracleReceiver(s *sim.Simulator, flow packet.FlowID, cfg AckConfig, out 
 		cfg.DelayTimeout = 40 * time.Millisecond
 	}
 	r := &oracleReceiver{sim: s, flow: flow, cfg: cfg, out: out, ooo: make(map[int64]int)}
-	r.flushFn = r.flush
+	r.flushFn = func() { r.flushArmed = false; r.flush() }
 	return r
 }
 
@@ -66,7 +67,7 @@ func (r *oracleReceiver) Reset(cfg AckConfig) {
 	r.delivered = 0
 	r.pendCount, r.pendNewly, r.pendECE = 0, 0, false
 	r.lastSeq, r.lastSentAt, r.lastRetx = 0, 0, false
-	r.flushTimer = sim.Handle{}
+	r.flushTimer, r.flushArmed = sim.Handle{}, false
 	r.pendAcks = r.pendAcks[:0]
 	r.Received, r.AcksSent = 0, 0
 }
@@ -80,7 +81,7 @@ func (r *oracleReceiver) OnPacket(p packet.Packet) {
 	inOrder := true
 	switch {
 	case p.Seq == r.expected:
-		r.expected = p.End()
+		r.expected = p.Seq + int64(p.Size)
 		newly += p.Size
 		r.delivered += int64(p.Size)
 		// Drain any buffered segments that are now in order.
@@ -137,8 +138,8 @@ func (r *oracleReceiver) OnPacket(p packet.Packet) {
 	case r.cfg.DelayCount > 1:
 		if r.pendCount >= r.cfg.DelayCount {
 			r.flush()
-		} else if !r.flushTimer.Pending() {
-			r.flushTimer = r.sim.After(r.cfg.DelayTimeout, r.flushFn)
+		} else if !r.flushArmed {
+			r.flushTimer, r.flushArmed = r.sim.After(r.cfg.DelayTimeout, r.flushFn), true
 		}
 	default:
 		r.flush()
@@ -146,7 +147,7 @@ func (r *oracleReceiver) OnPacket(p packet.Packet) {
 }
 
 func (r *oracleReceiver) armAggregate(now time.Duration) {
-	if r.flushTimer.Pending() {
+	if r.flushArmed {
 		return
 	}
 	period := r.cfg.AggregatePeriod
@@ -155,7 +156,7 @@ func (r *oracleReceiver) armAggregate(now time.Duration) {
 	if rem == 0 {
 		wait = 0
 	}
-	r.flushTimer = r.sim.After(wait, r.flushFn)
+	r.flushTimer, r.flushArmed = r.sim.After(wait, r.flushFn), true
 }
 
 func (r *oracleReceiver) flush() {
@@ -163,6 +164,7 @@ func (r *oracleReceiver) flush() {
 		// Aggregation mode: release the buffered per-packet ACKs as a
 		// burst stamped with the release time.
 		r.flushTimer.Cancel()
+		r.flushArmed = false
 		now := r.sim.Now()
 		burst := r.pendAcks
 		r.pendCount, r.pendNewly, r.pendECE = 0, 0, false
@@ -180,6 +182,7 @@ func (r *oracleReceiver) flush() {
 		return
 	}
 	r.flushTimer.Cancel()
+	r.flushArmed = false
 	a := packet.Ack{
 		Flow:       r.flow,
 		CumAck:     r.expected,

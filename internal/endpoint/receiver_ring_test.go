@@ -122,11 +122,11 @@ func (p *recvPair) agree() {
 	p.acksN, p.acksO = p.acksN[:0], p.acksO[:0]
 	if rn.expected != ro.expected || rn.DeliveredBytes() != ro.DeliveredBytes() ||
 		rn.Received != ro.Received || rn.AcksSent != ro.AcksSent ||
-		rn.flushTimer.Armed() != ro.flushTimer.Pending() || len(rn.pendAcks) != len(ro.pendAcks) {
+		rn.flushTimer.Armed() != ro.flushArmed || len(rn.pendAcks) != len(ro.pendAcks) {
 		p.t.Fatalf("op %d: expected %d delivered %d received %d acks %d timer %v held %d;"+
 			" oracle %d, %d, %d, %d, %v, %d", p.op,
 			rn.expected, rn.DeliveredBytes(), rn.Received, rn.AcksSent, rn.flushTimer.Armed(), len(rn.pendAcks),
-			ro.expected, ro.DeliveredBytes(), ro.Received, ro.AcksSent, ro.flushTimer.Pending(), len(ro.pendAcks))
+			ro.expected, ro.DeliveredBytes(), ro.Received, ro.AcksSent, ro.flushArmed, len(ro.pendAcks))
 	}
 	n := int64(len(rn.ooo)) << 6
 	if n < minRing || n&(n-1) != 0 {

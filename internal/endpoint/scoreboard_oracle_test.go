@@ -49,12 +49,14 @@ type oracleSender struct {
 	// Pacing.
 	nextSend  time.Duration
 	sendTimer sim.Handle
+	sendArmed bool // sendTimer is scheduled and has not fired
 
 	// RTO estimation.
 	srtt, rttvar time.Duration
 	minRTO       time.Duration
 	rtoBackoff   int
 	rtoTimer     sim.Handle
+	rtoArmed     bool // rtoTimer is scheduled and has neither fired nor been cancelled
 
 	trySendFn func()
 	onRTOFn   func()
@@ -87,10 +89,10 @@ func newOracleSender(s *sim.Simulator, flow packet.FlowID, alg cca.Algorithm, ms
 		alg:    alg,
 		out:    out,
 		segs:   make(map[int64]*oracleSeg),
-		minRTO: DefaultMinRTO,
+		minRTO: defaultMinRTO,
 	}
-	sn.trySendFn = sn.trySend
-	sn.onRTOFn = sn.onRTO
+	sn.trySendFn = func() { sn.sendArmed = false; sn.trySend() }
+	sn.onRTOFn = func() { sn.rtoArmed = false; sn.onRTO() }
 	return sn
 }
 
@@ -112,8 +114,9 @@ func (sn *oracleSender) Reset(alg cca.Algorithm, mss int) {
 	sn.recoverPoint, sn.highestSacked = 0, 0
 	sn.nextSend = 0
 	sn.sendTimer, sn.rtoTimer = sim.Handle{}, sim.Handle{}
+	sn.sendArmed, sn.rtoArmed = false, false
 	sn.srtt, sn.rttvar = 0, 0
-	sn.minRTO = DefaultMinRTO
+	sn.minRTO = defaultMinRTO
 	sn.rtoBackoff = 0
 	sn.started, sn.stopped = false, false
 	sn.AckedBytes, sn.DeliveredBytes, sn.SentBytes, sn.RetxBytes = 0, 0, 0, 0
@@ -184,10 +187,10 @@ func (sn *oracleSender) trySend() {
 }
 
 func (sn *oracleSender) scheduleWake(at time.Duration) {
-	if sn.sendTimer.Pending() {
+	if sn.sendArmed {
 		return
 	}
-	sn.sendTimer = sn.sim.At(at, sn.trySendFn)
+	sn.sendTimer, sn.sendArmed = sn.sim.At(at, sn.trySendFn), true
 }
 
 func (sn *oracleSender) sendSegment(seq int64, retx bool) {
@@ -299,6 +302,7 @@ func (sn *oracleSender) OnAck(a packet.Ack) {
 			sn.armRTO()
 		} else {
 			sn.rtoTimer.Cancel()
+			sn.rtoArmed = false
 		}
 	} else if a.SackSeq > sn.cumAck {
 		// Duplicate ACK: data above the cumulative point arrived. Loss
@@ -409,14 +413,14 @@ func (sn *oracleSender) rto() time.Duration {
 
 func (sn *oracleSender) armRTO() {
 	sn.rtoTimer.Cancel()
-	sn.rtoTimer = sn.sim.After(sn.rto(), sn.onRTOFn)
+	sn.rtoTimer, sn.rtoArmed = sn.sim.After(sn.rto(), sn.onRTOFn), true
 }
 
 // touchRTO arms the timer only if none is pending, so a continuous stream
 // of transmissions cannot indefinitely postpone the timeout of the oldest
 // unacknowledged segment.
 func (sn *oracleSender) touchRTO() {
-	if !sn.rtoTimer.Pending() {
+	if !sn.rtoArmed {
 		sn.armRTO()
 	}
 }

@@ -210,7 +210,7 @@ func (p *boardPair) check() {
 		sn.AcksReceived, sn.LossEvents, sn.Timeouts, sn.LastRTT}
 	want := boardState{or.nextSeq, or.cumAck, or.pipe, or.dupAcks, or.rtoBackoff, or.inRecovery,
 		or.recoverPoint, or.highestSacked, or.nextSend, or.srtt, or.rttvar,
-		or.rtoTimer.Pending(), or.sendTimer.Pending(),
+		or.rtoArmed, or.sendArmed,
 		or.AckedBytes, or.DeliveredBytes, or.SentBytes, or.RetxBytes, or.SentPackets, or.RetxPackets,
 		or.AcksReceived, or.LossEvents, or.Timeouts, or.LastRTT}
 	if got != want {

@@ -20,7 +20,7 @@ import (
 // Reasonable transport constants; all can be overridden per sender.
 const (
 	DefaultMSS    = 1500
-	DefaultMinRTO = 200 * time.Millisecond
+	defaultMinRTO = 200 * time.Millisecond
 	dupThresh     = 3
 	// maxSackScan caps how many segments above cumAck one ACK's loss
 	// detection considers.
@@ -111,7 +111,6 @@ type Sender struct {
 	tickBound bool
 
 	started bool
-	stopped bool
 
 	// Stats (exported for metrics).
 	AckedBytes     int64
@@ -148,7 +147,7 @@ func NewSender(s *sim.Simulator, flow packet.FlowID, alg cca.Algorithm, mss int,
 		alg:    alg,
 		out:    out,
 		ring:   make([]segState, minRing),
-		minRTO: DefaultMinRTO,
+		minRTO: defaultMinRTO,
 	}
 	sn.inPipe, sn.retxBits = bitmaps(minRing)
 	sn.sendTimer.Init(s, sn.trySend)
@@ -183,10 +182,10 @@ func (sn *Sender) Reset(alg cca.Algorithm, mss int) {
 	sn.recoverPoint, sn.highestSacked = 0, 0
 	sn.nextSend = 0
 	sn.srtt, sn.rttvar = 0, 0
-	sn.minRTO = DefaultMinRTO
+	sn.minRTO = defaultMinRTO
 	sn.rtoBackoff = 0
 	sn.ticker, sn.sendObs = nil, nil
-	sn.started, sn.stopped = false, false
+	sn.started = false
 	sn.AckedBytes, sn.DeliveredBytes, sn.SentBytes, sn.RetxBytes = 0, 0, 0, 0
 	sn.SentPackets, sn.RetxPackets, sn.AcksReceived = 0, 0, 0
 	sn.CwndUpdates, sn.LossEvents, sn.Timeouts = 0, 0, 0
@@ -199,15 +198,6 @@ func (sn *Sender) Reset(alg cca.Algorithm, mss int) {
 
 // Algorithm returns the sender's CCA.
 func (sn *Sender) Algorithm() cca.Algorithm { return sn.alg }
-
-// Flow returns the flow ID.
-func (sn *Sender) Flow() packet.FlowID { return sn.flow }
-
-// MSS returns the segment size.
-func (sn *Sender) MSS() int { return sn.mss }
-
-// InFlight returns the outstanding (unacked, not-lost) byte count.
-func (sn *Sender) InFlight() int { return sn.pipe }
 
 // Start begins transmission at the current virtual time.
 func (sn *Sender) Start() {
@@ -227,14 +217,6 @@ func (sn *Sender) Start() {
 	sn.trySend()
 }
 
-// Stop halts transmission (no new segments; pending timers cancelled).
-func (sn *Sender) Stop() {
-	sn.stopped = true
-	sn.sendTimer.Stop()
-	sn.rtoTimer.Stop()
-	sn.tickTimer.Stop()
-}
-
 func (sn *Sender) armTick(t cca.Ticker) {
 	// The ticker is assigned unconditionally: a reused sender keeps its
 	// tick timer across Reset, but must tick the *current* CCA, not the
@@ -248,9 +230,6 @@ func (sn *Sender) armTick(t cca.Ticker) {
 }
 
 func (sn *Sender) onTick() {
-	if sn.stopped {
-		return
-	}
 	sn.ticker.OnTick(sn.sim.Now())
 	sn.armTick(sn.ticker)
 	sn.trySend()
@@ -259,7 +238,7 @@ func (sn *Sender) onTick() {
 // trySend transmits as many segments as the window and pacing allow, and
 // schedules a wakeup when pacing is the binding constraint.
 func (sn *Sender) trySend() {
-	if !sn.started || sn.stopped {
+	if !sn.started {
 		return
 	}
 	now := sn.sim.Now()
@@ -472,9 +451,6 @@ func (sn *Sender) sendSegment(seq int64, retx bool) {
 
 // OnAck processes an acknowledgment arriving from the reverse path.
 func (sn *Sender) OnAck(a packet.Ack) {
-	if sn.stopped {
-		return
-	}
 	now := sn.sim.Now()
 	sn.AcksReceived++
 
@@ -716,7 +692,7 @@ func (sn *Sender) touchRTO() {
 }
 
 func (sn *Sender) onRTO() {
-	if sn.stopped || sn.pipe == 0 && len(sn.retxQ) == 0 {
+	if sn.pipe == 0 && len(sn.retxQ) == 0 {
 		return
 	}
 	now := sn.sim.Now()

@@ -11,8 +11,8 @@ import (
 type ErrKind string
 
 const (
-	// KindPanic: the run panicked (element or scenario bug).
-	KindPanic ErrKind = "panic"
+	// kindPanic: the run panicked (element or scenario bug).
+	kindPanic ErrKind = "panic"
 	// KindDeadline: the run exceeded its wall-clock budget.
 	KindDeadline ErrKind = "deadline"
 	// KindCancelled: the run was stopped because its batch was cancelled
@@ -35,7 +35,7 @@ const (
 // This table is the supervision contract internal/runner enforces.
 func (k ErrKind) Retryable() bool {
 	switch k {
-	case KindPanic, KindDeadline, KindExport, KindError:
+	case kindPanic, KindDeadline, KindExport, KindError:
 		return true
 	}
 	return false
@@ -49,7 +49,7 @@ type RunError struct {
 	Seed     int64   `json:"seed,omitempty"`
 	Kind     ErrKind `json:"kind"`
 	Msg      string  `json:"msg"`
-	// Stack is the panic stack trace, when Kind is KindPanic.
+	// Stack is the panic stack trace, when Kind is kindPanic.
 	Stack string `json:"stack,omitempty"`
 }
 
@@ -70,7 +70,7 @@ func Capture(scenario string, seed int64, fn func()) (rerr *RunError) {
 			rerr = &RunError{
 				Scenario: scenario,
 				Seed:     seed,
-				Kind:     KindPanic,
+				Kind:     kindPanic,
 				Msg:      fmt.Sprint(r),
 				Stack:    string(debug.Stack()),
 			}

@@ -26,19 +26,19 @@ import (
 // Options enables the run-guard layer for one run; it has no settings.
 type Options struct{}
 
-// StallK flags a flow as stalled when it has delivered nothing to its
-// receiver for StallK × its Rm of virtual time. With Rm = 40 ms that is
+// stallK flags a flow as stalled when it has delivered nothing to its
+// receiver for stallK × its Rm of virtual time. With Rm = 40 ms that is
 // 40 s without a single delivery, far beyond any legitimate RTO backoff,
 // yet a starved-but-alive flow (the paper's subject) still trickles often
 // enough to stay clear.
-const StallK = 1000
+const stallK = 1000
 
 // CheckEvery is the virtual-time cadence of the stall check.
 const CheckEvery = time.Second
 
 // StallAfter returns the no-delivery duration after which a flow with the
 // given Rm counts as stalled.
-func StallAfter(rm time.Duration) time.Duration { return StallK * rm }
+func StallAfter(rm time.Duration) time.Duration { return stallK * rm }
 
 // Violation is one invariant breach observed during or after a run.
 // Violations are diagnostics, not control flow: the run completes and the

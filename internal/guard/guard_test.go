@@ -22,11 +22,11 @@ func TestFlowLedgerBalances(t *testing.T) {
 		HeldInQueue: 3, Dequeued: 87,
 		HeldPostQueue: 2, Delivered: 85,
 	}
-	if err := fl.Check(); err != nil {
+	if err := fl.check(); err != nil {
 		t.Errorf("balanced ledger rejected: %v", err)
 	}
-	if fl.InFlight() != 6 {
-		t.Errorf("InFlight = %d, want 6", fl.InFlight())
+	if n := fl.HeldPreQueue + fl.HeldInQueue + fl.HeldPostQueue; n != 6 {
+		t.Errorf("held in flight = %d, want 6", n)
 	}
 }
 
@@ -44,7 +44,7 @@ func TestFlowLedgerImbalances(t *testing.T) {
 	for _, c := range cases {
 		fl := FlowLedger{Name: "f", Sent: 100, Enqueued: 100, Dequeued: 100, Delivered: 100}
 		c.mutate(&fl)
-		err := fl.Check()
+		err := fl.check()
 		if err == nil {
 			t.Errorf("%s: imbalance accepted", c.name)
 			continue
@@ -114,7 +114,7 @@ func TestRogueElementCaught(t *testing.T) {
 		Dequeued:        ls.Delivered,
 		Delivered:       delivered,
 	}
-	err := fl.Check()
+	err := fl.check()
 	if err == nil {
 		t.Fatalf("ledger balanced despite %d silently swallowed packets", swallowed)
 	}
@@ -125,7 +125,7 @@ func TestRogueElementCaught(t *testing.T) {
 	fl.Enqueued += int64(swallowed)
 	fl.Dequeued += int64(swallowed)
 	fl.Delivered += int64(swallowed)
-	if err := fl.Check(); err != nil {
+	if err := fl.check(); err != nil {
 		t.Errorf("repaired ledger still unbalanced: %v", err)
 	}
 }
@@ -135,7 +135,7 @@ func TestCaptureAttachesContext(t *testing.T) {
 	if e == nil {
 		t.Fatal("panic not captured")
 	}
-	if e.Kind != KindPanic || e.Scenario != "bbr-two" || e.Seed != 42 {
+	if e.Kind != kindPanic || e.Scenario != "bbr-two" || e.Seed != 42 {
 		t.Errorf("RunError = %+v", e)
 	}
 	if e.Msg != "element bug" || e.Stack == "" {
@@ -152,7 +152,7 @@ func TestCaptureAttachesContext(t *testing.T) {
 func TestManifestRoundTrip(t *testing.T) {
 	var m Manifest
 	m.Add(nil) // ignored
-	m.Add(&RunError{Scenario: "x", Kind: KindPanic, Msg: "boom"})
+	m.Add(&RunError{Scenario: "x", Kind: kindPanic, Msg: "boom"})
 	if len(m.Errors) != 1 {
 		t.Fatalf("Errors = %d, want 1 (nil adds ignored)", len(m.Errors))
 	}

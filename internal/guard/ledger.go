@@ -41,8 +41,8 @@ type FlowLedger struct {
 	Delivered       int64 // arrived at the receiver endpoint
 }
 
-// Check reports the flow's first unbalanced segment, nil if all balance.
-func (f *FlowLedger) Check() error {
+// check reports the flow's first unbalanced segment, nil if all balance.
+func (f *FlowLedger) check() error {
 	type field struct {
 		name string
 		v    int64
@@ -74,20 +74,9 @@ func (f *FlowLedger) Check() error {
 	return nil
 }
 
-// InFlight returns the packets legally in flight at the horizon.
-func (f *FlowLedger) InFlight() int64 {
-	return f.HeldPreQueue + f.HeldInQueue + f.HeldPostQueue
-}
-
 // Ledger is the whole run's conservation state: one FlowLedger per flow.
 type Ledger struct {
 	Flows []FlowLedger
-}
-
-// Reset empties the ledger while keeping the per-flow slice capacity, so a
-// ledger recycled across runs can be refilled without reallocating.
-func (l *Ledger) Reset() {
-	l.Flows = l.Flows[:0]
 }
 
 // Check verifies every flow's segment equations plus the global sums (the
@@ -100,7 +89,7 @@ func (l *Ledger) Check() error {
 	g.Name = "global"
 	for i := range l.Flows {
 		f := &l.Flows[i]
-		if err := f.Check(); err != nil {
+		if err := f.check(); err != nil {
 			errs = append(errs, err.Error())
 		}
 		g.Sent += f.Sent
@@ -115,7 +104,7 @@ func (l *Ledger) Check() error {
 		g.HeldPostQueue += f.HeldPostQueue
 		g.Delivered += f.Delivered
 	}
-	if err := g.Check(); err != nil {
+	if err := g.check(); err != nil {
 		errs = append(errs, err.Error())
 	}
 	if len(errs) == 0 {

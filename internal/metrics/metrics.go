@@ -1,7 +1,6 @@
 // Package metrics computes the fairness and efficiency statistics the paper
 // reports: per-flow throughput (Definition 2), throughput ratios (the
-// starvation criterion of Definition 3), Jain's fairness index, and link
-// utilization.
+// starvation criterion of Definition 3) and Jain's fairness index.
 package metrics
 
 import (
@@ -47,15 +46,6 @@ func Ratio(xs []float64) float64 {
 		return math.Inf(1)
 	}
 	return max / min
-}
-
-// Utilization returns the fraction of link capacity delivered to the flows
-// over the interval.
-func Utilization(totalAckedBytes int64, link units.Rate, elapsed time.Duration) float64 {
-	if elapsed <= 0 || link <= 0 {
-		return 0
-	}
-	return float64(totalAckedBytes) * 8 / (float64(link) * elapsed.Seconds())
 }
 
 // FlowStat summarizes one flow at the end of a run.

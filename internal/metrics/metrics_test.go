@@ -5,9 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"starvation/internal/units"
 )
 
 func TestJainIndex(t *testing.T) {
@@ -43,19 +40,6 @@ func TestRatio(t *testing.T) {
 	}
 	if got := Ratio([]float64{0, 0}); got != 1 {
 		t.Errorf("all-zero Ratio = %v, want 1", got)
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	// 1 MB delivered over 1 s on an 8 Mbit/s link = 100%.
-	if got := Utilization(1_000_000, units.Mbps(8), time.Second); math.Abs(got-1) > 1e-9 {
-		t.Errorf("Utilization = %v, want 1", got)
-	}
-	if got := Utilization(100, units.Mbps(8), 0); got != 0 {
-		t.Errorf("zero-duration Utilization = %v, want 0", got)
-	}
-	if got := Utilization(100, 0, time.Second); got != 0 {
-		t.Errorf("zero-rate Utilization = %v, want 0", got)
 	}
 }
 

@@ -90,11 +90,11 @@ func Population(xs []float64, cohorts []string, capacity, eps float64) Populatio
 	}
 	sorted := append([]float64(nil), shares...)
 	sort.Float64s(sorted)
-	st.ShareP5 = Quantile(sorted, 0.05)
-	st.ShareP25 = Quantile(sorted, 0.25)
-	st.ShareP50 = Quantile(sorted, 0.50)
-	st.ShareP75 = Quantile(sorted, 0.75)
-	st.ShareP95 = Quantile(sorted, 0.95)
+	st.ShareP5 = quantile(sorted, 0.05)
+	st.ShareP25 = quantile(sorted, 0.25)
+	st.ShareP50 = quantile(sorted, 0.50)
+	st.ShareP75 = quantile(sorted, 0.75)
+	st.ShareP95 = quantile(sorted, 0.95)
 	for _, s := range shares {
 		if s < eps {
 			st.Starved++
@@ -136,9 +136,9 @@ func Population(xs []float64, cohorts []string, capacity, eps float64) Populatio
 	return st
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of ascending-sorted xs by
+// quantile returns the q-quantile (0 <= q <= 1) of ascending-sorted xs by
 // linear interpolation between closest ranks; 0 for an empty slice.
-func Quantile(sorted []float64, q float64) float64 {
+func quantile(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
 		return 0

@@ -85,14 +85,14 @@ func TestQuantile(t *testing.T) {
 		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.125, 1.5},
 	}
 	for _, c := range cases {
-		if got := Quantile(sorted, c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+		if got := quantile(sorted, c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
-	if Quantile(nil, 0.5) != 0 {
+	if quantile(nil, 0.5) != 0 {
 		t.Error("empty quantile should be 0")
 	}
-	if got := Quantile([]float64{7}, 0.9); got != 7 {
+	if got := quantile([]float64{7}, 0.9); got != 7 {
 		t.Errorf("singleton quantile = %v", got)
 	}
 }

@@ -15,17 +15,6 @@ type Marker interface {
 	Mark(queuedBytes int) bool
 }
 
-// ThresholdMarker marks every packet arriving above a fixed queue depth —
-// the "simple threshold-based heuristic" of §6.4.
-type ThresholdMarker struct {
-	Bytes int
-}
-
-// Mark implements Marker.
-func (t ThresholdMarker) Mark(queuedBytes int) bool {
-	return t.Bytes > 0 && queuedBytes >= t.Bytes
-}
-
 // REDMarker implements Random Early Detection marking (Floyd & Jacobson):
 // below MinBytes nothing is marked; between MinBytes and MaxBytes the
 // marking probability ramps linearly to MaxP; above MaxBytes everything is

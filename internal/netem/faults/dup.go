@@ -19,8 +19,8 @@ type DupConfig struct {
 	P float64 // per-packet duplication probability
 }
 
-// Validate reports the first problem with the configuration.
-func (c DupConfig) Validate() error { return probability("P", c.P) }
+// validate reports the first problem with the configuration.
+func (c DupConfig) validate() error { return probability("P", c.P) }
 
 // Duplicator is the duplication element.
 type Duplicator struct {

@@ -41,17 +41,17 @@ func (s *Spec) Validate() error {
 		return nil
 	}
 	if s.GE != nil {
-		if err := s.GE.Validate(); err != nil {
+		if err := s.GE.validate(); err != nil {
 			return fmt.Errorf("ge: %w", err)
 		}
 	}
 	if s.Reorder != nil {
-		if err := s.Reorder.Validate(); err != nil {
+		if err := s.Reorder.validate(); err != nil {
 			return fmt.Errorf("reorder: %w", err)
 		}
 	}
 	if s.Duplicate != nil {
-		if err := s.Duplicate.Validate(); err != nil {
+		if err := s.Duplicate.validate(); err != nil {
 			return fmt.Errorf("dup: %w", err)
 		}
 	}

@@ -46,8 +46,8 @@ func TestGEConfigValidate(t *testing.T) {
 		{"all zero", GEConfig{}, true},
 	}
 	for _, c := range cases {
-		if err := c.cfg.Validate(); (err == nil) != c.ok {
-			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		if err := c.cfg.validate(); (err == nil) != c.ok {
+			t.Errorf("%s: validate() = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
 }
@@ -147,7 +147,7 @@ func TestGEGateDropEvents(t *testing.T) {
 	if e := drops[0]; e.Flow != 3 || e.Seq != 99 || e.Queue != -1 {
 		t.Errorf("drop event = %+v, want flow 3 seq 99 queue -1", e)
 	}
-	if !g.Bad() {
+	if !g.bad {
 		t.Errorf("gate not in Bad state after forced transition")
 	}
 }
@@ -281,7 +281,7 @@ func TestFlapHoldsAndReleases(t *testing.T) {
 	l := netem.NewLink(s, units.Mbps(12), 0, func(packet.Packet) {
 		deliveries = append(deliveries, s.Now())
 	})
-	Flap(20*time.Millisecond, 5*time.Millisecond).Apply(s, l)
+	flap(20*time.Millisecond, 5*time.Millisecond).Apply(s, l)
 	// Enqueued at 21ms: mid-outage (down 20–25ms), held until restore.
 	s.At(21*time.Millisecond, func() { l.Enqueue(packet.Packet{Size: 1500}) })
 	s.Run(30 * time.Millisecond)
@@ -303,12 +303,12 @@ func TestRateScheduleValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"nil", nil, true},
-		{"flap", Flap(5*time.Second, 200*time.Millisecond), true},
+		{"flap", flap(5*time.Second, 200*time.Millisecond), true},
 		{"empty", &RateSchedule{}, false},
 		{"negative repeat", &RateSchedule{Repeat: -1, Steps: []RateStep{{At: 1}}}, false},
 		{"non-ascending", &RateSchedule{Steps: []RateStep{{At: 2}, {At: 1}}}, false},
 		{"negative rate", &RateSchedule{Steps: []RateStep{{At: 1, Rate: -5}}}, false},
-		{"restore sentinel ok", &RateSchedule{Steps: []RateStep{{At: 1, Rate: Restore}}}, true},
+		{"restore sentinel ok", &RateSchedule{Steps: []RateStep{{At: 1, Rate: restore}}}, true},
 	}
 	for _, c := range cases {
 		if err := c.rs.Validate(); (err == nil) != c.ok {
@@ -339,8 +339,8 @@ func TestParseProfile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseProfile rate: %v", err)
 	}
-	if len(p.Link.Steps) != 3 || p.Link.Steps[2].Rate != Restore {
-		t.Errorf("rate steps = %+v, want 3 with Restore last", p.Link.Steps)
+	if len(p.Link.Steps) != 3 || p.Link.Steps[2].Rate != restore {
+		t.Errorf("rate steps = %+v, want 3 with restore last", p.Link.Steps)
 	}
 	if p.Link.Steps[1].Rate != units.Mbps(6) {
 		t.Errorf("step 1 rate = %v, want 6Mbps", p.Link.Steps[1].Rate)

@@ -23,8 +23,8 @@ type GEConfig struct {
 	PDropGood  float64 // drop probability while Good (usually 0)
 }
 
-// Validate reports the first problem with the configuration.
-func (c GEConfig) Validate() error {
+// validate reports the first problem with the configuration.
+func (c GEConfig) validate() error {
 	for _, p := range []struct {
 		name string
 		v    float64
@@ -83,9 +83,6 @@ func (g *GEGate) SetProbe(s *sim.Simulator, p obs.Probe) {
 	g.sim = s
 	g.probe = p
 }
-
-// Bad reports whether the chain is currently in the Bad state.
-func (g *GEGate) Bad() bool { return g.bad }
 
 // Reset returns the gate to the state NewGEGate(cfg, rng, out) would
 // produce with a generator freshly seeded with seed: chain back in Good,

@@ -134,7 +134,7 @@ func (p *Profile) parseFlap(args []string) error {
 	if down <= 0 || down >= period {
 		return fmt.Errorf("flap: downFor must be in (0, period) (got %v of %v)", down, period)
 	}
-	p.Link = Flap(period, down)
+	p.Link = flap(period, down)
 	return nil
 }
 
@@ -154,7 +154,7 @@ func (p *Profile) parseRate(args []string) error {
 		}
 		var r units.Rate
 		if strings.TrimSpace(val) == "base" {
-			r = Restore
+			r = restore
 		} else {
 			mbps, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
 			if err != nil {

@@ -9,14 +9,14 @@ import (
 	"starvation/internal/units"
 )
 
-// Restore is the sentinel rate meaning "the link's rate when the schedule
+// restore is the sentinel rate meaning "the link's rate when the schedule
 // was applied" — it lets flap patterns restore capacity without repeating
 // the scenario's base rate.
-const Restore units.Rate = -1
+const restore units.Rate = -1
 
 // RateStep is one point of a piecewise rate schedule: at offset At (from
 // the start of the schedule cycle) the link's drain rate becomes Rate. A
-// Rate of 0 takes the link down; Restore brings back the base rate.
+// Rate of 0 takes the link down; restore brings back the base rate.
 type RateStep struct {
 	At   time.Duration
 	Rate units.Rate
@@ -31,15 +31,15 @@ type RateSchedule struct {
 	Repeat time.Duration
 }
 
-// Flap returns a schedule that takes the link down for downFor at every
+// flap returns a schedule that takes the link down for downFor at every
 // multiple of period (first outage at period, so flows get one clean
 // period to start up).
-func Flap(period, downFor time.Duration) *RateSchedule {
+func flap(period, downFor time.Duration) *RateSchedule {
 	return &RateSchedule{
 		Repeat: period,
 		Steps: []RateStep{
 			{At: period, Rate: 0},
-			{At: period + downFor, Rate: Restore},
+			{At: period + downFor, Rate: restore},
 		},
 	}
 }
@@ -63,7 +63,7 @@ func (rs *RateSchedule) Validate() error {
 		if st.At <= prev {
 			return fmt.Errorf("step %d: At %v not after previous step %v", i, st.At, prev)
 		}
-		if st.Rate < 0 && st.Rate != Restore {
+		if st.Rate < 0 && st.Rate != restore {
 			return fmt.Errorf("step %d: negative rate %v", i, st.Rate)
 		}
 		prev = st.At
@@ -71,14 +71,14 @@ func (rs *RateSchedule) Validate() error {
 	return nil
 }
 
-// Apply schedules the rate changes on s. Restore steps resolve to the
+// Apply schedules the rate changes on s. restore steps resolve to the
 // link's rate at Apply time. With Repeat set, each cycle schedules the
 // next when it starts, so the event queue never holds more than one
 // cycle's worth of schedule events.
 func (rs *RateSchedule) Apply(s *sim.Simulator, l *netem.Link) {
 	base := l.Rate()
 	resolve := func(r units.Rate) units.Rate {
-		if r == Restore {
+		if r == restore {
 			return base
 		}
 		return r

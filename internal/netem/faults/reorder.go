@@ -22,8 +22,8 @@ type ReorderConfig struct {
 	Delay time.Duration // deferral amount (the reordering bound)
 }
 
-// Validate reports the first problem with the configuration.
-func (c ReorderConfig) Validate() error {
+// validate reports the first problem with the configuration.
+func (c ReorderConfig) validate() error {
 	if err := probability("P", c.P); err != nil {
 		return err
 	}

@@ -35,9 +35,9 @@ func TestGEGateResetIndistinguishableFromFresh(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("reset GE gate pass sequence diverged (%d vs %d passed)", len(got), len(want))
 	}
-	if reused.Passed != fresh.Passed || reused.Dropped != fresh.Dropped || reused.Bad() != fresh.Bad() {
+	if reused.Passed != fresh.Passed || reused.Dropped != fresh.Dropped || reused.bad != fresh.bad {
 		t.Errorf("state diverged: passed %d/%d dropped %d/%d bad %v/%v",
-			reused.Passed, fresh.Passed, reused.Dropped, fresh.Dropped, reused.Bad(), fresh.Bad())
+			reused.Passed, fresh.Passed, reused.Dropped, fresh.Dropped, reused.bad, fresh.bad)
 	}
 }
 

@@ -32,7 +32,6 @@ func FuzzPolicyBound(f *testing.F) {
 			&Scripted{Max: maxD, Fn: func(now time.Duration) time.Duration {
 				return now/7 - 3*time.Millisecond // wanders outside [0, Max]; must clamp
 			}},
-			Compound{Policies: []Policy{Constant{D: maxD / 2}, PeriodicAggregation{Period: maxD / 2}}},
 		}
 		now := time.Duration(0)
 		for i := uint8(0); i < n; i++ {

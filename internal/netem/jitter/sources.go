@@ -69,28 +69,3 @@ func (p PeriodicSpike) Delay(now time.Duration, _ int64) time.Duration {
 
 // Bound implements Policy.
 func (p PeriodicSpike) Bound() time.Duration { return p.SpikeLen }
-
-// Compound stacks several policies; the delays add and so do the bounds.
-// Real paths have several independent jitter sources at once (ACK
-// aggregation behind an OS scheduler behind a token bucket).
-type Compound struct {
-	Policies []Policy
-}
-
-// Delay implements Policy.
-func (c Compound) Delay(now time.Duration, seq int64) time.Duration {
-	var sum time.Duration
-	for _, p := range c.Policies {
-		sum += p.Delay(now, seq)
-	}
-	return sum
-}
-
-// Bound implements Policy.
-func (c Compound) Bound() time.Duration {
-	var sum time.Duration
-	for _, p := range c.Policies {
-		sum += p.Bound()
-	}
-	return sum
-}

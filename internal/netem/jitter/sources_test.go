@@ -97,19 +97,3 @@ func TestPeriodicSpikeNoReorderThroughBox(t *testing.T) {
 		lastRelease = rel
 	}
 }
-
-func TestCompound(t *testing.T) {
-	c := Compound{Policies: []Policy{
-		Constant{D: 2 * time.Millisecond},
-		PeriodicSpike{Period: 100 * time.Millisecond, SpikeLen: 10 * time.Millisecond},
-	}}
-	if got := c.Delay(50*time.Millisecond, 0); got != 2*time.Millisecond {
-		t.Errorf("off-spike compound = %v, want 2ms", got)
-	}
-	if got := c.Delay(0, 0); got != 12*time.Millisecond {
-		t.Errorf("on-spike compound = %v, want 12ms", got)
-	}
-	if c.Bound() != 12*time.Millisecond {
-		t.Errorf("compound bound = %v, want 12ms", c.Bound())
-	}
-}

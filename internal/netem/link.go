@@ -170,16 +170,6 @@ func (l *Link) SetRate(r units.Rate) {
 // QueuedBytes returns the bytes currently waiting or in transmission.
 func (l *Link) QueuedBytes() int { return l.queuedBytes }
 
-// QueueDelay returns the delay a packet arriving now would experience
-// before its own transmission completes (waiting plus serialization of the
-// backlog ahead of it).
-func (l *Link) QueueDelay() time.Duration {
-	if d := l.lastDeparture - l.sim.Now(); d > 0 {
-		return d
-	}
-	return 0
-}
-
 // Prime pre-loads the queue with a virtual backlog that takes delay to
 // drain. The Theorem 1 construction uses this to set the initial queueing
 // delay d*(0). The backlog drains at line rate but is not delivered to any
@@ -207,7 +197,7 @@ func (l *Link) Enqueue(p packet.Packet) {
 		l.flow(p.Flow).Dropped++
 		if l.probe != nil {
 			l.probe.Emit(obs.Event{Type: obs.EvDrop, At: now, Flow: p.Flow,
-				Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx})
+				Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Dup: p.Dup, Hop: p.Hop})
 		}
 		return
 	}
@@ -238,10 +228,10 @@ func (l *Link) Enqueue(p packet.Packet) {
 	if l.probe != nil {
 		if marked {
 			l.probe.Emit(obs.Event{Type: obs.EvMark, At: now, Flow: p.Flow,
-				Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Dup: p.Dup})
+				Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Dup: p.Dup, Hop: p.Hop})
 		}
 		l.probe.Emit(obs.Event{Type: obs.EvEnqueue, At: now, Flow: p.Flow,
-			Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Dup: p.Dup})
+			Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Dup: p.Dup, Hop: p.Hop})
 	}
 	// While the link is down the lane is held: the packet waits for
 	// SetRate to time it.
@@ -258,7 +248,7 @@ func (l *Link) depart(p packet.Packet) {
 	fs.Holding--
 	if l.probe != nil {
 		l.probe.Emit(obs.Event{Type: obs.EvDequeue, At: l.sim.Now(), Flow: p.Flow,
-			Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Dup: p.Dup})
+			Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Dup: p.Dup, Hop: p.Hop})
 	}
 	l.out(p)
 }

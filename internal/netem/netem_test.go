@@ -16,6 +16,12 @@ import (
 // probeFunc adapts a closure to obs.Probe for tests.
 type probeFunc func(obs.Event)
 
+// thresholdMarker marks every packet arriving above a fixed queue depth —
+// the "simple threshold-based heuristic" of §6.4.
+type thresholdMarker struct{ bytes int }
+
+func (t thresholdMarker) Mark(queuedBytes int) bool { return queuedBytes >= t.bytes }
+
 func (f probeFunc) Emit(e obs.Event) { f(e) }
 
 func TestLinkSerializationTiming(t *testing.T) {
@@ -95,8 +101,8 @@ func TestLinkQueueDepthAccounting(t *testing.T) {
 		if l.QueuedBytes() != 6000 {
 			t.Errorf("QueuedBytes = %d, want 6000", l.QueuedBytes())
 		}
-		if l.QueueDelay() != 4*time.Millisecond {
-			t.Errorf("QueueDelay = %v, want 4ms", l.QueueDelay())
+		if l.queueDelay() != 4*time.Millisecond {
+			t.Errorf("queueDelay = %v, want 4ms", l.queueDelay())
 		}
 	})
 	s.At(2500*time.Microsecond, func() {
@@ -142,7 +148,7 @@ func TestLinkECNMarking(t *testing.T) {
 			unmarked++
 		}
 	})
-	l.SetMarker(ThresholdMarker{Bytes: 3000})
+	l.SetMarker(thresholdMarker{bytes: 3000})
 	s.At(0, func() {
 		for i := 0; i < 5; i++ {
 			l.Enqueue(packet.Packet{Size: 1500})
@@ -291,7 +297,7 @@ func TestLinkLifecycleEvents(t *testing.T) {
 	s := sim.New(1)
 	var events []obs.Event
 	l := NewLink(s, units.Mbps(12), 3*1500, func(p packet.Packet) {})
-	l.SetMarker(ThresholdMarker{Bytes: 2 * 1500})
+	l.SetMarker(thresholdMarker{bytes: 2 * 1500})
 	l.SetProbe(probeFunc(func(e obs.Event) { events = append(events, e) }))
 	s.At(0, func() {
 		for i := 0; i < 4; i++ {

@@ -99,11 +99,11 @@ func goldenConfigs(tc *TelemetryConfig) map[string]func() goldenConfig {
 				cfg: Config{
 					Links: []LinkSpec{
 						{Name: "access", Rate: units.Mbps(48), HopDelay: 2 * time.Millisecond,
-							RateSchedule: faults.Flap(time.Second, 50*time.Millisecond)},
+							RateSchedule: flapSchedule("1s,50ms")},
 						{Name: "bottleneck", Rate: units.Mbps(12),
 							RateSchedule: &faults.RateSchedule{Steps: []faults.RateStep{
 								{At: 1500 * time.Millisecond, Rate: units.Mbps(8)},
-								{At: 2500 * time.Millisecond, Rate: faults.Restore},
+								{At: 2500 * time.Millisecond, Rate: units.Mbps(12)},
 							}}},
 					},
 					Bottleneck: 1,

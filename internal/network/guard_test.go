@@ -57,6 +57,15 @@ func TestStalledFlowTripsStallSweep(t *testing.T) {
 	}
 }
 
+// flapSchedule is the link schedule of the fault clause "flap:<args>".
+func flapSchedule(args string) *faults.RateSchedule {
+	p, err := faults.ParseProfile("flap:" + args)
+	if err != nil {
+		panic(err)
+	}
+	return p.Link
+}
+
 func faultySpecs() (Config, []FlowSpec) {
 	impaired := vegasSpec("impaired")
 	impaired.LossProb = 0.005
@@ -67,7 +76,7 @@ func faultySpecs() (Config, []FlowSpec) {
 	}
 	cfg := Config{
 		Rate: units.Mbps(24), BufferBytes: 60 * 1500, Seed: 7,
-		RateSchedule: faults.Flap(3*time.Second, 100*time.Millisecond),
+		RateSchedule: flapSchedule("3s,100ms"),
 	}
 	return cfg, []FlowSpec{impaired, vegasSpec("clean")}
 }
@@ -170,7 +179,7 @@ func outageConfig() (Config, FlowSpec) {
 		Rate: units.Mbps(12), Seed: 3, Guard: &guard.Options{},
 		RateSchedule: &faults.RateSchedule{Repeat: 6 * time.Second, Steps: []faults.RateStep{
 			{At: 2500 * time.Millisecond, Rate: 0},
-			{At: 6500 * time.Millisecond, Rate: faults.Restore},
+			{At: 6500 * time.Millisecond, Rate: units.Mbps(12)},
 		}},
 	}
 	return cfg, spec

@@ -58,9 +58,9 @@ type FlowSpec struct {
 	StartAt time.Duration
 }
 
-// Validate reports the first problem with the spec on its own; the
+// validate reports the first problem with the spec on its own; the
 // package-level Validate also checks its path against the topology.
-func (spec FlowSpec) Validate() error {
+func (spec FlowSpec) validate() error {
 	if spec.Alg == nil {
 		return fmt.Errorf("has no CCA")
 	}
@@ -111,7 +111,7 @@ type Config struct {
 	// infinite (the ideal-path queue of Definition 1).
 	BufferBytes int
 	// Marker installs an AQM policy that ECN-marks arriving packets
-	// (netem.ThresholdMarker, netem.REDMarker); nil marks nothing.
+	// (netem.REDMarker); nil marks nothing.
 	Marker netem.Marker
 	// RateSchedule varies the bottleneck rate over the run (piecewise
 	// steps or on-off flaps); nil keeps Rate constant.
@@ -218,8 +218,8 @@ type Network struct {
 	LinkQueues []trace.Series
 }
 
-// Validate reports the first problem with the bottleneck configuration.
-func (cfg Config) Validate() error {
+// validate reports the first problem with the bottleneck configuration.
+func (cfg Config) validate() error {
 	if len(cfg.Links) > 0 {
 		// Topology mode: the legacy single-bottleneck fields must stay
 		// zero so a config cannot describe two contradictory networks.
@@ -230,7 +230,7 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("bottleneck index %d out of range [0, %d)", cfg.Bottleneck, len(cfg.Links))
 		}
 		for i, ls := range cfg.Links {
-			if err := ls.Validate(); err != nil {
+			if err := ls.validate(); err != nil {
 				return fmt.Errorf("link %d: %w", i, err)
 			}
 		}
@@ -256,12 +256,12 @@ func (cfg Config) Validate() error {
 // one validation every entry point runs, and the one callers use to check
 // a configuration ahead of time without wiring anything.
 func Validate(cfg Config, specs ...FlowSpec) error {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return fmt.Errorf("network: %w", err)
 	}
 	nLinks := len(cfg.linksOf())
 	for i, spec := range specs {
-		if err := spec.Validate(); err != nil {
+		if err := spec.validate(); err != nil {
 			return fmt.Errorf("network: flow %d %w", i, err)
 		}
 		if err := validatePath(spec.Path, nLinks); err != nil {
@@ -565,7 +565,7 @@ func (n *Network) RunWindow(d, from, to time.Duration) *Result {
 	// here; it keeps amortized appends.)
 	samples := int(d/sampleEvery) + 2
 	if n.telemetry != nil {
-		n.telemetry.begin(d, from, to)
+		n.telemetry.begin(d, from)
 	}
 	n.QueueTrace.Reserve(samples)
 	for j := range n.LinkQueues {

@@ -9,7 +9,6 @@ import (
 	"starvation/internal/cca/vegas"
 	"starvation/internal/cca/vivace"
 	"starvation/internal/endpoint"
-	"starvation/internal/netem"
 	"starvation/internal/netem/jitter"
 	"starvation/internal/rng"
 	"starvation/internal/units"
@@ -116,12 +115,18 @@ func TestAckPathJitter(t *testing.T) {
 	}
 }
 
+// thresholdMarker marks every packet arriving above a fixed queue depth —
+// the "simple threshold-based heuristic" of §6.4.
+type thresholdMarker struct{ bytes int }
+
+func (t thresholdMarker) Mark(queuedBytes int) bool { return queuedBytes >= t.bytes }
+
 func TestThresholdMarkerMarksAndReacts(t *testing.T) {
 	// An ECN-reacting Reno on a deep queue holds the queue near the mark
 	// threshold instead of the full buffer (§6.4's direction).
 	n := New(
 		Config{Rate: units.Mbps(12), BufferBytes: 300 * 1500,
-			Marker: netem.ThresholdMarker{Bytes: 20 * 1500}, Seed: 1},
+			Marker: thresholdMarker{bytes: 20 * 1500}, Seed: 1},
 		FlowSpec{Name: "ecn", Alg: reno.New(reno.Config{ReactToECN: true}),
 			Rm: 40 * time.Millisecond},
 	)

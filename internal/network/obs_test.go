@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"starvation/internal/cca/vegas"
-	"starvation/internal/netem"
 	"starvation/internal/obs"
 	"starvation/internal/packet"
 	"starvation/internal/units"
@@ -21,7 +20,7 @@ func runInstrumented(t *testing.T, probe obs.Probe) *Result {
 		Config{
 			Rate:        units.Mbps(20),
 			BufferBytes: 20 * 1500,
-			Marker:      netem.ThresholdMarker{Bytes: 15 * 1500},
+			Marker:      thresholdMarker{bytes: 15 * 1500},
 			Seed:        2,
 			Probe:       probe,
 		},
@@ -29,106 +28,6 @@ func runInstrumented(t *testing.T, probe obs.Probe) *Result {
 		FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 40 * time.Millisecond, LossProb: 0.005},
 	)
 	return n.Run(10 * time.Second)
-}
-
-// TestJSONLRoundTripReconciles is the acceptance round trip: run with the
-// JSONL exporter, re-read the file, and verify the event counts reconcile
-// with the registry snapshot embedded in the Result — including the
-// conservation law sent = delivered + dropped (+ packets still in flight
-// when the horizon cut the run).
-func TestJSONLRoundTripReconciles(t *testing.T) {
-	var buf bytes.Buffer
-	jw := obs.NewJSONLWriter(&buf)
-	reg := obs.NewRegistry()
-	res := runInstrumented(t, obs.Multi(reg, jw))
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	events, err := obs.ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("no events exported")
-	}
-
-	// Fold the re-read file through a fresh registry: the snapshot must
-	// match what the live registry accumulated, field for field.
-	reread := obs.NewRegistry()
-	for _, e := range events {
-		reread.Emit(e)
-	}
-	fromFile, live := reread.Snapshot(), reg.Snapshot()
-	if len(fromFile.Flows) != 2 || len(live.Flows) != 2 {
-		t.Fatalf("flow counts: file %d, live %d, want 2", len(fromFile.Flows), len(live.Flows))
-	}
-	for i := range live.Flows {
-		if fromFile.Flows[i] != live.Flows[i] {
-			t.Errorf("flow %d: file %+v != live %+v", i, fromFile.Flows[i], live.Flows[i])
-		}
-	}
-	if fromFile.Global != live.Global {
-		t.Errorf("global: file %+v != live %+v", fromFile.Global, live.Global)
-	}
-
-	// The event-derived registry must agree with the element-derived
-	// snapshot in the Result on every event-visible field.
-	for i := range res.Obs.Flows {
-		want := res.Obs.Flows[i]
-		got := fromFile.Flows[i]
-		got.Name = want.Name // names travel via the emulator, not events
-		if got != want {
-			t.Errorf("flow %d: events %+v != snapshot %+v", i, got, want)
-		}
-	}
-	g := fromFile.Global
-	w := res.Obs.Global
-	g.SimEventsScheduled, g.SimEventsFired = w.SimEventsScheduled, w.SimEventsFired
-	if g != w {
-		t.Errorf("global: events %+v != snapshot %+v", g, w)
-	}
-
-	// Conservation per flow: every sent segment is delivered, dropped, or
-	// still inside the path when the horizon halted the run. The in-flight
-	// remainder is bounded by what the path can hold (queue + one window).
-	for i, f := range res.Obs.Flows {
-		inFlight := f.PacketsSent - f.PacketsDelivered - f.PacketsDropped
-		if inFlight < 0 {
-			t.Errorf("flow %d: delivered+dropped (%d) exceeds sent (%d)",
-				i, f.PacketsDelivered+f.PacketsDropped, f.PacketsSent)
-		}
-		if limit := int64(200); inFlight > limit {
-			t.Errorf("flow %d: %d packets unaccounted for (> %d): lifecycle events are leaking",
-				i, inFlight, limit)
-		}
-		if f.PacketsSent != f.PacketsEnqueued+f.PacketsDropped {
-			t.Errorf("flow %d: sent %d != enqueued %d + dropped %d",
-				i, f.PacketsSent, f.PacketsEnqueued, f.PacketsDropped)
-		}
-	}
-
-	// The scenario must actually have exercised drops, marks, and ACKs,
-	// otherwise the reconciliation above is vacuous.
-	if w.PacketsDropped == 0 || w.PacketsMarked == 0 || w.AcksReceived == 0 {
-		t.Errorf("degenerate scenario: global counters %+v", w)
-	}
-	// The fixed-seed realization: 26 tail drops plus 21 at flow 1's loss
-	// gate, and 37 + 7 marks.
-	if w.PacketsDropped != 47 || res.Dropped != 26 || w.PacketsMarked != 44 ||
-		res.Obs.Flows[0].PacketsMarked != 37 || res.Obs.Flows[1].PacketsMarked != 7 {
-		t.Errorf("dropped %d (link %d), marked %d (%d + %d); want 47 (26), 44 (37 + 7)",
-			w.PacketsDropped, res.Dropped, w.PacketsMarked,
-			res.Obs.Flows[0].PacketsMarked, res.Obs.Flows[1].PacketsMarked)
-	}
-
-	// Event stream timestamps are monotone per the simulator's clock.
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			t.Fatalf("event %d at %v precedes event %d at %v",
-				i, events[i].At, i-1, events[i-1].At)
-		}
-	}
 }
 
 // TestSnapshotWithoutProbe checks the registry snapshot is populated on

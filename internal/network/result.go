@@ -320,8 +320,8 @@ func (r *Result) Throughputs() []float64 {
 	return out
 }
 
-// Cohorts returns the per-flow cohort labels, indexed like Flows.
-func (r *Result) Cohorts() []string {
+// cohorts returns the per-flow cohort labels, indexed like Flows.
+func (r *Result) cohorts() []string {
 	out := make([]string, len(r.Flows))
 	for i, f := range r.Flows {
 		out[i] = f.Cohort
@@ -334,7 +334,7 @@ func (r *Result) Cohorts() []string {
 // metrics.DefaultStarvationEpsilon), the normalized throughput-ratio
 // distribution, and the per-cohort breakdown.
 func (r *Result) Population(eps float64) metrics.PopulationStats {
-	return metrics.Population(r.Throughputs(), r.Cohorts(), float64(r.LinkRate), eps)
+	return metrics.Population(r.Throughputs(), r.cohorts(), float64(r.LinkRate), eps)
 }
 
 // Ratio returns the steady-state throughput ratio (fast over slow flow).

@@ -103,7 +103,6 @@ type telemetryRecorder struct {
 
 	// phase state, driven by tick() from the trace sampler.
 	warmupEnd time.Duration
-	horizon   time.Duration
 	phase     int
 	phases    []Phase
 	// downstream receives derived events (phase markers; the detector
@@ -137,11 +136,9 @@ func (r *telemetryRecorder) Emit(e obs.Event) { r.sampler.Emit(e) }
 
 // begin pre-sizes the rings from the horizon and records the phase plan.
 // Must run before the first event of the run.
-func (r *telemetryRecorder) begin(d, from, to time.Duration) {
+func (r *telemetryRecorder) begin(d, from time.Duration) {
 	r.sampler.Reserve(d)
 	r.warmupEnd = from
-	r.horizon = d
-	_ = to
 }
 
 // tick advances the phase machine and self-telemetry. Called from the
@@ -254,7 +251,7 @@ func WriteTelemetryPrometheus(w io.Writer, tr *TelemetryResult) error {
 			func(f *FlowTelemetry) float64 { return f.QueueDelay.Seconds() }},
 	}
 	for _, m := range perFlow {
-		if err := promHeader(w, m.name, m.help, m.typ); err != nil {
+		if err := obs.WriteHeader(w, m.name, m.help, m.typ); err != nil {
 			return err
 		}
 		for i := range tr.Flows {
@@ -280,7 +277,7 @@ func WriteTelemetryPrometheus(w io.Writer, tr *TelemetryResult) error {
 		{"starvesim_self_heap_alloc_bytes", "Live heap at end of run (runtime.ReadMemStats, off the hot path).", "gauge", float64(tr.Self.HeapAllocBytes)},
 	}
 	for _, g := range globals {
-		if err := promHeader(w, g.name, g.help, g.typ); err != nil {
+		if err := obs.WriteHeader(w, g.name, g.help, g.typ); err != nil {
 			return err
 		}
 		if _, err := fmt.Fprintf(w, "%s %s\n", g.name, promFloat(g.value)); err != nil {
@@ -288,11 +285,6 @@ func WriteTelemetryPrometheus(w io.Writer, tr *TelemetryResult) error {
 		}
 	}
 	return nil
-}
-
-func promHeader(w io.Writer, name, help, typ string) error {
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	return err
 }
 
 // promFloat renders a value the exposition format accepts (no exponent

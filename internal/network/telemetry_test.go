@@ -137,23 +137,16 @@ func TestTelemetryDetectsStarvedFlow(t *testing.T) {
 	}
 }
 
+// eventCounts is a probe that counts events by type.
+type eventCounts map[obs.EventType]int
+
+func (c eventCounts) Emit(e obs.Event) { c[e.Type]++ }
+
 // TestTelemetryDerivedEventsStream asserts phase markers, RTT samples, and
 // episode boundaries reach the user probe inline with lifecycle events.
 func TestTelemetryDerivedEventsStream(t *testing.T) {
-	var buf bytes.Buffer
-	jw := obs.NewJSONLWriter(&buf)
-	res := runWithTelemetry(jw, true)
-	if err := jw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	events, err := obs.ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[obs.EventType]int{}
-	for _, e := range events {
-		counts[e.Type]++
-	}
+	counts := eventCounts{}
+	res := runWithTelemetry(counts, true)
 	if counts[obs.EvPhase] != 3 {
 		t.Errorf("phase events = %d, want 3", counts[obs.EvPhase])
 	}

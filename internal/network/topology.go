@@ -32,8 +32,8 @@ type LinkSpec struct {
 	HopDelay time.Duration
 }
 
-// Validate reports the first problem with the link spec.
-func (ls LinkSpec) Validate() error {
+// validate reports the first problem with the link spec.
+func (ls LinkSpec) validate() error {
 	if ls.Rate <= 0 {
 		return fmt.Errorf("link rate must be positive")
 	}
@@ -47,13 +47,6 @@ func (ls LinkSpec) Validate() error {
 		return fmt.Errorf("rate schedule: %w", err)
 	}
 	return nil
-}
-
-// SingleBottleneck is the paper's topology as an explicit link list: one
-// shared FIFO. Equivalent to leaving Config.Links nil and setting the
-// legacy fields.
-func SingleBottleneck(rate units.Rate, bufferBytes int) []LinkSpec {
-	return []LinkSpec{{Name: "bottleneck", Rate: rate, BufferBytes: bufferBytes}}
 }
 
 // ParkingLot builds the classic n-hop parking-lot chain: n identical

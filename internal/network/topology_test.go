@@ -1,6 +1,7 @@
 package network
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -78,20 +79,17 @@ func TestParkingLotConservation(t *testing.T) {
 	}
 	// Multi-link topologies expose per-link queue traces.
 	for j, l := range res.Links {
-		if l.Queue == nil || l.Queue.Len() == 0 {
+		if l.Queue == nil || len(l.Queue.Points) == 0 {
 			t.Errorf("link %d (%s): no queue trace", j, l.Name)
 		}
 	}
-	// Cohort labels must flow through to the obs snapshot and aggregate.
-	cohorts := res.Obs.Cohorts()
-	if len(cohorts) != 2 {
-		t.Fatalf("want 2 cohorts, got %d: %+v", len(cohorts), cohorts)
+	// Cohort labels must flow through to the obs snapshot.
+	cohorts := map[string]int{}
+	for _, f := range res.Obs.Flows {
+		cohorts[f.Cohort]++
 	}
-	if cohorts[0].Cohort != "cross" || cohorts[0].Flows != 1 {
-		t.Errorf("cohort 0: got %q n=%d, want cross n=1", cohorts[0].Cohort, cohorts[0].Flows)
-	}
-	if cohorts[1].Cohort != "long" || cohorts[1].Flows != 2 {
-		t.Errorf("cohort 1: got %q n=%d, want long n=2", cohorts[1].Cohort, cohorts[1].Flows)
+	if want := map[string]int{"cross": 1, "long": 2}; !reflect.DeepEqual(cohorts, want) {
+		t.Errorf("flows per cohort = %v, want %v", cohorts, want)
 	}
 }
 

@@ -2,11 +2,11 @@ package obs
 
 import "sort"
 
-// CohortCounters aggregates the FlowCounters of every flow sharing a
+// cohortCounters aggregates the FlowCounters of every flow sharing a
 // cohort label. Population experiments label each flow with its cohort
 // (typically the CCA name, or an RTT class) so a 1000-flow snapshot
 // summarizes into a handful of rows instead of a thousand.
-type CohortCounters struct {
+type cohortCounters struct {
 	// Cohort is the shared label; flows with an empty label aggregate
 	// under "" (rendered as "uncohorted" by exporters).
 	Cohort string `json:"cohort"`
@@ -17,16 +17,16 @@ type CohortCounters struct {
 	Sum FlowCounters `json:"sum"`
 }
 
-// Cohorts folds the per-flow counters into per-cohort sums, sorted by
+// cohorts folds the per-flow counters into per-cohort sums, sorted by
 // cohort label so the output is stable for diffing and hashing.
-func (s *Snapshot) Cohorts() []CohortCounters {
-	byLabel := make(map[string]*CohortCounters)
+func (s *Snapshot) cohorts() []cohortCounters {
+	byLabel := make(map[string]*cohortCounters)
 	order := make([]string, 0, 4)
 	for i := range s.Flows {
 		f := &s.Flows[i]
 		c, ok := byLabel[f.Cohort]
 		if !ok {
-			c = &CohortCounters{Cohort: f.Cohort}
+			c = &cohortCounters{Cohort: f.Cohort}
 			byLabel[f.Cohort] = c
 			order = append(order, f.Cohort)
 		}
@@ -34,7 +34,7 @@ func (s *Snapshot) Cohorts() []CohortCounters {
 		addCounters(&c.Sum, f)
 	}
 	sort.Strings(order)
-	out := make([]CohortCounters, 0, len(order))
+	out := make([]cohortCounters, 0, len(order))
 	for _, label := range order {
 		out = append(out, *byLabel[label])
 	}

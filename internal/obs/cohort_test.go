@@ -23,7 +23,7 @@ func TestCohortsAggregates(t *testing.T) {
 	snap.Flows[1].Cohort = "vegas"
 	snap.Flows[2].Cohort = "bbr"
 
-	got := snap.Cohorts()
+	got := snap.cohorts()
 	if len(got) != 2 {
 		t.Fatalf("cohorts = %d, want 2", len(got))
 	}
@@ -55,8 +55,8 @@ func TestCohortsEmptyLabelAndStability(t *testing.T) {
 	snap := r.Snapshot()
 	snap.Flows[1].Cohort = "zz"
 
-	a := snap.Cohorts()
-	b := snap.Cohorts()
+	a := snap.cohorts()
+	b := snap.cohorts()
 	if !reflect.DeepEqual(a, b) {
 		t.Error("Cohorts is not deterministic across calls")
 	}
@@ -70,7 +70,7 @@ func TestCohortsEmptyLabelAndStability(t *testing.T) {
 
 func TestCohortsEmptySnapshot(t *testing.T) {
 	var snap Snapshot
-	if got := snap.Cohorts(); len(got) != 0 {
+	if got := snap.cohorts(); len(got) != 0 {
 		t.Errorf("Cohorts of empty snapshot = %v, want none", got)
 	}
 }

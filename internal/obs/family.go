@@ -78,13 +78,6 @@ func (f *Family) Set(labelValue string, v int64) {
 	f.mu.Unlock()
 }
 
-// Value returns the current sample for the label value.
-func (f *Family) Value(labelValue string) int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.vals[labelValue]
-}
-
 // WritePrometheus renders every family in the text exposition format:
 // families in registration order, samples sorted by label value so the
 // output is diffable run to run.
@@ -100,7 +93,7 @@ func (s *FamilySet) WritePrometheus(w io.Writer) error {
 		if f.gauge {
 			typ = "gauge"
 		}
-		if err := header(w, f.name, f.help, typ); err != nil {
+		if err := WriteHeader(w, f.name, f.help, typ); err != nil {
 			return err
 		}
 		f.mu.Lock()

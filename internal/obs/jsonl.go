@@ -3,11 +3,7 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"time"
-
-	"starvation/internal/packet"
 )
 
 // jsonEvent is the JSONL wire form of an Event. Timestamps are integer
@@ -66,9 +62,6 @@ func (jw *JSONLWriter) Emit(e Event) {
 	jw.err = jw.bw.WriteByte('\n')
 }
 
-// Err returns the first error encountered while writing, if any.
-func (jw *JSONLWriter) Err() error { return jw.err }
-
 // Flush pushes buffered events to the underlying writer and returns the
 // first error seen, without ending the stream. Long-running consumers
 // (the -watch live view, batch drivers checkpointing mid-run) call it
@@ -83,42 +76,3 @@ func (jw *JSONLWriter) Flush() error {
 
 // Close flushes buffered events and returns the first error seen.
 func (jw *JSONLWriter) Close() error { return jw.Flush() }
-
-// ReadJSONL parses an event trace written by JSONLWriter. Blank lines are
-// skipped; any malformed line aborts with an error naming its number.
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var out []Event
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var je jsonEvent
-		if err := json.Unmarshal(line, &je); err != nil {
-			return nil, fmt.Errorf("obs: jsonl line %d: %w", lineNo, err)
-		}
-		t, ok := ParseEventType(je.Type)
-		if !ok {
-			return nil, fmt.Errorf("obs: jsonl line %d: unknown event type %q", lineNo, je.Type)
-		}
-		out = append(out, Event{
-			Type:  t,
-			At:    time.Duration(je.TNs),
-			Flow:  packet.FlowID(je.Flow),
-			Seq:   je.Seq,
-			Bytes: je.Bytes,
-			Queue: je.Queue,
-			Retx:  je.Retx,
-			Dup:   je.Dup,
-			Hop:   je.Hop,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: reading jsonl: %w", err)
-	}
-	return out, nil
-}

@@ -30,8 +30,8 @@ func TestJSONLWriterSurfacesWriteError(t *testing.T) {
 
 	// Buffered: the first emits succeed, the error appears at Flush.
 	jw.Emit(Event{Type: EvEnqueue, Flow: 0, Bytes: 1500, Queue: 1500})
-	if jw.Err() != nil {
-		t.Fatalf("premature error before flush: %v", jw.Err())
+	if jw.err != nil {
+		t.Fatalf("premature error before flush: %v", jw.err)
 	}
 	if err := jw.Flush(); !errors.Is(err, wantErr) {
 		t.Fatalf("Flush = %v, want %v", err, wantErr)
@@ -42,8 +42,8 @@ func TestJSONLWriterSurfacesWriteError(t *testing.T) {
 	if err := jw.Close(); !errors.Is(err, wantErr) {
 		t.Fatalf("Close = %v, want %v", err, wantErr)
 	}
-	if !errors.Is(jw.Err(), wantErr) {
-		t.Fatalf("Err = %v, want sticky %v", jw.Err(), wantErr)
+	if !errors.Is(jw.err, wantErr) {
+		t.Fatalf("Err = %v, want sticky %v", jw.err, wantErr)
 	}
 }
 

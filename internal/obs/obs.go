@@ -106,16 +106,6 @@ func (t EventType) String() string {
 	return fmt.Sprintf("event(%d)", uint8(t))
 }
 
-// ParseEventType inverts String; ok is false for unknown names.
-func ParseEventType(s string) (EventType, bool) {
-	for i, n := range eventTypeNames {
-		if n == s {
-			return EventType(i), true
-		}
-	}
-	return 0, false
-}
-
 // Run phases carried in EvPhase's Seq payload.
 const (
 	// PhaseSetup: topology assembly; spans only the instant before the
@@ -125,8 +115,6 @@ const (
 	PhaseWarmup
 	// PhaseMeasure: the steady-state statistics window.
 	PhaseMeasure
-
-	NumPhases
 )
 
 // PhaseName returns the stable name of a run phase index.
@@ -178,13 +166,6 @@ type Event struct {
 type Probe interface {
 	Emit(e Event)
 }
-
-// Nop is an enabled probe that discards every event. It exists to measure
-// the pure dispatch overhead of instrumentation (BenchmarkNoopProbe).
-type Nop struct{}
-
-// Emit implements Probe.
-func (Nop) Emit(Event) {}
 
 type multiProbe []Probe
 

@@ -47,7 +47,7 @@ func WritePrometheus(w io.Writer, snap *Snapshot) error {
 			func(f *FlowCounters) int64 { return f.PacketsReordered }},
 	}
 	for _, m := range perFlow {
-		if err := header(w, m.name, m.help, m.typ); err != nil {
+		if err := WriteHeader(w, m.name, m.help, m.typ); err != nil {
 			return err
 		}
 		for i := range snap.Flows {
@@ -66,26 +66,26 @@ func WritePrometheus(w io.Writer, snap *Snapshot) error {
 	// a cohort label, so uncohorted (classic 2-flow) exports are unchanged.
 	// Population runs read starvation structure from these few series
 	// instead of thousands of per-flow samples.
-	if cohorts := snap.Cohorts(); len(cohorts) > 1 || (len(cohorts) == 1 && cohorts[0].Cohort != "") {
+	if cohorts := snap.cohorts(); len(cohorts) > 1 || (len(cohorts) == 1 && cohorts[0].Cohort != "") {
 		perCohort := []struct {
 			name, help string
-			value      func(*CohortCounters) int64
+			value      func(*cohortCounters) int64
 		}{
 			{"starvesim_cohort_flows", "Flows aggregated under the cohort label.",
-				func(c *CohortCounters) int64 { return int64(c.Flows) }},
+				func(c *cohortCounters) int64 { return int64(c.Flows) }},
 			{"starvesim_cohort_packets_sent_total", "Segments transmitted by the cohort's senders.",
-				func(c *CohortCounters) int64 { return c.Sum.PacketsSent }},
+				func(c *cohortCounters) int64 { return c.Sum.PacketsSent }},
 			{"starvesim_cohort_packets_dropped_total", "Segments of the cohort discarded anywhere on the path.",
-				func(c *CohortCounters) int64 { return c.Sum.PacketsDropped }},
+				func(c *cohortCounters) int64 { return c.Sum.PacketsDropped }},
 			{"starvesim_cohort_packets_delivered_total", "Segments of the cohort that reached their receivers.",
-				func(c *CohortCounters) int64 { return c.Sum.PacketsDelivered }},
+				func(c *cohortCounters) int64 { return c.Sum.PacketsDelivered }},
 			{"starvesim_cohort_bytes_acked_total", "Payload bytes cumulatively acknowledged across the cohort.",
-				func(c *CohortCounters) int64 { return c.Sum.BytesAcked }},
+				func(c *cohortCounters) int64 { return c.Sum.BytesAcked }},
 			{"starvesim_cohort_retransmits_total", "Retransmitted segments across the cohort.",
-				func(c *CohortCounters) int64 { return c.Sum.Retransmits }},
+				func(c *cohortCounters) int64 { return c.Sum.Retransmits }},
 		}
 		for _, m := range perCohort {
-			if err := header(w, m.name, m.help, "counter"); err != nil {
+			if err := WriteHeader(w, m.name, m.help, "counter"); err != nil {
 				return err
 			}
 			for i := range cohorts {
@@ -112,7 +112,7 @@ func WritePrometheus(w io.Writer, snap *Snapshot) error {
 		{"starvesim_sim_events_fired_total", "Discrete events executed by the virtual clock.", "counter", int64(snap.Global.SimEventsFired)},
 	}
 	for _, g := range globals {
-		if err := header(w, g.name, g.help, g.typ); err != nil {
+		if err := WriteHeader(w, g.name, g.help, g.typ); err != nil {
 			return err
 		}
 		if _, err := fmt.Fprintf(w, "%s %d\n", g.name, g.value); err != nil {
@@ -122,9 +122,10 @@ func WritePrometheus(w io.Writer, snap *Snapshot) error {
 	return nil
 }
 
-func header(w io.Writer, name, help, typ string) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ); err != nil {
-		return err
-	}
-	return nil
+// WriteHeader writes the HELP and TYPE lines that open a metric family in
+// the text exposition format; every exporter in the module writes its
+// headers through it.
+func WriteHeader(w io.Writer, name, help, typ string) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	return err
 }

@@ -11,7 +11,7 @@ type FlowCounters struct {
 	Name string `json:"name"`
 	// Cohort labels the flow's population cohort (e.g. its CCA name in a
 	// mixed-CCA experiment). It travels via the emulator like Name, not via
-	// events; Snapshot.Cohorts aggregates per-flow counters under it.
+	// events; the Prometheus exporter aggregates per-flow counters under it.
 	Cohort string `json:"cohort,omitempty"`
 
 	PacketsSent      int64 `json:"packets_sent"`
@@ -80,12 +80,11 @@ func (s *Snapshot) Flow(id packet.FlowID) *FlowCounters {
 // Registry is a Probe that folds the event stream into counters.
 //
 // Ownership: a Registry is single-writer, like the simulator feeding it —
-// Emit, Snapshot, and Cohorts must all be called from the goroutine that
-// owns the run (TestRegistrySingleWriterOwnership pins this contract).
-// Concurrent sweeps must give each run its own Registry (they are cheap)
-// or share one through a Synchronized wrapper; handing one bare Registry
-// to several emitting goroutines corrupts the counters and races the
-// cohort aggregation's map walk.
+// Emit must be called from the goroutine that owns the run
+// (TestRegistrySingleWriterOwnership pins this contract). Concurrent
+// sweeps must give each run its own Registry (they are cheap) or share one
+// through a Synchronized wrapper; handing one bare Registry to several
+// emitting goroutines corrupts the counters.
 type Registry struct {
 	snap Snapshot
 }
@@ -158,19 +157,4 @@ func (r *Registry) Emit(e Event) {
 	case EvRateSample:
 		f.RateSamples++
 	}
-}
-
-// Reset zeroes every counter while keeping the per-flow slice capacity, so
-// a registry recycled across runs (session reuse) is indistinguishable
-// from a fresh one without reallocating. Single-writer, like Emit.
-func (r *Registry) Reset() {
-	r.snap.Global = Counters{}
-	r.snap.Flows = r.snap.Flows[:0]
-}
-
-// Snapshot returns a deep copy of the current counters.
-func (r *Registry) Snapshot() Snapshot {
-	out := r.snap
-	out.Flows = append([]FlowCounters(nil), r.snap.Flows...)
-	return out
 }

@@ -142,7 +142,7 @@ type OnWindow func(flow packet.FlowID, w *Window, elapsed time.Duration)
 type Config struct {
 	// Stride is the window width (required, > 0).
 	Stride time.Duration
-	// MaxWindows caps each flow's ring; 0 selects DefaultMaxWindows.
+	// MaxWindows caps each flow's ring; 0 selects defaultMaxWindows.
 	// Reserve may lower the actual allocation when the horizon needs less.
 	MaxWindows int
 	// OnWindow, when non-nil, observes each closed window (the online
@@ -150,9 +150,9 @@ type Config struct {
 	OnWindow OnWindow
 }
 
-// DefaultMaxWindows bounds per-flow ring memory when no horizon is given:
+// defaultMaxWindows bounds per-flow ring memory when no horizon is given:
 // 10 minutes of 100 ms windows.
-const DefaultMaxWindows = 6000
+const defaultMaxWindows = 6000
 
 // Sampler folds obs events into per-flow windowed series. It is an
 // obs.Probe; like every probe it is single-writer (wrap in
@@ -172,13 +172,10 @@ func NewSampler(cfg Config, nflows int) *Sampler {
 		cfg.Stride = 100 * time.Millisecond
 	}
 	if cfg.MaxWindows <= 0 {
-		cfg.MaxWindows = DefaultMaxWindows
+		cfg.MaxWindows = defaultMaxWindows
 	}
 	return &Sampler{cfg: cfg, flows: make([]FlowSeries, nflows)}
 }
-
-// Stride returns the configured window width.
-func (s *Sampler) Stride() time.Duration { return s.cfg.Stride }
 
 // Reserve pre-sizes every flow's ring for a run of the given horizon, so
 // the run itself never grows a buffer (the trace.Series.Reserve idiom).
@@ -210,9 +207,6 @@ func (s *Sampler) Flow(id packet.FlowID) *FlowSeries {
 	}
 	return &s.flows[id]
 }
-
-// NumFlows returns the flow-slot count.
-func (s *Sampler) NumFlows() int { return len(s.flows) }
 
 // Emit implements obs.Probe: fold one event into its flow's current
 // window, closing windows the event's timestamp has passed.

@@ -36,9 +36,6 @@ type Packet struct {
 	Hop uint8
 }
 
-// End returns the byte offset just past this segment.
-func (p Packet) End() int64 { return p.Seq + int64(p.Size) }
-
 // Ack acknowledges received data back to the sender.
 type Ack struct {
 	Flow FlowID

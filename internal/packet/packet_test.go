@@ -2,17 +2,6 @@ package packet
 
 import "testing"
 
-func TestPacketEnd(t *testing.T) {
-	p := Packet{Seq: 3000, Size: 1500}
-	if got := p.End(); got != 4500 {
-		t.Errorf("End = %d, want 4500", got)
-	}
-	var zero Packet
-	if zero.End() != 0 {
-		t.Error("zero packet End != 0")
-	}
-}
-
 func TestPacketIsValue(t *testing.T) {
 	// Network elements copy packets freely; mutating a copy must not leak.
 	p := Packet{Seq: 0, Size: 1500}

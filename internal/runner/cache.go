@@ -37,14 +37,14 @@ const CorruptDirName = "corrupt"
 type Cache struct {
 	// Dir is the cache root; it is created on first Put.
 	Dir string
-	// Schema overrides the cache-schema version (0 selects SchemaVersion).
+	// schemaOverride replaces SchemaVersion when non-zero (a test seam).
 	// Entries written under one schema are unreachable under another: the
 	// version participates in the fingerprint and is checked again inside
 	// the envelope.
-	Schema int
-	// Warn, when non-nil, receives the one structured warning emitted per
-	// quarantined entry. Nil writes a JSON line to stderr.
-	Warn func(CorruptionEvent)
+	schemaOverride int
+	// warn, when non-nil, receives the one structured warning emitted per
+	// quarantined entry in place of the JSON line on stderr (a test seam).
+	warn func(corruptionEvent)
 
 	corrupt atomic.Int64
 
@@ -71,8 +71,8 @@ type pendingPut struct {
 	gen      uint64
 }
 
-// CorruptionEvent describes one quarantined cache entry.
-type CorruptionEvent struct {
+// corruptionEvent describes one quarantined cache entry.
+type corruptionEvent struct {
 	// Fingerprint is the entry's content address.
 	Fingerprint string `json:"fingerprint"`
 	// Reason says what failed: "undecodable envelope" or "artifact
@@ -96,8 +96,8 @@ type entry struct {
 }
 
 func (c *Cache) schema() int {
-	if c.Schema != 0 {
-		return c.Schema
+	if c.schemaOverride != 0 {
+		return c.schemaOverride
 	}
 	return SchemaVersion
 }
@@ -109,10 +109,6 @@ func (c *Cache) Fingerprint(key Key) string { return key.Fingerprint(c.schema())
 func (c *Cache) path(fp string) string {
 	return filepath.Join(c.Dir, fp[:2], fp+".json")
 }
-
-// CorruptCount returns the number of entries quarantined by this Cache
-// value since creation.
-func (c *Cache) CorruptCount() int64 { return c.corrupt.Load() }
 
 // Get returns the cached artifact for the fingerprint: the pending
 // artifact while its write is in flight, else the entry on disk. A
@@ -154,15 +150,15 @@ func (c *Cache) Get(fp string) ([]byte, bool) {
 // the counter and warning still fire so the defect is never silent.
 func (c *Cache) quarantine(fp, reason string) {
 	c.corrupt.Add(1)
-	ev := CorruptionEvent{Fingerprint: fp, Reason: reason}
+	ev := corruptionEvent{Fingerprint: fp, Reason: reason}
 	dst := filepath.Join(c.Dir, CorruptDirName, fp+".json")
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err == nil {
 		if err := os.Rename(c.path(fp), dst); err == nil {
 			ev.Quarantined = dst
 		}
 	}
-	if c.Warn != nil {
-		c.Warn(ev)
+	if c.warn != nil {
+		c.warn(ev)
 		return
 	}
 	line, err := json.Marshal(ev)

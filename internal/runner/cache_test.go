@@ -49,8 +49,8 @@ func TestCacheHitMiss(t *testing.T) {
 // must not resurrect the schema-1 artifact.
 func TestCacheSchemaBump(t *testing.T) {
 	dir := t.TempDir()
-	v1 := &Cache{Dir: dir, Schema: 1}
-	v2 := &Cache{Dir: dir, Schema: 2}
+	v1 := &Cache{Dir: dir, schemaOverride: 1}
+	v2 := &Cache{Dir: dir, schemaOverride: 2}
 	k := referenceKey()
 
 	oldArt := []byte("schema-1 artifact")

@@ -28,22 +28,23 @@ import (
 	"sync"
 	"time"
 
+	"starvation/internal/obs"
 	"starvation/internal/runner"
 )
 
 // Default knobs, applied when the spec omits the clause.
 const (
-	// DefaultHangFor bounds an injected hang: the attempt blocks this
+	// defaultHangFor bounds an injected hang: the attempt blocks this
 	// long (or until its context dies), then fails. Supervision, not
 	// wall-clock waste.
-	DefaultHangFor = 2 * time.Second
-	// DefaultMaxFaultsPerJob caps injected body faults per job so a
+	defaultHangFor = 2 * time.Second
+	// defaultMaxFaultsPerJob caps injected body faults per job so a
 	// retried job always converges: with a retry budget of at least
 	// MaxFaultsPerJob+1 attempts, chaos can never fail a batch.
-	DefaultMaxFaultsPerJob = 2
-	// DefaultAttempts is the retry budget a chaos run implies when the
-	// caller doesn't set one (DefaultMaxFaultsPerJob+1: always enough).
-	DefaultAttempts = DefaultMaxFaultsPerJob + 1
+	defaultMaxFaultsPerJob = 2
+	// defaultAttempts is the retry budget a chaos run implies when the
+	// caller doesn't set one (defaultMaxFaultsPerJob+1: always enough).
+	defaultAttempts = defaultMaxFaultsPerJob + 1
 )
 
 // Spec is a parsed chaos specification: per-attempt fault probabilities
@@ -58,7 +59,7 @@ type Spec struct {
 	// HangP is the per-attempt probability of an injected hang: the
 	// attempt blocks for HangFor (or until its context dies), then fails.
 	HangP float64
-	// HangFor bounds an injected hang (0 selects DefaultHangFor).
+	// HangFor bounds an injected hang (0 selects defaultHangFor).
 	HangFor time.Duration
 	// SlowP is the per-attempt probability of an injected SlowBy delay
 	// before the body runs (the body still succeeds — a slow worker, not
@@ -74,11 +75,11 @@ type Spec struct {
 	// offset before the batch loads it.
 	TruncateManifest bool
 	// MaxFaultsPerJob caps injected body faults per job (0 selects
-	// DefaultMaxFaultsPerJob; negative means unlimited — a batch may
+	// defaultMaxFaultsPerJob; negative means unlimited — a batch may
 	// then fail terminally, which some tests want).
 	MaxFaultsPerJob int
 	// Attempts is the retry budget the spec suggests for the pool
-	// (0 selects DefaultAttempts).
+	// (0 selects defaultAttempts).
 	Attempts int
 }
 
@@ -184,7 +185,7 @@ func Parse(spec string) (Spec, error) {
 	if s.MaxFaultsPerJob >= 0 {
 		faultCap := s.MaxFaultsPerJob
 		if faultCap == 0 {
-			faultCap = DefaultMaxFaultsPerJob
+			faultCap = defaultMaxFaultsPerJob
 		}
 		if s.Attempts != 0 && s.Attempts <= faultCap {
 			return s, fmt.Errorf("chaos: attempts:%d cannot outlast maxfail:%d injected faults per job; raise attempts or lower maxfail", s.Attempts, faultCap)
@@ -197,14 +198,14 @@ func (s Spec) hangFor() time.Duration {
 	if s.HangFor > 0 {
 		return s.HangFor
 	}
-	return DefaultHangFor
+	return defaultHangFor
 }
 
 func (s Spec) maxFaults() int {
 	if s.MaxFaultsPerJob != 0 {
 		return s.MaxFaultsPerJob
 	}
-	return DefaultMaxFaultsPerJob
+	return defaultMaxFaultsPerJob
 }
 
 // RetryAttempts returns the retry budget the spec implies: explicit
@@ -217,11 +218,11 @@ func (s Spec) RetryAttempts() int {
 	if s.maxFaults() > 0 {
 		return s.maxFaults() + 1
 	}
-	return DefaultAttempts
+	return defaultAttempts
 }
 
-// Event is one injected fault, recorded for the chaos log.
-type Event struct {
+// event is one injected fault, recorded for the chaos log.
+type event struct {
 	// Kind is "error", "panic", "hang", "slow", "corrupt", or
 	// "truncate-manifest".
 	Kind string `json:"kind"`
@@ -240,7 +241,7 @@ type Injector struct {
 	Spec Spec
 
 	mu       sync.Mutex
-	events   []Event
+	events   []event
 	attempts map[string]int // body invocations per job (attempt counter)
 	faults   map[string]int // injected body faults per job (the cap)
 }
@@ -250,21 +251,14 @@ func New(spec Spec) *Injector {
 	return &Injector{Spec: spec, attempts: map[string]int{}, faults: map[string]int{}}
 }
 
-func (in *Injector) record(ev Event) {
+func (in *Injector) record(ev event) {
 	in.mu.Lock()
 	in.events = append(in.events, ev)
 	in.mu.Unlock()
 }
 
-// Events returns a copy of the injection log, in injection order.
-func (in *Injector) Events() []Event {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]Event(nil), in.events...)
-}
-
-// Counts returns the number of injections per fault kind.
-func (in *Injector) Counts() map[string]int {
+// counts returns the number of injections per fault kind.
+func (in *Injector) counts() map[string]int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	counts := map[string]int{}
@@ -272,18 +266,6 @@ func (in *Injector) Counts() map[string]int {
 		counts[ev.Kind]++
 	}
 	return counts
-}
-
-// BodyFaults returns the number of injected body faults (error + panic +
-// hang) — the count of attempts that failed because of chaos.
-func (in *Injector) BodyFaults() int {
-	n := 0
-	for kind, c := range in.Counts() {
-		if kind == "error" || kind == "panic" || kind == "hang" {
-			n += c
-		}
-	}
-	return n
 }
 
 // Wrap returns jobs with every body wrapped in the injector's fault
@@ -315,23 +297,23 @@ func (in *Injector) wrapOne(job runner.Job) runner.Job {
 				in.mu.Unlock()
 				switch kind {
 				case "panic":
-					in.record(Event{Kind: "panic", Job: id, Attempt: attempt})
+					in.record(event{Kind: "panic", Job: id, Attempt: attempt})
 					panic(fmt.Sprintf("chaos: injected panic (job %s attempt %d)", id, attempt))
 				case "hang":
 					d := in.Spec.hangFor()
-					in.record(Event{Kind: "hang", Job: id, Attempt: attempt,
+					in.record(event{Kind: "hang", Job: id, Attempt: attempt,
 						Detail: fmt.Sprintf("blocked %v", d)})
 					waitCtx(ctx, d)
 					return nil, fmt.Errorf("chaos: injected hang (job %s attempt %d, blocked %v)", id, attempt, d)
 				default: // "error"
-					in.record(Event{Kind: "error", Job: id, Attempt: attempt})
+					in.record(event{Kind: "error", Job: id, Attempt: attempt})
 					return nil, fmt.Errorf("chaos: injected error (job %s attempt %d)", id, attempt)
 				}
 			}
 		}
 		if in.Spec.SlowP > 0 && in.Spec.SlowBy > 0 &&
 			runner.SeededUnit(in.Spec.Seed, "slow", id, fmt.Sprint(attempt)) < in.Spec.SlowP {
-			in.record(Event{Kind: "slow", Job: id, Attempt: attempt,
+			in.record(event{Kind: "slow", Job: id, Attempt: attempt,
 				Detail: fmt.Sprintf("delayed %v", in.Spec.SlowBy)})
 			waitCtx(ctx, in.Spec.SlowBy)
 		}
@@ -468,7 +450,7 @@ func (in *Injector) corruptFile(path string) error {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	in.record(Event{Kind: "corrupt", Target: path, Detail: detail})
+	in.record(event{Kind: "corrupt", Target: path, Detail: detail})
 	return nil
 }
 
@@ -495,14 +477,17 @@ func (in *Injector) TruncateManifest(path string) (bool, error) {
 	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 		return false, err
 	}
-	in.record(Event{Kind: "truncate-manifest", Target: path,
+	in.record(event{Kind: "truncate-manifest", Target: path,
 		Detail: fmt.Sprintf("cut at byte %d of %d", cut, len(data))})
 	return true, nil
 }
 
 // WriteLog writes the injection log as JSONL.
 func (in *Injector) WriteLog(w io.Writer) error {
-	for _, ev := range in.Events() {
+	in.mu.Lock()
+	events := append([]event(nil), in.events...)
+	in.mu.Unlock()
+	for _, ev := range events {
 		line, err := json.Marshal(ev)
 		if err != nil {
 			return err
@@ -517,13 +502,13 @@ func (in *Injector) WriteLog(w io.Writer) error {
 // WritePrometheus renders the injection counters in the Prometheus text
 // exposition format, matching the runner/obs exporters.
 func (in *Injector) WritePrometheus(w io.Writer) error {
-	counts := in.Counts()
+	counts := in.counts()
 	kinds := make([]string, 0, len(counts))
 	for k := range counts {
 		kinds = append(kinds, k)
 	}
 	sort.Strings(kinds)
-	if _, err := fmt.Fprintf(w, "# HELP starvesim_chaos_injected_total Orchestration faults injected by the chaos layer.\n# TYPE starvesim_chaos_injected_total counter\n"); err != nil {
+	if err := obs.WriteHeader(w, "starvesim_chaos_injected_total", "Orchestration faults injected by the chaos layer.", "counter"); err != nil {
 		return err
 	}
 	for _, k := range kinds {
@@ -536,7 +521,7 @@ func (in *Injector) WritePrometheus(w io.Writer) error {
 
 // Summary renders a one-line human report of what the injector did.
 func (in *Injector) Summary() string {
-	counts := in.Counts()
+	counts := in.counts()
 	if len(counts) == 0 {
 		return "chaos: no faults injected"
 	}

@@ -35,9 +35,9 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if implied.RetryAttempts() != DefaultMaxFaultsPerJob+1 {
+	if implied.RetryAttempts() != defaultMaxFaultsPerJob+1 {
 		t.Errorf("implied RetryAttempts = %d, want maxfail+1 = %d",
-			implied.RetryAttempts(), DefaultMaxFaultsPerJob+1)
+			implied.RetryAttempts(), defaultMaxFaultsPerJob+1)
 	}
 
 	for _, bad := range []string{
@@ -65,14 +65,14 @@ func TestInjectionDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOnce := func() []Event {
+	runOnce := func() []event {
 		in := New(spec)
 		pool := &runner.Pool{
 			Jobs:  1, // sequential so attempt interleaving is fixed
-			Retry: runner.RetryPolicy{MaxAttempts: spec.RetryAttempts(), Base: time.Millisecond, Jitter: -1},
+			Retry: runner.RetryPolicy{MaxAttempts: spec.RetryAttempts(), Base: time.Millisecond},
 		}
 		pool.Run(context.Background(), in.Wrap(testJobs(8)))
-		return in.Events()
+		return in.events
 	}
 	a, b := runOnce(), runOnce()
 	if !reflect.DeepEqual(a, b) {
@@ -108,11 +108,11 @@ func TestWrapConvergence(t *testing.T) {
 			t.Errorf("%s artifact diverged from the fault-free run", res.ID)
 		}
 	}
-	if in.BodyFaults() == 0 {
+	if bodyFaults(in) == 0 {
 		t.Fatalf("no body faults injected; convergence was never tested")
 	}
 	if st := pool.Stats(); st.Retries == 0 {
-		t.Errorf("chaos run recorded no retries despite %d injected faults", in.BodyFaults())
+		t.Errorf("chaos run recorded no retries despite %d injected faults", bodyFaults(in))
 	}
 }
 
@@ -126,7 +126,7 @@ func TestFaultCapConverges(t *testing.T) {
 	in := New(spec)
 	pool := &runner.Pool{
 		Jobs:  1,
-		Retry: runner.RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Jitter: -1},
+		Retry: runner.RetryPolicy{MaxAttempts: 3, Base: time.Millisecond},
 	}
 	res := pool.Run(context.Background(), in.Wrap(testJobs(1)))[0]
 	if res.Err != nil || res.Attempts != 3 {
@@ -145,8 +145,7 @@ func TestHangRespectsContext(t *testing.T) {
 	pool := &runner.Pool{
 		Jobs:        1,
 		JobDeadline: 30 * time.Millisecond,
-		Grace:       100 * time.Millisecond,
-		Retry:       runner.RetryPolicy{MaxAttempts: 2, Base: time.Millisecond, Jitter: -1},
+		Retry:       runner.RetryPolicy{MaxAttempts: 2, Base: time.Millisecond},
 	}
 	start := time.Now()
 	res := pool.Run(context.Background(), in.Wrap(testJobs(1)))[0]
@@ -156,7 +155,7 @@ func TestHangRespectsContext(t *testing.T) {
 	if res.Err != nil {
 		t.Errorf("result = %+v, want recovery on the post-hang attempt", res.Err)
 	}
-	if got := in.Counts()["hang"]; got != 1 {
+	if got := in.counts()["hang"]; got != 1 {
 		t.Errorf("recorded %d hang events, want 1", got)
 	}
 }
@@ -194,8 +193,8 @@ func TestCorruptCache(t *testing.T) {
 				misses++
 			}
 		}
-		if misses != 2 || cache.CorruptCount() != 2 {
-			t.Errorf("mode %s: %d misses, %d quarantined; want both 2", mode, misses, cache.CorruptCount())
+		if misses != 2 || (&runner.Pool{Cache: cache}).Stats().CacheCorrupt != 2 {
+			t.Errorf("mode %s: %d misses, %d quarantined; want both 2", mode, misses, (&runner.Pool{Cache: cache}).Stats().CacheCorrupt)
 		}
 		// Quarantined files are preserved for forensics, not deleted.
 		quarantined, err := os.ReadDir(filepath.Join(dir, runner.CorruptDirName))
@@ -235,13 +234,19 @@ func TestTruncateManifest(t *testing.T) {
 	if re.RecoveredFrom == "" {
 		t.Errorf("salvage not reported after injected truncation")
 	}
-	if re.Len() == 0 || re.Len() >= 8 {
-		t.Errorf("recovered %d entries from a mid-file cut, want some but not all", re.Len())
-	}
-	for i := 0; i < re.Len(); i++ { // recovery keeps a prefix of complete entries
-		if e, ok := re.Entry(fmt.Sprintf("job%02d", i)); ok && e.Status != runner.StatusDone {
+	recovered := 0
+	for i := 0; i < 8; i++ {
+		e, ok := re.Entry(fmt.Sprintf("job%02d", i))
+		if !ok {
+			continue
+		}
+		recovered++
+		if e.Status != runner.StatusDone {
 			t.Errorf("recovered entry job%02d has status %q", i, e.Status)
 		}
+	}
+	if recovered == 0 || recovered >= 8 {
+		t.Errorf("recovered %d entries from a mid-file cut, want some but not all", recovered)
 	}
 }
 
@@ -252,15 +257,15 @@ func TestWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := New(spec)
-	pool := &runner.Pool{Jobs: 1, Retry: runner.RetryPolicy{MaxAttempts: 2, Base: time.Millisecond, Jitter: -1}}
+	pool := &runner.Pool{Jobs: 1, Retry: runner.RetryPolicy{MaxAttempts: 2, Base: time.Millisecond}}
 	pool.Run(context.Background(), in.Wrap(testJobs(2)))
 
 	var log bytes.Buffer
 	if err := in.WriteLog(&log); err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Count(log.String(), "\n"); lines != len(in.Events()) {
-		t.Errorf("log has %d lines for %d events", lines, len(in.Events()))
+	if lines := strings.Count(log.String(), "\n"); lines != len(in.events) {
+		t.Errorf("log has %d lines for %d events", lines, len(in.events))
 	}
 	var prom bytes.Buffer
 	if err := in.WritePrometheus(&prom); err != nil {
@@ -292,4 +297,11 @@ func testJobs(n int) []runner.Job {
 		}
 	}
 	return jobs
+}
+
+// bodyFaults is the number of injected body faults (error + panic +
+// hang): the attempts that failed because of chaos.
+func bodyFaults(in *Injector) int {
+	c := in.counts()
+	return c["error"] + c["panic"] + c["hang"]
 }

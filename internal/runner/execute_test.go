@@ -78,7 +78,7 @@ func TestExecuteRetryOverride(t *testing.T) {
 	}}
 	res := pool.Execute(context.Background(), Exec{
 		Job:   job,
-		Retry: &RetryPolicy{MaxAttempts: 3, Base: 1, Jitter: -1},
+		Retry: &RetryPolicy{MaxAttempts: 3, Base: 1},
 	})
 	if res.Err != nil || string(res.Artifact) != "ok" {
 		t.Fatalf("Execute under retry override: %+v", res)
@@ -168,8 +168,12 @@ func TestManifestCompact(t *testing.T) {
 	if dropped != 5 {
 		t.Fatalf("dropped %d records, want 5", dropped)
 	}
-	if m.HistoryLen() != 2 {
-		t.Fatalf("history length %d after compact, want 2", m.HistoryLen())
+	history := 0
+	for _, e := range m.jobs {
+		history += len(e.History)
+	}
+	if history != 2 {
+		t.Fatalf("history length %d after compact, want 2", history)
 	}
 
 	re := LoadManifest(path)

@@ -31,23 +31,21 @@ type Key struct {
 	Seed int64
 	// Duration is the virtual run length (0 when the job fixes its own).
 	Duration time.Duration
-	// Faults is the impairment clause, in its canonical spec syntax.
-	Faults string
 	// Params carries any remaining configuration as "name=value" strings;
 	// the encoding sorts them, so order never changes the fingerprint.
 	Params []string
 }
 
-// IsZero reports whether the key is the zero (uncacheable) key.
-func (k Key) IsZero() bool {
+// isZero reports whether the key is the zero (uncacheable) key.
+func (k Key) isZero() bool {
 	return k.Kind == "" && k.Scenario == "" && k.Seed == 0 &&
-		k.Duration == 0 && k.Faults == "" && len(k.Params) == 0
+		k.Duration == 0 && len(k.Params) == 0
 }
 
-// Canonical returns the unambiguous byte encoding the fingerprint hashes:
+// canonical returns the unambiguous byte encoding the fingerprint hashes:
 // the schema version followed by each field as "<len>:<bytes>", so no
 // choice of field values can collide with another ("ab"+"c" ≠ "a"+"bc").
-func (k Key) Canonical(schema int) []byte {
+func (k Key) canonical(schema int) []byte {
 	params := append([]string(nil), k.Params...)
 	sort.Strings(params)
 	var b strings.Builder
@@ -59,7 +57,7 @@ func (k Key) Canonical(schema int) []byte {
 	field(k.Scenario)
 	field(fmt.Sprintf("%d", k.Seed))
 	field(fmt.Sprintf("%d", int64(k.Duration)))
-	field(k.Faults)
+	field("") // the retired impairment slot: keeps every address stable
 	for _, p := range params {
 		field(p)
 	}
@@ -69,7 +67,7 @@ func (k Key) Canonical(schema int) []byte {
 // Fingerprint returns the content address of the key under the given
 // schema version: the hex SHA-256 of the canonical encoding.
 func (k Key) Fingerprint(schema int) string {
-	sum := sha256.Sum256(k.Canonical(schema))
+	sum := sha256.Sum256(k.canonical(schema))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -78,6 +76,6 @@ func (k Key) Fingerprint(schema int) string {
 func (k Key) String() string {
 	params := append([]string(nil), k.Params...)
 	sort.Strings(params)
-	return fmt.Sprintf("%s/%s seed=%d dur=%s faults=%q params=[%s]",
-		k.Kind, k.Scenario, k.Seed, k.Duration, k.Faults, strings.Join(params, " "))
+	return fmt.Sprintf("%s/%s seed=%d dur=%s params=[%s]",
+		k.Kind, k.Scenario, k.Seed, k.Duration, strings.Join(params, " "))
 }

@@ -52,7 +52,7 @@ func FuzzLoadManifest(f *testing.F) {
 		}
 		m := LoadManifest(path) // must not panic on any input
 		for id, e := range m.jobs {
-			if e.Status != StatusDone && e.Status != StatusFailed {
+			if e.Status != StatusDone && e.Status != statusFailed {
 				// Tolerated on a clean parse (forward compatibility), but the
 				// entry must never satisfy the resume predicate.
 				if m.Done(id, e.Fingerprint) {
@@ -63,8 +63,8 @@ func FuzzLoadManifest(f *testing.F) {
 		// A cleanly decoded snapshot of another schema resumes nothing, not
 		// even journal lines appended after it.
 		var snap manifestFile
-		if json.NewDecoder(bytes.NewReader(data)).Decode(&snap) == nil && snap.Schema != SchemaVersion && m.Len() != 0 {
-			t.Errorf("foreign-schema manifest resumed %d entries", m.Len())
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&snap) == nil && snap.Schema != SchemaVersion && len(m.jobs) != 0 {
+			t.Errorf("foreign-schema manifest resumed %d entries", len(m.jobs))
 		}
 		// The damaged manifest must stay writable and round-trip cleanly.
 		if err := m.Record("fuzz-probe", "abcd", StatusDone, nil, 1, nil); err != nil {
@@ -105,7 +105,7 @@ func FuzzCacheEntry(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := &Cache{Dir: t.TempDir(), Warn: func(CorruptionEvent) {}}
+		c := &Cache{Dir: t.TempDir(), warn: func(corruptionEvent) {}}
 		key := Key{Kind: "fuzz", Scenario: "s"}
 		fp := c.Fingerprint(key)
 		path := c.path(fp)

@@ -17,8 +17,8 @@ type JobStatus string
 const (
 	// StatusDone: the job produced an artifact (freshly or from cache).
 	StatusDone JobStatus = "done"
-	// StatusFailed: the job panicked, errored, or blew its deadline.
-	StatusFailed JobStatus = "failed"
+	// statusFailed: the job panicked, errored, or blew its deadline.
+	statusFailed JobStatus = "failed"
 )
 
 // ManifestEntry records the outcome of one job.
@@ -242,13 +242,6 @@ func (m *Manifest) Entry(id string) (ManifestEntry, bool) {
 	return e, ok
 }
 
-// Len returns the number of recorded jobs.
-func (m *Manifest) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.jobs)
-}
-
 // Record stores a job outcome — including its attempt count and the
 // failed attempts the retry policy absorbed — and persists it by
 // appending one journal line to the manifest file. The file is rewritten
@@ -332,18 +325,6 @@ func (m *Manifest) flush(data []byte) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), m.Path)
-}
-
-// HistoryLen returns the total absorbed-failure records across all
-// entries — the quantity Compact bounds.
-func (m *Manifest) HistoryLen() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, e := range m.jobs {
-		n += len(e.History)
-	}
-	return n
 }
 
 // Compact trims each entry's absorbed-failure history to its most recent

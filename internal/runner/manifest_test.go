@@ -20,8 +20,8 @@ import (
 func TestManifestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "manifest.json")
 	m := LoadManifest(path)
-	if m.Len() != 0 {
-		t.Fatalf("fresh manifest has %d entries", m.Len())
+	if len(m.jobs) != 0 {
+		t.Fatalf("fresh manifest has %d entries", len(m.jobs))
 	}
 	if err := m.Record("F1", "aaaa", StatusDone, nil, 1, nil); err != nil {
 		t.Fatalf("Record: %v", err)
@@ -31,7 +31,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		{Attempt: 1, Kind: guard.KindDeadline, Msg: "too slow"},
 		{Attempt: 2, Kind: guard.KindDeadline, Msg: "too slow"},
 	}
-	if err := m.Record("F3", "bbbb", StatusFailed, rerr, 2, hist); err != nil {
+	if err := m.Record("F3", "bbbb", statusFailed, rerr, 2, hist); err != nil {
 		t.Fatalf("Record: %v", err)
 	}
 
@@ -62,8 +62,8 @@ func TestManifestTornFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := LoadManifest(path)
-	if m.Len() != 0 {
-		t.Errorf("torn manifest yielded %d entries, want 0", m.Len())
+	if len(m.jobs) != 0 {
+		t.Errorf("torn manifest yielded %d entries, want 0", len(m.jobs))
 	}
 }
 
@@ -172,7 +172,7 @@ func TestManifestConcurrentRecordsLand(t *testing.T) {
 		for w := 0; w < writers; w++ {
 			for i := 0; i < perWriter; i++ {
 				if id := fmt.Sprintf("w%d-%d", w, i); !re.Done(id, "ffff") {
-					t.Fatalf("trial %d: entry %s lost on disk (%d of %d reloaded)", trial, id, re.Len(), writers*perWriter)
+					t.Fatalf("trial %d: entry %s lost on disk (%d of %d reloaded)", trial, id, len(re.jobs), writers*perWriter)
 				}
 			}
 		}
@@ -215,9 +215,9 @@ func journalFixture(t *testing.T) (data []byte, ends []int, ids []string, entrie
 	}{
 		{"C", ManifestEntry{Fingerprint: "cccc", Status: StatusDone, Attempts: 1}},
 		{"A", ManifestEntry{Fingerprint: "a2a2", Status: StatusDone}},
-		{"D", ManifestEntry{Fingerprint: "dddd", Status: StatusFailed, Attempts: 3,
-			Err: &guard.RunError{Scenario: "D", Kind: guard.KindPanic, Msg: "boom"}}},
-		{"B", ManifestEntry{Fingerprint: "bbbb", Status: StatusFailed, Attempts: 1,
+		{"D", ManifestEntry{Fingerprint: "dddd", Status: statusFailed, Attempts: 3,
+			Err: &guard.RunError{Scenario: "D", Kind: "panic", Msg: "boom"}}},
+		{"B", ManifestEntry{Fingerprint: "bbbb", Status: statusFailed, Attempts: 1,
 			Err: &guard.RunError{Scenario: "B", Kind: guard.KindDeadline, Msg: "slow"}}},
 	} {
 		line, err := json.Marshal(journalLine{ID: &l.id, Entry: &l.e})
@@ -283,7 +283,7 @@ func TestManifestJournalFold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m.Record("seed-3", "ffff", StatusFailed, &guard.RunError{Scenario: "seed-3", Kind: guard.KindPanic, Msg: "x"}, 2, nil)
+	m.Record("seed-3", "ffff", statusFailed, &guard.RunError{Scenario: "seed-3", Kind: "panic", Msg: "x"}, 2, nil)
 	journal, _ := os.ReadFile(path)
 	if lines := bytes.Count(journal, []byte(`{"id":`)); lines != 8 {
 		t.Errorf("manifest after 9 Records holds %d journal lines, want 8 (the first Record writes the snapshot)", lines)
@@ -299,7 +299,7 @@ func TestManifestJournalFold(t *testing.T) {
 	if string(folded) != string(want)+"\n" {
 		t.Errorf("folded manifest is not the bare snapshot:\n%s", folded)
 	}
-	if e, _ := LoadManifest(path).Entry("seed-3"); e.Status != StatusFailed {
+	if e, _ := LoadManifest(path).Entry("seed-3"); e.Status != statusFailed {
 		t.Errorf("fold lost the later record: seed-3 = %+v", e)
 	}
 	// Nothing appended since the fold: Compact leaves the file alone (a

@@ -88,7 +88,7 @@ func TestPoolPanicCapture(t *testing.T) {
 		t.Fatalf("healthy jobs failed: %v %v", results[0].Err, results[2].Err)
 	}
 	e := results[1].Err
-	if e == nil || e.Kind != guard.KindPanic || e.Scenario != "boom" {
+	if e == nil || e.Kind != "panic" || e.Scenario != "boom" {
 		t.Fatalf("panic job error = %+v, want kind panic scenario boom", e)
 	}
 	if !strings.Contains(e.Msg, "forced failure") || e.Stack == "" {
@@ -109,7 +109,7 @@ func TestPoolErrorKinds(t *testing.T) {
 			return nil, ctx.Err()
 		}),
 	}
-	p := &Pool{Jobs: 2, JobDeadline: 20 * time.Millisecond, Grace: 500 * time.Millisecond}
+	p := &Pool{Jobs: 2, JobDeadline: 20 * time.Millisecond}
 	results := p.Run(context.Background(), jobs)
 	if e := results[0].Err; e == nil || e.Kind != guard.KindError || !strings.Contains(e.Msg, "disk full") {
 		t.Errorf("io-error = %+v, want kind error", e)
@@ -132,7 +132,7 @@ func TestPoolAbandonsStuckJob(t *testing.T) {
 		}),
 		artifactJob("after", func(context.Context) ([]byte, error) { return []byte("ran"), nil }),
 	}
-	p := &Pool{Jobs: 1, JobDeadline: 10 * time.Millisecond, Grace: 20 * time.Millisecond}
+	p := &Pool{Jobs: 1, JobDeadline: 10 * time.Millisecond}
 	results := p.Run(context.Background(), jobs)
 	if e := results[0].Err; e == nil || e.Kind != guard.KindDeadline || !strings.Contains(e.Msg, "abandoned") {
 		t.Errorf("stuck job = %+v, want abandoned deadline error", e)
@@ -158,7 +158,7 @@ func TestPoolBatchCancellation(t *testing.T) {
 			return nil, ctx.Err()
 		})
 	}
-	p := &Pool{Jobs: 1, Grace: 500 * time.Millisecond}
+	p := &Pool{Jobs: 1}
 	results := p.Run(ctx, jobs)
 	var cancelled int
 	for _, r := range results {

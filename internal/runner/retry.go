@@ -9,28 +9,31 @@ import (
 	"starvation/internal/guard"
 )
 
-// Retry backoff defaults, applied when the corresponding RetryPolicy
-// field is zero.
+// Retry backoff constants.
 const (
-	// DefaultRetryBase is the first-retry backoff delay.
-	DefaultRetryBase = 100 * time.Millisecond
-	// DefaultRetryMax caps the exponential backoff.
-	DefaultRetryMax = 5 * time.Second
-	// DefaultRetryJitter is the ±fraction of deterministic jitter applied
-	// to every backoff delay.
-	DefaultRetryJitter = 0.5
+	// defaultRetryBase is the first-retry backoff delay when
+	// RetryPolicy.Base is zero.
+	defaultRetryBase = 100 * time.Millisecond
+	// retryMax caps the exponential backoff.
+	retryMax = 5 * time.Second
+	// retryJitter is the ±fraction of deterministic jitter applied to
+	// every backoff delay.
+	retryJitter = 0.5
 )
 
 // RetryPolicy is the supervision contract of a Pool: how many times a
 // failing job is re-attempted, how long the pool backs off between
-// attempts, and which failure kinds are worth retrying at all.
+// attempts. Which failure kinds are worth retrying is the guard layer's
+// table (guard.ErrKind.Retryable): panic, deadline, export and error
+// retry; cancelled and invariant are terminal.
 //
 // Backoff is exponential with deterministic seeded jitter: the delay
-// before attempt k+1 is Base·2^(k-1), capped at Max, scaled by a factor
-// in [1-Jitter, 1+Jitter] derived from (Seed, job ID, attempt). Two runs
-// of the same batch with the same seed back off identically — retry
-// timing is as reproducible as the simulations themselves, which is what
-// lets the chaos parity tests assert byte-identical outcomes.
+// before attempt k+1 is Base·2^(k-1), capped at retryMax, scaled by a
+// factor in [1-retryJitter, 1+retryJitter] derived from (Seed, job ID,
+// attempt). Two runs of the same batch with the same seed back off
+// identically — retry timing is as reproducible as the simulations
+// themselves, which is what lets the chaos parity tests assert
+// byte-identical outcomes.
 //
 // The zero RetryPolicy disables retries (every job gets one attempt),
 // preserving the pre-supervision Pool behavior.
@@ -38,24 +41,11 @@ type RetryPolicy struct {
 	// MaxAttempts bounds the total attempts per job; values <= 1 disable
 	// retries.
 	MaxAttempts int
-	// Base is the first-retry delay (0 selects DefaultRetryBase).
+	// Base is the first-retry delay (0 selects defaultRetryBase).
 	Base time.Duration
-	// Max caps the exponential backoff (0 selects DefaultRetryMax).
-	Max time.Duration
-	// Jitter is the ±fraction of deterministic jitter (0 selects
-	// DefaultRetryJitter; negative disables jitter entirely).
-	Jitter float64
 	// Seed drives the deterministic jitter.
 	Seed int64
-	// Retryable overrides retryability per failure kind; kinds absent
-	// from a non-nil map are terminal. A nil map selects the guard-layer
-	// default table (guard.ErrKind.Retryable): panic, deadline, export,
-	// and error retry; cancelled and invariant are terminal.
-	Retryable map[guard.ErrKind]bool
 }
-
-// Enabled reports whether the policy grants any retries.
-func (rp RetryPolicy) Enabled() bool { return rp.MaxAttempts > 1 }
 
 func (rp RetryPolicy) maxAttempts() int {
 	if rp.MaxAttempts > 1 {
@@ -64,47 +54,23 @@ func (rp RetryPolicy) maxAttempts() int {
 	return 1
 }
 
-// retryable reports whether a failure of kind k should be re-attempted
-// under this policy.
-func (rp RetryPolicy) retryable(k guard.ErrKind) bool {
-	if rp.Retryable != nil {
-		return rp.Retryable[k]
-	}
-	return k.Retryable()
-}
-
-// Backoff returns the deterministic delay before the retry that follows
+// backoff returns the deterministic delay before the retry that follows
 // failed attempt number attempt (1-based) of the given job.
-func (rp RetryPolicy) Backoff(jobID string, attempt int) time.Duration {
-	base := rp.Base
-	if base <= 0 {
-		base = DefaultRetryBase
+func (rp RetryPolicy) backoff(jobID string, attempt int) time.Duration {
+	d := rp.Base
+	if d <= 0 {
+		d = defaultRetryBase
 	}
-	max := rp.Max
-	if max <= 0 {
-		max = DefaultRetryMax
-	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
+	for i := 1; i < attempt && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
+	if d > retryMax {
+		d = retryMax
 	}
-	jit := rp.Jitter
-	if jit == 0 {
-		jit = DefaultRetryJitter
-	}
-	if jit > 0 {
-		// Deterministic factor in [1-jit, 1+jit): reruns of a batch back
-		// off identically for the same seed.
-		u := SeededUnit(rp.Seed, "backoff", jobID, fmt.Sprint(attempt))
-		d = time.Duration(float64(d) * (1 - jit + 2*jit*u))
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
+	// Deterministic factor in [1-retryJitter, 1+retryJitter): reruns of a
+	// batch back off identically for the same seed.
+	u := SeededUnit(rp.Seed, "backoff", jobID, fmt.Sprint(attempt))
+	return time.Duration(float64(d) * (1 - retryJitter + 2*retryJitter*u))
 }
 
 // AttemptError is the compact record of one failed attempt, kept in

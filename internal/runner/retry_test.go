@@ -50,8 +50,7 @@ func TestRetryDeadlineTwiceThenSucceed(t *testing.T) {
 	pool := &Pool{
 		Jobs:        1,
 		JobDeadline: 30 * time.Millisecond,
-		Grace:       20 * time.Millisecond,
-		Retry:       RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Jitter: -1},
+		Retry:       RetryPolicy{MaxAttempts: 3, Base: time.Millisecond},
 		Progress:    log.record,
 	}
 	job := artifactJob("flaky-deadline", func(ctx context.Context) ([]byte, error) {
@@ -92,7 +91,7 @@ func TestRetryDeadlineTwiceThenSucceed(t *testing.T) {
 // guard layer and retried rather than ending the job.
 func TestRetryPanicThenSucceed(t *testing.T) {
 	var attempts atomic.Int64
-	pool := &Pool{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 2, Base: time.Millisecond, Jitter: -1}}
+	pool := &Pool{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 2, Base: time.Millisecond}}
 	job := artifactJob("panics-once", func(context.Context) ([]byte, error) {
 		if attempts.Add(1) == 1 {
 			panic("transient corruption")
@@ -103,7 +102,7 @@ func TestRetryPanicThenSucceed(t *testing.T) {
 	if res.Err != nil || string(res.Artifact) != "recovered" || res.Attempts != 2 {
 		t.Fatalf("result = %+v, want recovery on attempt 2", res)
 	}
-	if len(res.History) != 1 || res.History[0].Kind != guard.KindPanic ||
+	if len(res.History) != 1 || res.History[0].Kind != "panic" ||
 		!strings.Contains(res.History[0].Msg, "transient corruption") {
 		t.Errorf("history = %+v, want one panic entry carrying the panic value", res.History)
 	}
@@ -120,8 +119,7 @@ func TestRetrySimHaltLatchAcrossAttempts(t *testing.T) {
 	pool := &Pool{
 		Jobs:        1,
 		JobDeadline: 40 * time.Millisecond,
-		Grace:       20 * time.Millisecond,
-		Retry:       RetryPolicy{MaxAttempts: 2, Base: time.Millisecond, Jitter: -1},
+		Retry:       RetryPolicy{MaxAttempts: 2, Base: time.Millisecond},
 	}
 	job := artifactJob("halted-sim", func(ctx context.Context) ([]byte, error) {
 		s.SetContext(ctx)
@@ -176,7 +174,7 @@ func TestRetrySimHaltLatchAcrossAttempts(t *testing.T) {
 func TestRetryTerminalKinds(t *testing.T) {
 	for _, kind := range []guard.ErrKind{guard.KindCancelled} {
 		var attempts atomic.Int64
-		pool := &Pool{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 4, Base: time.Millisecond, Jitter: -1}}
+		pool := &Pool{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 4, Base: time.Millisecond}}
 		job := artifactJob(fmt.Sprintf("terminal-%s", kind), func(context.Context) ([]byte, error) {
 			attempts.Add(1)
 			return nil, &guard.RunError{Scenario: "terminal", Kind: kind, Msg: "structured failure"}
@@ -196,7 +194,7 @@ func TestRetryTerminalKinds(t *testing.T) {
 // retried under the default table.
 func TestRetryExportKindRetryable(t *testing.T) {
 	var attempts atomic.Int64
-	pool := &Pool{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 2, Base: time.Millisecond, Jitter: -1}}
+	pool := &Pool{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 2, Base: time.Millisecond}}
 	job := artifactJob("export-flake", func(context.Context) ([]byte, error) {
 		if attempts.Add(1) == 1 {
 			return nil, &guard.RunError{Scenario: "export-flake", Kind: guard.KindExport, Msg: "disk hiccup"}
@@ -216,7 +214,7 @@ func TestRetryExportKindRetryable(t *testing.T) {
 // its budget and reports the full history.
 func TestRetryExhaustion(t *testing.T) {
 	var attempts atomic.Int64
-	pool := &Pool{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Jitter: -1}}
+	pool := &Pool{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 3, Base: time.Millisecond}}
 	job := artifactJob("always-fails", func(context.Context) ([]byte, error) {
 		return nil, fmt.Errorf("failure %d", attempts.Add(1))
 	})
@@ -239,7 +237,7 @@ func TestRetryCancelledDuringBackoff(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var attempts atomic.Int64
-	pool := &Pool{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 5, Base: 10 * time.Second, Jitter: -1}}
+	pool := &Pool{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 5, Base: 10 * time.Second}}
 	job := artifactJob("cancel-in-backoff", func(context.Context) ([]byte, error) {
 		attempts.Add(1)
 		// Fail, then cancel the batch while the pool sleeps out the (long)
@@ -264,36 +262,31 @@ func TestRetryCancelledDuringBackoff(t *testing.T) {
 // TestBackoffDeterministic pins the backoff schedule: exponential,
 // capped, and — for a fixed seed — identical across calls.
 func TestBackoffDeterministic(t *testing.T) {
-	rp := RetryPolicy{MaxAttempts: 6, Base: 100 * time.Millisecond, Max: time.Second, Jitter: 0.5, Seed: 7}
+	rp := RetryPolicy{MaxAttempts: 6, Base: time.Second, Seed: 7}
 	var first []time.Duration
 	for attempt := 1; attempt <= 5; attempt++ {
-		first = append(first, rp.Backoff("jobA", attempt))
+		first = append(first, rp.backoff("jobA", attempt))
 	}
 	for attempt := 1; attempt <= 5; attempt++ {
-		if again := rp.Backoff("jobA", attempt); again != first[attempt-1] {
+		if again := rp.backoff("jobA", attempt); again != first[attempt-1] {
 			t.Errorf("attempt %d: backoff not reproducible: %v then %v", attempt, first[attempt-1], again)
 		}
 	}
 	for i, d := range first {
 		nominal := rp.Base << i
-		if nominal > rp.Max {
-			nominal = rp.Max
+		if nominal > retryMax {
+			nominal = retryMax
 		}
-		lo, hi := time.Duration(float64(nominal)*0.5), time.Duration(float64(nominal)*1.5)
+		lo, hi := time.Duration(float64(nominal)*(1-retryJitter)), time.Duration(float64(nominal)*(1+retryJitter))
 		if d < lo || d > hi {
 			t.Errorf("attempt %d: backoff %v outside jitter envelope [%v, %v]", i+1, d, lo, hi)
 		}
 	}
-	if rp.Backoff("jobA", 1) == rp.Backoff("jobB", 1) {
+	if rp.backoff("jobA", 1) == rp.backoff("jobB", 1) {
 		t.Errorf("different jobs drew identical jitter; delays would synchronize")
 	}
-
-	noJitter := RetryPolicy{Base: 100 * time.Millisecond, Max: time.Second, Jitter: -1}
-	want := []time.Duration{100, 200, 400, 800, 1000, 1000}
-	for i, w := range want {
-		if got := noJitter.Backoff("x", i+1); got != w*time.Millisecond {
-			t.Errorf("jitterless backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
-		}
+	if d := (RetryPolicy{}).backoff("x", 1); d < defaultRetryBase/2 || d > defaultRetryBase*3/2 {
+		t.Errorf("zero-Base backoff = %v, want within jitter of %v", d, defaultRetryBase)
 	}
 }
 
@@ -340,7 +333,7 @@ func TestManifestRecovery(t *testing.T) {
 		t.Errorf("salvaged manifest does not report its recovery")
 	}
 	if !m.Done("F1", "aaaa") || !m.Done("F3", "bbbb") {
-		t.Errorf("complete entries lost: len=%d recovered=%q", m.Len(), m.RecoveredFrom)
+		t.Errorf("complete entries lost: len=%d recovered=%q", len(m.jobs), m.RecoveredFrom)
 	}
 	if m.Done("F5", "cccc") {
 		t.Errorf("torn trailing entry was resurrected")
@@ -355,8 +348,8 @@ func TestManifestRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := LoadManifest(path)
-		if m.Len() != 0 {
-			t.Errorf("recovered %d entries from %q, want 0", m.Len(), bad)
+		if len(m.jobs) != 0 {
+			t.Errorf("recovered %d entries from %q, want 0", len(m.jobs), bad)
 		}
 	}
 }

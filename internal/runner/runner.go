@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"starvation/internal/guard"
+	"starvation/internal/obs"
 )
 
 // Job is one unit of a batch.
@@ -145,9 +146,11 @@ type Stats struct {
 	Goroutines int `json:"goroutines"`
 }
 
-// DefaultGrace is the post-cancellation wait for a job to acknowledge
-// its context before the pool abandons its goroutine.
-const DefaultGrace = 250 * time.Millisecond
+// jobGrace is how long a cancelled job may take to return before its
+// goroutine is abandoned. A job that honors its context returns well
+// inside it; the window only matters for bodies stuck outside the
+// simulator.
+const jobGrace = 250 * time.Millisecond
 
 // Pool executes job sets on bounded workers.
 type Pool struct {
@@ -155,11 +158,6 @@ type Pool struct {
 	Jobs int
 	// JobDeadline is the per-job wall-clock budget; 0 disables it.
 	JobDeadline time.Duration
-	// Grace is how long a cancelled job may take to return before its
-	// goroutine is abandoned (0 selects DefaultGrace). A job that honors
-	// its context returns well inside any reasonable grace; the window
-	// only matters for bodies stuck outside the simulator.
-	Grace time.Duration
 	// Cache, when non-nil, serves and stores artifacts by fingerprint.
 	Cache *Cache
 	// Manifest, when non-nil, records every outcome for resumption.
@@ -207,7 +205,7 @@ func (p *Pool) Stats() Stats {
 	runtime.ReadMemStats(&ms)
 	var corrupt int64
 	if p.Cache != nil {
-		corrupt = p.Cache.CorruptCount()
+		corrupt = p.Cache.corrupt.Load()
 	}
 	return Stats{
 		Executed:       p.executed.Load(),
@@ -239,8 +237,10 @@ func (p *Pool) WritePrometheus(w io.Writer) error {
 		{"starvesim_runner_cache_corrupt_total", "Cache entries quarantined on read (checksum mismatch or undecodable envelope).", st.CacheCorrupt},
 	}
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			r.name, r.help, r.name, r.name, r.value); err != nil {
+		if err := obs.WriteHeader(w, r.name, r.help, "counter"); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "%s %d\n", r.name, r.value); err != nil {
 			return err
 		}
 	}
@@ -255,8 +255,10 @@ func (p *Pool) WritePrometheus(w io.Writer) error {
 		{"starvesim_runner_goroutines", "Goroutines alive at collection time.", uint64(st.Goroutines)},
 	}
 	for _, g := range gauges {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n",
-			g.name, g.help, g.name, g.name, g.value); err != nil {
+		if err := obs.WriteHeader(w, g.name, g.help, "gauge"); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "%s %d\n", g.name, g.value); err != nil {
 			return err
 		}
 	}
@@ -268,13 +270,6 @@ func (p *Pool) workers() int {
 		return p.Jobs
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func (p *Pool) grace() time.Duration {
-	if p.Grace > 0 {
-		return p.Grace
-	}
-	return DefaultGrace
 }
 
 func (p *Pool) emit(ev ProgressEvent) {
@@ -372,7 +367,7 @@ func (p *Pool) runOne(ctx context.Context, job Job, env execEnv) JobResult {
 	p.inflight.Add(1)
 	defer p.inflight.Add(-1)
 	var fp string
-	if !job.Key.IsZero() && p.Cache != nil {
+	if !job.Key.isZero() && p.Cache != nil {
 		fp = p.Cache.Fingerprint(job.Key)
 		if art, ok := p.Cache.Get(fp); ok {
 			p.cacheHits.Add(1)
@@ -412,12 +407,12 @@ func (p *Pool) runOne(ctx context.Context, job Job, env execEnv) JobResult {
 			return JobResult{ID: job.ID, Artifact: art, Elapsed: elapsed, Attempts: attempt, History: history}
 		}
 		history = append(history, attemptError(attempt, rerr))
-		if attempt >= env.retry.maxAttempts() || !env.retry.retryable(rerr.Kind) || ctx.Err() != nil {
+		if attempt >= env.retry.maxAttempts() || !rerr.Kind.Retryable() || ctx.Err() != nil {
 			return p.fail(job.ID, fp, rerr, elapsed, attempt, history, env)
 		}
 		p.retries.Add(1)
 		env.emit(ProgressEvent{Job: job.ID, Kind: ProgressRetry, Elapsed: elapsed, Attempt: attempt, Err: rerr})
-		if !sleepCtx(ctx, env.retry.Backoff(job.ID, attempt)) {
+		if !sleepCtx(ctx, env.retry.backoff(job.ID, attempt)) {
 			rerr := &guard.RunError{Scenario: job.ID, Seed: job.Key.Seed, Kind: guard.KindCancelled,
 				Msg: fmt.Sprintf("batch cancelled during retry backoff (after attempt %d)", attempt)}
 			return p.fail(job.ID, fp, rerr, elapsed, attempt, history, env)
@@ -457,7 +452,7 @@ func (p *Pool) attempt(ctx context.Context, job Job) ([]byte, time.Duration, *gu
 	case <-jctx.Done():
 		// Give the body its grace to notice the cancellation; a
 		// simulation-backed job returns within a few event ticks.
-		t := time.NewTimer(p.grace())
+		t := time.NewTimer(jobGrace)
 		select {
 		case o = <-done:
 			t.Stop()
@@ -467,7 +462,7 @@ func (p *Pool) attempt(ctx context.Context, job Job) ([]byte, time.Duration, *gu
 				Seed:     job.Key.Seed,
 				Kind:     p.cancelKind(ctx, jctx),
 				Msg: fmt.Sprintf("cancelled after %v and did not stop within %v; goroutine abandoned",
-					time.Since(start).Round(time.Millisecond), p.grace()),
+					time.Since(start).Round(time.Millisecond), jobGrace),
 			}
 			return nil, time.Since(start), rerr
 		}
@@ -512,7 +507,7 @@ func (p *Pool) cancelKind(ctx, jctx context.Context) guard.ErrKind {
 
 func (p *Pool) fail(id, fp string, rerr *guard.RunError, elapsed time.Duration, attempts int, history []AttemptError, env execEnv) JobResult {
 	p.failed.Add(1)
-	env.record(id, fp, StatusFailed, rerr, attempts, history)
+	env.record(id, fp, statusFailed, rerr, attempts, history)
 	env.emit(ProgressEvent{Job: id, Kind: ProgressFailed, Elapsed: elapsed, Attempt: attempts, Err: rerr})
 	return JobResult{ID: id, Elapsed: elapsed, Attempts: attempts, History: history, Err: rerr}
 }

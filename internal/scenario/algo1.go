@@ -110,10 +110,10 @@ func VegasUnderJitter(o Opts) *Result {
 	}
 }
 
-// QuickstartVegas is the minimal two-identical-flows sanity scenario
+// quickstartVegas is the minimal two-identical-flows sanity scenario
 // (starvesim -scenario quickstart-vegas): on a clean path, two Vegas flows
 // share fairly, the baseline every starvation scenario perturbs.
-func QuickstartVegas(o Opts) *Result {
+func quickstartVegas(o Opts) *Result {
 	o.fill(60 * time.Second)
 	res := o.emulate(
 		network.Config{Rate: units.Mbps(48)},

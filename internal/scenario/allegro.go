@@ -29,11 +29,11 @@ func allegroFlow(name string, seed int64, loss float64) network.FlowSpec {
 	}
 }
 
-// AllegroRandomLoss reproduces §5.4's headline case: two PCC Allegro flows
+// allegroRandomLoss reproduces §5.4's headline case: two PCC Allegro flows
 // on a 120 Mbit/s, 40 ms, 1-BDP-buffer path; one flow sees 2% random loss.
 // The paper measured 10.3 vs 99.1 Mbit/s — although Allegro is "supposed to
 // be resilient to up to 5% loss".
-func AllegroRandomLoss(o Opts) *Result {
+func allegroRandomLoss(o Opts) *Result {
 	o.fill(60 * time.Second)
 	res := o.emulate(
 		network.Config{Rate: units.Mbps(allegroRate), BufferBytes: allegroBDP()},
@@ -93,9 +93,9 @@ func AllegroBurstLoss(o Opts) *Result {
 	}
 }
 
-// AllegroBothLossy is §5.4's control: with both flows at 2% loss "they
+// allegroBothLossy is §5.4's control: with both flows at 2% loss "they
 // shared the link fairly and efficiently".
-func AllegroBothLossy(o Opts) *Result {
+func allegroBothLossy(o Opts) *Result {
 	o.fill(60 * time.Second)
 	res := o.emulate(
 		network.Config{Rate: units.Mbps(allegroRate), BufferBytes: allegroBDP()},
@@ -117,9 +117,9 @@ func AllegroBothLossy(o Opts) *Result {
 	}
 }
 
-// AllegroSingleLossy is §5.4's second control: a single flow with 2% loss
+// allegroSingleLossy is §5.4's second control: a single flow with 2% loss
 // "was able to fully utilize the link capacity".
-func AllegroSingleLossy(o Opts) *Result {
+func allegroSingleLossy(o Opts) *Result {
 	o.fill(60 * time.Second)
 	res := o.emulate(
 		network.Config{Rate: units.Mbps(allegroRate), BufferBytes: allegroBDP()},

@@ -14,10 +14,10 @@ import (
 // experiment service's request decoder so an omitted field means the same
 // experiment everywhere.
 const (
-	// DefaultPopulationRateMbps matches the CLI's -rate default.
-	DefaultPopulationRateMbps = 48
-	// DefaultPopulationDuration matches the CLI's population-mode default.
-	DefaultPopulationDuration = 30 * time.Second
+	// defaultPopulationRateMbps matches the CLI's -rate default.
+	defaultPopulationRateMbps = 48
+	// defaultPopulationDuration matches the CLI's population-mode default.
+	defaultPopulationDuration = 30 * time.Second
 	// DefaultPopulationSeed is the documented reference realization.
 	DefaultPopulationSeed = 2
 )
@@ -31,9 +31,9 @@ const (
 // The zero value of every field selects its documented default (topology
 // "single", 48 Mbit/s, infinite buffer, 30 s, seed 2, ε 0.1).
 type PopulationSpec struct {
-	// Flows is the ParseFlows clause (required), e.g. "vegas*8;reno*8".
+	// Flows is the parseFlows clause (required), e.g. "vegas*8;reno*8".
 	Flows string `json:"flows"`
-	// Topology is the ParseTopology clause ("" selects "single").
+	// Topology is the parseTopology clause ("" selects "single").
 	Topology string `json:"topology,omitempty"`
 	// RateMbps is the bottleneck rate (0 selects the 48 Mbit/s default).
 	RateMbps float64 `json:"rate_mbps,omitempty"`
@@ -53,10 +53,10 @@ func (s PopulationSpec) withDefaults() PopulationSpec {
 		s.Topology = "single"
 	}
 	if s.RateMbps == 0 {
-		s.RateMbps = DefaultPopulationRateMbps
+		s.RateMbps = defaultPopulationRateMbps
 	}
 	if s.Duration <= 0 {
-		s.Duration = DefaultPopulationDuration
+		s.Duration = defaultPopulationDuration
 	}
 	if s.Seed == 0 {
 		s.Seed = DefaultPopulationSeed
@@ -70,11 +70,11 @@ func (s PopulationSpec) withDefaults() PopulationSpec {
 // attempt) — never run a returned config twice.
 func (s PopulationSpec) Config() (core.PopulationConfig, error) {
 	s = s.withDefaults()
-	topo, err := ParseTopology(s.Topology, units.Mbps(s.RateMbps), s.BufferPkts*endpoint.DefaultMSS)
+	topo, err := parseTopology(s.Topology, units.Mbps(s.RateMbps), s.BufferPkts*endpoint.DefaultMSS)
 	if err != nil {
 		return core.PopulationConfig{}, err
 	}
-	specs, err := ParseFlows(s.Flows, s.Seed, topo)
+	specs, err := parseFlows(s.Flows, s.Seed, topo)
 	if err != nil {
 		return core.PopulationConfig{}, err
 	}

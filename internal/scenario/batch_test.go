@@ -93,13 +93,13 @@ func TestPopulationSpecDefaults(t *testing.T) {
 	if cfg.Seed != DefaultPopulationSeed {
 		t.Fatalf("default seed %d, want %d", cfg.Seed, DefaultPopulationSeed)
 	}
-	if cfg.Duration != DefaultPopulationDuration {
-		t.Fatalf("default duration %v, want %v", cfg.Duration, DefaultPopulationDuration)
+	if cfg.Duration != defaultPopulationDuration {
+		t.Fatalf("default duration %v, want %v", cfg.Duration, defaultPopulationDuration)
 	}
 	if cfg.Links != nil {
 		t.Fatalf("default topology is not the single bottleneck")
 	}
-	if cfg.Rate.BitsPerSec() != 48e6 {
+	if float64(cfg.Rate) != 48e6 {
 		t.Fatalf("default rate %v, want 48 Mbit/s", cfg.Rate)
 	}
 }
@@ -115,8 +115,8 @@ func TestPopulationSpecKey(t *testing.T) {
 	}
 	explicit := PopulationSpec{
 		Flows: "vegas*2;reno*2", Topology: "single",
-		RateMbps: DefaultPopulationRateMbps,
-		Duration: DefaultPopulationDuration,
+		RateMbps: defaultPopulationRateMbps,
+		Duration: defaultPopulationDuration,
 		Seed:     DefaultPopulationSeed,
 	}
 	if base.Key().String() != explicit.Key().String() {

@@ -10,14 +10,14 @@ import (
 	"starvation/internal/units"
 )
 
-// BBRTwoFlowRTT reproduces §5.2: two BBR flows with Rm of 40 ms and 80 ms
+// bBRTwoFlowRTT reproduces §5.2: two BBR flows with Rm of 40 ms and 80 ms
 // share a 120 Mbit/s bottleneck for 60 s. The paper ran this on Mahimahi
 // where "their interaction and natural OS jitter was enough to push them
 // into cwnd-limited mode"; our emulator is deterministic, so the OS jitter
 // is modelled explicitly as a small bounded uniform delay (≤ 2 ms) on each
 // flow's path — the substitution DESIGN.md documents. The paper measured
 // 8.3 vs 107 Mbit/s.
-func BBRTwoFlowRTT(o Opts) *Result {
+func bBRTwoFlowRTT(o Opts) *Result {
 	o.fill(60 * time.Second)
 	mk := func(name string, rm time.Duration, seed int64) network.FlowSpec {
 		return network.FlowSpec{

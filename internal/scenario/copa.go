@@ -38,11 +38,11 @@ func copaPoisonFlow(name string, poisoned bool) network.FlowSpec {
 	return spec
 }
 
-// CopaSingleFlowPoison reproduces §5.1's single-flow experiment: one Copa
+// copaSingleFlowPoison reproduces §5.1's single-flow experiment: one Copa
 // flow on a 120 Mbit/s link with Rm = 60 ms receives a single packet with a
 // 59 ms RTT. The paper measured 8 Mbit/s — a 1 ms measurement error on one
 // packet costing ~93% of the link.
-func CopaSingleFlowPoison(o Opts) *Result {
+func copaSingleFlowPoison(o Opts) *Result {
 	o.fill(60 * time.Second)
 	res := o.emulate(
 		network.Config{Rate: units.Mbps(120)},
@@ -60,9 +60,9 @@ func CopaSingleFlowPoison(o Opts) *Result {
 	}
 }
 
-// CopaTwoFlowPoison reproduces §5.1's two-flow variant: only one flow gets
+// copaTwoFlowPoison reproduces §5.1's two-flow variant: only one flow gets
 // the 59 ms packet. The paper measured 8.8 vs 95 Mbit/s.
-func CopaTwoFlowPoison(o Opts) *Result {
+func copaTwoFlowPoison(o Opts) *Result {
 	o.fill(60 * time.Second)
 	res := o.emulate(
 		network.Config{Rate: units.Mbps(120)},

@@ -14,16 +14,16 @@ import (
 	"starvation/internal/units"
 )
 
-// MaxPopulationFlows bounds the flow count a -flows clause may request.
+// maxPopulationFlows bounds the flow count a -flows clause may request.
 // Population experiments at a few thousand flows are the intended scale;
 // the cap exists so a typo (or a fuzzer) cannot ask for a billion senders.
-const MaxPopulationFlows = 4096
+const maxPopulationFlows = 4096
 
 // defaultFlowRm is the propagation RTT a flow group gets when its clause
 // does not set rm=.
 const defaultFlowRm = 40 * time.Millisecond
 
-// ParseFlows parses a population flow-set clause into concrete flow specs.
+// parseFlows parses a population flow-set clause into concrete flow specs.
 //
 // Grammar (semicolon-separated groups):
 //
@@ -46,7 +46,7 @@ const defaultFlowRm = 40 * time.Millisecond
 // flow's global index, so group order — not group internals — determines
 // the realization. topo, when non-nil, supplies default per-flow paths
 // (fan-in assignment); explicit path= wins.
-func ParseFlows(spec string, seed int64, topo *Topology) ([]network.FlowSpec, error) {
+func parseFlows(spec string, seed int64, topo *parsedTopology) ([]network.FlowSpec, error) {
 	groups := strings.Split(spec, ";")
 	var specs []network.FlowSpec
 	for gi, g := range groups {
@@ -65,11 +65,11 @@ func ParseFlows(spec string, seed int64, topo *Topology) ([]network.FlowSpec, er
 			}
 			count = n
 		}
-		if count < 1 || count > MaxPopulationFlows {
-			return nil, fmt.Errorf("flows: group %q: count %d out of [1, %d]", g, count, MaxPopulationFlows)
+		if count < 1 || count > maxPopulationFlows {
+			return nil, fmt.Errorf("flows: group %q: count %d out of [1, %d]", g, count, maxPopulationFlows)
 		}
-		if len(specs)+count > MaxPopulationFlows {
-			return nil, fmt.Errorf("flows: population exceeds %d flows", MaxPopulationFlows)
+		if len(specs)+count > maxPopulationFlows {
+			return nil, fmt.Errorf("flows: population exceeds %d flows", maxPopulationFlows)
 		}
 		fac := cca.Lookup(name)
 		if fac == nil {
@@ -150,9 +150,9 @@ func ParseFlows(spec string, seed int64, topo *Topology) ([]network.FlowSpec, er
 	return specs, nil
 }
 
-// Topology is a parsed -topology clause: the link list plus the policies
+// parsedTopology is a parsed -topology clause: the link list plus the policies
 // that depend on its shape (bottleneck index, default path assignment).
-type Topology struct {
+type parsedTopology struct {
 	// Kind is "single", "parkinglot" or "fanin".
 	Kind string
 	// Links is nil for "single": the network then uses the legacy
@@ -171,7 +171,7 @@ const fanInAccessFactor = 4
 // defaultHopDelay separates consecutive links of a multi-hop topology.
 const defaultHopDelay = time.Millisecond
 
-// ParseTopology parses a topology clause against the experiment's
+// parseTopology parses a topology clause against the experiment's
 // bottleneck parameters:
 //
 //	single          one shared FIFO (the paper's topology; the default)
@@ -180,7 +180,7 @@ const defaultHopDelay = time.Millisecond
 //	fanin:<n>       n access links (4x rate, unbuffered) into one shared
 //	                rate/buffer uplink; flows are assigned access links
 //	                round-robin
-func ParseTopology(spec string, rate units.Rate, bufferBytes int) (*Topology, error) {
+func parseTopology(spec string, rate units.Rate, bufferBytes int) (*parsedTopology, error) {
 	kind, arg, hasArg := strings.Cut(spec, ":")
 	n := 0
 	if hasArg {
@@ -195,7 +195,7 @@ func ParseTopology(spec string, rate units.Rate, bufferBytes int) (*Topology, er
 		if hasArg {
 			return nil, fmt.Errorf("topology %q: single takes no argument", spec)
 		}
-		return &Topology{Kind: "single"}, nil
+		return &parsedTopology{Kind: "single"}, nil
 	case "parkinglot":
 		if !hasArg {
 			return nil, fmt.Errorf("topology %q: want parkinglot:<hops>", spec)
@@ -203,7 +203,7 @@ func ParseTopology(spec string, rate units.Rate, bufferBytes int) (*Topology, er
 		if n > maxTopologyLinks {
 			return nil, fmt.Errorf("topology %q: %d hops exceeds %d", spec, n, maxTopologyLinks)
 		}
-		return &Topology{
+		return &parsedTopology{
 			Kind:  "parkinglot",
 			Links: network.ParkingLot(n, rate, bufferBytes, defaultHopDelay),
 		}, nil
@@ -214,7 +214,7 @@ func ParseTopology(spec string, rate units.Rate, bufferBytes int) (*Topology, er
 		if n > maxTopologyLinks {
 			return nil, fmt.Errorf("topology %q: %d access links exceeds %d", spec, n, maxTopologyLinks)
 		}
-		return &Topology{
+		return &parsedTopology{
 			Kind:       "fanin",
 			Links:      network.FanIn(n, rate*fanInAccessFactor, 0, defaultHopDelay, rate, bufferBytes),
 			Bottleneck: n,
@@ -231,7 +231,7 @@ const maxTopologyLinks = 256
 
 // Path returns the topology's default path for flow i, nil when the flow
 // should take every link in order (single bottleneck, parking-lot chain).
-func (t *Topology) Path(i int) []int {
+func (t *parsedTopology) Path(i int) []int {
 	if t.Kind == "fanin" {
 		return network.FanInPath(i, t.fanN)
 	}

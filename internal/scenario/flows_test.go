@@ -10,7 +10,7 @@ import (
 )
 
 func TestParseFlowsGroups(t *testing.T) {
-	specs, err := ParseFlows(
+	specs, err := parseFlows(
 		"vegas*3;reno*2:rm=80ms,cohort=slow,start=1s,stagger=100ms;copa:loss=0.01,ackagg=5ms",
 		7, nil)
 	if err != nil {
@@ -48,11 +48,11 @@ func TestParseFlowsGroups(t *testing.T) {
 func TestParseFlowsDeterministic(t *testing.T) {
 	// Same spec + seed → same names, starts, paths (algorithms are fresh
 	// instances but derived from the same per-flow seeds).
-	a, err := ParseFlows("vegas*4:jitter=uniform:2ms;reno*4", 3, nil)
+	a, err := parseFlows("vegas*4:jitter=uniform:2ms;reno*4", 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ParseFlows("vegas*4:jitter=uniform:2ms;reno*4", 3, nil)
+	b, err := parseFlows("vegas*4:jitter=uniform:2ms;reno*4", 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,8 @@ func TestParseFlowsErrors(t *testing.T) {
 		"vegas:rm",               // option without '='
 	}
 	for _, spec := range cases {
-		if _, err := ParseFlows(spec, 1, nil); err == nil {
-			t.Errorf("ParseFlows(%q) accepted", spec)
+		if _, err := parseFlows(spec, 1, nil); err == nil {
+			t.Errorf("parseFlows(%q) accepted", spec)
 		}
 	}
 }
@@ -97,15 +97,15 @@ func TestParseFlowsErrors(t *testing.T) {
 func TestParseTopology(t *testing.T) {
 	rate, buf := units.Mbps(20), 64*endpoint.DefaultMSS
 
-	single, err := ParseTopology("single", rate, buf)
+	single, err := parseTopology("single", rate, buf)
 	if err != nil || single.Links != nil || single.Bottleneck != 0 {
 		t.Fatalf("single: %+v, %v", single, err)
 	}
-	if dflt, err := ParseTopology("", rate, buf); err != nil || dflt.Kind != "single" {
+	if dflt, err := parseTopology("", rate, buf); err != nil || dflt.Kind != "single" {
 		t.Fatalf("empty spec should mean single: %+v, %v", dflt, err)
 	}
 
-	pl, err := ParseTopology("parkinglot:3", rate, buf)
+	pl, err := parseTopology("parkinglot:3", rate, buf)
 	if err != nil || len(pl.Links) != 3 || pl.Bottleneck != 0 {
 		t.Fatalf("parkinglot: %+v, %v", pl, err)
 	}
@@ -113,7 +113,7 @@ func TestParseTopology(t *testing.T) {
 		t.Error("parking-lot default path should be nil (full chain)")
 	}
 
-	fi, err := ParseTopology("fanin:4", rate, buf)
+	fi, err := parseTopology("fanin:4", rate, buf)
 	if err != nil || len(fi.Links) != 5 || fi.Bottleneck != 4 {
 		t.Fatalf("fanin: %+v, %v", fi, err)
 	}
@@ -132,18 +132,18 @@ func TestParseTopology(t *testing.T) {
 		"ring:3", "single:2", "parkinglot", "parkinglot:0", "parkinglot:x",
 		"fanin", "fanin:-1", "parkinglot:9999", "fanin:9999",
 	} {
-		if _, err := ParseTopology(spec, rate, buf); err == nil {
-			t.Errorf("ParseTopology(%q) accepted", spec)
+		if _, err := parseTopology(spec, rate, buf); err == nil {
+			t.Errorf("parseTopology(%q) accepted", spec)
 		}
 	}
 }
 
 func TestParseFlowsTopologyPaths(t *testing.T) {
-	topo, err := ParseTopology("fanin:2", units.Mbps(10), 0)
+	topo, err := parseTopology("fanin:2", units.Mbps(10), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := ParseFlows("vegas*4;reno:path=0/2", 1, topo)
+	specs, err := parseFlows("vegas*4;reno:path=0/2", 1, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestParseFlowsTopologyPaths(t *testing.T) {
 }
 
 func TestParseFlowsUnknownCCAListsKnown(t *testing.T) {
-	_, err := ParseFlows("nosuchcca*2", 1, nil)
+	_, err := parseFlows("nosuchcca*2", 1, nil)
 	if err == nil || !strings.Contains(err.Error(), "vegas") {
 		t.Errorf("error should list known CCAs, got: %v", err)
 	}

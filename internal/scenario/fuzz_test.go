@@ -25,18 +25,18 @@ func FuzzParseFlows(f *testing.F) {
 	f.Add("vegas:rm=-1s", "single")
 	f.Add("vegas:jitter=spike:2ms/50ms", "fanin:1")
 	f.Fuzz(func(t *testing.T, flowsSpec, topoSpec string) {
-		topo, err := ParseTopology(topoSpec, units.Mbps(10), 16*endpoint.DefaultMSS)
+		topo, err := parseTopology(topoSpec, units.Mbps(10), 16*endpoint.DefaultMSS)
 		if err != nil {
 			return
 		}
 		if len(topo.Links) > maxTopologyLinks {
 			t.Fatalf("topology %q: %d links above cap", topoSpec, len(topo.Links))
 		}
-		specs, err := ParseFlows(flowsSpec, 1, topo)
+		specs, err := parseFlows(flowsSpec, 1, topo)
 		if err != nil {
 			return
 		}
-		if len(specs) == 0 || len(specs) > MaxPopulationFlows {
+		if len(specs) == 0 || len(specs) > maxPopulationFlows {
 			t.Fatalf("flows %q: accepted %d flows", flowsSpec, len(specs))
 		}
 		nLinks := len(topo.Links)
@@ -44,7 +44,11 @@ func FuzzParseFlows(f *testing.F) {
 			nLinks = 1 // legacy single bottleneck
 		}
 		for i, s := range specs {
-			if err := s.Validate(); err != nil {
+			// The spec on its own; its path is checked against the
+			// topology below.
+			alone := s
+			alone.Path = nil
+			if err := network.Validate(network.Config{Rate: units.Mbps(12)}, alone); err != nil {
 				t.Fatalf("flows %q: accepted spec %d yet invalid: %v", flowsSpec, i, err)
 			}
 			if s.Alg == nil {

@@ -75,8 +75,8 @@ func runPopulationSpec(id, desc, claim string, spec PopulationSpec, o Opts) *Res
 	}
 }
 
-// PopulationMixed contends three CCA cohorts at one bottleneck.
-func PopulationMixed(o Opts) *Result {
+// populationMixed contends three CCA cohorts at one bottleneck.
+func populationMixed(o Opts) *Result {
 	return runPopulationSpec("P6.1",
 		"24-flow mixed population (vegas/reno/copa) on one 48 Mbit/s bottleneck",
 		"extension beyond the paper: Theorem 1's pairwise starvation, "+
@@ -90,8 +90,8 @@ func PopulationMixed(o Opts) *Result {
 		}, o)
 }
 
-// PopulationRTT contends one CCA across heterogeneous-RTT cohorts.
-func PopulationRTT(o Opts) *Result {
+// populationRTT contends one CCA across heterogeneous-RTT cohorts.
+func populationRTT(o Opts) *Result {
 	return runPopulationSpec("P6.2",
 		"24 reno flows in 20/80/160 ms RTT cohorts on one 48 Mbit/s bottleneck",
 		"extension beyond the paper: RTT-unfair loss-based control; "+
@@ -107,9 +107,9 @@ func PopulationRTT(o Opts) *Result {
 		}, o)
 }
 
-// PopulationParkingLot runs long flows over a 3-hop chain against one-hop
+// populationParkingLot runs long flows over a 3-hop chain against one-hop
 // cross traffic.
-func PopulationParkingLot(o Opts) *Result {
+func populationParkingLot(o Opts) *Result {
 	return runPopulationSpec("P6.3",
 		"parking-lot: 6 long vegas flows over 3 hops vs 6 one-hop reno cross flows",
 		"extension beyond the paper: multi-bottleneck chain; long flows "+
@@ -126,8 +126,8 @@ func PopulationParkingLot(o Opts) *Result {
 		}, o)
 }
 
-// PopulationFanIn funnels two CCA cohorts through a shared uplink.
-func PopulationFanIn(o Opts) *Result {
+// populationFanIn funnels two CCA cohorts through a shared uplink.
+func populationFanIn(o Opts) *Result {
 	return runPopulationSpec("P6.4",
 		"fan-in: 16 flows (vegas/reno) over 4 access links into one 32 Mbit/s uplink",
 		"extension beyond the paper: contention concentrates at the shared "+
@@ -142,10 +142,10 @@ func PopulationFanIn(o Opts) *Result {
 		}, o)
 }
 
-// PopulationMixed500 is the nightly large-N smoke: 500 flows across four
+// populationMixed500 is the nightly large-N smoke: 500 flows across four
 // CCA cohorts. It exists to exercise population scale (event pool, obs
 // aggregation, population statistics) end to end, not to publish numbers.
-func PopulationMixed500(o Opts) *Result {
+func populationMixed500(o Opts) *Result {
 	return runPopulationSpec("P6.5",
 		"500-flow mixed population (vegas/reno/copa/bbr) on one 250 Mbit/s bottleneck",
 		"extension beyond the paper: population-scale smoke; starved "+

@@ -23,11 +23,11 @@ func TestSeedRobustness(t *testing.T) {
 		run     func(Opts) *Result
 	}
 	checks := []check{
-		{"bbr-two", "rtt40_mbps", "rtt80_mbps", BBRTwoFlowRTT},
-		{"vivace-ackagg", "quantized_mbps", "clean_mbps", VivaceAckAggregation},
-		{"allegro-loss", "lossy_mbps", "clean_mbps", AllegroRandomLoss},
+		{"bbr-two", "rtt40_mbps", "rtt80_mbps", bBRTwoFlowRTT},
+		{"vivace-ackagg", "quantized_mbps", "clean_mbps", vivaceAckAggregation},
+		{"allegro-loss", "lossy_mbps", "clean_mbps", allegroRandomLoss},
 		{"allegro-burst", "bursty_mbps", "clean_mbps", AllegroBurstLoss},
-		{"copa-two", "poisoned_mbps", "clean_mbps", CopaTwoFlowPoison},
+		{"copa-two", "poisoned_mbps", "clean_mbps", copaTwoFlowPoison},
 	}
 	seeds := []int64{2, 3, 4, 5, 6}
 	for _, c := range checks {

@@ -126,26 +126,26 @@ func (o Opts) emulate(cfg network.Config, specs ...network.FlowSpec) *network.Re
 
 // Registry lists all scenarios by ID for the CLI.
 var Registry = map[string]func(Opts) *Result{
-	"copa-single":      CopaSingleFlowPoison,
-	"copa-two":         CopaTwoFlowPoison,
-	"bbr-two":          BBRTwoFlowRTT,
-	"vivace-ackagg":    VivaceAckAggregation,
-	"allegro-loss":     AllegroRandomLoss,
+	"copa-single":      copaSingleFlowPoison,
+	"copa-two":         copaTwoFlowPoison,
+	"bbr-two":          bBRTwoFlowRTT,
+	"vivace-ackagg":    vivaceAckAggregation,
+	"allegro-loss":     allegroRandomLoss,
 	"allegro-burst":    AllegroBurstLoss,
-	"allegro-both":     AllegroBothLossy,
-	"allegro-single":   AllegroSingleLossy,
+	"allegro-both":     allegroBothLossy,
+	"allegro-single":   allegroSingleLossy,
 	"fig7-reno":        Fig7Reno,
 	"fig7-cubic":       Fig7Cubic,
 	"algo1-fair":       Algo1Fairness,
 	"vegas-jitter":     VegasUnderJitter,
-	"quickstart-vegas": QuickstartVegas,
+	"quickstart-vegas": quickstartVegas,
 	"ecn-fairness":     ECNAvoidsStarvation,
 	"algo1-ablation":   Algo1Ablation,
-	"pop-mixed":        PopulationMixed,
-	"pop-rtt":          PopulationRTT,
-	"pop-parkinglot":   PopulationParkingLot,
-	"pop-fanin":        PopulationFanIn,
-	"pop-mixed-500":    PopulationMixed500,
+	"pop-mixed":        populationMixed,
+	"pop-rtt":          populationRTT,
+	"pop-parkinglot":   populationParkingLot,
+	"pop-fanin":        populationFanIn,
+	"pop-mixed-500":    populationMixed500,
 }
 
 // Names returns the scenario IDs sorted.

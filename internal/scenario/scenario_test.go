@@ -10,7 +10,7 @@ import (
 // of the authors' Mahimahi testbed.
 
 func TestCopaSingleFlowPoison(t *testing.T) {
-	r := CopaSingleFlowPoison(Opts{Duration: 40 * time.Second})
+	r := copaSingleFlowPoison(Opts{Duration: 40 * time.Second})
 	t.Logf("\n%s", r)
 	if u := r.Observables["utilization"]; u > 0.5 {
 		t.Errorf("utilization = %.3f after min-RTT poisoning, want < 0.5 "+
@@ -22,7 +22,7 @@ func TestCopaSingleFlowPoison(t *testing.T) {
 }
 
 func TestCopaTwoFlowPoison(t *testing.T) {
-	r := CopaTwoFlowPoison(Opts{Duration: 40 * time.Second})
+	r := copaTwoFlowPoison(Opts{Duration: 40 * time.Second})
 	t.Logf("\n%s", r)
 	if r.Observables["poisoned_mbps"] >= r.Observables["clean_mbps"] {
 		t.Errorf("poisoned flow (%.1f) should starve vs clean (%.1f)",
@@ -34,7 +34,7 @@ func TestCopaTwoFlowPoison(t *testing.T) {
 }
 
 func TestBBRTwoFlowRTT(t *testing.T) {
-	r := BBRTwoFlowRTT(Opts{})
+	r := bBRTwoFlowRTT(Opts{})
 	t.Logf("\n%s", r)
 	if ratio := r.Observables["ratio"]; ratio < 3 {
 		t.Errorf("ratio = %.1f, want >= 3 (paper: ~13)", ratio)
@@ -46,7 +46,7 @@ func TestBBRTwoFlowRTT(t *testing.T) {
 }
 
 func TestVivaceAckAggregation(t *testing.T) {
-	r := VivaceAckAggregation(Opts{})
+	r := vivaceAckAggregation(Opts{})
 	t.Logf("\n%s", r)
 	if r.Observables["quantized_mbps"] >= r.Observables["clean_mbps"] {
 		t.Errorf("quantized flow (%.1f) should starve vs clean (%.1f)",
@@ -62,7 +62,7 @@ func TestVivaceAckAggregation(t *testing.T) {
 }
 
 func TestAllegroRandomLoss(t *testing.T) {
-	r := AllegroRandomLoss(Opts{})
+	r := allegroRandomLoss(Opts{})
 	t.Logf("\n%s", r)
 	if r.Observables["lossy_mbps"] >= r.Observables["clean_mbps"] {
 		t.Errorf("lossy flow (%.1f) should starve vs clean (%.1f)",
@@ -101,12 +101,12 @@ func TestAllegroBurstLoss(t *testing.T) {
 }
 
 func TestAllegroControls(t *testing.T) {
-	both := AllegroBothLossy(Opts{})
+	both := allegroBothLossy(Opts{})
 	t.Logf("\n%s", both)
 	if jain := both.Observables["jain"]; jain < 0.8 {
 		t.Errorf("both-lossy jain = %.3f, want >= 0.8 (paper: fair)", jain)
 	}
-	single := AllegroSingleLossy(Opts{})
+	single := allegroSingleLossy(Opts{})
 	t.Logf("\n%s", single)
 	if u := single.Observables["utilization"]; u < 0.7 {
 		t.Errorf("single-lossy utilization = %.3f, want >= 0.7 (paper: full)", u)
@@ -155,7 +155,7 @@ func TestVegasUnderJitterStarves(t *testing.T) {
 }
 
 func TestQuickstartFairness(t *testing.T) {
-	r := QuickstartVegas(Opts{})
+	r := quickstartVegas(Opts{})
 	t.Logf("\n%s", r)
 	if jain := r.Observables["jain"]; jain < 0.85 {
 		t.Errorf("jain = %.3f, want >= 0.85 on a clean path", jain)

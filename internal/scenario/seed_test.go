@@ -14,7 +14,7 @@ import (
 	"starvation/internal/units"
 )
 
-// rngProbeGens collects the generator ParseFlows hands each "rngprobe"
+// rngProbeGens collects the generator parseFlows hands each "rngprobe"
 // flow, in flow order. The CCA itself is Reno and never draws, so every
 // generator is still at the start of its stream.
 var rngProbeGens []*rand.Rand
@@ -52,7 +52,7 @@ func predict(r *rand.Rand, n int, p float64) []bool {
 func TestCCAStreamIsNotLossGate(t *testing.T) {
 	const seed, p = 4, 0.02
 	rngProbeGens = nil
-	specs, err := ParseFlows("rngprobe*3:loss=0.02", seed, nil)
+	specs, err := parseFlows("rngprobe*3:loss=0.02", seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func TestSeedSweepErrors(t *testing.T) {
 	if _, err := SeedSweep(context.Background(), "no-such-scenario", []int64{2}, 1, Opts{}); err == nil {
 		t.Errorf("unknown scenario did not error")
 	}
-	if _, err := SeedSweep(context.Background(), "copa-single", []int64{2, 3}, 2, Opts{Probe: obs.Nop{}}); err == nil {
+	if _, err := SeedSweep(context.Background(), "copa-single", []int64{2, 3}, 2, Opts{Probe: obs.NewRegistry()}); err == nil {
 		t.Errorf("shared probe with jobs > 1 did not error")
 	}
 	if _, err := SeedSweep(context.Background(), "copa-single", []int64{2, 3}, 2, Opts{Duration: time.Second, Session: network.NewSession()}); err != nil {

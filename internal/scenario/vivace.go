@@ -10,11 +10,11 @@ import (
 	"starvation/internal/units"
 )
 
-// VivaceAckAggregation reproduces §5.3: two PCC Vivace flows on a
+// vivaceAckAggregation reproduces §5.3: two PCC Vivace flows on a
 // 120 Mbit/s link with 60 ms propagation delay; one flow's ACKs are
 // released only at integer multiples of 60 ms, "preventing finer delay
 // measurement". The paper measured 9.9 vs 99.4 Mbit/s.
-func VivaceAckAggregation(o Opts) *Result {
+func vivaceAckAggregation(o Opts) *Result {
 	o.fill(60 * time.Second)
 	mk := func(name string, seed int64, aggregate bool) network.FlowSpec {
 		spec := network.FlowSpec{

@@ -16,22 +16,22 @@ import (
 type BatchState string
 
 const (
-	// StateQueued: admitted, no job has started.
-	StateQueued BatchState = "queued"
-	// StateRunning: at least one job has started.
-	StateRunning BatchState = "running"
-	// StateDone: every job completed successfully.
-	StateDone BatchState = "done"
-	// StateFailed: every job terminal, at least one failed.
-	StateFailed BatchState = "failed"
-	// StateCancelled: cancelled by the client (or found mid-flight at
+	// stateQueued: admitted, no job has started.
+	stateQueued BatchState = "queued"
+	// stateRunning: at least one job has started.
+	stateRunning BatchState = "running"
+	// stateDone: every job completed successfully.
+	stateDone BatchState = "done"
+	// stateFailed: every job terminal, at least one failed.
+	stateFailed BatchState = "failed"
+	// stateCancelled: cancelled by the client (or found mid-flight at
 	// startup and re-queued — see resume).
-	StateCancelled BatchState = "cancelled"
+	stateCancelled BatchState = "cancelled"
 )
 
-// Terminal reports whether the state is final.
-func (s BatchState) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
+// terminal reports whether the state is final.
+func (s BatchState) terminal() bool {
+	return s == stateDone || s == stateFailed || s == stateCancelled
 }
 
 // batchRecord is the on-disk form of an admitted batch — enough to

@@ -51,5 +51,5 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 	_ = dashboardTmpl.Execute(w, struct {
 		Depth   int
 		Batches []BatchStatus
-	}{Depth: s.sched.Depth(), Batches: s.Statuses()})
+	}{Depth: s.sched.queued(), Batches: s.statuses()})
 }

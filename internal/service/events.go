@@ -56,12 +56,12 @@ func (h *Hub) Publish(ev Event) {
 	h.mu.Unlock()
 }
 
-// Next returns the events at index ≥ from. When the consumer is caught
+// next returns the events at index ≥ from. When the consumer is caught
 // up it gets an empty slice plus a channel that closes on the next
 // publish (or on Close); open=false means the hub closed and no further
 // events will ever arrive — the stream is complete once the backlog is
 // drained.
-func (h *Hub) Next(from int) (evs []Event, wait <-chan struct{}, open bool) {
+func (h *Hub) next(from int) (evs []Event, wait <-chan struct{}, open bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if from < len(h.events) {
@@ -70,9 +70,9 @@ func (h *Hub) Next(from int) (evs []Event, wait <-chan struct{}, open bool) {
 	return nil, h.wake, !h.closed
 }
 
-// Close marks the stream complete and wakes every parked subscriber.
+// close marks the stream complete and wakes every parked subscriber.
 // Publish after Close is a no-op.
-func (h *Hub) Close() {
+func (h *Hub) close() {
 	h.mu.Lock()
 	if !h.closed {
 		h.closed = true
@@ -80,11 +80,4 @@ func (h *Hub) Close() {
 		h.wake = make(chan struct{})
 	}
 	h.mu.Unlock()
-}
-
-// Len returns the number of published events.
-func (h *Hub) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.events)
 }

@@ -55,7 +55,7 @@ type errorBody struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
+	if s.isDraining() {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining; not accepting batches"})
 		return
 	}
@@ -64,14 +64,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	st, err := s.Submit(req, jobs)
+	st, err := s.submit(req, jobs)
 	switch err {
 	case nil:
-	case ErrQueueFull:
+	case errQueueFull:
 		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterSeconds()))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: ErrQueueFull.Error()})
+		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: errQueueFull.Error()})
 		return
-	case ErrClosed:
+	case errClosed:
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining; not accepting batches"})
 		return
 	default:
@@ -89,7 +89,7 @@ func (s *Server) retryAfterSeconds() int {
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	sec := s.sched.Depth() / (workers * 4)
+	sec := s.sched.queued() / (workers * 4)
 	if sec < 1 {
 		sec = 1
 	}
@@ -97,7 +97,7 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Statuses())
+	writeJSON(w, http.StatusOK, s.statuses())
 }
 
 func (s *Server) batchOr404(w http.ResponseWriter, r *http.Request) (*batch, bool) {
@@ -106,7 +106,7 @@ func (s *Server) batchOr404(w http.ResponseWriter, r *http.Request) (*batch, boo
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such batch"})
 		return nil, false
 	}
-	b, ok := s.Batch(id)
+	b, ok := s.batch(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such batch"})
 		return nil, false
@@ -125,7 +125,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	st, _ := s.Cancel(b.rec.ID)
+	st, _ := s.cancel(b.rec.ID)
 	writeJSON(w, http.StatusOK, st)
 }
 
@@ -153,7 +153,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	i := 0
 	for {
-		evs, wake, open := b.hub.Next(i)
+		evs, wake, open := b.hub.next(i)
 		if len(evs) > 0 {
 			for _, ev := range evs {
 				data, err := json.Marshal(ev)
@@ -221,7 +221,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.gQueue.Set("", int64(s.sched.Depth()))
+	s.gQueue.Set("", int64(s.sched.queued()))
 	s.gActive.Set("", int64(s.activeBatches()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if err := s.pool.WritePrometheus(w); err != nil {
@@ -231,7 +231,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
+	if s.isDraining() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
@@ -240,8 +240,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDebugQueue(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"depth":   s.sched.Depth(),
-		"clients": s.sched.Snapshot(),
+		"depth":   s.sched.queued(),
+		"clients": s.sched.snapshot(),
 		"stats":   s.pool.Stats(),
 	})
 }

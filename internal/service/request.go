@@ -11,12 +11,12 @@ import (
 	"starvation/internal/scenario"
 )
 
-// MaxBatchJobs bounds a single batch; the queue-depth bound is the real
+// maxBatchJobs bounds a single batch; the queue-depth bound is the real
 // admission control, this just keeps one request body from being absurd.
-const MaxBatchJobs = 10000
+const maxBatchJobs = 10000
 
-// MaxRequestBytes bounds a batch request body.
-const MaxRequestBytes = 1 << 20
+// maxRequestBytes bounds a batch request body.
+const maxRequestBytes = 1 << 20
 
 // JobRequest is one experiment of a batch: a population spec plus a name
 // for the manifest and the artifact tree. The spec fields are exactly the
@@ -95,7 +95,7 @@ func (bj batchJob) spec() scenario.PopulationSpec {
 // same message the CLI exits 2 with — the shared error-string contract.
 func DecodeBatchRequest(r io.Reader) (BatchRequest, []batchJob, error) {
 	var req BatchRequest
-	dec := json.NewDecoder(io.LimitReader(r, MaxRequestBytes))
+	dec := json.NewDecoder(io.LimitReader(r, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, nil, fmt.Errorf("decoding batch request: %v", err)
@@ -164,8 +164,8 @@ func (req BatchRequest) expand() ([]batchJob, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("batch has no jobs")
 	}
-	if len(jobs) > MaxBatchJobs {
-		return nil, fmt.Errorf("batch has %d jobs, max %d", len(jobs), MaxBatchJobs)
+	if len(jobs) > maxBatchJobs {
+		return nil, fmt.Errorf("batch has %d jobs, max %d", len(jobs), maxBatchJobs)
 	}
 	return jobs, nil
 }

@@ -16,13 +16,13 @@ import (
 	"sync"
 )
 
-// ErrQueueFull is returned by Enqueue when admitting the batch would push
+// errQueueFull is returned by Enqueue when admitting the batch would push
 // the scheduler past its depth bound; the HTTP layer translates it to
 // 429 Too Many Requests with a Retry-After hint.
-var ErrQueueFull = errors.New("service: queue full")
+var errQueueFull = errors.New("service: queue full")
 
-// ErrClosed is returned by Enqueue after Close — the daemon is draining.
-var ErrClosed = errors.New("service: scheduler closed")
+// errClosed is returned by Enqueue after Close — the daemon is draining.
+var errClosed = errors.New("service: scheduler closed")
 
 // Item is one schedulable unit: a single job of some batch. The scheduler
 // never looks inside Payload; fairness is accounted in whole jobs.
@@ -93,10 +93,10 @@ func (s *Scheduler) Enqueue(client string, weight int, items []Item) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if s.depth+len(items) > s.maxDepth {
-		return ErrQueueFull
+		return errQueueFull
 	}
 	q := s.clients[client]
 	if q == nil {
@@ -168,10 +168,10 @@ func (s *Scheduler) Next() (Item, bool) {
 	}
 }
 
-// Cancel removes every queued item of the batch and returns how many were
+// cancel removes every queued item of the batch and returns how many were
 // discarded. Items already handed to workers are unaffected (the server
 // cancels those through the batch context).
-func (s *Scheduler) Cancel(batchID string) int {
+func (s *Scheduler) cancel(batchID string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	removed := 0
@@ -191,46 +191,46 @@ func (s *Scheduler) Cancel(batchID string) int {
 	return removed
 }
 
-// Depth returns the total queued items.
-func (s *Scheduler) Depth() int {
+// queued returns the total queued items.
+func (s *Scheduler) queued() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.depth
 }
 
-// Close stops the scheduler: queued items are discarded and every blocked
+// close stops the scheduler: queued items are discarded and every blocked
 // and future Next returns ok=false. Idempotent.
-func (s *Scheduler) Close() {
+func (s *Scheduler) close() {
 	s.mu.Lock()
 	s.closed = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// QueueInfo describes one client's queue for /debug/queue.
-type QueueInfo struct {
+// queueInfo describes one client's queue for /debug/queue.
+type queueInfo struct {
 	Client  string `json:"client"`
 	Weight  int    `json:"weight"`
 	Deficit int    `json:"deficit"`
 	Queued  int    `json:"queued"`
 }
 
-// Snapshot returns per-client queue state sorted by client name.
-func (s *Scheduler) Snapshot() []QueueInfo {
+// snapshot returns per-client queue state sorted by client name.
+func (s *Scheduler) snapshot() []queueInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]QueueInfo, 0, len(s.clients))
+	out := make([]queueInfo, 0, len(s.clients))
 	for _, q := range s.clients {
 		if len(q.items) == 0 {
 			continue
 		}
-		out = append(out, QueueInfo{Client: q.name, Weight: q.weight, Deficit: q.deficit, Queued: len(q.items)})
+		out = append(out, queueInfo{Client: q.name, Weight: q.weight, Deficit: q.deficit, Queued: len(q.items)})
 	}
 	sortQueueInfo(out)
 	return out
 }
 
-func sortQueueInfo(in []QueueInfo) {
+func sortQueueInfo(in []queueInfo) {
 	for i := 1; i < len(in); i++ {
 		for j := i; j > 0 && in[j].Client < in[j-1].Client; j-- {
 			in[j], in[j-1] = in[j-1], in[j]

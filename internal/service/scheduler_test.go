@@ -67,10 +67,10 @@ func TestSchedulerQueueFull(t *testing.T) {
 	if err := s.Enqueue("a", 1, mkItems("a", "x", 8)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Enqueue("b", 1, mkItems("b", "y", 3)); err != ErrQueueFull {
-		t.Fatalf("overfull enqueue: %v, want ErrQueueFull", err)
+	if err := s.Enqueue("b", 1, mkItems("b", "y", 3)); err != errQueueFull {
+		t.Fatalf("overfull enqueue: %v, want errQueueFull", err)
 	}
-	if got := s.Depth(); got != 8 {
+	if got := s.queued(); got != 8 {
 		t.Fatalf("depth %d after rejected enqueue, want 8 (no partial admission)", got)
 	}
 	if err := s.Enqueue("b", 1, mkItems("b", "y", 2)); err != nil {
@@ -85,10 +85,10 @@ func TestSchedulerCancel(t *testing.T) {
 	if err := s.Enqueue("a", 1, items); err != nil {
 		t.Fatal(err)
 	}
-	if removed := s.Cancel("drop"); removed != 4 {
+	if removed := s.cancel("drop"); removed != 4 {
 		t.Fatalf("cancelled %d items, want 4", removed)
 	}
-	if got := s.Depth(); got != 3 {
+	if got := s.queued(); got != 3 {
 		t.Fatalf("depth %d after cancel, want 3", got)
 	}
 	for i := 0; i < 3; i++ {
@@ -107,7 +107,7 @@ func TestSchedulerCancelThenReenqueue(t *testing.T) {
 	if err := s.Enqueue("a", 1, mkItems("a", "x", 4)); err != nil {
 		t.Fatal(err)
 	}
-	s.Cancel("x") // queue empty, ring entry stale
+	s.cancel("x") // queue empty, ring entry stale
 	if err := s.Enqueue("a", 1, mkItems("a", "y", 50)); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSchedulerClose(t *testing.T) {
 		got <- ok
 	}()
 	time.Sleep(10 * time.Millisecond) // let Next park
-	s.Close()
+	s.close()
 	select {
 	case ok := <-got:
 		if ok {
@@ -142,8 +142,8 @@ func TestSchedulerClose(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not wake the blocked Next")
 	}
-	if err := s.Enqueue("a", 1, mkItems("a", "x", 1)); err != ErrClosed {
-		t.Fatalf("post-close enqueue: %v, want ErrClosed", err)
+	if err := s.Enqueue("a", 1, mkItems("a", "x", 1)); err != errClosed {
+		t.Fatalf("post-close enqueue: %v, want errClosed", err)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestSchedulerSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := s.Snapshot()
+	snap := s.snapshot()
 	if len(snap) != 2 || snap[0].Client != "alpha" || snap[1].Client != "zeta" {
 		t.Fatalf("snapshot %+v, want alpha then zeta", snap)
 	}

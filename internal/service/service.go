@@ -172,7 +172,7 @@ func (s *Server) loadExisting() error {
 		if n := seqOf(rec.ID); n > s.seq {
 			s.seq = n
 		}
-		if !b.status().State.Terminal() {
+		if !b.status().State.terminal() {
 			s.resume = append(s.resume, b)
 		}
 	}
@@ -186,7 +186,7 @@ func (s *Server) restore(rec batchRecord, dir string) *batch {
 		dir:      dir,
 		manifest: runner.LoadManifest(filepath.Join(dir, "manifest.json")),
 		hub:      NewHub(),
-		state:    StateQueued,
+		state:    stateQueued,
 	}
 	b.ctx, b.cancel = context.WithCancel(s.rootCtx)
 	if b.manifest.RecoveredFrom != "" {
@@ -200,12 +200,12 @@ func (s *Server) restore(rec batchRecord, dir string) *batch {
 	}
 	b.done, b.succeeded = satisfied, satisfied
 	if satisfied == len(rec.Jobs) {
-		b.state = StateDone
+		b.state = stateDone
 		b.finished = rec.Created
 		if fi, err := os.Stat(filepath.Join(dir, "manifest.json")); err == nil {
 			b.finished = fi.ModTime()
 		}
-		b.hub.Close()
+		b.hub.close()
 		// A daemon that died between the batch's last record and finalize
 		// left its manifest journaled: fold it as finalize would have (a
 		// no-op for a folded manifest).
@@ -310,8 +310,8 @@ func (s *Server) execute(b *batch, idx int) {
 	}
 	b.mu.Lock()
 	b.running++
-	if b.state == StateQueued {
-		b.state = StateRunning
+	if b.state == stateQueued {
+		b.state = stateRunning
 	}
 	b.mu.Unlock()
 
@@ -449,25 +449,25 @@ func (s *Server) onProgress(b *batch, ev runner.ProgressEvent) {
 // its event stream, and compacts its manifest's retry history.
 func (s *Server) finalize(b *batch) {
 	b.mu.Lock()
-	if b.state.Terminal() {
+	if b.state.terminal() {
 		b.mu.Unlock()
 		return
 	}
 	if b.failed > 0 {
-		b.state = StateFailed
+		b.state = stateFailed
 	} else {
-		b.state = StateDone
+		b.state = stateDone
 	}
 	b.finished = time.Now()
 	st, done, total := b.state, b.done, len(b.rec.Jobs)
 	b.mu.Unlock()
 	typ := "batch-done"
-	if st == StateFailed {
+	if st == stateFailed {
 		typ = "batch-failed"
 	}
 	b.hub.Publish(Event{Batch: b.rec.ID, Type: typ, Done: done, Total: total})
 	s.mEvents.Add(typ, 1)
-	b.hub.Close()
+	b.hub.close()
 	if dropped, err := b.manifest.Compact(manifestHistoryKeep); err != nil {
 		s.logf("service: %s: compacting manifest: %v", b.rec.ID, err)
 	} else if dropped > 0 {
@@ -476,9 +476,9 @@ func (s *Server) finalize(b *batch) {
 	s.logf("service: %s %s (%d/%d jobs)", b.rec.ID, st, done, total)
 }
 
-// Submit admits a batch: persist, then schedule. It returns the created
+// submit admits a batch: persist, then schedule. It returns the created
 // batch's status, or an error the HTTP layer maps to 429/503/500.
-func (s *Server) Submit(req BatchRequest, jobs []batchJob) (BatchStatus, error) {
+func (s *Server) submit(req BatchRequest, jobs []batchJob) (BatchStatus, error) {
 	client := req.Client
 	if client == "" {
 		client = "anonymous"
@@ -490,7 +490,7 @@ func (s *Server) Submit(req BatchRequest, jobs []batchJob) (BatchStatus, error) 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return BatchStatus{}, ErrClosed
+		return BatchStatus{}, errClosed
 	}
 	s.seq++
 	id := fmt.Sprintf("b%06d", s.seq)
@@ -511,7 +511,7 @@ func (s *Server) Submit(req BatchRequest, jobs []batchJob) (BatchStatus, error) 
 	b := s.restore(rec, dir)
 	if err := s.enqueue(b); err != nil {
 		os.RemoveAll(dir)
-		if err == ErrQueueFull {
+		if err == errQueueFull {
 			s.mRejected.Add(client, 1)
 		}
 		return BatchStatus{}, err
@@ -525,9 +525,9 @@ func (s *Server) Submit(req BatchRequest, jobs []batchJob) (BatchStatus, error) 
 	return b.status(), nil
 }
 
-// Cancel cancels a batch: queued jobs are discarded, running jobs'
+// cancel cancels a batch: queued jobs are discarded, running jobs'
 // contexts are cancelled, and the batch goes terminal immediately.
-func (s *Server) Cancel(id string) (BatchStatus, bool) {
+func (s *Server) cancel(id string) (BatchStatus, bool) {
 	s.mu.Lock()
 	b, ok := s.batches[id]
 	s.mu.Unlock()
@@ -535,47 +535,47 @@ func (s *Server) Cancel(id string) (BatchStatus, bool) {
 		return BatchStatus{}, false
 	}
 	b.mu.Lock()
-	if b.state.Terminal() {
+	if b.state.terminal() {
 		b.mu.Unlock()
 		return b.status(), true
 	}
-	b.state = StateCancelled
+	b.state = stateCancelled
 	b.finished = time.Now()
 	done, total := b.done, len(b.rec.Jobs)
 	b.mu.Unlock()
-	removed := s.sched.Cancel(id)
+	removed := s.sched.cancel(id)
 	b.cancel()
 	b.hub.Publish(Event{Batch: id, Type: "batch-cancelled", Done: done, Total: total})
 	s.mEvents.Add("batch-cancelled", 1)
-	b.hub.Close()
+	b.hub.close()
 	s.logf("service: cancelled %s (%d queued jobs discarded)", id, removed)
 	return b.status(), true
 }
 
-// Batch returns a batch by ID.
-func (s *Server) Batch(id string) (*batch, bool) {
+// batch returns a batch by ID.
+func (s *Server) batch(id string) (*batch, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.batches[id]
 	return b, ok
 }
 
-// Statuses lists every batch in admission order.
-func (s *Server) Statuses() []BatchStatus {
+// statuses lists every batch in admission order.
+func (s *Server) statuses() []BatchStatus {
 	s.mu.Lock()
 	ids := append([]string(nil), s.order...)
 	s.mu.Unlock()
 	out := make([]BatchStatus, 0, len(ids))
 	for _, id := range ids {
-		if b, ok := s.Batch(id); ok {
+		if b, ok := s.batch(id); ok {
 			out = append(out, b.status())
 		}
 	}
 	return out
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool {
+// isDraining reports whether Drain has begun.
+func (s *Server) isDraining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
@@ -584,8 +584,8 @@ func (s *Server) Draining() bool {
 // activeBatches counts non-terminal batches.
 func (s *Server) activeBatches() int {
 	n := 0
-	for _, st := range s.Statuses() {
-		if !st.State.Terminal() {
+	for _, st := range s.statuses() {
+		if !st.State.terminal() {
 			n++
 		}
 	}
@@ -606,8 +606,8 @@ func (s *Server) Drain() {
 	}
 	s.draining = true
 	s.mu.Unlock()
-	discarded := s.sched.Depth()
-	s.sched.Close()
+	discarded := s.sched.queued()
+	s.sched.close()
 	s.logf("service: draining: %d queued jobs discarded (resumable), waiting for running jobs", discarded)
 	done := make(chan struct{})
 	go func() {

@@ -69,11 +69,11 @@ func waitBatch(t *testing.T, s *Server, id string) BatchStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		b, ok := s.Batch(id)
+		b, ok := s.batch(id)
 		if !ok {
 			t.Fatalf("batch %s vanished", id)
 		}
-		if st := b.status(); st.State.Terminal() {
+		if st := b.status(); st.State.terminal() {
 			return st
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -129,7 +129,7 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 
 	st := waitBatch(t, s, id)
-	if st.State != StateDone || st.Done != 2 || st.Failed != 0 {
+	if st.State != stateDone || st.Done != 2 || st.Failed != 0 {
 		t.Fatalf("final status %+v", st)
 	}
 
@@ -236,16 +236,20 @@ func TestServiceBackpressure(t *testing.T) {
 	if ra := hdr.Get("Retry-After"); ra == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if got := s.mRejected.Value("b"); got != 1 {
-		t.Fatalf("rejected counter %d, want 1", got)
+	var met strings.Builder
+	if err := s.fams.WritePrometheus(&met); err != nil {
+		t.Fatal(err)
+	}
+	if want := `starved_rejected_total{client="b"} 1` + "\n"; !strings.Contains(met.String(), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, met.String())
 	}
 	// The rejected batch leaves no residue.
-	if n := len(s.Statuses()); n != 1 {
+	if n := len(s.statuses()); n != 1 {
 		t.Fatalf("%d batches registered after rejection, want 1", n)
 	}
 	// Draining the queue re-opens admission.
 	s.Start()
-	waitBatch(t, s, s.Statuses()[0].ID)
+	waitBatch(t, s, s.statuses()[0].ID)
 	code, _, _ = postBatch(t, ts.URL, `{"client":"b","jobs":[`+testJobJSON("x", 9)+`]}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("post-drain submit: %d, want 202", code)
@@ -270,10 +274,10 @@ func TestServiceCancel(t *testing.T) {
 	if err := json.Unmarshal(readAll(t, resp), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateCancelled {
+	if st.State != stateCancelled {
 		t.Fatalf("state %s after cancel", st.State)
 	}
-	if d := s.sched.Depth(); d != 0 {
+	if d := s.sched.queued(); d != 0 {
 		t.Fatalf("queue depth %d after cancel, want 0", d)
 	}
 	// The event stream ends (hub closed) with the cancellation event.
@@ -326,7 +330,7 @@ func TestServiceConcurrentBatches(t *testing.T) {
 		if su.id == "" {
 			t.Fatal("a submission failed")
 		}
-		if st := waitBatch(t, s, su.id); st.State != StateDone {
+		if st := waitBatch(t, s, su.id); st.State != stateDone {
 			t.Fatalf("batch %s: %+v", su.id, st)
 		}
 		for _, seed := range su.seeds {
@@ -362,7 +366,7 @@ func TestServiceArtifactsLandBeforeBatchDone(t *testing.T) {
 		t.Fatalf("submit: %d %v", code, out)
 	}
 	id := out["id"].(string)
-	b, _ := s.Batch(id)
+	b, _ := s.batch(id)
 	s.beforeArtifact = func(job string) {
 		if job != "slow" {
 			return
@@ -437,11 +441,11 @@ func TestServiceFairness(t *testing.T) {
 	}
 	// Stronger: when the probe finished, the sweep must still have had
 	// most of its backlog outstanding (DRR interleaving, not luck).
-	hb, _ := s.Batch(heavy.ID)
+	hb, _ := s.batch(heavy.ID)
 	_ = hb
 	var lightLast Event
-	lb, _ := s.Batch(light.ID)
-	evs, _, _ := lb.hub.Next(0)
+	lb, _ := s.batch(light.ID)
+	evs, _, _ := lb.hub.next(0)
 	lightLast = evs[len(evs)-1]
 	if lightLast.Type != "batch-done" {
 		t.Fatalf("light batch last event %+v", lightLast)
@@ -465,22 +469,22 @@ func TestServiceDrainAndResume(t *testing.T) {
 
 	// Simulate an interrupted artifact write: one rendered file is gone,
 	// but the cache still holds the job's bytes.
-	b1, _ := s1.Batch(id)
+	b1, _ := s1.batch(id)
 	if err := os.Remove(b1.artifactPath("b")); err != nil {
 		t.Fatal(err)
 	}
 
 	s2, _ := newTestServer(t, Config{DataDir: dir, Workers: 2}, false)
-	b2, ok := s2.Batch(id)
+	b2, ok := s2.batch(id)
 	if !ok {
 		t.Fatal("restarted daemon lost the batch")
 	}
-	if st := b2.status(); st.State.Terminal() {
+	if st := b2.status(); st.State.terminal() {
 		t.Fatalf("batch with a missing artifact restored as %s; want re-queued", st.State)
 	}
 	s2.Start()
 	st := waitBatch(t, s2, id)
-	if st.State != StateDone {
+	if st.State != stateDone {
 		t.Fatalf("resumed batch: %+v", st)
 	}
 	stats := s2.pool.Stats()
@@ -535,7 +539,7 @@ func TestServiceFoldsFinishedJournal(t *testing.T) {
 	}
 
 	s2, _ := newTestServer(t, Config{DataDir: dir}, false)
-	if b, ok := s2.Batch(id); !ok || b.status().State != StateDone {
+	if b, ok := s2.batch(id); !ok || b.status().State != stateDone {
 		t.Fatalf("finished batch not restored as done (found: %v)", ok)
 	}
 	if got, _ := os.ReadFile(path); string(got) != string(folded) {
@@ -558,7 +562,7 @@ func TestServiceResumeQueuedBatch(t *testing.T) {
 
 	s2, _ := newTestServer(t, Config{DataDir: dir}, true)
 	st := waitBatch(t, s2, id)
-	if st.State != StateDone || st.Done != 1 {
+	if st.State != stateDone || st.Done != 1 {
 		t.Fatalf("resumed queued batch: %+v", st)
 	}
 }
@@ -573,7 +577,7 @@ func TestServiceChaosBatch(t *testing.T) {
 		t.Fatalf("submit: %d", code)
 	}
 	st := waitBatch(t, s, out["id"].(string))
-	if st.State != StateDone || st.Failed != 0 {
+	if st.State != stateDone || st.Failed != 0 {
 		t.Fatalf("chaos batch did not converge: %+v", st)
 	}
 	for name, seed := range map[string]int64{"a": 41, "b": 42} {
@@ -618,10 +622,10 @@ func TestServiceUnwritableCache(t *testing.T) {
 			t.Fatalf("round %d submit: %d %v", round, code, out)
 		}
 		id := out["id"].(string)
-		if st := waitBatch(t, s, id); st.State != StateDone {
+		if st := waitBatch(t, s, id); st.State != stateDone {
 			t.Fatalf("round %d batch ended %+v, want done", round, st)
 		}
-		b, _ := s.Batch(id)
+		b, _ := s.batch(id)
 		for name, seed := range seeds {
 			want, err := testSpec(seed).Run()
 			if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -74,8 +75,9 @@ func TestRunContextPreCancelled(t *testing.T) {
 // observation-only: with a live (never-cancelled) context installed, a
 // run fires exactly the same events as without one.
 func TestRunContextDeterminism(t *testing.T) {
-	run := func(ctx context.Context) (fired uint64, rand int64) {
+	run := func(ctx context.Context) (fired uint64, draw int64) {
 		s := New(42)
+		rng := rand.New(rand.NewSource(42))
 		if ctx != nil {
 			s.SetContext(ctx)
 		}
@@ -84,12 +86,12 @@ func TestRunContextDeterminism(t *testing.T) {
 		chain = func() {
 			n++
 			if n < 5000 {
-				s.After(time.Duration(s.Rand().Intn(50))*time.Microsecond, chain)
+				s.After(time.Duration(rng.Intn(50))*time.Microsecond, chain)
 			}
 		}
 		s.After(0, chain)
 		s.Run(time.Second)
-		return s.Events(), s.Rand().Int63()
+		return s.Stats().Fired, rng.Int63()
 	}
 	f0, r0 := run(nil)
 	f1, r1 := run(context.Background())

@@ -128,10 +128,10 @@ func TestStaleCancelAfterSlotReuse(t *testing.T) {
 	}
 
 	h1.Cancel() // stale: must not cancel h2's event
-	if !h2.Pending() {
+	if !h2.pending() {
 		t.Fatal("stale Cancel killed the slot's new tenant")
 	}
-	if h1.Pending() {
+	if h1.pending() {
 		t.Error("stale handle reports pending")
 	}
 	s.Run(time.Second)
@@ -157,7 +157,7 @@ func TestStaleCancelAfterFireAndReuse(t *testing.T) {
 		t.Fatalf("expected fired slot %d to be recycled, got %d", h1.slot, h2.slot)
 	}
 	h1.Cancel()
-	if !h2.Pending() {
+	if !h2.pending() {
 		t.Fatal("stale Cancel (after fire) killed the slot's new tenant")
 	}
 	s.Run(time.Second)

@@ -5,7 +5,7 @@ import "fmt"
 // Lane is the event source of a FIFO delay element: a queue of payloads,
 // each due at a time no earlier than the one before it, of which only the
 // head is a live event. Push reserves the payload's place in the dispatch
-// order (a Ticket) when it is pushed; when the head fires, the lane
+// order (a ticket) when it is pushed; when the head fires, the lane
 // schedules the next entry under that entry's own ticket and then hands
 // the head's payload to the handler. Every payload therefore fires at the
 // time and in the place an event scheduled at push time would have, and
@@ -52,7 +52,7 @@ type lanePool[T any] struct {
 
 type laneNode[T any] struct {
 	at   Time
-	tk   Ticket
+	tk   ticket
 	next int32 // the next node of the lane, or of the free list
 	v    T
 }
@@ -114,7 +114,7 @@ func (l *Lane[T]) Push(at Time, v T) {
 			return
 		}
 		l.headAt, l.tail = at, at
-		l.h = l.s.AtTicket(at, l.s.Reserve(), l.fireFn)
+		l.h = l.s.atTicket(at, l.s.reserve(), l.fireFn)
 		return
 	}
 	p := l.pool
@@ -142,7 +142,7 @@ func (l *Lane[T]) Push(at Time, v T) {
 	}
 	l.tail = at
 	nd.at = at
-	nd.tk = l.s.Reserve()
+	nd.tk = l.s.reserve()
 }
 
 // Hold cancels the head's event: nothing in the lane fires until Retime.
@@ -168,7 +168,7 @@ func (l *Lane[T]) Retime(next func(i int, at Time, v T) Time) {
 	}
 	l.headAt = next(0, l.headAt, l.head)
 	l.tail = l.headAt
-	tk := l.s.Reserve()
+	tk := l.s.reserve()
 	for i, j := 1, l.first; i < l.n; i++ {
 		nd := &l.pool.nodes[j]
 		at := next(i, nd.at, nd.v)
@@ -177,10 +177,10 @@ func (l *Lane[T]) Retime(next func(i int, at Time, v T) Time) {
 		}
 		l.tail = at
 		nd.at = at
-		nd.tk = l.s.Reserve()
+		nd.tk = l.s.reserve()
 		j = nd.next
 	}
-	l.h = l.s.AtTicket(l.headAt, tk, l.fireFn)
+	l.h = l.s.atTicket(l.headAt, tk, l.fireFn)
 }
 
 // Reset empties the lane and releases any hold. The caller resets the
@@ -203,7 +203,7 @@ func (l *Lane[T]) fire() {
 		i := l.first
 		nd := &p.nodes[i]
 		l.head, l.headAt = nd.v, nd.at
-		l.h = l.s.AtTicket(nd.at, nd.tk, l.fireFn)
+		l.h = l.s.atTicket(nd.at, nd.tk, l.fireFn)
 		l.first = nd.next
 		nd.next = p.free
 		p.free = i

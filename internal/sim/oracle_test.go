@@ -72,7 +72,7 @@ type queueOracle struct {
 	handles []Handle     // by id; the zero Handle for a timer's event
 	alive   []bool       // by id
 	timerOf []int        // by id: the timer whose event it is, or -1
-	tickets []Ticket     // reserved and not yet used, oldest first
+	tickets []ticket     // reserved and not yet used, oldest first
 	now     Time
 	floor   uint64 // seqs below it at now have been dispatched
 	halted  bool
@@ -162,16 +162,16 @@ func (o *queueOracle) stopTimer(k int) {
 
 // reserve takes a ticket with both queues.
 func (o *queueOracle) reserve() {
-	tk := o.s.Reserve()
+	tk := o.s.reserve()
 	if uint64(tk) != o.stats.Scheduled {
-		o.t.Fatalf("Reserve = %d, reference seq %d", tk, o.stats.Scheduled)
+		o.t.Fatalf("reserve = %d, reference seq %d", tk, o.stats.Scheduled)
 	}
 	o.stats.Scheduled++
 	o.tickets = append(o.tickets, tk)
 }
 
 // scheduleTicket books one event in the place of unused ticket k — or,
-// when the dispatch cursor has passed that place, checks that AtTicket
+// when the dispatch cursor has passed that place, checks that atTicket
 // refuses it and leaves the queue as it was.
 func (o *queueOracle) scheduleTicket(k int, d Time, flavor, a, b byte) {
 	o.t.Helper()
@@ -186,17 +186,17 @@ func (o *queueOracle) scheduleTicket(k int, d Time, flavor, a, b byte) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					o.t.Fatalf("AtTicket(%v, %d) accepted a place the cursor passed (seq %d fired at %v)",
+					o.t.Fatalf("atTicket(%v, %d) accepted a place the cursor passed (seq %d fired at %v)",
 						at, tk, o.floor-1, o.now)
 				}
 			}()
-			o.s.AtTicket(at, tk, func() { o.t.Fatal("a refused ticket's event fired") })
+			o.s.atTicket(at, tk, func() { o.t.Fatal("a refused ticket's event fired") })
 		}()
 		o.refused++
 		return
 	}
 	o.ticketed++
-	o.book(at, uint64(tk), -1, flavor, a, b, func(fn func()) Handle { return o.s.AtTicket(at, tk, fn) })
+	o.book(at, uint64(tk), -1, flavor, a, b, func(fn func()) Handle { return o.s.atTicket(at, tk, fn) })
 }
 
 // book files event (at, seq) in the reference and, through sched, in the
@@ -226,7 +226,7 @@ func (o *queueOracle) book(at Time, seq uint64, timer int, flavor, a, b byte, sc
 		case flavorCancel:
 			o.cancel(int(a)<<8 | int(b))
 		case flavorHalt:
-			o.s.Halt()
+			o.s.halted = true
 			o.halted = true
 		case flavorTicket:
 			o.scheduleTicket(0, o.delay(a, b), flavorPlain, 0, 0)
@@ -335,8 +335,8 @@ func (o *queueOracle) agree(op int) {
 			op, o.s.Pending(), o.s.Stats(), len(o.queue), o.stats)
 	}
 	for id, h := range o.handles {
-		if o.timerOf[id] < 0 && h.Pending() != o.alive[id] {
-			o.t.Fatalf("op %d: handle %d Pending = %v, reference %v", op, id, h.Pending(), o.alive[id])
+		if o.timerOf[id] < 0 && h.pending() != o.alive[id] {
+			o.t.Fatalf("op %d: handle %d Pending = %v, reference %v", op, id, h.pending(), o.alive[id])
 		}
 	}
 	for k := range o.timers {
@@ -648,18 +648,18 @@ func TestAtTicketRefusesPassedPlaces(t *testing.T) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s: AtTicket did not panic", what)
+				t.Errorf("%s: atTicket did not panic", what)
 			}
 		}()
 		fn()
 	}
 	s := New(1)
-	early := s.Reserve()
+	early := s.reserve()
 	s.At(time.Millisecond, func() {
-		refused("ticket reserved before the firing event", func() { s.AtTicket(s.Now(), early, func() {}) })
-		refused("time before now", func() { s.AtTicket(s.Now()-1, s.Reserve(), func() {}) })
-		refused("unreserved ticket", func() { s.AtTicket(s.Now(), Ticket(1<<40), func() {}) })
-		s.AtTicket(s.Now()+1, early, func() {}) // later time: the place is ahead
+		refused("ticket reserved before the firing event", func() { s.atTicket(s.Now(), early, func() {}) })
+		refused("time before now", func() { s.atTicket(s.Now()-1, s.reserve(), func() {}) })
+		refused("unreserved ticket", func() { s.atTicket(s.Now(), ticket(1<<40), func() {}) })
+		s.atTicket(s.Now()+1, early, func() {}) // later time: the place is ahead
 	})
 	s.Run(time.Second)
 	if st := s.Stats(); st.Fired != 2 {

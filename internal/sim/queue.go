@@ -38,7 +38,7 @@ import (
 //
 // Dispatch order is the total order (at, seq), seq being the global
 // schedule counter — taken when the event is scheduled, or earlier, when
-// its Ticket was reserved (a lane's next head): buckets partition time,
+// its ticket was reserved (a lane's next head): buckets partition time,
 // each list is sorted by it, and the heap is ordered by it. A Timer's
 // record may be filed under an earlier (at, seq) than its deadline's, for
 // a deadline put back after it was filed; earliest re-files it when it

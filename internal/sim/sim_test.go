@@ -76,7 +76,7 @@ func TestCancel(t *testing.T) {
 	s := New(1)
 	fired := false
 	h := s.At(10*time.Millisecond, func() { fired = true })
-	if !h.Pending() {
+	if !h.pending() {
 		t.Error("handle should be pending before firing")
 	}
 	h.Cancel()
@@ -84,7 +84,7 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if h.Pending() {
+	if h.pending() {
 		t.Error("cancelled handle still pending")
 	}
 }
@@ -94,7 +94,7 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	h := s.At(time.Millisecond, func() {})
 	s.Run(time.Second)
 	h.Cancel() // must not panic or corrupt state
-	if h.Pending() {
+	if h.pending() {
 		t.Error("fired handle reports pending")
 	}
 }
@@ -102,7 +102,7 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 func TestZeroHandleSafe(t *testing.T) {
 	var h Handle
 	h.Cancel()
-	if h.Pending() {
+	if h.pending() {
 		t.Error("zero handle reports pending")
 	}
 }
@@ -132,7 +132,7 @@ func TestHalt(t *testing.T) {
 		s.At(time.Duration(i)*time.Millisecond, func() {
 			count++
 			if count == 3 {
-				s.Halt()
+				s.halted = true
 			}
 		})
 	}
@@ -153,7 +153,7 @@ func TestHaltLeavesClockAtLastEvent(t *testing.T) {
 		s.At(time.Duration(i)*time.Millisecond, func() {
 			at = append(at, s.Now())
 			if len(at) == 3 {
-				s.Halt()
+				s.halted = true
 			}
 		})
 	}
@@ -225,23 +225,14 @@ func TestPendingCount(t *testing.T) {
 	}
 }
 
-func TestDeterministicRand(t *testing.T) {
-	a, b := New(42), New(42)
-	for i := 0; i < 100; i++ {
-		if a.Rand().Int63() != b.Rand().Int63() {
-			t.Fatal("same seed produced different streams")
-		}
-	}
-}
-
 func TestEventCount(t *testing.T) {
 	s := New(1)
 	for i := 0; i < 5; i++ {
 		s.At(time.Duration(i)*time.Millisecond, func() {})
 	}
 	s.Run(time.Second)
-	if s.Events() != 5 {
-		t.Errorf("Events = %d, want 5", s.Events())
+	if s.Stats().Fired != 5 {
+		t.Errorf("Events = %d, want 5", s.Stats().Fired)
 	}
 }
 

@@ -24,7 +24,7 @@ type Timer struct {
 	fn func()
 	h  Handle // the queued record, while armed
 	at Time   // the deadline of the last Set
-	tk Ticket // its place in the dispatch order
+	tk ticket // its place in the dispatch order
 }
 
 // Init binds the timer to s and to the handler it runs when it fires.
@@ -34,7 +34,7 @@ func (t *Timer) Init(s *Simulator, fn func()) {
 
 // Armed reports whether the timer is set and has not yet fired or been
 // stopped.
-func (t *Timer) Armed() bool { return t.h.Pending() }
+func (t *Timer) Armed() bool { return t.h.pending() }
 
 // Stop disarms the timer; stopping a disarmed timer is a no-op.
 func (t *Timer) Stop() { t.h.Cancel() }
@@ -46,9 +46,9 @@ func (t *Timer) Set(at Time) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: setting timer at %v before now %v", at, s.now))
 	}
-	tk := s.Reserve()
+	tk := s.reserve()
 	t.at, t.tk = at, tk
-	if !t.h.Pending() {
+	if !t.h.pending() {
 		slot, rec := s.scheduleSeq(at, uint64(tk))
 		rec.kind = kindFunc
 		rec.fn = t.fn

@@ -37,8 +37,8 @@ func TestSeriesResetIndistinguishableFromFresh(t *testing.T) {
 	if got, want := csv(reused), csv(fresh); got != want {
 		t.Errorf("reset series CSV differs from fresh:\n got %q\nwant %q", got, want)
 	}
-	if reused.Len() != fresh.Len() {
-		t.Errorf("len %d != %d", reused.Len(), fresh.Len())
+	if len(reused.Points) != len(fresh.Points) {
+		t.Errorf("len %d != %d", len(reused.Points), len(fresh.Points))
 	}
 	if cap(reused.Points) != capBefore {
 		t.Errorf("Reset reallocated: cap %d -> %d", capBefore, cap(reused.Points))
@@ -63,11 +63,11 @@ func TestSeriesCloneDetaches(t *testing.T) {
 	src.Reset()
 	src.Add(time.Millisecond, -1)
 
-	if c.Name != "q" || c.Len() != 2 || c.Points[0].V != 1 || c.Points[1].V != 2 {
+	if c.Name != "q" || len(c.Points) != 2 || c.Points[0].V != 1 || c.Points[1].V != 2 {
 		t.Errorf("clone mutated by source: %+v", c)
 	}
 	empty := (&Series{Name: "e"}).Clone()
-	if empty.Name != "e" || empty.Len() != 0 {
+	if empty.Name != "e" || len(empty.Points) != 0 {
 		t.Errorf("empty clone: %+v", empty)
 	}
 }

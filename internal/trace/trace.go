@@ -58,9 +58,6 @@ func (s *Series) Reserve(n int) {
 	s.Points = pts
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.Points) }
-
 // At returns the value in effect at time t (the last sample at or before
 // t), or def when t precedes all samples. Series are treated as step
 // functions, matching how a recorded delay trajectory is replayed.
@@ -72,8 +69,8 @@ func (s *Series) At(t time.Duration, def float64) float64 {
 	return s.Points[i-1].V
 }
 
-// Range returns the samples with T in [from, to).
-func (s *Series) Range(from, to time.Duration) []Point {
+// window returns the samples with T in [from, to).
+func (s *Series) window(from, to time.Duration) []Point {
 	lo := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T >= from })
 	hi := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T >= to })
 	return s.Points[lo:hi]
@@ -82,7 +79,7 @@ func (s *Series) Range(from, to time.Duration) []Point {
 // MinMax returns the extrema of the samples in [from, to). ok is false when
 // the range holds no samples.
 func (s *Series) MinMax(from, to time.Duration) (min, max float64, ok bool) {
-	pts := s.Range(from, to)
+	pts := s.window(from, to)
 	if len(pts) == 0 {
 		return 0, 0, false
 	}
@@ -101,7 +98,7 @@ func (s *Series) MinMax(from, to time.Duration) (min, max float64, ok bool) {
 // Mean returns the arithmetic mean of samples in [from, to); ok is false
 // when the range is empty.
 func (s *Series) Mean(from, to time.Duration) (mean float64, ok bool) {
-	pts := s.Range(from, to)
+	pts := s.window(from, to)
 	if len(pts) == 0 {
 		return 0, false
 	}

@@ -47,7 +47,7 @@ func TestAtEmpty(t *testing.T) {
 
 func TestRangeHalfOpen(t *testing.T) {
 	s := mkSeries(1, 2, 3, 4)
-	pts := s.Range(time.Second, 3*time.Second)
+	pts := s.window(time.Second, 3*time.Second)
 	if len(pts) != 2 || pts[0].V != 2 || pts[1].V != 3 {
 		t.Errorf("Range[1s,3s) = %v, want values 2,3", pts)
 	}
@@ -74,8 +74,8 @@ func TestMinMaxMean(t *testing.T) {
 func TestShift(t *testing.T) {
 	s := mkSeries(1, 2, 3, 4)
 	sh := s.Shift(2 * time.Second)
-	if sh.Len() != 2 {
-		t.Fatalf("shifted length = %d, want 2", sh.Len())
+	if len(sh.Points) != 2 {
+		t.Fatalf("shifted length = %d, want 2", len(sh.Points))
 	}
 	if sh.Points[0].T != 0 || sh.Points[0].V != 3 {
 		t.Errorf("shifted first point = %+v, want (0, 3)", sh.Points[0])
@@ -120,15 +120,15 @@ func TestWriteMultiCSV(t *testing.T) {
 func TestShiftPastLastSample(t *testing.T) {
 	s := mkSeries(1, 2, 3) // samples at 0s, 1s, 2s
 	sh := s.Shift(time.Hour)
-	if sh.Len() != 0 {
-		t.Errorf("shift past last sample kept %d points: %v", sh.Len(), sh.Points)
+	if len(sh.Points) != 0 {
+		t.Errorf("shift past last sample kept %d points: %v", len(sh.Points), sh.Points)
 	}
 	if sh.Name != s.Name {
 		t.Errorf("shifted name = %q, want %q", sh.Name, s.Name)
 	}
 	// Offset exactly on a sample keeps that sample at t=0.
 	edge := s.Shift(2 * time.Second)
-	if edge.Len() != 1 || edge.Points[0].T != 0 || edge.Points[0].V != 3 {
+	if len(edge.Points) != 1 || edge.Points[0].T != 0 || edge.Points[0].V != 3 {
 		t.Errorf("shift onto last sample = %v, want [(0, 3)]", edge.Points)
 	}
 }
@@ -157,7 +157,7 @@ func TestEmptySeriesStats(t *testing.T) {
 	if _, ok := s.Mean(0, time.Hour); ok {
 		t.Error("Mean on empty series reported ok")
 	}
-	if got := s.Shift(time.Second).Len(); got != 0 {
+	if got := len(s.Shift(time.Second).Points); got != 0 {
 		t.Errorf("Shift on empty series has %d points", got)
 	}
 }
@@ -252,7 +252,7 @@ func TestQuickMinMaxMeanBounds(t *testing.T) {
 		if mean < min || mean > max {
 			return false
 		}
-		for _, p := range s.Range(10*time.Millisecond, 90*time.Millisecond) {
+		for _, p := range s.window(10*time.Millisecond, 90*time.Millisecond) {
 			if p.V < min || p.V > max {
 				return false
 			}

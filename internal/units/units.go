@@ -13,34 +13,24 @@ import (
 // (interpreted by consumers as unlimited or unset, depending on context).
 type Rate float64
 
-// Common rate constructors.
+// Rate multiples.
 const (
-	BitPerSec  Rate = 1
-	KbitPerSec Rate = 1e3
-	MbitPerSec Rate = 1e6
-	GbitPerSec Rate = 1e9
+	kbitPerSec Rate = 1e3
+	mbitPerSec Rate = 1e6
+	gbitPerSec Rate = 1e9
 )
 
 // Kbps returns a Rate of v kilobits per second.
-func Kbps(v float64) Rate { return Rate(v) * KbitPerSec }
+func Kbps(v float64) Rate { return Rate(v) * kbitPerSec }
 
 // Mbps returns a Rate of v megabits per second.
-func Mbps(v float64) Rate { return Rate(v) * MbitPerSec }
+func Mbps(v float64) Rate { return Rate(v) * mbitPerSec }
 
 // Gbps returns a Rate of v gigabits per second.
-func Gbps(v float64) Rate { return Rate(v) * GbitPerSec }
+func Gbps(v float64) Rate { return Rate(v) * gbitPerSec }
 
 // Mbit reports the rate in megabits per second.
 func (r Rate) Mbit() float64 { return float64(r) / 1e6 }
-
-// BitsPerSec reports the rate in bits per second.
-func (r Rate) BitsPerSec() float64 { return float64(r) }
-
-// BytesPerSec reports the rate in bytes per second.
-func (r Rate) BytesPerSec() float64 { return float64(r) / 8 }
-
-// IsZero reports whether the rate is unset.
-func (r Rate) IsZero() bool { return r == 0 }
 
 // TxTime returns the serialization (transmission) time of a payload of the
 // given size at this rate. A zero rate yields zero time, matching the
@@ -52,14 +42,6 @@ func (r Rate) TxTime(bytes int) time.Duration {
 	return time.Duration(float64(bytes) * 8 / float64(r) * float64(time.Second))
 }
 
-// BytesIn returns how many whole bytes this rate delivers in d.
-func (r Rate) BytesIn(d time.Duration) int {
-	if r <= 0 || d <= 0 {
-		return 0
-	}
-	return int(float64(r) / 8 * d.Seconds())
-}
-
 // Interval returns the packet spacing needed to pace packets of the given
 // size at this rate. A zero or negative rate yields zero (no pacing).
 func (r Rate) Interval(bytes int) time.Duration {
@@ -69,11 +51,11 @@ func (r Rate) Interval(bytes int) time.Duration {
 // String formats the rate with an appropriate SI suffix.
 func (r Rate) String() string {
 	switch {
-	case r >= GbitPerSec:
+	case r >= gbitPerSec:
 		return fmt.Sprintf("%.3g Gbit/s", float64(r)/1e9)
-	case r >= MbitPerSec:
+	case r >= mbitPerSec:
 		return fmt.Sprintf("%.3g Mbit/s", float64(r)/1e6)
-	case r >= KbitPerSec:
+	case r >= kbitPerSec:
 		return fmt.Sprintf("%.3g Kbit/s", float64(r)/1e3)
 	default:
 		return fmt.Sprintf("%.3g bit/s", float64(r))
@@ -93,14 +75,4 @@ func RateFromBytes(bytes int, d time.Duration) Rate {
 // given bottleneck rate and round-trip time.
 func BDPBytes(r Rate, rtt time.Duration) int {
 	return int(float64(r) / 8 * rtt.Seconds())
-}
-
-// BDPPackets returns the bandwidth-delay product measured in packets of the
-// given size, rounded up so a full BDP of packets always fits.
-func BDPPackets(r Rate, rtt time.Duration, packetSize int) int {
-	if packetSize <= 0 {
-		return 0
-	}
-	b := BDPBytes(r, rtt)
-	return (b + packetSize - 1) / packetSize
 }

@@ -20,8 +20,8 @@ func TestRateConstructors(t *testing.T) {
 		{Gbps(2.5), 2.5e9},
 	}
 	for _, c := range cases {
-		if c.got.BitsPerSec() != c.want {
-			t.Errorf("got %v bits/s, want %v", c.got.BitsPerSec(), c.want)
+		if float64(c.got) != c.want {
+			t.Errorf("got %v bits/s, want %v", float64(c.got), c.want)
 		}
 	}
 }
@@ -44,13 +44,13 @@ func TestTxTime(t *testing.T) {
 }
 
 func TestBytesIn(t *testing.T) {
-	if got := Mbps(8).BytesIn(time.Second); got != 1_000_000 {
+	if got := BDPBytes(Mbps(8), time.Second); got != 1_000_000 {
 		t.Errorf("8 Mbit/s over 1s = %d bytes, want 1000000", got)
 	}
-	if got := Mbps(8).BytesIn(0); got != 0 {
+	if got := BDPBytes(Mbps(8), 0); got != 0 {
 		t.Errorf("zero duration = %d bytes, want 0", got)
 	}
-	if got := Rate(0).BytesIn(time.Second); got != 0 {
+	if got := BDPBytes(0, time.Second); got != 0 {
 		t.Errorf("zero rate = %d bytes, want 0", got)
 	}
 }
@@ -71,16 +71,6 @@ func TestBDP(t *testing.T) {
 	// 120 Mbit/s × 40 ms = 600000 bytes.
 	if got := BDPBytes(Mbps(120), 40*time.Millisecond); got != 600_000 {
 		t.Errorf("BDPBytes = %d, want 600000", got)
-	}
-	if got := BDPPackets(Mbps(120), 40*time.Millisecond, 1500); got != 400 {
-		t.Errorf("BDPPackets = %d, want 400", got)
-	}
-	// Rounds up to fit a full BDP.
-	if got := BDPPackets(Mbps(120), 40*time.Millisecond, 1499); got != 401 {
-		t.Errorf("BDPPackets(1499) = %d, want 401", got)
-	}
-	if got := BDPPackets(Mbps(120), 40*time.Millisecond, 0); got != 0 {
-		t.Errorf("BDPPackets(mss=0) = %d, want 0", got)
 	}
 }
 
@@ -116,7 +106,7 @@ func TestQuickTxTimeRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: BytesIn is monotone in duration.
+// Property: the bytes a rate delivers (BDPBytes) are monotone in duration.
 func TestQuickBytesInMonotone(t *testing.T) {
 	f := func(mbps uint16, msA, msB uint16) bool {
 		rate := Mbps(float64(mbps%1000) + 1)
@@ -125,19 +115,7 @@ func TestQuickBytesInMonotone(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		return rate.BytesIn(a) <= rate.BytesIn(b)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: a BDP of packets always covers the BDP in bytes.
-func TestQuickBDPPacketsCoverBytes(t *testing.T) {
-	f := func(mbps uint16, ms uint8) bool {
-		rate := Mbps(float64(mbps%1000) + 1)
-		rtt := time.Duration(int(ms)+1) * time.Millisecond
-		return BDPPackets(rate, rtt, 1500)*1500 >= BDPBytes(rate, rtt)
+		return BDPBytes(rate, a) <= BDPBytes(rate, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
