@@ -59,7 +59,7 @@ func TestCensus(t *testing.T) {
 // keepReasons is the closed list of reasons an entry may stay.
 var keepReasons = map[string]bool{
 	"bench":      true, // bench/ compiles against it (until ROADMAP item 4(e))
-	"paper":      true, // a paper item (ROADMAP 16, 1(b), 13) consumes it
+	"paper":      true, // a paper item (ROADMAP 1(b), 13) consumes it
 	"cca-config": true, // a CCA Config field, or the constructor that applies one (items 2(c), 18)
 	"signature":  true, // a type named in an exported signature, or a method an interface needs
 }

@@ -52,7 +52,6 @@ import (
 	"syscall"
 	"time"
 
-	"starvation/internal/ccac"
 	"starvation/internal/core"
 	"starvation/internal/guard"
 	"starvation/internal/network"
@@ -217,7 +216,6 @@ var sections = []batchSection{
 	{"X-ECN", ecnSection},
 	{"X-T2", theorem2},
 	{"X-T3", theorem3},
-	{"X-CCAC", appendixC},
 	{"X-POP", population},
 }
 
@@ -563,7 +561,7 @@ func fig1(ctx context.Context, r *reporter) {
 }
 
 // fig3 regenerates Figure 3: the rate-delay graphs of the delay-bounding
-// CCAs.
+// CCAs, each measured band beside the one the CCA's contract predicts.
 func fig3(ctx context.Context, r *reporter) {
 	r.section("F3", "rate-delay graphs (Rm=100ms)")
 	n := 7
@@ -580,9 +578,20 @@ func fig3(ctx context.Context, r *reporter) {
 		sw := core.RateDelaySweep(name, ccaFactory(name), 100*time.Millisecond, rates,
 			core.MeasureOpts{Duration: dur(30*time.Second, 12*time.Second), Ctx: ctx, Session: sess})
 		r.save("fig3_"+name+".csv", func(w io.Writer) error { return sw.WriteCSV(w) })
-		r.row("- %s: δmax=%v, dmax-bound=%v over C>%v", name,
-			sw.DeltaMax(lo).Round(10*time.Microsecond),
-			sw.DMaxBound(lo).Round(10*time.Microsecond), lo)
+		// predDM is DeltaMax over the predicted bands; stray is how far the
+		// measured bands leave them.
+		var predDM, stray time.Duration
+		for _, p := range sw.Points {
+			if p.C > lo {
+				predDM = max(predDM, p.PredHi-p.PredLo)
+			}
+			stray = max(stray, p.PredLo-p.DMin, p.DMax-p.PredHi)
+		}
+		rnd := func(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
+		dm := sw.DeltaMax(lo)
+		r.row("- %s: δmax=%v (Theorem 1: D > %v), dmax-bound=%v over C>%v; %s contract: δmax=%v (D > %v), measured bands up to %v outside it",
+			name, rnd(dm), rnd(core.StarvationThreshold(dm)), rnd(sw.DMaxBound(lo)), lo,
+			sw.Contract, rnd(predDM), rnd(core.StarvationThreshold(predDM)), rnd(stray))
 		r.print(sw)
 	}
 }
@@ -828,14 +837,4 @@ func population(ctx context.Context, r *reporter) {
 		})
 		r.print(st.String())
 	}
-}
-
-// appendixC runs the bounded adversary search.
-func appendixC(_ context.Context, r *reporter) {
-	r.section("X-CCAC", "Appendix C: bounded multi-flow adversary search")
-	clean := ccac.Search(ccac.Params{CPkts: 20, BufferPkts: 20, Depth: 10})
-	inj := ccac.Search(ccac.Params{CPkts: 20, BufferPkts: 20, Depth: 10, InjectLoss: true})
-	r.row("- overflow-only worst ratio %.2f over %d nodes (bounded)",
-		clean.MaxRatio, clean.StatesExplored)
-	r.row("- with injected loss: worst ratio %.2f (starvation enabled)", inj.MaxRatio)
 }

@@ -153,37 +153,55 @@ func TestScenarioOutputDeterministic(t *testing.T) {
 	}
 }
 
+// metricsFile runs one quickstart-vegas -duration 2s run with -metrics
+// written to dir/name, plus the extra flags, and returns the file.
+func metricsFile(t *testing.T, dir, name string, extra ...string) []byte {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	args := append([]string{"-scenario", "quickstart-vegas", "-duration", "2s", "-metrics", path}, extra...)
+	if code, _, errOut := starvesim(t, args...); code != 0 {
+		t.Fatalf("starvesim %v: exit %d, stderr %q", args, code, errOut)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// sameMetrics reports each line where two -metrics files differ.
+func sameMetrics(t *testing.T, what string, a, b []byte) {
+	t.Helper()
+	if bytes.Equal(a, b) {
+		return
+	}
+	al, bl := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			t.Errorf("%s moved the metrics file: line %d\n  %s\n  %s", what, i+1, al[i], bl[i])
+		}
+	}
+	if len(al) != len(bl) {
+		t.Errorf("%s moved the metrics file: %d lines vs %d", what, len(al), len(bl))
+	}
+}
+
 // TestGuardLeavesMetricsUnchanged: the run guard reads element counters
 // only, so -guard must not move a single exported counter — the sim
 // event-loop gauges included — and the -metrics file must come out
 // byte-identical with and without it.
 func TestGuardLeavesMetricsUnchanged(t *testing.T) {
 	dir := t.TempDir()
-	metrics := func(name string, extra ...string) []byte {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		args := append([]string{"-scenario", "quickstart-vegas", "-duration", "2s", "-metrics", path}, extra...)
-		if code, _, errOut := starvesim(t, args...); code != 0 {
-			t.Fatalf("starvesim %v: exit %d, stderr %q", args, code, errOut)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	plain, guarded := metrics("plain.txt"), metrics("guarded.txt", "-guard")
-	if !bytes.Equal(plain, guarded) {
-		pl, gl := strings.Split(string(plain), "\n"), strings.Split(string(guarded), "\n")
-		for i := 0; i < len(pl) && i < len(gl); i++ {
-			if pl[i] != gl[i] {
-				t.Errorf("-guard moved the metrics file: line %d\n off %s\n on  %s", i+1, pl[i], gl[i])
-			}
-		}
-		if len(pl) != len(gl) {
-			t.Errorf("-guard moved the metrics file: %d lines vs %d", len(pl), len(gl))
-		}
-	}
+	sameMetrics(t, "-guard", metricsFile(t, dir, "plain.txt"), metricsFile(t, dir, "guarded.txt", "-guard"))
+}
+
+// TestTelemetryMetricsAreAFunctionOfTheRun: the flight recorder's part of
+// the -metrics file describes the run, not the process that ran it, so two
+// runs of the same scenario write the same bytes.
+func TestTelemetryMetricsAreAFunctionOfTheRun(t *testing.T) {
+	dir := t.TempDir()
+	sameMetrics(t, "a second run",
+		metricsFile(t, dir, "a.txt", "-telemetry"), metricsFile(t, dir, "b.txt", "-telemetry"))
 }
 
 // TestPopulationEpsilonAgreement is the regression test for a report that

@@ -22,6 +22,16 @@ import (
 	"starvation/internal/units"
 )
 
+// The defaults of the mapping's parameters (see Config).
+const (
+	DefaultD          = 10 * time.Millisecond
+	DefaultS          = 2
+	DefaultRmaxOffset = 120 * time.Millisecond
+	// DefaultMuMin is 100 Kbit/s.
+	DefaultMuMin units.Rate = 100e3
+	DefaultB                = 0.9
+)
+
 // Config parameterizes Algorithm 1.
 type Config struct {
 	MSS int
@@ -29,18 +39,18 @@ type Config struct {
 	// mechanism (§6.3 discusses why discovery is hard); when zero, the
 	// lifetime minimum RTT is used as the estimate.
 	Rm time.Duration
-	// D is the designed-for non-congestive jitter bound (default 10 ms).
+	// D is the designed-for non-congestive jitter bound (default DefaultD).
 	D time.Duration
-	// S is the tolerated unfairness ratio (default 2).
+	// S is the tolerated unfairness ratio (default DefaultS).
 	S float64
-	// RmaxOffset sets Rmax = Rm + RmaxOffset (default 120 ms), the maximum
-	// tolerable queueing delay.
+	// RmaxOffset sets Rmax = Rm + RmaxOffset (default DefaultRmaxOffset),
+	// the maximum tolerable queueing delay.
 	RmaxOffset time.Duration
-	// MuMin is μ−, the lowest supported rate (default 100 Kbit/s).
+	// MuMin is μ−, the lowest supported rate (default DefaultMuMin).
 	MuMin units.Rate
 	// A is the additive increase per Rm (default 500 Kbit/s).
 	A units.Rate
-	// B is the multiplicative decrease factor in (0,1) (default 0.9).
+	// B is the multiplicative decrease factor in (0,1) (default DefaultB).
 	B float64
 	// InitialRate is the starting rate (default μ−).
 	InitialRate units.Rate
@@ -75,22 +85,22 @@ func New(cfg Config) *Algo1 {
 		cfg.MSS = 1500
 	}
 	if cfg.D <= 0 {
-		cfg.D = 10 * time.Millisecond
+		cfg.D = DefaultD
 	}
 	if cfg.S <= 1 {
-		cfg.S = 2
+		cfg.S = DefaultS
 	}
 	if cfg.RmaxOffset <= 0 {
-		cfg.RmaxOffset = 120 * time.Millisecond
+		cfg.RmaxOffset = DefaultRmaxOffset
 	}
 	if cfg.MuMin <= 0 {
-		cfg.MuMin = units.Kbps(100)
+		cfg.MuMin = DefaultMuMin
 	}
 	if cfg.A <= 0 {
 		cfg.A = units.Kbps(500)
 	}
 	if cfg.B <= 0 || cfg.B >= 1 {
-		cfg.B = 0.9
+		cfg.B = DefaultB
 	}
 	if cfg.InitialRate <= 0 {
 		cfg.InitialRate = cfg.MuMin

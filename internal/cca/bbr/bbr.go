@@ -58,7 +58,11 @@ const (
 	stProbeRTT
 )
 
-var gainCycle = [...]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
+// ProbeGain is ProbeBW's highest pacing gain. It bounds the standing
+// queue of pacing-limited mode: d ∈ [Rm, ProbeGain·Rm].
+const ProbeGain = 1.25
+
+var gainCycle = [...]float64{ProbeGain, 0.75, 1, 1, 1, 1, 1, 1}
 
 const startupGain = 2.885
 

@@ -11,6 +11,9 @@ import (
 	"starvation/internal/units"
 )
 
+// DefaultPkts is the window, in packets, of the registered "constwnd".
+const DefaultPkts = 10
+
 // Const is a fixed-window CCA.
 type Const struct {
 	mss  int
@@ -23,14 +26,14 @@ func New(mss, pkts int) *Const {
 		mss = 1500
 	}
 	if pkts <= 0 {
-		pkts = 10
+		pkts = DefaultPkts
 	}
 	return &Const{mss: mss, pkts: pkts}
 }
 
 func init() {
 	cca.Register("constwnd", func(mss int, _ *rand.Rand) cca.Algorithm {
-		return New(mss, 10)
+		return New(mss, DefaultPkts)
 	})
 }
 

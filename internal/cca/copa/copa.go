@@ -15,11 +15,14 @@ import (
 	"starvation/internal/units"
 )
 
+// DefaultDelta is Config.Delta's default.
+const DefaultDelta = 0.5
+
 // Config parameterizes Copa.
 type Config struct {
 	MSS int
 	// Delta is Copa's δ: the flow targets 1/δ packets of queueing
-	// (default 0.5).
+	// (default DefaultDelta).
 	Delta float64
 	// MinRTTWindow bounds how long a minimum-RTT sample is remembered;
 	// 0 keeps the lifetime minimum (what the §5.1 poisoning exploits).
@@ -55,7 +58,7 @@ func New(cfg Config) *Copa {
 		cfg.MSS = 1500
 	}
 	if cfg.Delta <= 0 {
-		cfg.Delta = 0.5
+		cfg.Delta = DefaultDelta
 	}
 	if cfg.InitialCwndPkts <= 0 {
 		cfg.InitialCwndPkts = 4

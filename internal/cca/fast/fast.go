@@ -13,10 +13,13 @@ import (
 	"starvation/internal/units"
 )
 
+// DefaultAlpha is Config.Alpha's default.
+const DefaultAlpha = 4
+
 // Config parameterizes FAST.
 type Config struct {
 	MSS int
-	// Alpha is the target number of queued packets (default 4).
+	// Alpha is the target number of queued packets (default DefaultAlpha).
 	Alpha float64
 	// Gamma in (0, 1] is the update smoothing factor (default 0.5).
 	Gamma float64
@@ -42,7 +45,7 @@ func New(cfg Config) *Fast {
 		cfg.MSS = 1500
 	}
 	if cfg.Alpha <= 0 {
-		cfg.Alpha = 4
+		cfg.Alpha = DefaultAlpha
 	}
 	if cfg.Gamma <= 0 || cfg.Gamma > 1 {
 		cfg.Gamma = 0.5

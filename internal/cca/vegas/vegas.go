@@ -13,12 +13,16 @@ import (
 	"starvation/internal/units"
 )
 
+// DefaultAlpha and DefaultBeta are Config.Alpha and Config.Beta's
+// defaults: the flow holds 3–5 packets, ~4, in the queue, the running
+// example of the paper's §4.1.
+const DefaultAlpha, DefaultBeta = 3, 5
+
 // Config parameterizes Vegas.
 type Config struct {
 	MSS int
 	// Alpha and Beta bound the target number of queued packets
-	// (defaults 3 and 5: the flow holds ~4 packets in the queue, the
-	// running example of the paper's §4.1).
+	// (defaults DefaultAlpha and DefaultBeta).
 	Alpha, Beta float64
 	// Gamma is the slow-start exit threshold in queued packets (default 1).
 	Gamma float64
@@ -47,10 +51,10 @@ func New(cfg Config) *Vegas {
 		cfg.MSS = 1500
 	}
 	if cfg.Alpha <= 0 {
-		cfg.Alpha = 3
+		cfg.Alpha = DefaultAlpha
 	}
 	if cfg.Beta <= 0 {
-		cfg.Beta = 5
+		cfg.Beta = DefaultBeta
 	}
 	if cfg.Gamma <= 0 {
 		cfg.Gamma = 1

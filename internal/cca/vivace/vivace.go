@@ -21,6 +21,10 @@ import (
 	"starvation/internal/units"
 )
 
+// DefaultEpsilon is Config.Epsilon's default, the source of the 1.05·Rm
+// oscillation ceiling the paper cites.
+const DefaultEpsilon = 0.05
+
 // Config parameterizes Vivace.
 type Config struct {
 	MSS int
@@ -30,8 +34,7 @@ type Config struct {
 	LatencyCoeff float64
 	// LossCoeff is c in the utility (default 11.35).
 	LossCoeff float64
-	// Epsilon is the probing fraction (default 0.05 — the source of the
-	// 1.05·Rm oscillation ceiling the paper cites).
+	// Epsilon is the probing fraction (default DefaultEpsilon).
 	Epsilon float64
 	// InitialRate is the starting rate (default 1 Mbit/s).
 	InitialRate units.Rate
@@ -99,7 +102,7 @@ func New(cfg Config) *Vivace {
 		cfg.LossCoeff = 11.35
 	}
 	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 0.05
+		cfg.Epsilon = DefaultEpsilon
 	}
 	if cfg.InitialRate <= 0 {
 		cfg.InitialRate = units.Mbps(1)

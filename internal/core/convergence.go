@@ -12,7 +12,8 @@
 //     throughput ratio ≥ s (starvation);
 //   - the Theorem 2 construction (arbitrary under-utilization when
 //     dmax(C) ≤ D);
-//   - closed-form equilibria and the §6.3 figure-of-merit formulas.
+//   - each registered CCA's contract, its predicted delay band, and the
+//     §6.3 figure-of-merit formulas.
 package core
 
 import (

@@ -101,12 +101,15 @@ func TestSweepCSV(t *testing.T) {
 	sw.Points = append(sw.Points, SweepPoint{
 		C: units.Mbps(10), DMin: 100 * time.Millisecond,
 		DMax: 105 * time.Millisecond, Delta: 5 * time.Millisecond, Efficiency: 0.99,
-	})
+		PredLo: 100 * time.Millisecond, PredHi: 102500 * time.Microsecond,
+	}, SweepPoint{C: units.Mbps(20), DMin: 100 * time.Millisecond, DMax: 100 * time.Millisecond})
 	var b writerBuffer
 	if err := sw.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := "rate_mbps,dmin_ms,dmax_ms,delta_ms,efficiency\n10,100.0000,105.0000,5.0000,0.9900\n"
+	want := "rate_mbps,dmin_ms,dmax_ms,delta_ms,efficiency,pred_dmin_ms,pred_dmax_ms\n" +
+		"10,100.0000,105.0000,5.0000,0.9900,100.0000,102.5000\n" +
+		"20,100.0000,100.0000,0.0000,0.0000,,\n"
 	if string(b) != want {
 		t.Errorf("CSV = %q, want %q", string(b), want)
 	}

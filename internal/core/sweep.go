@@ -17,13 +17,19 @@ type SweepPoint struct {
 	DMin, DMax time.Duration
 	Delta      time.Duration
 	Efficiency float64
+	// PredLo and PredHi are the band the CCA's contract predicts at C;
+	// both are 0 when it predicts none.
+	PredLo, PredHi time.Duration
 }
 
 // Sweep is a measured rate-delay graph for one CCA.
 type Sweep struct {
-	Name   string
-	Rm     time.Duration
-	Points []SweepPoint
+	Name string
+	Rm   time.Duration
+	// Contract says where the predicted bands come from: "closed form",
+	// "fitted" or "not delay-convergent".
+	Contract string
+	Points   []SweepPoint
 }
 
 // LogSpace returns n rates geometrically spaced over [lo, hi] inclusive.
@@ -42,8 +48,9 @@ func LogSpace(lo, hi units.Rate, n int) []units.Rate {
 }
 
 // RateDelaySweep measures the equilibrium delay interval of the CCA at each
-// link rate, regenerating one panel of Figure 3. Lower rates get longer
-// runs so slow flows still converge.
+// link rate, regenerating one panel of Figure 3, and puts beside each the
+// band predicted by the contract of name, a registered CCA. Lower rates
+// get longer runs so slow flows still converge.
 //
 // The points run in rate order through one network.Session (opts.Session,
 // or one the sweep creates), so the sweep wires its network once; the
@@ -55,7 +62,8 @@ func RateDelaySweep(name string, f Factory, rm time.Duration, rates []units.Rate
 	if opts.Session == nil {
 		opts.Session = network.NewSession()
 	}
-	sw := &Sweep{Name: name, Rm: rm, Points: make([]SweepPoint, len(rates))}
+	k := contracts[name]
+	sw := &Sweep{Name: name, Rm: rm, Contract: k.kind(), Points: make([]SweepPoint, len(rates))}
 	for i, c := range rates {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
 			break
@@ -76,6 +84,9 @@ func RateDelaySweep(name string, f Factory, rm time.Duration, rates []units.Rate
 			DMax:       conv.DMax,
 			Delta:      conv.Delta,
 			Efficiency: conv.efficiency(),
+		}
+		if k.band != nil {
+			sw.Points[i].PredLo, sw.Points[i].PredHi = k.band(c, rm)
 		}
 	}
 	return sw
@@ -104,30 +115,40 @@ func (s *Sweep) DMaxBound(lambda units.Rate) time.Duration {
 	return dm
 }
 
-// WriteCSV emits the sweep as CSV.
+// WriteCSV emits the sweep as CSV; the predicted band's columns are empty
+// where the contract predicts none.
 func (s *Sweep) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "rate_mbps,dmin_ms,dmax_ms,delta_ms,efficiency\n"); err != nil {
+	if _, err := fmt.Fprintf(w, "rate_mbps,dmin_ms,dmax_ms,delta_ms,efficiency,pred_dmin_ms,pred_dmax_ms\n"); err != nil {
 		return err
 	}
 	for _, p := range s.Points {
-		if _, err := fmt.Fprintf(w, "%.4g,%.4f,%.4f,%.4f,%.4f\n",
+		pred := ","
+		if p.PredHi > 0 {
+			pred = fmt.Sprintf("%.4f,%.4f", float64(p.PredLo)/1e6, float64(p.PredHi)/1e6)
+		}
+		if _, err := fmt.Fprintf(w, "%.4g,%.4f,%.4f,%.4f,%.4f,%s\n",
 			p.C.Mbit(),
 			float64(p.DMin)/1e6, float64(p.DMax)/1e6, float64(p.Delta)/1e6,
-			p.Efficiency); err != nil {
+			p.Efficiency, pred); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// String renders the sweep as an aligned table.
+// String renders the sweep as an aligned table, the measured band beside
+// the predicted one.
 func (s *Sweep) String() string {
-	out := fmt.Sprintf("%s (Rm=%v)\n%12s %12s %12s %10s %6s\n",
-		s.Name, s.Rm, "rate", "dmin", "dmax", "delta", "eff")
+	out := fmt.Sprintf("%s (Rm=%v, contract: %s)\n%12s %12s %12s %10s %6s %12s %12s\n",
+		s.Name, s.Rm, s.Contract, "rate", "dmin", "dmax", "delta", "eff", "pred dmin", "pred dmax")
 	for _, p := range s.Points {
-		out += fmt.Sprintf("%12s %12s %12s %10s %6.2f\n",
+		predLo, predHi := "-", "-"
+		if p.PredHi > 0 {
+			predLo, predHi = p.PredLo.Round(10*time.Microsecond).String(), p.PredHi.Round(10*time.Microsecond).String()
+		}
+		out += fmt.Sprintf("%12s %12s %12s %10s %6.2f %12s %12s\n",
 			p.C, p.DMin.Round(10*time.Microsecond), p.DMax.Round(10*time.Microsecond),
-			p.Delta.Round(10*time.Microsecond), p.Efficiency)
+			p.Delta.Round(10*time.Microsecond), p.Efficiency, predLo, predHi)
 	}
 	return out
 }

@@ -3,67 +3,11 @@ package core
 import (
 	"math"
 	"time"
-
-	"starvation/internal/units"
 )
 
-// This file holds the paper's closed-form results: the equilibrium
-// rate-delay mappings of §5 (plotted in Figure 3) and the §6.3
+// This file holds the paper's closed-form results besides the per-CCA
+// delay bands (contract.go): Theorem 1's jitter threshold and the §6.3
 // figure-of-merit formulas (Equations 1 and 2).
-
-// VegasEquilibriumRTT returns the ideal-path equilibrium RTT of n
-// Vegas/FAST flows, each holding alphaPkts packets of size mss at the
-// bottleneck: Rm + n·α/C (§4.1, §5.1).
-func VegasEquilibriumRTT(c units.Rate, rm time.Duration, n int, alphaPkts float64, mss int) time.Duration {
-	if c <= 0 {
-		return rm
-	}
-	queued := float64(n) * alphaPkts * float64(mss) * 8 / float64(c)
-	return rm + time.Duration(queued*float64(time.Second))
-}
-
-// BBRCwndLimitedRTT returns the cwnd-limited equilibrium RTT of n BBR
-// flows: 2·Rm + n·α/C (§5.2). The extra Rm of standing queue is what makes
-// BBR robust to jitter smaller than Rm.
-func BBRCwndLimitedRTT(c units.Rate, rm time.Duration, n int, quantaPkts float64, mss int) time.Duration {
-	if c <= 0 {
-		return 2 * rm
-	}
-	queued := float64(n) * quantaPkts * float64(mss) * 8 / float64(c)
-	return 2*rm + time.Duration(queued*float64(time.Second))
-}
-
-// BBRPacingDelayRange returns BBR's pacing-limited equilibrium delay range
-// [Rm, 1.25·Rm] (§5.2): the 1.25 probe gain bounds the standing queue.
-func BBRPacingDelayRange(rm time.Duration) (lo, hi time.Duration) {
-	return rm, rm + rm/4
-}
-
-// VivaceDelayRange returns PCC Vivace's equilibrium delay range
-// [Rm, 1.05·Rm] (§5.3): with the paper's largest constants, rate probing
-// keeps at most 5% of Rm queued.
-func VivaceDelayRange(rm time.Duration) (lo, hi time.Duration) {
-	return rm, rm + rm/20
-}
-
-// CopaDelayRange returns Copa's ideal-path equilibrium delay range. Copa
-// oscillates around a standing queue of 1/delta packets with amplitude
-// ~±1.5/delta packets of delay, giving δ(C) ≈ 4α/C for δ=0.5 (the paper's
-// Table in §2.2 cites 4α/C with α the packet size).
-func CopaDelayRange(c units.Rate, rm time.Duration, delta float64, mss int) (lo, hi time.Duration) {
-	if c <= 0 || delta <= 0 {
-		return rm, rm
-	}
-	pktTime := float64(mss) * 8 / float64(c) // seconds per packet
-	mid := 1 / delta * pktTime               // standing target: 1/δ packets
-	halfOsc := 2 * pktTime / delta           // oscillation of ~4α/C total for δ=0.5
-	loS := mid - halfOsc/1
-	if loS < 0 {
-		loS = 0
-	}
-	hiS := mid + halfOsc
-	return rm + time.Duration(loS*float64(time.Second)), rm + time.Duration(hiS*float64(time.Second))
-}
 
 // VegasFigureOfMerit returns Equation 1: the μ+/μ− rate range over which
 // the Vegas-family rate-delay function μ(d) = α/(d−Rm) keeps rates s apart
@@ -85,22 +29,6 @@ func ExponentialFigureOfMerit(rmax, rm, d time.Duration, s float64) float64 {
 	return math.Pow(s, exp)
 }
 
-// ExponentialRateDelay evaluates μ(d) = μ−·s^((Rmax−(d−Rm))/D), Algorithm
-// 1's target mapping.
-func ExponentialRateDelay(muMin units.Rate, s float64, rmaxOffset, dEst, rm, D time.Duration) units.Rate {
-	q := dEst - rm
-	if q < 0 {
-		q = 0
-	}
-	exp := (rmaxOffset - q).Seconds() / D.Seconds()
-	return units.Rate(float64(muMin) * math.Pow(s, exp))
-}
-
 // StarvationThreshold returns the jitter bound above which Theorem 1
 // applies: D > 2·δmax.
 func StarvationThreshold(deltaMax time.Duration) time.Duration { return 2 * deltaMax }
-
-// RequiredOscillation inverts it: to survive jitter D without starvation, a
-// delay-convergent CCA must oscillate by at least D/2 at equilibrium (§6.2,
-// the paper's design prescription).
-func RequiredOscillation(d time.Duration) time.Duration { return d / 2 }

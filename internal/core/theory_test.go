@@ -8,46 +8,6 @@ import (
 	"starvation/internal/units"
 )
 
-func TestVegasEquilibriumRTT(t *testing.T) {
-	// §4.1's example: α = 4 packets of 1500 bytes. At 96 Mbit/s that is
-	// 0.5 ms of queueing; at 960 Mbit/s, 0.05 ms.
-	rm := 100 * time.Millisecond
-	if got := VegasEquilibriumRTT(units.Mbps(96), rm, 1, 4, 1500); got != rm+500*time.Microsecond {
-		t.Errorf("RTT at 96 Mbit/s = %v, want Rm + 0.5ms", got)
-	}
-	if got := VegasEquilibriumRTT(units.Mbps(960), rm, 1, 4, 1500); got != rm+50*time.Microsecond {
-		t.Errorf("RTT at 960 Mbit/s = %v, want Rm + 0.05ms", got)
-	}
-	// n flows queue n·α packets.
-	if got := VegasEquilibriumRTT(units.Mbps(96), rm, 2, 4, 1500); got != rm+time.Millisecond {
-		t.Errorf("two-flow RTT = %v, want Rm + 1ms", got)
-	}
-}
-
-func TestBBRCwndLimitedRTT(t *testing.T) {
-	// §5.2: RTT = 2·Rm + n·α/C.
-	rm := 40 * time.Millisecond
-	got := BBRCwndLimitedRTT(units.Mbps(120), rm, 2, 4, 1500)
-	want := 2*rm + time.Duration(2*4*1500*8*1e9/120e6)
-	if got != want {
-		t.Errorf("BBR cwnd-limited RTT = %v, want %v", got, want)
-	}
-}
-
-func TestBBRPacingDelayRange(t *testing.T) {
-	lo, hi := BBRPacingDelayRange(100 * time.Millisecond)
-	if lo != 100*time.Millisecond || hi != 125*time.Millisecond {
-		t.Errorf("pacing range = [%v, %v], want [100ms, 125ms]", lo, hi)
-	}
-}
-
-func TestVivaceDelayRange(t *testing.T) {
-	lo, hi := VivaceDelayRange(100 * time.Millisecond)
-	if lo != 100*time.Millisecond || hi != 105*time.Millisecond {
-		t.Errorf("vivace range = [%v, %v], want [100ms, 105ms]", lo, hi)
-	}
-}
-
 func TestFigureOfMeritTable63(t *testing.T) {
 	// The paper's §6.3 numbers: D=10ms, Rmax−Rm=100ms.
 	rm := time.Duration(0)
@@ -89,33 +49,9 @@ func TestFigureOfMeritDegenerate(t *testing.T) {
 	}
 }
 
-func TestExponentialRateDelayMatchesAlgo1(t *testing.T) {
-	mu := ExponentialRateDelay(units.Kbps(100), 2, 120*time.Millisecond,
-		60*time.Millisecond, 50*time.Millisecond, 10*time.Millisecond)
-	// Queueing delay 10ms: μ = μ−·2^((120−10)/10) = 100k·2^11.
-	want := 100e3 * math.Pow(2, 11)
-	if math.Abs(float64(mu)-want)/want > 1e-9 {
-		t.Errorf("μ = %v, want %v", float64(mu), want)
-	}
-}
-
 func TestStarvationThreshold(t *testing.T) {
 	if StarvationThreshold(5*time.Millisecond) != 10*time.Millisecond {
 		t.Error("threshold must be 2·δmax")
-	}
-	if RequiredOscillation(10*time.Millisecond) != 5*time.Millisecond {
-		t.Error("required oscillation must be D/2")
-	}
-}
-
-func TestCopaDelayRangeShrinksWithRate(t *testing.T) {
-	lo1, hi1 := CopaDelayRange(units.Mbps(1), 100*time.Millisecond, 0.5, 1500)
-	lo2, hi2 := CopaDelayRange(units.Mbps(100), 100*time.Millisecond, 0.5, 1500)
-	if hi2-lo2 >= hi1-lo1 {
-		t.Errorf("Copa δ(C) must shrink with C: δ(1M)=%v δ(100M)=%v", hi1-lo1, hi2-lo2)
-	}
-	if lo1 < 100*time.Millisecond {
-		t.Error("delay below Rm")
 	}
 }
 

@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"starvation/internal/obs"
@@ -65,9 +64,10 @@ type FlowTelemetry struct {
 	StarvedTime time.Duration `json:"starved_time_ns"`
 }
 
-// SelfStats is the recorder's telemetry about the run itself. Queue
-// depths are sampled at the trace tick; memory counters come from one
-// runtime.ReadMemStats at the end of the run — off the hot path.
+// SelfStats is the recorder's telemetry about the run itself: queue
+// depths sampled at the trace tick. Like everything else the recorder
+// reports, they are a function of the run; the process's memory is the
+// driver's to report (runner.Pool's starvesim_runner_* counters).
 type SelfStats struct {
 	// Ticks counts self-samples (one per trace-sampling interval).
 	Ticks int64 `json:"ticks"`
@@ -75,11 +75,6 @@ type SelfStats struct {
 	// timers, not queued packets (see package sim).
 	SimQueueMax  int `json:"sim_queue_max"`
 	SimQueueLast int `json:"sim_queue_last"`
-	// HeapAllocBytes/TotalAllocs/NumGC are process-wide memory counters
-	// at collection time.
-	HeapAllocBytes uint64 `json:"heap_alloc_bytes"`
-	TotalAllocs    uint64 `json:"total_allocs"`
-	NumGC          uint32 `json:"num_gc"`
 }
 
 // TelemetryResult is the flight recorder's output, attached to
@@ -172,20 +167,13 @@ func (r *telemetryRecorder) enterPhase(p int, now time.Duration) {
 }
 
 // finish closes partial windows and open episodes at the horizon and
-// assembles the result. The single ReadMemStats lives here, after the
-// last simulated event.
+// assembles the result.
 func (r *telemetryRecorder) finish(d time.Duration, specs []*Flow) *TelemetryResult {
 	r.sampler.Flush(d)
 	r.det.Flush(d)
 	if n := len(r.phases); n > 0 {
 		r.phases[n-1].To = d
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	r.self.HeapAllocBytes = ms.HeapAlloc
-	r.self.TotalAllocs = ms.Mallocs
-	r.self.NumGC = ms.NumGC
-
 	tr := &TelemetryResult{
 		Window:    sampleEvery,
 		Epsilon:   r.det.Epsilon(),
@@ -274,7 +262,6 @@ func WriteTelemetryPrometheus(w io.Writer, tr *TelemetryResult) error {
 		{"starvesim_fair_share_bps", "Per-flow fair share of the bottleneck.", "gauge", tr.FairShare},
 		{"starvesim_self_ticks_total", "Self-telemetry samples taken.", "counter", float64(tr.Self.Ticks)},
 		{"starvesim_self_sim_queue_max", "High-water mark of the simulator's pending events: FIFO lane heads and timers, not queued packets.", "gauge", float64(tr.Self.SimQueueMax)},
-		{"starvesim_self_heap_alloc_bytes", "Live heap at end of run (runtime.ReadMemStats, off the hot path).", "gauge", float64(tr.Self.HeapAllocBytes)},
 	}
 	for _, g := range globals {
 		if err := obs.WriteHeader(w, g.name, g.help, g.typ); err != nil {

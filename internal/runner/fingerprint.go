@@ -13,7 +13,7 @@ import (
 // Bump it whenever a change alters what an unchanged configuration would
 // produce — a simulator fix, a new artifact field, a different CSV column —
 // so every previously cached result becomes unreachable instead of stale.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // Key is the canonical configuration of one job: the complete set of
 // inputs that determine its artifact. Two jobs with equal Keys must
