@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -24,6 +25,8 @@ import (
 //     that no non-test code outside the package names;
 //   - each exported struct field that no non-test code sets: an option
 //     nobody sets is a constant, and a result field nobody fills is dead.
+//     A default fill, an assignment to x.F under an if that compares x.F
+//     with its zero value, does not count as setting F.
 //
 // A method that satisfies an interface, a type named in the type of
 // something used outside its package, and a field in a JSON wire format
@@ -211,6 +214,7 @@ func census(root string) (map[string]bool, error) {
 
 	used := map[types.Object]uint8{}
 	set := map[types.Object]uint8{}
+	defaultFills := map[*ast.AssignStmt]bool{}
 	for _, p := range l.order {
 		by := byModule
 		if p.path == modulePath+"/bench" {
@@ -243,6 +247,14 @@ func census(root string) (map[string]bool, error) {
 					}
 				}
 				switch n := n.(type) {
+				case *ast.IfStmt:
+					if x := zeroTested(p.info, n.Cond); x != "" {
+						for _, st := range n.Body.List {
+							if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && types.ExprString(as.Lhs[0]) == x {
+								defaultFills[as] = true
+							}
+						}
+					}
 				case *ast.CompositeLit:
 					st, ok := p.info.Types[n].Type.Underlying().(*types.Struct)
 					if !ok {
@@ -260,6 +272,9 @@ func census(root string) (map[string]bool, error) {
 						}
 					}
 				case *ast.AssignStmt:
+					if defaultFills[n] {
+						break
+					}
 					for _, e := range n.Lhs {
 						mark(e)
 					}
@@ -405,6 +420,39 @@ func census(root string) (map[string]bool, error) {
 		}
 	}
 	return out, nil
+}
+
+// zeroTested returns the field selector x.F that cond compares with its
+// zero value (x.F == 0, x.F <= 0, x.F < 0, x.F == "", x.F == nil, also as
+// the first operand of an ||, as in x.F <= 0 || x.F > 1), or "".
+func zeroTested(info *types.Info, cond ast.Expr) string {
+	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if ok && b.Op == token.LOR {
+		return zeroTested(info, b.X)
+	}
+	if !ok || (b.Op != token.EQL && b.Op != token.LEQ && b.Op != token.LSS) {
+		return ""
+	}
+	sel, ok := ast.Unparen(b.X).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	if _, isField := info.Uses[sel.Sel].(*types.Var); !isField {
+		return ""
+	}
+	zero := info.Types[b.Y]
+	switch {
+	case zero.IsNil():
+	case zero.Value == nil:
+		return ""
+	case zero.Value.Kind() == constant.String:
+		if constant.StringVal(zero.Value) != "" {
+			return ""
+		}
+	case constant.Sign(zero.Value) != 0:
+		return ""
+	}
+	return types.ExprString(sel)
 }
 
 // origin maps an instantiated generic member back to its declaration.

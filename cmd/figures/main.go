@@ -549,9 +549,8 @@ func dur(long, short time.Duration) time.Duration {
 // delay-convergent CCA (Vegas as the concrete instance).
 func fig1(ctx context.Context, r *reporter) {
 	r.section("F1", "ideal-path RTT convergence (Vegas, 12 Mbit/s, Rm=100ms)")
-	conv := core.MeasureConvergence(ccaFactory("vegas"), units.Mbps(12),
-		100*time.Millisecond, core.MeasureOpts{Duration: dur(30*time.Second, 10*time.Second), Ctx: ctx,
-			Session: network.NewSession()})
+	conv := core.MeasureConvergence("vegas", units.Mbps(12),
+		100*time.Millisecond, core.MeasureOpts{Duration: dur(30*time.Second, 10*time.Second), Ctx: ctx})
 	r.row("- converged at T=%v to [dmin=%v, dmax=%v], δ=%v",
 		conv.ConvergedAt.Round(time.Millisecond),
 		conv.DMin.Round(10*time.Microsecond), conv.DMax.Round(10*time.Microsecond),
@@ -575,7 +574,7 @@ func fig3(ctx context.Context, r *reporter) {
 	// the single-flow ideal-path shape, so the arenas are built once.
 	sess := network.NewSession()
 	for _, name := range []string{"vegas", "fast", "copa", "ledbat", "verus", "bbr", "vivace", "algo1"} {
-		sw := core.RateDelaySweep(name, ccaFactory(name), 100*time.Millisecond, rates,
+		sw := core.RateDelaySweep(name, 100*time.Millisecond, rates,
 			core.MeasureOpts{Duration: dur(30*time.Second, 12*time.Second), Ctx: ctx, Session: sess})
 		r.save("fig3_"+name+".csv", func(w io.Writer) error { return sw.WriteCSV(w) })
 		// predDM is DeltaMax over the predicted bands; stray is how far the
@@ -600,7 +599,7 @@ func fig3(ctx context.Context, r *reporter) {
 // link rates.
 func fig4(ctx context.Context, r *reporter) {
 	r.section("F4", "pigeonhole search (Vegas, s=8, f=0.8, Rm=50ms)")
-	res := core.PigeonholeSearch(ccaFactory("vegas"), 50*time.Millisecond,
+	res := core.PigeonholeSearch("vegas", 50*time.Millisecond,
 		8, 0.8, 5*time.Millisecond, units.Mbps(4), 6,
 		core.MeasureOpts{Duration: dur(25*time.Second, 10*time.Second), Ctx: ctx})
 	r.row("- %s", res)
@@ -610,13 +609,12 @@ func fig4(ctx context.Context, r *reporter) {
 func fig5(ctx context.Context, r *reporter) {
 	r.section("F5/F6", "Theorem 1 construction (Vegas, C1=12, C2=384 Mbit/s)")
 	res := core.EmulateTwoFlow(core.EmulationSpec{
-		Make:     vegasRestartable,
-		Rm:       50 * time.Millisecond,
-		C1:       units.Mbps(12),
-		C2:       units.Mbps(384),
-		D:        20 * time.Millisecond,
-		Measure:  core.MeasureOpts{Duration: dur(30*time.Second, 12*time.Second), Ctx: ctx},
-		Duration: dur(30*time.Second, 12*time.Second),
+		Make:    core.RestartVegas,
+		Rm:      50 * time.Millisecond,
+		C1:      units.Mbps(12),
+		C2:      units.Mbps(384),
+		D:       20 * time.Millisecond,
+		Measure: core.MeasureOpts{Duration: dur(30*time.Second, 12*time.Second), Ctx: ctx},
 	})
 	r.row("- preconditions hold: %v (δmax=%v, ε=%v, gap=%v)",
 		res.PreconditionsHold, res.DeltaMax.Round(time.Microsecond),
@@ -636,8 +634,8 @@ func fig5(ctx context.Context, r *reporter) {
 // burstiness.
 func fig7(ctx context.Context, r *reporter) {
 	r.section("F7", "Reno/Cubic cwnd evolution, delayed ACKs ×4 on one flow")
-	for _, fn := range []func(scenario.Opts) *scenario.Result{scenario.Fig7Reno, scenario.Fig7Cubic} {
-		res := fn(scenario.Opts{Duration: dur(200*time.Second, 60*time.Second), Ctx: ctx})
+	for _, name := range []string{"fig7-reno", "fig7-cubic"} {
+		res := scenario.Registry[name](scenario.Opts{Duration: dur(200*time.Second, 60*time.Second), Ctx: ctx})
 		r.row("- %s: ratio %.2f (paper %s)", res.ID, res.Observables["ratio"], res.PaperClaim)
 		id := strings.ReplaceAll(res.ID, ".", "_")
 		r.save(id+"_cwnd.csv", func(w io.Writer) error {
@@ -679,10 +677,10 @@ func table63(ctx context.Context, r *reporter) {
 				core.ExponentialFigureOfMerit(rmax, rm, d, s))
 		}
 	}
-	res := scenario.Algo1Fairness(scenario.Opts{Duration: dur(120*time.Second, 40*time.Second), Ctx: ctx})
+	res := scenario.Registry["algo1-fair"](scenario.Opts{Duration: dur(120*time.Second, 40*time.Second), Ctx: ctx})
 	r.row("- Algorithm 1 under jitter: ratio %.2f (bound s=%.0f), utilization %.3f",
 		res.Observables["ratio"], res.Observables["s_bound"], res.Observables["utilization"])
-	veg := scenario.VegasUnderJitter(scenario.Opts{Duration: dur(120*time.Second, 40*time.Second), Ctx: ctx})
+	veg := scenario.Registry["vegas-jitter"](scenario.Opts{Duration: dur(120*time.Second, 40*time.Second), Ctx: ctx})
 	r.row("- Vegas in the same setting: ratio %.1f (starves)", veg.Observables["ratio"])
 }
 
@@ -693,7 +691,7 @@ func table63(ctx context.Context, r *reporter) {
 // burst→outage→episode causality is plottable directly.
 func episodes(ctx context.Context, r *reporter) {
 	r.section("X-EPISODES", "starvation episodes vs loss bursts (T5.4d flight recorder)")
-	res := scenario.AllegroBurstLoss(scenario.Opts{
+	res := scenario.Registry["allegro-burst"](scenario.Opts{
 		Duration:  dur(0, 30*time.Second),
 		Ctx:       ctx,
 		Telemetry: &network.TelemetryConfig{},
@@ -749,7 +747,7 @@ func episodes(ctx context.Context, r *reporter) {
 // ablation runs the §6.3 design-choice ablation for Algorithm 1.
 func ablation(ctx context.Context, r *reporter) {
 	r.section("X-A1-ablation", "Algorithm 1 design ablation (AIMD/per-Rm vs rejected variants)")
-	res := scenario.Algo1Ablation(scenario.Opts{Duration: dur(120*time.Second, 40*time.Second), Ctx: ctx})
+	res := scenario.Registry["algo1-ablation"](scenario.Opts{Duration: dur(120*time.Second, 40*time.Second), Ctx: ctx})
 	r.row("- AIMD per-Rm (published): ratio %.2f, utilization %.3f",
 		res.Observables["aimd_ratio"], res.Observables["aimd_utilization"])
 	r.row("- AIAD variant (rejected): ratio %.2f, utilization %.3f",
@@ -761,7 +759,7 @@ func ablation(ctx context.Context, r *reporter) {
 // ecnSection runs the §6.4 ECN demonstration.
 func ecnSection(ctx context.Context, r *reporter) {
 	r.section("X-ECN", "§6.4: explicit signaling avoids starvation")
-	res := scenario.ECNAvoidsStarvation(scenario.Opts{Duration: dur(60*time.Second, 30*time.Second), Ctx: ctx})
+	res := scenario.Registry["ecn-fairness"](scenario.Opts{Duration: dur(60*time.Second, 30*time.Second), Ctx: ctx})
 	r.row("- ECN-reacting loss-blind AIMD: ratio %.2f, jain %.3f, utilization %.3f",
 		res.Observables["ecn_ratio"], res.Observables["ecn_jain"], res.Observables["ecn_utilization"])
 	r.row("- loss-reacting AIMD (control): ratio %.2f, jain %.3f",
@@ -772,11 +770,10 @@ func ecnSection(ctx context.Context, r *reporter) {
 func theorem2(ctx context.Context, r *reporter) {
 	r.section("X-T2", "Theorem 2: arbitrary under-utilization")
 	res := core.UnderutilizationConstruction(core.UnderutilizationSpec{
-		Make:     vegasRestartable,
-		Rm:       50 * time.Millisecond,
-		C:        units.Mbps(12),
-		Measure:  core.MeasureOpts{Duration: dur(20*time.Second, 10*time.Second), Ctx: ctx},
-		Duration: dur(20*time.Second, 10*time.Second),
+		CCA:     "vegas",
+		Rm:      50 * time.Millisecond,
+		C:       units.Mbps(12),
+		Measure: core.MeasureOpts{Duration: dur(20*time.Second, 10*time.Second), Ctx: ctx},
 	})
 	r.row("- emulated C=%v on C'=%v with D=%v: utilization %.4f",
 		res.Conv.C, res.BigLink, res.D.Round(time.Millisecond), res.Utilization)
@@ -786,13 +783,12 @@ func theorem2(ctx context.Context, r *reporter) {
 func theorem3(ctx context.Context, r *reporter) {
 	r.section("X-T3", "Theorem 3: strong-model starvation (Appendix B)")
 	res := core.StrongModelConstruction(core.StrongModelSpec{
-		Make:     vegasRestartable,
-		Rm:       50 * time.Millisecond,
-		Lambda:   units.Mbps(4),
-		D:        5 * time.Millisecond,
-		S:        2,
-		Duration: dur(20*time.Second, 10*time.Second),
-		Ctx:      ctx,
+		CCA:     "vegas",
+		Rm:      50 * time.Millisecond,
+		Lambda:  units.Mbps(4),
+		D:       5 * time.Millisecond,
+		S:       2,
+		Measure: core.MeasureOpts{Duration: dur(20*time.Second, 10*time.Second), Ctx: ctx},
 	})
 	for _, st := range res.Steps {
 		r.row("- step %d: maxDelay=%v, throughput=%v", st.Index,

@@ -13,6 +13,14 @@ import (
 	"starvation/internal/cca/vivace"
 	"starvation/internal/endpoint"
 	"starvation/internal/units"
+
+	// The CCAs whose defaults no contract reads, imported so that core's
+	// entry points can name every registered CCA.
+	_ "starvation/internal/cca/allegro"
+	_ "starvation/internal/cca/cubic"
+	_ "starvation/internal/cca/ledbat"
+	_ "starvation/internal/cca/reno"
+	_ "starvation/internal/cca/verus"
 )
 
 // This file holds each registered CCA's contract in the sense of the

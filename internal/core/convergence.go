@@ -18,17 +18,17 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"time"
 
 	"starvation/internal/cca"
 	"starvation/internal/endpoint"
 	"starvation/internal/network"
+	"starvation/internal/rng"
 	"starvation/internal/trace"
 	"starvation/internal/units"
 )
-
-// Factory builds a fresh CCA instance for a measurement run.
-type Factory func() cca.Algorithm
 
 // Convergence describes one CCA's equilibrium on one ideal path, i.e. one
 // point of Definition 1.
@@ -52,8 +52,6 @@ type Convergence struct {
 	// endpoint.DefaultMSS segments, used to restart a flow from its
 	// converged state.
 	FinalCwndPkts float64
-	// FinalPacing is the pacing rate at the end of the run.
-	FinalPacing units.Rate
 	// RTT and Rate are the full recorded trajectories (the d(t) and r(t)
 	// of the proof).
 	RTT  *trace.Series
@@ -64,14 +62,28 @@ type Convergence struct {
 // equilibrium window: the last 40%.
 const windowFrac = 0.4
 
-// The network seeds of core's runs. Every ideal-path measurement (and each
-// Theorem 3 step) runs at measureSeed; the Theorem 1/2 constructions run
-// their emulated networks at emulationSeed. The two differ on purpose:
-// changing either moves every realization recorded under it.
+// The seeds of core's runs. Every ideal-path measurement (and each
+// Theorem 3 step) runs its network at measureSeed; the Theorem 1/2
+// constructions run their emulated networks at emulationSeed. The two
+// differ on purpose. Every CCA core builds by name draws from its own
+// generator at measureCCASeed. Changing any of them moves every
+// realization recorded under it.
 const (
-	measureSeed   = 1
-	emulationSeed = 0
+	measureSeed    = 1
+	emulationSeed  = 0
+	measureCCASeed = 7
 )
+
+// newCCA returns a builder of fresh instances of the registered CCA name,
+// each with its own generator at measureCCASeed. An unregistered name
+// panics with the registered ones, as network.New does on a bad spec.
+func newCCA(name string) func() cca.Algorithm {
+	f := cca.Lookup(name)
+	if f == nil {
+		panic(fmt.Sprintf("core: unknown CCA %q (registered: %s)", name, strings.Join(cca.Names(), ", ")))
+	}
+	return func() cca.Algorithm { return f(endpoint.DefaultMSS, rng.New(measureCCASeed)) }
+}
 
 // MeasureOpts tunes a convergence measurement.
 type MeasureOpts struct {
@@ -94,12 +106,16 @@ func (o *MeasureOpts) fill() {
 	}
 }
 
-// MeasureConvergence runs a single flow of the given CCA on an ideal path
-// (constant rate C, propagation Rm, unbounded buffer, zero non-congestive
-// delay) and reports its equilibrium delay interval.
-func MeasureConvergence(f Factory, c units.Rate, rm time.Duration, opts MeasureOpts) *Convergence {
+// MeasureConvergence runs a single flow of the registered CCA name on an
+// ideal path (constant rate C, propagation Rm, unbounded buffer, zero
+// non-congestive delay) and reports its equilibrium delay interval.
+func MeasureConvergence(name string, c units.Rate, rm time.Duration, opts MeasureOpts) *Convergence {
+	return measure(newCCA(name)(), c, rm, opts)
+}
+
+// measure is MeasureConvergence of the instance alg.
+func measure(alg cca.Algorithm, c units.Rate, rm time.Duration, opts MeasureOpts) *Convergence {
 	opts.fill()
-	alg := f()
 	cfg := network.Config{Rate: c, Seed: measureSeed, Ctx: opts.Ctx}
 	spec := network.FlowSpec{Name: "probe", Alg: alg, Rm: rm}
 	d := opts.Duration
@@ -113,15 +129,14 @@ func MeasureConvergence(f Factory, c units.Rate, rm time.Duration, opts MeasureO
 	fr := res.Flows[0]
 
 	conv := &Convergence{
-		C:           c,
-		Rm:          rm,
-		DMin:        fr.Stat.SteadyRTTLo,
-		DMax:        fr.Stat.SteadyRTTHi,
-		Delta:       fr.Stat.SteadyRTTHi - fr.Stat.SteadyRTTLo,
-		Throughput:  fr.Stat.SteadyThpt,
-		FinalPacing: alg.PacingRate(),
-		RTT:         fr.RTT,
-		Rate:        fr.Rate,
+		C:          c,
+		Rm:         rm,
+		DMin:       fr.Stat.SteadyRTTLo,
+		DMax:       fr.Stat.SteadyRTTHi,
+		Delta:      fr.Stat.SteadyRTTHi - fr.Stat.SteadyRTTLo,
+		Throughput: fr.Stat.SteadyThpt,
+		RTT:        fr.RTT,
+		Rate:       fr.Rate,
 	}
 	conv.FinalCwndPkts = float64(alg.Window()) / float64(endpoint.DefaultMSS)
 	conv.ConvergedAt = estimateConvergenceTime(fr.RTT, conv.DMin, conv.DMax)

@@ -2,11 +2,12 @@ package core
 
 import (
 	"context"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"starvation/internal/cca"
-	"starvation/internal/cca/vegas"
 	"starvation/internal/trace"
 	"starvation/internal/units"
 )
@@ -45,9 +46,7 @@ func TestMeasureOptsDefaults(t *testing.T) {
 }
 
 func TestConvergenceCapturesFinalState(t *testing.T) {
-	conv := MeasureConvergence(func() cca.Algorithm {
-		return vegas.New(vegas.Config{})
-	}, units.Mbps(12), 100*time.Millisecond, MeasureOpts{Duration: 15 * time.Second})
+	conv := MeasureConvergence("vegas", units.Mbps(12), 100*time.Millisecond, MeasureOpts{Duration: 15 * time.Second})
 	// Vegas at 12 Mbit/s × ~104ms: ~104 packets plus the α backlog.
 	if conv.FinalCwndPkts < 95 || conv.FinalCwndPkts > 115 {
 		t.Errorf("FinalCwndPkts = %v, want ~104", conv.FinalCwndPkts)
@@ -63,36 +62,47 @@ func TestConvergenceCapturesFinalState(t *testing.T) {
 	}
 }
 
+// cancelledAfterFirstCheck is a context whose first Err reads nil and
+// every later one context.Canceled: a sweep's check before its first point
+// passes, and everything after it sees the cancellation.
+type cancelledAfterFirstCheck struct {
+	context.Context
+	checked bool
+}
+
+func (c *cancelledAfterFirstCheck) Err() error {
+	if !c.checked {
+		c.checked = true
+		return nil
+	}
+	return context.Canceled
+}
+
 // TestRateDelaySweepStopsOnCancel pins that a cancelled context ends the
 // sweep before the next rate point: the point in flight halts at the next
 // run tick, no later point is measured, and a sweep started under an
 // already-cancelled context measures nothing.
 func TestRateDelaySweepStopsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
 	rates := []units.Rate{units.Mbps(4), units.Mbps(8), units.Mbps(16)}
-	built := 0
-	mk := func() cca.Algorithm {
-		built++
-		cancel() // the first point's run sees the cancellation
-		return vegas.New(vegas.Config{})
+	started := func(sw *Sweep) (n int) {
+		for _, p := range sw.Points {
+			if p != (SweepPoint{}) {
+				n++
+			}
+		}
+		return n
 	}
+	ctx := &cancelledAfterFirstCheck{Context: context.Background()}
 	opts := MeasureOpts{Duration: 5 * time.Second, Ctx: ctx}
-	sw := RateDelaySweep("vegas", mk, 50*time.Millisecond, rates, opts)
-	if built != 1 {
-		t.Errorf("cancelled during the first point: %d points started, want 1", built)
-	}
+	sw := RateDelaySweep("vegas", 50*time.Millisecond, rates, opts)
 	if len(sw.Points) != len(rates) {
 		t.Fatalf("%d points, want %d", len(sw.Points), len(rates))
 	}
-	for i, p := range sw.Points[1:] {
-		if p != (SweepPoint{}) {
-			t.Errorf("point %d measured after cancellation: %+v", i+1, p)
-		}
+	if sw.Points[0].C != rates[0] || started(sw) != 1 {
+		t.Errorf("cancelled during the first point: points %+v, want the first one only", sw.Points)
 	}
-	built = 0
-	RateDelaySweep("vegas", mk, 50*time.Millisecond, rates, opts)
-	if built != 0 {
-		t.Errorf("already-cancelled sweep started %d points, want 0", built)
+	if n := started(RateDelaySweep("vegas", 50*time.Millisecond, rates, opts)); n != 0 {
+		t.Errorf("already-cancelled sweep started %d points, want 0", n)
 	}
 }
 
@@ -120,4 +130,42 @@ type writerBuffer []byte
 func (w *writerBuffer) Write(p []byte) (int, error) {
 	*w = append(*w, p...)
 	return len(p), nil
+}
+
+// TestUnknownCCAPanics pins that every entry point taking a registry name
+// refuses an unregistered one before it simulates anything, with a panic
+// that lists the registered names.
+func TestUnknownCCAPanics(t *testing.T) {
+	const bad = "no-such-cca"
+	rm, c := 50*time.Millisecond, units.Mbps(12)
+	opts := MeasureOpts{Duration: time.Second}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"MeasureConvergence", func() { MeasureConvergence(bad, c, rm, opts) }},
+		{"RateDelaySweep", func() { RateDelaySweep(bad, rm, []units.Rate{c}, opts) }},
+		{"PigeonholeSearch", func() { PigeonholeSearch(bad, rm, 4, 0.8, time.Millisecond, c, 2, opts) }},
+		{"UnderutilizationConstruction", func() {
+			UnderutilizationConstruction(UnderutilizationSpec{CCA: bad, Rm: rm, C: c, Measure: opts})
+		}},
+		{"StrongModelConstruction", func() {
+			StrongModelConstruction(StrongModelSpec{CCA: bad, Rm: rm, Lambda: c, D: time.Millisecond, Measure: opts})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, strconv.Quote(bad)) {
+					t.Fatalf("panic %q, want one naming %q", msg, bad)
+				}
+				for _, name := range cca.Names() {
+					if !strings.Contains(msg, name) {
+						t.Errorf("panic %q does not list registered CCA %q", msg, name)
+					}
+				}
+			}()
+			tc.run()
+		})
+	}
 }

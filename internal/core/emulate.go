@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"starvation/internal/cca"
+	"starvation/internal/cca/vegas"
 	"starvation/internal/network"
 	"starvation/internal/trace"
 	"starvation/internal/units"
@@ -14,9 +15,14 @@ import (
 type EmulationSpec struct {
 	// Make builds the CCA for a flow. It receives the single-flow
 	// convergence measurement the flow should resume from (nil for the
-	// step-2 probe runs, in which case a fresh default instance is
-	// expected). Window CCAs should start at conv.FinalCwndPkts; rate CCAs
-	// at conv.FinalPacing.
+	// step-2 probe runs, in which case a fresh instance is expected); a
+	// window CCA starts at conv.FinalCwndPkts. Unlike the other entry
+	// points this takes a constructor, not a registry name: step 3
+	// restarts each flow from its converged state, and does so with the
+	// caller's own config, which a name cannot carry. LEDBAT shows why
+	// both matter: at the registry's default 25 ms target instead of 5 ms
+	// the construction of TestTheorem1LEDBATStarvation fails its
+	// preconditions (gap 25.9 ms against δmax 31 µs; ratio 9.5).
 	Make func(conv *Convergence) cca.Algorithm
 	// Rm is the shared propagation RTT.
 	Rm time.Duration
@@ -33,10 +39,9 @@ type EmulationSpec struct {
 	// replay, phase-locks perfectly in a packet-granular emulator (the
 	// equilibrium hysteresis of the CCA freezes the operating point).
 	constantTargets bool
-	// Measure tunes the step-2 single-flow runs.
+	// Measure tunes the step-2 single-flow runs and the two-flow
+	// emulation, which runs as long as each of them.
 	Measure MeasureOpts
-	// Duration of the two-flow emulation (default 60 s).
-	Duration time.Duration
 }
 
 // EmulationResult reports the constructed starvation scenario.
@@ -70,13 +75,11 @@ type EmulationResult struct {
 // flows on a C1+C2 link with per-flow bounded delay shapers replaying the
 // trajectories (step 3) and report the resulting throughput ratio.
 func EmulateTwoFlow(spec EmulationSpec) *EmulationResult {
-	if spec.Duration <= 0 {
-		spec.Duration = 60 * time.Second
-	}
+	spec.Measure.fill()
 
 	// Step 2: single-flow trajectories on ideal paths of rates C1 and C2.
-	conv1 := MeasureConvergence(func() cca.Algorithm { return spec.Make(nil) }, spec.C1, spec.Rm, spec.Measure)
-	conv2 := MeasureConvergence(func() cca.Algorithm { return spec.Make(nil) }, spec.C2, spec.Rm, spec.Measure)
+	conv1 := measure(spec.Make(nil), spec.C1, spec.Rm, spec.Measure)
+	conv2 := measure(spec.Make(nil), spec.C2, spec.Rm, spec.Measure)
 
 	res := &EmulationResult{Conv1: conv1, Conv2: conv2}
 	res.DeltaMax = conv1.Delta
@@ -131,9 +134,24 @@ func EmulateTwoFlow(spec EmulationSpec) *EmulationResult {
 		network.FlowSpec{Name: "fast", Alg: spec.Make(conv2), Rm: spec.Rm, FwdJitter: res.Shaper2},
 	)
 	n.Link.Prime(dStar0 - spec.Rm)
-	res.TwoFlow = n.Run(spec.Duration)
+	res.TwoFlow = n.Run(spec.Measure.Duration)
 	res.Ratio = res.TwoFlow.Ratio()
 	return res
+}
+
+// RestartVegas is the EmulationSpec.Make of Vegas: a fresh flow for the
+// probe runs, or one restarted at the converged state. That state
+// includes both the window and the learned baseRTT: the proof initializes
+// "the internal state of the two flows to the states of the corresponding
+// flow in Step 2", and the paper notes the argument works even with
+// oracular knowledge of Rm.
+func RestartVegas(conv *Convergence) cca.Algorithm {
+	if conv == nil {
+		return vegas.New(vegas.Config{})
+	}
+	v := vegas.New(vegas.Config{BaseRTT: conv.Rm})
+	v.SetCwndPkts(conv.FinalCwndPkts)
+	return v
 }
 
 // constantSeries returns a one-sample series whose step-function extension
@@ -159,17 +177,16 @@ func (r *EmulationResult) String() string {
 
 // UnderutilizationSpec configures the Theorem 2 construction.
 type UnderutilizationSpec struct {
-	// Make builds a fresh CCA (nil convergence semantics as in
-	// EmulationSpec).
-	Make func(conv *Convergence) cca.Algorithm
+	// CCA is the registered name of the CCA under test; the probe and the
+	// emulated run each build a fresh instance.
+	CCA string
 	// Rm is the propagation RTT.
 	Rm time.Duration
 	// C is the ideal-path rate whose trajectory is emulated.
 	C units.Rate
-	// Measure tunes the probe run.
+	// Measure tunes the probe run and the emulated run, which runs as
+	// long.
 	Measure MeasureOpts
-	// Duration of the emulated run (default 60 s).
-	Duration time.Duration
 }
 
 // bigLinkMultiplier is the emulation link's rate over the emulated one in
@@ -197,11 +214,10 @@ type UnderutilizationResult struct {
 // emulating its ideal-path delay trajectory entirely with non-congestive
 // delay.
 func UnderutilizationConstruction(spec UnderutilizationSpec) *UnderutilizationResult {
-	if spec.Duration <= 0 {
-		spec.Duration = 60 * time.Second
-	}
+	mk := newCCA(spec.CCA)
+	spec.Measure.fill()
 
-	conv := MeasureConvergence(func() cca.Algorithm { return spec.Make(nil) }, spec.C, spec.Rm, spec.Measure)
+	conv := measure(mk(), spec.C, spec.Rm, spec.Measure)
 	target := conv.RTT // emulate from t=0: same initial state, same trace
 	target.Name = "target_rtt_s"
 	d := conv.DMax - spec.Rm
@@ -215,9 +231,9 @@ func UnderutilizationConstruction(spec UnderutilizationSpec) *UnderutilizationRe
 	big := units.Rate(float64(spec.C) * bigLinkMultiplier)
 	n := network.New(
 		network.Config{Rate: big, Seed: emulationSeed, Ctx: spec.Measure.Ctx},
-		network.FlowSpec{Name: "emulated", Alg: spec.Make(nil), Rm: spec.Rm, FwdJitter: shaper},
+		network.FlowSpec{Name: "emulated", Alg: mk(), Rm: spec.Rm, FwdJitter: shaper},
 	)
-	res := n.Run(spec.Duration)
+	res := n.Run(spec.Measure.Duration)
 	return &UnderutilizationResult{
 		Conv:        conv,
 		D:           d,

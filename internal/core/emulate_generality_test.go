@@ -37,7 +37,6 @@ func TestTheorem1FASTStarvation(t *testing.T) {
 		D:               20 * time.Millisecond,
 		constantTargets: true,
 		Measure:         MeasureOpts{Duration: 25 * time.Second},
-		Duration:        25 * time.Second,
 	})
 	t.Logf("\n%s", res)
 	checkEmulationUtil(t, res, 10, 20*time.Millisecond, 0.75)
@@ -56,7 +55,6 @@ func TestTheorem1LEDBATStarvation(t *testing.T) {
 		D:               20 * time.Millisecond,
 		constantTargets: true,
 		Measure:         MeasureOpts{Duration: 25 * time.Second},
-		Duration:        25 * time.Second,
 	})
 	t.Logf("\n%s", res)
 	if !res.PreconditionsHold {

@@ -4,25 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"starvation/internal/cca"
-	"starvation/internal/cca/vegas"
 	"starvation/internal/units"
 )
-
-// vegasMake builds Vegas flows for the Theorem 1 construction: fresh for
-// probe runs, or restarted at the converged state. The converged internal
-// state includes both the window and the learned baseRTT — the proof
-// initializes "the internal state of the two flows to the states of the
-// corresponding flow in Step 2", and the paper notes the argument works
-// even with oracular knowledge of Rm.
-func vegasMake(conv *Convergence) cca.Algorithm {
-	if conv == nil {
-		return vegas.New(vegas.Config{})
-	}
-	v := vegas.New(vegas.Config{BaseRTT: conv.Rm})
-	v.SetCwndPkts(conv.FinalCwndPkts)
-	return v
-}
 
 // checkEmulation asserts the Theorem 1 invariants: the preconditions hold,
 // the achieved ratio demonstrates starvation, the link stays efficient
@@ -67,13 +50,12 @@ func TestTheorem1VegasStarvation(t *testing.T) {
 	// (step 1) lands at high rates where α/C1 and α/C2 are both within
 	// D/2 of each other: 12 and 384 Mbit/s give 5 ms vs 0.16 ms of queueing.
 	res := EmulateTwoFlow(EmulationSpec{
-		Make:     vegasMake,
-		Rm:       50 * time.Millisecond,
-		C1:       units.Mbps(12),
-		C2:       units.Mbps(384), // factor 32 apart: s=25.6 at f=0.8
-		D:        20 * time.Millisecond,
-		Measure:  MeasureOpts{Duration: 30 * time.Second},
-		Duration: 30 * time.Second,
+		Make:    RestartVegas,
+		Rm:      50 * time.Millisecond,
+		C1:      units.Mbps(12),
+		C2:      units.Mbps(384), // factor 32 apart: s=25.6 at f=0.8
+		D:       20 * time.Millisecond,
+		Measure: MeasureOpts{Duration: 30 * time.Second},
 	})
 	t.Logf("\n%s", res)
 	checkEmulation(t, res, 10, 20*time.Millisecond)
@@ -81,14 +63,13 @@ func TestTheorem1VegasStarvation(t *testing.T) {
 
 func TestTheorem1VegasConstantTargets(t *testing.T) {
 	res := EmulateTwoFlow(EmulationSpec{
-		Make:            vegasMake,
+		Make:            RestartVegas,
 		Rm:              50 * time.Millisecond,
 		C1:              units.Mbps(12),
 		C2:              units.Mbps(384),
 		D:               20 * time.Millisecond,
 		constantTargets: true,
 		Measure:         MeasureOpts{Duration: 30 * time.Second},
-		Duration:        30 * time.Second,
 	})
 	t.Logf("\n%s", res)
 	checkEmulation(t, res, 15, 20*time.Millisecond)
@@ -103,11 +84,10 @@ func TestTheorem1VegasConstantTargets(t *testing.T) {
 
 func TestTheorem2Underutilization(t *testing.T) {
 	res := UnderutilizationConstruction(UnderutilizationSpec{
-		Make:     vegasMake,
-		Rm:       50 * time.Millisecond,
-		C:        units.Mbps(12),
-		Measure:  MeasureOpts{Duration: 20 * time.Second},
-		Duration: 20 * time.Second,
+		CCA:     "vegas",
+		Rm:      50 * time.Millisecond,
+		C:       units.Mbps(12),
+		Measure: MeasureOpts{Duration: 20 * time.Second},
 	})
 	t.Logf("emulated C=%v on C'=%v: utilization %.4f (D=%v)",
 		res.Conv.C, res.BigLink, res.Utilization, res.D)

@@ -4,13 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"starvation/internal/cca"
 	"starvation/internal/cca/fast"
-	_ "starvation/internal/cca/ledbat"
-	"starvation/internal/cca/vegas"
-	_ "starvation/internal/cca/verus"
-	"starvation/internal/endpoint"
-	"starvation/internal/rng"
 	"starvation/internal/units"
 )
 
@@ -86,11 +80,8 @@ func TestFig3Contracts(t *testing.T) {
 			if band == nil {
 				t.Fatalf("no predicted band for %s", tc.name)
 			}
-			f := cca.Lookup(tc.name)
 			for _, c := range tc.rates {
-				conv := MeasureConvergence(func() cca.Algorithm {
-					return f(endpoint.DefaultMSS, rng.New(5))
-				}, c, fig3Rm, fig3Opts())
+				conv := MeasureConvergence(tc.name, c, fig3Rm, fig3Opts())
 				lo, hi := band(c, fig3Rm)
 				low, high := conv.DMin, conv.DMax
 				if tc.steadyLo {
@@ -120,9 +111,7 @@ func TestFig3Contracts(t *testing.T) {
 func TestDeltaShrinksWithRateVegas(t *testing.T) {
 	// The Fig. 2/3 shape: for the Vegas family both dmax(C) and δ(C)
 	// decrease in C.
-	sweep := RateDelaySweep("vegas", func() cca.Algorithm {
-		return vegas.New(vegas.Config{})
-	}, fig3Rm, []units.Rate{units.Mbps(2), units.Mbps(8), units.Mbps(32)}, fig3Opts())
+	sweep := RateDelaySweep("vegas", fig3Rm, []units.Rate{units.Mbps(2), units.Mbps(8), units.Mbps(32)}, fig3Opts())
 	for i := 1; i < len(sweep.Points); i++ {
 		if sweep.Points[i].DMax > sweep.Points[i-1].DMax {
 			t.Errorf("dmax not decreasing: %v then %v",
@@ -135,9 +124,7 @@ func TestDeltaShrinksWithRateVegas(t *testing.T) {
 }
 
 func TestPigeonholeFindsCollidingPair(t *testing.T) {
-	res := PigeonholeSearch(func() cca.Algorithm {
-		return vegas.New(vegas.Config{})
-	}, 50*time.Millisecond, 4, 0.8, 5*time.Millisecond,
+	res := PigeonholeSearch("vegas", 50*time.Millisecond, 4, 0.8, 5*time.Millisecond,
 		units.Mbps(4), 6, MeasureOpts{Duration: 20 * time.Second})
 	t.Logf("%s", res)
 	if !res.Found {

@@ -27,13 +27,15 @@ type PigeonholeResult struct {
 }
 
 // PigeonholeSearch walks the geometric rate sequence λi = λ0·(s/f)^i and
-// returns the first pair (λi, λj), j > i, with |dmax(λi) − dmax(λj)| < eps.
+// returns the first pair (λi, λj), j > i, with |dmax(λi) − dmax(λj)| < eps
+// for the registered CCA name.
 // This is the pigeonhole argument of Theorem 1 made operational: because
 // all dmax(·) values live in the bounded interval [Rm, dmax-bound], some
 // pair of an infinite geometric sequence must collide.
-func PigeonholeSearch(f Factory, rm time.Duration, s, fEff float64, eps time.Duration,
+func PigeonholeSearch(name string, rm time.Duration, s, fEff float64, eps time.Duration,
 	lambda0 units.Rate, maxIter int, opts MeasureOpts) *PigeonholeResult {
 
+	mk := newCCA(name)
 	if s < 1 {
 		s = 1
 	}
@@ -59,7 +61,7 @@ func PigeonholeSearch(f Factory, rm time.Duration, s, fEff float64, eps time.Dur
 	var seen []measured
 	c := lambda0
 	for i := 0; i < maxIter; i++ {
-		conv := MeasureConvergence(f, c, rm, opts)
+		conv := measure(mk(), c, rm, opts)
 		res.Tried = append(res.Tried, SweepPoint{
 			C: c, DMin: conv.DMin, DMax: conv.DMax,
 			Delta: conv.Delta, Efficiency: conv.efficiency(),

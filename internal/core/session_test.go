@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"starvation/internal/cca"
 	"starvation/internal/cca/reno"
 	"starvation/internal/cca/vegas"
 	"starvation/internal/network"
@@ -18,7 +17,6 @@ import (
 // whichever session carries it — nil again, or one reused across repeated
 // runs with varying parameters.
 func TestMeasureConvergenceSessionParity(t *testing.T) {
-	mk := func() cca.Algorithm { return vegas.New(vegas.Config{}) }
 	s := network.NewSession()
 	for _, p := range []struct {
 		c  units.Rate
@@ -29,10 +27,10 @@ func TestMeasureConvergenceSessionParity(t *testing.T) {
 		{units.Mbps(12), 60 * time.Millisecond}, // back to the first point
 	} {
 		opts := MeasureOpts{Duration: 8 * time.Second}
-		fresh := MeasureConvergence(mk, p.c, p.rm, opts)
+		fresh := MeasureConvergence("vegas", p.c, p.rm, opts)
 		for _, sess := range []*network.Session{nil, s} {
 			opts.Session = sess
-			got := MeasureConvergence(mk, p.c, p.rm, opts)
+			got := MeasureConvergence("vegas", p.c, p.rm, opts)
 			if !reflect.DeepEqual(got, fresh) {
 				t.Errorf("C=%v Rm=%v session=%v: measurement diverged:\n got %+v\nwant %+v",
 					p.c, p.rm, sess != nil, got, fresh)

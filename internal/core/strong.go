@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"starvation/internal/cca"
 	"starvation/internal/network"
 	"starvation/internal/trace"
 	"starvation/internal/units"
@@ -22,10 +20,9 @@ import (
 // (unbounded) link rate, so somewhere along the way the factor-s gap must
 // have appeared.
 type StrongModelSpec struct {
-	// Make builds the CCA under test (nil Convergence semantics as in
-	// EmulationSpec; the strong model does not restart state, so only
-	// Make(nil) is used).
-	Make func(conv *Convergence) cca.Algorithm
+	// CCA is the registered name of the CCA under test; every trace
+	// builds a fresh instance (the strong model restarts no state).
+	CCA string
 	// Rm is the propagation delay.
 	Rm time.Duration
 	// Lambda is the arbitrary starting rate λ of the proof.
@@ -34,13 +31,10 @@ type StrongModelSpec struct {
 	D time.Duration
 	// S is the throughput ratio sought.
 	S float64
-	// Duration of each emulated trace (default 20 s).
-	Duration time.Duration
-	// MaxSteps bounds the iteration (default 12).
-	MaxSteps int
-	// Ctx, when non-nil, cancels the construction's emulations at
-	// run-tick granularity.
-	Ctx context.Context
+	// Measure tunes every trace; its Duration defaults to 20 s here.
+	Measure MeasureOpts
+	// maxSteps bounds the iteration (default 12); tests lower it.
+	maxSteps int
 }
 
 // StrongModelStep records one trace of the sequence.
@@ -73,11 +67,12 @@ type StrongModelResult struct {
 // throughput as its observed delays drop; by ⌈(D₀−Rm)/D⌉ steps the delay
 // floor is reached, so some consecutive pair's throughputs differ by ≥ s.
 func StrongModelConstruction(spec StrongModelSpec) *StrongModelResult {
-	if spec.Duration <= 0 {
-		spec.Duration = 20 * time.Second
+	mk := newCCA(spec.CCA)
+	if spec.Measure.Duration <= 0 {
+		spec.Measure.Duration = 20 * time.Second
 	}
-	if spec.MaxSteps <= 0 {
-		spec.MaxSteps = 12
+	if spec.maxSteps <= 0 {
+		spec.maxSteps = 12
 	}
 	if spec.S <= 1 {
 		spec.S = 2
@@ -86,16 +81,15 @@ func StrongModelConstruction(spec StrongModelSpec) *StrongModelResult {
 	res := &StrongModelResult{}
 
 	// Step 0: ideal path at rate λ.
-	conv := MeasureConvergence(func() cca.Algorithm { return spec.Make(nil) },
-		spec.Lambda, spec.Rm, MeasureOpts{Duration: spec.Duration, Ctx: spec.Ctx})
+	conv := measure(mk(), spec.Lambda, spec.Rm, spec.Measure)
 	prevTrace := conv.RTT
-	prevThpt := throughputOfTrace(conv)
+	prevThpt := conv.Throughput
 	res.Steps = append(res.Steps, StrongModelStep{
 		Index: 0, MaxDelay: conv.DMax, Throughput: prevThpt,
 	})
 
 	big := units.Rate(float64(spec.Lambda) * bigLinkMultiplier)
-	for k := 1; k <= spec.MaxSteps; k++ {
+	for k := 1; k <= spec.maxSteps; k++ {
 		// Target delay: previous trajectory lowered by k·D, floored at Rm.
 		reduction := time.Duration(k) * spec.D
 		target := &trace.Series{Name: fmt.Sprintf("strong_step%d", k)}
@@ -111,12 +105,12 @@ func StrongModelConstruction(spec StrongModelSpec) *StrongModelResult {
 		}
 		shaper := &RTTShaper{Target: target, D: time.Hour /* strong model: unbounded */}
 		n := network.New(
-			network.Config{Rate: big, Seed: measureSeed, Ctx: spec.Ctx},
-			network.FlowSpec{Name: "strong", Alg: spec.Make(nil), Rm: spec.Rm, FwdJitter: shaper},
+			network.Config{Rate: big, Seed: measureSeed, Ctx: spec.Measure.Ctx},
+			network.FlowSpec{Name: "strong", Alg: mk(), Rm: spec.Rm, FwdJitter: shaper},
 		)
-		run := n.Run(spec.Duration)
+		run := n.Run(spec.Measure.Duration)
 		thpt := run.Flows[0].Stat.SteadyThpt
-		_, hi, _ := run.Flows[0].RTT.MinMax(spec.Duration/2, spec.Duration)
+		_, hi, _ := run.Flows[0].RTT.MinMax(spec.Measure.Duration/2, spec.Measure.Duration)
 		res.Steps = append(res.Steps, StrongModelStep{
 			Index:      k,
 			MaxDelay:   time.Duration(hi * float64(time.Second)),
@@ -134,10 +128,6 @@ func StrongModelConstruction(spec StrongModelSpec) *StrongModelResult {
 		}
 	}
 	return res
-}
-
-func throughputOfTrace(conv *Convergence) units.Rate {
-	return conv.Throughput
 }
 
 // String summarizes the construction.

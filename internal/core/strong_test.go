@@ -13,12 +13,12 @@ func TestTheorem3StrongModelVegas(t *testing.T) {
 	// differ by ≥ s — the witness that the strong-model adversary can
 	// starve two such flows on one queue.
 	res := StrongModelConstruction(StrongModelSpec{
-		Make:     vegasMake,
-		Rm:       50 * time.Millisecond,
-		Lambda:   units.Mbps(4),
-		D:        5 * time.Millisecond,
-		S:        2,
-		Duration: 20 * time.Second,
+		CCA:     "vegas",
+		Rm:      50 * time.Millisecond,
+		Lambda:  units.Mbps(4),
+		D:       5 * time.Millisecond,
+		S:       2,
+		Measure: MeasureOpts{Duration: 20 * time.Second},
 	})
 	t.Logf("\n%s", res)
 	if !res.FoundPair {
@@ -40,13 +40,13 @@ func TestTheorem3DelayFloorReached(t *testing.T) {
 	// With a large per-step D, the sequence flattens to the propagation
 	// floor within a couple of steps.
 	res := StrongModelConstruction(StrongModelSpec{
-		Make:     vegasMake,
+		CCA:      "vegas",
 		Rm:       50 * time.Millisecond,
 		Lambda:   units.Mbps(4),
 		D:        50 * time.Millisecond,
 		S:        1000, // unreachable: force full iteration
-		Duration: 15 * time.Second,
-		MaxSteps: 4,
+		Measure:  MeasureOpts{Duration: 15 * time.Second},
+		maxSteps: 4,
 	})
 	t.Logf("\n%s", res)
 	if len(res.Steps) < 2 {

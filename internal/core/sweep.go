@@ -47,17 +47,18 @@ func LogSpace(lo, hi units.Rate, n int) []units.Rate {
 	return out
 }
 
-// RateDelaySweep measures the equilibrium delay interval of the CCA at each
-// link rate, regenerating one panel of Figure 3, and puts beside each the
-// band predicted by the contract of name, a registered CCA. Lower rates
-// get longer runs so slow flows still converge.
+// RateDelaySweep measures the equilibrium delay interval of the registered
+// CCA name at each link rate, regenerating one panel of Figure 3, and puts
+// beside each the band its contract predicts. Lower rates get longer runs
+// so slow flows still converge.
 //
 // The points run in rate order through one network.Session (opts.Session,
 // or one the sweep creates), so the sweep wires its network once; the
 // measured values are those of one-shot runs. A cancelled opts.Ctx halts
 // the point in flight and ends the sweep before the next one; the partial
 // sweep is returned and callers observe the cancellation themselves.
-func RateDelaySweep(name string, f Factory, rm time.Duration, rates []units.Rate, opts MeasureOpts) *Sweep {
+func RateDelaySweep(name string, rm time.Duration, rates []units.Rate, opts MeasureOpts) *Sweep {
+	mk := newCCA(name)
 	opts.fill()
 	if opts.Session == nil {
 		opts.Session = network.NewSession()
@@ -77,7 +78,7 @@ func RateDelaySweep(name string, f Factory, rm time.Duration, rates []units.Rate
 		if min := 200 * rm; o.Duration < min {
 			o.Duration = min
 		}
-		conv := MeasureConvergence(f, c, rm, o)
+		conv := measure(mk(), c, rm, o)
 		sw.Points[i] = SweepPoint{
 			C:          c,
 			DMin:       conv.DMin,

@@ -142,12 +142,13 @@ type OnWindow func(flow packet.FlowID, w *Window, elapsed time.Duration)
 type Config struct {
 	// Stride is the window width (required, > 0).
 	Stride time.Duration
-	// MaxWindows caps each flow's ring; 0 selects defaultMaxWindows.
-	// Reserve may lower the actual allocation when the horizon needs less.
-	MaxWindows int
 	// OnWindow, when non-nil, observes each closed window (the online
 	// detector's feed).
 	OnWindow OnWindow
+	// maxWindows caps each flow's ring; 0 selects defaultMaxWindows, and
+	// tests lower it. Reserve may lower the actual allocation when the
+	// horizon needs less.
+	maxWindows int
 }
 
 // defaultMaxWindows bounds per-flow ring memory when no horizon is given:
@@ -171,8 +172,8 @@ func NewSampler(cfg Config, nflows int) *Sampler {
 	if cfg.Stride <= 0 {
 		cfg.Stride = 100 * time.Millisecond
 	}
-	if cfg.MaxWindows <= 0 {
-		cfg.MaxWindows = defaultMaxWindows
+	if cfg.maxWindows <= 0 {
+		cfg.maxWindows = defaultMaxWindows
 	}
 	return &Sampler{cfg: cfg, flows: make([]FlowSeries, nflows)}
 }
@@ -182,8 +183,8 @@ func NewSampler(cfg Config, nflows int) *Sampler {
 // Call before the first event; flows discovered later get the same size.
 func (s *Sampler) Reserve(horizon time.Duration) {
 	n := int(horizon/s.cfg.Stride) + 2
-	if n > s.cfg.MaxWindows {
-		n = s.cfg.MaxWindows
+	if n > s.cfg.maxWindows {
+		n = s.cfg.maxWindows
 	}
 	s.reserved = n
 	for i := range s.flows {
@@ -197,7 +198,7 @@ func (s *Sampler) ringSize() int {
 	if s.reserved > 0 {
 		return s.reserved
 	}
-	return s.cfg.MaxWindows
+	return s.cfg.maxWindows
 }
 
 // Flow returns the series of flow id, nil when the flow never appeared.

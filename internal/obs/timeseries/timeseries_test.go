@@ -150,7 +150,7 @@ func TestSamplerEmptyWindowNoEvents(t *testing.T) {
 }
 
 func TestSamplerRingEviction(t *testing.T) {
-	s := NewSampler(Config{Stride: stride, MaxWindows: 4}, 1)
+	s := NewSampler(Config{Stride: stride, maxWindows: 4}, 1)
 	s.Reserve(10 * time.Second) // horizon wants 102 windows; cap wins
 	for i := 0; i < 10; i++ {
 		s.Emit(obs.Event{Type: obs.EvAckRecv,

@@ -10,7 +10,7 @@ import (
 	"starvation/internal/units"
 )
 
-// Algo1Ablation compares the published Algorithm 1 against the two design
+// algo1Ablation compares the published Algorithm 1 against the two design
 // alternatives the paper says CCAC rejected during tuning (§6.3):
 //
 //   - AIAD: subtractive instead of multiplicative decrease ("the fairness
@@ -22,7 +22,7 @@ import (
 // Each variant runs the X-A1 topology: two flows, 100 Mbit/s, one flow
 // behind adversarial jitter ≤ D. The published design must post the best
 // (lowest) unfairness ratio.
-func Algo1Ablation(o Opts) *Result {
+func algo1Ablation(o Opts) *Result {
 	o.fill(120 * time.Second)
 	const (
 		rm = 50 * time.Millisecond

@@ -11,13 +11,13 @@ import (
 	"starvation/internal/units"
 )
 
-// Algo1Fairness exercises the paper's proposed CCA (§6.3, Algorithm 1):
+// algo1Fairness exercises the paper's proposed CCA (§6.3, Algorithm 1):
 // two flows share a 100 Mbit/s link while one flow's path adds adversarial
 // non-congestive delay up to D = 10 ms (the bound the algorithm designed
 // for). Because the exponential rate-delay mapping keeps rates a factor s
 // apart mapped to delays ≥ D apart, the steady-state throughput ratio must
 // stay ≤ s (here s = 2) — s-fairness instead of starvation.
-func Algo1Fairness(o Opts) *Result {
+func algo1Fairness(o Opts) *Result {
 	o.fill(120 * time.Second)
 	const (
 		rm = 50 * time.Millisecond
@@ -61,10 +61,10 @@ func Algo1Fairness(o Opts) *Result {
 	}
 }
 
-// VegasUnderJitter is the contrast case for X-A1: Vegas flows in the same
+// vegasUnderJitter is the contrast case for X-A1: Vegas flows in the same
 // jitter setting starve, because Vegas maps its whole rate range into a
 // delay band smaller than the jitter.
-func VegasUnderJitter(o Opts) *Result {
+func vegasUnderJitter(o Opts) *Result {
 	o.fill(120 * time.Second)
 	const (
 		rm = 50 * time.Millisecond

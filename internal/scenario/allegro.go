@@ -53,7 +53,7 @@ func allegroRandomLoss(o Opts) *Result {
 	}
 }
 
-// AllegroBurstLoss extends §5.4 beyond the paper: the same two-Allegro
+// allegroBurstLoss extends §5.4 beyond the paper: the same two-Allegro
 // topology, but the lossy flow's ~2% average loss arrives in
 // Gilbert–Elliott bursts (bad-state episodes of ~5 packets dropping half
 // their packets) instead of independently. The chain's stationary loss
@@ -62,7 +62,7 @@ func allegroRandomLoss(o Opts) *Result {
 // the impairment class where loss-resilience claims break down in BBR
 // evaluations, and one Allegro's per-monitor-interval sigmoid utility
 // reacts to just as badly as to independent loss.
-func AllegroBurstLoss(o Opts) *Result {
+func allegroBurstLoss(o Opts) *Result {
 	o.fill(60 * time.Second)
 	ge := faults.GEConfig{PGoodToBad: 0.008, PBadToGood: 0.2, PDropBad: 0.5}
 	bursty := allegroFlow("bursty", o.Seed*13+1, 0)

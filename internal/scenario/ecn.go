@@ -10,7 +10,7 @@ import (
 	"starvation/internal/units"
 )
 
-// ECNAvoidsStarvation demonstrates §6.4's conjecture: ECN is an unambiguous
+// ecnAvoidsStarvation demonstrates §6.4's conjecture: ECN is an unambiguous
 // congestion signal, so a CCA that reacts to marks and ignores small loss
 // cannot be fooled by per-flow non-congestive signal asymmetries.
 //
@@ -20,7 +20,7 @@ import (
 // the loss-reacting control pair in the same setting is skewed by the
 // injected loss (the Mathis √p unfairness, unbounded as the clean flow's
 // loss rate → 0).
-func ECNAvoidsStarvation(o Opts) *Result {
+func ecnAvoidsStarvation(o Opts) *Result {
 	o.fill(60 * time.Second)
 	run := func(ecn bool) *network.Result {
 		mk := func() *reno.Reno {

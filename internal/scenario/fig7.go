@@ -48,15 +48,15 @@ func fig7(o Opts, id, name string, mk func() cca.Algorithm, claim string) *Resul
 	}
 }
 
-// Fig7Reno is the left panel of Fig. 7.
-func Fig7Reno(o Opts) *Result {
+// fig7Reno is the left panel of Fig. 7.
+func fig7Reno(o Opts) *Result {
 	return fig7(o, "F7-reno", "Reno",
 		func() cca.Algorithm { return reno.New(reno.Config{}) },
 		"ratio 2.7×, bounded (no starvation)")
 }
 
-// Fig7Cubic is the right panel of Fig. 7.
-func Fig7Cubic(o Opts) *Result {
+// fig7Cubic is the right panel of Fig. 7.
+func fig7Cubic(o Opts) *Result {
 	return fig7(o, "F7-cubic", "Cubic",
 		func() cca.Algorithm {
 			return cubic.New(cubic.Config{FastConvergence: true, TCPFriendly: true})

@@ -26,7 +26,7 @@ func TestSeedRobustness(t *testing.T) {
 		{"bbr-two", "rtt40_mbps", "rtt80_mbps", bBRTwoFlowRTT},
 		{"vivace-ackagg", "quantized_mbps", "clean_mbps", vivaceAckAggregation},
 		{"allegro-loss", "lossy_mbps", "clean_mbps", allegroRandomLoss},
-		{"allegro-burst", "bursty_mbps", "clean_mbps", AllegroBurstLoss},
+		{"allegro-burst", "bursty_mbps", "clean_mbps", allegroBurstLoss},
 		{"copa-two", "poisoned_mbps", "clean_mbps", copaTwoFlowPoison},
 	}
 	seeds := []int64{2, 3, 4, 5, 6}
@@ -61,7 +61,7 @@ func TestAlgo1FairAcrossSeeds(t *testing.T) {
 		t.Skip("seed sweep is slow")
 	}
 	for _, seed := range []int64{2, 3, 4, 5, 6} {
-		r := Algo1Fairness(Opts{Seed: seed, Duration: 60 * time.Second})
+		r := algo1Fairness(Opts{Seed: seed, Duration: 60 * time.Second})
 		if ratio := r.Observables["ratio"]; ratio > 2.5 {
 			t.Errorf("seed %d: ratio %.2f exceeds s=2 (+ tolerance)", seed, ratio)
 		}

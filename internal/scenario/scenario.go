@@ -131,16 +131,16 @@ var Registry = map[string]func(Opts) *Result{
 	"bbr-two":          bBRTwoFlowRTT,
 	"vivace-ackagg":    vivaceAckAggregation,
 	"allegro-loss":     allegroRandomLoss,
-	"allegro-burst":    AllegroBurstLoss,
+	"allegro-burst":    allegroBurstLoss,
 	"allegro-both":     allegroBothLossy,
 	"allegro-single":   allegroSingleLossy,
-	"fig7-reno":        Fig7Reno,
-	"fig7-cubic":       Fig7Cubic,
-	"algo1-fair":       Algo1Fairness,
-	"vegas-jitter":     VegasUnderJitter,
+	"fig7-reno":        fig7Reno,
+	"fig7-cubic":       fig7Cubic,
+	"algo1-fair":       algo1Fairness,
+	"vegas-jitter":     vegasUnderJitter,
 	"quickstart-vegas": quickstartVegas,
-	"ecn-fairness":     ECNAvoidsStarvation,
-	"algo1-ablation":   Algo1Ablation,
+	"ecn-fairness":     ecnAvoidsStarvation,
+	"algo1-ablation":   algo1Ablation,
 	"pop-mixed":        populationMixed,
 	"pop-rtt":          populationRTT,
 	"pop-parkinglot":   populationParkingLot,

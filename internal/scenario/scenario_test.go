@@ -74,7 +74,7 @@ func TestAllegroRandomLoss(t *testing.T) {
 }
 
 func TestAllegroBurstLoss(t *testing.T) {
-	r := AllegroBurstLoss(Opts{})
+	r := allegroBurstLoss(Opts{})
 	t.Logf("\n%s", r)
 	if r.Observables["bursty_mbps"] >= r.Observables["clean_mbps"] {
 		t.Errorf("bursty flow (%.1f) should lose vs clean (%.1f)",
@@ -114,7 +114,7 @@ func TestAllegroControls(t *testing.T) {
 }
 
 func TestFig7BoundedUnfairness(t *testing.T) {
-	for _, fn := range []func(Opts) *Result{Fig7Reno, Fig7Cubic} {
+	for _, fn := range []func(Opts) *Result{fig7Reno, fig7Cubic} {
 		r := fn(Opts{})
 		t.Logf("\n%s", r)
 		if r.Observables["delacked_mbps"] >= r.Observables["perpacket_mbps"] {
@@ -136,7 +136,7 @@ func TestFig7BoundedUnfairness(t *testing.T) {
 }
 
 func TestAlgo1Fairness(t *testing.T) {
-	r := Algo1Fairness(Opts{})
+	r := algo1Fairness(Opts{})
 	t.Logf("\n%s", r)
 	if ratio, s := r.Observables["ratio"], r.Observables["s_bound"]; ratio > s*1.25 {
 		t.Errorf("ratio = %.2f, want <= s(=%.0f) with 25%% tolerance", ratio, s)
@@ -147,7 +147,7 @@ func TestAlgo1Fairness(t *testing.T) {
 }
 
 func TestVegasUnderJitterStarves(t *testing.T) {
-	r := VegasUnderJitter(Opts{})
+	r := vegasUnderJitter(Opts{})
 	t.Logf("\n%s", r)
 	if ratio := r.Observables["ratio"]; ratio < 4 {
 		t.Errorf("ratio = %.1f, want >= 4: Vegas should starve where Algorithm 1 stays s-fair", ratio)
@@ -166,7 +166,7 @@ func TestQuickstartFairness(t *testing.T) {
 }
 
 func TestECNAvoidsStarvation(t *testing.T) {
-	r := ECNAvoidsStarvation(Opts{})
+	r := ecnAvoidsStarvation(Opts{})
 	t.Logf("\n%s", r)
 	if j := r.Observables["ecn_jain"]; j < 0.9 {
 		t.Errorf("ECN-reacting jain = %.3f, want >= 0.9 (unambiguous signal)", j)
@@ -181,7 +181,7 @@ func TestECNAvoidsStarvation(t *testing.T) {
 }
 
 func TestAlgo1Ablation(t *testing.T) {
-	r := Algo1Ablation(Opts{Duration: 60 * time.Second})
+	r := algo1Ablation(Opts{Duration: 60 * time.Second})
 	t.Logf("\n%s", r)
 	aimd := r.Observables["aimd_ratio"]
 	aiad := r.Observables["aiad_ratio"]

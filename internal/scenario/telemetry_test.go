@@ -14,7 +14,7 @@ import (
 // states, and the recorder attributes them via the fault-state stream.
 func TestAllegroBurstTelemetry(t *testing.T) {
 	run := func() *network.TelemetryResult {
-		r := AllegroBurstLoss(Opts{Telemetry: &network.TelemetryConfig{}})
+		r := allegroBurstLoss(Opts{Telemetry: &network.TelemetryConfig{}})
 		if r.Net.Telemetry == nil {
 			t.Fatal("Opts.Telemetry did not reach the network config")
 		}
