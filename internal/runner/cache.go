@@ -33,7 +33,9 @@ const CorruptDirName = "corrupt"
 // Writes are write-behind (see Put): an entry is served from memory until
 // its write lands, so a job's result moves on without waiting for two
 // fsyncs. Read the directory itself only after Flush, or after Pool.Run
-// returns. The zero value with Dir set is ready to use.
+// returns. Reads are indexed (see Get): an entry read and verified once
+// is served from memory after that. The zero value with Dir set is ready
+// to use.
 type Cache struct {
 	// Dir is the cache root; it is created on first Put.
 	Dir string
@@ -57,11 +59,20 @@ type Cache struct {
 	pending map[string]*pendingPut // by fingerprint: entries whose write has not finished; built on first Put
 	landed  *sync.Cond             // broadcast whenever a pending entry retires; built with pending
 	err     error                  // first write error since the last Flush
+
+	index      map[string][]byte // by fingerprint: artifacts a disk read verified; built on first such read
+	indexBytes int               // the indexed artifacts' total length, at most indexCapBytes
+	puts       uint64            // Puts so far; a disk read indexes its artifact only if none came during it
 }
 
 // maxPendingWrites bounds the fingerprints a Cache holds pending at once,
 // and so its write goroutines and the memory behind them.
 const maxPendingWrites = 16
+
+// indexCapBytes bounds the artifact bytes a Cache's index holds. A read
+// that would pass it clears the index first, so a daemon's memory grows
+// with its working set only up to this bound.
+const indexCapBytes = 64 << 20
 
 // pendingPut is the newest artifact Put for one fingerprint whose write
 // has not finished; gen counts the Puts that replaced it.
@@ -89,7 +100,8 @@ type entry struct {
 	Schema int `json:"schema"`
 	// Key is the diagnostic rendering of the job key (not hashed).
 	Key string `json:"key"`
-	// Sum is the hex SHA-256 of Artifact, verified on every read.
+	// Sum is the hex SHA-256 of Artifact, verified on the first read of
+	// the entry by each Cache (later reads answer from its index).
 	Sum string `json:"sum"`
 	// Artifact is the serialized job result.
 	Artifact []byte `json:"artifact"`
@@ -110,12 +122,15 @@ func (c *Cache) path(fp string) string {
 	return filepath.Join(c.Dir, fp[:2], fp+".json")
 }
 
-// Get returns the cached artifact for the fingerprint: the pending
-// artifact while its write is in flight, else the entry on disk. A
-// missing file or a schema mismatch is a plain miss. A defective entry —
-// undecodable envelope or checksum-mismatched artifact — is quarantined
-// (see the type comment) and also reads as a miss: the caller re-runs
-// the job and the fresh Put overwrites the address.
+// Get returns a copy of the cached artifact for the fingerprint: the
+// pending artifact while its write is in flight, else the indexed one,
+// else the entry on disk. An entry read from disk is verified on that
+// first read and indexed, so later Gets of it touch no file; a Put of
+// the fingerprint drops it from the index. A missing file or a schema
+// mismatch is a plain miss. A defective entry — undecodable envelope or
+// checksum-mismatched artifact — is quarantined (see the type comment)
+// and also reads as a miss: the caller re-runs the job and the fresh Put
+// overwrites the address.
 func (c *Cache) Get(fp string) ([]byte, bool) {
 	c.mu.Lock()
 	if p, ok := c.pending[fp]; ok {
@@ -123,6 +138,11 @@ func (c *Cache) Get(fp string) ([]byte, bool) {
 		c.mu.Unlock()
 		return art, true
 	}
+	if art, ok := c.index[fp]; ok {
+		c.mu.Unlock()
+		return bytes.Clone(art), true
+	}
+	puts := c.puts
 	c.mu.Unlock()
 	data, err := os.ReadFile(c.path(fp))
 	if err != nil {
@@ -141,7 +161,39 @@ func (c *Cache) Get(fp string) ([]byte, bool) {
 		c.quarantine(fp, "artifact checksum mismatch")
 		return nil, false
 	}
-	return e.Artifact, true
+	c.mu.Lock()
+	// A Put during the read may have replaced what was read; index only
+	// an entry no Put has overtaken.
+	if c.puts == puts {
+		c.indexLocked(fp, e.Artifact)
+	}
+	c.mu.Unlock()
+	return bytes.Clone(e.Artifact), true
+}
+
+// indexLocked adds a verified artifact to the index, clearing the index
+// first when the artifact would take it past indexCapBytes. c.mu is held.
+func (c *Cache) indexLocked(fp string, art []byte) {
+	if len(art) > indexCapBytes {
+		return
+	}
+	c.unindexLocked(fp)
+	if c.indexBytes+len(art) > indexCapBytes {
+		c.index, c.indexBytes = nil, 0
+	}
+	if c.index == nil {
+		c.index = map[string][]byte{}
+	}
+	c.index[fp] = art
+	c.indexBytes += len(art)
+}
+
+// unindexLocked drops a fingerprint from the index. c.mu is held.
+func (c *Cache) unindexLocked(fp string) {
+	if art, ok := c.index[fp]; ok {
+		delete(c.index, fp)
+		c.indexBytes -= len(art)
+	}
 }
 
 // quarantine moves a defective entry into the corrupt/ subdirectory,
@@ -168,11 +220,12 @@ func (c *Cache) quarantine(fp, reason string) {
 	fmt.Fprintf(os.Stderr, "runner: cache entry quarantined: %s\n", line)
 }
 
-// Put stores the artifact under the fingerprint. It is write-behind: the
-// artifact is held in memory as pending, Get answers it from there, and
-// the write runs on a goroutine of its own. Put returns once the entry is
-// pending, so its error is always nil; a failed write surfaces at Flush.
-// Put keeps its own copy of artifact.
+// Put stores the artifact under the fingerprint and drops the
+// fingerprint from the index. It is write-behind: the artifact is held in
+// memory as pending, Get answers it from there, and the write runs on a
+// goroutine of its own. Put returns once the entry is pending, so its
+// error is always nil; a failed write surfaces at Flush. Put keeps its
+// own copy of artifact.
 //
 // At most maxPendingWrites fingerprints are pending at once; a Put of a
 // new fingerprint past that bound blocks until a write finishes, so a
@@ -193,17 +246,18 @@ func (c *Cache) Put(fp string, key Key, artifact []byte) error {
 	art := bytes.Clone(artifact)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for {
-		if p := c.pending[fp]; p != nil {
-			// The write in flight for fp lands this artifact next.
-			p.key, p.artifact = key, art
-			p.gen++
-			return nil
-		}
-		if len(c.pending) < maxPendingWrites {
-			break
-		}
+	for c.pending[fp] == nil && len(c.pending) >= maxPendingWrites {
 		c.landed.Wait()
+	}
+	// The artifact is visible from here on: a Get whose disk read began
+	// earlier must not index what it read.
+	c.puts++
+	c.unindexLocked(fp)
+	if p := c.pending[fp]; p != nil {
+		// The write in flight for fp lands this artifact next.
+		p.key, p.artifact = key, art
+		p.gen++
+		return nil
 	}
 	if c.pending == nil {
 		c.pending = map[string]*pendingPut{}

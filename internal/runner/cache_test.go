@@ -148,6 +148,176 @@ func TestCacheCorruption(t *testing.T) {
 	}
 }
 
+// TestCacheIndexVerifiedOnFirstRead: an entry is verified on its first
+// read and served from the index after that, so a file damaged later no
+// longer reaches a cache that read it intact; a fresh Cache still reads
+// the file and quarantines it. A Put after the indexed read is what the
+// next Get returns, and the caller's copy is its own.
+func TestCacheIndexVerifiedOnFirstRead(t *testing.T) {
+	c := &Cache{Dir: t.TempDir()}
+	k := referenceKey()
+	fp := c.Fingerprint(k)
+	art := []byte("verified artifact bytes")
+	if err := c.Put(fp, k, art); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if len(c.index) != 0 {
+		t.Fatalf("Put indexed %d entries; only a verified read may", len(c.index))
+	}
+	got, ok := c.Get(fp)
+	if !ok || !bytes.Equal(got, art) {
+		t.Fatalf("first Get = %q, %v; want %q, true", got, ok, art)
+	}
+	got[0] ^= 0xff // the caller's copy, not the index's
+
+	path := c.path(fp)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte(`"artifact":"`)) + len(`"artifact":"`) + 3
+	data[i] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Get(fp); !ok || !bytes.Equal(got, art) {
+		t.Fatalf("second Get = %q, %v; want the bytes verified on the first", got, ok)
+	}
+	if c.corrupt.Load() != 0 {
+		t.Fatal("an indexed Get read the file again")
+	}
+
+	var events []corruptionEvent
+	fresh := &Cache{Dir: c.Dir, warn: func(ev corruptionEvent) { events = append(events, ev) }}
+	if got, ok := fresh.Get(fp); ok {
+		t.Fatalf("fresh cache served a damaged entry: %q", got)
+	}
+	if len(events) != 1 || events[0].Quarantined == "" {
+		t.Fatalf("fresh cache's read of the damaged entry: %+v, want one quarantine", events)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("damaged entry left in place (%v)", err)
+	}
+
+	next := []byte("artifact put after the indexed read")
+	if err := c.Put(fp, k, next); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if got, ok := c.Get(fp); !ok || !bytes.Equal(got, next) {
+		t.Fatalf("Get while the new Put is pending = %q, %v; want %q", got, ok, next)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if got, ok := c.Get(fp); !ok || !bytes.Equal(got, next) {
+		t.Fatalf("Get after the new Put landed = %q, %v; want %q", got, ok, next)
+	}
+}
+
+// TestCacheIndexNotStale: a Get whose disk read overlaps a Put of the
+// same fingerprint must not index what it read, or the index would serve
+// the older artifact once the newer one lands. One goroutine reads the
+// fingerprint in a loop while another puts, flushes and reads it back.
+func TestCacheIndexNotStale(t *testing.T) {
+	c := &Cache{Dir: t.TempDir()}
+	k := referenceKey()
+	fp := c.Fingerprint(k)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.Get(fp)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	for round := 0; round < 20; round++ {
+		want := fmt.Sprintf("round %d", round)
+		if err := c.Put(fp, k, []byte(want)); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		if got, ok := c.Get(fp); !ok || string(got) != want {
+			t.Fatalf("Get after round %d's Put landed = %q, %v", round, got, ok)
+		}
+	}
+}
+
+// checkIndex fails unless the index's byte count is the total length of
+// its artifacts and within indexCapBytes.
+func checkIndex(t *testing.T, c *Cache) {
+	t.Helper()
+	total := 0
+	for _, art := range c.index {
+		total += len(art)
+	}
+	if total != c.indexBytes || total > indexCapBytes {
+		t.Fatalf("index holds %d bytes, counts %d, cap %d", total, c.indexBytes, indexCapBytes)
+	}
+}
+
+// TestCacheIndexCap: the index never holds more than indexCapBytes. A
+// filler entry stands in for a cap's worth of artifacts read earlier (its
+// pages are never touched, so the test costs no real memory); the next
+// read would pass the cap, so it clears the index and starts it again.
+func TestCacheIndexCap(t *testing.T) {
+	c := &Cache{Dir: t.TempDir()}
+	const n = 1 << 10
+	fps := make([]string, 3)
+	for i := range fps {
+		k := referenceKey()
+		k.Seed = int64(10 + i)
+		fps[i] = c.Fingerprint(k)
+		if err := c.Put(fps[i], k, bytes.Repeat([]byte{byte('a' + i)}, n)); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if _, ok := c.Get(fps[0]); !ok {
+		t.Fatal("miss on a landed entry")
+	}
+	checkIndex(t, c)
+
+	filler := make([]byte, indexCapBytes-n-n/2)
+	c.mu.Lock()
+	c.indexLocked("filler", filler)
+	c.mu.Unlock()
+	checkIndex(t, c)
+	if len(c.index) != 2 {
+		t.Fatalf("index holds %d entries before the cap, want 2", len(c.index))
+	}
+
+	if got, ok := c.Get(fps[1]); !ok || !bytes.Equal(got, bytes.Repeat([]byte{'b'}, n)) {
+		t.Fatalf("Get past the cap = %.8q…, %v", got, ok)
+	}
+	checkIndex(t, c)
+	if _, ok := c.index[fps[1]]; len(c.index) != 1 || !ok {
+		t.Fatalf("index past the cap holds %d entries; want only the entry just read", len(c.index))
+	}
+	if _, ok := c.Get(fps[2]); !ok {
+		t.Fatal("miss on a landed entry")
+	}
+	checkIndex(t, c)
+	if len(c.index) != 2 || c.indexBytes != 2*n {
+		t.Fatalf("index after the restart holds %d entries, %d bytes; want 2, %d", len(c.index), c.indexBytes, 2*n)
+	}
+}
+
 // heldWrites installs the cache's before-rename hook so every write
 // parks, complete and synced but not yet renamed, until released. Each
 // parked write reports its fingerprint and temp path on held; send on
@@ -296,7 +466,7 @@ func TestCachePutOrdered(t *testing.T) {
 // TestCacheConcurrentStress: Put, Get and Flush from many goroutines at
 // once (run it under -race). A hit always carries an artifact put for
 // that fingerprint, and after the last Flush every fingerprint holds the
-// last artifact its owner put.
+// last artifact its owner put, on disk and in the cache's own index.
 func TestCacheConcurrentStress(t *testing.T) {
 	c := &Cache{Dir: t.TempDir()}
 	const owners, keysEach, rounds = 4, 6, 3
@@ -348,12 +518,16 @@ func TestCacheConcurrentStress(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
+	// The cache that served the run's reads holds no stale index entry.
 	fresh := &Cache{Dir: c.Dir}
 	for o := range fps {
 		for _, fp := range fps[o] {
 			want := fmt.Sprintf("%s/%d", fp, rounds-1)
 			if got, ok := fresh.Get(fp); !ok || string(got) != want {
 				t.Errorf("%s landed as %q, %v; want %q", fp, got, ok, want)
+			}
+			if got, ok := c.Get(fp); !ok || string(got) != want {
+				t.Errorf("%s served as %q, %v after the last Flush; want %q", fp, got, ok, want)
 			}
 		}
 	}

@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
+
+	"starvation/internal/runner"
 )
 
 // Handler returns the daemon's HTTP API:
@@ -17,7 +18,7 @@ import (
 //	GET    /batches/{id}                one batch's status
 //	DELETE /batches/{id}                cancel a batch
 //	GET    /batches/{id}/events        stream events (JSONL; SSE on Accept)
-//	GET    /batches/{id}/artifacts     list artifact names
+//	GET    /batches/{id}/artifacts     list the jobs done
 //	GET    /batches/{id}/artifacts/{job}  one job's rendered output
 //	GET    /metrics                    Prometheus text exposition
 //	GET    /healthz                    liveness (503 while draining)
@@ -181,26 +182,25 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleArtifactList lists the jobs the manifest records done; each is
+// served by handleArtifact.
 func (s *Server) handleArtifactList(w http.ResponseWriter, r *http.Request) {
 	b, ok := s.batchOr404(w, r)
 	if !ok {
 		return
 	}
-	entries, err := os.ReadDir(filepath.Join(b.dir, "artifacts"))
-	if err != nil && !os.IsNotExist(err) {
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		return
-	}
 	names := []string{}
-	for _, e := range entries {
-		if n := strings.TrimSuffix(e.Name(), ".txt"); n != e.Name() {
-			names = append(names, n)
+	for _, bj := range b.rec.Jobs {
+		if e, ok := b.manifest.Entry(bj.Name); ok && e.Status == runner.StatusDone {
+			names = append(names, bj.Name)
 		}
 	}
 	sort.Strings(names)
 	writeJSON(w, http.StatusOK, names)
 }
 
+// handleArtifact serves a job's artifact: an executed job's file in the
+// batch tree, else a restored job's bytes from the cache.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	b, ok := s.batchOr404(w, r)
 	if !ok {
@@ -213,8 +213,10 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := os.ReadFile(b.artifactPath(job))
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such artifact"})
-		return
+		if data, ok = s.restoredArtifact(b, job); !ok {
+			writeJSON(w, http.StatusNotFound, errorBody{Error: "no such artifact"})
+			return
+		}
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_, _ = w.Write(data)

@@ -142,8 +142,8 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // loadExisting restores persisted batches. A batch whose every job is
-// recorded done (and whose artifact file exists) is terminal; anything
-// else is queued for resume.
+// satisfied (see jobSatisfied) is terminal; anything else is queued for
+// resume.
 func (s *Server) loadExisting() error {
 	root := filepath.Join(s.cfg.DataDir, "batches")
 	entries, err := os.ReadDir(root)
@@ -216,17 +216,34 @@ func (s *Server) restore(rec batchRecord, dir string) *batch {
 	return b
 }
 
-// jobSatisfied reports whether a persisted job needs no work: manifest
-// says done under the current fingerprint AND its artifact file exists.
-// A job that fails the check is re-enqueued; if its artifact is still
-// cached the re-run is a restore, not a simulation.
+// jobSatisfied reports whether a persisted job needs no work: the
+// manifest says done under the current fingerprint, and its artifact is
+// either in the batch tree (an executed job) or in the cache (a restored
+// one). A job that fails the check is re-enqueued; if its artifact is
+// still cached the re-run is a restore, not a simulation.
 func (s *Server) jobSatisfied(b *batch, bj batchJob) bool {
-	fp := s.pool.Cache.Fingerprint(bj.spec().Key())
-	if !b.manifest.Done(bj.Name, fp) {
+	// A new batch's manifest is empty: look the job up before hashing its
+	// key.
+	e, ok := b.manifest.Entry(bj.Name)
+	if !ok || !b.manifest.Done(bj.Name, s.pool.Cache.Fingerprint(bj.spec().Key())) {
 		return false
 	}
-	_, err := os.Stat(b.artifactPath(bj.Name))
-	return err == nil
+	if _, err := os.Stat(b.artifactPath(bj.Name)); err == nil {
+		return true
+	}
+	_, ok = s.pool.Cache.Get(e.Fingerprint)
+	return ok
+}
+
+// restoredArtifact returns the artifact of a job the manifest records
+// done from the cache, under the fingerprint recorded: a job restored
+// from the cache has no file in the batch tree.
+func (s *Server) restoredArtifact(b *batch, job string) ([]byte, bool) {
+	e, ok := b.manifest.Entry(job)
+	if !ok || e.Status != runner.StatusDone {
+		return nil, false
+	}
+	return s.pool.Cache.Get(e.Fingerprint)
 }
 
 func seqOf(id string) int {
@@ -356,7 +373,9 @@ func (s *Server) execute(b *batch, idx int) {
 		}
 	}
 	res := s.pool.Execute(b.ctx, ex)
-	if res.Err == nil {
+	// A restored job's bytes stay in the cache, which serves them; only
+	// an executed job's are copied into the batch tree.
+	if res.Err == nil && !res.Cached {
 		if err := s.writeArtifact(b, bj.Name, res.Artifact); err != nil {
 			s.logf("service: %s/%s: writing artifact: %v", b.rec.ID, bj.Name, err)
 		}
@@ -375,8 +394,8 @@ func (s *Server) execute(b *batch, idx int) {
 	}
 }
 
-// writeArtifact lands a job's rendered output in the batch tree with
-// write-then-rename (a crashed daemon never leaves a torn artifact).
+// writeArtifact lands an executed job's rendered output in the batch tree
+// with write-then-rename (a crashed daemon never leaves a torn artifact).
 func (s *Server) writeArtifact(b *batch, name string, data []byte) error {
 	if s.beforeArtifact != nil {
 		s.beforeArtifact(name)

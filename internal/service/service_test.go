@@ -452,58 +452,149 @@ func TestServiceFairness(t *testing.T) {
 	}
 }
 
-// TestServiceDrainAndResume: a drained daemon's successor resumes the
-// interrupted batch and re-simulates nothing that was already cached.
+// getArtifact GETs one job's artifact and fails unless it is served and
+// equals the CLI rendering of the spec at seed.
+func getArtifact(t *testing.T, base, id, name string, seed int64) {
+	t.Helper()
+	want, err := testSpec(seed).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(base + "/batches/" + id + "/artifacts/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, resp); resp.StatusCode != http.StatusOK || string(got) != want.Render() {
+		t.Fatalf("artifact %s/%s (%d) diverges from the CLI rendering:\n%s\n---\n%s", id, name, resp.StatusCode, got, want.Render())
+	}
+}
+
+// TestServiceDrainAndResume: a drained daemon's successor finds a batch
+// whose artifact file is gone. While the cache holds the job's bytes the
+// job is satisfied: the batch restores as done and the cache serves the
+// artifact. With the cache entry gone too, the batch re-queues and the
+// job re-simulates into a healed artifact.
 func TestServiceDrainAndResume(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		dropCache  bool
+		wantQueued bool
+		executed   int64
+	}{
+		{name: "tree-file-gone"},
+		{name: "tree-file-and-cache-entry-gone", dropCache: true, wantQueued: true, executed: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, ts1 := newTestServer(t, Config{DataDir: dir, Workers: 2}, true)
+			code, out, _ := postBatch(t, ts1.URL,
+				`{"client":"alice","jobs":[`+testJobJSON("a", 21)+`,`+testJobJSON("b", 22)+`,`+testJobJSON("c", 23)+`]}`)
+			if code != http.StatusAccepted {
+				t.Fatalf("submit: %d", code)
+			}
+			id := out["id"].(string)
+			waitBatch(t, s1, id)
+			s1.Drain()
+			ts1.Close()
+
+			// Simulate an interrupted artifact write: one rendered file is
+			// gone, and in the second case its cache entry with it.
+			b1, _ := s1.batch(id)
+			if err := os.Remove(b1.artifactPath("b")); err != nil {
+				t.Fatal(err)
+			}
+			if tc.dropCache {
+				fp := s1.pool.Cache.Fingerprint(testSpec(22).Key())
+				if err := os.Remove(filepath.Join(dir, "cache", fp[:2], fp+".json")); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			s2, ts2 := newTestServer(t, Config{DataDir: dir, Workers: 2}, false)
+			b2, ok := s2.batch(id)
+			if !ok {
+				t.Fatal("restarted daemon lost the batch")
+			}
+			if st := b2.status(); st.State.terminal() == tc.wantQueued {
+				t.Fatalf("batch restored as %s; want re-queued %v", st.State, tc.wantQueued)
+			}
+			s2.Start()
+			st := waitBatch(t, s2, id)
+			if st.State != stateDone {
+				t.Fatalf("resumed batch: %+v", st)
+			}
+			stats := s2.pool.Stats()
+			if stats.Executed != tc.executed {
+				t.Fatalf("resume simulated %d jobs, want %d", stats.Executed, tc.executed)
+			}
+			if stats.CacheHits != 0 {
+				t.Fatalf("resume restored %d jobs through the pool, want 0", stats.CacheHits)
+			}
+			getArtifact(t, ts2.URL, id, "b", 22)
+			if _, err := os.Stat(b2.artifactPath("b")); (err == nil) != tc.dropCache {
+				t.Fatalf("batch tree file after the resume: %v; want it back only when the job re-simulated", err)
+			}
+		})
+	}
+}
+
+// TestServiceResubmitTouchesNoFile: a resubmitted batch restores every
+// job from the cache and copies none into its batch tree, yet lists and
+// serves each artifact byte-identical to the CLI rendering, before and
+// after a drain and a restart on the same DataDir.
+func TestServiceResubmitTouchesNoFile(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newTestServer(t, Config{DataDir: dir, Workers: 2}, true)
-	code, out, _ := postBatch(t, ts1.URL,
-		`{"client":"alice","jobs":[`+testJobJSON("a", 21)+`,`+testJobJSON("b", 22)+`,`+testJobJSON("c", 23)+`]}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d", code)
+	seeds := map[string]int64{"a": 71, "b": 72, "c": 73}
+	body := `{"jobs":[` + testJobJSON("a", 71) + `,` + testJobJSON("b", 72) + `,` + testJobJSON("c", 73) + `]}`
+	var id string
+	for round := 1; round <= 2; round++ {
+		code, out, _ := postBatch(t, ts1.URL, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("round %d submit: %d %v", round, code, out)
+		}
+		id = out["id"].(string)
+		if st := waitBatch(t, s1, id); st.State != stateDone {
+			t.Fatalf("round %d batch ended %+v, want done", round, st)
+		}
 	}
-	id := out["id"].(string)
-	waitBatch(t, s1, id)
+	if st := s1.pool.Stats(); st.Executed != 3 || st.CacheHits != 3 {
+		t.Fatalf("executed %d, cache hits %d; want the first round simulated and the second restored", st.Executed, st.CacheHits)
+	}
+	b, _ := s1.batch(id)
+	if _, err := os.Stat(filepath.Join(b.dir, "artifacts")); !os.IsNotExist(err) {
+		t.Fatalf("resubmitted batch wrote an artifact tree (%v)", err)
+	}
+
+	check := func(base string) {
+		t.Helper()
+		resp, err := http.Get(base + "/batches/" + id + "/artifacts")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		if err := json.Unmarshal(readAll(t, resp), &names); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(names, ",") != "a,b,c" {
+			t.Fatalf("artifact listing %v, want [a b c]", names)
+		}
+		for name, seed := range seeds {
+			getArtifact(t, base, id, name, seed)
+		}
+	}
+	check(ts1.URL)
 	s1.Drain()
 	ts1.Close()
 
-	// Simulate an interrupted artifact write: one rendered file is gone,
-	// but the cache still holds the job's bytes.
-	b1, _ := s1.batch(id)
-	if err := os.Remove(b1.artifactPath("b")); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, _ := newTestServer(t, Config{DataDir: dir, Workers: 2}, false)
+	s2, ts2 := newTestServer(t, Config{DataDir: dir, Workers: 2}, true)
 	b2, ok := s2.batch(id)
-	if !ok {
-		t.Fatal("restarted daemon lost the batch")
+	if !ok || b2.status().State != stateDone {
+		t.Fatalf("resubmitted batch not restored as done (found: %v)", ok)
 	}
-	if st := b2.status(); st.State.terminal() {
-		t.Fatalf("batch with a missing artifact restored as %s; want re-queued", st.State)
-	}
-	s2.Start()
-	st := waitBatch(t, s2, id)
-	if st.State != stateDone {
-		t.Fatalf("resumed batch: %+v", st)
-	}
-	stats := s2.pool.Stats()
-	if stats.Executed != 0 {
-		t.Fatalf("resume re-simulated %d jobs; want pure cache restores", stats.Executed)
-	}
-	if stats.CacheHits != 1 {
-		t.Fatalf("resume used %d cache hits, want 1", stats.CacheHits)
-	}
-	want, err := testSpec(22).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(b2.artifactPath("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != want.Render() {
-		t.Fatal("healed artifact diverges from the original rendering")
+	check(ts2.URL)
+	if st := s2.pool.Stats(); st.Executed != 0 {
+		t.Fatalf("restart simulated %d jobs, want 0", st.Executed)
 	}
 }
 
