@@ -58,16 +58,19 @@ type journalLine struct {
 }
 
 // Manifest is the resumable-batch record: one entry per completed job,
-// persisted after every completion so an interrupted batch can be
-// resumed. A re-run treats "done with matching fingerprint" as
-// restorable (the artifact comes from the cache) and executes only
-// missing, failed, or changed jobs.
+// with every executed or failed outcome persisted as it happens so an
+// interrupted batch can be resumed. A re-run treats "done with matching
+// fingerprint" as restorable (the artifact comes from the cache) and
+// executes only missing, failed, or changed jobs.
 //
 // On disk the manifest is a snapshot — the {"schema":…,"jobs":{…}} object
 // — followed by zero or more one-line journal records {"id":…,"entry":{…}}.
 // Record appends one line per outcome instead of rewriting the whole map;
 // Compact folds the journal back into a bare snapshot, so a finished batch
-// leaves only the snapshot behind.
+// leaves only the snapshot behind. An outcome restored from the cache is
+// held in memory until the next snapshot: it is derivable, since a job a
+// crash left unrecorded is re-queued and restores again from the same
+// cache entry without simulating.
 type Manifest struct {
 	// Path is the manifest file; empty disables persistence (the
 	// manifest still tracks state in memory).
@@ -88,6 +91,9 @@ type Manifest struct {
 	appendable bool
 	// journaled: lines follow the file's snapshot; Compact folds them.
 	journaled bool
+	// dirty: the job map holds restored outcomes no write has persisted
+	// yet; Compact snapshots them.
+	dirty bool
 }
 
 // LoadManifest reads the manifest at path: its snapshot, then every
@@ -279,6 +285,24 @@ func (m *Manifest) Record(id, fp string, status JobStatus, rerr *guard.RunError,
 	return m.snapshot()
 }
 
+// restored records a job restored from the cache in memory only, unless
+// the manifest already says done under fp (a resumed batch keeps the
+// original attempt history). The next snapshot — Compact at the batch's
+// end, or Record's whole-file rewrite — persists it.
+func (m *Manifest) restored(id, fp string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.jobs == nil {
+		m.jobs = map[string]ManifestEntry{}
+	}
+	prev, ok := m.jobs[id]
+	if ok && prev.Status == StatusDone && prev.Fingerprint == fp {
+		return
+	}
+	m.jobs[id] = ManifestEntry{Fingerprint: fp, Status: StatusDone, HistoryDropped: prev.HistoryDropped}
+	m.dirty = true
+}
+
 // appendLine appends one journal line to the manifest file. The file must
 // already exist: a journal line without its snapshot would not load.
 func (m *Manifest) appendLine(line []byte) error {
@@ -304,7 +328,7 @@ func (m *Manifest) snapshot() error {
 		m.appendable = false
 		return err
 	}
-	m.appendable, m.journaled = true, false
+	m.appendable, m.journaled, m.dirty = true, false, false
 	return nil
 }
 
@@ -334,7 +358,8 @@ func (m *Manifest) flush(data []byte) error {
 // bound; the trim is disclosed per entry in HistoryDropped, so total
 // flakiness stays visible even after the individual records are gone.
 // The service's finalize and cmd/figures call Compact when a batch ends,
-// so a finished batch's file holds no journal lines. A manifest with no journal lines and
+// so a finished batch's file holds no journal lines and every restored
+// outcome. A manifest with no journal lines, no unpersisted restore and
 // within the bound is left untouched (no rewrite, returns 0).
 func (m *Manifest) Compact(keep int) (int, error) {
 	if keep < 0 {
@@ -353,7 +378,7 @@ func (m *Manifest) Compact(keep int) (int, error) {
 		m.jobs[id] = e
 		dropped += n
 	}
-	if m.Path == "" || (dropped == 0 && !m.journaled) {
+	if m.Path == "" || (dropped == 0 && !m.journaled && !m.dirty) {
 		return dropped, nil
 	}
 	return dropped, m.snapshot()

@@ -315,3 +315,93 @@ func TestManifestJournalFold(t *testing.T) {
 		t.Errorf("Compact rewrote an already-folded manifest (%v)", err)
 	}
 }
+
+// TestManifestRestoreHeldUntilCompact checks a cache-hit Execute writes no
+// manifest file: the restored outcome is held in memory, and the batch's
+// closing Compact persists it as a bare snapshot with no journal line.
+func TestManifestRestoreHeldUntilCompact(t *testing.T) {
+	dir := t.TempDir()
+	pool := &Pool{Cache: &Cache{Dir: filepath.Join(dir, "cache")}}
+	t.Cleanup(func() { pool.Cache.Flush() })
+	job := Job{ID: "a", Key: Key{Kind: "restore-test", Scenario: "a"},
+		Run: func(context.Context) ([]byte, error) { return []byte("artifact-a"), nil }}
+	if res := pool.Execute(context.Background(), Exec{Job: job}); res.Err != nil {
+		t.Fatalf("warming Execute: %+v", res)
+	}
+	fp := pool.Cache.Fingerprint(job.Key)
+
+	path := filepath.Join(dir, "manifest.json")
+	m := LoadManifest(path)
+	if res := pool.Execute(context.Background(), Exec{Job: job, Manifest: m}); !res.Cached {
+		t.Fatalf("Execute on a warm cache did not restore: %+v", res)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a restore wrote the manifest file (stat: %v)", err)
+	}
+	if !m.Done("a", fp) {
+		t.Fatalf("restore not recorded in memory")
+	}
+	if _, err := m.Compact(8); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("Compact did not persist the restore: %v", err)
+	}
+	if bytes.Contains(data, []byte(`{"id":`)) {
+		t.Errorf("compacted manifest holds journal lines:\n%s", data)
+	}
+	if e, ok := LoadManifest(path).Entry("a"); !ok || e.Status != StatusDone || e.Fingerprint != fp || e.Attempts != 0 {
+		t.Errorf("persisted restore = %+v, %v; want done under %s with 0 attempts", e, ok, fp)
+	}
+
+	// On a manifest whose file exists, a restore leaves its bytes alone.
+	m2 := LoadManifest(path)
+	job.ID = "a2"
+	pool.Execute(context.Background(), Exec{Job: job, Manifest: m2})
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+		t.Errorf("a restore changed an existing manifest file:\n%s", after)
+	}
+}
+
+// TestManifestRecordAfterRestore checks an executed outcome after a
+// restore still appends exactly its own journal line, and the next
+// Compact holds both entries.
+func TestManifestRecordAfterRestore(t *testing.T) {
+	dir := t.TempDir()
+	pool := &Pool{Cache: &Cache{Dir: filepath.Join(dir, "cache")}}
+	t.Cleanup(func() { pool.Cache.Flush() })
+	mk := func(id string) Job {
+		return Job{ID: id, Key: Key{Kind: "restore-test", Scenario: id},
+			Run: func(context.Context) ([]byte, error) { return []byte("artifact-" + id), nil }}
+	}
+	pool.Execute(context.Background(), Exec{Job: mk("a")}) // warms the cache
+
+	path := filepath.Join(dir, "manifest.json")
+	m := LoadManifest(path)
+	if err := m.Record("x", "ffff", StatusDone, nil, 1, nil); err != nil { // the snapshot
+		t.Fatal(err)
+	}
+	if res := pool.Execute(context.Background(), Exec{Job: mk("a"), Manifest: m}); !res.Cached {
+		t.Fatalf("a not restored: %+v", res)
+	}
+	if res := pool.Execute(context.Background(), Exec{Job: mk("b"), Manifest: m}); res.Cached || res.Err != nil {
+		t.Fatalf("b not executed: %+v", res)
+	}
+	data, _ := os.ReadFile(path)
+	if n := bytes.Count(data, []byte(`{"id":`)); n != 1 || !bytes.Contains(data, []byte(`{"id":"b"`)) {
+		t.Errorf("manifest after restore a + execute b holds %d journal lines, want exactly b's:\n%s", n, data)
+	}
+	if _, err := m.Compact(8); err != nil {
+		t.Fatal(err)
+	}
+	re := LoadManifest(path)
+	for id, attempts := range map[string]int{"x": 1, "a": 0, "b": 1} {
+		if e, ok := re.Entry(id); !ok || e.Status != StatusDone || e.Attempts != attempts {
+			t.Errorf("compacted entry %s = %+v, %v; want done with %d attempts", id, e, ok, attempts)
+		}
+	}
+	if data, _ := os.ReadFile(path); bytes.Contains(data, []byte(`{"id":`)) {
+		t.Errorf("compacted manifest holds journal lines:\n%s", data)
+	}
+}

@@ -371,11 +371,10 @@ func (p *Pool) runOne(ctx context.Context, job Job, env execEnv) JobResult {
 		fp = p.Cache.Fingerprint(job.Key)
 		if art, ok := p.Cache.Get(fp); ok {
 			p.cacheHits.Add(1)
-			// Record only when the manifest doesn't already say done under
-			// this fingerprint, so a resumed batch keeps the original
-			// attempt history instead of overwriting it with a cache hit.
-			if env.manifest == nil || !env.manifest.Done(job.ID, fp) {
-				env.record(job.ID, fp, StatusDone, nil, 0, nil)
+			// A restore writes no journal line: the batch's closing
+			// Compact persists it, and a crash before then re-restores.
+			if env.manifest != nil {
+				env.manifest.restored(job.ID, fp)
 			}
 			env.emit(ProgressEvent{Job: job.ID, Kind: ProgressCached})
 			return JobResult{ID: job.ID, Artifact: art, Cached: true}

@@ -126,26 +126,16 @@ func validBatchID(id string) bool {
 	return true
 }
 
-// saveRecord persists the batch record with write-then-rename.
+// saveRecord writes the batch record in place. The batch directory was
+// just made, so a crash mid-write leaves a torn record that loadExisting
+// skips exactly like a missing one (a torn admission the client never got
+// a 202 for); a temp file and rename would buy nothing.
 func saveRecord(dir string, rec batchRecord) error {
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ".batch.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, "batch.json"))
+	return os.WriteFile(filepath.Join(dir, "batch.json"), append(data, '\n'), 0o644)
 }
 
 // loadRecord reads a persisted batch record.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 
@@ -200,7 +199,9 @@ func (s *Server) handleArtifactList(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleArtifact serves a job's artifact: an executed job's file in the
-// batch tree, else a restored job's bytes from the cache.
+// batch tree, else a restored job's bytes from the cache. A job the
+// manifest records as restored (no attempts) tries the cache first, so
+// serving it opens no file.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	b, ok := s.batchOr404(w, r)
 	if !ok {
@@ -211,12 +212,10 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such artifact"})
 		return
 	}
-	data, err := os.ReadFile(b.artifactPath(job))
-	if err != nil {
-		if data, ok = s.restoredArtifact(b, job); !ok {
-			writeJSON(w, http.StatusNotFound, errorBody{Error: "no such artifact"})
-			return
-		}
+	data, ok := s.artifact(b, job)
+	if !ok {
+		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such artifact"})
+		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_, _ = w.Write(data)

@@ -119,15 +119,17 @@ func (req BatchRequest) expand() ([]batchJob, error) {
 	}
 	var jobs []batchJob
 	seen := map[string]bool{}
-	add := func(name string, jr JobRequest) error {
+	add := func(name string, jr JobRequest, validate bool) error {
 		name = sanitizeName(name)
 		if seen[name] {
 			return fmt.Errorf("duplicate job name %q", name)
 		}
 		seen[name] = true
 		spec := jr.spec()
-		if err := spec.Validate(); err != nil {
-			return fmt.Errorf("job %q: %w", name, err)
+		if validate {
+			if err := spec.Validate(); err != nil {
+				return fmt.Errorf("job %q: %w", name, err)
+			}
 		}
 		jobs = append(jobs, batchJob{Name: name, Spec: spec, DurationSec: jr.DurationSec})
 		return nil
@@ -137,7 +139,7 @@ func (req BatchRequest) expand() ([]batchJob, error) {
 		if name == "" {
 			name = fmt.Sprintf("job-%03d", i)
 		}
-		if err := add(name, jr); err != nil {
+		if err := add(name, jr, true); err != nil {
 			return nil, err
 		}
 	}
@@ -153,10 +155,13 @@ func (req BatchRequest) expand() ([]batchJob, error) {
 		if prefix == "" {
 			prefix = "seed"
 		}
+		// Validity does not depend on the seed (it only seeds generators,
+		// and validation draws from none), so the first seed's job
+		// validates the sweep and names it in the error.
 		for k := 0; k < req.Sweep.Seeds; k++ {
 			jr := req.Sweep.JobRequest
 			jr.Seed = base + int64(k)
-			if err := add(fmt.Sprintf("%s-%d", prefix, jr.Seed), jr); err != nil {
+			if err := add(fmt.Sprintf("%s-%d", prefix, jr.Seed), jr, k == 0); err != nil {
 				return nil, err
 			}
 		}

@@ -235,15 +235,26 @@ func (s *Server) jobSatisfied(b *batch, bj batchJob) bool {
 	return ok
 }
 
-// restoredArtifact returns the artifact of a job the manifest records
-// done from the cache, under the fingerprint recorded: a job restored
-// from the cache has no file in the batch tree.
-func (s *Server) restoredArtifact(b *batch, job string) ([]byte, bool) {
+// artifact returns a job's bytes: an executed job's file in the batch
+// tree, or a job's entry in the cache under the fingerprint its manifest
+// entry records done. A job the manifest records as restored (Attempts 0)
+// has no tree file, so the cache goes first; any other job keeps the tree
+// first.
+func (s *Server) artifact(b *batch, job string) ([]byte, bool) {
 	e, ok := b.manifest.Entry(job)
-	if !ok || e.Status != runner.StatusDone {
-		return nil, false
+	done := ok && e.Status == runner.StatusDone
+	if done && e.Attempts == 0 {
+		if data, ok := s.pool.Cache.Get(e.Fingerprint); ok {
+			return data, true
+		}
 	}
-	return s.pool.Cache.Get(e.Fingerprint)
+	if data, err := os.ReadFile(b.artifactPath(job)); err == nil {
+		return data, true
+	}
+	if done && e.Attempts > 0 {
+		return s.pool.Cache.Get(e.Fingerprint)
+	}
+	return nil, false
 }
 
 func seqOf(id string) int {

@@ -598,6 +598,87 @@ func TestServiceResubmitTouchesNoFile(t *testing.T) {
 	}
 }
 
+// TestServiceRestoreCrashBeforeFold: a batch whose every job restores
+// keeps its outcomes in memory until finalize's fold, so a kill before the
+// fold leaves no manifest.json. The next daemon re-queues the batch, which
+// restores again from the cache with nothing simulated. After a clean
+// finalize, a restart loads the batch as done and re-queues nothing.
+func TestServiceRestoreCrashBeforeFold(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{DataDir: dir, Workers: 2}, true)
+	seeds := map[string]int64{"a": 81, "b": 82, "c": 83}
+	body := `{"jobs":[` + testJobJSON("a", 81) + `,` + testJobJSON("b", 82) + `,` + testJobJSON("c", 83) + `]}`
+	var id string
+	for round := 1; round <= 2; round++ {
+		code, out, _ := postBatch(t, ts1.URL, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("round %d submit: %d %v", round, code, out)
+		}
+		id = out["id"].(string)
+		if st := waitBatch(t, s1, id); st.State != stateDone {
+			t.Fatalf("round %d batch ended %+v, want done", round, st)
+		}
+	}
+	if st := s1.pool.Stats(); st.CacheHits != 3 {
+		t.Fatalf("second round restored %d jobs, want 3", st.CacheHits)
+	}
+	s1.Drain()
+	ts1.Close()
+	bdir := filepath.Join(dir, "batches", id)
+	if err := os.Remove(filepath.Join(bdir, "manifest.json")); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := newTestServer(t, Config{DataDir: dir, Workers: 2}, false)
+	b2, ok := s2.batch(id)
+	if !ok || b2.status().State.terminal() {
+		t.Fatalf("batch without a manifest not re-queued (found: %v)", ok)
+	}
+	s2.Start()
+	if st := waitBatch(t, s2, id); st.State != stateDone {
+		t.Fatalf("re-queued batch ended %+v, want done", st)
+	}
+	if st := s2.pool.Stats(); st.Executed != 0 || st.CacheHits != 3 {
+		t.Fatalf("re-queued batch executed %d, restored %d; want 0 and 3", st.Executed, st.CacheHits)
+	}
+	for name, seed := range seeds {
+		getArtifact(t, ts2.URL, id, name, seed)
+	}
+	s2.Drain()
+	ts2.Close()
+
+	entries, err := os.ReadDir(bdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, ",") != "batch.json,manifest.json" {
+		t.Errorf("restored batch directory holds %v, want [batch.json manifest.json]", names)
+	}
+	if data, err := os.ReadFile(filepath.Join(bdir, "manifest.json")); err != nil || strings.Contains(string(data), `{"id":`) {
+		t.Errorf("folded manifest (%v) holds journal lines:\n%s", err, data)
+	}
+
+	s3, ts3 := newTestServer(t, Config{DataDir: dir, Workers: 2}, false)
+	b3, ok := s3.batch(id)
+	if !ok || b3.status().State != stateDone {
+		t.Fatalf("cleanly finalized batch not loaded as done (found: %v)", ok)
+	}
+	s3.Start()
+	if n := s3.sched.queued(); n != 0 {
+		t.Fatalf("restart re-queued %d jobs, want 0", n)
+	}
+	for name, seed := range seeds {
+		getArtifact(t, ts3.URL, id, name, seed)
+	}
+	if st := s3.pool.Stats(); st.Executed != 0 || st.CacheHits != 0 {
+		t.Fatalf("restart executed %d, restored %d through the pool; want 0 and 0", st.Executed, st.CacheHits)
+	}
+}
+
 // TestServiceFoldsFinishedJournal: a finished batch whose manifest still
 // carries journal lines (its daemon died before finalize folded them) is
 // folded back to the finished snapshot when the next daemon loads it.
