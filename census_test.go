@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,7 +26,7 @@ import (
 //   - each exported struct field that no non-test code sets: an option
 //     nobody sets is a constant, and a result field nobody fills is dead.
 //     A default fill, an assignment to x.F under an if that compares x.F
-//     with its zero value, does not count as setting F.
+//     with a constant, does not count as setting F.
 //
 // A method that satisfies an interface, a type named in the type of
 // something used outside its package, and a field in a JSON wire format
@@ -61,10 +61,9 @@ func TestCensus(t *testing.T) {
 
 // keepReasons is the closed list of reasons an entry may stay.
 var keepReasons = map[string]bool{
-	"bench":      true, // bench/ compiles against it (until ROADMAP item 4(e))
-	"paper":      true, // a paper item (ROADMAP 1(b), 13) consumes it
-	"cca-config": true, // a CCA Config field, or the constructor that applies one (items 2(c), 18)
-	"signature":  true, // a type named in an exported signature, or a method an interface needs
+	"bench":     true, // bench/ compiles against it (until ROADMAP item 4(e))
+	"paper":     true, // a paper item (ROADMAP 1(b), 13) or a paper experiment's test consumes it
+	"signature": true, // a type named in an exported signature, or a method an interface needs
 }
 
 func readKept(path string) (map[string]string, error) {
@@ -248,11 +247,10 @@ func census(root string) (map[string]bool, error) {
 				}
 				switch n := n.(type) {
 				case *ast.IfStmt:
-					if x := zeroTested(p.info, n.Cond); x != "" {
-						for _, st := range n.Body.List {
-							if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && types.ExprString(as.Lhs[0]) == x {
-								defaultFills[as] = true
-							}
+					tested := constTested(p.info, n.Cond)
+					for _, st := range n.Body.List {
+						if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && slices.Contains(tested, types.ExprString(as.Lhs[0])) {
+							defaultFills[as] = true
 						}
 					}
 				case *ast.CompositeLit:
@@ -422,37 +420,32 @@ func census(root string) (map[string]bool, error) {
 	return out, nil
 }
 
-// zeroTested returns the field selector x.F that cond compares with its
-// zero value (x.F == 0, x.F <= 0, x.F < 0, x.F == "", x.F == nil, also as
-// the first operand of an ||, as in x.F <= 0 || x.F > 1), or "".
-func zeroTested(info *types.Info, cond ast.Expr) string {
+// constTested returns each field selector x.F that cond compares with a
+// constant (x.F <= 0, x.F == "", x.F == nil, x.F <= 1, x.F >= 1), also
+// in any operand of an ||, as in x.F <= 0 || x.F > 1.
+func constTested(info *types.Info, cond ast.Expr) []string {
 	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if ok && b.Op == token.LOR {
-		return zeroTested(info, b.X)
+	if !ok {
+		return nil
 	}
-	if !ok || (b.Op != token.EQL && b.Op != token.LEQ && b.Op != token.LSS) {
-		return ""
+	switch b.Op {
+	case token.LOR:
+		return append(constTested(info, b.X), constTested(info, b.Y)...)
+	case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+	default:
+		return nil
 	}
 	sel, ok := ast.Unparen(b.X).(*ast.SelectorExpr)
 	if !ok {
-		return ""
+		return nil
 	}
 	if _, isField := info.Uses[sel.Sel].(*types.Var); !isField {
-		return ""
+		return nil
 	}
-	zero := info.Types[b.Y]
-	switch {
-	case zero.IsNil():
-	case zero.Value == nil:
-		return ""
-	case zero.Value.Kind() == constant.String:
-		if constant.StringVal(zero.Value) != "" {
-			return ""
-		}
-	case constant.Sign(zero.Value) != 0:
-		return ""
+	if y := info.Types[b.Y]; y.Value == nil && !y.IsNil() {
+		return nil
 	}
-	return types.ExprString(sel)
+	return []string{types.ExprString(sel)}
 }
 
 // origin maps an instantiated generic member back to its declaration.
@@ -496,4 +489,46 @@ func interfaces(pkgs []*censusPkg) []*types.Interface {
 		}
 	}
 	return out
+}
+
+// TestCensusConstTested checks which if conditions mark an assignment in
+// their body as a default fill.
+func TestCensusConstTested(t *testing.T) {
+	cases := []struct {
+		cond string
+		want []string
+	}{
+		{"c.R == 0", []string{"c.R"}},
+		{"c.R <= 1", []string{"c.R"}},
+		{"c.R < limit", []string{"c.R"}},
+		{"c.S <= 0 || c.S >= 1", []string{"c.S", "c.S"}},
+		{"(c.S > 1)", []string{"c.S"}},
+		{`c.N == ""`, []string{"c.N"}},
+		{"c.P == nil", []string{"c.P"}},
+		{"c.R != 2", []string{"c.R"}},
+		{"c.R < c.S", nil},
+		{"c.R > 2 && c.S > 1", nil},
+		{"r <= 0", nil},
+		{"0 >= c.R", nil},
+	}
+	src := "package p\n\nconst limit = 3\n\ntype C struct {\n\tR, S float64\n\tN    string\n\tP    *int\n}\n\nfunc f(c C, r float64) {\n"
+	for _, tc := range cases {
+		src += "\tif " + tc.cond + " {\n\t}\n"
+	}
+	src += "}\n"
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
+	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info); err != nil {
+		t.Fatal(err)
+	}
+	body := f.Decls[len(f.Decls)-1].(*ast.FuncDecl).Body.List
+	for i, tc := range cases {
+		if got := constTested(info, body[i].(*ast.IfStmt).Cond); !slices.Equal(got, tc.want) {
+			t.Errorf("constTested(%s) = %q, want %q", tc.cond, got, tc.want)
+		}
+	}
 }

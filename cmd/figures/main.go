@@ -609,7 +609,7 @@ func fig4(ctx context.Context, r *reporter) {
 func fig5(ctx context.Context, r *reporter) {
 	r.section("F5/F6", "Theorem 1 construction (Vegas, C1=12, C2=384 Mbit/s)")
 	res := core.EmulateTwoFlow(core.EmulationSpec{
-		Make:    core.RestartVegas,
+		CCA:     "vegas",
 		Rm:      50 * time.Millisecond,
 		C1:      units.Mbps(12),
 		C2:      units.Mbps(384),

@@ -22,15 +22,23 @@ import (
 	"starvation/internal/units"
 )
 
-// The defaults of the mapping's parameters (see Config).
+// The mapping's parameters.
 const (
-	DefaultD          = 10 * time.Millisecond
-	DefaultS          = 2
+	// DefaultD is the designed-for non-congestive jitter bound.
+	DefaultD = 10 * time.Millisecond
+	// DefaultS is the tolerated unfairness ratio.
+	DefaultS = 2
+	// DefaultRmaxOffset sets Rmax = Rm + DefaultRmaxOffset, the maximum
+	// tolerable queueing delay.
 	DefaultRmaxOffset = 120 * time.Millisecond
-	// DefaultMuMin is 100 Kbit/s.
+	// DefaultMuMin is μ−, the lowest supported rate: 100 Kbit/s.
 	DefaultMuMin units.Rate = 100e3
-	DefaultB                = 0.9
+	// DefaultB is the multiplicative decrease factor in (0,1).
+	DefaultB = 0.9
 )
+
+// defaultA is the registry's additive increase per Rm.
+const defaultA units.Rate = 500e3
 
 // Config parameterizes Algorithm 1.
 type Config struct {
@@ -39,19 +47,8 @@ type Config struct {
 	// mechanism (§6.3 discusses why discovery is hard); when zero, the
 	// lifetime minimum RTT is used as the estimate.
 	Rm time.Duration
-	// D is the designed-for non-congestive jitter bound (default DefaultD).
-	D time.Duration
-	// S is the tolerated unfairness ratio (default DefaultS).
-	S float64
-	// RmaxOffset sets Rmax = Rm + RmaxOffset (default DefaultRmaxOffset),
-	// the maximum tolerable queueing delay.
-	RmaxOffset time.Duration
-	// MuMin is μ−, the lowest supported rate (default DefaultMuMin).
-	MuMin units.Rate
 	// A is the additive increase per Rm (default 500 Kbit/s).
 	A units.Rate
-	// B is the multiplicative decrease factor in (0,1) (default DefaultB).
-	B float64
 	// InitialRate is the starting rate (default μ−).
 	InitialRate units.Rate
 	// AIAD replaces the multiplicative decrease with a subtractive one
@@ -76,7 +73,6 @@ type Algo1 struct {
 	base cca.MinRTT
 
 	lastRTT time.Duration
-	Ticks   int64
 }
 
 // New returns an Algorithm 1 instance.
@@ -84,26 +80,11 @@ func New(cfg Config) *Algo1 {
 	if cfg.MSS <= 0 {
 		cfg.MSS = 1500
 	}
-	if cfg.D <= 0 {
-		cfg.D = DefaultD
-	}
-	if cfg.S <= 1 {
-		cfg.S = DefaultS
-	}
-	if cfg.RmaxOffset <= 0 {
-		cfg.RmaxOffset = DefaultRmaxOffset
-	}
-	if cfg.MuMin <= 0 {
-		cfg.MuMin = DefaultMuMin
-	}
 	if cfg.A <= 0 {
-		cfg.A = units.Kbps(500)
-	}
-	if cfg.B <= 0 || cfg.B >= 1 {
-		cfg.B = DefaultB
+		cfg.A = defaultA
 	}
 	if cfg.InitialRate <= 0 {
-		cfg.InitialRate = cfg.MuMin
+		cfg.InitialRate = DefaultMuMin
 	}
 	return &Algo1{cfg: cfg, mu: float64(cfg.InitialRate)}
 }
@@ -132,8 +113,8 @@ func (a *Algo1) targetRate(d time.Duration) units.Rate {
 	if q < 0 {
 		q = 0
 	}
-	exp := (a.cfg.RmaxOffset - q).Seconds() / a.cfg.D.Seconds()
-	return units.Rate(float64(a.cfg.MuMin) * math.Pow(a.cfg.S, exp))
+	exp := (DefaultRmaxOffset - q).Seconds() / DefaultD.Seconds()
+	return units.Rate(float64(DefaultMuMin) * math.Pow(DefaultS, exp))
 }
 
 // Window implements cca.Algorithm: a safety cap of 2·μ·Rmax keeps the flow
@@ -143,7 +124,7 @@ func (a *Algo1) Window() int {
 	if rm <= 0 {
 		return 64 * a.cfg.MSS
 	}
-	rmax := rm + a.cfg.RmaxOffset
+	rmax := rm + DefaultRmaxOffset
 	w := int(2 * a.mu / 8 * rmax.Seconds())
 	if min := 4 * a.cfg.MSS; w < min {
 		return min
@@ -165,7 +146,6 @@ func (a *Algo1) TickInterval() time.Duration {
 
 // OnTick implements cca.Ticker.
 func (a *Algo1) OnTick(time.Duration) {
-	a.Ticks++
 	if a.cfg.PerAck {
 		return // updates happen in OnAck for the ablation variant
 	}
@@ -185,10 +165,14 @@ func (a *Algo1) update(frac float64) {
 	} else if a.cfg.AIAD {
 		a.mu -= float64(a.cfg.A) * frac
 	} else {
-		a.mu *= 1 - (1-a.cfg.B)*frac
+		// b is a variable so that 1−b is computed in float64 (0.0999…98);
+		// the constant expression 1-DefaultB would fold exactly to 0.1
+		// and change the per-ACK ablation's step in its last bit.
+		b := float64(DefaultB)
+		a.mu *= 1 - (1-b)*frac
 	}
-	if a.mu < float64(a.cfg.MuMin) {
-		a.mu = float64(a.cfg.MuMin)
+	if a.mu < float64(DefaultMuMin) {
+		a.mu = float64(DefaultMuMin)
 	}
 }
 
@@ -221,8 +205,8 @@ func (a *Algo1) OnLoss(s cca.LossSignal) {
 	if !s.NewEvent {
 		return
 	}
-	a.mu *= a.cfg.B
-	if a.mu < float64(a.cfg.MuMin) {
-		a.mu = float64(a.cfg.MuMin)
+	a.mu *= DefaultB
+	if a.mu < float64(DefaultMuMin) {
+		a.mu = float64(DefaultMuMin)
 	}
 }

@@ -10,12 +10,7 @@ import (
 )
 
 func newTest() *Algo1 {
-	return New(Config{
-		MSS: 1500,
-		Rm:  50 * time.Millisecond,
-		D:   10 * time.Millisecond,
-		S:   2,
-	})
+	return New(Config{MSS: 1500, Rm: 50 * time.Millisecond})
 }
 
 func TestTargetRateExponentialSpacing(t *testing.T) {
@@ -35,8 +30,8 @@ func TestTargetRateAtRmax(t *testing.T) {
 	// At d = Rm + RmaxOffset, the target is exactly μ−.
 	d := 50*time.Millisecond + 120*time.Millisecond
 	got := a.targetRate(d)
-	if math.Abs(float64(got)-float64(a.cfg.MuMin)) > 1 {
-		t.Errorf("μ(Rmax) = %v, want μ− = %v", got, a.cfg.MuMin)
+	if math.Abs(float64(got)-float64(DefaultMuMin)) > 1 {
+		t.Errorf("μ(Rmax) = %v, want μ− = %v", got, DefaultMuMin)
 	}
 }
 
@@ -61,8 +56,8 @@ func TestAIMDUpdate(t *testing.T) {
 	// Above target: multiplicative decrease by B.
 	a.mu = 1e9 // 1 Gbit/s, far above any target
 	a.OnTick(time.Second)
-	if got := a.mu; math.Abs(got-1e9*a.cfg.B) > 1 {
-		t.Errorf("multiplicative decrease to %v, want %v", got, 1e9*a.cfg.B)
+	if got := a.mu; math.Abs(got-1e9*DefaultB) > 1 {
+		t.Errorf("multiplicative decrease to %v, want %v", got, 1e9*DefaultB)
 	}
 }
 
@@ -77,7 +72,7 @@ func TestConvergesToTargetAtFixedDelay(t *testing.T) {
 	}
 	target := float64(a.targetRate(d))
 	got := a.mu
-	if got < target*a.cfg.B*0.9 || got > target/a.cfg.B*1.1 {
+	if got < target*DefaultB*0.9 || got > target/DefaultB*1.1 {
 		t.Errorf("rate = %v, want within AIMD band of target %v", got, target)
 	}
 }
@@ -101,7 +96,7 @@ func TestRateFloor(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		a.OnTick(time.Duration(i) * 50 * time.Millisecond)
 	}
-	if units.Rate(a.mu) < a.cfg.MuMin {
+	if units.Rate(a.mu) < DefaultMuMin {
 		t.Errorf("rate %v below μ−", units.Rate(a.mu))
 	}
 }
@@ -121,11 +116,11 @@ func TestLossBacksOff(t *testing.T) {
 	a := newTest()
 	a.mu = 50e6
 	a.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
-	if got := a.mu; got != 50e6*a.cfg.B {
-		t.Errorf("rate after loss = %v, want %v", got, 50e6*a.cfg.B)
+	if got := a.mu; got != 50e6*DefaultB {
+		t.Errorf("rate after loss = %v, want %v", got, 50e6*DefaultB)
 	}
 	a.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: false})
-	if got := a.mu; got != 50e6*a.cfg.B {
+	if got := a.mu; got != 50e6*DefaultB {
 		t.Error("same-epoch loss reduced twice")
 	}
 }
@@ -134,7 +129,7 @@ func TestFigureOfMeritMatchesTheory(t *testing.T) {
 	// The supported range μ+/μ− must equal Equation 2's s^((Rmax−D)/D)
 	// evaluated with queueing-delay budget Rmax (the paper's Rmax − Rm).
 	a := newTest()
-	got := float64(a.muPlus()) / float64(a.cfg.MuMin)
+	got := float64(a.muPlus()) / float64(DefaultMuMin)
 	want := math.Pow(2, (120.0-10)/10)
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("μ+/μ− = %v, want %v", got, want)
@@ -143,6 +138,6 @@ func TestFigureOfMeritMatchesTheory(t *testing.T) {
 
 // muPlus returns the top of the s-fair rate range, μ+ = μ(Rm + D).
 func (a *Algo1) muPlus() units.Rate {
-	exp := (a.cfg.RmaxOffset - a.cfg.D).Seconds() / a.cfg.D.Seconds()
-	return units.Rate(float64(a.cfg.MuMin) * math.Pow(a.cfg.S, exp))
+	exp := (DefaultRmaxOffset - DefaultD).Seconds() / DefaultD.Seconds()
+	return units.Rate(float64(DefaultMuMin) * math.Pow(DefaultS, exp))
 }

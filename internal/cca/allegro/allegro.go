@@ -19,19 +19,22 @@ import (
 	"starvation/internal/units"
 )
 
+const (
+	// lossThreshold is the sigmoid's center and sigmoidAlpha its
+	// steepness.
+	lossThreshold = 0.05
+	sigmoidAlpha  = 100
+	// epsilonMin and epsilonMax bound the probing fraction.
+	epsilonMin, epsilonMax = 0.01, 0.05
+	// initialRate is the starting rate and minRate the rate's floor, in
+	// Mbit/s.
+	initialRate = 1
+	minRate     = 0.05
+)
+
 // Config parameterizes Allegro.
 type Config struct {
 	MSS int
-	// LossThreshold is the sigmoid center (default 0.05).
-	LossThreshold float64
-	// SigmoidAlpha is the sigmoid steepness (default 100).
-	SigmoidAlpha float64
-	// EpsilonMin/EpsilonMax bound the probing fraction (defaults 0.01/0.05).
-	EpsilonMin, EpsilonMax float64
-	// InitialRate is the starting rate (default 1 Mbit/s).
-	InitialRate units.Rate
-	// MinRate floors the rate (default 0.05 Mbit/s).
-	MinRate units.Rate
 	// Rng randomizes probe-order assignments; required.
 	Rng *rand.Rand
 }
@@ -92,8 +95,6 @@ type Allegro struct {
 	// it are discarded and only the second half is scored. This mirrors
 	// the PCC monitor's wait-for-results behaviour.
 	warmup bool
-
-	MIsScored int64
 }
 
 // New returns an Allegro instance.
@@ -101,28 +102,10 @@ func New(cfg Config) *Allegro {
 	if cfg.MSS <= 0 {
 		cfg.MSS = 1500
 	}
-	if cfg.LossThreshold <= 0 {
-		cfg.LossThreshold = 0.05
-	}
-	if cfg.SigmoidAlpha <= 0 {
-		cfg.SigmoidAlpha = 100
-	}
-	if cfg.EpsilonMin <= 0 {
-		cfg.EpsilonMin = 0.01
-	}
-	if cfg.EpsilonMax <= 0 {
-		cfg.EpsilonMax = 0.05
-	}
-	if cfg.InitialRate <= 0 {
-		cfg.InitialRate = units.Mbps(1)
-	}
-	if cfg.MinRate <= 0 {
-		cfg.MinRate = units.Mbps(0.05)
-	}
 	if cfg.Rng == nil {
 		panic("allegro: Config.Rng is nil")
 	}
-	a := &Allegro{cfg: cfg, rate: cfg.InitialRate.Mbit(), st: stStarting, eps: cfg.EpsilonMin,
+	a := &Allegro{cfg: cfg, rate: initialRate, st: stStarting, eps: epsilonMin,
 		// The first interval only fills the pipeline; never score it.
 		warmup: true}
 	a.srtt.Alpha = 0.125
@@ -147,8 +130,8 @@ func (a *Allegro) Window() int { return 0 }
 // PacingRate implements cca.Algorithm.
 func (a *Allegro) PacingRate() units.Rate {
 	r := a.cur.rate
-	if r < a.cfg.MinRate.Mbit() {
-		r = a.cfg.MinRate.Mbit()
+	if r < minRate {
+		r = minRate
 	}
 	return units.Mbps(r)
 }
@@ -167,7 +150,6 @@ func (a *Allegro) OnTick(now time.Duration) {
 		return
 	}
 	u := a.score(a.cur)
-	a.MIsScored++
 	switch a.st {
 	case stStarting:
 		switch {
@@ -199,12 +181,12 @@ func (a *Allegro) OnTick(now time.Duration) {
 			a.prevUtil = u
 			a.adjSteps++
 			step := float64(a.adjSteps) * a.eps * a.rate * float64(a.adjDir)
-			a.rate = maxF(a.rate+step, a.cfg.MinRate.Mbit())
+			a.rate = maxF(a.rate+step, minRate)
 			a.startMI(now, a.rate)
 		} else {
 			// Utility fell: revert the last move and re-enter decision.
 			step := float64(a.adjSteps) * a.eps * a.rate * float64(a.adjDir)
-			a.rate = maxF(a.rate-step, a.cfg.MinRate.Mbit())
+			a.rate = maxF(a.rate-step, minRate)
 			a.enterDecision(now)
 		}
 	}
@@ -260,7 +242,7 @@ func (a *Allegro) decide(now time.Duration) {
 		a.startAdjusting(now, -1)
 	default:
 		// Inconclusive: widen the probe and retry.
-		a.eps = minF(a.eps+0.01, a.cfg.EpsilonMax)
+		a.eps = minF(a.eps+0.01, epsilonMax)
 		a.enterDecision(now)
 	}
 }
@@ -269,15 +251,15 @@ func (a *Allegro) startAdjusting(now time.Duration, dir int) {
 	a.st = stAdjusting
 	a.adjDir = dir
 	a.adjSteps = 1
-	a.eps = a.cfg.EpsilonMin
-	a.rate = maxF(a.rate*(1+float64(dir)*a.eps), a.cfg.MinRate.Mbit())
+	a.eps = epsilonMin
+	a.rate = maxF(a.rate*(1+float64(dir)*a.eps), minRate)
 	a.prevUtil = math.Inf(-1)
 	a.startMI(now, a.rate)
 }
 
 func (a *Allegro) startMI(now time.Duration, rate float64) {
-	if rate < a.cfg.MinRate.Mbit() {
-		rate = a.cfg.MinRate.Mbit()
+	if rate < minRate {
+		rate = minRate
 	}
 	a.cur = mi{rate: rate, start: now}
 	a.warmup = true
@@ -305,7 +287,7 @@ func (a *Allegro) score(m mi) float64 {
 // utility is Allegro's published sigmoid utility for a measured throughput
 // x (Mbit/s) and loss rate.
 func (a *Allegro) utility(x, loss float64) float64 {
-	sig := 1 / (1 + math.Exp(a.cfg.SigmoidAlpha*(loss-a.cfg.LossThreshold)))
+	sig := 1 / (1 + math.Exp(sigmoidAlpha*(loss-lossThreshold)))
 	return x*(1-loss)*sig - x*loss
 }
 

@@ -142,7 +142,7 @@ func TestDecisionInconclusiveWidensEpsilon(t *testing.T) {
 	if a.eps <= eps0 {
 		t.Errorf("epsilon not widened after inconclusive trials: %v", a.eps)
 	}
-	if a.eps > a.cfg.EpsilonMax {
+	if a.eps > epsilonMax {
 		t.Errorf("epsilon exceeded max: %v", a.eps)
 	}
 }
@@ -169,7 +169,7 @@ func TestRateFloorHolds(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		tick(a, &now, 0.3) // catastrophic loss forever
 	}
-	if a.rate < a.cfg.MinRate.Mbit() {
+	if a.rate < minRate {
 		t.Errorf("rate %v below floor", a.rate)
 	}
 }

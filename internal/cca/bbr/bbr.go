@@ -25,28 +25,32 @@ import (
 	"starvation/internal/units"
 )
 
+const (
+	// quantaPkts is the additive cwnd term α in packets.
+	quantaPkts = 4
+	// steadyCwndGain multiplies the estimated BDP for the cwnd cap outside
+	// Startup and ProbeRTT.
+	steadyCwndGain = 2
+	// rtpropWindow is the min-RTT filter window.
+	rtpropWindow = 10 * time.Second
+	// bwWindowRTTs is the max-bandwidth filter length in RTTs.
+	bwWindowRTTs = 10
+	// probeRTTDuration is the ProbeRTT dwell time.
+	probeRTTDuration = 200 * time.Millisecond
+	// initialCwndPkts is the startup window.
+	initialCwndPkts = 10
+)
+
 // Config parameterizes BBR.
 type Config struct {
 	MSS int
-	// QuantaPkts is the additive cwnd term α in packets (default 4).
-	QuantaPkts float64
-	// CwndGain multiplies the estimated BDP for the cwnd cap (default 2).
-	CwndGain float64
-	// RTpropWindow is the min-RTT filter window (default 10 s).
-	RTpropWindow time.Duration
-	// BwWindowRTTs is the max-bandwidth filter length in RTTs (default 10).
-	BwWindowRTTs int
-	// ProbeRTTDuration is the ProbeRTT dwell time (default 200 ms).
-	ProbeRTTDuration time.Duration
-	// InitialCwndPkts is the startup window (default 10).
-	InitialCwndPkts float64
-	// DisableProbeRTT turns off ProbeRTT episodes (theory experiments that
-	// grant oracular Rm knowledge use this together with RTpropHint).
-	DisableProbeRTT bool
-	// RTpropHint pins the RTprop estimate when nonzero.
-	RTpropHint time.Duration
 	// Rng drives the randomized ProbeBW phase offset; required.
 	Rng *rand.Rand
+	// rtpropHint, when nonzero, pins the RTprop estimate, and
+	// disableProbeRTT turns off ProbeRTT episodes: oracular Rm knowledge
+	// for tests.
+	rtpropHint      time.Duration
+	disableProbeRTT bool
 }
 
 type state int
@@ -102,7 +106,7 @@ type BBR struct {
 
 	// ProbeRTT. probeRTTFloor is when inflight first fell to the 4-packet
 	// floor in this episode (zero until then); probeRTTDone is the
-	// earliest exit, ProbeRTTDuration after that; probeRTTRound is set
+	// earliest exit, probeRTTDuration after that; probeRTTRound is set
 	// once a segment sent at or after the floor has been acknowledged.
 	probeRTTFloor time.Duration
 	probeRTTDone  time.Duration
@@ -119,24 +123,6 @@ func New(cfg Config) *BBR {
 	if cfg.MSS <= 0 {
 		cfg.MSS = 1500
 	}
-	if cfg.QuantaPkts <= 0 {
-		cfg.QuantaPkts = 4
-	}
-	if cfg.CwndGain <= 0 {
-		cfg.CwndGain = 2
-	}
-	if cfg.RTpropWindow <= 0 {
-		cfg.RTpropWindow = 10 * time.Second
-	}
-	if cfg.BwWindowRTTs <= 0 {
-		cfg.BwWindowRTTs = 10
-	}
-	if cfg.ProbeRTTDuration <= 0 {
-		cfg.ProbeRTTDuration = 200 * time.Millisecond
-	}
-	if cfg.InitialCwndPkts <= 0 {
-		cfg.InitialCwndPkts = 10
-	}
 	if cfg.Rng == nil {
 		panic("bbr: Config.Rng is nil")
 	}
@@ -146,7 +132,7 @@ func New(cfg Config) *BBR {
 		pacingGain: startupGain,
 		cwndGain:   startupGain,
 	}
-	b.rtProp.Window = cfg.RTpropWindow
+	b.rtProp.Window = rtpropWindow
 	b.btlBw.Window = time.Second // retuned as RTT estimates arrive
 	b.srtt.Alpha = 0.125
 	b.cwnd, b.rate = b.window(), b.pacingRate()
@@ -164,8 +150,8 @@ func (b *BBR) Name() string { return "bbr" }
 
 // rtprop returns the current min-RTT estimate.
 func (b *BBR) rtprop() time.Duration {
-	if b.cfg.RTpropHint > 0 {
-		return b.cfg.RTpropHint
+	if b.cfg.rtpropHint > 0 {
+		return b.cfg.rtpropHint
 	}
 	return time.Duration(b.rtProp.Get(0) * float64(time.Second))
 }
@@ -185,10 +171,10 @@ func (b *BBR) window() int {
 	bw := b.btlBw.Get(0) // bytes/s
 	rt := b.rtprop()
 	if bw <= 0 || rt <= 0 {
-		return int(b.cfg.InitialCwndPkts) * b.cfg.MSS
+		return initialCwndPkts * b.cfg.MSS
 	}
 	bdp := bw * rt.Seconds()
-	w := b.cwndGain*bdp + b.cfg.QuantaPkts*float64(b.cfg.MSS)
+	w := b.cwndGain*bdp + quantaPkts*float64(b.cfg.MSS)
 	min := 4 * b.cfg.MSS
 	if int(w) < min {
 		return min
@@ -216,8 +202,8 @@ func (b *BBR) OnAck(s cca.AckSignal) {
 
 	if s.RTT > 0 {
 		srtt := time.Duration(b.srtt.Update(float64(s.RTT)))
-		b.btlBw.Window = time.Duration(b.cfg.BwWindowRTTs) * srtt
-		if b.cfg.RTpropHint == 0 {
+		b.btlBw.Window = bwWindowRTTs * srtt
+		if b.cfg.rtpropHint == 0 {
 			prev := b.rtProp.Get(1e18)
 			b.rtProp.Update(s.Now, s.RTT.Seconds())
 			if s.RTT.Seconds() <= prev {
@@ -252,7 +238,7 @@ func (b *BBR) OnLoss(cca.LossSignal) {}
 // advancing histHead, and compacts only once the dead prefix outgrows the
 // live part, so an ACK pays amortised O(1) however long the flow has run.
 func (b *BBR) pruneHistory(now time.Duration) {
-	keep := b.cfg.RTpropWindow + 5*time.Second
+	keep := rtpropWindow + 5*time.Second
 	for b.histHead < len(b.history) && now-b.history[b.histHead].t > keep {
 		b.histHead++
 	}
@@ -282,8 +268,8 @@ func (b *BBR) advance(s cca.AckSignal) {
 	// ProbeRTT entry: the RTprop estimate has gone stale. The same ACK
 	// goes on to the ProbeRTT case below, as in Linux's
 	// bbr_update_min_rtt.
-	if !b.cfg.DisableProbeRTT && b.cfg.RTpropHint == 0 &&
-		b.st != stProbeRTT && now-b.lastRTpropRef > b.cfg.RTpropWindow {
+	if !b.cfg.disableProbeRTT && b.cfg.rtpropHint == 0 &&
+		b.st != stProbeRTT && now-b.lastRTpropRef > rtpropWindow {
 		b.st = stProbeRTT
 		b.probeRTTFloor, b.probeRTTDone, b.probeRTTRound = 0, 0, false
 		b.pacingGain = 1
@@ -296,7 +282,7 @@ func (b *BBR) advance(s cca.AckSignal) {
 		if b.fullPipe {
 			b.st = stDrain
 			b.pacingGain = 1 / startupGain
-			b.cwndGain = b.cfg.CwndGain
+			b.cwndGain = steadyCwndGain
 		}
 	case stDrain:
 		bdp := b.btlBw.Get(0) * b.rtprop().Seconds()
@@ -315,13 +301,13 @@ func (b *BBR) advance(s cca.AckSignal) {
 		}
 	case stProbeRTT:
 		// Linux BBRv1's exit: first drain to the 4-packet floor, then hold
-		// it for max(ProbeRTTDuration, one packet-timed round). Leaving a
+		// it for max(probeRTTDuration, one packet-timed round). Leaving a
 		// fixed time after entry, whatever inflight is, lets a flow whose
 		// own packets still queue re-arm RTprop on a queue-inflated sample.
 		if b.probeRTTFloor == 0 {
 			if inflight <= 4*b.cfg.MSS {
 				b.probeRTTFloor = now
-				b.probeRTTDone = now + b.cfg.ProbeRTTDuration
+				b.probeRTTDone = now + probeRTTDuration
 			}
 			return
 		}
@@ -345,7 +331,7 @@ func (b *BBR) advance(s cca.AckSignal) {
 
 func (b *BBR) enterProbeBW(now time.Duration) {
 	b.st = stProbeBW
-	b.cwndGain = b.cfg.CwndGain
+	b.cwndGain = steadyCwndGain
 	// Random initial phase (excluding the drain phase), so competing
 	// flows probe at different times — BBR's fairness mechanism.
 	idx := b.cfg.Rng.Intn(len(gainCycle) - 1)

@@ -104,7 +104,7 @@ func TestCwndFormula(t *testing.T) {
 }
 
 // enterProbeRTT feeds b a steadily increasing RTT with 40 packets in
-// flight: the min filter's sample goes stale after RTpropWindow (10 s)
+// flight: the min filter's sample goes stale after rtpropWindow (10 s)
 // without refresh. It returns the time of the ACK that entered ProbeRTT,
 // or 0 if none did.
 func enterProbeRTT(b *BBR) time.Duration {
@@ -134,9 +134,9 @@ func TestProbeRTTEntryOnStaleEstimate(t *testing.T) {
 
 // TestProbeRTTExitWaitsForFloor feeds ProbeRTT a standing queue: the
 // flow's own backlog drains one packet per 10 ms, from 40 packets to the
-// 4-packet floor (360 ms, longer than ProbeRTTDuration), with every RTT
+// 4-packet floor (360 ms, longer than probeRTTDuration), with every RTT
 // sample inflated. BBR must stay in ProbeRTT until inflight reaches the
-// floor, and then for max(ProbeRTTDuration, one packet-timed round): until
+// floor, and then for max(probeRTTDuration, one packet-timed round): until
 // an ACK echoes a segment sent at or after the floor was reached. An echo
 // of a retransmission (RTT 0, Karn-filtered) carries no send time and
 // never completes the round.
@@ -191,7 +191,7 @@ func TestProbeRTTExitWaitsForFloor(t *testing.T) {
 }
 
 func TestProbeRTTDisabled(t *testing.T) {
-	b := New(Config{MSS: 1500, Rng: rand.New(rand.NewSource(1)), DisableProbeRTT: true})
+	b := New(Config{MSS: 1500, Rng: rand.New(rand.NewSource(1)), disableProbeRTT: true})
 	now := time.Duration(0)
 	for now < 15*time.Second {
 		now += 10 * time.Millisecond
@@ -199,12 +199,12 @@ func TestProbeRTTDisabled(t *testing.T) {
 			DeliveredBytes: 1500, InFlight: 60000})
 	}
 	if b.stateName() == "probertt" {
-		t.Error("ProbeRTT entered despite DisableProbeRTT")
+		t.Error("ProbeRTT entered despite disableProbeRTT")
 	}
 }
 
 func TestRTpropHintPins(t *testing.T) {
-	b := New(Config{MSS: 1500, Rng: rand.New(rand.NewSource(1)), RTpropHint: 33 * time.Millisecond})
+	b := New(Config{MSS: 1500, Rng: rand.New(rand.NewSource(1)), rtpropHint: 33 * time.Millisecond})
 	feedSteady(b, 0, 1.5e6, 50*time.Millisecond, time.Second)
 	if got := b.rtprop(); got != 33*time.Millisecond {
 		t.Errorf("RTprop = %v, want pinned 33ms", got)
@@ -293,7 +293,7 @@ func (h *memmoveHistory) deliveredAt(t time.Duration) (int64, time.Duration) {
 // prefix never outgrows the live part.
 func TestHistoryPruneMatchesMemmove(t *testing.T) {
 	b := newTestBBR()
-	ref := &memmoveHistory{keep: b.cfg.RTpropWindow + 5*time.Second}
+	ref := &memmoveHistory{keep: rtpropWindow + 5*time.Second}
 	rng := rand.New(rand.NewSource(7))
 	var delivered int64
 	now := time.Duration(0)
@@ -348,8 +348,8 @@ func TestWindowAndPacingRateAreCurrent(t *testing.T) {
 		want []string
 	}{
 		{"default", Config{}, states},
-		{"rtprop-hint", Config{RTpropHint: 33 * time.Millisecond}, states[:3]},
-		{"no-probertt", Config{DisableProbeRTT: true}, states[:3]},
+		{"rtprop-hint", Config{rtpropHint: 33 * time.Millisecond}, states[:3]},
+		{"no-probertt", Config{disableProbeRTT: true}, states[:3]},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {

@@ -8,6 +8,15 @@
 // (bytes in flight cap) and a pacing rate. Window-based CCAs (Reno, Cubic,
 // Vegas, FAST, Copa) leave the pacing rate unset; rate-based CCAs (PCC,
 // Algorithm 1) leave the window effectively unbounded; BBR uses both.
+//
+// The registry is the constructor: Lookup(name)(mss, rng) builds a CCA at
+// its package's defaults, which are unexported constants (a Config keeps
+// only what a non-test caller sets, and fast and verus export nothing but
+// their registration). Vegas, FAST and LEDBAT also have a method
+// Restart(rm time.Duration, cwndPkts float64), which resumes a flow from
+// a converged state with its minimum-RTT estimate pinned at rm: the
+// Theorem 1 construction (core.EmulateTwoFlow) restarts its two flows
+// through it.
 package cca
 
 import (

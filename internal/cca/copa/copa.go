@@ -15,23 +15,19 @@ import (
 	"starvation/internal/units"
 )
 
-// DefaultDelta is Config.Delta's default.
+// DefaultDelta is Copa's δ: the flow targets 1/δ packets of queueing.
 const DefaultDelta = 0.5
+
+// initialCwndPkts is the initial window.
+const initialCwndPkts = 4
 
 // Config parameterizes Copa.
 type Config struct {
 	MSS int
-	// Delta is Copa's δ: the flow targets 1/δ packets of queueing
-	// (default DefaultDelta).
-	Delta float64
-	// MinRTTWindow bounds how long a minimum-RTT sample is remembered;
-	// 0 keeps the lifetime minimum (what the §5.1 poisoning exploits).
-	MinRTTWindow time.Duration
-	// MinRTTHint pins the minimum-RTT estimate (oracular Rm knowledge,
-	// used by the theory constructions that restore converged state).
-	MinRTTHint time.Duration
-	// InitialCwndPkts is the initial window (default 4).
-	InitialCwndPkts float64
+	// minRTTWindow, when nonzero, bounds how long a minimum-RTT sample is
+	// remembered; zero keeps the lifetime minimum (what the §5.1
+	// poisoning exploits).
+	minRTTWindow time.Duration
 }
 
 // Copa is a Copa sender.
@@ -57,21 +53,15 @@ func New(cfg Config) *Copa {
 	if cfg.MSS <= 0 {
 		cfg.MSS = 1500
 	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = DefaultDelta
-	}
-	if cfg.InitialCwndPkts <= 0 {
-		cfg.InitialCwndPkts = 4
-	}
 	c := &Copa{
 		cfg:         cfg,
-		cwnd:        cfg.InitialCwndPkts,
+		cwnd:        initialCwndPkts,
 		velocity:    1,
 		direction:   1,
 		inSlowStart: true,
 	}
 	c.srtt.Alpha = 0.125
-	c.minWindowed.Window = cfg.MinRTTWindow
+	c.minWindowed.Window = cfg.minRTTWindow
 	c.standing.Window = 50 * time.Millisecond // re-tuned to srtt/2 on acks
 	return c
 }
@@ -95,10 +85,7 @@ func (c *Copa) PacingRate() units.Rate { return 0 }
 
 // minRTT returns Copa's current minimum-RTT estimate.
 func (c *Copa) minRTT() time.Duration {
-	if c.cfg.MinRTTHint > 0 {
-		return c.cfg.MinRTTHint
-	}
-	if c.cfg.MinRTTWindow > 0 {
+	if c.cfg.minRTTWindow > 0 {
 		return time.Duration(c.minWindowed.Get(0))
 	}
 	return c.minLifetime.Get(0)
@@ -110,7 +97,7 @@ func (c *Copa) OnAck(s cca.AckSignal) {
 		return
 	}
 	srtt := time.Duration(c.srtt.Update(float64(s.RTT)))
-	if c.cfg.MinRTTWindow > 0 {
+	if c.cfg.minRTTWindow > 0 {
 		c.minWindowed.Update(s.Now, float64(s.RTT))
 	} else {
 		c.minLifetime.Update(s.Now, s.RTT)
@@ -130,7 +117,7 @@ func (c *Copa) OnAck(s cca.AckSignal) {
 	if dq <= 0 {
 		targetRate = 1e12 // no queueing observed: push up
 	} else {
-		targetRate = 1 / (c.cfg.Delta * dq.Seconds())
+		targetRate = 1 / (DefaultDelta * dq.Seconds())
 	}
 	currentRate := c.cwnd / standingRTT.Seconds()
 
@@ -150,7 +137,7 @@ func (c *Copa) OnAck(s cca.AckSignal) {
 	c.updateVelocity(s.Now, dir, srtt)
 
 	// cwnd changes by v/(δ·cwnd) packets per acked packet, i.e. v/δ per RTT.
-	step := c.velocity / (c.cfg.Delta * c.cwnd) *
+	step := c.velocity / (DefaultDelta * c.cwnd) *
 		(float64(s.AckedBytes) / float64(c.cfg.MSS))
 	if dir > 0 {
 		c.cwnd += step

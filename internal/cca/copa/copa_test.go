@@ -39,7 +39,7 @@ func TestMinRTTTracking(t *testing.T) {
 }
 
 func TestWindowedMinRTTExpires(t *testing.T) {
-	c := New(Config{MSS: 1500, MinRTTWindow: 10 * time.Second})
+	c := New(Config{MSS: 1500, minRTTWindow: 10 * time.Second})
 	feed(c, 0, 99*time.Millisecond)
 	feed(c, time.Second, 100*time.Millisecond)
 	if got := c.minRTT(); got != 99*time.Millisecond {

@@ -14,18 +14,22 @@ import (
 	"starvation/internal/units"
 )
 
-// Config parameterizes Cubic.
+const (
+	// initialCwndPkts is the initial window.
+	initialCwndPkts = 10
+	// cubicC is the cubic scaling constant in packets/s^3.
+	cubicC = 0.4
+	// beta is the multiplicative decrease factor.
+	beta = 0.7
+)
+
+// Config parameterizes Cubic. Fast convergence (the wMax reduction
+// heuristic) and the TCP-friendly Reno-tracking floor are always on.
 type Config struct {
-	MSS             int
-	InitialCwndPkts float64
-	// C is the cubic scaling constant in packets/s^3 (default 0.4).
-	C float64
-	// Beta is the multiplicative decrease factor (default 0.7).
-	Beta float64
-	// FastConvergence enables the wMax reduction heuristic (default on).
-	FastConvergence bool
-	// TCPFriendly enables the Reno-tracking floor (default on).
-	TCPFriendly bool
+	MSS int
+	// noRenoFloor turns the TCP-friendly floor off, for tests of plain
+	// cubic growth.
+	noRenoFloor bool
 }
 
 // Cubic is a Cubic sender. Window arithmetic is done in packets, as in the
@@ -48,21 +52,12 @@ func New(cfg Config) *Cubic {
 	if cfg.MSS <= 0 {
 		cfg.MSS = 1500
 	}
-	if cfg.InitialCwndPkts <= 0 {
-		cfg.InitialCwndPkts = 10
-	}
-	if cfg.C <= 0 {
-		cfg.C = 0.4
-	}
-	if cfg.Beta <= 0 {
-		cfg.Beta = 0.7
-	}
-	return &Cubic{cfg: cfg, cwnd: cfg.InitialCwndPkts, ssthresh: math.Inf(1)}
+	return &Cubic{cfg: cfg, cwnd: initialCwndPkts, ssthresh: math.Inf(1)}
 }
 
 func init() {
 	cca.Register("cubic", func(mss int, _ *rand.Rand) cca.Algorithm {
-		return New(Config{MSS: mss, FastConvergence: true, TCPFriendly: true})
+		return New(Config{MSS: mss})
 	})
 }
 
@@ -92,7 +87,7 @@ func (c *Cubic) OnAck(s cca.AckSignal) {
 		c.epochStart = s.Now
 		c.ackCount = 0
 		if c.cwnd < c.wMax {
-			c.k = math.Cbrt((c.wMax - c.cwnd) / c.cfg.C)
+			c.k = math.Cbrt((c.wMax - c.cwnd) / cubicC)
 			c.origin = c.wMax
 		} else {
 			c.k = 0
@@ -101,16 +96,20 @@ func (c *Cubic) OnAck(s cca.AckSignal) {
 	}
 	c.ackCount += ackedPkts
 	t := (s.Now - c.epochStart + c.lastRTT).Seconds()
-	target := c.origin + c.cfg.C*math.Pow(t-c.k, 3)
+	target := c.origin + cubicC*math.Pow(t-c.k, 3)
 	if target > c.cwnd {
 		c.cwnd += (target - c.cwnd) / c.cwnd * ackedPkts
 	} else {
 		// Slow "reconnaissance" growth below the target.
 		c.cwnd += ackedPkts / (100 * c.cwnd)
 	}
-	if c.cfg.TCPFriendly && c.lastRTT > 0 {
+	if !c.cfg.noRenoFloor && c.lastRTT > 0 {
 		rttCount := (s.Now - c.epochStart).Seconds() / c.lastRTT.Seconds()
-		wTCP := c.wMax*c.cfg.Beta + 3*(1-c.cfg.Beta)/(1+c.cfg.Beta)*rttCount
+		// b is a variable so that Reno's slope 3(1−β)/(1+β) is computed
+		// in float64 steps; as a constant expression it would round once
+		// and differ in the last bit.
+		b := float64(beta)
+		wTCP := c.wMax*b + 3*(1-b)/(1+b)*rttCount
 		if wTCP > c.cwnd {
 			c.cwnd = wTCP
 		}
@@ -124,17 +123,17 @@ func (c *Cubic) OnLoss(s cca.LossSignal) {
 	}
 	if s.Timeout {
 		c.wMax = c.cwnd
-		c.ssthresh = maxF(c.cwnd*c.cfg.Beta, 2)
+		c.ssthresh = maxF(c.cwnd*beta, 2)
 		c.cwnd = 1
 		c.epochStart = 0
 		return
 	}
-	if c.cfg.FastConvergence && c.cwnd < c.wMax {
-		c.wMax = c.cwnd * (2 - c.cfg.Beta) / 2
+	if c.cwnd < c.wMax { // fast convergence
+		c.wMax = c.cwnd * (2 - beta) / 2
 	} else {
 		c.wMax = c.cwnd
 	}
-	c.cwnd = maxF(c.cwnd*c.cfg.Beta, 2)
+	c.cwnd = maxF(c.cwnd*beta, 2)
 	c.ssthresh = c.cwnd
 	c.epochStart = 0
 }

@@ -1,5 +1,5 @@
 // Package fast implements FAST TCP (Wei, Jin, Low & Hegde, 2006). FAST
-// shares Vegas's equilibrium — Alpha packets queued per flow, RTT of
+// shares Vegas's equilibrium — DefaultAlpha packets queued per flow, RTT of
 // Rm + α/C — but reaches it with a multiplicative window update each RTT,
 // so it converges quickly even on large-BDP paths. On an ideal path
 // δ(C) → 0, making it exactly as starvation-prone as Vegas (Fig. 3).
@@ -13,70 +13,64 @@ import (
 	"starvation/internal/units"
 )
 
-// DefaultAlpha is Config.Alpha's default.
+// DefaultAlpha is the target number of queued packets.
 const DefaultAlpha = 4
 
-// Config parameterizes FAST.
-type Config struct {
-	MSS int
-	// Alpha is the target number of queued packets (default DefaultAlpha).
-	Alpha float64
-	// Gamma in (0, 1] is the update smoothing factor (default 0.5).
-	Gamma float64
-	// InitialCwndPkts is the initial window (default 4).
-	InitialCwndPkts float64
-	// BaseRTT optionally pins the minimum-RTT estimate.
-	BaseRTT time.Duration
-}
+const (
+	// gamma in (0, 1] is the update smoothing factor.
+	gamma = 0.5
+	// initialCwndPkts is the initial window.
+	initialCwndPkts = 4
+)
 
-// Fast is a FAST TCP sender.
-type Fast struct {
-	cfg  Config
+// sender is a FAST TCP sender; the registry is its only constructor.
+type sender struct {
+	mss  int
 	cwnd float64 // packets
 	base cca.MinRTT
+	// rm, when nonzero, pins the minimum-RTT estimate (see Restart).
+	rm time.Duration
 
 	epochStart  time.Duration
 	epochMinRTT time.Duration
 }
 
-// New returns a FAST instance.
-func New(cfg Config) *Fast {
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1500
+func newSender(mss int) *sender {
+	if mss <= 0 {
+		mss = 1500
 	}
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = DefaultAlpha
-	}
-	if cfg.Gamma <= 0 || cfg.Gamma > 1 {
-		cfg.Gamma = 0.5
-	}
-	if cfg.InitialCwndPkts <= 0 {
-		cfg.InitialCwndPkts = 4
-	}
-	return &Fast{cfg: cfg, cwnd: cfg.InitialCwndPkts}
+	return &sender{mss: mss, cwnd: initialCwndPkts}
 }
 
 func init() {
 	cca.Register("fast", func(mss int, _ *rand.Rand) cca.Algorithm {
-		return New(Config{MSS: mss})
+		return newSender(mss)
 	})
 }
 
 // Name implements cca.Algorithm.
-func (f *Fast) Name() string { return "fast" }
+func (f *sender) Name() string { return "fast" }
 
 // Window implements cca.Algorithm.
-func (f *Fast) Window() int { return int(f.cwnd * float64(f.cfg.MSS)) }
+func (f *sender) Window() int { return int(f.cwnd * float64(f.mss)) }
 
 // PacingRate implements cca.Algorithm.
-func (f *Fast) PacingRate() units.Rate { return 0 }
+func (f *sender) PacingRate() units.Rate { return 0 }
+
+// Restart resumes the flow from a converged state for the Theorem 1
+// construction: a window of cwndPkts and the minimum-RTT estimate pinned
+// at rm.
+func (f *sender) Restart(rm time.Duration, cwndPkts float64) {
+	f.rm = rm
+	f.cwnd = cwndPkts
+}
 
 // OnAck implements cca.Algorithm.
-func (f *Fast) OnAck(s cca.AckSignal) {
+func (f *sender) OnAck(s cca.AckSignal) {
 	if s.RTT <= 0 {
 		return
 	}
-	if f.cfg.BaseRTT == 0 {
+	if f.rm == 0 {
 		f.base.Update(s.Now, s.RTT)
 	}
 	if f.epochMinRTT == 0 || s.RTT < f.epochMinRTT {
@@ -93,16 +87,13 @@ func (f *Fast) OnAck(s cca.AckSignal) {
 	f.epochStart = s.Now
 	f.epochMinRTT = 0
 
-	base := f.cfg.BaseRTT
-	if base == 0 {
-		base = f.base.Get(0)
-	}
+	base := f.base.Get(f.rm)
 	if base <= 0 || rtt <= 0 {
 		return
 	}
 	// w <- min(2w, (1-γ)w + γ(base/RTT * w + α))
-	target := (1-f.cfg.Gamma)*f.cwnd +
-		f.cfg.Gamma*(float64(base)/float64(rtt)*f.cwnd+f.cfg.Alpha)
+	target := (1-gamma)*f.cwnd +
+		gamma*(float64(base)/float64(rtt)*f.cwnd+DefaultAlpha)
 	if target > 2*f.cwnd {
 		target = 2 * f.cwnd
 	}
@@ -113,7 +104,7 @@ func (f *Fast) OnAck(s cca.AckSignal) {
 }
 
 // OnLoss implements cca.Algorithm.
-func (f *Fast) OnLoss(s cca.LossSignal) {
+func (f *sender) OnLoss(s cca.LossSignal) {
 	if !s.NewEvent {
 		return
 	}

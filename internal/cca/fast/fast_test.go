@@ -8,7 +8,7 @@ import (
 	"starvation/internal/cca"
 )
 
-func drive(f *Fast, start, rtt time.Duration, epochs int) time.Duration {
+func drive(f *sender, start, rtt time.Duration, epochs int) time.Duration {
 	now := start
 	for e := 0; e < epochs; e++ {
 		acks := int(f.cwnd)
@@ -18,7 +18,7 @@ func drive(f *Fast, start, rtt time.Duration, epochs int) time.Duration {
 		per := rtt / time.Duration(acks)
 		for i := 0; i < acks; i++ {
 			now += per
-			f.OnAck(cca.AckSignal{Now: now, RTT: rtt, AckedBytes: f.cfg.MSS, Packets: 1})
+			f.OnAck(cca.AckSignal{Now: now, RTT: rtt, AckedBytes: f.mss, Packets: 1})
 		}
 	}
 	return now
@@ -27,9 +27,9 @@ func drive(f *Fast, start, rtt time.Duration, epochs int) time.Duration {
 func TestFixedPoint(t *testing.T) {
 	// At the FAST fixed point, w = base/rtt·w + α, i.e. the flow queues
 	// exactly α packets. Feed the consistent RTT and verify w is stable.
-	f := New(Config{MSS: 1500, Alpha: 4, BaseRTT: 100 * time.Millisecond})
 	w := 100.0
-	f.cwnd = w
+	f := newSender(1500)
+	f.Restart(100*time.Millisecond, w)
 	// rtt such that queued = w·(rtt−base)/rtt = α → rtt = base·w/(w−α).
 	base := 100 * time.Millisecond
 	rtt := time.Duration(float64(base) * w / (w - 4))
@@ -42,8 +42,8 @@ func TestFixedPoint(t *testing.T) {
 func TestConvergesTowardFixedPoint(t *testing.T) {
 	// Starting below the fixed point with an empty queue (rtt = base),
 	// FAST grows multiplicatively.
-	f := New(Config{MSS: 1500, Alpha: 4, BaseRTT: 100 * time.Millisecond})
-	f.cwnd = 10
+	f := newSender(1500)
+	f.Restart(100*time.Millisecond, 10)
 	drive(f, 0, 100*time.Millisecond, 3)
 	got := f.cwnd
 	if got <= 10 {
@@ -56,8 +56,8 @@ func TestConvergesTowardFixedPoint(t *testing.T) {
 }
 
 func TestBacksOffWhenOverQueued(t *testing.T) {
-	f := New(Config{MSS: 1500, Alpha: 4, BaseRTT: 100 * time.Millisecond})
-	f.cwnd = 100
+	f := newSender(1500)
+	f.Restart(100*time.Millisecond, 100)
 	// RTT 1.5× base: 33 packets queued ≫ α. Each per-RTT update moves the
 	// window a γ-weighted step toward the fixed point w = 4·rtt/(rtt−base)
 	// = 12: w ← 0.833·w + 2, so ~20 RTTs reach within a few packets.
@@ -69,7 +69,7 @@ func TestBacksOffWhenOverQueued(t *testing.T) {
 }
 
 func TestLossHalves(t *testing.T) {
-	f := New(Config{MSS: 1500})
+	f := newSender(1500)
 	f.cwnd = 60
 	f.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
 	if got := f.cwnd; got != 30 {
@@ -82,8 +82,8 @@ func TestLossHalves(t *testing.T) {
 }
 
 func TestWindowFloor(t *testing.T) {
-	f := New(Config{MSS: 1500, BaseRTT: 100 * time.Millisecond})
-	f.cwnd = 2
+	f := newSender(1500)
+	f.Restart(100*time.Millisecond, 2)
 	drive(f, 0, 500*time.Millisecond, 10) // massive queueing
 	if got := f.cwnd; got < 2 {
 		t.Errorf("cwnd fell below floor: %v", got)
@@ -91,7 +91,7 @@ func TestWindowFloor(t *testing.T) {
 }
 
 func TestNoPacing(t *testing.T) {
-	f := New(Config{})
+	f := newSender(0)
 	if f.PacingRate() != 0 || f.Window() <= 0 {
 		t.Error("FAST must be window-based, ACK-clocked")
 	}

@@ -2,7 +2,7 @@
 // background transport the paper cites as the canonical minimum-filter
 // delay CCA. LEDBAT estimates queueing delay as current delay minus a
 // windowed minimum ("base delay") and steers it toward a fixed TARGET
-// (100 ms in the RFC; configurable here) with a linear controller:
+// (100 ms in the RFC, 25 ms here) with a linear controller:
 //
 //	cwnd += GAIN · (TARGET − queueing) / TARGET   per RTT
 //
@@ -21,31 +21,38 @@ import (
 	"starvation/internal/units"
 )
 
+// defaultTarget is the registry's queueing-delay setpoint. The RFC's
+// default is 100 ms; the paper-era uTP deployments used 25 ms, and smaller
+// targets are more starvation-prone, so this matches deployment.
+const defaultTarget = 25 * time.Millisecond
+
+const (
+	// gain is the controller gain in packets per RTT at full error, the
+	// RFC's "must not be faster than slow start".
+	gain = 1
+	// initialCwndPkts is the initial window.
+	initialCwndPkts = 4
+)
+
 // Config parameterizes LEDBAT.
 type Config struct {
 	MSS int
-	// Target is the queueing-delay setpoint (RFC default 100 ms; the
-	// paper-era uTP deployments used 25 ms — smaller targets are more
-	// starvation-prone, so we default to 25 ms to match deployment).
+	// Target is the queueing-delay setpoint (default 25 ms). The
+	// registry's "ledbat" runs at the default; the Theorem 1 generality
+	// run (X-T1-gen) needs 5 ms.
 	Target time.Duration
-	// Gain is the controller gain in packets per RTT at full error
-	// (default 1, the RFC's "must not be faster than slow start").
-	Gain float64
-	// BaseWindow bounds how long a base-delay sample is remembered
-	// (RFC: minutes; default 10 min ≈ lifetime for our runs). 0 keeps
-	// the lifetime minimum.
-	BaseWindow time.Duration
-	// InitialCwndPkts is the initial window (default 4).
-	InitialCwndPkts float64
-	// BaseDelayHint pins the base-delay estimate (oracular Rm knowledge
-	// for the theory constructions).
-	BaseDelayHint time.Duration
+	// baseWindow, when nonzero, bounds how long a base-delay sample is
+	// remembered; zero keeps the lifetime minimum (the RFC remembers
+	// minutes, a lifetime for these runs).
+	baseWindow time.Duration
 }
 
 // Ledbat is a LEDBAT sender.
 type Ledbat struct {
 	cfg  Config
 	cwnd float64 // packets
+	// rm, when nonzero, pins the base-delay estimate (see Restart).
+	rm time.Duration
 
 	baseLifetime cca.MinRTT
 	baseWindowed cca.WindowedMin
@@ -60,16 +67,10 @@ func New(cfg Config) *Ledbat {
 		cfg.MSS = 1500
 	}
 	if cfg.Target <= 0 {
-		cfg.Target = 25 * time.Millisecond
+		cfg.Target = defaultTarget
 	}
-	if cfg.Gain <= 0 {
-		cfg.Gain = 1
-	}
-	if cfg.InitialCwndPkts <= 0 {
-		cfg.InitialCwndPkts = 4
-	}
-	l := &Ledbat{cfg: cfg, cwnd: cfg.InitialCwndPkts}
-	l.baseWindowed.Window = cfg.BaseWindow
+	l := &Ledbat{cfg: cfg, cwnd: initialCwndPkts}
+	l.baseWindowed.Window = cfg.baseWindow
 	return l
 }
 
@@ -88,12 +89,19 @@ func (l *Ledbat) Window() int { return int(l.cwnd * float64(l.cfg.MSS)) }
 // PacingRate implements cca.Algorithm.
 func (l *Ledbat) PacingRate() units.Rate { return 0 }
 
+// Restart resumes the flow from a converged state for the Theorem 1
+// construction: a window of cwndPkts and the base delay pinned at rm.
+func (l *Ledbat) Restart(rm time.Duration, cwndPkts float64) {
+	l.rm = rm
+	l.cwnd = cwndPkts
+}
+
 // baseDelay returns the current base-delay estimate.
 func (l *Ledbat) baseDelay() time.Duration {
-	if l.cfg.BaseDelayHint > 0 {
-		return l.cfg.BaseDelayHint
+	if l.rm > 0 {
+		return l.rm
 	}
-	if l.cfg.BaseWindow > 0 {
+	if l.cfg.baseWindow > 0 {
 		return time.Duration(l.baseWindowed.Get(0))
 	}
 	return l.baseLifetime.Get(0)
@@ -104,7 +112,7 @@ func (l *Ledbat) OnAck(s cca.AckSignal) {
 	if s.RTT <= 0 {
 		return
 	}
-	if l.cfg.BaseWindow > 0 {
+	if l.cfg.baseWindow > 0 {
 		l.baseWindowed.Update(s.Now, float64(s.RTT))
 	} else {
 		l.baseLifetime.Update(s.Now, s.RTT)
@@ -131,9 +139,9 @@ func (l *Ledbat) OnAck(s cca.AckSignal) {
 	offTarget := float64(l.cfg.Target-queueing) / float64(l.cfg.Target)
 	// The RFC caps the per-RTT increase at GAIN (slow-start parity) and
 	// lets decreases scale with the (possibly large) negative error.
-	delta := l.cfg.Gain * offTarget
-	if delta > l.cfg.Gain {
-		delta = l.cfg.Gain
+	delta := gain * offTarget
+	if delta > gain {
+		delta = gain
 	}
 	l.cwnd += delta
 	if l.cwnd < 2 {

@@ -102,7 +102,7 @@ func TestLossHalves(t *testing.T) {
 }
 
 func TestWindowedBaseExpires(t *testing.T) {
-	l := New(Config{MSS: 1500, BaseWindow: 10 * time.Second})
+	l := New(Config{MSS: 1500, baseWindow: 10 * time.Second})
 	l.OnAck(cca.AckSignal{Now: 0, RTT: 90 * time.Millisecond})
 	l.OnAck(cca.AckSignal{Now: time.Second, RTT: 100 * time.Millisecond})
 	if got := l.baseDelay(); got != 90*time.Millisecond {

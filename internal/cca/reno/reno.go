@@ -13,12 +13,13 @@ import (
 	"starvation/internal/units"
 )
 
+// initialCwndPkts is the initial window (RFC 6928).
+const initialCwndPkts = 10
+
 // Config parameterizes Reno.
 type Config struct {
 	// MSS is the segment size in bytes.
 	MSS int
-	// InitialCwndPkts is the initial window (default 10, RFC 6928).
-	InitialCwndPkts float64
 	// ReactToECN makes ECE marks trigger a multiplicative decrease.
 	ReactToECN bool
 	// LossBlind disables the cwnd reaction to loss (the transport still
@@ -43,12 +44,9 @@ func New(cfg Config) *Reno {
 	if cfg.MSS <= 0 {
 		cfg.MSS = 1500
 	}
-	if cfg.InitialCwndPkts <= 0 {
-		cfg.InitialCwndPkts = 10
-	}
 	return &Reno{
 		cfg:      cfg,
-		cwnd:     cfg.InitialCwndPkts * float64(cfg.MSS),
+		cwnd:     initialCwndPkts * float64(cfg.MSS),
 		ssthresh: 1 << 30,
 	}
 }

@@ -12,7 +12,7 @@ func ack(now time.Duration, rtt time.Duration, bytes int) cca.AckSignal {
 }
 
 func TestSlowStartDoublesPerRTT(t *testing.T) {
-	r := New(Config{MSS: 1500, InitialCwndPkts: 10})
+	r := New(Config{MSS: 1500})
 	start := r.cwnd
 	// One window's worth of ACKs doubles the window in slow start.
 	for acked := 0.0; acked < start; acked += 1500 {
@@ -40,7 +40,8 @@ func TestCongestionAvoidanceLinear(t *testing.T) {
 }
 
 func TestMultiplicativeDecrease(t *testing.T) {
-	r := New(Config{MSS: 1500, InitialCwndPkts: 20})
+	r := New(Config{MSS: 1500})
+	r.cwnd = 20 * 1500
 	w0 := r.cwnd
 	r.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
 	if got := r.cwnd; got != w0/2 {
@@ -49,7 +50,8 @@ func TestMultiplicativeDecrease(t *testing.T) {
 }
 
 func TestNonNewEventLossIgnored(t *testing.T) {
-	r := New(Config{MSS: 1500, InitialCwndPkts: 20})
+	r := New(Config{MSS: 1500})
+	r.cwnd = 20 * 1500
 	r.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
 	w := r.cwnd
 	r.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: false})
@@ -59,7 +61,8 @@ func TestNonNewEventLossIgnored(t *testing.T) {
 }
 
 func TestOncePerRTTDecrease(t *testing.T) {
-	r := New(Config{MSS: 1500, InitialCwndPkts: 64})
+	r := New(Config{MSS: 1500})
+	r.cwnd = 64 * 1500
 	r.OnAck(ack(0, 100*time.Millisecond, 1500)) // establish lastRTT
 	r.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
 	w := r.cwnd
@@ -77,7 +80,8 @@ func TestOncePerRTTDecrease(t *testing.T) {
 }
 
 func TestTimeoutCollapsesWindow(t *testing.T) {
-	r := New(Config{MSS: 1500, InitialCwndPkts: 64})
+	r := New(Config{MSS: 1500})
+	r.cwnd = 64 * 1500
 	r.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true, Timeout: true})
 	if got := r.Window(); got != 1500 {
 		t.Errorf("cwnd after timeout = %v, want 1 MSS", got)
@@ -85,7 +89,8 @@ func TestTimeoutCollapsesWindow(t *testing.T) {
 }
 
 func TestFloorAtTwoMSS(t *testing.T) {
-	r := New(Config{MSS: 1500, InitialCwndPkts: 2})
+	r := New(Config{MSS: 1500})
+	r.cwnd = 2 * 1500
 	for i := 0; i < 10; i++ {
 		r.OnLoss(cca.LossSignal{Now: time.Duration(i) * time.Second, Bytes: 1500, NewEvent: true})
 	}
@@ -95,13 +100,15 @@ func TestFloorAtTwoMSS(t *testing.T) {
 }
 
 func TestECNReaction(t *testing.T) {
-	r := New(Config{MSS: 1500, InitialCwndPkts: 20, ReactToECN: true})
+	r := New(Config{MSS: 1500, ReactToECN: true})
+	r.cwnd = 20 * 1500
 	w0 := r.cwnd
 	r.OnAck(cca.AckSignal{Now: time.Second, RTT: 100 * time.Millisecond, AckedBytes: 1500, ECE: true})
 	if r.cwnd >= w0 {
 		t.Error("ECE did not reduce cwnd with ReactToECN")
 	}
-	r2 := New(Config{MSS: 1500, InitialCwndPkts: 20})
+	r2 := New(Config{MSS: 1500})
+	r2.cwnd = 20 * 1500
 	r2.OnAck(cca.AckSignal{Now: time.Second, RTT: 100 * time.Millisecond, AckedBytes: 1500, ECE: true})
 	if r2.cwnd < w0 {
 		t.Error("ECE reduced cwnd without ReactToECN")

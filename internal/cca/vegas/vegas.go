@@ -1,6 +1,6 @@
 // Package vegas implements TCP Vegas (Brakmo & Peterson, 1994), the
-// original delay-bounding CCA. Vegas tries to keep between Alpha and Beta
-// packets queued at the bottleneck, so on an ideal path it converges to an
+// original delay-bounding CCA. Vegas tries to keep between DefaultAlpha and
+// DefaultBeta packets queued at the bottleneck, so on an ideal path it converges to an
 // RTT of Rm + α/C with δ(C) ≈ 0 — the flattest possible rate-delay curve
 // and, per the paper's Theorem 1, the most starvation-prone design.
 package vegas
@@ -13,24 +13,21 @@ import (
 	"starvation/internal/units"
 )
 
-// DefaultAlpha and DefaultBeta are Config.Alpha and Config.Beta's
-// defaults: the flow holds 3–5 packets, ~4, in the queue, the running
+// DefaultAlpha and DefaultBeta bound the target number of queued
+// packets: the flow holds 3–5 packets, ~4, in the queue, the running
 // example of the paper's §4.1.
 const DefaultAlpha, DefaultBeta = 3, 5
+
+const (
+	// gamma is the slow-start exit threshold in queued packets.
+	gamma = 1
+	// initialCwndPkts is the initial window.
+	initialCwndPkts = 4
+)
 
 // Config parameterizes Vegas.
 type Config struct {
 	MSS int
-	// Alpha and Beta bound the target number of queued packets
-	// (defaults DefaultAlpha and DefaultBeta).
-	Alpha, Beta float64
-	// Gamma is the slow-start exit threshold in queued packets (default 1).
-	Gamma float64
-	// InitialCwndPkts is the initial window (default 4).
-	InitialCwndPkts float64
-	// BaseRTT optionally pins the minimum-RTT estimate (used by theory
-	// experiments that grant the CCA oracular knowledge of Rm).
-	BaseRTT time.Duration
 }
 
 // Vegas is a Vegas sender.
@@ -38,6 +35,8 @@ type Vegas struct {
 	cfg  Config
 	cwnd float64 // packets
 	base cca.MinRTT
+	// rm, when nonzero, pins the minimum-RTT estimate (see Restart).
+	rm time.Duration
 
 	inSlowStart bool
 	epochStart  time.Duration
@@ -50,19 +49,7 @@ func New(cfg Config) *Vegas {
 	if cfg.MSS <= 0 {
 		cfg.MSS = 1500
 	}
-	if cfg.Alpha <= 0 {
-		cfg.Alpha = DefaultAlpha
-	}
-	if cfg.Beta <= 0 {
-		cfg.Beta = DefaultBeta
-	}
-	if cfg.Gamma <= 0 {
-		cfg.Gamma = 1
-	}
-	if cfg.InitialCwndPkts <= 0 {
-		cfg.InitialCwndPkts = 4
-	}
-	return &Vegas{cfg: cfg, cwnd: cfg.InitialCwndPkts, inSlowStart: true}
+	return &Vegas{cfg: cfg, cwnd: initialCwndPkts, inSlowStart: true}
 }
 
 func init() {
@@ -80,16 +67,21 @@ func (v *Vegas) Window() int { return int(v.cwnd * float64(v.cfg.MSS)) }
 // PacingRate implements cca.Algorithm.
 func (v *Vegas) PacingRate() units.Rate { return 0 }
 
-// SetCwndPkts overrides the window; the Theorem 1 construction uses this to
-// start a flow from its converged state.
-func (v *Vegas) SetCwndPkts(w float64) {
-	v.cwnd = w
+// Restart resumes the flow from a converged state: a window of cwndPkts
+// outside slow start, and the minimum-RTT estimate pinned at rm. The
+// Theorem 1 construction restarts each flow this way: the proof
+// initializes "the internal state of the two flows to the states of the
+// corresponding flow in Step 2", and the paper notes the argument works
+// even with oracular knowledge of Rm.
+func (v *Vegas) Restart(rm time.Duration, cwndPkts float64) {
+	v.rm = rm
+	v.cwnd = cwndPkts
 	v.inSlowStart = false
 }
 
 // baseRTT returns the current minimum-RTT estimate.
 func (v *Vegas) baseRTT() time.Duration {
-	return v.base.Get(v.cfg.BaseRTT)
+	return v.base.Get(v.rm)
 }
 
 // OnAck implements cca.Algorithm.
@@ -97,7 +89,7 @@ func (v *Vegas) OnAck(s cca.AckSignal) {
 	if s.RTT <= 0 {
 		return
 	}
-	if v.cfg.BaseRTT == 0 {
+	if v.rm == 0 {
 		v.base.Update(s.Now, s.RTT)
 	}
 	if v.epochMinRTT == 0 || s.RTT < v.epochMinRTT {
@@ -123,13 +115,13 @@ func (v *Vegas) OnAck(s cca.AckSignal) {
 	diff := v.cwnd * float64(rtt-base) / float64(rtt)
 
 	if v.inSlowStart {
-		if diff > v.cfg.Gamma {
+		if diff > gamma {
 			v.inSlowStart = false
 			// Deflate the slow-start overshoot: scale the window to the
 			// bandwidth actually observed (w·base/RTT ≈ rate·base) plus
 			// the target backlog, so AIAD starts near the fixed point
 			// instead of draining a doubling overshoot at 1 pkt/RTT.
-			v.cwnd = v.cwnd*float64(base)/float64(rtt) + v.cfg.Alpha
+			v.cwnd = v.cwnd*float64(base)/float64(rtt) + DefaultAlpha
 			return
 		}
 		// Double every other RTT.
@@ -140,20 +132,20 @@ func (v *Vegas) OnAck(s cca.AckSignal) {
 		return
 	}
 	switch {
-	case diff < v.cfg.Alpha:
+	case diff < DefaultAlpha:
 		v.cwnd++
-	case diff > 2*v.cfg.Beta:
+	case diff > 2*DefaultBeta:
 		// Gross overload (e.g. residual slow-start overshoot): draining
 		// one packet per RTT would take thousands of RTTs, so snap to the
 		// measured bandwidth-delay product plus the target backlog. Near
 		// the fixed point (diff ≤ 2β) the classic AIAD applies, so the
 		// equilibrium band and oscillation are unchanged.
-		w := v.cwnd*float64(base)/float64(rtt) + v.cfg.Alpha
+		w := v.cwnd*float64(base)/float64(rtt) + DefaultAlpha
 		if w < 2 {
 			w = 2
 		}
 		v.cwnd = w
-	case diff > v.cfg.Beta:
+	case diff > DefaultBeta:
 		if v.cwnd > 2 {
 			v.cwnd--
 		}

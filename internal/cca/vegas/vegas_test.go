@@ -29,8 +29,8 @@ func drive(v *Vegas, start time.Duration, rtt time.Duration, epochs int) time.Du
 func TestHoldsInsideBand(t *testing.T) {
 	// With the queueing occupancy between Alpha and Beta packets, Vegas
 	// holds the window.
-	v := New(Config{MSS: 1500, BaseRTT: 100 * time.Millisecond})
-	v.SetCwndPkts(50)
+	v := New(Config{MSS: 1500})
+	v.Restart(100*time.Millisecond, 50)
 	// diff = w(rtt-base)/rtt = 4 packets when rtt = base·w/(w-4).
 	base := 100 * time.Millisecond
 	rtt := time.Duration(float64(base) * 50.0 / 46.0)
@@ -41,8 +41,8 @@ func TestHoldsInsideBand(t *testing.T) {
 }
 
 func TestIncreasesBelowAlpha(t *testing.T) {
-	v := New(Config{MSS: 1500, BaseRTT: 100 * time.Millisecond})
-	v.SetCwndPkts(50)
+	v := New(Config{MSS: 1500})
+	v.Restart(100*time.Millisecond, 50)
 	// diff ≈ 1 packet: below alpha=3, Vegas adds one packet per RTT.
 	base := 100 * time.Millisecond
 	rtt := time.Duration(float64(base) * 50.0 / 49.0)
@@ -54,8 +54,8 @@ func TestIncreasesBelowAlpha(t *testing.T) {
 }
 
 func TestDecreasesAboveBeta(t *testing.T) {
-	v := New(Config{MSS: 1500, BaseRTT: 100 * time.Millisecond})
-	v.SetCwndPkts(50)
+	v := New(Config{MSS: 1500})
+	v.Restart(100*time.Millisecond, 50)
 	// diff ≈ 7 packets: above beta=5, Vegas removes one packet per RTT.
 	base := 100 * time.Millisecond
 	rtt := time.Duration(float64(base) * 50.0 / 43.0)
@@ -67,8 +67,8 @@ func TestDecreasesAboveBeta(t *testing.T) {
 }
 
 func TestGrossOverloadSnapsToBDP(t *testing.T) {
-	v := New(Config{MSS: 1500, BaseRTT: 100 * time.Millisecond})
-	v.SetCwndPkts(1000)
+	v := New(Config{MSS: 1500})
+	v.Restart(100*time.Millisecond, 1000)
 	// RTT double the base: 500 packets queued, far beyond 2β. Two epochs
 	// produce exactly one evaluation (the first only arms the epoch).
 	drive(v, 0, 200*time.Millisecond, 2)
@@ -83,7 +83,7 @@ func TestMinRTTPoisoningThrottles(t *testing.T) {
 	// The §5.1 failure mode distilled: a baseRTT estimate 1ms below the
 	// true floor makes Vegas see phantom queueing and throttle.
 	v := New(Config{MSS: 1500})
-	v.SetCwndPkts(800) // ~ full rate at 100ms on a 96 Mbit/s path
+	v.cwnd, v.inSlowStart = 800, false // ~ full rate at 100ms on a 96 Mbit/s path
 	// One poisoned sample below every later observation:
 	v.OnAck(cca.AckSignal{Now: time.Millisecond, RTT: 99 * time.Millisecond, AckedBytes: 1500})
 	// True floor is 100 ms; with 800 packets at 96 Mbit/s queueing is
@@ -98,7 +98,7 @@ func TestMinRTTPoisoningThrottles(t *testing.T) {
 
 func TestLossHalves(t *testing.T) {
 	v := New(Config{MSS: 1500})
-	v.SetCwndPkts(40)
+	v.cwnd = 40
 	v.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
 	if got := v.cwnd; got != 20 {
 		t.Errorf("cwnd after loss = %v, want 20", got)
@@ -110,7 +110,8 @@ func TestLossHalves(t *testing.T) {
 }
 
 func TestSlowStartExitDeflates(t *testing.T) {
-	v := New(Config{MSS: 1500, BaseRTT: 100 * time.Millisecond})
+	v := New(Config{MSS: 1500})
+	v.rm = 100 * time.Millisecond
 	if !v.inSlowStart {
 		t.Fatal("fresh Vegas should be in slow start")
 	}
@@ -137,7 +138,8 @@ func TestBaseRTTLearning(t *testing.T) {
 }
 
 func TestOracularBaseRTTPinned(t *testing.T) {
-	v := New(Config{MSS: 1500, BaseRTT: 100 * time.Millisecond})
+	v := New(Config{MSS: 1500})
+	v.Restart(100*time.Millisecond, initialCwndPkts)
 	v.OnAck(cca.AckSignal{Now: 0, RTT: 50 * time.Millisecond, AckedBytes: 1500})
 	if got := v.baseRTT(); got != 100*time.Millisecond {
 		t.Errorf("pinned BaseRTT moved: %v", got)

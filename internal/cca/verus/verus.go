@@ -6,11 +6,11 @@
 // Verus learns a delay profile — an empirical mapping from congestion
 // window to the delay that window produced — and walks a delay target up
 // or down each epoch: if the smoothed maximum delay of the last epoch is
-// more than R times the minimum observed delay, the target shrinks
+// more than r times the minimum observed delay, the target shrinks
 // (multiplicatively); otherwise it grows (additively). The next window is
 // read off the learned profile at the target delay.
 //
-// On an ideal path Verus converges to delays near R·Dmin, oscillating as
+// On an ideal path Verus converges to delays near r·Dmin, oscillating as
 // the epoch estimator breathes — delay-convergent with δ(C) bounded by the
 // profile resolution, and therefore inside Theorem 1's starvation regime
 // like the rest of the family.
@@ -24,26 +24,21 @@ import (
 	"starvation/internal/units"
 )
 
-// Config parameterizes Verus.
-type Config struct {
-	MSS int
-	// R is the delay-ratio threshold (paper default 2): target delays stay
-	// near R × Dmin.
-	R float64
-	// EpochLen is the control epoch (paper: 5 ms; we default to a larger
-	// 20 ms since our RTTs are tens of ms).
-	EpochLen time.Duration
-	// Delta1 is the additive delay-target increase per epoch when below
-	// the ratio threshold (default 1 ms).
-	Delta1 time.Duration
-	// Mult is the multiplicative delay-target decrease when above the
-	// threshold (default 0.9).
-	Mult float64
-	// InitialCwndPkts is the initial window (default 4).
-	InitialCwndPkts float64
-	// MinRTTHint pins the minimum-delay estimate when nonzero.
-	MinRTTHint time.Duration
-}
+const (
+	// r is the delay-ratio threshold (the paper's default): target delays
+	// stay near r × Dmin.
+	r = 2
+	// epochLen is the control epoch (the paper's is 5 ms; 20 ms here, since
+	// these RTTs are tens of ms).
+	epochLen = 20 * time.Millisecond
+	// delta1 is the additive delay-target increase per epoch below the
+	// ratio threshold.
+	delta1 = time.Millisecond
+	// mult is the multiplicative delay-target decrease above it.
+	mult = 0.9
+	// initialCwndPkts is the initial window.
+	initialCwndPkts = 4
+)
 
 // profileBuckets is the delay-profile resolution: window values are
 // learned per delay bucket of profileQuantum width above the minimum.
@@ -52,12 +47,14 @@ const (
 	profileQuantum = time.Millisecond
 )
 
-// Verus is a Verus sender.
-type Verus struct {
-	cfg  Config
+// sender is a Verus sender; the registry is its only constructor.
+type sender struct {
+	mss  int
 	cwnd float64 // packets
 
 	minRTT cca.MinRTT
+	// minRTTHint, when nonzero, pins the minimum-delay estimate.
+	minRTTHint time.Duration
 	// profile[i] is the EWMA of windows observed while delay was in
 	// bucket i (i·quantum above the minimum); profileSet marks live
 	// buckets.
@@ -70,59 +67,41 @@ type Verus struct {
 
 	targetDelay time.Duration
 	inSlowStart bool
-
-	Epochs int64
 }
 
-// New returns a Verus instance.
-func New(cfg Config) *Verus {
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1500
+func newSender(mss int) *sender {
+	if mss <= 0 {
+		mss = 1500
 	}
-	if cfg.R <= 1 {
-		cfg.R = 2
-	}
-	if cfg.EpochLen <= 0 {
-		cfg.EpochLen = 20 * time.Millisecond
-	}
-	if cfg.Delta1 <= 0 {
-		cfg.Delta1 = time.Millisecond
-	}
-	if cfg.Mult <= 0 || cfg.Mult >= 1 {
-		cfg.Mult = 0.9
-	}
-	if cfg.InitialCwndPkts <= 0 {
-		cfg.InitialCwndPkts = 4
-	}
-	v := &Verus{cfg: cfg, cwnd: cfg.InitialCwndPkts, inSlowStart: true}
+	v := &sender{mss: mss, cwnd: initialCwndPkts, inSlowStart: true}
 	v.smoothedMax.Alpha = 0.2
 	return v
 }
 
 func init() {
 	cca.Register("verus", func(mss int, _ *rand.Rand) cca.Algorithm {
-		return New(Config{MSS: mss})
+		return newSender(mss)
 	})
 }
 
 // Name implements cca.Algorithm.
-func (v *Verus) Name() string { return "verus" }
+func (v *sender) Name() string { return "verus" }
 
 // Window implements cca.Algorithm.
-func (v *Verus) Window() int { return int(v.cwnd * float64(v.cfg.MSS)) }
+func (v *sender) Window() int { return int(v.cwnd * float64(v.mss)) }
 
 // PacingRate implements cca.Algorithm.
-func (v *Verus) PacingRate() units.Rate { return 0 }
+func (v *sender) PacingRate() units.Rate { return 0 }
 
 // minDelay returns the minimum-delay estimate.
-func (v *Verus) minDelay() time.Duration {
-	if v.cfg.MinRTTHint > 0 {
-		return v.cfg.MinRTTHint
+func (v *sender) minDelay() time.Duration {
+	if v.minRTTHint > 0 {
+		return v.minRTTHint
 	}
 	return v.minRTT.Get(0)
 }
 
-func (v *Verus) bucket(d time.Duration) int {
+func (v *sender) bucket(d time.Duration) int {
 	min := v.minDelay()
 	if min <= 0 || d < min {
 		return 0
@@ -135,7 +114,7 @@ func (v *Verus) bucket(d time.Duration) int {
 }
 
 // learn folds the (window, delay) observation into the profile.
-func (v *Verus) learn(w float64, d time.Duration) {
+func (v *sender) learn(w float64, d time.Duration) {
 	i := v.bucket(d)
 	if !v.profileSet[i] {
 		v.profile[i] = w
@@ -147,7 +126,7 @@ func (v *Verus) learn(w float64, d time.Duration) {
 
 // lookup reads the learned window for a delay target, interpolating from
 // the nearest live bucket below (the profile is monotone in practice).
-func (v *Verus) lookup(d time.Duration) (float64, bool) {
+func (v *sender) lookup(d time.Duration) (float64, bool) {
 	for i := v.bucket(d); i >= 0; i-- {
 		if v.profileSet[i] {
 			return v.profile[i], true
@@ -157,11 +136,11 @@ func (v *Verus) lookup(d time.Duration) (float64, bool) {
 }
 
 // OnAck implements cca.Algorithm.
-func (v *Verus) OnAck(s cca.AckSignal) {
+func (v *sender) OnAck(s cca.AckSignal) {
 	if s.RTT <= 0 {
 		return
 	}
-	if v.cfg.MinRTTHint == 0 {
+	if v.minRTTHint == 0 {
 		v.minRTT.Update(s.Now, s.RTT)
 	}
 	if s.RTT > v.epochMaxRTT {
@@ -172,7 +151,7 @@ func (v *Verus) OnAck(s cca.AckSignal) {
 		v.epochStart = s.Now
 		return
 	}
-	if s.Now-v.epochStart < v.cfg.EpochLen {
+	if s.Now-v.epochStart < epochLen {
 		return
 	}
 	v.endEpoch()
@@ -181,8 +160,7 @@ func (v *Verus) OnAck(s cca.AckSignal) {
 }
 
 // endEpoch runs the Verus control decision.
-func (v *Verus) endEpoch() {
-	v.Epochs++
+func (v *sender) endEpoch() {
 	min := v.minDelay()
 	if min <= 0 || v.epochMaxRTT <= 0 {
 		return
@@ -193,7 +171,7 @@ func (v *Verus) endEpoch() {
 		// Exit on the RAW epoch maximum: the smoothed estimate lags by
 		// several epochs, during which an exponential ramp with an
 		// RTT-deep feedback pipeline would badly overshoot the queue.
-		if float64(v.epochMaxRTT) > v.cfg.R*float64(min) {
+		if float64(v.epochMaxRTT) > r*float64(min) {
 			v.inSlowStart = false
 			v.targetDelay = dMax
 		} else {
@@ -202,10 +180,10 @@ func (v *Verus) endEpoch() {
 		}
 	}
 
-	if float64(dMax)/float64(min) > v.cfg.R {
-		v.targetDelay = time.Duration(float64(v.targetDelay) * v.cfg.Mult)
+	if float64(dMax)/float64(min) > r {
+		v.targetDelay = time.Duration(float64(v.targetDelay) * mult)
 	} else {
-		v.targetDelay += v.cfg.Delta1
+		v.targetDelay += delta1
 	}
 	if v.targetDelay < min {
 		v.targetDelay = min
@@ -222,7 +200,7 @@ func (v *Verus) endEpoch() {
 }
 
 // OnLoss implements cca.Algorithm: Verus halves its delay target on loss.
-func (v *Verus) OnLoss(s cca.LossSignal) {
+func (v *sender) OnLoss(s cca.LossSignal) {
 	if !s.NewEvent {
 		return
 	}

@@ -9,13 +9,14 @@ import (
 	"starvation/internal/units"
 )
 
-func feed(v *Verus, now, rtt time.Duration) {
-	v.OnAck(cca.AckSignal{Now: now, RTT: rtt, AckedBytes: v.cfg.MSS,
-		DeliveredBytes: v.cfg.MSS, Packets: 1})
+func feed(v *sender, now, rtt time.Duration) {
+	v.OnAck(cca.AckSignal{Now: now, RTT: rtt, AckedBytes: v.mss,
+		DeliveredBytes: v.mss, Packets: 1})
 }
 
 func TestSlowStartRampsUntilDelayRatio(t *testing.T) {
-	v := New(Config{MSS: 1500, MinRTTHint: 50 * time.Millisecond})
+	v := newSender(1500)
+	v.minRTTHint = 50 * time.Millisecond
 	w0 := v.cwnd
 	// Low delay: stays in slow start, multiplies per epoch.
 	now := time.Duration(0)
@@ -40,7 +41,8 @@ func TestSlowStartRampsUntilDelayRatio(t *testing.T) {
 }
 
 func TestTargetDelayDynamics(t *testing.T) {
-	v := New(Config{MSS: 1500, MinRTTHint: 50 * time.Millisecond})
+	v := newSender(1500)
+	v.minRTTHint = 50 * time.Millisecond
 	v.cwnd, v.inSlowStart = 20, false
 	v.targetDelay = 80 * time.Millisecond
 	v.smoothedMax.Update(float64(80 * time.Millisecond))
@@ -66,7 +68,8 @@ func TestTargetDelayDynamics(t *testing.T) {
 }
 
 func TestProfileLearning(t *testing.T) {
-	v := New(Config{MSS: 1500, MinRTTHint: 50 * time.Millisecond})
+	v := newSender(1500)
+	v.minRTTHint = 50 * time.Millisecond
 	// Teach the profile: window 30 ↔ 70ms, window 10 ↔ 55ms.
 	v.cwnd = 10
 	for i := 0; i < 20; i++ {
@@ -85,7 +88,7 @@ func TestProfileLearning(t *testing.T) {
 }
 
 func TestLossReaction(t *testing.T) {
-	v := New(Config{MSS: 1500})
+	v := newSender(1500)
 	v.cwnd, v.inSlowStart = 40, false
 	v.targetDelay = 100 * time.Millisecond
 	v.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
@@ -103,7 +106,7 @@ func TestEndToEndConvergence(t *testing.T) {
 	// near R·Rm — delay-convergent per Definition 1.
 	n := network.New(
 		network.Config{Rate: units.Mbps(24), Seed: 1},
-		network.FlowSpec{Name: "verus", Alg: New(Config{}), Rm: 50 * time.Millisecond},
+		network.FlowSpec{Name: "verus", Alg: newSender(0), Rm: 50 * time.Millisecond},
 	)
 	res := n.Run(30 * time.Second)
 	t.Logf("\n%s", res)

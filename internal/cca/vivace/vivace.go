@@ -21,25 +21,24 @@ import (
 	"starvation/internal/units"
 )
 
-// DefaultEpsilon is Config.Epsilon's default, the source of the 1.05·Rm
+// DefaultEpsilon is the probing fraction, the source of the 1.05·Rm
 // oscillation ceiling the paper cites.
 const DefaultEpsilon = 0.05
 
+// The utility's coefficients: U(x) = x^exponent − latencyCoeff·x·dRTT/dt
+// − lossCoeff·x·L.
+const (
+	exponent     = 0.9
+	latencyCoeff = 900
+	lossCoeff    = 11.35
+)
+
+// initialRate is the starting rate and minRate the rate's floor, in
+// Mbit/s.
+const initialRate, minRate = 1, 0.05
+
 // Config parameterizes Vivace.
 type Config struct {
-	MSS int
-	// Exponent is the throughput-utility exponent t (default 0.9).
-	Exponent float64
-	// LatencyCoeff is b in the utility (default 900).
-	LatencyCoeff float64
-	// LossCoeff is c in the utility (default 11.35).
-	LossCoeff float64
-	// Epsilon is the probing fraction (default DefaultEpsilon).
-	Epsilon float64
-	// InitialRate is the starting rate (default 1 Mbit/s).
-	InitialRate units.Rate
-	// MinRate floors the rate (default 0.05 Mbit/s).
-	MinRate units.Rate
 	// Rng randomizes MI durations and probe order; required.
 	Rng *rand.Rand
 }
@@ -78,42 +77,19 @@ type Vivace struct {
 	// warmup marks the first half of each MI: deliveries still reflect
 	// the previous rate, so counters are reset before measurement (see
 	// the matching comment in package allegro).
-	warmup    bool
-	conf      int     // consecutive same-direction steps
-	lastDir   int     // sign of last step
-	prevUtil  float64 // slow-start comparison
-	havePrev  bool
-	pendRate  float64 // rate to apply at next tick
-	MIsScored int64
+	warmup   bool
+	conf     int     // consecutive same-direction steps
+	lastDir  int     // sign of last step
+	prevUtil float64 // slow-start comparison
+	havePrev bool
 }
 
 // New returns a Vivace instance.
 func New(cfg Config) *Vivace {
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1500
-	}
-	if cfg.Exponent <= 0 {
-		cfg.Exponent = 0.9
-	}
-	if cfg.LatencyCoeff <= 0 {
-		cfg.LatencyCoeff = 900
-	}
-	if cfg.LossCoeff <= 0 {
-		cfg.LossCoeff = 11.35
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = DefaultEpsilon
-	}
-	if cfg.InitialRate <= 0 {
-		cfg.InitialRate = units.Mbps(1)
-	}
-	if cfg.MinRate <= 0 {
-		cfg.MinRate = units.Mbps(0.05)
-	}
 	if cfg.Rng == nil {
 		panic("vivace: Config.Rng is nil")
 	}
-	v := &Vivace{cfg: cfg, rate: cfg.InitialRate.Mbit(), ph: phSlowStart,
+	v := &Vivace{cfg: cfg, rate: initialRate, ph: phSlowStart,
 		// The first interval only fills the pipeline; never score it.
 		warmup: true}
 	v.srtt.Alpha = 0.125
@@ -123,8 +99,8 @@ func New(cfg Config) *Vivace {
 }
 
 func init() {
-	cca.Register("vivace", func(mss int, rng *rand.Rand) cca.Algorithm {
-		return New(Config{MSS: mss, Rng: rng})
+	cca.Register("vivace", func(_ int, rng *rand.Rand) cca.Algorithm {
+		return New(Config{Rng: rng})
 	})
 }
 
@@ -139,8 +115,8 @@ func (v *Vivace) PacingRate() units.Rate { return units.Mbps(v.currentMIRate()) 
 
 func (v *Vivace) currentMIRate() float64 {
 	r := v.mi.rate
-	if r < v.cfg.MinRate.Mbit() {
-		r = v.cfg.MinRate.Mbit()
+	if r < minRate {
+		r = minRate
 	}
 	return r
 }
@@ -172,7 +148,6 @@ func (v *Vivace) finishMI(now time.Duration) {
 	mi.completed = true
 	mi.gradient = regressionSlope(mi.rttT, mi.rttV)
 	mi.utility = v.utility(mi)
-	v.MIsScored++
 
 	switch v.ph {
 	case phSlowStart:
@@ -194,7 +169,7 @@ func (v *Vivace) finishMI(now time.Duration) {
 		if !v.upFirst {
 			dir = 1.0
 		}
-		v.startMI(now, v.rate*(1+dir*v.cfg.Epsilon))
+		v.startMI(now, v.rate*(1+dir*DefaultEpsilon))
 	case phProbeSecond:
 		var uUp, uDown float64
 		if v.upFirst {
@@ -214,13 +189,13 @@ func (v *Vivace) beginProbePair(now time.Duration) {
 	if !v.upFirst {
 		dir = -1.0
 	}
-	v.startMI(now, v.rate*(1+dir*v.cfg.Epsilon))
+	v.startMI(now, v.rate*(1+dir*DefaultEpsilon))
 }
 
 // step performs the gradient-ascent update with confidence amplification
 // and the dynamic change boundary of the Vivace paper.
 func (v *Vivace) step(uUp, uDown float64) {
-	grad := (uUp - uDown) / (2 * v.cfg.Epsilon * v.rate)
+	grad := (uUp - uDown) / (2 * DefaultEpsilon * v.rate)
 	dir := 1
 	if grad < 0 {
 		dir = -1
@@ -242,14 +217,14 @@ func (v *Vivace) step(uUp, uDown float64) {
 		delta = -bound
 	}
 	v.rate += delta
-	if v.rate < v.cfg.MinRate.Mbit() {
-		v.rate = v.cfg.MinRate.Mbit()
+	if v.rate < minRate {
+		v.rate = minRate
 	}
 }
 
 func (v *Vivace) startMI(now time.Duration, rate float64) {
-	if rate < v.cfg.MinRate.Mbit() {
-		rate = v.cfg.MinRate.Mbit()
+	if rate < minRate {
+		rate = minRate
 	}
 	v.mi = miStats{rate: rate, start: now}
 	v.warmup = true
@@ -272,9 +247,9 @@ func (v *Vivace) utility(mi miStats) float64 {
 	if grad < 0 {
 		grad = 0
 	}
-	return math.Pow(x, v.cfg.Exponent) -
-		v.cfg.LatencyCoeff*x*grad -
-		v.cfg.LossCoeff*x*loss
+	return math.Pow(x, exponent) -
+		latencyCoeff*x*grad -
+		lossCoeff*x*loss
 }
 
 // OnAck implements cca.Algorithm.

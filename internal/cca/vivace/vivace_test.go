@@ -10,7 +10,7 @@ import (
 )
 
 func newTest() *Vivace {
-	return New(Config{MSS: 1500, Rng: rand.New(rand.NewSource(1))})
+	return New(Config{Rng: rand.New(rand.NewSource(1))})
 }
 
 func TestRegressionSlope(t *testing.T) {
@@ -137,10 +137,10 @@ func TestRateFloor(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		v.step(0, 100) // hard down
 	}
-	if v.rate < v.cfg.MinRate.Mbit() {
-		t.Errorf("rate %v fell below floor %v", v.rate, v.cfg.MinRate.Mbit())
+	if v.rate < minRate {
+		t.Errorf("rate %v fell below floor %v", v.rate, minRate)
 	}
-	if v.PacingRate() < units.Mbps(v.cfg.MinRate.Mbit()) {
+	if v.PacingRate() < units.Mbps(minRate) {
 		t.Error("pacing below floor")
 	}
 }

@@ -146,6 +146,9 @@ func TestUnknownCCAPanics(t *testing.T) {
 		{"MeasureConvergence", func() { MeasureConvergence(bad, c, rm, opts) }},
 		{"RateDelaySweep", func() { RateDelaySweep(bad, rm, []units.Rate{c}, opts) }},
 		{"PigeonholeSearch", func() { PigeonholeSearch(bad, rm, 4, 0.8, time.Millisecond, c, 2, opts) }},
+		{"EmulateTwoFlow", func() {
+			EmulateTwoFlow(EmulationSpec{CCA: bad, Rm: rm, C1: c, C2: 2 * c, D: time.Millisecond, Measure: opts})
+		}},
 		{"UnderutilizationConstruction", func() {
 			UnderutilizationConstruction(UnderutilizationSpec{CCA: bad, Rm: rm, C: c, Measure: opts})
 		}},

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"starvation/internal/cca"
-	"starvation/internal/cca/vegas"
 	"starvation/internal/network"
 	"starvation/internal/trace"
 	"starvation/internal/units"
@@ -13,17 +12,11 @@ import (
 
 // EmulationSpec configures the Theorem 1 two-flow construction.
 type EmulationSpec struct {
-	// Make builds the CCA for a flow. It receives the single-flow
-	// convergence measurement the flow should resume from (nil for the
-	// step-2 probe runs, in which case a fresh instance is expected); a
-	// window CCA starts at conv.FinalCwndPkts. Unlike the other entry
-	// points this takes a constructor, not a registry name: step 3
-	// restarts each flow from its converged state, and does so with the
-	// caller's own config, which a name cannot carry. LEDBAT shows why
-	// both matter: at the registry's default 25 ms target instead of 5 ms
-	// the construction of TestTheorem1LEDBATStarvation fails its
-	// preconditions (gap 25.9 ms against δmax 31 µs; ratio 9.5).
-	Make func(conv *Convergence) cca.Algorithm
+	// CCA is the registered name of the CCA under test. The step-2 probe
+	// runs each build a fresh instance; step 3 builds two more and
+	// restarts each from its probe's converged state through the CCA's
+	// Restart method, so the CCA must have one (vegas, fast, ledbat).
+	CCA string
 	// Rm is the shared propagation RTT.
 	Rm time.Duration
 	// C1 and C2 are the two single-flow link rates (from PigeonholeSearch
@@ -39,6 +32,12 @@ type EmulationSpec struct {
 	// replay, phase-locks perfectly in a packet-granular emulator (the
 	// equilibrium hysteresis of the CCA freezes the operating point).
 	constantTargets bool
+	// build, when non-nil, replaces the registry's constructor of CCA.
+	// It is the seam of X-T1-gen's LEDBAT run, which needs a 5 ms target:
+	// at the registry's 25 ms the construction of
+	// TestTheorem1LEDBATStarvation fails its preconditions (gap 25.9 ms
+	// against δmax 31 µs; ratio 9.5).
+	build func() cca.Algorithm
 	// Measure tunes the step-2 single-flow runs and the two-flow
 	// emulation, which runs as long as each of them.
 	Measure MeasureOpts
@@ -75,11 +74,25 @@ type EmulationResult struct {
 // flows on a C1+C2 link with per-flow bounded delay shapers replaying the
 // trajectories (step 3) and report the resulting throughput ratio.
 func EmulateTwoFlow(spec EmulationSpec) *EmulationResult {
+	mk := spec.build
+	if mk == nil {
+		mk = newCCA(spec.CCA)
+	}
+	probe := mk()
+	if _, ok := probe.(restarter); !ok {
+		panic(fmt.Sprintf("core: CCA %q has no Restart method; Theorem 1 restarts its flows from their converged states", spec.CCA))
+	}
+	// restart builds a flow resumed from the converged state conv.
+	restart := func(conv *Convergence) cca.Algorithm {
+		alg := mk()
+		alg.(restarter).Restart(conv.Rm, conv.FinalCwndPkts)
+		return alg
+	}
 	spec.Measure.fill()
 
 	// Step 2: single-flow trajectories on ideal paths of rates C1 and C2.
-	conv1 := measure(spec.Make(nil), spec.C1, spec.Rm, spec.Measure)
-	conv2 := measure(spec.Make(nil), spec.C2, spec.Rm, spec.Measure)
+	conv1 := measure(probe, spec.C1, spec.Rm, spec.Measure)
+	conv2 := measure(mk(), spec.C2, spec.Rm, spec.Measure)
 
 	res := &EmulationResult{Conv1: conv1, Conv2: conv2}
 	res.DeltaMax = conv1.Delta
@@ -130,8 +143,8 @@ func EmulateTwoFlow(spec EmulationSpec) *EmulationResult {
 
 	n := network.New(
 		network.Config{Rate: spec.C1 + spec.C2, Seed: emulationSeed, Ctx: spec.Measure.Ctx},
-		network.FlowSpec{Name: "starved", Alg: spec.Make(conv1), Rm: spec.Rm, FwdJitter: res.Shaper1},
-		network.FlowSpec{Name: "fast", Alg: spec.Make(conv2), Rm: spec.Rm, FwdJitter: res.Shaper2},
+		network.FlowSpec{Name: "starved", Alg: restart(conv1), Rm: spec.Rm, FwdJitter: res.Shaper1},
+		network.FlowSpec{Name: "fast", Alg: restart(conv2), Rm: spec.Rm, FwdJitter: res.Shaper2},
 	)
 	n.Link.Prime(dStar0 - spec.Rm)
 	res.TwoFlow = n.Run(spec.Measure.Duration)
@@ -139,19 +152,13 @@ func EmulateTwoFlow(spec EmulationSpec) *EmulationResult {
 	return res
 }
 
-// RestartVegas is the EmulationSpec.Make of Vegas: a fresh flow for the
-// probe runs, or one restarted at the converged state. That state
-// includes both the window and the learned baseRTT: the proof initializes
-// "the internal state of the two flows to the states of the corresponding
-// flow in Step 2", and the paper notes the argument works even with
-// oracular knowledge of Rm.
-func RestartVegas(conv *Convergence) cca.Algorithm {
-	if conv == nil {
-		return vegas.New(vegas.Config{})
-	}
-	v := vegas.New(vegas.Config{BaseRTT: conv.Rm})
-	v.SetCwndPkts(conv.FinalCwndPkts)
-	return v
+// restarter is a CCA the Theorem 1 construction can resume from a
+// converged state: the proof initializes "the internal state of the two
+// flows to the states of the corresponding flow in Step 2", here the
+// window and an oracular Rm (the paper notes the argument works even with
+// oracular knowledge of Rm).
+type restarter interface {
+	Restart(rm time.Duration, cwndPkts float64)
 }
 
 // constantSeries returns a one-sample series whose step-function extension

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"starvation/internal/cca"
-	"starvation/internal/cca/fast"
 	"starvation/internal/cca/ledbat"
 	"starvation/internal/units"
 )
@@ -14,23 +13,14 @@ import (
 // delay-convergent CCAs. These tests run the same construction against the
 // other min-filter CCAs, showing nothing in the result is Vegas-specific.
 
-func fastMake(conv *Convergence) cca.Algorithm {
-	if conv == nil {
-		return fast.New(fast.Config{})
-	}
-	return fast.New(fast.Config{BaseRTT: conv.Rm, InitialCwndPkts: conv.FinalCwndPkts})
-}
-
-func ledbatMake(conv *Convergence) cca.Algorithm {
-	if conv == nil {
-		return ledbat.New(ledbat.Config{Target: 5 * time.Millisecond})
-	}
-	return ledbat.New(ledbat.Config{Target: 5 * time.Millisecond, BaseDelayHint: conv.Rm, InitialCwndPkts: conv.FinalCwndPkts})
+// newLedbat5ms builds LEDBAT at a 5 ms target, X-T1-gen's setting.
+func newLedbat5ms() cca.Algorithm {
+	return ledbat.New(ledbat.Config{Target: 5 * time.Millisecond})
 }
 
 func TestTheorem1FASTStarvation(t *testing.T) {
 	res := EmulateTwoFlow(EmulationSpec{
-		Make:            fastMake,
+		CCA:             "fast",
 		Rm:              50 * time.Millisecond,
 		C1:              units.Mbps(12),
 		C2:              units.Mbps(384),
@@ -48,7 +38,8 @@ func TestTheorem1LEDBATStarvation(t *testing.T) {
 	// Rm + 5ms — the pigeonhole collision is trivial and even modest D
 	// suffices.
 	res := EmulateTwoFlow(EmulationSpec{
-		Make:            ledbatMake,
+		CCA:             "ledbat",
+		build:           newLedbat5ms,
 		Rm:              50 * time.Millisecond,
 		C1:              units.Mbps(12),
 		C2:              units.Mbps(384),

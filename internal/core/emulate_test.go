@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -50,7 +51,7 @@ func TestTheorem1VegasStarvation(t *testing.T) {
 	// (step 1) lands at high rates where α/C1 and α/C2 are both within
 	// D/2 of each other: 12 and 384 Mbit/s give 5 ms vs 0.16 ms of queueing.
 	res := EmulateTwoFlow(EmulationSpec{
-		Make:    RestartVegas,
+		CCA:     "vegas",
 		Rm:      50 * time.Millisecond,
 		C1:      units.Mbps(12),
 		C2:      units.Mbps(384), // factor 32 apart: s=25.6 at f=0.8
@@ -63,7 +64,7 @@ func TestTheorem1VegasStarvation(t *testing.T) {
 
 func TestTheorem1VegasConstantTargets(t *testing.T) {
 	res := EmulateTwoFlow(EmulationSpec{
-		Make:            RestartVegas,
+		CCA:             "vegas",
 		Rm:              50 * time.Millisecond,
 		C1:              units.Mbps(12),
 		C2:              units.Mbps(384),
@@ -80,6 +81,20 @@ func TestTheorem1VegasConstantTargets(t *testing.T) {
 		t.Errorf("starved flow at %v vs single-flow %v (ratio %.2f), want within 10%%",
 			slow, res.Conv1.Throughput, ratio)
 	}
+}
+
+// TestEmulateTwoFlowNeedsRestart checks that a registered CCA without a
+// Restart method is refused before any run: step 3 could not resume it
+// from its converged state.
+func TestEmulateTwoFlowNeedsRestart(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"reno"`) || !strings.Contains(msg, "Restart") {
+			t.Fatalf("panic %q, want one naming \"reno\" and Restart", msg)
+		}
+	}()
+	EmulateTwoFlow(EmulationSpec{CCA: "reno", Rm: 50 * time.Millisecond, C1: units.Mbps(12), C2: units.Mbps(384),
+		D: 20 * time.Millisecond, Measure: MeasureOpts{Duration: time.Second}})
 }
 
 func TestTheorem2Underutilization(t *testing.T) {

@@ -24,26 +24,16 @@ import (
 // (lowest) unfairness ratio.
 func algo1Ablation(o Opts) *Result {
 	o.fill(120 * time.Second)
-	const (
-		rm = 50 * time.Millisecond
-		d  = 10 * time.Millisecond
-	)
+	const rm = 50 * time.Millisecond
 	run := func(aiad, perAck bool) *network.Result {
 		mk := func() *algo1.Algo1 {
-			return algo1.New(algo1.Config{
-				Rm: rm, D: d, S: 2,
-				RmaxOffset: 120 * time.Millisecond,
-				MuMin:      units.Kbps(100),
-				A:          units.Mbps(1),
-				AIAD:       aiad,
-				PerAck:     perAck,
-			})
+			return algo1.New(algo1.Config{Rm: rm, A: units.Mbps(1), AIAD: aiad, PerAck: perAck})
 		}
 		res := o.emulate(
 			network.Config{Rate: units.Mbps(100)},
 			network.FlowSpec{
 				Name: "jittered", Alg: mk(), Rm: rm,
-				FwdJitter: &jitter.Uniform{Max: d, Rng: rng.New(o.Seed*17 + 1)},
+				FwdJitter: &jitter.Uniform{Max: algo1.DefaultD, Rng: rng.New(o.Seed*17 + 1)},
 			},
 			network.FlowSpec{Name: "clean", Alg: mk(), Rm: rm},
 		)

@@ -19,18 +19,9 @@ import (
 // stay ≤ s (here s = 2) — s-fairness instead of starvation.
 func algo1Fairness(o Opts) *Result {
 	o.fill(120 * time.Second)
-	const (
-		rm = 50 * time.Millisecond
-		d  = 10 * time.Millisecond
-		s  = 2.0
-	)
+	const rm = 50 * time.Millisecond
 	mk := func() *algo1.Algo1 {
-		return algo1.New(algo1.Config{
-			Rm: rm, D: d, S: s,
-			RmaxOffset: 120 * time.Millisecond,
-			MuMin:      units.Kbps(100),
-			A:          units.Mbps(1),
-		})
+		return algo1.New(algo1.Config{Rm: rm, A: units.Mbps(1)})
 	}
 	res := o.emulate(
 		network.Config{Rate: units.Mbps(100)},
@@ -38,7 +29,7 @@ func algo1Fairness(o Opts) *Result {
 			Name:      "jittered",
 			Alg:       mk(),
 			Rm:        rm,
-			FwdJitter: &jitter.Uniform{Max: d, Rng: rng.New(o.Seed*17 + 1)},
+			FwdJitter: &jitter.Uniform{Max: algo1.DefaultD, Rng: rng.New(o.Seed*17 + 1)},
 		},
 		network.FlowSpec{
 			Name: "clean",
@@ -56,7 +47,7 @@ func algo1Fairness(o Opts) *Result {
 			"clean_mbps":    res.Flows[1].Stat.SteadyThpt.Mbit(),
 			"ratio":         res.Ratio(),
 			"utilization":   res.Utilization(),
-			"s_bound":       s,
+			"s_bound":       algo1.DefaultS,
 		},
 	}
 }

@@ -59,7 +59,7 @@ func fig7Reno(o Opts) *Result {
 func fig7Cubic(o Opts) *Result {
 	return fig7(o, "F7-cubic", "Cubic",
 		func() cca.Algorithm {
-			return cubic.New(cubic.Config{FastConvergence: true, TCPFriendly: true})
+			return cubic.New(cubic.Config{})
 		},
 		"ratio 3.2×, bounded (no starvation)")
 }

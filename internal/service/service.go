@@ -201,8 +201,10 @@ func (s *Server) restore(rec batchRecord, dir string) *batch {
 	b.done, b.succeeded = satisfied, satisfied
 	if satisfied == len(rec.Jobs) {
 		b.state = stateDone
+		// The manifest's mtime is stamped from the filesystem's clock,
+		// which can be coarser than time.Now and read before created.
 		b.finished = rec.Created
-		if fi, err := os.Stat(filepath.Join(dir, "manifest.json")); err == nil {
+		if fi, err := os.Stat(filepath.Join(dir, "manifest.json")); err == nil && fi.ModTime().After(rec.Created) {
 			b.finished = fi.ModTime()
 		}
 		b.hub.close()

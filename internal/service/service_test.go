@@ -719,6 +719,40 @@ func TestServiceFoldsFinishedJournal(t *testing.T) {
 	}
 }
 
+// TestServiceRestoredFinishedNotBeforeCreated: a done batch restored from
+// disk takes its finish time from the manifest's mtime, which a coarse
+// filesystem clock can stamp before the batch's created time; the
+// restored batch still reports finished ≥ created.
+func TestServiceRestoredFinishedNotBeforeCreated(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{DataDir: dir, Workers: 2}, true)
+	code, out, _ := postBatch(t, ts1.URL, `{"jobs":[`+testJobJSON("a", 61)+`]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	id := out["id"].(string)
+	created := waitBatch(t, s1, id).Created
+	s1.Drain()
+	ts1.Close()
+
+	early := created.Add(-3 * time.Millisecond)
+	if err := os.Chtimes(filepath.Join(dir, "batches", id, "manifest.json"), early, early); err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := newTestServer(t, Config{DataDir: dir}, false)
+	b, ok := s2.batch(id)
+	if !ok {
+		t.Fatalf("batch %s not restored", id)
+	}
+	st := b.status()
+	if st.State != stateDone || st.Finished == nil {
+		t.Fatalf("restored batch: state %s, finished %v; want done with a finish time", st.State, st.Finished)
+	}
+	if st.Finished.Before(st.Created) {
+		t.Errorf("restored batch finished %v, before it was created %v", st.Finished, st.Created)
+	}
+}
+
 // TestServiceResumeQueuedBatch: a batch admitted but never started (the
 // daemon died first) runs to completion on the next daemon.
 func TestServiceResumeQueuedBatch(t *testing.T) {

@@ -20,9 +20,6 @@ const (
 	gbitPerSec Rate = 1e9
 )
 
-// Kbps returns a Rate of v kilobits per second.
-func Kbps(v float64) Rate { return Rate(v) * kbitPerSec }
-
 // Mbps returns a Rate of v megabits per second.
 func Mbps(v float64) Rate { return Rate(v) * mbitPerSec }
 
