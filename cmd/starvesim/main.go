@@ -17,8 +17,8 @@
 // ones. -trace streams the run's packet-lifecycle events (enqueue, drop,
 // mark, dequeue, deliver, ack receipt, cwnd updates, rate samples) as
 // JSONL for offline analysis; -metrics writes the end-of-run counters
-// registry in Prometheus text format. Both observe a single scenario:
-// combine them with one -scenario name (or -cca), not "all".
+// registry in Prometheus text format. Both observe one run: a single
+// -scenario name or a local -flows set.
 //
 // -telemetry turns on the flight recorder: windowed per-flow series, the
 // online starvation-episode detector, and run-phase spans. The result
@@ -26,9 +26,7 @@
 // families. -watch <interval> additionally renders a live one-line view
 // to stderr as the run progresses (and flushes -trace each tick); it
 // implies -telemetry. The recorder only observes: fixed-seed runs
-// produce bit-identical realizations with it on or off. Like -trace and
-// -metrics it observes one local run, so -sweep and -server refuse it
-// (exit 2) rather than drop it.
+// produce bit-identical realizations with it on or off.
 //
 // -sweep N runs one scenario across N consecutive seeds (starting at
 // -seed, default 2) and prints one observables line per seed. -jobs bounds
@@ -37,22 +35,25 @@
 // Every run is an independent deterministic simulator, so parallelism
 // never changes any measured number.
 //
-// -flows runs population mode: semicolon-separated flow groups
+// -flows runs a flow set: semicolon-separated flow groups
 // (cca[*count][:key=val,...]) over a -topology (single, parkinglot:<n>,
 // fanin:<n>), reporting population starvation statistics — starved
 // fraction under the -eps threshold, share quantiles, per-cohort Jain.
+// A pair is a two-group set, e.g. -flows "vegas:rm=50ms;reno:rm=50ms".
+// -faults injects impairments into a local -flows run: its flow clauses
+// (ge, reorder, dup) act on flow 0, its link clauses (flap, rate) on the
+// reporting bottleneck, e.g.
 //
-// -server <addr> runs the population experiment on a starved daemon (see
+//	starvesim -flows "allegro:rm=50ms;allegro:rm=50ms" -faults "ge:0.008,0.2,0.5;flap:5s,200ms"
+//
+// -server <addr> runs the -flows set on a starved daemon (see
 // cmd/starved) instead of locally: the spec is submitted as a one-job
 // batch, the batch's events stream to stderr, and the result printed to
 // stdout is byte-identical to a local run. A spec the daemon rejects
 // exits 2 with the same message a local run would.
 //
 // -guard enables the run-guard layer (stall and conservation checks on
-// element counters). -faults injects path impairments in freeform (-cca)
-// mode, e.g.
-//
-//	starvesim -cca allegro -cca2 allegro -faults "ge:0.008,0.2,0.5;flap:5s,200ms"
+// element counters).
 //
 // -deadline bounds the wall-clock time of the whole invocation — one run,
 // or every run of -scenario all or -sweep together — as a deadline on the
@@ -61,6 +62,12 @@
 // trace/metrics/telemetry exporters flush what the truncated run
 // produced, and one line on standard error says which of the two stopped
 // it.
+//
+// The flags select one mode — -list, a single -scenario, -scenario all,
+// -sweep, -flows or -server — and each mode reads a fixed set of flags
+// (modeFlags). A flag set on the command line that the mode does not
+// read is refused with exit 2, never dropped: an observer that cannot
+// attach to -server, a -jobs that a single run has no use for.
 //
 // Exit status: 0 on success, 1 on runtime failure (unknown scenario, a
 // guard violation, an expired -deadline), 2 on a malformed configuration,
@@ -74,12 +81,15 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
 	"time"
 
+	"starvation/internal/core"
 	"starvation/internal/guard"
+	"starvation/internal/netem/faults"
 	"starvation/internal/network"
 	"starvation/internal/obs"
 	"starvation/internal/prof"
@@ -87,12 +97,64 @@ import (
 	"starvation/internal/scenario"
 )
 
-// stopProfiles finishes -cpuprofile/-memprofile. It must run before any
-// os.Exit (deferred calls don't), so exit paths call it explicitly; the
-// function is idempotent.
-var stopProfiles = func() {}
+func main() { os.Exit(run()) }
 
-func main() {
+// The modes, named as the refusal line names them.
+const (
+	modeList     = "-list"
+	modeScenario = "a single -scenario"
+	modeAll      = "-scenario all"
+	modeSweep    = "-sweep"
+	modeFlows    = "-flows"
+	modeServer   = "-server"
+)
+
+// modeFlags maps each mode to the flags it reads; every mode also reads
+// the profiler's -cpuprofile and -memprofile.
+var modeFlags = map[string][]string{
+	modeList:     {"list"},
+	modeScenario: {"scenario", "seed", "duration", "trace", "metrics", "telemetry", "watch", "guard", "deadline"},
+	modeAll:      {"scenario", "seed", "duration", "telemetry", "guard", "deadline", "jobs"},
+	modeSweep:    {"scenario", "sweep", "seed", "duration", "guard", "deadline", "jobs"},
+	modeFlows:    {"flows", "topology", "rate", "buffer", "eps", "faults", "seed", "duration", "trace", "metrics", "telemetry", "watch", "guard", "deadline"},
+	// The daemon runs the spec alone: observers, the guard and the
+	// deadline attach to local runs.
+	modeServer: {"server", "flows", "topology", "rate", "buffer", "eps", "seed", "duration"},
+}
+
+// exitError is a failure that carries its exit status. Any other error
+// exits 1, the runtime-failure status.
+type exitError struct {
+	code int
+	msg  string // standard error's line(s); empty when already reported
+}
+
+func (e *exitError) Error() string { return e.msg }
+
+// usage reports a malformed configuration: exit 2.
+func usage(format string, args ...any) error {
+	return &exitError{code: 2, msg: fmt.Sprintf("starvesim: "+format, args...)}
+}
+
+// run is the command: it reports what execute failed with on standard
+// error and returns the exit status.
+func run() int {
+	err := execute()
+	if err == nil {
+		return 0
+	}
+	code := 1
+	var ee *exitError
+	if errors.As(err, &ee) {
+		code = ee.code
+	}
+	if msg := err.Error(); msg != "" {
+		fmt.Fprintln(os.Stderr, msg)
+	}
+	return code
+}
+
+func execute() error {
 	var (
 		list     = flag.Bool("list", false, "list available scenarios")
 		name     = flag.String("scenario", "", "scenario to run (or \"all\")")
@@ -110,35 +172,81 @@ func main() {
 		jobsN  = flag.Int("jobs", 0, "parallel workers for -scenario all and -sweep (0 = GOMAXPROCS)")
 		sweepN = flag.Int("sweep", 0, "run the scenario across this many consecutive seeds, one observables line per seed")
 
-		// Population mode: -flows selects it.
-		flows    = flag.String("flows", "", "population mode: semicolon-separated flow groups, cca[*count][:key=val,...] (keys: rm, start, stagger, jitter, loss, ackagg, path, cohort)")
-		topology = flag.String("topology", "single", "population mode: single | parkinglot:<hops> | fanin:<access-links>")
-		epsilon  = flag.Float64("eps", 0, "population mode: starvation threshold as a fraction of fair share (0 = default 0.1)")
-		server   = flag.String("server", "", "population mode: run on a starved daemon at this address (host:port or URL) instead of locally; output is byte-identical")
-
-		// Freeform mode: -cca selects it; everything else is optional.
-		cca1   = flag.String("cca", "", "freeform mode: CCA for flow 0 (e.g. vegas, bbr)")
-		cca2   = flag.String("cca2", "", "freeform mode: CCA for flow 1 (empty = single flow)")
-		fspec  = flag.String("faults", "", "freeform mode: flow 0 impairments and link schedule, semicolon-separated clauses (ge:pG2B,pB2G,pDropBad | reorder:p,delay | dup:p | flap:period,down | rate:at=mbps,...)")
-		rate   = flag.Float64("rate", 48, "freeform mode: bottleneck Mbit/s")
-		buffer = flag.Int("buffer", 0, "freeform mode: buffer in packets (0 = infinite)")
-		rm1    = flag.Duration("rm", 50*time.Millisecond, "freeform mode: flow 0 propagation RTT")
-		rm2    = flag.Duration("rm2", 50*time.Millisecond, "freeform mode: flow 1 propagation RTT")
-		jspec  = flag.String("jitter", "", "freeform mode: flow 0 jitter, kind:value (const|uniform|aggregate|burst:5ms, spike:10ms/100ms)")
-		loss1  = flag.Float64("loss", 0, "freeform mode: flow 0 random loss probability")
-		ackPer = flag.Duration("ackagg", 0, "freeform mode: flow 0 ACK aggregation period")
+		flows    = flag.String("flows", "", "flow set: semicolon-separated flow groups, cca[*count][:key=val,...] (keys: rm, start, stagger, jitter, loss, ackagg, path, cohort)")
+		topology = flag.String("topology", "single", "-flows: single | parkinglot:<hops> | fanin:<access-links>")
+		rate     = flag.Float64("rate", 48, "-flows: bottleneck Mbit/s")
+		buffer   = flag.Int("buffer", 0, "-flows: bottleneck buffer in packets (0 = infinite)")
+		epsilon  = flag.Float64("eps", 0, "-flows: starvation threshold as a fraction of fair share (0 = default 0.1)")
+		fspec    = flag.String("faults", "", "local -flows: flow 0 impairments and bottleneck schedule, semicolon-separated clauses (ge:pG2B,pB2G,pDropBad | reorder:p,delay | dup:p | flap:period,down | rate:at=mbps,...)")
+		server   = flag.String("server", "", "run the -flows set on a starved daemon at this address (host:port or URL) instead of locally; output is byte-identical")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	)
 	flag.Parse()
 
+	mode := modeList
+	switch {
+	case *flows != "" && *server != "":
+		mode = modeServer
+	case *flows != "":
+		mode = modeFlows
+	case *list:
+		mode = modeList
+	case *sweepN != 0:
+		mode = modeSweep
+	case *name == "all":
+		mode = modeAll
+	case *name != "":
+		mode = modeScenario
+	}
+	// Refuse the first flag set on the command line that the mode does
+	// not read.
+	var refused string
+	flag.Visit(func(f *flag.Flag) {
+		reads := slices.Contains(modeFlags[mode], f.Name) || f.Name == "cpuprofile" || f.Name == "memprofile"
+		if !reads && refused == "" {
+			refused = f.Name
+		}
+	})
+	if refused != "" {
+		return usage("-%s does not apply to %s", refused, mode)
+	}
+	if mode == modeSweep && *sweepN < 1 {
+		return usage("-sweep %d: the seed count must be positive", *sweepN)
+	}
+	if mode == modeSweep && (*name == "" || *name == "all") {
+		return usage("-sweep needs a single -scenario name")
+	}
+	if mode == modeScenario || mode == modeSweep {
+		// Validate before opening any output file so a typo'd scenario
+		// name doesn't leave a stray empty trace behind.
+		if _, ok := scenario.Registry[*name]; !ok {
+			return fmt.Errorf("unknown scenario %q; use -list", *name)
+		}
+	}
+	spec := scenario.PopulationSpec{
+		Flows: *flows, Topology: *topology,
+		RateMbps: *rate, BufferPkts: *buffer, Epsilon: *epsilon,
+		Duration: *duration, Seed: *seed,
+	}
+	var pop core.PopulationConfig
+	if mode == modeFlows {
+		// Checked as deeply as the run will, before any output file opens.
+		var err error
+		if pop, err = flowSet(spec, *fspec); err == nil {
+			err = pop.Validate()
+		}
+		if err != nil {
+			return usage("%v", err)
+		}
+	}
+
 	stop, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
-		fatalf("starvesim: %v", err)
+		return fmt.Errorf("starvesim: %v", err)
 	}
-	stopProfiles = stop
-	defer stopProfiles()
+	defer stop()
 
 	// An interrupt cancels this context and -deadline expires it; every
 	// mode threads it into its runs so the event loop halts at the next
@@ -151,30 +259,12 @@ func main() {
 		defer cancel()
 	}
 
-	observing := *tracePath != "" || *metricsPath != "" || *watchEvery > 0
-	if observing && *name == "all" {
-		fatalf("starvesim: -trace/-metrics/-watch observe one scenario; run them with a single -scenario name")
-	}
-	var tcfg *network.TelemetryConfig
-	if *telemetry || *watchEvery > 0 {
-		tcfg = &network.TelemetryConfig{}
-	}
-	if *name != "" && *name != "all" && *cca1 == "" {
-		// Validate before opening any output file so a typo'd scenario
-		// name doesn't leave a stray empty trace behind.
-		if _, ok := scenario.Registry[*name]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown scenario %q; use -list\n", *name)
-			os.Exit(1)
-		}
-	}
-
 	// sink owns the optional exporters; runs hand it each Result so the
 	// metrics file reflects the completed run's registry snapshot.
 	sink, err := newObsSink(*tracePath, *metricsPath)
 	if err != nil {
-		fatalf("starvesim: %v", err)
+		return fmt.Errorf("starvesim: %v", err)
 	}
-
 	// -watch interposes the live view between the run and the sink: the
 	// simulation emits through the shared lock, the render goroutine
 	// reads (and flushes the trace) under it.
@@ -185,134 +275,100 @@ func main() {
 		runProbe = watch.sync
 	}
 
-	var guardOpts *guard.Options
+	opts := scenario.Opts{Seed: *seed, Duration: *duration, Probe: runProbe, Ctx: ctx}
+	if *telemetry || *watchEvery > 0 {
+		opts.Telemetry = &network.TelemetryConfig{}
+	}
 	if *guardOn {
-		guardOpts = &guard.Options{}
+		opts.Guard = &guard.Options{}
 	}
-	if *fspec != "" && *cca1 == "" {
-		usagef("starvesim: -faults applies to freeform (-cca) mode; scenarios define their own impairments")
-	}
-
-	if *server != "" && *flows == "" {
-		usagef("starvesim: -server runs population mode on a daemon; it needs -flows")
-	}
-	if *flows != "" {
-		if *cca1 != "" || *name != "" {
-			usagef("starvesim: -flows is its own mode; drop -cca/-scenario")
-		}
-		spec := scenario.PopulationSpec{
-			Flows: *flows, Topology: *topology,
-			RateMbps: *rate, BufferPkts: *buffer, Epsilon: *epsilon,
-			Duration: *duration, Seed: *seed,
-		}
-		if *server != "" {
-			if observing || tcfg != nil || *guardOn || *deadline > 0 {
-				usagef("starvesim: -trace/-metrics/-watch/-telemetry/-guard observe local runs; they cannot attach to -server")
-			}
-			runServerPopulation(ctx, *server, spec)
-			return
-		}
-		pr, err := runPopulation(spec, guardOpts, tcfg, ctx, runProbe)
-		if err != nil {
-			usagef("starvesim: %v", err)
-		}
-		fmt.Print(pr.Render())
-		finishRun(ctx, sink, watch, pr.Net, "population", pr.Seed)
-		return
-	}
-
-	if *cca1 != "" {
-		d := *duration
-		if d <= 0 {
-			d = 60 * time.Second
-		}
-		s := *seed
-		if s == 0 {
-			s = 2
-		}
-		res, err := runCustom(customFlags{
-			cca1: *cca1, cca2: *cca2,
-			rateMbps: *rate, bufferPkts: *buffer,
-			rm1: *rm1, rm2: *rm2,
-			jitterSpec: *jspec, loss1: *loss1, faultsSpec: *fspec, ackAggregate: *ackPer,
-			duration: d, seed: s, guard: guardOpts, telemetry: tcfg, ctx: ctx,
-		}, runProbe)
-		if err != nil {
-			// Everything runCustom can fail on is configuration: a typo'd
-			// CCA, jitter, or faults spec, or an invalid network config.
-			usagef("starvesim: %v", err)
-		}
-		fmt.Println(res)
-		finishRun(ctx, sink, watch, res, "custom", s)
-		return
-	}
-
-	if *list || *name == "" {
+	switch mode {
+	case modeList:
 		fmt.Println("available scenarios:")
 		for _, n := range scenario.Names() {
 			fmt.Printf("  %s\n", n)
 		}
-		if *name == "" && !*list {
+		if !*list {
 			fmt.Println("\nrun with -scenario <name> or -scenario all")
 		}
-		return
+		return nil
+	case modeServer:
+		return runServerPopulation(ctx, *server, spec)
+	case modeFlows:
+		pop.Guard, pop.Probe, pop.Telemetry, pop.Ctx = opts.Guard, opts.Probe, opts.Telemetry, ctx
+		pr, err := core.RunPopulation(pop)
+		if err != nil {
+			return usage("%v", err)
+		}
+		fmt.Print(pr.Render())
+		return finishRun(ctx, sink, watch, pr.Net, "population", pr.Seed)
+	case modeSweep:
+		return runSweep(ctx, *name, *sweepN, *jobsN, opts)
+	case modeAll:
+		return runAll(ctx, *jobsN, opts)
 	}
+	res := runScenario(*name, opts)
+	return finishRun(ctx, sink, watch, res, *name, *seed)
+}
 
-	opts := scenario.Opts{Seed: *seed, Duration: *duration, Probe: runProbe, Guard: guardOpts, Telemetry: tcfg, Ctx: ctx}
-	if *sweepN > 0 {
-		if *name == "" || *name == "all" {
-			usagef("starvesim: -sweep needs a single -scenario name")
-		}
-		if observing || tcfg != nil {
-			usagef("starvesim: -trace/-metrics/-watch/-telemetry observe one run; they cannot attach to a -sweep")
-		}
-		runSweep(ctx, *name, *seed, *sweepN, *jobsN, *duration, guardOpts)
-		return
+// flowSet assembles a local -flows run: the spec's configuration with
+// the -faults profile attached — its flow clauses to flow 0, its link
+// schedule to the reporting bottleneck. A single bottleneck becomes the
+// one-entry link list network.Config synthesizes from the same fields,
+// so the realization does not move.
+func flowSet(spec scenario.PopulationSpec, faultSpec string) (core.PopulationConfig, error) {
+	cfg, err := spec.Config()
+	if err != nil || faultSpec == "" {
+		return cfg, err
 	}
-	if *name == "all" {
-		runAll(ctx, *jobsN, opts)
+	prof, err := faults.ParseProfile(faultSpec)
+	if err != nil {
+		return cfg, err
 	}
-	res := run(*name, opts)
-	finishRun(ctx, sink, watch, res, *name, *seed)
+	if !prof.Flow.Empty() {
+		cfg.Flows[0].Faults = &prof.Flow
+	}
+	if prof.Link != nil {
+		if cfg.Links == nil {
+			cfg.Links = []network.LinkSpec{{Name: "bottleneck", Rate: cfg.Rate, BufferBytes: cfg.BufferBytes}}
+			cfg.Rate, cfg.BufferBytes = 0, 0
+		}
+		cfg.Links[cfg.Bottleneck].RateSchedule = prof.Link
+	}
+	return cfg, nil
 }
 
 // finishRun closes the run's observers in order — live view first (its
-// final state line), then the sink (surfacing any export failure as a
-// structured guard.KindExport RunError) — and exits non-zero on export or
-// guard failure. A run the context stopped exits after the drain with
+// final state line), then the sink (reporting any export failure as a
+// structured guard.KindExport RunError) — and fails on export or guard
+// failure. A run the context stopped fails after the drain with
 // stopped's status: the exporters flushed what the truncated run
 // produced, and the interrupt or expired -deadline — not whatever the
 // halted simulation looks like to the guard — is the outcome callers
 // should see.
-func finishRun(ctx context.Context, sink *obsSink, watch *watcher, res *network.Result, name string, seed int64) {
+func finishRun(ctx context.Context, sink *obsSink, watch *watcher, res *network.Result, name string, seed int64) error {
 	if watch != nil {
 		watch.halt()
 	}
-	code := 0
+	var err error
 	if rerr := sink.finish(res, name, seed); rerr != nil {
-		fmt.Fprintln(os.Stderr, rerr.Error())
-		code = 1
+		fmt.Fprintln(os.Stderr, rerr)
+		err = &exitError{code: 1}
 	}
-	if why, c := stopped(ctx); c != 0 {
-		fmt.Fprintf(os.Stderr, "starvesim: %s; partial outputs flushed\n", why)
-		stopProfiles()
-		os.Exit(c)
+	if serr := stopped(ctx, "; partial outputs flushed"); serr != nil {
+		return serr
 	}
 	if guardFailed(res) {
-		fmt.Fprintln(os.Stderr, res.Guard.String())
-		code = 1
+		return errors.New(res.Guard.String())
 	}
-	if code != 0 {
-		stopProfiles()
-		os.Exit(code)
-	}
+	return err
 }
 
 // runAll executes every registered scenario, -jobs at a time, and prints
 // the reports in sorted scenario order regardless of completion order.
-// It exits the process with 1 when any guarded run failed, otherwise
-// with stopped's status when the context cut the batch short.
-func runAll(ctx context.Context, jobs int, opts scenario.Opts) {
+// It fails with 1 when any guarded run failed, otherwise with stopped's
+// status when the context cut the batch short.
+func runAll(ctx context.Context, jobs int, opts scenario.Opts) error {
 	names := scenario.Names()
 	outputs := make([]string, len(names))
 	failed := make([]bool, len(names))
@@ -329,24 +385,23 @@ func runAll(ctx context.Context, jobs int, opts scenario.Opts) {
 		outputs[i] = out
 		return nil
 	})
-	code := 0
+	var err error
 	for i, out := range outputs {
 		fmt.Print(out)
 		if failed[i] {
-			code = 1
+			err = &exitError{code: 1} // the guard's report is in the output
 		}
 	}
-	if why, c := stopped(ctx); c != 0 {
-		fmt.Fprintf(os.Stderr, "starvesim: %s; completed scenarios printed\n", why)
-		code = c
+	if serr := stopped(ctx, "; completed scenarios printed"); serr != nil {
+		return serr
 	}
-	stopProfiles()
-	os.Exit(code)
+	return err
 }
 
-// runSweep runs one scenario across n consecutive seeds and prints one
-// observables line per seed, in seed order.
-func runSweep(ctx context.Context, name string, baseSeed int64, n, jobs int, duration time.Duration, guardOpts *guard.Options) {
+// runSweep runs one scenario across n consecutive seeds from opts.Seed
+// and prints one observables line per seed, in seed order.
+func runSweep(ctx context.Context, name string, n, jobs int, opts scenario.Opts) error {
+	baseSeed := opts.Seed
 	if baseSeed == 0 {
 		baseSeed = 2 // the documented reference realization
 	}
@@ -354,27 +409,23 @@ func runSweep(ctx context.Context, name string, baseSeed int64, n, jobs int, dur
 	for i := range seeds {
 		seeds[i] = baseSeed + int64(i)
 	}
-	results, err := scenario.SeedSweep(ctx, name, seeds, jobs,
-		scenario.Opts{Duration: duration, Guard: guardOpts})
+	results, err := scenario.SeedSweep(ctx, name, seeds, jobs, opts)
 	if err != nil {
-		if why, code := stopped(ctx); code != 0 {
-			fmt.Fprintf(os.Stderr, "starvesim: %s\n", why)
-			stopProfiles()
-			os.Exit(code)
+		if serr := stopped(ctx, ""); serr != nil {
+			return serr
 		}
-		fatalf("starvesim: %v", err)
+		return fmt.Errorf("starvesim: %v", err)
 	}
 	fmt.Printf("%s across seeds %d..%d:\n", name, seeds[0], seeds[n-1])
-	code := 0
+	err = nil
 	for i, res := range results {
 		fmt.Printf("  seed %d: %s\n", seeds[i], observablesLine(res))
 		if guardFailed(res.Net) {
 			fmt.Println(res.Net.Guard.String())
-			code = 1
+			err = &exitError{code: 1} // the guard's report is in the output
 		}
 	}
-	stopProfiles()
-	os.Exit(code)
+	return err
 }
 
 // observablesLine renders a result's named quantities on one line, keys
@@ -392,7 +443,7 @@ func observablesLine(res *scenario.Result) string {
 	return strings.Join(parts, " ")
 }
 
-func run(name string, opts scenario.Opts) *network.Result {
+func runScenario(name string, opts scenario.Opts) *network.Result {
 	fn := scenario.Registry[name]
 	start := time.Now()
 	res := fn(opts)
@@ -400,17 +451,17 @@ func run(name string, opts scenario.Opts) *network.Result {
 	return res.Net
 }
 
-// stopped reports whether ctx cut the runs short, and how: the phrase for
-// standard error and the exit status — 1 when the -deadline budget ran
-// out, 3 after an interrupt. A live context returns code 0.
-func stopped(ctx context.Context) (why string, code int) {
+// stopped reports whether ctx cut the runs short, as the error to exit
+// with — status 1 when the -deadline budget ran out, 3 after an
+// interrupt — whose line ends in after. A live context returns nil.
+func stopped(ctx context.Context, after string) error {
 	switch err := ctx.Err(); {
 	case err == nil:
-		return "", 0
+		return nil
 	case errors.Is(err, context.DeadlineExceeded):
-		return "-deadline exceeded", 1
+		return &exitError{code: 1, msg: "starvesim: -deadline exceeded" + after}
 	default:
-		return "interrupted", 3
+		return &exitError{code: 3, msg: "starvesim: interrupted" + after}
 	}
 }
 
@@ -461,8 +512,8 @@ func (s *obsSink) flush() error {
 // including a write error that struck mid-run and stuck in the JSONL
 // writer — come back as a structured guard.KindExport RunError: the
 // simulation completed, but its recorded stream is incomplete.
-func (s *obsSink) finish(res *network.Result, name string, seed int64) *guard.RunError {
-	exportErr := func(what string, err error) *guard.RunError {
+func (s *obsSink) finish(res *network.Result, name string, seed int64) error {
+	exportErr := func(what string, err error) error {
 		return &guard.RunError{
 			Scenario: name, Seed: seed, Kind: guard.KindExport,
 			Msg: fmt.Sprintf("%s: %v", what, err),
@@ -481,7 +532,7 @@ func (s *obsSink) finish(res *network.Result, name string, seed int64) *guard.Ru
 		return nil
 	}
 	if res == nil {
-		fatalf("starvesim: -metrics: scenario produced no network run")
+		return fmt.Errorf("starvesim: -metrics: scenario produced no network run")
 	}
 	f, err := os.Create(s.metricsPath)
 	if err != nil {

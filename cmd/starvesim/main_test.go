@@ -21,8 +21,7 @@ const cliEnv = "STARVESIM_TEST_AS_CLI"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(cliEnv) != "" {
-		main()
-		os.Exit(0)
+		os.Exit(run())
 	}
 	os.Exit(m.Run())
 }
@@ -46,9 +45,9 @@ func starvesim(t *testing.T, args ...string) (code int, stdout, stderr string) {
 
 // TestExitStatus pins the contract of the package comment: 0 on success,
 // 1 on a runtime failure — an expired -deadline among them, whether it
-// cuts one run or a batch short — 2 on a malformed configuration — for a
-// bad population spec with exactly the message the experiment service
-// returns as HTTP 400.
+// cuts one run or a batch short — 2 on a malformed configuration — a
+// flag its mode does not read among them, and a bad population spec,
+// with exactly the message the experiment service returns as HTTP 400.
 func TestExitStatus(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "ev.jsonl")
 	badSpec := scenario.PopulationSpec{Flows: "nosuchcca*2"}.Validate().Error()
@@ -60,21 +59,30 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-list"}, 0, ""},
 		{[]string{"-scenario", "nosuch"}, 1, "unknown scenario \"nosuch\"; use -list\n"},
 		{[]string{"-flows", "nosuchcca*2"}, 2, "starvesim: " + badSpec + "\n"},
-		{[]string{"-trace", tracePath, "-scenario", "all"}, 1,
-			"starvesim: -trace/-metrics/-watch observe one scenario; run them with a single -scenario name\n"},
+		// A flow set the network refuses is refused before the trace opens.
+		{[]string{"-flows", "vegas:path=5", "-trace", tracePath}, 2,
+			"starvesim: population: network: flow 0: path link 5 out of range [0, 1)\n"},
+		// Observers attach to one run: refused before the trace opens.
+		{[]string{"-trace", tracePath, "-scenario", "all"}, 2, "starvesim: -trace does not apply to -scenario all\n"},
 		// Refused before anything is dialled.
-		{[]string{"-server", "localhost:1"}, 2, "starvesim: -server runs population mode on a daemon; it needs -flows\n"},
+		{[]string{"-server", "localhost:1"}, 2, "starvesim: -server does not apply to -list\n"},
 		// The flight recorder observes a local run: refused, not dropped.
 		{[]string{"-server", "localhost:1", "-flows", "vegas*2", "-telemetry"}, 2,
-			"starvesim: -trace/-metrics/-watch/-telemetry/-guard observe local runs; they cannot attach to -server\n"},
+			"starvesim: -telemetry does not apply to -server\n"},
 		{[]string{"-scenario", "quickstart-vegas", "-sweep", "2", "-duration", "1s", "-telemetry"}, 2,
-			"starvesim: -trace/-metrics/-watch/-telemetry observe one run; they cannot attach to a -sweep\n"},
-		{[]string{"-cca", "vegas", "-duration", "600s", "-deadline", "1ms"}, 1,
+			"starvesim: -telemetry does not apply to -sweep\n"},
+		{[]string{"-scenario", "quickstart-vegas", "-sweep", "-2"}, 2,
+			"starvesim: -sweep -2: the seed count must be positive\n"},
+		{[]string{"-scenario", "quickstart-vegas", "-topology", "fanin:4"}, 2,
+			"starvesim: -topology does not apply to a single -scenario\n"},
+		{[]string{"-scenario", "quickstart-vegas", "-jobs", "2"}, 2,
+			"starvesim: -jobs does not apply to a single -scenario\n"},
+		{[]string{"-flows", "vegas", "-duration", "600s", "-deadline", "1ms"}, 1,
 			"starvesim: -deadline exceeded; partial outputs flushed\n"},
 		{[]string{"-scenario", "all", "-duration", "60s", "-deadline", "1ms"}, 1,
 			"starvesim: -deadline exceeded; completed scenarios printed\n"},
 	} {
-		if code, _, errOut := starvesim(t, tc.args...); code != tc.code || !strings.Contains(errOut, tc.stderr) {
+		if code, _, errOut := starvesim(t, tc.args...); code != tc.code || !strings.Contains("\n"+errOut, "\n"+tc.stderr) {
 			t.Errorf("starvesim %v: exit %d, stderr %q; want %d, %q", tc.args, code, errOut, tc.code, tc.stderr)
 		}
 	}
@@ -87,7 +95,7 @@ func TestExitStatus(t *testing.T) {
 // loop, flushes the exporters and exits 3 — not 1, which an expired
 // -deadline owns.
 func TestInterruptExitStatus(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-cca", "vegas", "-duration", "3600s", "-watch", "10ms")
+	cmd := exec.Command(os.Args[0], "-flows", "vegas", "-duration", "3600s", "-watch", "10ms")
 	cmd.Env = append(os.Environ(), cliEnv+"=1")
 	stderr, err := cmd.StderrPipe()
 	if err != nil {

@@ -27,12 +27,12 @@ const serverJobName = "cli"
 // same spec — both paths render through core.PopulationResult.Render —
 // so scripts can switch between local and remote execution freely.
 //
-// Exit status matches the local mode's contract: 0 on success, 1 on
-// runtime failure (unreachable daemon, failed batch, saturated queue),
-// 2 when the daemon rejects the spec as malformed (HTTP 400 carries the
-// same message a local run exits 2 with), 3 after an interrupt (the
-// batch is cancelled on the daemon best-effort).
-func runServerPopulation(ctx context.Context, addr string, spec scenario.PopulationSpec) {
+// Its error carries the local mode's exit contract: 1 on runtime failure
+// (unreachable daemon, failed batch, saturated queue), 2 when the daemon
+// rejects the spec as malformed (HTTP 400 carries the same message a
+// local run exits 2 with), 3 after an interrupt (the batch is cancelled
+// on the daemon best-effort).
+func runServerPopulation(ctx context.Context, addr string, spec scenario.PopulationSpec) error {
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -51,77 +51,89 @@ func runServerPopulation(ctx context.Context, addr string, spec scenario.Populat
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		fatalf("starvesim: encoding batch: %v", err)
+		return fmt.Errorf("starvesim: encoding batch: %v", err)
 	}
 
-	st := submitBatch(ctx, base, body)
+	st, err := submitBatch(ctx, base, body)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(os.Stderr, "starvesim: batch %s admitted by %s\n", st.ID, base)
 
-	final := streamEvents(ctx, base, st.ID)
-	if ctx.Err() != nil {
+	final, err := streamEvents(ctx, base, st.ID)
+	if serr := stopped(ctx, "; batch cancelled on daemon"); serr != nil {
 		cancelBatch(base, st.ID)
-		fmt.Fprintln(os.Stderr, "starvesim: interrupted; batch cancelled on daemon")
-		stopProfiles()
-		os.Exit(3)
+		return serr
+	}
+	if err != nil {
+		return err
 	}
 	switch final {
 	case "batch-done":
 	case "batch-cancelled":
-		fatalf("starvesim: batch %s was cancelled on the daemon", st.ID)
+		return fmt.Errorf("starvesim: batch %s was cancelled on the daemon", st.ID)
 	case "batch-failed":
-		fatalf("starvesim: batch %s failed; see the event stream above", st.ID)
+		return fmt.Errorf("starvesim: batch %s failed; see the event stream above", st.ID)
 	default:
-		fatalf("starvesim: event stream for %s ended without a terminal event (daemon drained?)", st.ID)
+		return fmt.Errorf("starvesim: event stream for %s ended without a terminal event (daemon drained?)", st.ID)
 	}
 
-	artifact := fetchArtifact(ctx, base, st.ID)
+	resp, err := get(ctx, base+"/batches/"+st.ID+"/artifacts/"+serverJobName, "artifact fetch")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	artifact, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("starvesim: reading artifact: %v", err)
+	}
 	fmt.Print(string(artifact))
-}
-
-// httpError is the daemon's non-2xx JSON body.
-type httpError struct {
-	Error string `json:"error"`
+	return nil
 }
 
 // submitBatch POSTs the batch and maps the daemon's status codes onto the
-// CLI's exit conventions. 400 is a malformed spec — the body carries the
-// exact message a local run would exit 2 with, so it goes through usagef.
-func submitBatch(ctx context.Context, base string, body []byte) service.BatchStatus {
+// CLI's exit conventions. 400 is a malformed spec — the body carries,
+// after the job's name, the exact message a local run would exit 2 with,
+// so it is a usage error.
+func submitBatch(ctx context.Context, base string, body []byte) (service.BatchStatus, error) {
+	var st service.BatchStatus
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/batches", bytes.NewReader(body))
 	if err != nil {
-		fatalf("starvesim: %v", err)
+		return st, fmt.Errorf("starvesim: %v", err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
-		fatalf("starvesim: submitting batch: %v", err)
+		return st, fmt.Errorf("starvesim: submitting batch: %v", err)
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusAccepted:
-		var st service.BatchStatus
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			fatalf("starvesim: decoding admission response: %v", err)
+			return st, fmt.Errorf("starvesim: decoding admission response: %v", err)
 		}
-		return st
+		return st, nil
 	case http.StatusBadRequest:
-		usagef("starvesim: %s", readError(resp.Body))
+		// The daemon names the rejected job; the batch's one job is the
+		// spec itself, so the message is the local run's.
+		return st, usage("%s", strings.TrimPrefix(readError(resp.Body), fmt.Sprintf("job %q: ", serverJobName)))
 	case http.StatusTooManyRequests:
-		fatalf("starvesim: daemon queue is full (retry after %ss): %s",
+		return st, fmt.Errorf("starvesim: daemon queue is full (retry after %ss): %s",
 			resp.Header.Get("Retry-After"), readError(resp.Body))
 	case http.StatusServiceUnavailable:
-		fatalf("starvesim: daemon is draining; try another instance")
+		return st, fmt.Errorf("starvesim: daemon is draining; try another instance")
 	default:
-		fatalf("starvesim: daemon returned %s: %s", resp.Status, readError(resp.Body))
+		return st, fmt.Errorf("starvesim: daemon returned %s: %s", resp.Status, readError(resp.Body))
 	}
-	panic("unreachable")
 }
 
 // readError extracts the daemon's JSON error message, falling back to the
 // raw body.
 func readError(r io.Reader) string {
 	data, _ := io.ReadAll(io.LimitReader(r, 1<<16))
-	var e httpError
+	var e struct {
+		Error string `json:"error"`
+	}
 	if json.Unmarshal(data, &e) == nil && e.Error != "" {
 		return e.Error
 	}
@@ -131,22 +143,12 @@ func readError(r io.Reader) string {
 // streamEvents follows the batch's JSONL event stream, mirroring each
 // event to stderr as a human-readable progress line, and returns the
 // terminal event type ("" if the stream ended without one).
-func streamEvents(ctx context.Context, base, id string) string {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/batches/"+id+"/events", nil)
+func streamEvents(ctx context.Context, base, id string) (string, error) {
+	resp, err := get(ctx, base+"/batches/"+id+"/events", "event stream")
 	if err != nil {
-		fatalf("starvesim: %v", err)
-	}
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		if ctx.Err() != nil {
-			return ""
-		}
-		fatalf("starvesim: streaming events: %v", err)
+		return "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fatalf("starvesim: event stream returned %s: %s", resp.Status, readError(resp.Body))
-	}
 	final := ""
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -160,7 +162,25 @@ func streamEvents(ctx context.Context, base, id string) string {
 			final = ev.Type
 		}
 	}
-	return final
+	return final, nil
+}
+
+// get issues a GET and returns its response if the status is 200 OK;
+// what names the request in the error otherwise.
+func get(ctx context.Context, url, what string) (*http.Response, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, fmt.Errorf("starvesim: %v", err)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		return nil, fmt.Errorf("starvesim: %s: %v", what, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, fmt.Errorf("starvesim: %s returned %s: %s", what, resp.Status, readError(resp.Body))
+	}
+	return resp, nil
 }
 
 // eventLine renders one event for the stderr progress feed.
@@ -178,28 +198,6 @@ func eventLine(ev service.Event) string {
 		fmt.Fprintf(&b, ": %s", ev.Err)
 	}
 	return b.String()
-}
-
-// fetchArtifact retrieves the finished job's rendered output.
-func fetchArtifact(ctx context.Context, base, id string) []byte {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		base+"/batches/"+id+"/artifacts/"+serverJobName, nil)
-	if err != nil {
-		fatalf("starvesim: %v", err)
-	}
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		fatalf("starvesim: fetching artifact: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		fatalf("starvesim: artifact fetch returned %s: %s", resp.Status, readError(resp.Body))
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fatalf("starvesim: reading artifact: %v", err)
-	}
-	return data
 }
 
 // cancelBatch best-effort cancels the batch after a client-side

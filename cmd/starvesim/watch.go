@@ -102,8 +102,8 @@ type watcher struct {
 }
 
 // startWatch begins rendering every interval. downstream (may be nil)
-// receives the event stream under the watch lock; flush (may be nil) runs
-// each tick under the same lock — the periodic trace flush, whose errors
+// receives the event stream under the watch lock; flush runs each tick
+// under the same lock — the periodic trace flush, whose errors
 // stay sticky in the writer and surface at finish.
 func startWatch(every time.Duration, downstream obs.Probe, flush func() error) *watcher {
 	view := &watchView{downstream: downstream}
@@ -124,9 +124,7 @@ func startWatch(every time.Duration, downstream obs.Probe, flush func() error) *
 			case <-t.C:
 				w.sync.Do(func(obs.Probe) {
 					view.render(false)
-					if flush != nil {
-						_ = flush() // sticky; surfaced by obsSink.finish
-					}
+					_ = flush() // sticky; surfaced by obsSink.finish
 				})
 			}
 		}

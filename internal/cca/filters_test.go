@@ -85,6 +85,7 @@ func TestEWMA(t *testing.T) {
 
 func TestRegisterPanicsOnDuplicate(t *testing.T) {
 	Register("test-dup-cca", func(mss int, _ *rand.Rand) Algorithm { return nil })
+	t.Cleanup(func() { delete(registry, "test-dup-cca") })
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")

@@ -75,8 +75,9 @@ func faultySpecs() (Config, []FlowSpec) {
 		Duplicate: &faults.DupConfig{P: 0.01},
 	}
 	cfg := Config{
-		Rate: units.Mbps(24), BufferBytes: 60 * 1500, Seed: 7,
-		RateSchedule: flapSchedule("3s,100ms"),
+		Links: []LinkSpec{{Name: "bottleneck", Rate: units.Mbps(24), BufferBytes: 60 * 1500,
+			RateSchedule: flapSchedule("3s,100ms")}},
+		Seed: 7,
 	}
 	return cfg, []FlowSpec{impaired, vegasSpec("clean")}
 }
@@ -176,11 +177,12 @@ func outageConfig() (Config, FlowSpec) {
 	spec := vegasSpec("outage")
 	spec.Rm = time.Millisecond
 	cfg := Config{
-		Rate: units.Mbps(12), Seed: 3, Guard: &guard.Options{},
-		RateSchedule: &faults.RateSchedule{Repeat: 6 * time.Second, Steps: []faults.RateStep{
-			{At: 2500 * time.Millisecond, Rate: 0},
-			{At: 6500 * time.Millisecond, Rate: units.Mbps(12)},
-		}},
+		Links: []LinkSpec{{Name: "bottleneck", Rate: units.Mbps(12),
+			RateSchedule: &faults.RateSchedule{Repeat: 6 * time.Second, Steps: []faults.RateStep{
+				{At: 2500 * time.Millisecond, Rate: 0},
+				{At: 6500 * time.Millisecond, Rate: units.Mbps(12)},
+			}}}},
+		Seed: 3, Guard: &guard.Options{},
 	}
 	return cfg, spec
 }
@@ -238,7 +240,7 @@ func TestSessionStallStateResets(t *testing.T) {
 		t.Helper()
 		cfg, spec := outageConfig()
 		if !outage {
-			cfg.RateSchedule = nil
+			cfg.Links[0].RateSchedule = nil
 		}
 		res, err := s.Run(cfg, 14*time.Second, spec)
 		if err != nil {

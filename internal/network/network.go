@@ -94,10 +94,11 @@ type Config struct {
 	// Links, when non-nil, describes a multi-link topology (parking-lot
 	// chain, shared-uplink fan-in); flows pick their route with
 	// FlowSpec.Path. When nil, the legacy single-bottleneck fields below
-	// (Rate, BufferBytes, Marker, RateSchedule) define
-	// the one shared link, wired exactly as before the topology layer —
-	// fixed-seed realizations are bit-identical. The two styles are
-	// mutually exclusive.
+	// (Rate, BufferBytes, Marker) define the one shared link, wired
+	// exactly as before the topology layer — fixed-seed realizations are
+	// bit-identical. The two styles are mutually exclusive; a link whose
+	// rate varies over the run (LinkSpec.RateSchedule) is described in
+	// Links.
 	Links []LinkSpec
 	// Bottleneck is the index of the link reported as "the" bottleneck:
 	// Result.LinkRate, the queue-depth trace, and rate-sample events read
@@ -113,9 +114,6 @@ type Config struct {
 	// Marker installs an AQM policy that ECN-marks arriving packets
 	// (netem.REDMarker); nil marks nothing.
 	Marker netem.Marker
-	// RateSchedule varies the bottleneck rate over the run (piecewise
-	// steps or on-off flaps); nil keeps Rate constant.
-	RateSchedule *faults.RateSchedule
 	// Guard enables the run-guard layer: a stall check on the receivers'
 	// delivery counters every guard.CheckEvery and at the end of the run,
 	// plus the end-of-run conservation check, reported in Result.Guard.
@@ -223,8 +221,8 @@ func (cfg Config) validate() error {
 	if len(cfg.Links) > 0 {
 		// Topology mode: the legacy single-bottleneck fields must stay
 		// zero so a config cannot describe two contradictory networks.
-		if cfg.Rate != 0 || cfg.BufferBytes != 0 || cfg.Marker != nil || cfg.RateSchedule != nil {
-			return fmt.Errorf("Links is set: leave the legacy single-bottleneck fields (Rate, BufferBytes, Marker, RateSchedule) zero and describe every link in Links")
+		if cfg.Rate != 0 || cfg.BufferBytes != 0 || cfg.Marker != nil {
+			return fmt.Errorf("Links is set: leave the legacy single-bottleneck fields (Rate, BufferBytes, Marker) zero and describe every link in Links")
 		}
 		if cfg.Bottleneck < 0 || cfg.Bottleneck >= len(cfg.Links) {
 			return fmt.Errorf("bottleneck index %d out of range [0, %d)", cfg.Bottleneck, len(cfg.Links))
@@ -244,9 +242,6 @@ func (cfg Config) validate() error {
 	}
 	if cfg.BufferBytes < 0 {
 		return fmt.Errorf("negative buffer %d bytes", cfg.BufferBytes)
-	}
-	if err := cfg.RateSchedule.Validate(); err != nil {
-		return fmt.Errorf("rate schedule: %w", err)
 	}
 	return nil
 }

@@ -97,11 +97,10 @@ func (cfg Config) linksOf() []LinkSpec {
 		return cfg.Links
 	}
 	return []LinkSpec{{
-		Name:         "bottleneck",
-		Rate:         cfg.Rate,
-		BufferBytes:  cfg.BufferBytes,
-		Marker:       cfg.Marker,
-		RateSchedule: cfg.RateSchedule,
+		Name:        "bottleneck",
+		Rate:        cfg.Rate,
+		BufferBytes: cfg.BufferBytes,
+		Marker:      cfg.Marker,
 	}}
 }
 
