@@ -12,9 +12,7 @@
 // at any -jobs value — the parity test asserts this.
 //
 // A panic or a blown -deadline inside a section is recorded as a
-// structured RunError and the batch continues with the next section. With
-// -retries > 1 (implied by -chaos) failed retryable sections are
-// re-attempted with exponential, deterministically jittered backoff. The
+// structured RunError and the batch continues with the next section. The
 // collected failures are always written to <out>/errors.json — an empty
 // list means a clean batch — and a non-empty list makes the command exit 1
 // after the batch completes.
@@ -22,24 +20,34 @@
 // Interrupting the batch (SIGINT or SIGTERM) cancels its context: running
 // sections stop at the next simulation tick, the manifest and errors.json
 // flush, and the command exits 3 so callers can tell "interrupted after a
-// clean drain" from a runtime failure (1) or a malformed invocation (2).
+// clean drain" from a runtime failure (1) or a malformed invocation (2):
+// an unknown flag or -only ID, a bad -chaos spec, or a positional argument.
 //
 // The -chaos flag turns the batch into a self-test of this supervision:
 // seeded faults are injected into section bodies and on-disk state (see
-// internal/runner/chaos), the injection log lands in <out>/.chaos/, and —
-// because injected faults are capped per section below the retry budget —
-// the batch must still converge to a byte-identical output tree.
+// internal/runner/chaos), failed sections are retried under the spec's
+// retry policy, the injection log lands in <out>/.chaos/, and — because
+// injected faults are capped per section below the retry budget — the
+// batch must still converge to a byte-identical output tree.
+//
+// figures writes each run's results, not its event stream. To observe one
+// of its §5 or population runs, run it alone with starvesim:
+//
+//	starvesim -scenario copa-single -duration 30s -trace ev.jsonl -metrics met.txt
+//
+// (-duration 30s is the §5 runs' -quick length, 6s the population runs'.)
 //
 // Usage:
 //
 //	figures [-out results] [-quick] [-only F3,T5] [-jobs N] [-deadline 10m]
-//	        [-retries N] [-chaos "seed:7;fail:0.3;panic:0.1"]
+//	        [-chaos "seed:7;fail:0.3;panic:0.1"]
 package main
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -55,7 +63,6 @@ import (
 	"starvation/internal/core"
 	"starvation/internal/guard"
 	"starvation/internal/network"
-	"starvation/internal/obs"
 	"starvation/internal/prof"
 	"starvation/internal/runner"
 	"starvation/internal/runner/chaos"
@@ -64,39 +71,116 @@ import (
 	"starvation/internal/units"
 )
 
-var (
-	outDir   = flag.String("out", "results", "output directory")
-	quick    = flag.Bool("quick", false, "shorter runs (coarser data)")
-	only     = flag.String("only", "", "comma-separated experiment IDs to run")
-	obsDir   = flag.String("obs", "", "also write per-scenario event traces (JSONL) and Prometheus metrics for the §5 runs into this directory")
-	deadline = flag.Duration("deadline", 0, "wall-clock budget per section; a section exceeding it is abandoned and recorded in errors.json (0 = no limit)")
-	jobsN    = flag.Int("jobs", 0, "sections to run in parallel (0 = GOMAXPROCS)")
-	cacheDir = flag.String("cache", "", "result cache directory (default <out>/.cache)")
-	noCache  = flag.Bool("no-cache", false, "disable the result cache (every section re-simulates)")
-	listOnly = flag.Bool("list", false, "list section IDs in run order (annotated from <out>/manifest.json when present) and exit")
-	retriesN = flag.Int("retries", 1, "attempts per section; failed retryable sections re-run with seeded backoff (1 = no retries)")
-	chaosArg = flag.String("chaos", "", "inject seeded orchestration faults, e.g. \"seed:7;fail:0.3;panic:0.1;corrupt:2\" (see internal/runner/chaos)")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the batch to this file")
-	memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-)
-
-// stopProfiles finishes -cpuprofile/-memprofile; exit paths call it
-// explicitly because deferred calls don't run under os.Exit. Idempotent.
-var stopProfiles = func() {}
-
-// exit stops the profilers and terminates with the given status.
-func exit(code int) {
-	stopProfiles()
-	os.Exit(code)
+// exitError is a failure that carries its exit status. Any other error
+// exits 1, the runtime-failure status.
+type exitError struct {
+	code int
+	msg  string // standard error's line; empty when already reported
 }
 
-// timeNow stamps the summary header; a variable so tests can pin it and
-// assert byte-identical summaries across runs. The SOURCE_DATE_EPOCH
-// convention pins it from the environment, making whole output trees
-// reproducible across invocations (the CI chaos drill diffs a faulted
-// run against a fault-free one byte for byte).
-var timeNow = func() time.Time {
+func (e *exitError) Error() string { return e.msg }
+
+// usage reports a malformed invocation: exit 2.
+func usage(format string, args ...any) error {
+	return &exitError{code: 2, msg: fmt.Sprintf("figures: "+format, args...)}
+}
+
+// run is the command: it reports what execute failed with on stderr and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	err := execute(args, stdout, stderr)
+	if err == nil {
+		return 0
+	}
+	code := 1
+	var ee *exitError
+	if errors.As(err, &ee) {
+		code = ee.code
+	}
+	if msg := err.Error(); msg != "" {
+		fmt.Fprintln(stderr, msg)
+	}
+	return code
+}
+
+// config is one batch's settings, everything that the flags decide.
+type config struct {
+	out      string          // -out
+	quick    bool            // -quick
+	only     map[string]bool // -only; nil runs every section
+	jobs     int             // -jobs
+	deadline time.Duration   // -deadline, per section
+	cache    string          // -cache; "" under -no-cache
+	chaos    *chaos.Injector // -chaos; nil injects nothing
+}
+
+// execute parses the command line and runs the batch it asks for.
+func execute(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg config
+	fs.StringVar(&cfg.out, "out", "results", "output directory")
+	fs.BoolVar(&cfg.quick, "quick", false, "shorter runs (coarser data)")
+	only := fs.String("only", "", "comma-separated experiment IDs to run")
+	fs.DurationVar(&cfg.deadline, "deadline", 0, "wall-clock budget per section; a section exceeding it is abandoned and recorded in errors.json (0 = no limit)")
+	fs.IntVar(&cfg.jobs, "jobs", 0, "sections to run in parallel (0 = GOMAXPROCS)")
+	cacheDir := fs.String("cache", "", "result cache directory (default <out>/.cache)")
+	noCache := fs.Bool("no-cache", false, "disable the result cache (every section re-simulates)")
+	list := fs.Bool("list", false, "list section IDs in run order (annotated from <out>/manifest.json when present) and exit")
+	chaosArg := fs.String("chaos", "", "inject seeded orchestration faults, e.g. \"seed:7;fail:0.3;panic:0.1;corrupt:2\" (see internal/runner/chaos)")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the batch to this file")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return &exitError{code: 2} // the flag set printed the error and the usage
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected argument %q", fs.Arg(0))
+	}
+	if *list {
+		listSections(stdout, runner.LoadManifest(filepath.Join(cfg.out, "manifest.json")))
+		return nil
+	}
+	var err error
+	if cfg.only, err = parseOnly(*only, sections); err != nil {
+		return usage("%v", err)
+	}
+	if *chaosArg != "" {
+		spec, err := chaos.Parse(*chaosArg)
+		if err != nil {
+			return usage("%v", err)
+		}
+		cfg.chaos = chaos.New(spec)
+	}
+	if !*noCache {
+		cfg.cache = *cacheDir
+		if cfg.cache == "" {
+			cfg.cache = filepath.Join(cfg.out, ".cache")
+		}
+	}
+	stopProfiles, err := prof.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
+	// An interrupt (SIGINT or SIGTERM) cancels the batch context: running
+	// sections stop at the next run tick, the manifest records what
+	// completed, errors.json and the summary flush, and the command exits
+	// 3. The next invocation resumes from the cache.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+	return batch(ctx, cfg, sections, stdout, stderr)
+}
+
+// generated stamps the summary header. The SOURCE_DATE_EPOCH convention
+// pins it from the environment, making whole output trees reproducible
+// across invocations (the CI chaos drill diffs a faulted run against a
+// fault-free one byte for byte).
+func generated() time.Time {
 	if v := os.Getenv("SOURCE_DATE_EPOCH"); v != "" {
 		if sec, err := strconv.ParseInt(v, 10, 64); err == nil {
 			return time.Unix(sec, 0).UTC()
@@ -106,10 +190,9 @@ var timeNow = func() time.Time {
 }
 
 // artifactFile is one output file produced by a section, held in memory
-// until the driver writes it (Obs files go to -obs, the rest to -out).
+// until the driver writes it into -out.
 type artifactFile struct {
 	Name string `json:"name"`
-	Obs  bool   `json:"obs,omitempty"`
 	Data []byte `json:"data"`
 }
 
@@ -128,9 +211,9 @@ type sectionArtifact struct {
 // produce the same bytes as sequential ones once the driver assembles the
 // artifacts in declared order.
 type reporter struct {
+	quick   bool // -quick: the sections pick their shorter runs
 	summary strings.Builder
 	console strings.Builder
-	obs     bool
 	files   []artifactFile
 }
 
@@ -162,30 +245,12 @@ func (r *reporter) save(name string, write func(w io.Writer) error) {
 	r.row("- data: `%s`", name)
 }
 
-// observe wires a JSONL probe into opts when -obs is set and returns a
-// function that, given the finished result, captures the event trace and
-// the scenario's metrics file. With -obs unset it is a no-op.
-func (r *reporter) observe(name string, opts *scenario.Opts) func(*scenario.Result) {
-	if !r.obs {
-		return func(*scenario.Result) {}
+// dur picks a run length: short under -quick, long otherwise.
+func (r *reporter) dur(long, short time.Duration) time.Duration {
+	if r.quick {
+		return short
 	}
-	var events bytes.Buffer
-	jw := obs.NewJSONLWriter(&events)
-	opts.Probe = jw
-	return func(res *scenario.Result) {
-		if err := jw.Close(); err != nil {
-			panic(fmt.Sprintf("figures: -obs: %v", err))
-		}
-		r.files = append(r.files, artifactFile{Name: name + "_events.jsonl", Obs: true, Data: events.Bytes()})
-		if res.Net == nil {
-			return
-		}
-		var metrics bytes.Buffer
-		if err := obs.WritePrometheus(&metrics, &res.Net.Obs); err != nil {
-			panic(fmt.Sprintf("figures: -obs: %v", err))
-		}
-		r.files = append(r.files, artifactFile{Name: name + "_metrics.txt", Obs: true, Data: metrics.Bytes()})
-	}
+	return long
 }
 
 // artifact serializes the reporter for the cache.
@@ -220,23 +285,19 @@ var sections = []batchSection{
 }
 
 // sectionKey is the cache identity of a section: the section ID plus
-// every flag that changes its output. The -obs flag participates because
-// an observed run carries extra files; -out does not because artifacts
-// reference file names relative to the output directory.
-func sectionKey(id string) runner.Key {
+// every flag that changes its output, which is -quick alone. -out does
+// not participate: artifacts name their files relative to it.
+func sectionKey(id string, quick bool) runner.Key {
 	return runner.Key{
 		Kind:     "figures-section",
 		Scenario: id,
-		Params: []string{
-			fmt.Sprintf("quick=%v", *quick),
-			fmt.Sprintf("obs=%v", *obsDir != ""),
-		},
+		Params:   []string{fmt.Sprintf("quick=%v", quick)},
 	}
 }
 
 // sectionJobs converts the wanted sections into runner jobs. Each job
 // builds a fresh reporter, runs the section, and serializes the result.
-func sectionJobs(secs []batchSection, filter map[string]bool) []runner.Job {
+func sectionJobs(secs []batchSection, filter map[string]bool, quick bool) []runner.Job {
 	var jobs []runner.Job
 	for _, s := range secs {
 		if len(filter) > 0 && !filter[s.id] {
@@ -245,9 +306,9 @@ func sectionJobs(secs []batchSection, filter map[string]bool) []runner.Job {
 		fn := s.fn
 		jobs = append(jobs, runner.Job{
 			ID:  s.id,
-			Key: sectionKey(s.id),
+			Key: sectionKey(s.id, quick),
 			Run: func(ctx context.Context) ([]byte, error) {
-				r := &reporter{obs: *obsDir != ""}
+				r := &reporter{quick: quick}
 				fn(ctx, r)
 				// A cancelled context halted the section's simulations at
 				// the next run tick, so whatever the reporter holds is
@@ -260,6 +321,104 @@ func sectionJobs(secs []batchSection, filter map[string]bool) []runner.Job {
 		})
 	}
 	return jobs
+}
+
+// batch runs the sections cfg selects: the command after its flags,
+// which the tests drive with synthetic sections. Console transcripts and
+// the closing stats line go to stdout, progress to stderr, and every file
+// into cfg.out. It fails with status 3 after an interrupt and with 1 when
+// a section failed (each one is in errors.json).
+func batch(ctx context.Context, cfg config, secs []batchSection, stdout, stderr io.Writer) error {
+	if err := os.MkdirAll(cfg.out, 0o755); err != nil {
+		return err
+	}
+	in := cfg.chaos
+	manifestPath := filepath.Join(cfg.out, "manifest.json")
+	if in != nil {
+		// Sabotage the persisted state *before* loading it: a truncated
+		// manifest must salvage its complete entries, a corrupted cache
+		// entry must quarantine and re-run.
+		if _, err := in.TruncateManifest(manifestPath); err != nil {
+			return err
+		}
+	}
+	manifest := runner.LoadManifest(manifestPath)
+	if manifest.RecoveredFrom != "" {
+		fmt.Fprintf(stderr, "figures: manifest: %s\n", manifest.RecoveredFrom)
+	}
+	pool := &runner.Pool{
+		Jobs:        cfg.jobs,
+		JobDeadline: cfg.deadline,
+		Manifest:    manifest,
+		Progress: func(ev runner.ProgressEvent) {
+			switch ev.Kind {
+			case runner.ProgressStart:
+				fmt.Fprintf(stderr, "=== %s: running\n", ev.Job)
+			case runner.ProgressRetry:
+				fmt.Fprintf(stderr, "=== %s: attempt %d failed (%s: %s); retrying\n",
+					ev.Job, ev.Attempt, ev.Err.Kind, ev.Err.Msg)
+			case runner.ProgressFailed:
+				fmt.Fprintf(stderr, "[%d/%d] %s: %v (continuing)\n", ev.Done, ev.Total, ev.Job, ev.Err)
+			default:
+				fmt.Fprintf(stderr, "[%d/%d] %s: %s (%v)\n", ev.Done, ev.Total, ev.Job,
+					ev.Kind, ev.Elapsed.Round(time.Millisecond))
+			}
+		},
+	}
+	jobs := sectionJobs(secs, cfg.only, cfg.quick)
+	if in != nil {
+		pool.Retry = in.Spec.Retry()
+		jobs = in.Wrap(jobs)
+	}
+	if cfg.cache != "" {
+		pool.Cache = &runner.Cache{Dir: cfg.cache}
+		if in != nil && in.Spec.CorruptN > 0 {
+			if _, err := in.CorruptCache(cfg.cache); err != nil {
+				return err
+			}
+		}
+	}
+
+	results := pool.Run(ctx, jobs)
+	// A cache that could not be written costs the next run its warm
+	// restores, not this one its results, so it gets one line on stderr
+	// and no change of exit status. The manifest's journal folds back
+	// into a bare snapshot, also after an interrupt, keeping every retry
+	// record (figures never trims history); a failed fold only leaves the
+	// journal for the next run to replay.
+	if pool.Cache != nil {
+		if err := pool.Cache.Flush(); err != nil {
+			fmt.Fprintf(stderr, "figures: cache: %v (the next run re-simulates what was not cached)\n", err)
+		}
+	}
+	if _, err := manifest.Compact(math.MaxInt); err != nil {
+		fmt.Fprintf(stderr, "figures: manifest: %v\n", err)
+	}
+
+	man := collectErrors(results)
+	errPath := filepath.Join(cfg.out, "errors.json")
+	if err := man.WriteFile(errPath); err != nil {
+		return err
+	}
+	if err := assemble(stdout, results, cfg); err != nil {
+		return err
+	}
+	if in != nil {
+		if err := writeChaosArtifacts(in, cfg.out); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "figures: %s\n", in.Summary())
+	}
+	st := pool.Stats()
+	fmt.Fprintf(stdout, "\n%d simulated, %d cached, %d failed, %d retried, %d quarantined; summary written to %s\n",
+		st.Executed, st.CacheHits, st.Failed, st.Retries, st.CacheCorrupt, filepath.Join(cfg.out, "summary.md"))
+	if ctx.Err() != nil {
+		return &exitError{code: 3, msg: "figures: interrupted; partial results flushed, re-run to resume"}
+	}
+	if len(man.Errors) > 0 {
+		return fmt.Errorf("figures: %d section(s) failed; see %s", len(man.Errors), errPath)
+	}
+	return nil
 }
 
 // collectErrors gathers the batch's failures into the errors.json
@@ -276,13 +435,13 @@ func collectErrors(results []runner.JobResult) guard.Manifest {
 }
 
 // assemble writes the batch outputs in declared section order: the
-// summary fragments into summary.md, the console transcripts to stdout,
-// and every data file into -out (or -obs). Failed sections contribute
-// nothing here; they are reported via errors.json.
-func assemble(w io.Writer, results []runner.JobResult) error {
+// summary fragments into summary.md, the console transcripts to w, and
+// every data file into cfg.out. Failed sections contribute nothing here;
+// they are reported via errors.json.
+func assemble(w io.Writer, results []runner.JobResult, cfg config) error {
 	var summary strings.Builder
 	fmt.Fprintf(&summary, "# Regenerated figures and tables\n\ngenerated %s, quick=%v\n",
-		timeNow().Format(time.RFC3339), *quick)
+		generated().Format(time.RFC3339), cfg.quick)
 	for _, res := range results {
 		if res.Err != nil {
 			continue
@@ -294,16 +453,12 @@ func assemble(w io.Writer, results []runner.JobResult) error {
 		summary.WriteString(art.Summary)
 		fmt.Fprint(w, art.Console)
 		for _, f := range art.Files {
-			dir := *outDir
-			if f.Obs {
-				dir = *obsDir
-			}
-			if err := os.WriteFile(filepath.Join(dir, f.Name), f.Data, 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(cfg.out, f.Name), f.Data, 0o644); err != nil {
 				return err
 			}
 		}
 	}
-	return os.WriteFile(filepath.Join(*outDir, "summary.md"), []byte(summary.String()), 0o644)
+	return os.WriteFile(filepath.Join(cfg.out, "summary.md"), []byte(summary.String()), 0o644)
 }
 
 // parseOnly turns the -only list into a section filter (nil runs every
@@ -352,175 +507,12 @@ func listSections(w io.Writer, m *runner.Manifest) {
 	}
 }
 
-func main() {
-	flag.Parse()
-	if *listOnly {
-		listSections(os.Stdout, runner.LoadManifest(filepath.Join(*outDir, "manifest.json")))
-		return
-	}
-	filter, err := parseOnly(*only, sections)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-		os.Exit(2)
-	}
-	var injector *chaos.Injector
-	if *chaosArg != "" {
-		spec, err := chaos.Parse(*chaosArg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		injector = chaos.New(spec)
-	}
-	profStop, err := prof.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	stopProfiles = profStop
-	defer stopProfiles()
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
-	}
-	if *obsDir != "" {
-		if err := os.MkdirAll(*obsDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-	}
-	// An interrupt (SIGINT or SIGTERM) cancels the batch context: running
-	// sections stop at the next run tick, the manifest records what
-	// completed, errors.json and the summary flush, and the command exits
-	// 3 so callers can distinguish a drained interrupt from a failure. The
-	// next invocation resumes from the cache.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	manifestPath := filepath.Join(*outDir, "manifest.json")
-	if injector != nil {
-		// Sabotage the persisted state *before* loading it: a truncated
-		// manifest must salvage its complete entries, a corrupted cache
-		// entry must quarantine and re-run.
-		if _, err := injector.TruncateManifest(manifestPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-	}
-	manifest := runner.LoadManifest(manifestPath)
-	if manifest.RecoveredFrom != "" {
-		fmt.Fprintf(os.Stderr, "figures: manifest: %s\n", manifest.RecoveredFrom)
-	}
-
-	pool := &runner.Pool{
-		Jobs:        *jobsN,
-		JobDeadline: *deadline,
-		Manifest:    manifest,
-		Retry:       runner.RetryPolicy{MaxAttempts: *retriesN},
-		Progress: func(ev runner.ProgressEvent) {
-			switch ev.Kind {
-			case runner.ProgressStart:
-				fmt.Fprintf(os.Stderr, "=== %s: running\n", ev.Job)
-			case runner.ProgressRetry:
-				fmt.Fprintf(os.Stderr, "=== %s: attempt %d failed (%s: %s); retrying\n",
-					ev.Job, ev.Attempt, ev.Err.Kind, ev.Err.Msg)
-			case runner.ProgressFailed:
-				fmt.Fprintf(os.Stderr, "[%d/%d] %s: %v (continuing)\n", ev.Done, ev.Total, ev.Job, ev.Err)
-			default:
-				fmt.Fprintf(os.Stderr, "[%d/%d] %s: %s (%v)\n", ev.Done, ev.Total, ev.Job,
-					ev.Kind, ev.Elapsed.Round(time.Millisecond))
-			}
-		},
-	}
-	if injector != nil {
-		pool.Retry.Seed = injector.Spec.Seed
-		if *retriesN <= 1 {
-			// Chaos implies a retry budget that outlasts the per-section
-			// fault cap, so the batch converges by construction.
-			pool.Retry.MaxAttempts = injector.Spec.RetryAttempts()
-		}
-		// Keep chaos runs fast: injected failures are expected, so back off
-		// in milliseconds, not the production default.
-		pool.Retry.Base = 5 * time.Millisecond
-	}
-	if !*noCache {
-		dir := *cacheDir
-		if dir == "" {
-			dir = filepath.Join(*outDir, ".cache")
-		}
-		pool.Cache = &runner.Cache{Dir: dir}
-		if injector != nil && injector.Spec.CorruptN > 0 {
-			if _, err := injector.CorruptCache(dir); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				exit(1)
-			}
-		}
-	}
-
-	jobs := sectionJobs(sections, filter)
-	if injector != nil {
-		jobs = injector.Wrap(jobs)
-	}
-	results := runBatch(ctx, pool, jobs)
-
-	man := collectErrors(results)
-	errPath := filepath.Join(*outDir, "errors.json")
-	if err := man.WriteFile(errPath); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
-	}
-	if err := assemble(os.Stdout, results); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
-	}
-	if injector != nil {
-		if err := writeChaosArtifacts(injector); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "figures: %s\n", injector.Summary())
-	}
-	st := pool.Stats()
-	fmt.Printf("\n%d simulated, %d cached, %d failed, %d retried, %d quarantined; summary written to %s\n",
-		st.Executed, st.CacheHits, st.Failed, st.Retries, st.CacheCorrupt, filepath.Join(*outDir, "summary.md"))
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "figures: interrupted; partial results flushed, re-run to resume")
-		exit(3)
-	}
-	if len(man.Errors) > 0 {
-		fmt.Fprintf(os.Stderr, "figures: %d section(s) failed; see %s\n", len(man.Errors), errPath)
-		exit(1)
-	}
-}
-
-// runBatch runs the batch on the pool, then folds the manifest's journal
-// back into a bare snapshot — also after an interrupt — so a finished
-// batch leaves manifest.json in its snapshot form. The fold keeps every
-// retry record (figures never trims history); a failed fold only leaves
-// the journal for the next run to replay. A cache that could not be
-// written costs the next run its warm restores, not this one its
-// results, so it gets one line on stderr and no change of exit status.
-func runBatch(ctx context.Context, pool *runner.Pool, jobs []runner.Job) []runner.JobResult {
-	results := pool.Run(ctx, jobs)
-	if pool.Cache != nil {
-		if err := pool.Cache.Flush(); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: cache: %v (the next run re-simulates what was not cached)\n", err)
-		}
-	}
-	if pool.Manifest != nil {
-		if _, err := pool.Manifest.Compact(math.MaxInt); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: manifest: %v\n", err)
-		}
-	}
-	return results
-}
-
 // writeChaosArtifacts records what the injector did under <out>/.chaos/:
 // the injection log as JSONL and the injection counters in Prometheus
 // text format. The directory sits next to .cache and, like it, is
 // excluded from output-tree parity comparisons.
-func writeChaosArtifacts(in *chaos.Injector) error {
-	dir := filepath.Join(*outDir, ".chaos")
+func writeChaosArtifacts(in *chaos.Injector, out string) error {
+	dir := filepath.Join(out, ".chaos")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -538,19 +530,12 @@ func writeChaosArtifacts(in *chaos.Injector) error {
 	return os.WriteFile(filepath.Join(dir, "metrics.txt"), metrics.Bytes(), 0o644)
 }
 
-func dur(long, short time.Duration) time.Duration {
-	if *quick {
-		return short
-	}
-	return long
-}
-
 // fig1 regenerates Figure 1: ideal-path RTT convergence of a
 // delay-convergent CCA (Vegas as the concrete instance).
 func fig1(ctx context.Context, r *reporter) {
 	r.section("F1", "ideal-path RTT convergence (Vegas, 12 Mbit/s, Rm=100ms)")
 	conv := core.MeasureConvergence("vegas", units.Mbps(12),
-		100*time.Millisecond, core.MeasureOpts{Duration: dur(30*time.Second, 10*time.Second), Ctx: ctx})
+		100*time.Millisecond, core.MeasureOpts{Duration: r.dur(30*time.Second, 10*time.Second), Ctx: ctx})
 	r.row("- converged at T=%v to [dmin=%v, dmax=%v], δ=%v",
 		conv.ConvergedAt.Round(time.Millisecond),
 		conv.DMin.Round(10*time.Microsecond), conv.DMax.Round(10*time.Microsecond),
@@ -565,7 +550,7 @@ func fig3(ctx context.Context, r *reporter) {
 	r.section("F3", "rate-delay graphs (Rm=100ms)")
 	n := 7
 	lo, hi := units.Mbps(0.4), units.Mbps(100)
-	if *quick {
+	if r.quick {
 		n = 4
 		lo = units.Mbps(1.5)
 	}
@@ -575,7 +560,7 @@ func fig3(ctx context.Context, r *reporter) {
 	sess := network.NewSession()
 	for _, name := range []string{"vegas", "fast", "copa", "ledbat", "verus", "bbr", "vivace", "algo1"} {
 		sw := core.RateDelaySweep(name, 100*time.Millisecond, rates,
-			core.MeasureOpts{Duration: dur(30*time.Second, 12*time.Second), Ctx: ctx, Session: sess})
+			core.MeasureOpts{Duration: r.dur(30*time.Second, 12*time.Second), Ctx: ctx, Session: sess})
 		r.save("fig3_"+name+".csv", func(w io.Writer) error { return sw.WriteCSV(w) })
 		// predDM is DeltaMax over the predicted bands; stray is how far the
 		// measured bands leave them.
@@ -601,7 +586,7 @@ func fig4(ctx context.Context, r *reporter) {
 	r.section("F4", "pigeonhole search (Vegas, s=8, f=0.8, Rm=50ms)")
 	res := core.PigeonholeSearch("vegas", 50*time.Millisecond,
 		8, 0.8, 5*time.Millisecond, units.Mbps(4), 6,
-		core.MeasureOpts{Duration: dur(25*time.Second, 10*time.Second), Ctx: ctx})
+		core.MeasureOpts{Duration: r.dur(25*time.Second, 10*time.Second), Ctx: ctx})
 	r.row("- %s", res)
 }
 
@@ -614,7 +599,7 @@ func fig5(ctx context.Context, r *reporter) {
 		C1:      units.Mbps(12),
 		C2:      units.Mbps(384),
 		D:       20 * time.Millisecond,
-		Measure: core.MeasureOpts{Duration: dur(30*time.Second, 12*time.Second), Ctx: ctx},
+		Measure: core.MeasureOpts{Duration: r.dur(30*time.Second, 12*time.Second), Ctx: ctx},
 	})
 	r.row("- preconditions hold: %v (δmax=%v, ε=%v, gap=%v)",
 		res.PreconditionsHold, res.DeltaMax.Round(time.Microsecond),
@@ -635,7 +620,7 @@ func fig5(ctx context.Context, r *reporter) {
 func fig7(ctx context.Context, r *reporter) {
 	r.section("F7", "Reno/Cubic cwnd evolution, delayed ACKs ×4 on one flow")
 	for _, name := range []string{"fig7-reno", "fig7-cubic"} {
-		res := scenario.Registry[name](scenario.Opts{Duration: dur(200*time.Second, 60*time.Second), Ctx: ctx})
+		res := scenario.Registry[name](scenario.Opts{Duration: r.dur(200*time.Second, 60*time.Second), Ctx: ctx})
 		r.row("- %s: ratio %.2f (paper %s)", res.ID, res.Observables["ratio"], res.PaperClaim)
 		id := strings.ReplaceAll(res.ID, ".", "_")
 		r.save(id+"_cwnd.csv", func(w io.Writer) error {
@@ -647,18 +632,13 @@ func fig7(ctx context.Context, r *reporter) {
 	}
 }
 
-// tables5 runs every §5 experiment. With -obs set, each run captures its
-// packet-lifecycle events as <name>_events.jsonl and its end-of-run
-// counters as <name>_metrics.txt, written into the -obs directory.
+// tables5 runs every §5 experiment.
 func tables5(ctx context.Context, r *reporter) {
 	r.section("T5", "§5 starvation experiments")
 	for _, name := range []string{"copa-single", "copa-two", "bbr-two",
 		"vivace-ackagg", "allegro-loss", "allegro-burst", "allegro-both",
 		"allegro-single"} {
-		opts := scenario.Opts{Duration: dur(0, 30*time.Second), Ctx: ctx}
-		finish := r.observe(name, &opts)
-		res := scenario.Registry[name](opts)
-		finish(res)
+		res := scenario.Registry[name](scenario.Opts{Duration: r.dur(0, 30*time.Second), Ctx: ctx})
 		r.row("### %s", res.ID)
 		r.row("```\n%s```", res)
 	}
@@ -677,10 +657,10 @@ func table63(ctx context.Context, r *reporter) {
 				core.ExponentialFigureOfMerit(rmax, rm, d, s))
 		}
 	}
-	res := scenario.Registry["algo1-fair"](scenario.Opts{Duration: dur(120*time.Second, 40*time.Second), Ctx: ctx})
+	res := scenario.Registry["algo1-fair"](scenario.Opts{Duration: r.dur(120*time.Second, 40*time.Second), Ctx: ctx})
 	r.row("- Algorithm 1 under jitter: ratio %.2f (bound s=%.0f), utilization %.3f",
 		res.Observables["ratio"], res.Observables["s_bound"], res.Observables["utilization"])
-	veg := scenario.Registry["vegas-jitter"](scenario.Opts{Duration: dur(120*time.Second, 40*time.Second), Ctx: ctx})
+	veg := scenario.Registry["vegas-jitter"](scenario.Opts{Duration: r.dur(120*time.Second, 40*time.Second), Ctx: ctx})
 	r.row("- Vegas in the same setting: ratio %.1f (starves)", veg.Observables["ratio"])
 }
 
@@ -692,7 +672,7 @@ func table63(ctx context.Context, r *reporter) {
 func episodes(ctx context.Context, r *reporter) {
 	r.section("X-EPISODES", "starvation episodes vs loss bursts (T5.4d flight recorder)")
 	res := scenario.Registry["allegro-burst"](scenario.Opts{
-		Duration:  dur(0, 30*time.Second),
+		Duration:  r.dur(0, 30*time.Second),
 		Ctx:       ctx,
 		Telemetry: &network.TelemetryConfig{},
 	})
@@ -747,7 +727,7 @@ func episodes(ctx context.Context, r *reporter) {
 // ablation runs the §6.3 design-choice ablation for Algorithm 1.
 func ablation(ctx context.Context, r *reporter) {
 	r.section("X-A1-ablation", "Algorithm 1 design ablation (AIMD/per-Rm vs rejected variants)")
-	res := scenario.Registry["algo1-ablation"](scenario.Opts{Duration: dur(120*time.Second, 40*time.Second), Ctx: ctx})
+	res := scenario.Registry["algo1-ablation"](scenario.Opts{Duration: r.dur(120*time.Second, 40*time.Second), Ctx: ctx})
 	r.row("- AIMD per-Rm (published): ratio %.2f, utilization %.3f",
 		res.Observables["aimd_ratio"], res.Observables["aimd_utilization"])
 	r.row("- AIAD variant (rejected): ratio %.2f, utilization %.3f",
@@ -759,7 +739,7 @@ func ablation(ctx context.Context, r *reporter) {
 // ecnSection runs the §6.4 ECN demonstration.
 func ecnSection(ctx context.Context, r *reporter) {
 	r.section("X-ECN", "§6.4: explicit signaling avoids starvation")
-	res := scenario.Registry["ecn-fairness"](scenario.Opts{Duration: dur(60*time.Second, 30*time.Second), Ctx: ctx})
+	res := scenario.Registry["ecn-fairness"](scenario.Opts{Duration: r.dur(60*time.Second, 30*time.Second), Ctx: ctx})
 	r.row("- ECN-reacting loss-blind AIMD: ratio %.2f, jain %.3f, utilization %.3f",
 		res.Observables["ecn_ratio"], res.Observables["ecn_jain"], res.Observables["ecn_utilization"])
 	r.row("- loss-reacting AIMD (control): ratio %.2f, jain %.3f",
@@ -773,7 +753,7 @@ func theorem2(ctx context.Context, r *reporter) {
 		CCA:     "vegas",
 		Rm:      50 * time.Millisecond,
 		C:       units.Mbps(12),
-		Measure: core.MeasureOpts{Duration: dur(20*time.Second, 10*time.Second), Ctx: ctx},
+		Measure: core.MeasureOpts{Duration: r.dur(20*time.Second, 10*time.Second), Ctx: ctx},
 	})
 	r.row("- emulated C=%v on C'=%v with D=%v: utilization %.4f",
 		res.Conv.C, res.BigLink, res.D.Round(time.Millisecond), res.Utilization)
@@ -788,7 +768,7 @@ func theorem3(ctx context.Context, r *reporter) {
 		Lambda:  units.Mbps(4),
 		D:       5 * time.Millisecond,
 		S:       2,
-		Measure: core.MeasureOpts{Duration: dur(20*time.Second, 10*time.Second), Ctx: ctx},
+		Measure: core.MeasureOpts{Duration: r.dur(20*time.Second, 10*time.Second), Ctx: ctx},
 	})
 	for _, st := range res.Steps {
 		r.row("- step %d: maxDelay=%v, throughput=%v", st.Index,
@@ -805,10 +785,7 @@ func theorem3(ctx context.Context, r *reporter) {
 func population(ctx context.Context, r *reporter) {
 	r.section("X-POP", "population-scale starvation (N-flow cohorts, multi-bottleneck)")
 	for _, name := range []string{"pop-mixed", "pop-rtt", "pop-parkinglot", "pop-fanin"} {
-		opts := scenario.Opts{Duration: dur(0, 6*time.Second), Ctx: ctx}
-		finish := r.observe(name, &opts)
-		res := scenario.Registry[name](opts)
-		finish(res)
+		res := scenario.Registry[name](scenario.Opts{Duration: r.dur(0, 6*time.Second), Ctx: ctx})
 		st := res.Net.Population(0)
 		r.row("- %s: starved %.0f/%.0f (%.1f%%), jain %.3f, p5 share %.3f, p95 share %.3f",
 			name, res.Observables["starved"], res.Observables["flows"],

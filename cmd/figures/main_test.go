@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -21,15 +22,123 @@ import (
 )
 
 // figuresCLIEnv makes the test binary run as the figures command, so a
-// test can check what main does before any section runs.
+// test can check the exit status and the signal handling of a real
+// process.
 const figuresCLIEnv = "FIGURES_TEST_CLI"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(figuresCLIEnv) != "" {
-		main()
-		os.Exit(0)
+		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 	}
 	os.Exit(m.Run())
+}
+
+// figures runs the command in a child process and returns its exit
+// status and standard error.
+func figures(t *testing.T, args ...string) (code int, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), figuresCLIEnv+"=1")
+	var errb bytes.Buffer
+	cmd.Stderr = &errb
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatalf("figures %v: %v", args, err)
+	}
+	return code, errb.String()
+}
+
+// readErrors decodes the errors.json a batch wrote into out.
+func readErrors(t *testing.T, out string) guard.Manifest {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(out, "errors.json"))
+	if err != nil {
+		t.Fatalf("errors.json: %v", err)
+	}
+	var man guard.Manifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatalf("errors.json is not valid JSON: %v", err)
+	}
+	return man
+}
+
+// TestExitStatus pins the package comment's contract: 2 for a malformed
+// invocation, refused before anything under -out is written, and 1 for a
+// batch with a failed section, recorded in errors.json.
+func TestExitStatus(t *testing.T) {
+	out := t.TempDir()
+	for _, tc := range []struct {
+		args   []string
+		stderr string // a whole line of standard error
+	}{
+		{[]string{"-only", "F3,F9"}, `figures: -only: unknown section "F9" (sections: F1, F3, `},
+		{[]string{"-chaos", "bogus:1"}, `figures: chaos: unknown clause "bogus"`},
+		{[]string{"-obs", out}, "flag provided but not defined: -obs"},
+		{[]string{"-retries", "3"}, "flag provided but not defined: -retries"},
+		// The flag package stops at the first non-flag, so -quick would be
+		// dropped without a word.
+		{[]string{"-only", "F1", "stray", "-quick"}, `figures: unexpected argument "stray"`},
+	} {
+		args := append([]string{"-out", out}, tc.args...)
+		if code, errOut := figures(t, args...); code != 2 || !strings.Contains("\n"+errOut, "\n"+tc.stderr) {
+			t.Errorf("figures %v: exit %d, stderr %q; want 2, %q", tc.args, code, errOut, tc.stderr)
+		}
+	}
+	if ents, _ := os.ReadDir(out); len(ents) != 0 {
+		t.Errorf("-out holds %d entries after refused invocations, want none", len(ents))
+	}
+
+	code, errOut := figures(t, "-out", out, "-deadline", "1ms", "-no-cache", "-only", "F1")
+	want := fmt.Sprintf("figures: 1 section(s) failed; see %s\n", filepath.Join(out, "errors.json"))
+	if code != 1 || !strings.Contains(errOut, want) {
+		t.Errorf("-deadline 1ms: exit %d, stderr %q; want 1, %q", code, errOut, want)
+	}
+	if man := readErrors(t, out); len(man.Errors) != 1 || man.Errors[0].Scenario != "F1" || man.Errors[0].Kind != guard.KindDeadline {
+		t.Errorf("errors.json = %+v, want one F1 deadline error", man.Errors)
+	}
+}
+
+// TestInterruptExitStatus pins exit 3: a SIGINT while a section runs
+// drains the batch — errors.json records the cancelled section — and the
+// command says so.
+func TestInterruptExitStatus(t *testing.T) {
+	out := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-out", out, "-no-cache", "-only", "F3")
+	cmd.Env = append(os.Environ(), figuresCLIEnv+"=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(stderr)
+	// The first progress line means the batch is under way with the
+	// interrupt handler installed.
+	if line, err := r.ReadString('\n'); err != nil || line != "=== F3: running\n" {
+		_ = cmd.Process.Kill()
+		t.Fatalf("first stderr line %q, %v; want the running line", line, err)
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := io.ReadAll(r)
+	code := 0
+	var exit *exec.ExitError
+	if err := cmd.Wait(); errors.As(err, &exit) {
+		code = exit.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	if want := "figures: interrupted; partial results flushed, re-run to resume\n"; code != 3 || !strings.Contains(string(rest), want) {
+		t.Errorf("interrupted batch: exit %d, stderr tail %q; want 3, %q", code, rest, want)
+	}
+	if man := readErrors(t, out); len(man.Errors) != 1 || man.Errors[0].Kind != guard.KindCancelled {
+		t.Errorf("errors.json = %+v, want one cancelled section", man.Errors)
+	}
 }
 
 // TestOnlyRejectsUnknownIDs pins -only's contract: an ID that names no
@@ -41,16 +150,11 @@ func TestOnlyRejectsUnknownIDs(t *testing.T) {
 	if err := os.WriteFile(summary, []byte("earlier results\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(os.Args[0], "-out", out, "-quick", "-only", "F3,F9")
-	cmd.Env = append(os.Environ(), figuresCLIEnv+"=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("figures -only F3,F9: %v, want exit status 2; stderr:\n%s", err, stderr.String())
+	code, msg := figures(t, "-out", out, "-quick", "-only", "F3,F9")
+	if code != 2 {
+		t.Fatalf("figures -only F3,F9: exit %d, want 2; stderr:\n%s", code, msg)
 	}
-	if msg := stderr.String(); !strings.Contains(msg, `"F9"`) || !strings.Contains(msg, sections[0].id) {
+	if !strings.Contains(msg, `"F9"`) || !strings.Contains(msg, sections[0].id) {
 		t.Errorf("stderr does not name the bad ID and the known ones:\n%s", msg)
 	}
 	if got, err := os.ReadFile(summary); err != nil || string(got) != "earlier results\n" {
@@ -63,16 +167,6 @@ func TestOnlyRejectsUnknownIDs(t *testing.T) {
 	if filter, err := parseOnly(" F3 ,T5", sections); err != nil || !filter["F3"] || !filter["T5"] || len(filter) != 2 {
 		t.Errorf("parseOnly(known IDs) = %v, %v", filter, err)
 	}
-}
-
-// withDirs points the output flags at temp dirs for one test.
-func withDirs(t *testing.T) (out, obs string) {
-	t.Helper()
-	out, obs = t.TempDir(), t.TempDir()
-	oldOut, oldObs := *outDir, *obsDir
-	*outDir, *obsDir = out, obs
-	t.Cleanup(func() { *outDir, *obsDir = oldOut, oldObs })
-	return out, obs
 }
 
 // fakeSections builds a deterministic synthetic batch: every section
@@ -98,7 +192,9 @@ func fakeSections(n int) []batchSection {
 }
 
 // snapshotTree reads every regular file under dir into a map keyed by
-// relative path, skipping the cache (whose entry mtimes differ by design).
+// relative path, skipping what the CI parity diff skips: the cache and
+// the chaos log (whose contents differ by design) and the manifest (a
+// record of how each section was obtained, not an output).
 func snapshotTree(t *testing.T, dir string) map[string]string {
 	t.Helper()
 	files := map[string]string{}
@@ -110,6 +206,9 @@ func snapshotTree(t *testing.T, dir string) map[string]string {
 			if d.Name() == ".cache" || d.Name() == ".chaos" {
 				return fs.SkipDir
 			}
+			return nil
+		}
+		if d.Name() == "manifest.json" {
 			return nil
 		}
 		data, err := os.ReadFile(path)
@@ -126,36 +225,45 @@ func snapshotTree(t *testing.T, dir string) map[string]string {
 	return files
 }
 
-// runDriver executes the full driver path — jobs, pool, errors.json,
-// assemble — exactly as main does, into the current *outDir.
-func runDriver(t *testing.T, secs []batchSection, w io.Writer, pool *runner.Pool) ([]runner.JobResult, guard.Manifest) {
+// batchStats is the closing line of a batch's stdout.
+type batchStats struct{ simulated, cached, failed, retried, quarantined int }
+
+// runBatch runs secs through batch, the function main runs, and returns
+// the console transcript, the stats line parsed — in the format
+// bench/figures.go reads — and batch's error.
+func runBatch(t *testing.T, ctx context.Context, cfg config, secs []batchSection) (string, batchStats, error) {
 	t.Helper()
-	results := runBatch(context.Background(), pool, sectionJobs(secs, nil))
-	man := collectErrors(results)
-	if err := man.WriteFile(filepath.Join(*outDir, "errors.json")); err != nil {
-		t.Fatalf("errors.json: %v", err)
+	var stdout strings.Builder
+	err := batch(ctx, cfg, secs, &stdout, io.Discard)
+	out := strings.TrimSuffix(stdout.String(), "\n")
+	i := strings.LastIndex(out, "\n")
+	var st batchStats
+	var summary string
+	if _, serr := fmt.Sscanf(out[i+1:], "%d simulated, %d cached, %d failed, %d retried, %d quarantined; summary written to %s",
+		&st.simulated, &st.cached, &st.failed, &st.retried, &st.quarantined, &summary); serr != nil || i < 0 ||
+		summary != filepath.Join(cfg.out, "summary.md") {
+		t.Fatalf("stats line %q: %v", out[i+1:], serr)
 	}
-	if err := assemble(w, results); err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	return results, man
+	return out[:i], st, err
 }
 
-// TestParallelMatchesSequential is the parity contract of the tentpole:
-// a batch at -jobs 8 produces a byte-identical output tree (summary.md,
+// pinSummaryTime pins summary.md's timestamp so whole trees compare.
+func pinSummaryTime(t *testing.T) { t.Setenv("SOURCE_DATE_EPOCH", "1661158800") }
+
+// TestParallelMatchesSequential is the parity contract of the driver: a
+// batch at -jobs 8 produces a byte-identical output tree (summary.md,
 // errors.json, every data file) and console transcript to the same batch
 // at -jobs 1.
 func TestParallelMatchesSequential(t *testing.T) {
-	oldNow := timeNow
-	timeNow = func() time.Time { return time.Date(2022, 8, 22, 9, 0, 0, 0, time.UTC) }
-	defer func() { timeNow = oldNow }()
-
+	pinSummaryTime(t)
 	secs := fakeSections(12)
 	run := func(jobs int) (map[string]string, string) {
-		out, _ := withDirs(t)
-		var console strings.Builder
-		runDriver(t, secs, &console, &runner.Pool{Jobs: jobs})
-		return snapshotTree(t, out), console.String()
+		out := t.TempDir()
+		console, _, err := runBatch(t, context.Background(), config{out: out, jobs: jobs}, secs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snapshotTree(t, out), console
 	}
 	seqTree, seqConsole := run(1)
 	parTree, parConsole := run(8)
@@ -185,25 +293,18 @@ func TestParallelMatchesSequential(t *testing.T) {
 // batch re-simulates zero sections yet reproduces the output tree
 // byte-for-byte.
 func TestWarmCacheRerun(t *testing.T) {
-	oldNow := timeNow
-	timeNow = func() time.Time { return time.Date(2022, 8, 22, 9, 0, 0, 0, time.UTC) }
-	defer func() { timeNow = oldNow }()
-
-	out, _ := withDirs(t)
-	cache := &runner.Cache{Dir: filepath.Join(out, ".cache")}
+	pinSummaryTime(t)
+	out := t.TempDir()
+	cfg := config{out: out, jobs: 2, cache: filepath.Join(out, ".cache")}
 	secs := fakeSections(6)
 
-	cold := &runner.Pool{Jobs: 2, Cache: cache}
-	runDriver(t, secs, io.Discard, cold)
-	coldTree := snapshotTree(t, out)
-	if st := cold.Stats(); st.Executed != 6 || st.CacheHits != 0 {
-		t.Fatalf("cold stats = %+v, want 6 executed", st)
+	if _, st, err := runBatch(t, context.Background(), cfg, secs); err != nil || st.simulated != 6 || st.cached != 0 {
+		t.Fatalf("cold batch = %+v, %v; want 6 simulated", st, err)
 	}
+	coldTree := snapshotTree(t, out)
 
-	warm := &runner.Pool{Jobs: 2, Cache: cache}
-	runDriver(t, secs, io.Discard, warm)
-	if st := warm.Stats(); st.Executed != 0 || st.CacheHits != 6 {
-		t.Errorf("warm stats = %+v, want 0 executed 6 cached", st)
+	if _, st, err := runBatch(t, context.Background(), cfg, secs); err != nil || st.simulated != 0 || st.cached != 6 {
+		t.Errorf("warm batch = %+v, %v; want 0 simulated 6 cached", st, err)
 	}
 	warmTree := snapshotTree(t, out)
 	for rel, want := range coldTree {
@@ -217,13 +318,15 @@ func TestWarmCacheRerun(t *testing.T) {
 // manifest.json is a bare snapshot, and warm reruns of the same -out —
 // which restore every section — leave it byte-identical.
 func TestWarmRerunsKeepManifest(t *testing.T) {
-	out, _ := withDirs(t)
-	cache := &runner.Cache{Dir: filepath.Join(out, ".cache")}
+	out := t.TempDir()
+	cfg := config{out: out, jobs: 2, cache: filepath.Join(out, ".cache")}
 	manPath := filepath.Join(out, "manifest.json")
 	secs := fakeSections(6)
 	run := func() []byte {
 		t.Helper()
-		runDriver(t, secs, io.Discard, &runner.Pool{Jobs: 2, Cache: cache, Manifest: runner.LoadManifest(manPath)})
+		if _, _, err := runBatch(t, context.Background(), cfg, secs); err != nil {
+			t.Fatal(err)
+		}
 		data, err := os.ReadFile(manPath)
 		if err != nil {
 			t.Fatal(err)
@@ -249,24 +352,22 @@ func TestWarmRerunsKeepManifest(t *testing.T) {
 // after a batch restricted by -only, a full batch executes exactly the
 // sections the first run skipped.
 func TestPartialThenFullBatch(t *testing.T) {
-	out, _ := withDirs(t)
-	cache := &runner.Cache{Dir: filepath.Join(out, ".cache")}
-	manPath := filepath.Join(out, "manifest.json")
+	out := t.TempDir()
+	cfg := config{out: out, jobs: 2, cache: filepath.Join(out, ".cache")}
 	secs := fakeSections(5)
 
-	partial := &runner.Pool{Jobs: 2, Cache: cache, Manifest: runner.LoadManifest(manPath)}
-	partial.Run(context.Background(), sectionJobs(secs, map[string]bool{"S00": true, "S03": true}))
-	if st := partial.Stats(); st.Executed != 2 {
-		t.Fatalf("partial stats = %+v, want 2 executed", st)
+	partial := cfg
+	partial.only = map[string]bool{"S00": true, "S03": true}
+	if _, st, err := runBatch(t, context.Background(), partial, secs); err != nil || st.simulated != 2 {
+		t.Fatalf("partial batch = %+v, %v; want 2 simulated", st, err)
 	}
 
-	full := &runner.Pool{Jobs: 2, Cache: cache, Manifest: runner.LoadManifest(manPath)}
-	runDriver(t, secs, io.Discard, full)
-	if st := full.Stats(); st.Executed != 3 || st.CacheHits != 2 {
-		t.Errorf("full stats = %+v, want 3 executed 2 cached", st)
+	if _, st, err := runBatch(t, context.Background(), cfg, secs); err != nil || st.simulated != 3 || st.cached != 2 {
+		t.Errorf("full batch = %+v, %v; want 3 simulated 2 cached", st, err)
 	}
+	manifest := runner.LoadManifest(filepath.Join(out, "manifest.json"))
 	for _, sec := range secs {
-		if _, ok := full.Manifest.Entry(sec.id); !ok {
+		if _, ok := manifest.Entry(sec.id); !ok {
 			t.Errorf("manifest lacks %s", sec.id)
 		}
 	}
@@ -274,10 +375,10 @@ func TestPartialThenFullBatch(t *testing.T) {
 
 // TestBatchDegradesGracefully forces one panicking section and one stuck
 // section into a batch and checks the remaining sections still run, the
-// failures land in errors.json with the right kinds, and the assembled
-// summary carries the healthy sections.
+// failures land in errors.json with the right kinds, the assembled
+// summary carries the healthy sections, and the batch fails with 1.
 func TestBatchDegradesGracefully(t *testing.T) {
-	out, _ := withDirs(t)
+	out := t.TempDir()
 	release := make(chan struct{})
 	defer close(release)
 	secs := []batchSection{
@@ -286,11 +387,18 @@ func TestBatchDegradesGracefully(t *testing.T) {
 		{"stuck", func(context.Context, *reporter) { <-release }},
 		{"ok-after", func(_ context.Context, r *reporter) { r.row("- ok-after ran") }},
 	}
-	pool := &runner.Pool{Jobs: 1, JobDeadline: 50 * time.Millisecond}
-	_, man := runDriver(t, secs, io.Discard, pool)
+	_, st, err := runBatch(t, context.Background(), config{out: out, jobs: 1, deadline: 50 * time.Millisecond}, secs)
+	var ee *exitError
+	if errors.As(err, &ee) || err == nil || !strings.Contains(err.Error(), "2 section(s) failed") {
+		t.Errorf("batch error = %v, want the runtime failure (status 1) naming 2 failed sections", err)
+	}
+	if st.failed != 2 || st.simulated != 2 {
+		t.Errorf("stats = %+v, want 2 simulated 2 failed", st)
+	}
 
+	man := readErrors(t, out)
 	if len(man.Errors) != 2 {
-		t.Fatalf("manifest has %d errors, want 2: %+v", len(man.Errors), man.Errors)
+		t.Fatalf("errors.json has %d errors, want 2: %+v", len(man.Errors), man.Errors)
 	}
 	if man.Errors[0].Scenario != "boom" || man.Errors[0].Kind != "panic" {
 		t.Errorf("first error = %+v, want scenario boom kind panic", man.Errors[0])
@@ -314,27 +422,16 @@ func TestBatchDegradesGracefully(t *testing.T) {
 			t.Errorf("summary missing %q: sections after a failure must still run", want)
 		}
 	}
-
-	data, err := os.ReadFile(filepath.Join(out, "errors.json"))
-	if err != nil {
-		t.Fatalf("errors.json: %v", err)
-	}
-	var got guard.Manifest
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("errors.json is not valid JSON: %v", err)
-	}
-	if len(got.Errors) != 2 {
-		t.Fatalf("round-tripped manifest has %d errors, want 2", len(got.Errors))
-	}
 }
 
 // TestCancelledSectionNotCached pins the truncation contract: a section
 // whose context is cancelled mid-run halts its simulations early, so its
 // (truncated) output must be recorded as a failure — never written to
-// the output tree or the cache — and must re-execute on the next batch.
+// the output tree or the cache — the batch must fail with 3, and the
+// section must re-execute on the next batch.
 func TestCancelledSectionNotCached(t *testing.T) {
-	out, _ := withDirs(t)
-	cache := &runner.Cache{Dir: filepath.Join(out, ".cache")}
+	out := t.TempDir()
+	cfg := config{out: out, jobs: 1, cache: filepath.Join(out, ".cache")}
 	batchCtx, interrupt := context.WithCancel(context.Background())
 	defer interrupt()
 	secs := []batchSection{
@@ -345,38 +442,39 @@ func TestCancelledSectionNotCached(t *testing.T) {
 			r.row("- partial data from a truncated run")
 		}},
 	}
-	pool := &runner.Pool{Jobs: 1, Cache: cache}
-	results := pool.Run(batchCtx, sectionJobs(secs, nil))
-	if e := results[0].Err; e == nil || e.Kind != guard.KindCancelled {
-		t.Fatalf("truncated section = %+v, want a cancellation RunError", e)
+	_, _, err := runBatch(t, batchCtx, cfg, secs)
+	var ee *exitError
+	if !errors.As(err, &ee) || ee.code != 3 {
+		t.Errorf("interrupted batch error = %v, want exit status 3", err)
 	}
-	if man := collectErrors(results); len(man.Errors) != 1 {
-		t.Errorf("errors manifest has %d entries, want 1", len(man.Errors))
+	if man := readErrors(t, out); len(man.Errors) != 1 || man.Errors[0].Kind != guard.KindCancelled {
+		t.Fatalf("errors.json = %+v, want one cancellation RunError", man.Errors)
+	}
+	if sum, _ := os.ReadFile(filepath.Join(out, "summary.md")); strings.Contains(string(sum), "partial data") {
+		t.Errorf("summary.md carries the truncated section:\n%s", sum)
 	}
 
 	// A fresh batch over the same cache must re-simulate, not restore.
-	again := &runner.Pool{Jobs: 1, Cache: cache}
-	res2 := again.Run(context.Background(), sectionJobs([]batchSection{
+	_, st, err := runBatch(t, context.Background(), cfg, []batchSection{
 		{"truncated", func(_ context.Context, r *reporter) {
 			r.section("truncated", "halts mid-run")
 			r.row("- complete data this time")
 		}},
-	}, nil))
-	if res2[0].Err != nil || res2[0].Cached {
-		t.Errorf("re-run = %+v, want fresh execution (truncated result must not have been cached)", res2[0])
+	})
+	if err != nil || st.simulated != 1 || st.cached != 0 {
+		t.Errorf("re-run = %+v, %v; want 1 simulated (truncated result must not have been cached)", st, err)
 	}
 }
 
 // TestBatchCleanManifest checks a failure-free batch writes an explicit
 // empty error list, distinguishing "clean" from "never ran".
 func TestBatchCleanManifest(t *testing.T) {
-	out, _ := withDirs(t)
+	out := t.TempDir()
 	secs := []batchSection{
 		{"fine", func(_ context.Context, r *reporter) { r.row("- fine") }},
 	}
-	_, man := runDriver(t, secs, io.Discard, &runner.Pool{Jobs: 1})
-	if len(man.Errors) != 0 {
-		t.Fatalf("unexpected errors: %+v", man.Errors)
+	if _, _, err := runBatch(t, context.Background(), config{out: out, jobs: 1}, secs); err != nil {
+		t.Fatalf("clean batch: %v", err)
 	}
 	data, err := os.ReadFile(filepath.Join(out, "errors.json"))
 	if err != nil {
@@ -390,13 +488,12 @@ func TestBatchCleanManifest(t *testing.T) {
 // TestReporterSaveRecoverable checks save failures surface as panics (so
 // the runner can record them) rather than killing the process.
 func TestReporterSaveRecoverable(t *testing.T) {
-	withDirs(t)
 	secs := []batchSection{
 		{"save-fail", func(_ context.Context, r *reporter) {
 			r.save("x.csv", func(io.Writer) error { return fmt.Errorf("serialization broke") })
 		}},
 	}
-	results := (&runner.Pool{Jobs: 1}).Run(context.Background(), sectionJobs(secs, nil))
+	results := (&runner.Pool{Jobs: 1}).Run(context.Background(), sectionJobs(secs, nil, false))
 	e := results[0].Err
 	if e == nil || e.Kind != "panic" || !strings.Contains(e.Msg, "serialization broke") {
 		t.Fatalf("failed save: got %+v, want captured panic", e)
@@ -406,13 +503,12 @@ func TestReporterSaveRecoverable(t *testing.T) {
 // TestSectionsFilter checks -only filtering skips unwanted sections
 // before any job is built.
 func TestSectionsFilter(t *testing.T) {
-	withDirs(t)
 	var ran []string
 	secs := []batchSection{
 		{"a", func(context.Context, *reporter) { ran = append(ran, "a") }},
 		{"b", func(context.Context, *reporter) { ran = append(ran, "b") }},
 	}
-	jobs := sectionJobs(secs, map[string]bool{"b": true})
+	jobs := sectionJobs(secs, map[string]bool{"b": true}, false)
 	if len(jobs) != 1 || jobs[0].ID != "b" {
 		t.Fatalf("filtered jobs = %+v, want [b]", jobs)
 	}
@@ -422,41 +518,21 @@ func TestSectionsFilter(t *testing.T) {
 	}
 }
 
-// TestObsFilesRouted checks a section's Obs-flagged files land in the
-// -obs directory while plain files land in -out.
-func TestObsFilesRouted(t *testing.T) {
-	out, obsOut := withDirs(t)
-	secs := []batchSection{
-		{"routed", func(_ context.Context, r *reporter) {
-			r.save("plain.csv", func(w io.Writer) error { _, err := io.WriteString(w, "a,b\n"); return err })
-			r.files = append(r.files, artifactFile{Name: "trace_events.jsonl", Obs: true, Data: []byte("{}\n")})
-		}},
-	}
-	runDriver(t, secs, io.Discard, &runner.Pool{Jobs: 1})
-	if _, err := os.Stat(filepath.Join(out, "plain.csv")); err != nil {
-		t.Errorf("plain file not in -out: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(obsOut, "trace_events.jsonl")); err != nil {
-		t.Errorf("obs file not in -obs: %v", err)
-	}
-}
-
 // TestChaosParity is the capstone robustness invariant: a batch run
 // under injected orchestration faults — failing, panicking, and hanging
 // section bodies, corrupted cache entries, a truncated manifest — must
 // converge, through retries and quarantine, to an output tree and
 // console transcript byte-identical to the fault-free run.
 func TestChaosParity(t *testing.T) {
-	oldNow := timeNow
-	timeNow = func() time.Time { return time.Date(2022, 8, 22, 9, 0, 0, 0, time.UTC) }
-	defer func() { timeNow = oldNow }()
-
+	pinSummaryTime(t)
 	secs := fakeSections(12)
 
 	// Fault-free baseline.
-	outClean, _ := withDirs(t)
-	var cleanConsole strings.Builder
-	runDriver(t, secs, &cleanConsole, &runner.Pool{Jobs: 4})
+	outClean := t.TempDir()
+	cleanConsole, _, err := runBatch(t, context.Background(), config{out: outClean, jobs: 4}, secs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cleanTree := snapshotTree(t, outClean)
 
 	// Chaos run: a cold pass under body faults, then sabotage of the
@@ -466,17 +542,17 @@ func TestChaosParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := chaos.New(spec)
-	outChaos, _ := withDirs(t)
+	outChaos := t.TempDir()
 	cacheDir := filepath.Join(outChaos, ".cache")
 	maniPath := filepath.Join(t.TempDir(), "manifest.json")
-	retry := runner.RetryPolicy{MaxAttempts: spec.RetryAttempts(), Seed: spec.Seed, Base: time.Millisecond}
+	retry := spec.Retry()
 
 	var events []runner.ProgressEvent
 	progress := func(ev runner.ProgressEvent) { events = append(events, ev) } // pool serializes callbacks
 
 	cold := &runner.Pool{Jobs: 4, Cache: &runner.Cache{Dir: cacheDir},
 		Manifest: runner.LoadManifest(maniPath), Retry: retry, Progress: progress}
-	coldResults := cold.Run(context.Background(), in.Wrap(sectionJobs(secs, nil)))
+	coldResults := cold.Run(context.Background(), in.Wrap(sectionJobs(secs, nil, false)))
 	if man := collectErrors(coldResults); len(man.Errors) != 0 {
 		t.Fatalf("cold chaos pass failed terminally: %+v", man.Errors)
 	}
@@ -494,13 +570,13 @@ func TestChaosParity(t *testing.T) {
 
 	warm := &runner.Pool{Jobs: 4, Cache: &runner.Cache{Dir: cacheDir},
 		Manifest: manifest, Retry: retry, Progress: progress}
-	warmResults := warm.Run(context.Background(), in.Wrap(sectionJobs(secs, nil)))
+	warmResults := warm.Run(context.Background(), in.Wrap(sectionJobs(secs, nil, false)))
 	man := collectErrors(warmResults)
 	if err := man.WriteFile(filepath.Join(outChaos, "errors.json")); err != nil {
 		t.Fatal(err)
 	}
 	var chaosConsole strings.Builder
-	if err := assemble(&chaosConsole, warmResults); err != nil {
+	if err := assemble(&chaosConsole, warmResults, config{out: outChaos}); err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
 	if len(man.Errors) != 0 {
@@ -520,7 +596,7 @@ func TestChaosParity(t *testing.T) {
 			t.Errorf("%s differs between the fault-free and chaos runs", rel)
 		}
 	}
-	if chaosConsole.String() != cleanConsole.String() {
+	if chaosConsole.String() != cleanConsole {
 		t.Errorf("console transcript differs between the fault-free and chaos runs")
 	}
 
@@ -599,25 +675,21 @@ func TestListSectionsAnnotated(t *testing.T) {
 }
 
 // TestSectionKeySensitivity pins what invalidates a section's cache
-// entry: the -quick flag does, the output directory does not.
+// entry: -quick does; the output directory does not, so a batch into a
+// second -out over the same cache restores every section.
 func TestSectionKeySensitivity(t *testing.T) {
-	withDirs(t)
-	base := sectionKey("F1").Fingerprint(0)
-
-	oldQuick := *quick
-	*quick = !*quick
-	quickFP := sectionKey("F1").Fingerprint(0)
-	*quick = oldQuick
-	if quickFP == base {
+	fp := func(quick bool) string { return sectionKey("F1", quick).Fingerprint(0) }
+	if fp(true) == fp(false) {
 		t.Errorf("-quick does not change the section fingerprint")
 	}
 
-	oldOut := *outDir
-	*outDir = filepath.Join(*outDir, "elsewhere")
-	outFP := sectionKey("F1").Fingerprint(0)
-	*outDir = oldOut
-	if outFP != base {
-		t.Errorf("-out changed the section fingerprint; artifacts are location-independent and must stay cached")
+	cache := filepath.Join(t.TempDir(), "cache")
+	secs := fakeSections(3)
+	for i, want := range []batchStats{{simulated: 3}, {cached: 3}} {
+		_, st, err := runBatch(t, context.Background(), config{out: t.TempDir(), cache: cache}, secs)
+		if err != nil || st != want {
+			t.Errorf("batch %d into a fresh -out = %+v, %v; want %+v", i+1, st, err, want)
+		}
 	}
 }
 

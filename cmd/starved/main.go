@@ -102,6 +102,11 @@ func main() {
 		logger.Printf("starved: %v", err)
 		os.Exit(1)
 	}
+	// Catch SIGINT and SIGTERM before the service starts and the contract
+	// line goes out: a caller may signal the moment it reads that line,
+	// and the signal must drain the daemon, not kill it.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
 	svc.Start()
 	// The contract line: CI and scripts bind :0 and parse the real port
 	// from here. Keep the format stable.
@@ -111,8 +116,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
 	select {
 	case err := <-serveErr:
 		if err != nil && err != http.ErrServerClosed {

@@ -337,3 +337,10 @@ func TestCrashRestartConverges(t *testing.T) {
 		})
 	}
 }
+
+// TestDrainOnEarlySignal pins that the daemon drains — exit 3 — on a
+// SIGINT sent the moment its contract line is read: the signal handler is
+// in place before that line goes out.
+func TestDrainOnEarlySignal(t *testing.T) {
+	startDaemon(t, t.TempDir()).drain()
+}

@@ -67,7 +67,8 @@
 // -sweep, -flows or -server — and each mode reads a fixed set of flags
 // (modeFlags). A flag set on the command line that the mode does not
 // read is refused with exit 2, never dropped: an observer that cannot
-// attach to -server, a -jobs that a single run has no use for.
+// attach to -server, a -jobs that a single run has no use for. So is a
+// positional argument, which would end flag parsing where it stands.
 //
 // Exit status: 0 on success, 1 on runtime failure (unknown scenario, a
 // guard violation, an expired -deadline), 2 on a malformed configuration,
@@ -184,6 +185,9 @@ func execute() error {
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		return usage("unexpected argument %q", flag.Arg(0))
+	}
 
 	mode := modeList
 	switch {

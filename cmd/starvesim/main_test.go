@@ -77,6 +77,9 @@ func TestExitStatus(t *testing.T) {
 			"starvesim: -topology does not apply to a single -scenario\n"},
 		{[]string{"-scenario", "quickstart-vegas", "-jobs", "2"}, 2,
 			"starvesim: -jobs does not apply to a single -scenario\n"},
+		// Everything after a stray word would be dropped: -duration here.
+		{[]string{"-scenario", "quickstart-vegas", "stray", "-duration", "1s"}, 2,
+			"starvesim: unexpected argument \"stray\"\n"},
 		{[]string{"-flows", "vegas", "-duration", "600s", "-deadline", "1ms"}, 1,
 			"starvesim: -deadline exceeded; partial outputs flushed\n"},
 		{[]string{"-scenario", "all", "-duration", "60s", "-deadline", "1ms"}, 1,

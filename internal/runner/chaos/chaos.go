@@ -45,6 +45,10 @@ const (
 	// defaultAttempts is the retry budget a chaos run implies when the
 	// caller doesn't set one (defaultMaxFaultsPerJob+1: always enough).
 	defaultAttempts = defaultMaxFaultsPerJob + 1
+	// retryBase is the first-retry backoff under chaos. Injected
+	// failures are expected, so a run backs off in milliseconds, not the
+	// runner's production default.
+	retryBase = 2 * time.Millisecond
 )
 
 // Spec is a parsed chaos specification: per-attempt fault probabilities
@@ -208,17 +212,19 @@ func (s Spec) maxFaults() int {
 	return defaultMaxFaultsPerJob
 }
 
-// RetryAttempts returns the retry budget the spec implies: explicit
+// Retry returns the retry policy a run under the spec uses: explicit
 // attempts if set, else one more than the per-job fault cap so every
-// chaos run converges.
-func (s Spec) RetryAttempts() int {
-	if s.Attempts > 0 {
-		return s.Attempts
+// chaos run converges; the spec's seed for the backoff jitter; and a
+// base of retryBase.
+func (s Spec) Retry() runner.RetryPolicy {
+	attempts := defaultAttempts
+	switch {
+	case s.Attempts > 0:
+		attempts = s.Attempts
+	case s.maxFaults() > 0:
+		attempts = s.maxFaults() + 1
 	}
-	if s.maxFaults() > 0 {
-		return s.maxFaults() + 1
-	}
-	return defaultAttempts
+	return runner.RetryPolicy{MaxAttempts: attempts, Seed: s.Seed, Base: retryBase}
 }
 
 // event is one injected fault, recorded for the chaos log.

@@ -27,17 +27,16 @@ func TestParse(t *testing.T) {
 	if !reflect.DeepEqual(spec, want) {
 		t.Errorf("Parse = %+v, want %+v", spec, want)
 	}
-	if spec.RetryAttempts() != 5 {
-		t.Errorf("RetryAttempts = %d, want the explicit 5", spec.RetryAttempts())
+	if got, want := spec.Retry(), (runner.RetryPolicy{MaxAttempts: 5, Seed: 7, Base: retryBase}); got != want {
+		t.Errorf("Retry = %+v, want %+v: the explicit attempts and the spec's seed", got, want)
 	}
 
 	implied, err := Parse("seed:1;fail:0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if implied.RetryAttempts() != defaultMaxFaultsPerJob+1 {
-		t.Errorf("implied RetryAttempts = %d, want maxfail+1 = %d",
-			implied.RetryAttempts(), defaultMaxFaultsPerJob+1)
+	if got := implied.Retry().MaxAttempts; got != defaultMaxFaultsPerJob+1 {
+		t.Errorf("implied Retry().MaxAttempts = %d, want maxfail+1 = %d", got, defaultMaxFaultsPerJob+1)
 	}
 
 	for _, bad := range []string{
@@ -69,7 +68,7 @@ func TestInjectionDeterministic(t *testing.T) {
 		in := New(spec)
 		pool := &runner.Pool{
 			Jobs:  1, // sequential so attempt interleaving is fixed
-			Retry: runner.RetryPolicy{MaxAttempts: spec.RetryAttempts(), Base: time.Millisecond},
+			Retry: spec.Retry(),
 		}
 		pool.Run(context.Background(), in.Wrap(testJobs(8)))
 		return in.events
@@ -96,7 +95,7 @@ func TestWrapConvergence(t *testing.T) {
 	in := New(spec)
 	pool := &runner.Pool{
 		Jobs:  2,
-		Retry: runner.RetryPolicy{MaxAttempts: spec.RetryAttempts(), Seed: spec.Seed, Base: time.Millisecond},
+		Retry: spec.Retry(),
 	}
 	results := pool.Run(context.Background(), in.Wrap(testJobs(12)))
 	for i, res := range results {

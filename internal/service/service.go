@@ -378,11 +378,8 @@ func (s *Server) execute(b *batch, idx int) {
 		spec, err := chaos.Parse(b.rec.Chaos) // validated at admission
 		if err == nil {
 			ex.Job = chaos.New(spec).Wrap([]runner.Job{ex.Job})[0]
-			ex.Retry = &runner.RetryPolicy{
-				MaxAttempts: spec.RetryAttempts(),
-				Seed:        spec.Seed,
-				Base:        2 * time.Millisecond,
-			}
+			retry := spec.Retry()
+			ex.Retry = &retry
 		}
 	}
 	res := s.pool.Execute(b.ctx, ex)
