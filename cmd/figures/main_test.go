@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"starvation/internal/guard"
+	"starvation/internal/paper"
 	"starvation/internal/runner"
 	"starvation/internal/runner/chaos"
 )
@@ -78,6 +79,8 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-chaos", "bogus:1"}, `figures: chaos: unknown clause "bogus"`},
 		{[]string{"-obs", out}, "flag provided but not defined: -obs"},
 		{[]string{"-retries", "3"}, "flag provided but not defined: -retries"},
+		{[]string{"-jobs", "-3", "-deadline", "-1s", "-only", "X-T2", "-quick", "-no-cache"}, "figures: -jobs -3: must not be negative (0 = GOMAXPROCS)"},
+		{[]string{"-deadline", "-1s", "-only", "X-T2", "-quick", "-no-cache"}, "figures: -deadline -1s: must not be negative (0 = no limit)"},
 		// The flag package stops at the first non-flag, so -quick would be
 		// dropped without a word.
 		{[]string{"-only", "F1", "stray", "-quick"}, `figures: unexpected argument "stray"`},
@@ -170,25 +173,33 @@ func TestOnlyRejectsUnknownIDs(t *testing.T) {
 }
 
 // fakeSections builds a deterministic synthetic batch: every section
-// emits summary rows, console text, and data files derived from its ID,
+// emits a summary row, console text, and a data file derived from its ID,
 // and sleeps a varying amount so parallel completion order scrambles.
 func fakeSections(n int) []batchSection {
 	secs := make([]batchSection, n)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("S%02d", i)
 		sleep := time.Duration((n-i)%4) * time.Millisecond
-		secs[i] = batchSection{id, func(_ context.Context, r *reporter) {
+		secs[i] = batchSection{id, func(context.Context, bool) paper.Artifact {
 			time.Sleep(sleep)
-			r.section(id, "synthetic section "+id)
-			r.row("- value %s = %d", id, len(id)*7)
-			r.print("console-only plot for " + id)
-			r.save(id+"_data.csv", func(w io.Writer) error {
-				_, err := fmt.Fprintf(w, "id,sq\n%s,%d\n", id, i*i)
-				return err
-			})
+			line := fmt.Sprintf("- value %s = %d\n", id, len(id)*7)
+			return paper.Artifact{
+				Summary: "\n## " + id + " — synthetic section\n\n" + line,
+				Console: line + "console-only plot for " + id + "\n",
+				Files:   []paper.File{{Name: id + "_data.csv", Data: fmt.Appendf(nil, "id,sq\n%s,%d\n", id, i*i)}},
+			}
 		}}
 	}
 	return secs
+}
+
+// fakeSection is a synthetic section whose body runs fn and writes one
+// summary line.
+func fakeSection(id string, fn func(context.Context), line string) batchSection {
+	return batchSection{id, func(ctx context.Context, _ bool) paper.Artifact {
+		fn(ctx)
+		return paper.Artifact{Summary: line + "\n"}
+	}}
 }
 
 // snapshotTree reads every regular file under dir into a map keyed by
@@ -373,6 +384,38 @@ func TestPartialThenFullBatch(t *testing.T) {
 	}
 }
 
+// TestQuarantineOnStderr pins where a defective cache entry is reported:
+// one line per quarantined entry on the stderr writer batch was given,
+// which is what the command's caller captures.
+func TestQuarantineOnStderr(t *testing.T) {
+	out := t.TempDir()
+	cfg := config{out: out, jobs: 1, cache: filepath.Join(out, ".cache")}
+	secs := fakeSections(3)
+	if _, _, err := runBatch(t, context.Background(), cfg, secs); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := chaos.Parse("seed:1;corrupt:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := chaos.New(spec).CorruptCache(cfg.cache); err != nil || n != 2 {
+		t.Fatalf("CorruptCache = %d, %v; want 2 entries", n, err)
+	}
+	var stdout, stderr strings.Builder
+	if err := batch(context.Background(), cfg, secs, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	var routed []string
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if strings.HasPrefix(line, "=== S") && strings.Contains(line, ": cache entry quarantined: {") {
+			routed = append(routed, line)
+		}
+	}
+	if len(routed) != 2 || !strings.Contains(stdout.String(), " 2 quarantined;") {
+		t.Errorf("stderr carries %d quarantine lines, want 2 (stdout %q):\n%s", len(routed), stdout.String(), stderr.String())
+	}
+}
+
 // TestBatchDegradesGracefully forces one panicking section and one stuck
 // section into a batch and checks the remaining sections still run, the
 // failures land in errors.json with the right kinds, the assembled
@@ -382,10 +425,10 @@ func TestBatchDegradesGracefully(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	secs := []batchSection{
-		{"ok-before", func(_ context.Context, r *reporter) { r.row("- ok-before ran") }},
-		{"boom", func(context.Context, *reporter) { panic("forced failure") }},
-		{"stuck", func(context.Context, *reporter) { <-release }},
-		{"ok-after", func(_ context.Context, r *reporter) { r.row("- ok-after ran") }},
+		fakeSection("ok-before", func(context.Context) {}, "- ok-before ran"),
+		fakeSection("boom", func(context.Context) { panic("forced failure") }, ""),
+		fakeSection("stuck", func(context.Context) { <-release }, ""),
+		fakeSection("ok-after", func(context.Context) {}, "- ok-after ran"),
 	}
 	_, st, err := runBatch(t, context.Background(), config{out: out, jobs: 1, deadline: 50 * time.Millisecond}, secs)
 	var ee *exitError
@@ -435,12 +478,10 @@ func TestCancelledSectionNotCached(t *testing.T) {
 	batchCtx, interrupt := context.WithCancel(context.Background())
 	defer interrupt()
 	secs := []batchSection{
-		{"truncated", func(ctx context.Context, r *reporter) {
-			r.section("truncated", "halts mid-run")
+		fakeSection("truncated", func(ctx context.Context) {
 			interrupt()  // the user hits Ctrl-C mid-section
 			<-ctx.Done() // the sim event loop notices and returns early
-			r.row("- partial data from a truncated run")
-		}},
+		}, "- partial data from a truncated run"),
 	}
 	_, _, err := runBatch(t, batchCtx, cfg, secs)
 	var ee *exitError
@@ -456,10 +497,7 @@ func TestCancelledSectionNotCached(t *testing.T) {
 
 	// A fresh batch over the same cache must re-simulate, not restore.
 	_, st, err := runBatch(t, context.Background(), cfg, []batchSection{
-		{"truncated", func(_ context.Context, r *reporter) {
-			r.section("truncated", "halts mid-run")
-			r.row("- complete data this time")
-		}},
+		fakeSection("truncated", func(context.Context) {}, "- complete data this time"),
 	})
 	if err != nil || st.simulated != 1 || st.cached != 0 {
 		t.Errorf("re-run = %+v, %v; want 1 simulated (truncated result must not have been cached)", st, err)
@@ -470,9 +508,7 @@ func TestCancelledSectionNotCached(t *testing.T) {
 // empty error list, distinguishing "clean" from "never ran".
 func TestBatchCleanManifest(t *testing.T) {
 	out := t.TempDir()
-	secs := []batchSection{
-		{"fine", func(_ context.Context, r *reporter) { r.row("- fine") }},
-	}
+	secs := []batchSection{fakeSection("fine", func(context.Context) {}, "- fine")}
 	if _, _, err := runBatch(t, context.Background(), config{out: out, jobs: 1}, secs); err != nil {
 		t.Fatalf("clean batch: %v", err)
 	}
@@ -485,28 +521,13 @@ func TestBatchCleanManifest(t *testing.T) {
 	}
 }
 
-// TestReporterSaveRecoverable checks save failures surface as panics (so
-// the runner can record them) rather than killing the process.
-func TestReporterSaveRecoverable(t *testing.T) {
-	secs := []batchSection{
-		{"save-fail", func(_ context.Context, r *reporter) {
-			r.save("x.csv", func(io.Writer) error { return fmt.Errorf("serialization broke") })
-		}},
-	}
-	results := (&runner.Pool{Jobs: 1}).Run(context.Background(), sectionJobs(secs, nil, false))
-	e := results[0].Err
-	if e == nil || e.Kind != "panic" || !strings.Contains(e.Msg, "serialization broke") {
-		t.Fatalf("failed save: got %+v, want captured panic", e)
-	}
-}
-
 // TestSectionsFilter checks -only filtering skips unwanted sections
 // before any job is built.
 func TestSectionsFilter(t *testing.T) {
 	var ran []string
 	secs := []batchSection{
-		{"a", func(context.Context, *reporter) { ran = append(ran, "a") }},
-		{"b", func(context.Context, *reporter) { ran = append(ran, "b") }},
+		fakeSection("a", func(context.Context) { ran = append(ran, "a") }, ""),
+		fakeSection("b", func(context.Context) { ran = append(ran, "b") }, ""),
 	}
 	jobs := sectionJobs(secs, map[string]bool{"b": true}, false)
 	if len(jobs) != 1 || jobs[0].ID != "b" {

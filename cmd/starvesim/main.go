@@ -68,7 +68,8 @@
 // (modeFlags). A flag set on the command line that the mode does not
 // read is refused with exit 2, never dropped: an observer that cannot
 // attach to -server, a -jobs that a single run has no use for. So is a
-// positional argument, which would end flag parsing where it stands.
+// positional argument, which would end flag parsing where it stands, and
+// a negative -duration, -deadline or -jobs (0 keeps its default).
 //
 // Exit status: 0 on success, 1 on runtime failure (unknown scenario, a
 // guard violation, an expired -deadline), 2 on a malformed configuration,
@@ -215,6 +216,17 @@ func execute() error {
 	})
 	if refused != "" {
 		return usage("-%s does not apply to %s", refused, mode)
+	}
+	// A population spec refuses its own negative duration, with the line
+	// the daemon answers a negative duration_sec with.
+	if *duration < 0 && mode != modeFlows && mode != modeServer {
+		return usage("-duration %v: must not be negative (0 = the scenario's default)", *duration)
+	}
+	if *deadline < 0 {
+		return usage("-deadline %v: must not be negative (0 = no limit)", *deadline)
+	}
+	if *jobsN < 0 {
+		return usage("-jobs %d: must not be negative (0 = GOMAXPROCS)", *jobsN)
 	}
 	if mode == modeSweep && *sweepN < 1 {
 		return usage("-sweep %d: the seed count must be positive", *sweepN)

@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"starvation/internal/scenario"
 )
@@ -51,6 +52,7 @@ func starvesim(t *testing.T, args ...string) (code int, stdout, stderr string) {
 func TestExitStatus(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "ev.jsonl")
 	badSpec := scenario.PopulationSpec{Flows: "nosuchcca*2"}.Validate().Error()
+	negSpec := scenario.PopulationSpec{Flows: "vegas*2", Duration: -5 * time.Second}.Validate().Error()
 	for _, tc := range []struct {
 		args   []string
 		code   int
@@ -77,6 +79,15 @@ func TestExitStatus(t *testing.T) {
 			"starvesim: -topology does not apply to a single -scenario\n"},
 		{[]string{"-scenario", "quickstart-vegas", "-jobs", "2"}, 2,
 			"starvesim: -jobs does not apply to a single -scenario\n"},
+		// A negative length or worker count is refused, not defaulted; a
+		// population spec refuses its own with the daemon's 400 line.
+		{[]string{"-scenario", "quickstart-vegas", "-duration", "-5s", "-deadline", "-1s"}, 2,
+			"starvesim: -duration -5s: must not be negative (0 = the scenario's default)\n"},
+		{[]string{"-scenario", "quickstart-vegas", "-duration", "1s", "-deadline", "-1s"}, 2,
+			"starvesim: -deadline -1s: must not be negative (0 = no limit)\n"},
+		{[]string{"-scenario", "all", "-jobs", "-4", "-duration", "1s"}, 2,
+			"starvesim: -jobs -4: must not be negative (0 = GOMAXPROCS)\n"},
+		{[]string{"-flows", "vegas*2", "-duration", "-5s"}, 2, "starvesim: " + negSpec + "\n"},
 		// Everything after a stray word would be dropped: -duration here.
 		{[]string{"-scenario", "quickstart-vegas", "stray", "-duration", "1s"}, 2,
 			"starvesim: unexpected argument \"stray\"\n"},

@@ -45,7 +45,7 @@ func runServerPopulation(ctx context.Context, addr string, spec scenario.Populat
 	}
 	// Duration travels as DurationSec: PopulationSpec.Duration does not
 	// serialize (it is a CLI-side time.Duration).
-	if spec.Duration > 0 {
+	if spec.Duration != 0 {
 		req.Jobs[0].DurationSec = spec.Duration.Seconds()
 		req.Jobs[0].PopulationSpec.Duration = 0
 	}

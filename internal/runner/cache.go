@@ -24,9 +24,11 @@ const CorruptDirName = "corrupt"
 //
 // A defective entry — an envelope that does not decode, or an artifact
 // whose checksum does not match — is quarantined: the file moves to
-// <Dir>/corrupt/, the corruption counter bumps, and one structured
-// warning is emitted. The read still reports a miss, so the caller
-// re-runs the job and the fresh Put heals the cache. A schema-version
+// <Dir>/corrupt/ and the corruption counter bumps. A Pool job that reads
+// it emits one ProgressQuarantined event carrying the warning, to the
+// progress sink its owner supplies; a direct Get only counts it. The read
+// still reports a miss, so the caller re-runs the job and the fresh Put
+// heals the cache. A schema-version
 // mismatch is not corruption (it is a deliberate invalidation) and reads
 // as a plain miss.
 //
@@ -44,9 +46,6 @@ type Cache struct {
 	// version participates in the fingerprint and is checked again inside
 	// the envelope.
 	schemaOverride int
-	// warn, when non-nil, receives the one structured warning emitted per
-	// quarantined entry in place of the JSON line on stderr (a test seam).
-	warn func(corruptionEvent)
 
 	corrupt atomic.Int64
 
@@ -82,7 +81,8 @@ type pendingPut struct {
 	gen      uint64
 }
 
-// corruptionEvent describes one quarantined cache entry.
+// corruptionEvent describes one quarantined cache entry; its String is
+// the warning a ProgressQuarantined event carries.
 type corruptionEvent struct {
 	// Fingerprint is the entry's content address.
 	Fingerprint string `json:"fingerprint"`
@@ -92,6 +92,11 @@ type corruptionEvent struct {
 	// Quarantined is the path the defective file was moved to (empty when
 	// the move itself failed and the file was left in place).
 	Quarantined string `json:"quarantined,omitempty"`
+}
+
+func (ev corruptionEvent) String() string {
+	line, _ := json.Marshal(ev) // three strings: it cannot fail
+	return "cache entry quarantined: " + string(line)
 }
 
 // entry is the on-disk envelope of one cached artifact.
@@ -132,34 +137,39 @@ func (c *Cache) path(fp string) string {
 // and also reads as a miss: the caller re-runs the job and the fresh Put
 // overwrites the address.
 func (c *Cache) Get(fp string) ([]byte, bool) {
+	art, ok, _ := c.lookup(fp)
+	return art, ok
+}
+
+// lookup is Get, also returning the quarantine a defective entry caused
+// (nil when the read quarantined nothing).
+func (c *Cache) lookup(fp string) ([]byte, bool, *corruptionEvent) {
 	c.mu.Lock()
 	if p, ok := c.pending[fp]; ok {
 		art := bytes.Clone(p.artifact)
 		c.mu.Unlock()
-		return art, true
+		return art, true, nil
 	}
 	if art, ok := c.index[fp]; ok {
 		c.mu.Unlock()
-		return bytes.Clone(art), true
+		return bytes.Clone(art), true, nil
 	}
 	puts := c.puts
 	c.mu.Unlock()
 	data, err := os.ReadFile(c.path(fp))
 	if err != nil {
-		return nil, false
+		return nil, false, nil
 	}
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil {
-		c.quarantine(fp, "undecodable envelope")
-		return nil, false
+		return nil, false, c.quarantine(fp, "undecodable envelope")
 	}
 	if e.Schema != c.schema() {
-		return nil, false
+		return nil, false, nil
 	}
 	sum := sha256.Sum256(e.Artifact)
 	if hex.EncodeToString(sum[:]) != e.Sum {
-		c.quarantine(fp, "artifact checksum mismatch")
-		return nil, false
+		return nil, false, c.quarantine(fp, "artifact checksum mismatch")
 	}
 	c.mu.Lock()
 	// A Put during the read may have replaced what was read; index only
@@ -168,7 +178,7 @@ func (c *Cache) Get(fp string) ([]byte, bool) {
 		c.indexLocked(fp, e.Artifact)
 	}
 	c.mu.Unlock()
-	return bytes.Clone(e.Artifact), true
+	return bytes.Clone(e.Artifact), true, nil
 }
 
 // indexLocked adds a verified artifact to the index, clearing the index
@@ -197,27 +207,19 @@ func (c *Cache) unindexLocked(fp string) {
 }
 
 // quarantine moves a defective entry into the corrupt/ subdirectory,
-// bumps the corruption counter, and emits one structured warning. If the
-// move fails the file is left where it is (the next Put overwrites it);
-// the counter and warning still fire so the defect is never silent.
-func (c *Cache) quarantine(fp, reason string) {
+// bumps the corruption counter, and returns what it did. If the move
+// fails the file is left where it is (the next Put overwrites it); the
+// counter still bumps, so the defect is never silent.
+func (c *Cache) quarantine(fp, reason string) *corruptionEvent {
 	c.corrupt.Add(1)
-	ev := corruptionEvent{Fingerprint: fp, Reason: reason}
+	ev := &corruptionEvent{Fingerprint: fp, Reason: reason}
 	dst := filepath.Join(c.Dir, CorruptDirName, fp+".json")
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err == nil {
 		if err := os.Rename(c.path(fp), dst); err == nil {
 			ev.Quarantined = dst
 		}
 	}
-	if c.warn != nil {
-		c.warn(ev)
-		return
-	}
-	line, err := json.Marshal(ev)
-	if err != nil {
-		line = []byte(fmt.Sprintf("%+v", ev))
-	}
-	fmt.Fprintf(os.Stderr, "runner: cache entry quarantined: %s\n", line)
+	return ev
 }
 
 // Put stores the artifact under the fingerprint and drops the

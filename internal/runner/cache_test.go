@@ -190,13 +190,13 @@ func TestCacheIndexVerifiedOnFirstRead(t *testing.T) {
 		t.Fatal("an indexed Get read the file again")
 	}
 
-	var events []corruptionEvent
-	fresh := &Cache{Dir: c.Dir, warn: func(ev corruptionEvent) { events = append(events, ev) }}
-	if got, ok := fresh.Get(fp); ok {
+	fresh := &Cache{Dir: c.Dir}
+	got, ok, q := fresh.lookup(fp)
+	if ok {
 		t.Fatalf("fresh cache served a damaged entry: %q", got)
 	}
-	if len(events) != 1 || events[0].Quarantined == "" {
-		t.Fatalf("fresh cache's read of the damaged entry: %+v, want one quarantine", events)
+	if q == nil || q.Quarantined == "" || fresh.corrupt.Load() != 1 {
+		t.Fatalf("fresh cache's read of the damaged entry: %+v, want one quarantine", q)
 	}
 	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("damaged entry left in place (%v)", err)

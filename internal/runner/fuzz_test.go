@@ -105,7 +105,7 @@ func FuzzCacheEntry(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := &Cache{Dir: t.TempDir(), warn: func(corruptionEvent) {}}
+		c := &Cache{Dir: t.TempDir()}
 		key := Key{Kind: "fuzz", Scenario: "s"}
 		fp := c.Fingerprint(key)
 		path := c.path(fp)

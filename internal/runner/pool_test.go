@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -220,6 +221,42 @@ func TestPoolCacheRoundTrip(t *testing.T) {
 	}
 	if st := p2.Stats(); st.CacheHits != 4 || st.Executed != 0 {
 		t.Errorf("warm stats = %+v, want 4 hits 0 executed", st)
+	}
+}
+
+// TestPoolReportsQuarantine checks a defective cache entry is reported
+// to the pool's Progress sink, once, as a non-terminal event before the
+// job re-runs: the owner decides where the warning goes.
+func TestPoolReportsQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	job := Job{ID: "j", Key: Key{Kind: "test", Scenario: "s", Seed: 2},
+		Run: func(context.Context) ([]byte, error) { return []byte("payload"), nil }}
+	(&Pool{Jobs: 1, Cache: &Cache{Dir: dir}}).Run(context.Background(), []Job{job})
+	cache := &Cache{Dir: dir}
+	path := cache.path(cache.Fingerprint(job.Key))
+	if err := os.WriteFile(path, []byte("not an envelope"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var events []ProgressEvent
+	p := &Pool{Jobs: 1, Cache: cache, Progress: func(ev ProgressEvent) { events = append(events, ev) }}
+	res := p.Run(context.Background(), []Job{job})
+	if res[0].Err != nil || res[0].Cached || string(res[0].Artifact) != "payload" {
+		t.Fatalf("result = %+v, want a re-run", res[0])
+	}
+	var kinds []string
+	for _, ev := range events {
+		kinds = append(kinds, ev.Kind.String())
+	}
+	if got := strings.Join(kinds, " "); got != "quarantined start done" {
+		t.Fatalf("events = %s, want quarantined start done", got)
+	}
+	q := events[0]
+	if q.Job != "j" || q.Done != 0 || !strings.HasPrefix(q.Warning, "cache entry quarantined: ") ||
+		!strings.Contains(q.Warning, `"reason":"undecodable envelope"`) {
+		t.Errorf("quarantine event = %+v", q)
+	}
+	if st := p.Stats(); st.CacheCorrupt != 1 {
+		t.Errorf("CacheCorrupt = %d, want 1", st.CacheCorrupt)
 	}
 }
 

@@ -82,6 +82,10 @@ const (
 	// another; Err carries the attempt's failure, Attempt the attempt
 	// number that failed. Not a terminal event — Done does not advance.
 	ProgressRetry
+	// ProgressQuarantined: the job's cache entry was defective and moved
+	// aside (see Cache); Warning says what and where. The job re-runs.
+	// Not a terminal event.
+	ProgressQuarantined
 )
 
 func (k ProgressKind) String() string {
@@ -96,6 +100,8 @@ func (k ProgressKind) String() string {
 		return "failed"
 	case ProgressRetry:
 		return "retry"
+	case ProgressQuarantined:
+		return "quarantined"
 	}
 	return fmt.Sprintf("progress(%d)", uint8(k))
 }
@@ -116,6 +122,9 @@ type ProgressEvent struct {
 	Attempt int
 	// Err accompanies ProgressFailed and ProgressRetry.
 	Err *guard.RunError
+	// Warning accompanies ProgressQuarantined: one line naming the entry,
+	// what was wrong with it and where it was moved.
+	Warning string
 }
 
 // Stats are the batch counters, exported in the obs counter-registry
@@ -274,7 +283,8 @@ func (p *Pool) workers() int {
 
 func (p *Pool) emit(ev ProgressEvent) {
 	p.progressMu.Lock()
-	if ev.Kind != ProgressStart && ev.Kind != ProgressRetry {
+	switch ev.Kind {
+	case ProgressDone, ProgressCached, ProgressFailed:
 		p.completed++
 	}
 	ev.Done, ev.Total = p.completed, p.total
@@ -369,7 +379,11 @@ func (p *Pool) runOne(ctx context.Context, job Job, env execEnv) JobResult {
 	var fp string
 	if !job.Key.isZero() && p.Cache != nil {
 		fp = p.Cache.Fingerprint(job.Key)
-		if art, ok := p.Cache.Get(fp); ok {
+		art, ok, q := p.Cache.lookup(fp)
+		if q != nil {
+			env.emit(ProgressEvent{Job: job.ID, Kind: ProgressQuarantined, Warning: q.String()})
+		}
+		if ok {
 			p.cacheHits.Add(1)
 			// A restore writes no journal line: the batch's closing
 			// Compact persists it, and a crash before then re-restores.

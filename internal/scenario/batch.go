@@ -65,10 +65,14 @@ func (s PopulationSpec) withDefaults() PopulationSpec {
 }
 
 // Config parses the clauses and assembles the runnable population
-// configuration. Flow specs carry stateful CCA instances and jitter
-// policies, so call Config once per realization (and once per retry
-// attempt) — never run a returned config twice.
+// configuration; it refuses a negative Duration. Flow specs carry
+// stateful CCA instances and jitter policies, so call Config once per
+// realization (and once per retry attempt) — never run a returned config
+// twice.
 func (s PopulationSpec) Config() (core.PopulationConfig, error) {
+	if s.Duration < 0 {
+		return core.PopulationConfig{}, fmt.Errorf("duration %v: must not be negative (0 selects %v)", s.Duration, defaultPopulationDuration)
+	}
 	s = s.withDefaults()
 	topo, err := parseTopology(s.Topology, units.Mbps(s.RateMbps), s.BufferPkts*endpoint.DefaultMSS)
 	if err != nil {
@@ -93,10 +97,11 @@ func (s PopulationSpec) Config() (core.PopulationConfig, error) {
 	return cfg, nil
 }
 
-// Validate reports the first problem with the spec — clause syntax, CCA
-// names, and the assembled network configuration, checked as deeply as a
-// real run would. The returned message is the shared error-string
-// contract between the CLI (exit 2) and the service (HTTP 400).
+// Validate reports the first problem with the spec — a negative duration,
+// clause syntax, CCA names, and the assembled network configuration,
+// checked as deeply as a real run would. The returned message is the
+// shared error-string contract between the CLI (exit 2) and the service
+// (HTTP 400).
 func (s PopulationSpec) Validate() error {
 	cfg, err := s.Config()
 	if err != nil {

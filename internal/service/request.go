@@ -30,10 +30,11 @@ type JobRequest struct {
 	DurationSec float64 `json:"duration_sec,omitempty"`
 }
 
-// spec returns the PopulationSpec with the JSON duration folded in.
+// spec returns the PopulationSpec with the JSON duration folded in; a
+// negative one is folded too, for Validate to refuse.
 func (j JobRequest) spec() scenario.PopulationSpec {
 	s := j.PopulationSpec
-	if j.DurationSec > 0 {
+	if j.DurationSec != 0 {
 		s.Duration = time.Duration(j.DurationSec * float64(time.Second))
 	}
 	return s

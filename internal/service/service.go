@@ -435,8 +435,14 @@ func (s *Server) writeArtifact(b *batch, name string, data []byte) error {
 }
 
 // onProgress folds a runner progress event into batch accounting and the
-// batch's event stream. Terminal kinds advance Done; Start/Retry don't.
+// batch's event stream. Terminal kinds advance Done; Start/Retry don't. A
+// quarantined cache entry is the daemon's concern, not the client's: it
+// goes to the log, not the stream.
 func (s *Server) onProgress(b *batch, ev runner.ProgressEvent) {
+	if ev.Kind == runner.ProgressQuarantined {
+		s.logf("service: %s/%s: %s", b.rec.ID, ev.Job, ev.Warning)
+		return
+	}
 	var typ string
 	b.mu.Lock()
 	switch ev.Kind {
