@@ -174,7 +174,7 @@ func execute() error {
 		jobsN  = flag.Int("jobs", 0, "parallel workers for -scenario all and -sweep (0 = GOMAXPROCS)")
 		sweepN = flag.Int("sweep", 0, "run the scenario across this many consecutive seeds, one observables line per seed")
 
-		flows    = flag.String("flows", "", "flow set: semicolon-separated flow groups, cca[*count][:key=val,...] (keys: rm, start, stagger, jitter, loss, ackagg, path, cohort)")
+		flows    = flag.String("flows", "", "flow set: semicolon-separated flow groups, cca[*count][:key=val,...] (keys: rm, start, stagger, jitter, loss, ackagg, delack, path, cohort)")
 		topology = flag.String("topology", "single", "-flows: single | parkinglot:<hops> | fanin:<access-links>")
 		rate     = flag.Float64("rate", 48, "-flows: bottleneck Mbit/s")
 		buffer   = flag.Int("buffer", 0, "-flows: bottleneck buffer in packets (0 = infinite)")
@@ -419,7 +419,7 @@ func runAll(ctx context.Context, jobs int, opts scenario.Opts) error {
 func runSweep(ctx context.Context, name string, n, jobs int, opts scenario.Opts) error {
 	baseSeed := opts.Seed
 	if baseSeed == 0 {
-		baseSeed = 2 // the documented reference realization
+		baseSeed = scenario.ReferenceSeed
 	}
 	seeds := make([]int64, n)
 	for i := range seeds {

@@ -61,6 +61,8 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-list"}, 0, ""},
 		{[]string{"-scenario", "nosuch"}, 1, "unknown scenario \"nosuch\"; use -list\n"},
 		{[]string{"-flows", "nosuchcca*2"}, 2, "starvesim: " + badSpec + "\n"},
+		{[]string{"-flows", "reno:delack=0/200ms"}, 2,
+			"starvesim: flows: group \"reno:delack=0/200ms\": delack=0/200ms: count 0 below 1\n"},
 		// A flow set the network refuses is refused before the trace opens.
 		{[]string{"-flows", "vegas:path=5", "-trace", tracePath}, 2,
 			"starvesim: population: network: flow 0: path link 5 out of range [0, 1)\n"},

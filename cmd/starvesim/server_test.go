@@ -42,6 +42,7 @@ func TestServerClient(t *testing.T) {
 
 	badSpec := scenario.PopulationSpec{Flows: "nosuchcca*2"}.Validate().Error()
 	negSpec := scenario.PopulationSpec{Flows: "vegas*2", Duration: -5 * time.Second}.Validate().Error()
+	dipSpec := scenario.PopulationSpec{Flows: "copa:jitter=dip:1ms/10s"}.Validate().Error()
 	for _, tc := range []struct {
 		args   []string
 		stderr string // all of standard error
@@ -49,6 +50,7 @@ func TestServerClient(t *testing.T) {
 		{[]string{"-server", ts.URL, "-flows", "nosuchcca*2"}, "starvesim: " + badSpec + "\n"},
 		// The daemon refuses a negative duration_sec as a local run refuses -duration.
 		{[]string{"-server", ts.URL, "-flows", "vegas*2", "-duration", "-5s"}, "starvesim: " + negSpec + "\n"},
+		{[]string{"-server", ts.URL, "-flows", "copa:jitter=dip:1ms/10s"}, "starvesim: " + dipSpec + "\n"},
 		{[]string{"-server", ts.URL, "-flows", "vegas*2", "-faults", "dup:0.01"}, "starvesim: -faults does not apply to -server\n"},
 	} {
 		if code, _, errOut := starvesim(t, tc.args...); code != 2 || errOut != tc.stderr {

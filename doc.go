@@ -9,7 +9,7 @@
 //
 // Start with DESIGN.md for the system inventory, EXPERIMENTS.md for
 // paper-vs-measured results, and `starvesim -scenario quickstart-vegas`
-// (internal/scenario/algo1.go) for code.
+// (a flow set in internal/scenario/rows.go) for code.
 //
 // The root package holds only this documentation; the implementation
 // lives under internal/, the runnable tools under cmd/ and examples/, and

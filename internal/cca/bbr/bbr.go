@@ -41,11 +41,11 @@ const (
 	initialCwndPkts = 10
 )
 
-// Config parameterizes BBR.
-type Config struct {
-	MSS int
-	// Rng drives the randomized ProbeBW phase offset; required.
-	Rng *rand.Rand
+// config parameterizes BBR.
+type config struct {
+	mss int
+	// rng drives the randomized ProbeBW phase offset; required.
+	rng *rand.Rand
 	// rtpropHint, when nonzero, pins the RTprop estimate, and
 	// disableProbeRTT turns off ProbeRTT episodes: oracular Rm knowledge
 	// for tests.
@@ -70,9 +70,10 @@ var gainCycle = [...]float64{ProbeGain, 0.75, 1, 1, 1, 1, 1, 1}
 
 const startupGain = 2.885
 
-// BBR is a BBR v1 sender model.
-type BBR struct {
-	cfg Config
+// sender is a BBR v1 sender model; the registry is its only
+// constructor.
+type sender struct {
+	cfg config
 
 	st         state
 	btlBw      cca.WindowedMax // bytes/s
@@ -82,7 +83,7 @@ type BBR struct {
 	cwndGain   float64
 
 	// cwnd and rate are window() and pacingRate() as of the last point
-	// their inputs moved: New, and the end of every OnAck. The sender reads
+	// their inputs moved: newSender, and the end of every OnAck. The sender reads
 	// both several times per paced segment; the formulas run once per ACK.
 	cwnd int
 	rate units.Rate
@@ -118,15 +119,15 @@ type histPoint struct {
 	delivered int64
 }
 
-// New returns a BBR instance.
-func New(cfg Config) *BBR {
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1500
+// newSender returns a BBR instance.
+func newSender(cfg config) *sender {
+	if cfg.mss <= 0 {
+		cfg.mss = 1500
 	}
-	if cfg.Rng == nil {
-		panic("bbr: Config.Rng is nil")
+	if cfg.rng == nil {
+		panic("bbr: config.rng is nil")
 	}
-	b := &BBR{
+	b := &sender{
 		cfg:        cfg,
 		st:         stStartup,
 		pacingGain: startupGain,
@@ -141,15 +142,15 @@ func New(cfg Config) *BBR {
 
 func init() {
 	cca.Register("bbr", func(mss int, rng *rand.Rand) cca.Algorithm {
-		return New(Config{MSS: mss, Rng: rng})
+		return newSender(config{mss: mss, rng: rng})
 	})
 }
 
 // Name implements cca.Algorithm.
-func (b *BBR) Name() string { return "bbr" }
+func (b *sender) Name() string { return "bbr" }
 
 // rtprop returns the current min-RTT estimate.
-func (b *BBR) rtprop() time.Duration {
+func (b *sender) rtprop() time.Duration {
 	if b.cfg.rtpropHint > 0 {
 		return b.cfg.rtpropHint
 	}
@@ -157,25 +158,25 @@ func (b *BBR) rtprop() time.Duration {
 }
 
 // Window implements cca.Algorithm: cwnd = gain·BDP + α quanta.
-func (b *BBR) Window() int { return b.cwnd }
+func (b *sender) Window() int { return b.cwnd }
 
 // PacingRate implements cca.Algorithm.
-func (b *BBR) PacingRate() units.Rate { return b.rate }
+func (b *sender) PacingRate() units.Rate { return b.rate }
 
 // window evaluates cwnd = gain·BDP + α quanta from the filters, the gains
 // and the state.
-func (b *BBR) window() int {
+func (b *sender) window() int {
 	if b.st == stProbeRTT {
-		return 4 * b.cfg.MSS
+		return 4 * b.cfg.mss
 	}
 	bw := b.btlBw.Get(0) // bytes/s
 	rt := b.rtprop()
 	if bw <= 0 || rt <= 0 {
-		return initialCwndPkts * b.cfg.MSS
+		return initialCwndPkts * b.cfg.mss
 	}
 	bdp := bw * rt.Seconds()
-	w := b.cwndGain*bdp + quantaPkts*float64(b.cfg.MSS)
-	min := 4 * b.cfg.MSS
+	w := b.cwndGain*bdp + quantaPkts*float64(b.cfg.mss)
+	min := 4 * b.cfg.mss
 	if int(w) < min {
 		return min
 	}
@@ -183,7 +184,7 @@ func (b *BBR) window() int {
 }
 
 // pacingRate evaluates pacing_gain × bandwidth_estimate.
-func (b *BBR) pacingRate() units.Rate {
+func (b *sender) pacingRate() units.Rate {
 	bw := b.btlBw.Get(0)
 	if bw <= 0 {
 		return 0 // ACK-clocked bootstrap until the first sample
@@ -192,7 +193,7 @@ func (b *BBR) pacingRate() units.Rate {
 }
 
 // OnAck implements cca.Algorithm.
-func (b *BBR) OnAck(s cca.AckSignal) {
+func (b *sender) OnAck(s cca.AckSignal) {
 	if s.DeliveredBytes > 0 {
 		b.delivered += int64(s.DeliveredBytes)
 	}
@@ -232,12 +233,12 @@ func (b *BBR) OnAck(s cca.AckSignal) {
 
 // OnLoss implements cca.Algorithm. The §5.2 model does not react to loss;
 // BBR v1's conservation dynamics are immaterial to the experiments.
-func (b *BBR) OnLoss(cca.LossSignal) {}
+func (b *sender) OnLoss(cca.LossSignal) {}
 
 // pruneHistory expires points older than the min-RTT window plus slack by
 // advancing histHead, and compacts only once the dead prefix outgrows the
 // live part, so an ACK pays amortised O(1) however long the flow has run.
-func (b *BBR) pruneHistory(now time.Duration) {
+func (b *sender) pruneHistory(now time.Duration) {
 	keep := rtpropWindow + 5*time.Second
 	for b.histHead < len(b.history) && now-b.history[b.histHead].t > keep {
 		b.histHead++
@@ -251,7 +252,7 @@ func (b *BBR) pruneHistory(now time.Duration) {
 
 // deliveredAt returns the cumulative delivered count at the last history
 // point at or before t, along with that point's timestamp.
-func (b *BBR) deliveredAt(t time.Duration) (int64, time.Duration) {
+func (b *sender) deliveredAt(t time.Duration) (int64, time.Duration) {
 	live := b.history[b.histHead:]
 	if len(live) == 0 {
 		return 0, 0
@@ -263,7 +264,7 @@ func (b *BBR) deliveredAt(t time.Duration) (int64, time.Duration) {
 	return live[i-1].delivered, live[i-1].t
 }
 
-func (b *BBR) advance(s cca.AckSignal) {
+func (b *sender) advance(s cca.AckSignal) {
 	now, inflight := s.Now, s.InFlight
 	// ProbeRTT entry: the RTprop estimate has gone stale. The same ACK
 	// goes on to the ProbeRTT case below, as in Linux's
@@ -305,7 +306,7 @@ func (b *BBR) advance(s cca.AckSignal) {
 		// fixed time after entry, whatever inflight is, lets a flow whose
 		// own packets still queue re-arm RTprop on a queue-inflated sample.
 		if b.probeRTTFloor == 0 {
-			if inflight <= 4*b.cfg.MSS {
+			if inflight <= 4*b.cfg.mss {
 				b.probeRTTFloor = now
 				b.probeRTTDone = now + probeRTTDuration
 			}
@@ -329,12 +330,12 @@ func (b *BBR) advance(s cca.AckSignal) {
 	}
 }
 
-func (b *BBR) enterProbeBW(now time.Duration) {
+func (b *sender) enterProbeBW(now time.Duration) {
 	b.st = stProbeBW
 	b.cwndGain = steadyCwndGain
 	// Random initial phase (excluding the drain phase), so competing
 	// flows probe at different times — BBR's fairness mechanism.
-	idx := b.cfg.Rng.Intn(len(gainCycle) - 1)
+	idx := b.cfg.rng.Intn(len(gainCycle) - 1)
 	if idx >= 1 {
 		idx++
 	}
@@ -343,7 +344,7 @@ func (b *BBR) enterProbeBW(now time.Duration) {
 	b.pacingGain = gainCycle[b.cycleIndex]
 }
 
-func (b *BBR) checkFullPipe(now time.Duration) {
+func (b *sender) checkFullPipe(now time.Duration) {
 	bw := b.btlBw.Get(0)
 	if bw <= 0 {
 		return

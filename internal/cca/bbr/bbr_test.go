@@ -9,13 +9,13 @@ import (
 	"starvation/internal/cca"
 )
 
-func newTestBBR() *BBR {
-	return New(Config{MSS: 1500, Rng: rand.New(rand.NewSource(1))})
+func newTestBBR() *sender {
+	return newSender(config{mss: 1500, rng: rand.New(rand.NewSource(1))})
 }
 
 // feedSteady delivers acks at a steady rate (bytes/s) with the given RTT
 // for the given span, returning the end time.
-func feedSteady(b *BBR, start time.Duration, rateBps float64, rtt, span time.Duration) time.Duration {
+func feedSteady(b *sender, start time.Duration, rateBps float64, rtt, span time.Duration) time.Duration {
 	interval := time.Duration(1500 / rateBps * float64(time.Second))
 	now := start
 	for now < start+span {
@@ -107,7 +107,7 @@ func TestCwndFormula(t *testing.T) {
 // flight: the min filter's sample goes stale after rtpropWindow (10 s)
 // without refresh. It returns the time of the ACK that entered ProbeRTT,
 // or 0 if none did.
-func enterProbeRTT(b *BBR) time.Duration {
+func enterProbeRTT(b *sender) time.Duration {
 	now := time.Duration(0)
 	rtt := 40 * time.Millisecond
 	for now < 12*time.Second {
@@ -191,7 +191,7 @@ func TestProbeRTTExitWaitsForFloor(t *testing.T) {
 }
 
 func TestProbeRTTDisabled(t *testing.T) {
-	b := New(Config{MSS: 1500, Rng: rand.New(rand.NewSource(1)), disableProbeRTT: true})
+	b := newSender(config{mss: 1500, rng: rand.New(rand.NewSource(1)), disableProbeRTT: true})
 	now := time.Duration(0)
 	for now < 15*time.Second {
 		now += 10 * time.Millisecond
@@ -204,7 +204,7 @@ func TestProbeRTTDisabled(t *testing.T) {
 }
 
 func TestRTpropHintPins(t *testing.T) {
-	b := New(Config{MSS: 1500, Rng: rand.New(rand.NewSource(1)), rtpropHint: 33 * time.Millisecond})
+	b := newSender(config{mss: 1500, rng: rand.New(rand.NewSource(1)), rtpropHint: 33 * time.Millisecond})
 	feedSteady(b, 0, 1.5e6, 50*time.Millisecond, time.Second)
 	if got := b.rtprop(); got != 33*time.Millisecond {
 		t.Errorf("RTprop = %v, want pinned 33ms", got)
@@ -335,7 +335,7 @@ func TestHistoryPruneMatchesMemmove(t *testing.T) {
 }
 
 // TestWindowAndPacingRateAreCurrent pins the once-per-ACK evaluation: right
-// after New and after every OnAck, Window and PacingRate equal the formulas
+// after newSender and after every OnAck, Window and PacingRate equal the formulas
 // evaluated afresh. The seeded ACK streams — irregular spacing, bursts,
 // Karn-filtered samples, a slowly rising RTT that lets the RTprop estimate
 // go stale — cross Startup → Drain → ProbeBW and, where the configuration
@@ -344,19 +344,19 @@ func TestWindowAndPacingRateAreCurrent(t *testing.T) {
 	states := []string{"startup", "drain", "probebw", "probertt"}
 	for _, tc := range []struct {
 		name string
-		cfg  Config
+		cfg  config
 		want []string
 	}{
-		{"default", Config{}, states},
-		{"rtprop-hint", Config{rtpropHint: 33 * time.Millisecond}, states[:3]},
-		{"no-probertt", Config{disableProbeRTT: true}, states[:3]},
+		{"default", config{}, states},
+		{"rtprop-hint", config{rtpropHint: 33 * time.Millisecond}, states[:3]},
+		{"no-probertt", config{disableProbeRTT: true}, states[:3]},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				cfg := tc.cfg
-				cfg.MSS, cfg.Rng = 1500, rand.New(rand.NewSource(seed))
-				b := New(cfg)
+				cfg.mss, cfg.rng = 1500, rand.New(rand.NewSource(seed))
+				b := newSender(cfg)
 				check := func(when string) {
 					t.Helper()
 					if w, r := b.Window(), b.PacingRate(); w != b.window() || r != b.pacingRate() {
@@ -364,7 +364,7 @@ func TestWindowAndPacingRateAreCurrent(t *testing.T) {
 							seed, when, b.stateName(), w, r, b.window(), b.pacingRate())
 					}
 				}
-				check("after New")
+				check("after newSender")
 				seen := map[string]bool{}
 				leftProbeRTT := false
 				now, rtt := time.Duration(0), 40*time.Millisecond
@@ -396,19 +396,19 @@ func TestWindowAndPacingRateAreCurrent(t *testing.T) {
 	}
 }
 
-// TestNewWithoutRngPanics checks New refuses a missing generator instead
+// TestNewWithoutRngPanics checks newSender refuses a missing generator instead
 // of drawing from a stream outside the run's seed tree.
 func TestNewWithoutRngPanics(t *testing.T) {
 	defer func() {
-		if r := recover(); r != "bbr: Config.Rng is nil" {
-			t.Errorf("New(Config{}) recovered %v, want a panic naming Config.Rng", r)
+		if r := recover(); r != "bbr: config.rng is nil" {
+			t.Errorf("newSender(config{}) recovered %v, want a panic naming config.rng", r)
 		}
 	}()
-	New(Config{})
+	newSender(config{})
 }
 
 // stateName returns the current state name.
-func (b *BBR) stateName() string {
+func (b *sender) stateName() string {
 	switch b.st {
 	case stStartup:
 		return "startup"

@@ -21,18 +21,18 @@ const DefaultDelta = 0.5
 // initialCwndPkts is the initial window.
 const initialCwndPkts = 4
 
-// Config parameterizes Copa.
-type Config struct {
-	MSS int
+// config parameterizes Copa.
+type config struct {
+	mss int
 	// minRTTWindow, when nonzero, bounds how long a minimum-RTT sample is
 	// remembered; zero keeps the lifetime minimum (what the §5.1
 	// poisoning exploits).
 	minRTTWindow time.Duration
 }
 
-// Copa is a Copa sender.
-type Copa struct {
-	cfg  Config
+// sender is a Copa sender; the registry is its only constructor.
+type sender struct {
+	cfg  config
 	cwnd float64 // packets
 
 	minLifetime cca.MinRTT
@@ -48,12 +48,12 @@ type Copa struct {
 	inSlowStart   bool
 }
 
-// New returns a Copa instance.
-func New(cfg Config) *Copa {
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1500
+// newSender returns a Copa instance.
+func newSender(cfg config) *sender {
+	if cfg.mss <= 0 {
+		cfg.mss = 1500
 	}
-	c := &Copa{
+	c := &sender{
 		cfg:         cfg,
 		cwnd:        initialCwndPkts,
 		velocity:    1,
@@ -68,23 +68,23 @@ func New(cfg Config) *Copa {
 
 func init() {
 	cca.Register("copa", func(mss int, _ *rand.Rand) cca.Algorithm {
-		return New(Config{MSS: mss})
+		return newSender(config{mss: mss})
 	})
 }
 
 // Name implements cca.Algorithm.
-func (c *Copa) Name() string { return "copa" }
+func (c *sender) Name() string { return "copa" }
 
 // Window implements cca.Algorithm.
-func (c *Copa) Window() int { return int(c.cwnd * float64(c.cfg.MSS)) }
+func (c *sender) Window() int { return int(c.cwnd * float64(c.cfg.mss)) }
 
 // PacingRate implements cca.Algorithm. Copa paces at 2×cwnd/RTT to smooth
 // bursts; we approximate with pure window control plus the sender's ACK
 // clock, as the original user-space implementation is also window-driven.
-func (c *Copa) PacingRate() units.Rate { return 0 }
+func (c *sender) PacingRate() units.Rate { return 0 }
 
 // minRTT returns Copa's current minimum-RTT estimate.
-func (c *Copa) minRTT() time.Duration {
+func (c *sender) minRTT() time.Duration {
 	if c.cfg.minRTTWindow > 0 {
 		return time.Duration(c.minWindowed.Get(0))
 	}
@@ -92,7 +92,7 @@ func (c *Copa) minRTT() time.Duration {
 }
 
 // OnAck implements cca.Algorithm.
-func (c *Copa) OnAck(s cca.AckSignal) {
+func (c *sender) OnAck(s cca.AckSignal) {
 	if s.RTT <= 0 {
 		return
 	}
@@ -124,7 +124,7 @@ func (c *Copa) OnAck(s cca.AckSignal) {
 	if c.inSlowStart {
 		if currentRate < targetRate {
 			// Double per RTT: +1 packet per acked packet.
-			c.cwnd += float64(s.AckedBytes) / float64(c.cfg.MSS)
+			c.cwnd += float64(s.AckedBytes) / float64(c.cfg.mss)
 			return
 		}
 		c.inSlowStart = false
@@ -138,7 +138,7 @@ func (c *Copa) OnAck(s cca.AckSignal) {
 
 	// cwnd changes by v/(δ·cwnd) packets per acked packet, i.e. v/δ per RTT.
 	step := c.velocity / (DefaultDelta * c.cwnd) *
-		(float64(s.AckedBytes) / float64(c.cfg.MSS))
+		(float64(s.AckedBytes) / float64(c.cfg.mss))
 	if dir > 0 {
 		c.cwnd += step
 	} else {
@@ -152,7 +152,7 @@ func (c *Copa) OnAck(s cca.AckSignal) {
 // updateVelocity implements Copa's velocity doubling: once the direction
 // has been stable for 3 RTTs, velocity doubles each RTT; any direction
 // change resets it.
-func (c *Copa) updateVelocity(now time.Duration, dir int, srtt time.Duration) {
+func (c *sender) updateVelocity(now time.Duration, dir int, srtt time.Duration) {
 	if dir != c.direction {
 		c.direction = dir
 		c.velocity = 1
@@ -174,7 +174,7 @@ func (c *Copa) updateVelocity(now time.Duration, dir int, srtt time.Duration) {
 }
 
 // OnLoss implements cca.Algorithm.
-func (c *Copa) OnLoss(s cca.LossSignal) {
+func (c *sender) OnLoss(s cca.LossSignal) {
 	if !s.NewEvent {
 		return
 	}

@@ -7,12 +7,12 @@ import (
 	"starvation/internal/cca"
 )
 
-func feed(c *Copa, now, rtt time.Duration) {
-	c.OnAck(cca.AckSignal{Now: now, RTT: rtt, AckedBytes: c.cfg.MSS,
-		DeliveredBytes: c.cfg.MSS, Packets: 1})
+func feed(c *sender, now, rtt time.Duration) {
+	c.OnAck(cca.AckSignal{Now: now, RTT: rtt, AckedBytes: c.cfg.mss,
+		DeliveredBytes: c.cfg.mss, Packets: 1})
 }
 
-func drive(c *Copa, start, rtt time.Duration, epochs int) time.Duration {
+func drive(c *sender, start, rtt time.Duration, epochs int) time.Duration {
 	now := start
 	for e := 0; e < epochs; e++ {
 		acks := int(c.cwnd)
@@ -29,7 +29,7 @@ func drive(c *Copa, start, rtt time.Duration, epochs int) time.Duration {
 }
 
 func TestMinRTTTracking(t *testing.T) {
-	c := New(Config{MSS: 1500})
+	c := newSender(config{mss: 1500})
 	feed(c, 0, 120*time.Millisecond)
 	feed(c, time.Millisecond, 100*time.Millisecond)
 	feed(c, 2*time.Millisecond, 110*time.Millisecond)
@@ -39,7 +39,7 @@ func TestMinRTTTracking(t *testing.T) {
 }
 
 func TestWindowedMinRTTExpires(t *testing.T) {
-	c := New(Config{MSS: 1500, minRTTWindow: 10 * time.Second})
+	c := newSender(config{mss: 1500, minRTTWindow: 10 * time.Second})
 	feed(c, 0, 99*time.Millisecond)
 	feed(c, time.Second, 100*time.Millisecond)
 	if got := c.minRTT(); got != 99*time.Millisecond {
@@ -52,7 +52,7 @@ func TestWindowedMinRTTExpires(t *testing.T) {
 }
 
 func TestSlowStartExitsAtTarget(t *testing.T) {
-	c := New(Config{MSS: 1500})
+	c := newSender(config{mss: 1500})
 	if !c.inSlowStart {
 		t.Fatal("fresh Copa should be in slow start")
 	}
@@ -70,7 +70,7 @@ func TestSteadyStateOscillatesNearTarget(t *testing.T) {
 	// Self-consistent drive: the RTT presented reflects Copa's own window
 	// (single flow on a C = 12 Mbit/s path, base 100 ms), so the closed
 	// loop should settle near cwnd = BDP + 1/δ·... packets and oscillate.
-	c := New(Config{MSS: 1500})
+	c := newSender(config{mss: 1500})
 	base := 100 * time.Millisecond
 	const bdpPkts = 100.0 // 12 Mbit/s × 100ms / 1500B
 	now := time.Duration(0)
@@ -100,7 +100,7 @@ func TestSteadyStateOscillatesNearTarget(t *testing.T) {
 }
 
 func TestVelocityResetsOnDirectionChange(t *testing.T) {
-	c := New(Config{MSS: 1500})
+	c := newSender(config{mss: 1500})
 	c.cwnd, c.inSlowStart = 50, false
 	feed(c, 0, 100*time.Millisecond)
 	// Drive up for several RTTs (empty queue → below target).
@@ -114,7 +114,7 @@ func TestVelocityResetsOnDirectionChange(t *testing.T) {
 }
 
 func TestLossHalves(t *testing.T) {
-	c := New(Config{MSS: 1500})
+	c := newSender(config{mss: 1500})
 	c.cwnd, c.inSlowStart = 40, false
 	c.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
 	if got := c.cwnd; got != 20 {
@@ -126,7 +126,7 @@ func TestPoisonedMinRTTThrottles(t *testing.T) {
 	// §5.1: a single 99ms sample against a true 100ms floor leaves Copa
 	// perceiving ≥1ms of queueing forever, capping its rate at
 	// 1/(δ·1ms) = 2000 pkt/s regardless of capacity.
-	c := New(Config{MSS: 1500})
+	c := newSender(config{mss: 1500})
 	c.cwnd, c.inSlowStart = 800, false
 	feed(c, 0, 99*time.Millisecond) // poison
 	drive(c, time.Millisecond, 100*time.Millisecond, 40)

@@ -23,19 +23,20 @@ const (
 	beta = 0.7
 )
 
-// Config parameterizes Cubic. Fast convergence (the wMax reduction
+// config parameterizes Cubic. Fast convergence (the wMax reduction
 // heuristic) and the TCP-friendly Reno-tracking floor are always on.
-type Config struct {
-	MSS int
+type config struct {
+	mss int
 	// noRenoFloor turns the TCP-friendly floor off, for tests of plain
 	// cubic growth.
 	noRenoFloor bool
 }
 
-// Cubic is a Cubic sender. Window arithmetic is done in packets, as in the
-// RFC, and converted to bytes at the interface boundary.
-type Cubic struct {
-	cfg      Config
+// sender is a Cubic sender; the registry is its only constructor. Window
+// arithmetic is done in packets, as in the RFC, and converted to bytes at
+// the interface boundary.
+type sender struct {
+	cfg      config
 	cwnd     float64 // packets
 	ssthresh float64 // packets
 
@@ -47,38 +48,38 @@ type Cubic struct {
 	lastRTT    time.Duration
 }
 
-// New returns a Cubic instance.
-func New(cfg Config) *Cubic {
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1500
+// newSender returns a Cubic instance.
+func newSender(cfg config) *sender {
+	if cfg.mss <= 0 {
+		cfg.mss = 1500
 	}
-	return &Cubic{cfg: cfg, cwnd: initialCwndPkts, ssthresh: math.Inf(1)}
+	return &sender{cfg: cfg, cwnd: initialCwndPkts, ssthresh: math.Inf(1)}
 }
 
 func init() {
 	cca.Register("cubic", func(mss int, _ *rand.Rand) cca.Algorithm {
-		return New(Config{MSS: mss})
+		return newSender(config{mss: mss})
 	})
 }
 
 // Name implements cca.Algorithm.
-func (c *Cubic) Name() string { return "cubic" }
+func (c *sender) Name() string { return "cubic" }
 
 // Window implements cca.Algorithm.
-func (c *Cubic) Window() int { return int(c.cwnd * float64(c.cfg.MSS)) }
+func (c *sender) Window() int { return int(c.cwnd * float64(c.cfg.mss)) }
 
 // PacingRate implements cca.Algorithm.
-func (c *Cubic) PacingRate() units.Rate { return 0 }
+func (c *sender) PacingRate() units.Rate { return 0 }
 
 // OnAck implements cca.Algorithm.
-func (c *Cubic) OnAck(s cca.AckSignal) {
+func (c *sender) OnAck(s cca.AckSignal) {
 	if s.RTT > 0 {
 		c.lastRTT = s.RTT
 	}
 	if s.AckedBytes <= 0 {
 		return
 	}
-	ackedPkts := float64(s.AckedBytes) / float64(c.cfg.MSS)
+	ackedPkts := float64(s.AckedBytes) / float64(c.cfg.mss)
 	if c.cwnd < c.ssthresh {
 		c.cwnd += ackedPkts
 		return
@@ -117,7 +118,7 @@ func (c *Cubic) OnAck(s cca.AckSignal) {
 }
 
 // OnLoss implements cca.Algorithm.
-func (c *Cubic) OnLoss(s cca.LossSignal) {
+func (c *sender) OnLoss(s cca.LossSignal) {
 	if !s.NewEvent {
 		return
 	}

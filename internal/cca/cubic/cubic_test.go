@@ -12,7 +12,7 @@ func ack(now time.Duration, bytes int) cca.AckSignal {
 }
 
 func TestSlowStartGrowth(t *testing.T) {
-	c := New(Config{MSS: 1500})
+	c := newSender(config{mss: 1500})
 	w0 := c.cwnd
 	for i := 0; i < 10; i++ {
 		c.OnAck(ack(time.Duration(i)*10*time.Millisecond, 1500))
@@ -23,7 +23,7 @@ func TestSlowStartGrowth(t *testing.T) {
 }
 
 func TestLossDecreaseByBeta(t *testing.T) {
-	c := New(Config{MSS: 1500})
+	c := newSender(config{mss: 1500})
 	c.cwnd = 100
 	c.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
 	if got := c.cwnd; got != 70 {
@@ -34,7 +34,7 @@ func TestLossDecreaseByBeta(t *testing.T) {
 func TestCubicConcaveRecovery(t *testing.T) {
 	// After a decrease, growth follows the cubic: fast at first, slowing
 	// toward wMax, then accelerating past it.
-	c := New(Config{MSS: 1500, noRenoFloor: true})
+	c := newSender(config{mss: 1500, noRenoFloor: true})
 	c.cwnd = 100
 	c.OnAck(ack(0, 1500))
 	c.OnLoss(cca.LossSignal{Now: time.Millisecond, Bytes: 1500, NewEvent: true})
@@ -62,7 +62,7 @@ func TestCubicConcaveRecovery(t *testing.T) {
 }
 
 func TestFastConvergence(t *testing.T) {
-	c := New(Config{MSS: 1500})
+	c := newSender(config{mss: 1500})
 	c.cwnd = 100
 	c.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true}) // wMax=100, cwnd=70
 	// Second loss below the previous wMax triggers the reduced wMax.
@@ -74,7 +74,7 @@ func TestFastConvergence(t *testing.T) {
 }
 
 func TestTimeoutReset(t *testing.T) {
-	c := New(Config{MSS: 1500})
+	c := newSender(config{mss: 1500})
 	c.cwnd = 100
 	c.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true, Timeout: true})
 	if got := c.cwnd; got != 1 {
@@ -83,7 +83,7 @@ func TestTimeoutReset(t *testing.T) {
 }
 
 func TestSameEpochLossIgnored(t *testing.T) {
-	c := New(Config{MSS: 1500})
+	c := newSender(config{mss: 1500})
 	c.cwnd = 100
 	c.OnLoss(cca.LossSignal{Now: time.Second, Bytes: 1500, NewEvent: true})
 	w := c.cwnd
@@ -96,7 +96,7 @@ func TestSameEpochLossIgnored(t *testing.T) {
 func TestTCPFriendlyFloor(t *testing.T) {
 	// At small windows and large time scales the Reno-tracking floor
 	// dominates the cubic term.
-	c := New(Config{MSS: 1500})
+	c := newSender(config{mss: 1500})
 	c.cwnd = 20
 	c.OnAck(ack(0, 1500))
 	c.OnLoss(cca.LossSignal{Now: time.Millisecond, Bytes: 1500, NewEvent: true})
@@ -105,7 +105,7 @@ func TestTCPFriendlyFloor(t *testing.T) {
 		now += 10 * time.Millisecond
 		c.OnAck(ack(now, 1500))
 	}
-	noFloor := New(Config{MSS: 1500, noRenoFloor: true})
+	noFloor := newSender(config{mss: 1500, noRenoFloor: true})
 	noFloor.cwnd = 20
 	noFloor.OnAck(ack(0, 1500))
 	noFloor.OnLoss(cca.LossSignal{Now: time.Millisecond, Bytes: 1500, NewEvent: true})
@@ -120,7 +120,7 @@ func TestTCPFriendlyFloor(t *testing.T) {
 }
 
 func TestWindowBytes(t *testing.T) {
-	c := New(Config{MSS: 1500})
+	c := newSender(config{mss: 1500})
 	if got := c.Window(); got != 15000 {
 		t.Errorf("Window = %d bytes, want 15000", got)
 	}

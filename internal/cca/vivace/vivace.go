@@ -37,10 +37,10 @@ const (
 // Mbit/s.
 const initialRate, minRate = 1, 0.05
 
-// Config parameterizes Vivace.
-type Config struct {
-	// Rng randomizes MI durations and probe order; required.
-	Rng *rand.Rand
+// config parameterizes Vivace.
+type config struct {
+	// rng randomizes MI durations and probe order; required.
+	rng *rand.Rand
 }
 
 type phase int
@@ -63,9 +63,9 @@ type miStats struct {
 	completed bool
 }
 
-// Vivace is a PCC Vivace sender.
-type Vivace struct {
-	cfg  Config
+// sender is a PCC Vivace sender; the registry is its only constructor.
+type sender struct {
+	cfg  config
 	rate float64 // Mbit/s
 	srtt cca.EWMA
 
@@ -84,12 +84,12 @@ type Vivace struct {
 	havePrev bool
 }
 
-// New returns a Vivace instance.
-func New(cfg Config) *Vivace {
-	if cfg.Rng == nil {
-		panic("vivace: Config.Rng is nil")
+// newSender returns a Vivace instance.
+func newSender(cfg config) *sender {
+	if cfg.rng == nil {
+		panic("vivace: config.rng is nil")
 	}
-	v := &Vivace{cfg: cfg, rate: initialRate, ph: phSlowStart,
+	v := &sender{cfg: cfg, rate: initialRate, ph: phSlowStart,
 		// The first interval only fills the pipeline; never score it.
 		warmup: true}
 	v.srtt.Alpha = 0.125
@@ -100,20 +100,20 @@ func New(cfg Config) *Vivace {
 
 func init() {
 	cca.Register("vivace", func(_ int, rng *rand.Rand) cca.Algorithm {
-		return New(Config{Rng: rng})
+		return newSender(config{rng: rng})
 	})
 }
 
 // Name implements cca.Algorithm.
-func (v *Vivace) Name() string { return "vivace" }
+func (v *sender) Name() string { return "vivace" }
 
 // Window implements cca.Algorithm: Vivace is purely rate-based.
-func (v *Vivace) Window() int { return 0 }
+func (v *sender) Window() int { return 0 }
 
 // PacingRate implements cca.Algorithm.
-func (v *Vivace) PacingRate() units.Rate { return units.Mbps(v.currentMIRate()) }
+func (v *sender) PacingRate() units.Rate { return units.Mbps(v.currentMIRate()) }
 
-func (v *Vivace) currentMIRate() float64 {
+func (v *sender) currentMIRate() float64 {
 	r := v.mi.rate
 	if r < minRate {
 		r = minRate
@@ -122,10 +122,10 @@ func (v *Vivace) currentMIRate() float64 {
 }
 
 // TickInterval implements cca.Ticker.
-func (v *Vivace) TickInterval() time.Duration { return v.miLen }
+func (v *sender) TickInterval() time.Duration { return v.miLen }
 
 // OnTick implements cca.Ticker: an MI has ended.
-func (v *Vivace) OnTick(now time.Duration) {
+func (v *sender) OnTick(now time.Duration) {
 	if v.warmup {
 		v.warmup = false
 		rate := v.mi.rate
@@ -136,14 +136,14 @@ func (v *Vivace) OnTick(now time.Duration) {
 	// Randomized MI length in [1.7, 2.2]·srtt avoids probe synchronization
 	// between competing flows (the randomness PCC relies on).
 	srtt := time.Duration(v.srtt.Get(float64(50 * time.Millisecond)))
-	f := 1.7 + 0.5*v.cfg.Rng.Float64()
+	f := 1.7 + 0.5*v.cfg.rng.Float64()
 	v.miLen = time.Duration(f * float64(srtt))
 	if v.miLen < 10*time.Millisecond {
 		v.miLen = 10 * time.Millisecond
 	}
 }
 
-func (v *Vivace) finishMI(now time.Duration) {
+func (v *sender) finishMI(now time.Duration) {
 	mi := v.mi
 	mi.completed = true
 	mi.gradient = regressionSlope(mi.rttT, mi.rttV)
@@ -183,8 +183,8 @@ func (v *Vivace) finishMI(now time.Duration) {
 	}
 }
 
-func (v *Vivace) beginProbePair(now time.Duration) {
-	v.upFirst = v.cfg.Rng.Intn(2) == 0
+func (v *sender) beginProbePair(now time.Duration) {
+	v.upFirst = v.cfg.rng.Intn(2) == 0
 	dir := 1.0
 	if !v.upFirst {
 		dir = -1.0
@@ -194,7 +194,7 @@ func (v *Vivace) beginProbePair(now time.Duration) {
 
 // step performs the gradient-ascent update with confidence amplification
 // and the dynamic change boundary of the Vivace paper.
-func (v *Vivace) step(uUp, uDown float64) {
+func (v *sender) step(uUp, uDown float64) {
 	grad := (uUp - uDown) / (2 * DefaultEpsilon * v.rate)
 	dir := 1
 	if grad < 0 {
@@ -222,7 +222,7 @@ func (v *Vivace) step(uUp, uDown float64) {
 	}
 }
 
-func (v *Vivace) startMI(now time.Duration, rate float64) {
+func (v *sender) startMI(now time.Duration, rate float64) {
 	if rate < minRate {
 		rate = minRate
 	}
@@ -231,7 +231,7 @@ func (v *Vivace) startMI(now time.Duration, rate float64) {
 }
 
 // utility scores one MI with the Vivace latency utility.
-func (v *Vivace) utility(mi miStats) float64 {
+func (v *sender) utility(mi miStats) float64 {
 	dur := v.miLen.Seconds()
 	if dur <= 0 {
 		dur = 0.05
@@ -253,7 +253,7 @@ func (v *Vivace) utility(mi miStats) float64 {
 }
 
 // OnAck implements cca.Algorithm.
-func (v *Vivace) OnAck(s cca.AckSignal) {
+func (v *sender) OnAck(s cca.AckSignal) {
 	if s.RTT > 0 {
 		v.srtt.Update(float64(s.RTT))
 		// The latency gradient regresses RTT against packet *send* time
@@ -271,10 +271,10 @@ func (v *Vivace) OnAck(s cca.AckSignal) {
 
 // OnLoss implements cca.Algorithm: loss is already accounted for by the
 // per-MI send/deliver difference.
-func (v *Vivace) OnLoss(cca.LossSignal) {}
+func (v *sender) OnLoss(cca.LossSignal) {}
 
 // OnSend implements cca.SendObserver.
-func (v *Vivace) OnSend(s cca.SendSignal) {
+func (v *sender) OnSend(s cca.SendSignal) {
 	v.mi.sentB += int64(s.Bytes)
 }
 

@@ -9,8 +9,8 @@ import (
 	"starvation/internal/units"
 )
 
-func newTest() *Vivace {
-	return New(Config{Rng: rand.New(rand.NewSource(1))})
+func newTest() *sender {
+	return newSender(config{rng: rand.New(rand.NewSource(1))})
 }
 
 func TestRegressionSlope(t *testing.T) {
@@ -158,13 +158,13 @@ func TestRateBasedInterface(t *testing.T) {
 	}
 }
 
-// TestNewWithoutRngPanics checks New refuses a missing generator instead
+// TestNewWithoutRngPanics checks newSender refuses a missing generator instead
 // of drawing from a stream outside the run's seed tree.
 func TestNewWithoutRngPanics(t *testing.T) {
 	defer func() {
-		if r := recover(); r != "vivace: Config.Rng is nil" {
-			t.Errorf("New(Config{}) recovered %v, want a panic naming Config.Rng", r)
+		if r := recover(); r != "vivace: config.rng is nil" {
+			t.Errorf("newSender(config{}) recovered %v, want a panic naming config.rng", r)
 		}
 	}()
-	New(Config{})
+	newSender(config{})
 }

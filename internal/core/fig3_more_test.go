@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"starvation/internal/cca/bbr"
+	"starvation/internal/cca"
 	"starvation/internal/endpoint"
 	"starvation/internal/netem/jitter"
 	"starvation/internal/network"
@@ -45,7 +45,7 @@ func TestBBRCwndLimitedEquilibrium(t *testing.T) {
 	c := units.Mbps(24)
 	mk := func(seed int64) network.FlowSpec {
 		return network.FlowSpec{
-			Alg: bbr.New(bbr.Config{Rng: rand.New(rand.NewSource(seed))}),
+			Alg: cca.Lookup("bbr")(endpoint.DefaultMSS, rand.New(rand.NewSource(seed))),
 			Rm:  rm,
 			FwdJitter: &jitter.Uniform{Max: 2 * time.Millisecond,
 				Rng: rand.New(rand.NewSource(seed + 100))},

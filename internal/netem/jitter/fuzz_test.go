@@ -28,7 +28,8 @@ func FuzzPolicyBound(f *testing.F) {
 			PeriodicSpike{Period: 4 * maxD, SpikeLen: maxD},
 			&GilbertElliott{PGoodToBad: 0.1, PBadToGood: 0.3, BadDelay: maxD,
 				Rng: rand.New(rand.NewSource(seed))},
-			&OneShotDip{Base: maxD, At: 20 * time.Millisecond},
+			&oneShotDip{Base: maxD, At: 20 * time.Millisecond},
+			step{D: maxD, At: 20 * time.Millisecond},
 			&Scripted{Max: maxD, Fn: func(now time.Duration) time.Duration {
 				return now/7 - 3*time.Millisecond // wanders outside [0, Max]; must clamp
 			}},

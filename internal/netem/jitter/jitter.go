@@ -98,7 +98,7 @@ func (p PeriodicAggregation) Delay(now time.Duration, _ int64) time.Duration {
 // Bound implements Policy.
 func (p PeriodicAggregation) Bound() time.Duration { return p.Period }
 
-// OneShotDip is the Copa min-RTT poisoning element of §5.1: every packet is
+// oneShotDip is the Copa min-RTT poisoning element of §5.1: every packet is
 // held for Base, except packets passing during one brief window starting at
 // At, which are released immediately. With the path's configured
 // propagation set to Rm−Base, all packets see an RTT floor of Rm except the
@@ -109,7 +109,7 @@ func (p PeriodicAggregation) Bound() time.Duration { return p.Period }
 // single released packet would still be pinned behind its predecessor's
 // release time. A window wider than Base guarantees at least one packet
 // experiences the full dip, which is all the min-RTT filter needs.
-type OneShotDip struct {
+type oneShotDip struct {
 	Base time.Duration
 	At   time.Duration
 	// Width of the dip window; defaults to Base + 2 ms when zero.
@@ -117,7 +117,7 @@ type OneShotDip struct {
 }
 
 // Delay implements Policy.
-func (o *OneShotDip) Delay(now time.Duration, _ int64) time.Duration {
+func (o *oneShotDip) Delay(now time.Duration, _ int64) time.Duration {
 	w := o.Width
 	if w <= 0 {
 		w = o.Base + 2*time.Millisecond
@@ -129,7 +129,24 @@ func (o *OneShotDip) Delay(now time.Duration, _ int64) time.Duration {
 }
 
 // Bound implements Policy.
-func (o *OneShotDip) Bound() time.Duration { return o.Base }
+func (o *oneShotDip) Bound() time.Duration { return o.Base }
+
+// step adds nothing before At and D from At on. It is the adversary of
+// the X-A1 Vegas contrast: switched on after the sender has learned its
+// true minimum RTT, a persistent hold is indistinguishable from queueing
+// (present from the start, it would be folded into the baseline).
+type step struct{ D, At time.Duration }
+
+// Delay implements Policy.
+func (s step) Delay(now time.Duration, _ int64) time.Duration {
+	if now < s.At {
+		return 0
+	}
+	return s.D
+}
+
+// Bound implements Policy.
+func (s step) Bound() time.Duration { return s.D }
 
 // TokenBucket shapes packets through a token bucket filter: packets wait
 // until the bucket holds enough tokens. When the long-run input rate stays

@@ -2,6 +2,7 @@ package jitter
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -73,7 +74,7 @@ func TestPeriodicAggregationZero(t *testing.T) {
 }
 
 func TestOneShotDip(t *testing.T) {
-	p := &OneShotDip{Base: time.Millisecond, At: 10 * time.Second, Width: 3 * time.Millisecond}
+	p := &oneShotDip{Base: time.Millisecond, At: 10 * time.Second, Width: 3 * time.Millisecond}
 	if got := p.Delay(5*time.Second, 0); got != time.Millisecond {
 		t.Errorf("before window: %v, want 1ms", got)
 	}
@@ -89,13 +90,61 @@ func TestOneShotDip(t *testing.T) {
 }
 
 func TestOneShotDipDefaultWidth(t *testing.T) {
-	p := &OneShotDip{Base: time.Millisecond, At: 0}
+	p := &oneShotDip{Base: time.Millisecond, At: 0}
 	// Default width is Base + 2ms = 3ms.
 	if got := p.Delay(2*time.Millisecond, 0); got != 0 {
 		t.Errorf("inside default window: %v, want 0", got)
 	}
 	if got := p.Delay(3*time.Millisecond, 0); got != time.Millisecond {
 		t.Errorf("past default window: %v, want 1ms", got)
+	}
+}
+
+func TestStep(t *testing.T) {
+	p := step{D: 10 * time.Millisecond, At: 10 * time.Second}
+	for _, c := range []struct{ now, want time.Duration }{
+		{0, 0},
+		{10*time.Second - 1, 0},
+		{10 * time.Second, 10 * time.Millisecond},
+		{time.Hour, 10 * time.Millisecond},
+	} {
+		if got := p.Delay(c.now, 0); got != c.want {
+			t.Errorf("Delay(%v) = %v, want %v", c.now, got, c.want)
+		}
+	}
+}
+
+// TestParseTimedKinds checks that Parse builds the dip and step kinds
+// with their fields in order and their bound equal to the declared delay,
+// and refuses a value with the wrong field count or a negative field.
+func TestParseTimedKinds(t *testing.T) {
+	for _, c := range []struct {
+		spec  string
+		want  Policy
+		bound time.Duration
+	}{
+		{"dip:1ms/10s/500ms", &oneShotDip{Base: time.Millisecond, At: 10 * time.Second, Width: 500 * time.Millisecond}, time.Millisecond},
+		{"dip:2ms/0s/0s", &oneShotDip{Base: 2 * time.Millisecond}, 2 * time.Millisecond},
+		{"step:10ms/10s", step{D: 10 * time.Millisecond, At: 10 * time.Second}, 10 * time.Millisecond},
+	} {
+		p, err := Parse(c.spec, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec, err)
+		}
+		if !reflect.DeepEqual(p, c.want) {
+			t.Errorf("%s: got %#v, want %#v", c.spec, p, c.want)
+		}
+		if p.Bound() != c.bound {
+			t.Errorf("%s: Bound() = %v, want %v", c.spec, p.Bound(), c.bound)
+		}
+	}
+	for _, spec := range []string{
+		"dip:1ms/10s", "dip:1ms/10s/1ms/1ms", "dip:-1ms/10s/1ms", "dip:1ms/x/1ms",
+		"step:10ms", "step:10ms/10s/1s", "step:10ms/-1s", "step:/10s",
+	} {
+		if _, err := Parse(spec, nil); err == nil {
+			t.Errorf("%s: parsed, want an error", spec)
+		}
 	}
 }
 
@@ -155,7 +204,8 @@ func TestQuickPoliciesRespectBound(t *testing.T) {
 			Constant{D: 7 * time.Millisecond},
 			&Uniform{Max: 9 * time.Millisecond, Rng: rng},
 			PeriodicAggregation{Period: 60 * time.Millisecond},
-			&OneShotDip{Base: 2 * time.Millisecond, At: 50 * time.Millisecond},
+			&oneShotDip{Base: 2 * time.Millisecond, At: 50 * time.Millisecond},
+			step{D: 3 * time.Millisecond, At: 40 * time.Millisecond},
 			&Scripted{Max: 5 * time.Millisecond, Fn: func(t time.Duration) time.Duration {
 				return time.Duration(rng.Int63n(int64(20 * time.Millisecond)))
 			}},

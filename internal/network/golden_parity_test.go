@@ -13,7 +13,8 @@ import (
 	"testing"
 	"time"
 
-	"starvation/internal/cca/bbr"
+	"starvation/internal/cca"
+	_ "starvation/internal/cca/bbr"
 	"starvation/internal/cca/vegas"
 	"starvation/internal/endpoint"
 	"starvation/internal/netem/faults"
@@ -56,7 +57,7 @@ func goldenConfigs(tc *TelemetryConfig) map[string]func() goldenConfig {
 						Ack:       endpoint.AckConfig{DelayCount: 2},
 					},
 					{
-						Alg:       bbr.New(bbr.Config{Rng: rand.New(rand.NewSource(1))}),
+						Alg:       cca.Lookup("bbr")(endpoint.DefaultMSS, rand.New(rand.NewSource(1))),
 						Rm:        80 * time.Millisecond,
 						AckJitter: &jitter.Uniform{Max: 2 * time.Millisecond, Rng: rand.New(rand.NewSource(9))},
 						StartAt:   500 * time.Millisecond,
@@ -112,12 +113,12 @@ func goldenConfigs(tc *TelemetryConfig) map[string]func() goldenConfig {
 				},
 				specs: []FlowSpec{
 					{
-						Alg:       bbr.New(bbr.Config{Rng: rand.New(rand.NewSource(1))}),
+						Alg:       cca.Lookup("bbr")(endpoint.DefaultMSS, rand.New(rand.NewSource(1))),
 						Rm:        40 * time.Millisecond,
 						AckJitter: &jitter.Uniform{Max: 2 * time.Millisecond, Rng: rand.New(rand.NewSource(3))},
 					},
 					{
-						Alg:       bbr.New(bbr.Config{Rng: rand.New(rand.NewSource(1))}),
+						Alg:       cca.Lookup("bbr")(endpoint.DefaultMSS, rand.New(rand.NewSource(1))),
 						Rm:        20 * time.Millisecond,
 						FwdJitter: &jitter.Uniform{Max: 3 * time.Millisecond, Rng: rand.New(rand.NewSource(4))},
 						StartAt:   300 * time.Millisecond,
@@ -138,12 +139,12 @@ func goldenConfigs(tc *TelemetryConfig) map[string]func() goldenConfig {
 				cfg: Config{Rate: units.Mbps(24), Seed: 17, Telemetry: tc},
 				specs: []FlowSpec{
 					{
-						Alg:       bbr.New(bbr.Config{Rng: rand.New(rand.NewSource(21))}),
+						Alg:       cca.Lookup("bbr")(endpoint.DefaultMSS, rand.New(rand.NewSource(21))),
 						Rm:        40 * time.Millisecond,
 						FwdJitter: &jitter.Uniform{Max: 2 * time.Millisecond, Rng: rand.New(rand.NewSource(22))},
 					},
 					{
-						Alg:       bbr.New(bbr.Config{Rng: rand.New(rand.NewSource(23))}),
+						Alg:       cca.Lookup("bbr")(endpoint.DefaultMSS, rand.New(rand.NewSource(23))),
 						Rm:        80 * time.Millisecond,
 						FwdJitter: &jitter.Uniform{Max: 2 * time.Millisecond, Rng: rand.New(rand.NewSource(24))},
 						StartAt:   4 * time.Second,

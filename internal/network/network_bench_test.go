@@ -5,11 +5,13 @@ import (
 	"testing"
 	"time"
 
-	"starvation/internal/cca/bbr"
-	"starvation/internal/cca/copa"
-	"starvation/internal/cca/cubic"
+	"starvation/internal/cca"
+	_ "starvation/internal/cca/bbr"
+	_ "starvation/internal/cca/copa"
+	_ "starvation/internal/cca/cubic"
 	"starvation/internal/cca/reno"
 	"starvation/internal/cca/vegas"
+	"starvation/internal/endpoint"
 	"starvation/internal/obs"
 	"starvation/internal/units"
 )
@@ -81,11 +83,11 @@ func lossyPopulation(tb testing.TB) func() *Result {
 			case 0:
 				fs.Alg = reno.New(reno.Config{})
 			case 1:
-				fs.Alg = cubic.New(cubic.Config{})
+				fs.Alg = cca.Lookup("cubic")(endpoint.DefaultMSS, nil)
 			case 2:
-				fs.Alg = bbr.New(bbr.Config{Rng: rand.New(rand.NewSource(1))})
+				fs.Alg = cca.Lookup("bbr")(endpoint.DefaultMSS, rand.New(rand.NewSource(1)))
 			case 3:
-				fs.Alg = copa.New(copa.Config{})
+				fs.Alg = cca.Lookup("copa")(endpoint.DefaultMSS, nil)
 			}
 			specs[i] = fs
 		}

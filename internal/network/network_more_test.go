@@ -5,9 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"starvation/internal/cca"
 	"starvation/internal/cca/reno"
 	"starvation/internal/cca/vegas"
-	"starvation/internal/cca/vivace"
+	_ "starvation/internal/cca/vivace"
 	"starvation/internal/endpoint"
 	"starvation/internal/netem/jitter"
 	"starvation/internal/rng"
@@ -151,7 +152,7 @@ func TestRateBasedFlowNeedsNoWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := New(
 		Config{Rate: units.Mbps(24), Seed: 1},
-		FlowSpec{Name: "pcc", Alg: vivace.New(vivace.Config{Rng: rng}),
+		FlowSpec{Name: "pcc", Alg: cca.Lookup("vivace")(endpoint.DefaultMSS, rng),
 			Rm: 40 * time.Millisecond},
 	)
 	res := n.Run(20 * time.Second)

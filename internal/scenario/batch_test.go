@@ -90,8 +90,8 @@ func TestPopulationSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Seed != DefaultPopulationSeed {
-		t.Fatalf("default seed %d, want %d", cfg.Seed, DefaultPopulationSeed)
+	if cfg.Seed != ReferenceSeed {
+		t.Fatalf("default seed %d, want %d", cfg.Seed, ReferenceSeed)
 	}
 	if cfg.Duration != defaultPopulationDuration {
 		t.Fatalf("default duration %v, want %v", cfg.Duration, defaultPopulationDuration)
@@ -117,7 +117,7 @@ func TestPopulationSpecKey(t *testing.T) {
 		Flows: "vegas*2;reno*2", Topology: "single",
 		RateMbps: defaultPopulationRateMbps,
 		Duration: defaultPopulationDuration,
-		Seed:     DefaultPopulationSeed,
+		Seed:     ReferenceSeed,
 	}
 	if base.Key().String() != explicit.Key().String() {
 		t.Fatalf("defaulted key %v != explicit-default key %v", base.Key(), explicit.Key())

@@ -31,22 +31,25 @@ const defaultFlowRm = 40 * time.Millisecond
 //
 // Keys:
 //
-//	rm=<dur>      propagation RTT (default 40ms)
-//	start=<dur>   start time of the group's first flow
-//	stagger=<dur> extra start delay per flow inside the group
-//	jitter=<spec> forward-path jitter, jitter.Parse grammar (kind:value)
-//	loss=<p>      independent random loss probability in [0, 1)
-//	ackagg=<dur>  receiver ACK aggregation period
-//	path=<i/j/..> link indices the group traverses (topology-dependent)
-//	cohort=<name> cohort label (default: the CCA name)
+//	rm=<dur>          propagation RTT (default 40ms)
+//	start=<dur>       start time of the group's first flow
+//	stagger=<dur>     extra start delay per flow inside the group
+//	jitter=<spec>     forward-path jitter, jitter.Parse grammar (kind:value)
+//	loss=<p>          independent random loss probability in [0, 1)
+//	ackagg=<dur>      receiver ACK aggregation period
+//	delack=<n>/<dur>  receiver delayed ACKs: one per n packets (n >= 1),
+//	                  none held longer than dur (> 0)
+//	path=<i/j/..>     link indices the group traverses (topology-dependent)
+//	cohort=<name>     cohort label (default: the CCA name)
 //
 // Example: "vegas*8;copa*8:rm=80ms,cohort=copa-long;reno*2:loss=0.01".
 //
-// Each flow gets its own CCA instance and rng derived from seed and the
-// flow's global index, so group order — not group internals — determines
-// the realization. topo, when non-nil, supplies default per-flow paths
-// (fan-in assignment); explicit path= wins.
-func parseFlows(spec string, seed int64, topo *parsedTopology) ([]network.FlowSpec, error) {
+// Each flow gets its own CCA instance and rng seeded from seed and the
+// flow's global index (flowSeeds; stride selects the formula), so group
+// order — not group internals — determines the realization. topo, when
+// non-nil, supplies default per-flow paths (fan-in assignment); explicit
+// path= wins.
+func parseFlows(spec string, seed, stride int64, topo *parsedTopology) ([]network.FlowSpec, error) {
 	groups := strings.Split(spec, ";")
 	var specs []network.FlowSpec
 	for gi, g := range groups {
@@ -77,7 +80,7 @@ func parseFlows(spec string, seed int64, topo *parsedTopology) ([]network.FlowSp
 		}
 
 		base := network.FlowSpec{Rm: defaultFlowRm, Cohort: name}
-		var start, stagger, ackAgg time.Duration
+		var start, stagger time.Duration
 		var jitterSpec string
 		if opts != "" {
 			for _, kv := range strings.Split(opts, ",") {
@@ -105,7 +108,9 @@ func parseFlows(spec string, seed int64, topo *parsedTopology) ([]network.FlowSp
 						err = fmt.Errorf("loss %v outside [0, 1)", base.LossProb)
 					}
 				case "ackagg":
-					ackAgg, err = parseNonNegativeDuration(val)
+					base.Ack.AggregatePeriod, err = parseNonNegativeDuration(val)
+				case "delack":
+					base.Ack.DelayCount, base.Ack.DelayTimeout, err = parseDelack(val)
 				case "path":
 					base.Path, err = parsePath(val)
 				case "cohort":
@@ -114,17 +119,13 @@ func parseFlows(spec string, seed int64, topo *parsedTopology) ([]network.FlowSp
 					}
 					base.Cohort = val
 				default:
-					err = fmt.Errorf("unknown key (rm, start, stagger, jitter, loss, ackagg, path, cohort)")
+					err = fmt.Errorf("unknown key (rm, start, stagger, jitter, loss, ackagg, delack, path, cohort)")
 				}
 				if err != nil {
 					return nil, fmt.Errorf("flows: group %q: %s=%s: %v", g, key, val, err)
 				}
 			}
 		}
-		if ackAgg > 0 {
-			base.Ack = endpoint.AckConfig{AggregatePeriod: ackAgg}
-		}
-
 		for k := 0; k < count; k++ {
 			i := len(specs)
 			f := base
@@ -133,12 +134,12 @@ func parseFlows(spec string, seed int64, topo *parsedTopology) ([]network.FlowSp
 			if f.Path == nil && topo != nil {
 				f.Path = topo.Path(i)
 			}
-			// Per-flow derived seeds: the CCA's rng and any jitter rng are
-			// functions of (seed, i) alone, so editing one group never
-			// perturbs flows outside it.
-			f.Alg = fac(endpoint.DefaultMSS, rng.New(rng.Derive(seed, i, rng.CCA)))
+			// The CCA's rng and any jitter rng are functions of (seed, i)
+			// alone, so editing one group never perturbs flows outside it.
+			ccaSeed, jitterSeed := flowSeeds(seed, stride, i)
+			f.Alg = fac(endpoint.DefaultMSS, rng.New(ccaSeed))
 			if jitterSpec != "" {
-				pol, err := jitter.Parse(jitterSpec, rng.New(rng.Derive(seed, i, rng.FwdJitter)))
+				pol, err := jitter.Parse(jitterSpec, rng.New(jitterSeed))
 				if err != nil {
 					return nil, fmt.Errorf("flows: group %q: jitter: %v", g, err)
 				}
@@ -148,6 +149,37 @@ func parseFlows(spec string, seed int64, topo *parsedTopology) ([]network.FlowSp
 		}
 	}
 	return specs, nil
+}
+
+// flowSeeds returns flow i's CCA and forward-jitter seeds. Stride 0
+// derives them, one stream per consumer (rng.Derive). A non-zero stride
+// keeps the formula the randomized §5 rows were published under,
+// seed·stride + i + 1 and that plus 1000, until their claims are checked
+// across seeds and they can move to derived seeds; the grammar cannot
+// select it.
+func flowSeeds(seed, stride int64, i int) (cca, fwdJitter int64) {
+	if stride == 0 {
+		return rng.Derive(seed, i, rng.CCA), rng.Derive(seed, i, rng.FwdJitter)
+	}
+	s := seed*stride + int64(i) + 1
+	return s, s + 1000
+}
+
+// parseDelack parses a delack value, "<count>/<timeout>".
+func parseDelack(val string) (int, time.Duration, error) {
+	countStr, timeoutStr, ok := strings.Cut(val, "/")
+	if !ok {
+		return 0, 0, fmt.Errorf("want <count>/<timeout>")
+	}
+	n, err := strconv.Atoi(countStr)
+	if err != nil {
+		return 0, 0, fmt.Errorf("bad count %q", countStr)
+	}
+	if n < 1 {
+		return 0, 0, fmt.Errorf("count %d below 1", n)
+	}
+	d, err := parsePositiveDuration(timeoutStr)
+	return n, d, err
 }
 
 // parsedTopology is a parsed -topology clause: the link list plus the policies

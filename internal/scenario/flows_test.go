@@ -12,7 +12,7 @@ import (
 func TestParseFlowsGroups(t *testing.T) {
 	specs, err := parseFlows(
 		"vegas*3;reno*2:rm=80ms,cohort=slow,start=1s,stagger=100ms;copa:loss=0.01,ackagg=5ms",
-		7, nil)
+		7, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +48,11 @@ func TestParseFlowsGroups(t *testing.T) {
 func TestParseFlowsDeterministic(t *testing.T) {
 	// Same spec + seed → same names, starts, paths (algorithms are fresh
 	// instances but derived from the same per-flow seeds).
-	a, err := parseFlows("vegas*4:jitter=uniform:2ms;reno*4", 3, nil)
+	a, err := parseFlows("vegas*4:jitter=uniform:2ms;reno*4", 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parseFlows("vegas*4:jitter=uniform:2ms;reno*4", 3, nil)
+	b, err := parseFlows("vegas*4:jitter=uniform:2ms;reno*4", 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,27 +68,36 @@ func TestParseFlowsDeterministic(t *testing.T) {
 
 func TestParseFlowsErrors(t *testing.T) {
 	cases := []string{
-		"",                       // empty clause
-		"vegas;;reno",            // empty group
-		"nosuchcca",              // unknown CCA
-		"vegas*0",                // count below 1
-		"vegas*x",                // malformed count
-		"vegas*5000",             // over the population cap
-		"vegas*3000;reno*3000",   // cumulative cap
-		"vegas:rm=0s",            // non-positive rm
-		"vegas:rm=nope",          // malformed duration
-		"vegas:start=-1s",        // negative start
-		"vegas:loss=1.5",         // loss outside [0,1)
-		"vegas:loss=-0.1",        // negative loss
-		"vegas:jitter=weird:1ms", // unknown jitter kind
-		"vegas:path=a",           // malformed path
-		"vegas:path=-1",          // negative link index
-		"vegas:cohort=",          // empty cohort
-		"vegas:color=red",        // unknown key
-		"vegas:rm",               // option without '='
+		"",                             // empty clause
+		"vegas;;reno",                  // empty group
+		"nosuchcca",                    // unknown CCA
+		"vegas*0",                      // count below 1
+		"vegas*x",                      // malformed count
+		"vegas*5000",                   // over the population cap
+		"vegas*3000;reno*3000",         // cumulative cap
+		"vegas:rm=0s",                  // non-positive rm
+		"vegas:rm=nope",                // malformed duration
+		"vegas:start=-1s",              // negative start
+		"vegas:loss=1.5",               // loss outside [0,1)
+		"vegas:loss=-0.1",              // negative loss
+		"vegas:jitter=weird:1ms",       // unknown jitter kind
+		"vegas:path=a",                 // malformed path
+		"vegas:path=-1",                // negative link index
+		"vegas:cohort=",                // empty cohort
+		"vegas:color=red",              // unknown key
+		"vegas:rm",                     // option without '='
+		"vegas:jitter=dip:1ms/10s",     // dip missing its width
+		"vegas:jitter=dip:-1ms/10s/0s", // negative dip
+		"vegas:jitter=step:10ms",       // step missing its start
+		"vegas:jitter=step:10ms/-1s",   // negative step start
+		"reno:delack=4",                // delack missing its timeout
+		"reno:delack=4/0s",             // zero delack timeout
+		"reno:delack=4/-200ms",         // negative delack timeout
+		"reno:delack=0/200ms",          // delack count below 1
+		"reno:delack=x/200ms",          // malformed delack count
 	}
 	for _, spec := range cases {
-		if _, err := parseFlows(spec, 1, nil); err == nil {
+		if _, err := parseFlows(spec, 1, 0, nil); err == nil {
 			t.Errorf("parseFlows(%q) accepted", spec)
 		}
 	}
@@ -143,7 +152,7 @@ func TestParseFlowsTopologyPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := parseFlows("vegas*4;reno:path=0/2", 1, topo)
+	specs, err := parseFlows("vegas*4;reno:path=0/2", 1, 0, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +169,7 @@ func TestParseFlowsTopologyPaths(t *testing.T) {
 }
 
 func TestParseFlowsUnknownCCAListsKnown(t *testing.T) {
-	_, err := parseFlows("nosuchcca*2", 1, nil)
+	_, err := parseFlows("nosuchcca*2", 1, 0, nil)
 	if err == nil || !strings.Contains(err.Error(), "vegas") {
 		t.Errorf("error should list known CCAs, got: %v", err)
 	}

@@ -24,6 +24,9 @@ func FuzzParseFlows(f *testing.F) {
 	f.Add("vegas*4096", "single")
 	f.Add("vegas:rm=-1s", "single")
 	f.Add("vegas:jitter=spike:2ms/50ms", "fanin:1")
+	f.Add("copa:rm=59ms,jitter=dip:1ms/10s/500ms;copa:rm=59ms,jitter=const:1ms", "single")
+	f.Add("reno*2:rm=120ms,delack=4/200ms;vegas:jitter=step:10ms/10s", "parkinglot:2")
+	f.Add("cubic:delack=0/1ms;vegas:jitter=dip:1ms/2s", "")
 	f.Fuzz(func(t *testing.T, flowsSpec, topoSpec string) {
 		topo, err := parseTopology(topoSpec, units.Mbps(10), 16*endpoint.DefaultMSS)
 		if err != nil {
@@ -32,7 +35,7 @@ func FuzzParseFlows(f *testing.F) {
 		if len(topo.Links) > maxTopologyLinks {
 			t.Fatalf("topology %q: %d links above cap", topoSpec, len(topo.Links))
 		}
-		specs, err := parseFlows(flowsSpec, 1, topo)
+		specs, err := parseFlows(flowsSpec, 1, 0, topo)
 		if err != nil {
 			return
 		}

@@ -15,11 +15,11 @@ import (
 func TestProbeDoesNotPerturbBBRTwo(t *testing.T) {
 	opts := Opts{Seed: 2, Duration: 20 * time.Second}
 
-	bare := bBRTwoFlowRTT(opts)
+	bare := Registry["bbr-two"](opts)
 
 	reg := obs.NewRegistry()
 	jw := obs.NewJSONLWriter(io.Discard)
-	probed := bBRTwoFlowRTT(Opts{Seed: 2, Duration: 20 * time.Second,
+	probed := Registry["bbr-two"](Opts{Seed: 2, Duration: 20 * time.Second,
 		Probe: obs.Multi(reg, jw)})
 	if err := jw.Close(); err != nil {
 		t.Fatal(err)

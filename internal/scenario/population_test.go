@@ -67,7 +67,7 @@ func TestPopulationScenariosRun(t *testing.T) {
 // TestPopulationRTTUnfairness pins the qualitative claim of pop-rtt: the
 // short-RTT cohort out-shares the long-RTT cohort.
 func TestPopulationRTTUnfairness(t *testing.T) {
-	res := populationRTT(Opts{Duration: 8 * time.Second})
+	res := Registry["pop-rtt"](Opts{Duration: 8 * time.Second})
 	st := res.Net.Population(0)
 	var short, long float64
 	for _, c := range st.Cohorts {
@@ -97,7 +97,7 @@ func TestThousandFlowSweepUnderRunnerPool(t *testing.T) {
 	const flowsSpec = "vegas*250:stagger=4ms;reno*250:stagger=4ms;" +
 		"copa*250:stagger=4ms;bbr*250:stagger=4ms"
 	rebuild := func(seed int64) (core.PopulationConfig, error) {
-		specs, err := parseFlows(flowsSpec, seed, nil)
+		specs, err := parseFlows(flowsSpec, seed, 0, nil)
 		if err != nil {
 			return core.PopulationConfig{}, err
 		}

@@ -63,7 +63,7 @@ func indent(s, pad string) string {
 
 // Opts tunes scenario runs without changing their published topology.
 type Opts struct {
-	// Seed for all randomness. The default (2) is the reference
+	// Seed for all randomness. The default (ReferenceSeed) is the
 	// realization reported in EXPERIMENTS.md; starvation dynamics are
 	// chaotic, and as in the paper's own testbed runs, individual
 	// realizations vary (a seed sweep is part of the test suite).
@@ -103,7 +103,7 @@ type Opts struct {
 
 func (o *Opts) fill(defaultDur time.Duration) {
 	if o.Seed == 0 {
-		o.Seed = 2
+		o.Seed = ReferenceSeed
 	}
 	if o.Duration <= 0 {
 		o.Duration = defaultDur
@@ -124,28 +124,24 @@ func (o Opts) emulate(cfg network.Config, specs ...network.FlowSpec) *network.Re
 	return res
 }
 
-// Registry lists all scenarios by ID for the CLI.
-var Registry = map[string]func(Opts) *Result{
-	"copa-single":      copaSingleFlowPoison,
-	"copa-two":         copaTwoFlowPoison,
-	"bbr-two":          bBRTwoFlowRTT,
-	"vivace-ackagg":    vivaceAckAggregation,
-	"allegro-loss":     allegroRandomLoss,
-	"allegro-burst":    allegroBurstLoss,
-	"allegro-both":     allegroBothLossy,
-	"allegro-single":   allegroSingleLossy,
-	"fig7-reno":        fig7Reno,
-	"fig7-cubic":       fig7Cubic,
-	"algo1-fair":       algo1Fairness,
-	"vegas-jitter":     vegasUnderJitter,
-	"quickstart-vegas": quickstartVegas,
-	"ecn-fairness":     ecnAvoidsStarvation,
-	"algo1-ablation":   algo1Ablation,
-	"pop-mixed":        populationMixed,
-	"pop-rtt":          populationRTT,
-	"pop-parkinglot":   populationParkingLot,
-	"pop-fanin":        populationFanIn,
-	"pop-mixed-500":    populationMixed500,
+// Registry lists all scenarios by ID for the CLI: the flow-set rows, and
+// the four that need a knob the grammar does not have — algo1's Rm and A
+// and the ablation's AIAD and per-ACK switches (CCA parameters), Reno's
+// ECN reaction with a RED marker on the link, and a per-flow
+// Gilbert–Elliott gate.
+var Registry = registry()
+
+func registry() map[string]func(Opts) *Result {
+	reg := map[string]func(Opts) *Result{
+		"algo1-fair":     algo1Fairness,
+		"algo1-ablation": algo1Ablation,
+		"ecn-fairness":   ecnAvoidsStarvation,
+		"allegro-burst":  allegroBurstLoss,
+	}
+	for name, r := range rows {
+		reg[name] = r.run
+	}
+	return reg
 }
 
 // Names returns the scenario IDs sorted.

@@ -52,7 +52,7 @@ func predict(r *rand.Rand, n int, p float64) []bool {
 func TestCCAStreamIsNotLossGate(t *testing.T) {
 	const seed, p = 4, 0.02
 	rngProbeGens = nil
-	specs, err := parseFlows("rngprobe*3:loss=0.02", seed, nil)
+	specs, err := parseFlows("rngprobe*3:loss=0.02", seed, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func (req BatchRequest) expand() ([]batchJob, error) {
 		}
 		base := req.Sweep.SeedFrom
 		if base == 0 {
-			base = scenario.DefaultPopulationSeed
+			base = scenario.ReferenceSeed
 		}
 		prefix := req.Sweep.Name
 		if prefix == "" {

@@ -19,7 +19,7 @@ func TestSweepValidatesOnce(t *testing.T) {
 	perSeed := func(sw SweepRequest) BatchRequest {
 		base, prefix := sw.SeedFrom, sw.Name
 		if base == 0 {
-			base = scenario.DefaultPopulationSeed
+			base = scenario.ReferenceSeed
 		}
 		if prefix == "" {
 			prefix = "seed"
