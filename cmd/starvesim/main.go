@@ -11,6 +11,7 @@
 //	starvesim -scenario bbr-two -sweep 10 [-jobs 4]
 //	starvesim -flows "vegas*8;reno*8:rm=120ms" -rate 48 -buffer 128
 //	starvesim -flows "vegas*8;reno*8" -topology fanin:4 -eps 0.1
+//	starvesim -flows "allegro:rm=50ms,ge=0.008/0.2/0.5;allegro:rm=50ms"
 //	starvesim -server localhost:8377 -flows "vegas*8;reno*8"
 //
 // Each scenario prints the paper's claimed numbers next to the measured
@@ -40,11 +41,9 @@
 // fanin:<n>), reporting population starvation statistics — starved
 // fraction under the -eps threshold, share quantiles, per-cohort Jain.
 // A pair is a two-group set, e.g. -flows "vegas:rm=50ms;reno:rm=50ms".
-// -faults injects impairments into a local -flows run: its flow clauses
-// (ge, reorder, dup) act on flow 0, its link clauses (flap, rate) on the
-// reporting bottleneck, e.g.
-//
-//	starvesim -flows "allegro:rm=50ms;allegro:rm=50ms" -faults "ge:0.008,0.2,0.5;flap:5s,200ms"
+// A group's impairments are keys of its clause, like everything else
+// about it: jitter=, loss= and ge= (Gilbert–Elliott bursty loss,
+// ge=<g2b>/<b2g>/<dropBad>[/<dropGood>]), so they reach -server runs too.
 //
 // -server <addr> runs the -flows set on a starved daemon (see
 // cmd/starved) instead of locally: the spec is submitted as a one-job
@@ -91,7 +90,6 @@ import (
 
 	"starvation/internal/core"
 	"starvation/internal/guard"
-	"starvation/internal/netem/faults"
 	"starvation/internal/network"
 	"starvation/internal/obs"
 	"starvation/internal/prof"
@@ -118,7 +116,7 @@ var modeFlags = map[string][]string{
 	modeScenario: {"scenario", "seed", "duration", "trace", "metrics", "telemetry", "watch", "guard", "deadline"},
 	modeAll:      {"scenario", "seed", "duration", "telemetry", "guard", "deadline", "jobs"},
 	modeSweep:    {"scenario", "sweep", "seed", "duration", "guard", "deadline", "jobs"},
-	modeFlows:    {"flows", "topology", "rate", "buffer", "eps", "faults", "seed", "duration", "trace", "metrics", "telemetry", "watch", "guard", "deadline"},
+	modeFlows:    {"flows", "topology", "rate", "buffer", "eps", "seed", "duration", "trace", "metrics", "telemetry", "watch", "guard", "deadline"},
 	// The daemon runs the spec alone: observers, the guard and the
 	// deadline attach to local runs.
 	modeServer: {"server", "flows", "topology", "rate", "buffer", "eps", "seed", "duration"},
@@ -174,12 +172,11 @@ func execute() error {
 		jobsN  = flag.Int("jobs", 0, "parallel workers for -scenario all and -sweep (0 = GOMAXPROCS)")
 		sweepN = flag.Int("sweep", 0, "run the scenario across this many consecutive seeds, one observables line per seed")
 
-		flows    = flag.String("flows", "", "flow set: semicolon-separated flow groups, cca[*count][:key=val,...] (keys: rm, start, stagger, jitter, loss, ackagg, delack, path, cohort)")
+		flows    = flag.String("flows", "", "flow set: semicolon-separated flow groups, cca[*count][:key=val,...] (keys: rm, start, stagger, jitter, loss, ge=g2b/b2g/dropBad[/dropGood], ackagg, delack, path, cohort)")
 		topology = flag.String("topology", "single", "-flows: single | parkinglot:<hops> | fanin:<access-links>")
 		rate     = flag.Float64("rate", 48, "-flows: bottleneck Mbit/s")
 		buffer   = flag.Int("buffer", 0, "-flows: bottleneck buffer in packets (0 = infinite)")
 		epsilon  = flag.Float64("eps", 0, "-flows: starvation threshold as a fraction of fair share (0 = default 0.1)")
-		fspec    = flag.String("faults", "", "local -flows: flow 0 impairments and bottleneck schedule, semicolon-separated clauses (ge:pG2B,pB2G,pDropBad | reorder:p,delay | dup:p | flap:period,down | rate:at=mbps,...)")
 		server   = flag.String("server", "", "run the -flows set on a starved daemon at this address (host:port or URL) instead of locally; output is byte-identical")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -250,7 +247,7 @@ func execute() error {
 	if mode == modeFlows {
 		// Checked as deeply as the run will, before any output file opens.
 		var err error
-		if pop, err = flowSet(spec, *fspec); err == nil {
+		if pop, err = spec.Config(); err == nil {
 			err = pop.Validate()
 		}
 		if err != nil {
@@ -325,33 +322,6 @@ func execute() error {
 	}
 	res := runScenario(*name, opts)
 	return finishRun(ctx, sink, watch, res, *name, *seed)
-}
-
-// flowSet assembles a local -flows run: the spec's configuration with
-// the -faults profile attached — its flow clauses to flow 0, its link
-// schedule to the reporting bottleneck. A single bottleneck becomes the
-// one-entry link list network.Config synthesizes from the same fields,
-// so the realization does not move.
-func flowSet(spec scenario.PopulationSpec, faultSpec string) (core.PopulationConfig, error) {
-	cfg, err := spec.Config()
-	if err != nil || faultSpec == "" {
-		return cfg, err
-	}
-	prof, err := faults.ParseProfile(faultSpec)
-	if err != nil {
-		return cfg, err
-	}
-	if !prof.Flow.Empty() {
-		cfg.Flows[0].Faults = &prof.Flow
-	}
-	if prof.Link != nil {
-		if cfg.Links == nil {
-			cfg.Links = []network.LinkSpec{{Name: "bottleneck", Rate: cfg.Rate, BufferBytes: cfg.BufferBytes}}
-			cfg.Rate, cfg.BufferBytes = 0, 0
-		}
-		cfg.Links[cfg.Bottleneck].RateSchedule = prof.Link
-	}
-	return cfg, nil
 }
 
 // finishRun closes the run's observers in order — live view first (its

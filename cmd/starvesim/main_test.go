@@ -53,6 +53,7 @@ func TestExitStatus(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "ev.jsonl")
 	badSpec := scenario.PopulationSpec{Flows: "nosuchcca*2"}.Validate().Error()
 	negSpec := scenario.PopulationSpec{Flows: "vegas*2", Duration: -5 * time.Second}.Validate().Error()
+	geSpec := scenario.PopulationSpec{Flows: "allegro:ge=0.008/0.2"}.Validate().Error()
 	for _, tc := range []struct {
 		args   []string
 		code   int
@@ -63,6 +64,10 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-flows", "nosuchcca*2"}, 2, "starvesim: " + badSpec + "\n"},
 		{[]string{"-flows", "reno:delack=0/200ms"}, 2,
 			"starvesim: flows: group \"reno:delack=0/200ms\": delack=0/200ms: count 0 below 1\n"},
+		// Impairments are flow keys: the old -faults flag is gone, and a
+		// malformed ge= is refused like any other key.
+		{[]string{"-flows", "vegas*2", "-faults", "ge:0.008,0.2,0.5"}, 2, "flag provided but not defined: -faults\n"},
+		{[]string{"-flows", "allegro:ge=0.008/0.2"}, 2, "starvesim: " + geSpec + "\n"},
 		// A flow set the network refuses is refused before the trace opens.
 		{[]string{"-flows", "vegas:path=5", "-trace", tracePath}, 2,
 			"starvesim: population: network: flow 0: path link 5 out of range [0, 1)\n"},

@@ -43,6 +43,12 @@ func TestServerClient(t *testing.T) {
 	badSpec := scenario.PopulationSpec{Flows: "nosuchcca*2"}.Validate().Error()
 	negSpec := scenario.PopulationSpec{Flows: "vegas*2", Duration: -5 * time.Second}.Validate().Error()
 	dipSpec := scenario.PopulationSpec{Flows: "copa:jitter=dip:1ms/10s"}.Validate().Error()
+	// The malformed ge= is refused with the line a local run exits 2 with.
+	geFlows := "allegro:ge=0.008/1.5/0.5;allegro"
+	code, _, geLocal := starvesim(t, "-flows", geFlows)
+	if code != 2 || !strings.HasPrefix(geLocal, "starvesim: flows: ") {
+		t.Fatalf("local malformed ge=: exit %d, stderr %q", code, geLocal)
+	}
 	for _, tc := range []struct {
 		args   []string
 		stderr string // all of standard error
@@ -51,7 +57,7 @@ func TestServerClient(t *testing.T) {
 		// The daemon refuses a negative duration_sec as a local run refuses -duration.
 		{[]string{"-server", ts.URL, "-flows", "vegas*2", "-duration", "-5s"}, "starvesim: " + negSpec + "\n"},
 		{[]string{"-server", ts.URL, "-flows", "copa:jitter=dip:1ms/10s"}, "starvesim: " + dipSpec + "\n"},
-		{[]string{"-server", ts.URL, "-flows", "vegas*2", "-faults", "dup:0.01"}, "starvesim: -faults does not apply to -server\n"},
+		{[]string{"-server", ts.URL, "-flows", geFlows}, geLocal},
 	} {
 		if code, _, errOut := starvesim(t, tc.args...); code != 2 || errOut != tc.stderr {
 			t.Errorf("starvesim %v: exit %d, stderr %q; want 2, %q", tc.args, code, errOut, tc.stderr)

@@ -32,13 +32,6 @@ const (
 	minRate     = 0.05
 )
 
-// Config parameterizes Allegro.
-type Config struct {
-	MSS int
-	// Rng randomizes probe-order assignments; required.
-	Rng *rand.Rand
-}
-
 type state int
 
 const (
@@ -54,9 +47,11 @@ type mi struct {
 	sentB  int64 // bytes transmitted during the MI
 }
 
-// Allegro is a PCC Allegro sender.
-type Allegro struct {
-	cfg  Config
+// sender is a PCC Allegro sender.
+type sender struct {
+	mss int
+	// rng randomizes probe-order assignments.
+	rng  *rand.Rand
 	rate float64 // Mbit/s
 	srtt cca.EWMA
 	// lossAvg smooths the per-MI loss estimate. A raw small-sample
@@ -97,15 +92,12 @@ type Allegro struct {
 	warmup bool
 }
 
-// New returns an Allegro instance.
-func New(cfg Config) *Allegro {
-	if cfg.MSS <= 0 {
-		cfg.MSS = 1500
+// newSender returns an Allegro sender whose probe order draws from rng.
+func newSender(mss int, rng *rand.Rand) *sender {
+	if rng == nil {
+		panic("allegro: rng is nil")
 	}
-	if cfg.Rng == nil {
-		panic("allegro: Config.Rng is nil")
-	}
-	a := &Allegro{cfg: cfg, rate: initialRate, st: stStarting, eps: epsilonMin,
+	a := &sender{mss: mss, rng: rng, rate: initialRate, st: stStarting, eps: epsilonMin,
 		// The first interval only fills the pipeline; never score it.
 		warmup: true}
 	a.srtt.Alpha = 0.125
@@ -117,18 +109,18 @@ func New(cfg Config) *Allegro {
 
 func init() {
 	cca.Register("allegro", func(mss int, rng *rand.Rand) cca.Algorithm {
-		return New(Config{MSS: mss, Rng: rng})
+		return newSender(mss, rng)
 	})
 }
 
 // Name implements cca.Algorithm.
-func (a *Allegro) Name() string { return "allegro" }
+func (a *sender) Name() string { return "allegro" }
 
 // Window implements cca.Algorithm: Allegro is purely rate-based.
-func (a *Allegro) Window() int { return 0 }
+func (a *sender) Window() int { return 0 }
 
 // PacingRate implements cca.Algorithm.
-func (a *Allegro) PacingRate() units.Rate {
+func (a *sender) PacingRate() units.Rate {
 	r := a.cur.rate
 	if r < minRate {
 		r = minRate
@@ -137,11 +129,11 @@ func (a *Allegro) PacingRate() units.Rate {
 }
 
 // TickInterval implements cca.Ticker.
-func (a *Allegro) TickInterval() time.Duration { return a.miLen }
+func (a *sender) TickInterval() time.Duration { return a.miLen }
 
 // OnTick implements cca.Ticker: close the current MI and choose the next
 // rate according to the Allegro state machine.
-func (a *Allegro) OnTick(now time.Duration) {
+func (a *sender) OnTick(now time.Duration) {
 	if a.warmup {
 		// The pipeline has refilled at the MI's rate; start measuring.
 		a.warmup = false
@@ -199,7 +191,7 @@ func (a *Allegro) OnTick(now time.Duration) {
 	srtt := time.Duration(a.srtt.Get(float64(100 * time.Millisecond)))
 	a.miLen = time.Duration(1.5 * float64(srtt))
 	if r := a.rate; r > 0 {
-		pktTime := time.Duration(float64(a.cfg.MSS) * 8 / (r * 1e6) * float64(time.Second))
+		pktTime := time.Duration(float64(a.mss) * 8 / (r * 1e6) * float64(time.Second))
 		if min := 30 * pktTime; a.miLen < min {
 			a.miLen = min
 		}
@@ -212,17 +204,17 @@ func (a *Allegro) OnTick(now time.Duration) {
 	}
 }
 
-func (a *Allegro) enterDecision(now time.Duration) {
+func (a *sender) enterDecision(now time.Duration) {
 	a.st = stDecision
 	a.trialIdx = 0
 	// Two +ε and two −ε trials in random order.
 	dirs := [4]int{1, 1, -1, -1}
-	a.cfg.Rng.Shuffle(4, func(i, j int) { dirs[i], dirs[j] = dirs[j], dirs[i] })
+	a.rng.Shuffle(4, func(i, j int) { dirs[i], dirs[j] = dirs[j], dirs[i] })
 	a.trialDirs = dirs
 	a.startMI(now, a.rate*(1+float64(dirs[0])*a.eps))
 }
 
-func (a *Allegro) decide(now time.Duration) {
+func (a *sender) decide(now time.Duration) {
 	var uUp, uDown []float64
 	for i, d := range a.trialDirs {
 		if d > 0 {
@@ -247,7 +239,7 @@ func (a *Allegro) decide(now time.Duration) {
 	}
 }
 
-func (a *Allegro) startAdjusting(now time.Duration, dir int) {
+func (a *sender) startAdjusting(now time.Duration, dir int) {
 	a.st = stAdjusting
 	a.adjDir = dir
 	a.adjSteps = 1
@@ -257,7 +249,7 @@ func (a *Allegro) startAdjusting(now time.Duration, dir int) {
 	a.startMI(now, a.rate)
 }
 
-func (a *Allegro) startMI(now time.Duration, rate float64) {
+func (a *sender) startMI(now time.Duration, rate float64) {
 	if rate < minRate {
 		rate = minRate
 	}
@@ -270,7 +262,7 @@ func (a *Allegro) startMI(now time.Duration, rate float64) {
 // not confirmed delivered (sequence-gap accounting, not the transport's
 // much slower recovery machinery) — smooths it against history, and applies
 // the sigmoid utility.
-func (a *Allegro) score(m mi) float64 {
+func (a *sender) score(m mi) float64 {
 	dur := a.miLen.Seconds()
 	if dur <= 0 {
 		dur = 0.1
@@ -286,13 +278,13 @@ func (a *Allegro) score(m mi) float64 {
 
 // utility is Allegro's published sigmoid utility for a measured throughput
 // x (Mbit/s) and loss rate.
-func (a *Allegro) utility(x, loss float64) float64 {
+func (a *sender) utility(x, loss float64) float64 {
 	sig := 1 / (1 + math.Exp(sigmoidAlpha*(loss-lossThreshold)))
 	return x*(1-loss)*sig - x*loss
 }
 
 // OnAck implements cca.Algorithm.
-func (a *Allegro) OnAck(s cca.AckSignal) {
+func (a *sender) OnAck(s cca.AckSignal) {
 	if s.RTT > 0 {
 		a.srtt.Update(float64(s.RTT))
 	}
@@ -301,10 +293,10 @@ func (a *Allegro) OnAck(s cca.AckSignal) {
 
 // OnLoss implements cca.Algorithm: loss is already accounted for by the
 // per-MI send/deliver difference.
-func (a *Allegro) OnLoss(cca.LossSignal) {}
+func (a *sender) OnLoss(cca.LossSignal) {}
 
 // OnSend implements cca.SendObserver.
-func (a *Allegro) OnSend(s cca.SendSignal) {
+func (a *sender) OnSend(s cca.SendSignal) {
 	a.cur.sentB += int64(s.Bytes)
 }
 

@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-func newTest() *Allegro {
-	return New(Config{MSS: 1500, Rng: rand.New(rand.NewSource(1))})
+func newTest() *sender {
+	return newSender(1500, rand.New(rand.NewSource(1)))
 }
 
 // tick closes the warmup half then the measuring half with the given
 // delivered fraction of what was sent at the MI's rate.
-func tick(a *Allegro, now *time.Duration, deliveredFrac float64) {
+func tick(a *sender, now *time.Duration, deliveredFrac float64) {
 	// Warmup half.
 	*now += a.TickInterval()
 	a.OnTick(*now)
@@ -184,13 +184,13 @@ func TestRateBasedInterface(t *testing.T) {
 	}
 }
 
-// TestNewWithoutRngPanics checks New refuses a missing generator instead
-// of drawing from a stream outside the run's seed tree.
+// TestNewWithoutRngPanics checks newSender refuses a missing generator
+// instead of drawing from a stream outside the run's seed tree.
 func TestNewWithoutRngPanics(t *testing.T) {
 	defer func() {
-		if r := recover(); r != "allegro: Config.Rng is nil" {
-			t.Errorf("New(Config{}) recovered %v, want a panic naming Config.Rng", r)
+		if r := recover(); r != "allegro: rng is nil" {
+			t.Errorf("newSender(1500, nil) recovered %v, want a panic naming the rng", r)
 		}
 	}()
-	New(Config{})
+	newSender(1500, nil)
 }

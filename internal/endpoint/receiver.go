@@ -120,7 +120,7 @@ func (r *Receiver) OnPacket(p packet.Packet) {
 	now := r.sim.Now()
 	if r.Probe != nil {
 		r.Probe.Emit(obs.Event{Type: obs.EvDeliver, At: now, Flow: r.flow,
-			Seq: p.Seq, Bytes: p.Size, Queue: -1, Retx: p.Retx, Dup: p.Dup})
+			Seq: p.Seq, Bytes: p.Size, Queue: -1, Retx: p.Retx})
 	}
 	if r.seg == 0 {
 		r.seg = p.Size // the run's first packet fixes the segment size

@@ -13,9 +13,9 @@ import (
 //
 // Three equations must balance, one per pipeline segment:
 //
-//	Sent + Duplicated = DroppedPreQueue + HeldPreQueue + Enqueued + DroppedAtQueue
-//	Enqueued          = HeldInQueue + Dequeued + DroppedMidPath
-//	Dequeued          = HeldPostQueue + Delivered
+//	Sent     = DroppedPreQueue + Enqueued + DroppedAtQueue
+//	Enqueued = HeldInQueue + Dequeued + DroppedMidPath
+//	Dequeued = HeldPostQueue + Delivered
 //
 // On a multi-link path the queue segment spans the whole chain: Enqueued
 // is acceptance into the first bottleneck, Dequeued is departure from the
@@ -29,9 +29,7 @@ type FlowLedger struct {
 	Name string
 
 	Sent            int64 // sender transmissions (incl. retransmits)
-	Duplicated      int64 // extra copies injected by a duplicator
 	DroppedPreQueue int64 // discarded by loss gates before the bottleneck
-	HeldPreQueue    int64 // inside a reorder element at the horizon
 	Enqueued        int64 // accepted into the first bottleneck FIFO
 	DroppedAtQueue  int64 // drop-tail discards at the first bottleneck
 	HeldInQueue     int64 // queued (any link) or between links at the horizon
@@ -48,8 +46,7 @@ func (f *FlowLedger) check() error {
 		v    int64
 	}
 	for _, fd := range []field{
-		{"Sent", f.Sent}, {"Duplicated", f.Duplicated},
-		{"DroppedPreQueue", f.DroppedPreQueue}, {"HeldPreQueue", f.HeldPreQueue},
+		{"Sent", f.Sent}, {"DroppedPreQueue", f.DroppedPreQueue},
 		{"Enqueued", f.Enqueued}, {"DroppedAtQueue", f.DroppedAtQueue},
 		{"HeldInQueue", f.HeldInQueue}, {"DroppedMidPath", f.DroppedMidPath},
 		{"Dequeued", f.Dequeued},
@@ -59,9 +56,9 @@ func (f *FlowLedger) check() error {
 			return fmt.Errorf("flow %s: negative ledger entry %s = %d", f.Name, fd.name, fd.v)
 		}
 	}
-	if in, out := f.Sent+f.Duplicated, f.DroppedPreQueue+f.HeldPreQueue+f.Enqueued+f.DroppedAtQueue; in != out {
-		return fmt.Errorf("flow %s: pre-queue imbalance: sent %d + duplicated %d = %d, but gates+queue account for %d (dropped %d, held %d, enqueued %d, tail-dropped %d)",
-			f.Name, f.Sent, f.Duplicated, in, out, f.DroppedPreQueue, f.HeldPreQueue, f.Enqueued, f.DroppedAtQueue)
+	if out := f.DroppedPreQueue + f.Enqueued + f.DroppedAtQueue; f.Sent != out {
+		return fmt.Errorf("flow %s: pre-queue imbalance: sent %d, but gates+queue account for %d (dropped %d, enqueued %d, tail-dropped %d)",
+			f.Name, f.Sent, out, f.DroppedPreQueue, f.Enqueued, f.DroppedAtQueue)
 	}
 	if out := f.HeldInQueue + f.Dequeued + f.DroppedMidPath; f.Enqueued != out {
 		return fmt.Errorf("flow %s: queue imbalance: enqueued %d but held %d + dequeued %d + mid-path drops %d = %d",
@@ -93,9 +90,7 @@ func (l *Ledger) Check() error {
 			errs = append(errs, err.Error())
 		}
 		g.Sent += f.Sent
-		g.Duplicated += f.Duplicated
 		g.DroppedPreQueue += f.DroppedPreQueue
-		g.HeldPreQueue += f.HeldPreQueue
 		g.Enqueued += f.Enqueued
 		g.DroppedAtQueue += f.DroppedAtQueue
 		g.HeldInQueue += f.HeldInQueue

@@ -3,16 +3,12 @@ package faults
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
 	"starvation/internal/obs"
 	"starvation/internal/packet"
 	"starvation/internal/sim"
-	"starvation/internal/units"
-
-	"starvation/internal/netem"
 )
 
 // probeFunc adapts a closure to obs.Probe for tests.
@@ -44,10 +40,11 @@ func TestGEConfigValidate(t *testing.T) {
 		{"probability above 1", GEConfig{PGoodToBad: 1.5, PBadToGood: 0.2, PDropBad: 0.5}, false},
 		{"negative probability", GEConfig{PGoodToBad: 0.01, PBadToGood: -0.1, PDropBad: 0.5}, false},
 		{"all zero", GEConfig{}, true},
+		{"NaN probability", GEConfig{PGoodToBad: 0.01, PBadToGood: 0.2, PDropBad: math.NaN()}, false},
 	}
 	for _, c := range cases {
-		if err := c.cfg.validate(); (err == nil) != c.ok {
-			t.Errorf("%s: validate() = %v, want ok=%v", c.name, err, c.ok)
+		if err := c.cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
 }
@@ -152,8 +149,8 @@ func TestGEGateDropEvents(t *testing.T) {
 	}
 }
 
-// TestReordererDisplacementBounded: every deferred packet arrives exactly
-// Delay late and the held gauge returns to zero.
+// TestReordererDisplacementBounded: every packet arrives, each either on
+// time or exactly Delay late, and some are overtaken.
 func TestReordererDisplacementBounded(t *testing.T) {
 	s := sim.New(1)
 	type arrival struct {
@@ -177,15 +174,6 @@ func TestReordererDisplacementBounded(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("arrivals = %d, want %d", len(got), n)
 	}
-	if r.Held() != 0 {
-		t.Errorf("Held = %d after drain, want 0", r.Held())
-	}
-	if r.Deferred == 0 || r.Passed == 0 {
-		t.Fatalf("Deferred %d / Passed %d: want both nonzero at P=0.5", r.Deferred, r.Passed)
-	}
-	if r.Deferred+r.Passed != n {
-		t.Errorf("Deferred %d + Passed %d != %d", r.Deferred, r.Passed, n)
-	}
 	inversions := 0
 	for i := 1; i < len(got); i++ {
 		if got[i].seq < got[i-1].seq {
@@ -195,194 +183,43 @@ func TestReordererDisplacementBounded(t *testing.T) {
 	if inversions == 0 {
 		t.Errorf("no reordering observed with P=0.5, delay > spacing")
 	}
+	deferred := 0
 	for _, a := range got {
-		if late := a.at - sentAt[a.seq]; late < 0 || late > 5*time.Millisecond {
-			t.Errorf("seq %d displaced by %v, bound is 5ms", a.seq, late)
+		switch late := a.at - sentAt[a.seq]; late {
+		case 0:
+		case 5 * time.Millisecond:
+			deferred++
+		default:
+			t.Errorf("seq %d displaced by %v, want 0 or 5ms", a.seq, late)
 		}
+	}
+	if deferred == 0 || deferred == n {
+		t.Errorf("%d of %d packets deferred: want some but not all at P=0.5", deferred, n)
 	}
 }
 
+// TestDuplicator: at P = 1 every packet is followed by its copy; at P = 0
+// nothing is copied.
 func TestDuplicator(t *testing.T) {
-	s := sim.New(1)
-	var out []packet.Packet
-	d := NewDuplicator(DupConfig{P: 1}, rand.New(rand.NewSource(1)),
-		func(p packet.Packet) { out = append(out, p) })
-	var dupEvents int
-	d.SetProbe(s, probeFunc(func(e obs.Event) {
-		if e.Type == obs.EvDup {
-			if !e.Dup {
-				t.Errorf("EvDup event without Dup flag: %+v", e)
-			}
-			dupEvents++
-		}
-	}))
-	s.At(0, func() {
+	for _, c := range []struct {
+		p    float64
+		want int
+	}{{1, 20}, {0, 10}} {
+		var out []packet.Packet
+		d := NewDuplicator(DupConfig{P: c.p}, rand.New(rand.NewSource(1)),
+			func(p packet.Packet) { out = append(out, p) })
 		for i := 0; i < 10; i++ {
 			d.Send(packet.Packet{Seq: int64(i), Size: 1500})
 		}
-	})
-	s.Run(time.Millisecond)
-	if len(out) != 20 {
-		t.Fatalf("forwarded %d packets, want 20 (P=1 duplicates all)", len(out))
-	}
-	if d.Passed != 10 || d.Duplicated != 10 || dupEvents != 10 {
-		t.Errorf("Passed %d Duplicated %d events %d, want 10/10/10", d.Passed, d.Duplicated, dupEvents)
-	}
-	for i := 0; i < len(out); i += 2 {
-		if out[i].Dup {
-			t.Errorf("original %d carries Dup", out[i].Seq)
+		if len(out) != c.want {
+			t.Fatalf("P=%g: forwarded %d packets, want %d", c.p, len(out), c.want)
 		}
-		if !out[i+1].Dup || out[i+1].Seq != out[i].Seq {
-			t.Errorf("copy of %d = %+v, want same seq with Dup", out[i].Seq, out[i+1])
+		if c.p == 1 {
+			for i := 0; i < len(out); i += 2 {
+				if out[i+1] != out[i] || out[i].Seq != int64(i/2) {
+					t.Errorf("packets %d, %d = %+v, %+v: want seq %d and its copy", i, i+1, out[i], out[i+1], i/2)
+				}
+			}
 		}
-	}
-}
-
-// TestRateScheduleStep: a mid-transmission rate halving rescales the head
-// packet's remaining serialization and requeues the rest at the new rate.
-func TestRateScheduleStep(t *testing.T) {
-	s := sim.New(1)
-	var deliveries []time.Duration
-	l := netem.NewLink(s, units.Mbps(12), 0, func(packet.Packet) {
-		deliveries = append(deliveries, s.Now())
-	})
-	sched := &RateSchedule{Steps: []RateStep{{At: 500 * time.Microsecond, Rate: units.Mbps(6)}}}
-	if err := sched.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	sched.Apply(s, l)
-	s.At(0, func() {
-		for i := 0; i < 3; i++ {
-			l.Enqueue(packet.Packet{Seq: int64(i), Size: 1500}) // 1ms each at 12Mbps
-		}
-	})
-	s.Run(time.Second)
-	// Head: 0.5ms transmitted at 12Mbps, remaining 0.5ms doubles → 1.5ms.
-	// Next two serialize at 6Mbps (2ms each): 3.5ms, 5.5ms.
-	want := []time.Duration{1500 * time.Microsecond, 3500 * time.Microsecond, 5500 * time.Microsecond}
-	if len(deliveries) != len(want) {
-		t.Fatalf("deliveries = %v, want %v", deliveries, want)
-	}
-	for i := range want {
-		if deliveries[i] != want[i] {
-			t.Errorf("delivery %d at %v, want %v", i, deliveries[i], want[i])
-		}
-	}
-	if l.RateChanges != 1 {
-		t.Errorf("RateChanges = %d, want 1", l.RateChanges)
-	}
-}
-
-// TestFlapHoldsAndReleases: packets enqueued during an outage are held,
-// not dropped, and drain after capacity is restored.
-func TestFlapHoldsAndReleases(t *testing.T) {
-	s := sim.New(1)
-	var deliveries []time.Duration
-	l := netem.NewLink(s, units.Mbps(12), 0, func(packet.Packet) {
-		deliveries = append(deliveries, s.Now())
-	})
-	flap(20*time.Millisecond, 5*time.Millisecond).Apply(s, l)
-	// Enqueued at 21ms: mid-outage (down 20–25ms), held until restore.
-	s.At(21*time.Millisecond, func() { l.Enqueue(packet.Packet{Size: 1500}) })
-	s.Run(30 * time.Millisecond)
-	if len(deliveries) != 1 {
-		t.Fatalf("deliveries = %v, want exactly 1", deliveries)
-	}
-	if got, want := deliveries[0], 26*time.Millisecond; got != want {
-		t.Errorf("held packet delivered at %v, want %v (restore + 1ms tx)", got, want)
-	}
-	if l.Rate() != units.Mbps(12) {
-		t.Errorf("rate after flap = %v, want restored 12Mbps", l.Rate())
-	}
-}
-
-func TestRateScheduleValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		rs   *RateSchedule
-		ok   bool
-	}{
-		{"nil", nil, true},
-		{"flap", flap(5*time.Second, 200*time.Millisecond), true},
-		{"empty", &RateSchedule{}, false},
-		{"negative repeat", &RateSchedule{Repeat: -1, Steps: []RateStep{{At: 1}}}, false},
-		{"non-ascending", &RateSchedule{Steps: []RateStep{{At: 2}, {At: 1}}}, false},
-		{"negative rate", &RateSchedule{Steps: []RateStep{{At: 1, Rate: -5}}}, false},
-		{"restore sentinel ok", &RateSchedule{Steps: []RateStep{{At: 1, Rate: restore}}}, true},
-	}
-	for _, c := range cases {
-		if err := c.rs.Validate(); (err == nil) != c.ok {
-			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
-		}
-	}
-}
-
-func TestParseProfile(t *testing.T) {
-	p, err := ParseProfile("ge:0.008,0.2,0.5;reorder:0.02,8ms;dup:0.01;flap:5s,200ms")
-	if err != nil {
-		t.Fatalf("ParseProfile: %v", err)
-	}
-	if p.Flow.GE == nil || p.Flow.GE.PGoodToBad != 0.008 || p.Flow.GE.PDropBad != 0.5 {
-		t.Errorf("GE = %+v", p.Flow.GE)
-	}
-	if p.Flow.Reorder == nil || p.Flow.Reorder.Delay != 8*time.Millisecond {
-		t.Errorf("Reorder = %+v", p.Flow.Reorder)
-	}
-	if p.Flow.Duplicate == nil || p.Flow.Duplicate.P != 0.01 {
-		t.Errorf("Duplicate = %+v", p.Flow.Duplicate)
-	}
-	if p.Link == nil || p.Link.Repeat != 5*time.Second {
-		t.Errorf("Link = %+v", p.Link)
-	}
-
-	p, err = ParseProfile("rate:0s=48,10s=6,20s=base")
-	if err != nil {
-		t.Fatalf("ParseProfile rate: %v", err)
-	}
-	if len(p.Link.Steps) != 3 || p.Link.Steps[2].Rate != restore {
-		t.Errorf("rate steps = %+v, want 3 with restore last", p.Link.Steps)
-	}
-	if p.Link.Steps[1].Rate != units.Mbps(6) {
-		t.Errorf("step 1 rate = %v, want 6Mbps", p.Link.Steps[1].Rate)
-	}
-
-	bad := []struct{ spec, wantErr string }{
-		{"nonsense", "not kind:args"},
-		{"warp:1", "unknown clause kind"},
-		{"ge:0.5", "wants pG2B"},
-		{"ge:a,b,c", "bad probability"},
-		{"ge:0.5,0,0.5", "absorb"},
-		{"reorder:0.5", "wants p,delay"},
-		{"reorder:0.5,0s", "Delay must be positive"},
-		{"dup:2", "must be in [0, 1]"},
-		{"flap:1s,2s", "downFor must be in"},
-		{"flap:1s,200ms;rate:0s=5", "exclusive"},
-		{"rate:0s=5,0s=6", "not after previous"},
-		{"rate:0s=-3", "negative rate"},
-	}
-	for _, c := range bad {
-		_, err := ParseProfile(c.spec)
-		if err == nil {
-			t.Errorf("ParseProfile(%q) accepted, want error containing %q", c.spec, c.wantErr)
-			continue
-		}
-		if !strings.Contains(err.Error(), c.wantErr) {
-			t.Errorf("ParseProfile(%q) error %q, want substring %q", c.spec, err, c.wantErr)
-		}
-	}
-}
-
-func TestSpecEmptyAndValidate(t *testing.T) {
-	var s *Spec
-	if !s.Empty() || s.Validate() != nil {
-		t.Errorf("nil spec must be empty and valid")
-	}
-	s = &Spec{}
-	if !s.Empty() {
-		t.Errorf("zero spec must be empty")
-	}
-	s = &Spec{GE: &GEConfig{PGoodToBad: 2}}
-	if s.Empty() || s.Validate() == nil {
-		t.Errorf("invalid GE spec must be non-empty and invalid")
 	}
 }

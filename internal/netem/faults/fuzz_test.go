@@ -21,7 +21,7 @@ func FuzzGEGate(f *testing.F) {
 	f.Add(0.02, 0.1, 0.3, 0.01, int64(5), uint16(4000))
 	f.Fuzz(func(t *testing.T, pG2B, pB2G, pDropBad, pDropGood float64, seed int64, n uint16) {
 		cfg := GEConfig{PGoodToBad: pG2B, PBadToGood: pB2G, PDropBad: pDropBad, PDropGood: pDropGood}
-		if cfg.validate() != nil {
+		if cfg.Validate() != nil {
 			t.Skip("invalid chain")
 		}
 		run := func() *GEGate {

@@ -23,8 +23,8 @@ type GEConfig struct {
 	PDropGood  float64 // drop probability while Good (usually 0)
 }
 
-// validate reports the first problem with the configuration.
-func (c GEConfig) validate() error {
+// Validate reports the first problem with the configuration.
+func (c GEConfig) Validate() error {
 	for _, p := range []struct {
 		name string
 		v    float64
@@ -139,7 +139,7 @@ func (g *GEGate) Send(p packet.Packet) {
 				now = g.sim.Now()
 			}
 			g.probe.Emit(obs.Event{Type: obs.EvDrop, At: now, Flow: p.Flow,
-				Seq: p.Seq, Bytes: p.Size, Queue: -1, Retx: p.Retx, Dup: p.Dup})
+				Seq: p.Seq, Bytes: p.Size, Queue: -1, Retx: p.Retx})
 		}
 		return
 	}

@@ -23,9 +23,8 @@ type PacketHandler func(p packet.Packet)
 type AckHandler func(a packet.Ack)
 
 // Link is the shared bottleneck: a byte-accurate FIFO queue drained at a
-// rate C that may vary over the run (SetRate; see internal/netem/faults for
-// schedules and flaps). Packets arriving when the buffer is full are
-// dropped (drop-tail). A zero BufferBytes means an effectively infinite
+// constant rate C. Packets arriving when the buffer is full are dropped
+// (drop-tail). A zero BufferBytes means an effectively infinite
 // queue, the ideal-path assumption of Definition 1.
 type Link struct {
 	sim    *sim.Simulator
@@ -39,10 +38,9 @@ type Link struct {
 	lastDeparture time.Duration
 
 	// lane holds the queued packets in FIFO order, each with its departure
-	// time, fixed at enqueue time while the rate holds; only the head's
-	// departure is a live event.
+	// time, fixed at enqueue time; only the head's departure is a live
+	// event.
 	lane sim.Lane[packet.Packet]
-	down bool // rate is 0: the lane is held until SetRate(>0)
 
 	// Stats.
 	Delivered     int64 // packets delivered
@@ -51,7 +49,6 @@ type Link struct {
 	MaxQueue      int   // high-water mark in bytes
 	EnqueuedPkts  int64 // packets accepted into the queue
 	EnqueuedBytes int64 // bytes accepted into the queue
-	RateChanges   int64 // SetRate calls that changed the drain rate
 	perFlow       []FlowLinkStats
 }
 
@@ -90,10 +87,9 @@ func (l *Link) Reset(rate units.Rate, bufferBytes int) {
 	l.queuedBytes = 0
 	l.lastDeparture = 0
 	l.lane.Reset()
-	l.down = false
 	l.Delivered, l.Dropped, l.Marked = 0, 0, 0
 	l.MaxQueue = 0
-	l.EnqueuedPkts, l.EnqueuedBytes, l.RateChanges = 0, 0, 0
+	l.EnqueuedPkts, l.EnqueuedBytes = 0, 0
 	l.perFlow = l.perFlow[:0]
 }
 
@@ -115,56 +111,6 @@ func (l *Link) flow(f packet.FlowID) *FlowLinkStats {
 		l.perFlow = append(l.perFlow, FlowLinkStats{})
 	}
 	return &l.perFlow[f]
-}
-
-// Rate returns the link's current drain rate (0 while flapped down).
-func (l *Link) Rate() units.Rate { return l.rate }
-
-// SetRate changes the drain rate to r, rescheduling every queued packet's
-// departure. The packet in transmission keeps its transmitted fraction:
-// its remaining serialization time is rescaled by oldRate/newRate. A rate
-// of 0 takes the link down — queued and newly arriving packets are held
-// (subject to the same drop-tail check) until a later SetRate brings the
-// link back up, which restarts the head packet's serialization from
-// scratch. Rate changes do not rescale a Prime()d virtual backlog.
-func (l *Link) SetRate(r units.Rate) {
-	if r < 0 {
-		r = 0
-	}
-	old := l.rate
-	if r == old {
-		return
-	}
-	now := l.sim.Now()
-	l.rate = r
-	l.RateChanges++
-	if l.probe != nil {
-		l.probe.Emit(obs.Event{Type: obs.EvLinkRate, At: now, Flow: -1,
-			Seq: int64(r), Queue: l.queuedBytes})
-	}
-	if r == 0 {
-		l.lane.Hold()
-		l.down = true
-		return
-	}
-	prev := now
-	l.lane.Retime(func(i int, depart time.Duration, p packet.Packet) time.Duration {
-		var tx time.Duration
-		if i == 0 && !l.down {
-			// Head keeps its progress: scale the remaining time.
-			if rem := depart - now; rem > 0 {
-				tx = time.Duration(float64(rem) * float64(old) / float64(r))
-			}
-		} else {
-			tx = r.TxTime(p.Size)
-		}
-		prev += tx
-		return prev
-	})
-	l.down = false
-	if l.lane.Len() > 0 {
-		l.lastDeparture = prev
-	}
 }
 
 // QueuedBytes returns the bytes currently waiting or in transmission.
@@ -197,7 +143,7 @@ func (l *Link) Enqueue(p packet.Packet) {
 		l.flow(p.Flow).Dropped++
 		if l.probe != nil {
 			l.probe.Emit(obs.Event{Type: obs.EvDrop, At: now, Flow: p.Flow,
-				Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Dup: p.Dup, Hop: p.Hop})
+				Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Hop: p.Hop})
 		}
 		return
 	}
@@ -207,14 +153,10 @@ func (l *Link) Enqueue(p packet.Packet) {
 		l.Marked++
 		l.flow(p.Flow).Marked++
 	}
-	var depart time.Duration
-	if !l.down {
-		if l.lastDeparture < now {
-			l.lastDeparture = now
-		}
-		depart = l.lastDeparture + l.rate.TxTime(p.Size)
-		l.lastDeparture = depart
+	if l.lastDeparture < now {
+		l.lastDeparture = now
 	}
+	l.lastDeparture += l.rate.TxTime(p.Size)
 	l.queuedBytes += p.Size
 	if l.queuedBytes > l.MaxQueue {
 		l.MaxQueue = l.queuedBytes
@@ -228,14 +170,12 @@ func (l *Link) Enqueue(p packet.Packet) {
 	if l.probe != nil {
 		if marked {
 			l.probe.Emit(obs.Event{Type: obs.EvMark, At: now, Flow: p.Flow,
-				Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Dup: p.Dup, Hop: p.Hop})
+				Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Hop: p.Hop})
 		}
 		l.probe.Emit(obs.Event{Type: obs.EvEnqueue, At: now, Flow: p.Flow,
-			Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Dup: p.Dup, Hop: p.Hop})
+			Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Hop: p.Hop})
 	}
-	// While the link is down the lane is held: the packet waits for
-	// SetRate to time it.
-	l.lane.Push(depart, p)
+	l.lane.Push(l.lastDeparture, p)
 }
 
 // depart completes serialization of the oldest queued packet, the lane's
@@ -248,7 +188,7 @@ func (l *Link) depart(p packet.Packet) {
 	fs.Holding--
 	if l.probe != nil {
 		l.probe.Emit(obs.Event{Type: obs.EvDequeue, At: l.sim.Now(), Flow: p.Flow,
-			Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Dup: p.Dup, Hop: p.Hop})
+			Seq: p.Seq, Bytes: p.Size, Queue: l.queuedBytes, Retx: p.Retx, Hop: p.Hop})
 	}
 	l.out(p)
 }

@@ -14,10 +14,9 @@ import (
 )
 
 // refLink is the bottleneck as it was before its queue became a sim.Lane:
-// one departure event per queued packet, each cancelled and rescheduled by
-// SetRate, packets held while down scheduled when the link comes back up.
-// It keeps only what departure timing depends on, and is the reference
-// FuzzLinkDepartures holds Link to.
+// one departure event per queued packet. It keeps only what departure
+// timing depends on, and is the reference FuzzLinkDepartures holds Link
+// to.
 type refLink struct {
 	sim           *sim.Simulator
 	rate          units.Rate
@@ -26,15 +25,8 @@ type refLink struct {
 	queuedBytes   int
 	lastDeparture time.Duration
 	departFn      func()
-	pending       []refPend
+	pending       []packet.Packet
 	head          int
-	down          bool
-}
-
-type refPend struct {
-	pkt    packet.Packet
-	handle sim.Handle
-	depart time.Duration
 }
 
 func newRefLink(s *sim.Simulator, rate units.Rate, buf int, out func(packet.Packet)) *refLink {
@@ -46,43 +38,7 @@ func newRefLink(s *sim.Simulator, rate units.Rate, buf int, out func(packet.Pack
 func (l *refLink) Reset(rate units.Rate, buf int) {
 	l.rate, l.buf = rate, buf
 	l.queuedBytes, l.lastDeparture = 0, 0
-	l.pending, l.head, l.down = l.pending[:0], 0, false
-}
-
-func (l *refLink) SetRate(r units.Rate) {
-	old := l.rate
-	if r == old {
-		return
-	}
-	now := l.sim.Now()
-	l.rate = r
-	if r == 0 {
-		for i := l.head; i < len(l.pending); i++ {
-			l.pending[i].handle.Cancel()
-		}
-		l.down = true
-		return
-	}
-	prev := now
-	for i := l.head; i < len(l.pending); i++ {
-		pe := &l.pending[i]
-		pe.handle.Cancel()
-		var tx time.Duration
-		if i == l.head && !l.down {
-			if rem := pe.depart - now; rem > 0 {
-				tx = time.Duration(float64(rem) * float64(old) / float64(r))
-			}
-		} else {
-			tx = r.TxTime(pe.pkt.Size)
-		}
-		prev += tx
-		pe.depart = prev
-		pe.handle = l.sim.At(prev, l.departFn)
-	}
-	l.down = false
-	if l.head < len(l.pending) {
-		l.lastDeparture = prev
-	}
+	l.pending, l.head = l.pending[:0], 0
 }
 
 func (l *refLink) Enqueue(p packet.Packet) {
@@ -91,20 +47,16 @@ func (l *refLink) Enqueue(p packet.Packet) {
 		return
 	}
 	l.queuedBytes += p.Size
-	if l.down {
-		l.pending = append(l.pending, refPend{pkt: p})
-		return
-	}
 	if l.lastDeparture < now {
 		l.lastDeparture = now
 	}
-	depart := l.lastDeparture + l.rate.TxTime(p.Size)
-	l.lastDeparture = depart
-	l.pending = append(l.pending, refPend{pkt: p, handle: l.sim.At(depart, l.departFn), depart: depart})
+	l.lastDeparture += l.rate.TxTime(p.Size)
+	l.pending = append(l.pending, p)
+	l.sim.At(l.lastDeparture, l.departFn)
 }
 
 func (l *refLink) departHead() {
-	p := l.pending[l.head].pkt
+	p := l.pending[l.head]
 	l.head++
 	if l.head == len(l.pending) {
 		l.pending, l.head = l.pending[:0], 0
@@ -126,15 +78,13 @@ type departure struct {
 	Seq int64
 }
 
-// Link-departure opcodes (a byte modulo 7) and the byte that follows each.
+// Link-departure opcodes (a byte modulo 5) and the byte that follows each.
 const (
 	linkOpEnqueue = 0 // also 1: size
-	linkOpDown    = 2 // SetRate(0)
-	linkOpRate    = 3 // rate in Mbit/s, 1 + b%48
-	linkOpStep    = 4
-	linkOpAdvance = 5 // Run to b × 50 µs from now: time passes mid-serialization and while down
-	linkOpReset   = 6 // b: rate and buffer of the reset link
-	linkOpCount   = 7
+	linkOpStep    = 2
+	linkOpAdvance = 3 // Run to b × 50 µs from now: time passes mid-serialization and while idle
+	linkOpReset   = 4 // b: rate and buffer of the reset link
+	linkOpCount   = 5
 )
 
 // playLinkDepartures drives a Link and a refLink, each on its own
@@ -164,15 +114,6 @@ func playLinkDepartures(t *testing.T, ops []byte) {
 			l.Enqueue(p)
 			r.Enqueue(p)
 			what = fmt.Sprintf("Enqueue(%d B)", p.Size)
-		case linkOpDown:
-			l.SetRate(0)
-			r.SetRate(0)
-			what = "SetRate(0)"
-		case linkOpRate:
-			rate := units.Mbps(1 + float64(b%48))
-			l.SetRate(rate)
-			r.SetRate(rate)
-			what = fmt.Sprintf("SetRate(%v)", rate)
 		case linkOpStep:
 			if a, c := ls.Step(), rs.Step(); a != c {
 				t.Fatalf("op %d: Step = %v, reference %v", n, a, c)
@@ -212,14 +153,14 @@ func playLinkDepartures(t *testing.T, ops []byte) {
 // linkScripts aim at the transitions uniform bytes reach only by luck;
 // they are also FuzzLinkDepartures' seed corpus.
 var linkScripts = [][]byte{
-	// A backlog, a rate change mid-serialization, a flap with packets
-	// held and more arriving while down, then the link back up.
-	{0, 200, 0, 200, 0, 10, 0, 250, 5, 3, 3, 40, 4, 0, 2, 0, 0, 100, 0, 100, 5, 20, 3, 11, 4, 0, 4, 0, 5, 255, 5, 255},
-	// Down before anything arrives; up again with an empty queue; then a
-	// finite buffer that drops, and a reset with packets queued.
-	{2, 0, 5, 10, 3, 23, 6, 0x31, 0, 250, 0, 250, 0, 250, 0, 250, 4, 0, 6, 0x12, 0, 1, 5, 255},
-	// Rate changes back to back, with and without a flap between.
-	{0, 100, 0, 100, 0, 100, 3, 5, 3, 47, 2, 0, 3, 47, 3, 2, 5, 255, 5, 255, 5, 255},
+	// A backlog, time passing mid-serialization, more arriving behind
+	// it, then the queue drained.
+	{0, 200, 0, 200, 0, 10, 0, 250, 3, 3, 2, 0, 1, 100, 0, 100, 3, 20, 2, 0, 2, 0, 3, 255, 3, 255},
+	// Time passing on an idle link; then a finite buffer that drops, and
+	// a reset with packets queued.
+	{3, 10, 4, 0x31, 0, 250, 0, 250, 0, 250, 0, 250, 2, 0, 4, 0x12, 0, 1, 3, 255},
+	// Arrivals at one instant, an idle gap, arrivals again.
+	{0, 100, 0, 100, 0, 100, 3, 255, 3, 255, 1, 5, 0, 47, 2, 0, 3, 255},
 }
 
 func TestLinkDeparturesMatchReference(t *testing.T) {
@@ -234,8 +175,8 @@ func TestLinkDeparturesMatchReference(t *testing.T) {
 }
 
 // FuzzLinkDepartures holds Link's lane-backed queue to the per-packet
-// reference under arbitrary interleavings of Enqueue, SetRate(0),
-// SetRate(r), Step, Run and Reset.
+// reference under arbitrary interleavings of Enqueue, Step, Run and
+// Reset.
 func FuzzLinkDepartures(f *testing.F) {
 	for _, ops := range linkScripts {
 		f.Add(ops)

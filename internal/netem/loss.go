@@ -55,7 +55,7 @@ func (g *LossGate) Send(p packet.Packet) {
 				now = g.sim.Now()
 			}
 			g.probe.Emit(obs.Event{Type: obs.EvDrop, At: now, Flow: p.Flow,
-				Seq: p.Seq, Bytes: p.Size, Queue: -1, Retx: p.Retx, Dup: p.Dup})
+				Seq: p.Seq, Bytes: p.Size, Queue: -1, Retx: p.Retx})
 		}
 		return
 	}

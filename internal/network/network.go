@@ -51,9 +51,9 @@ type FlowSpec struct {
 	// LossProb is the probability of independent random loss on the data
 	// path (the §5.4 element).
 	LossProb float64
-	// Faults selects additional impairment elements on the data path
-	// (bursty loss, reordering, duplication); nil leaves them out.
-	Faults *faults.Spec
+	// GE inserts a Gilbert–Elliott bursty-loss gate on the data path,
+	// ahead of the Bernoulli gate; nil leaves it out.
+	GE *faults.GEConfig
 	// StartAt delays the flow's first transmission.
 	StartAt time.Duration
 }
@@ -78,8 +78,10 @@ func (spec FlowSpec) validate() error {
 			return fmt.Errorf("negative path link index %d", j)
 		}
 	}
-	if err := spec.Faults.Validate(); err != nil {
-		return fmt.Errorf("faults: %w", err)
+	if spec.GE != nil {
+		if err := spec.GE.Validate(); err != nil {
+			return fmt.Errorf("ge: %w", err)
+		}
 	}
 	return nil
 }
@@ -96,9 +98,7 @@ type Config struct {
 	// FlowSpec.Path. When nil, the legacy single-bottleneck fields below
 	// (Rate, BufferBytes, Marker) define the one shared link, wired
 	// exactly as before the topology layer — fixed-seed realizations are
-	// bit-identical. The two styles are mutually exclusive; a link whose
-	// rate varies over the run (LinkSpec.RateSchedule) is described in
-	// Links.
+	// bit-identical. The two styles are mutually exclusive.
 	Links []LinkSpec
 	// Bottleneck is the index of the link reported as "the" bottleneck:
 	// Result.LinkRate, the queue-depth trace, and rate-sample events read
@@ -158,9 +158,7 @@ type Flow struct {
 	CwndTrace trace.Series // cwnd bytes vs time
 
 	gate             *netem.LossGate // random-loss element, nil unless LossProb > 0
-	ge               *faults.GEGate
-	reorder          *faults.Reorderer
-	dup              *faults.Duplicator
+	ge               *faults.GEGate  // bursty-loss element, nil unless Spec.GE is set
 	rateSamples      int64
 	lastSampledAcked int64
 	// rttHook feeds RTTTrace from the sender's ACK path; bound once at
@@ -298,8 +296,6 @@ type chain byte
 const (
 	chainLoss chain = 1 << iota
 	chainGE
-	chainReorder
-	chainDup
 )
 
 func chainOf(spec FlowSpec) chain {
@@ -307,16 +303,8 @@ func chainOf(spec FlowSpec) chain {
 	if spec.LossProb > 0 {
 		c |= chainLoss
 	}
-	if fs := spec.Faults; fs != nil {
-		if fs.GE != nil {
-			c |= chainGE
-		}
-		if fs.Reorder != nil {
-			c |= chainReorder
-		}
-		if fs.Duplicate != nil {
-			c |= chainDup
-		}
+	if spec.GE != nil {
+		c |= chainGE
 	}
 	return c
 }
@@ -373,11 +361,10 @@ func wire(nLinks int, specs []FlowSpec) *Network {
 		f.FwdBox = netem.NewDelayBox(s, nil, f.Receiver.OnPacket)
 
 		// Forward path head, built back to front so packets traverse
-		// sender -> duplicator -> reorderer -> GE gate -> loss gate ->
-		// first link of the flow's path. Each element owns a generator,
-		// seeded per run by configure from rng.Derive's stream for it, so
-		// adding flows or enabling one element never perturbs another's
-		// realization.
+		// sender -> GE gate -> loss gate -> first link of the flow's
+		// path. Each gate owns a generator, seeded per run by configure
+		// from rng.Derive's stream for it, so adding flows or enabling
+		// one gate never perturbs another's realization.
 		var intoLink netem.PacketHandler = n.Links[f.path[0]].Enqueue
 		c := chainOf(spec)
 		if c&chainLoss != 0 {
@@ -387,14 +374,6 @@ func wire(nLinks int, specs []FlowSpec) *Network {
 		if c&chainGE != 0 {
 			f.ge = faults.NewGEGate(faults.GEConfig{}, rng.New(0), intoLink)
 			intoLink = f.ge.Send
-		}
-		if c&chainReorder != 0 {
-			f.reorder = faults.NewReorderer(faults.ReorderConfig{}, rng.New(0), s, intoLink)
-			intoLink = f.reorder.Send
-		}
-		if c&chainDup != 0 {
-			f.dup = faults.NewDuplicator(faults.DupConfig{}, rng.New(0), intoLink)
-			intoLink = f.dup.Send
 		}
 		f.Sender = endpoint.NewSender(s, f.ID, nil, 0, intoLink)
 		f.rttHook = func(now, rtt time.Duration, acked int) {
@@ -456,11 +435,6 @@ func (n *Network) configure(cfg Config, specs []FlowSpec) {
 		link.SetProbe(cfg.Probe)
 	}
 	n.Link = n.Links[cfg.Bottleneck]
-	for j := range n.linkSpecs {
-		if sched := n.linkSpecs[j].RateSchedule; sched != nil {
-			sched.Apply(n.Sim, n.Links[j])
-		}
-	}
 	n.QueueTrace.Reset()
 	for j := range n.LinkQueues {
 		n.LinkQueues[j].Reset()
@@ -493,16 +467,8 @@ func (n *Network) configure(cfg Config, specs []FlowSpec) {
 			f.gate.SetProbe(n.Sim, cfg.Probe)
 		}
 		if f.ge != nil {
-			f.ge.Reset(*spec.Faults.GE, rng.Derive(cfg.Seed, i, rng.GE))
+			f.ge.Reset(*spec.GE, rng.Derive(cfg.Seed, i, rng.GE))
 			f.ge.SetProbe(n.Sim, cfg.Probe)
-		}
-		if f.reorder != nil {
-			f.reorder.Reset(*spec.Faults.Reorder, rng.Derive(cfg.Seed, i, rng.Reorder))
-			f.reorder.SetProbe(cfg.Probe)
-		}
-		if f.dup != nil {
-			f.dup.Reset(*spec.Faults.Duplicate, rng.Derive(cfg.Seed, i, rng.Dup))
-			f.dup.SetProbe(n.Sim, cfg.Probe)
 		}
 		f.Sender.Reset(spec.Alg, endpoint.DefaultMSS)
 		f.Sender.Probe = cfg.Probe

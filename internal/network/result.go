@@ -12,8 +12,8 @@ import (
 	"starvation/internal/units"
 )
 
-// FaultCounters is the per-flow drop/impairment accounting, filled from
-// element counters so it is visible without a probe attached.
+// FaultCounters is the per-flow loss-gate accounting, filled from element
+// counters so it is visible without a probe attached.
 type FaultCounters struct {
 	// GatePassed/GateDropped are the Bernoulli loss gate's counters.
 	GatePassed  int64
@@ -23,10 +23,6 @@ type FaultCounters struct {
 	GEPassed  int64
 	GEDropped int64
 	GEBursts  int64
-	// Reordered counts packets deliberately deferred by a reorder element.
-	Reordered int64
-	// Duplicated counts extra copies injected by a duplicator.
-	Duplicated int64
 }
 
 // FlowResult is the per-flow outcome of a run.
@@ -159,12 +155,6 @@ func (n *Network) collect(d, from, to time.Duration) *Result {
 			fr.Faults.GEDropped = f.ge.Dropped
 			fr.Faults.GEBursts = f.ge.BadEntries
 		}
-		if f.reorder != nil {
-			fr.Faults.Reordered = f.reorder.Deferred
-		}
-		if f.dup != nil {
-			fr.Faults.Duplicated = f.dup.Duplicated
-		}
 		res.Flows = append(res.Flows, fr)
 	}
 	res.Obs = n.snapshot()
@@ -189,8 +179,8 @@ func (n *Network) collect(d, from, to time.Duration) *Result {
 }
 
 // ledger assembles the packet-conservation ledger from element counters.
-// Every place a packet can legally rest at the horizon has a gauge:
-// reorder boxes (HeldPreQueue), the bottleneck FIFO (HeldInQueue), and the
+// Every place a packet can legally rest at the horizon has a gauge: the
+// bottleneck FIFOs and inter-link hops (HeldInQueue) and the
 // propagation/jitter boxes (HeldPostQueue).
 func (n *Network) ledger() guard.Ledger {
 	var lg guard.Ledger
@@ -219,12 +209,6 @@ func (n *Network) ledger() guard.Ledger {
 		}
 		if f.ge != nil {
 			fl.DroppedPreQueue += f.ge.Dropped
-		}
-		if f.reorder != nil {
-			fl.HeldPreQueue = f.reorder.Held()
-		}
-		if f.dup != nil {
-			fl.Duplicated = f.dup.Duplicated
 		}
 		lg.Flows = append(lg.Flows, fl)
 	}
@@ -271,17 +255,10 @@ func (n *Network) snapshot() obs.Snapshot {
 			fc.PacketsDropped += f.ge.Dropped
 			fc.DroppedAtGate += f.ge.Dropped
 		}
-		if f.reorder != nil {
-			fc.PacketsReordered = f.reorder.Deferred
-		}
-		if f.dup != nil {
-			fc.PacketsDuplicated = f.dup.Duplicated
-		}
 		g := &snap.Global
 		g.PacketsDropped += fc.PacketsDropped
 		g.PacketsDelivered += fc.PacketsDelivered
 		g.AcksReceived += fc.AcksReceived
-		g.PacketsDuplicated += fc.PacketsDuplicated
 	}
 	g := &snap.Global
 	for _, link := range n.Links {
@@ -292,7 +269,6 @@ func (n *Network) snapshot() obs.Snapshot {
 		if q := int64(link.MaxQueue); q > g.MaxQueueBytes {
 			g.MaxQueueBytes = q
 		}
-		g.LinkRateChanges += link.RateChanges
 	}
 	st := n.Sim.Stats()
 	g.SimEventsScheduled = st.Scheduled

@@ -13,14 +13,14 @@ import (
 // by the largest configuration the session has seen.
 //
 // Networks are cached by *shape*: what wire bakes into the element graph
-// (link count, each flow's resolved path, and which impairment elements
-// sit on its forward chain). A run whose shape matches a cached network
-// reuses it; anything else — rates, seeds, buffer sizes, CCA instances,
-// jitter policies, ACK policies, ECN, markers, rate schedules, guard and
-// telemetry options, durations — is a plain parameter, applied by
-// configure on every run, the first included. Results are always
-// detached: every trace series is cloned out of the recycled buffers, so a
-// Result outlives the session's next run untouched.
+// (link count, each flow's resolved path, and which loss gates sit on its
+// forward chain). A run whose shape matches a cached network reuses it;
+// anything else — rates, seeds, buffer sizes, CCA instances, jitter
+// policies, ACK policies, ECN, markers, guard and telemetry options,
+// durations — is a plain parameter, applied by configure on every run,
+// the first included. Results are always detached: every trace series is
+// cloned out of the recycled buffers, so a Result outlives the session's
+// next run untouched.
 //
 // A nil *Session is valid and runs one-shot: the network is wired for the
 // run and dropped after it, nothing is cached, and the Result keeps the

@@ -170,17 +170,13 @@ func TestSessionShapeChangeRebuilds(t *testing.T) {
 		}, true},
 		{"GE gate", func() goldenConfig {
 			gc := base()
-			gc.specs[0].Faults = &faults.Spec{GE: &faults.GEConfig{PGoodToBad: 0.005, PBadToGood: 0.3, PDropBad: 0.5}}
+			gc.specs[0].GE = &faults.GEConfig{PGoodToBad: 0.005, PBadToGood: 0.3, PDropBad: 0.5}
 			return gc
 		}, true},
-		{"reorderer", func() goldenConfig {
+		{"both gates", func() goldenConfig {
 			gc := base()
-			gc.specs[0].Faults = &faults.Spec{Reorder: &faults.ReorderConfig{P: 0.02, Delay: 3 * time.Millisecond}}
-			return gc
-		}, true},
-		{"duplicator", func() goldenConfig {
-			gc := base()
-			gc.specs[0].Faults = &faults.Spec{Duplicate: &faults.DupConfig{P: 0.01}}
+			gc.specs[0].LossProb = 0.02
+			gc.specs[0].GE = &faults.GEConfig{PGoodToBad: 0.005, PBadToGood: 0.3, PDropBad: 0.5}
 			return gc
 		}, true},
 		{"same element, other flow", func() goldenConfig {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"starvation/internal/netem"
-	"starvation/internal/netem/faults"
 	"starvation/internal/units"
 )
 
@@ -23,9 +22,6 @@ type LinkSpec struct {
 	// Marker installs an AQM policy that ECN-marks arriving packets; nil
 	// marks nothing.
 	Marker netem.Marker
-	// RateSchedule varies this link's rate over the run; nil keeps it
-	// constant.
-	RateSchedule *faults.RateSchedule
 	// HopDelay is the propagation delay applied to a packet departing this
 	// link on its way to the *next* link of its path (ignored for the last
 	// link of a path, where the flow's Rm stage applies instead).
@@ -42,9 +38,6 @@ func (ls LinkSpec) validate() error {
 	}
 	if ls.HopDelay < 0 {
 		return fmt.Errorf("negative hop delay %v", ls.HopDelay)
-	}
-	if err := ls.RateSchedule.Validate(); err != nil {
-		return fmt.Errorf("rate schedule: %w", err)
 	}
 	return nil
 }

@@ -53,8 +53,6 @@ func addCounters(dst, src *FlowCounters) {
 	dst.AcksReceived += src.AcksReceived
 	dst.PacketsDequeued += src.PacketsDequeued
 	dst.DroppedAtGate += src.DroppedAtGate
-	dst.PacketsDuplicated += src.PacketsDuplicated
-	dst.PacketsReordered += src.PacketsReordered
 	dst.BytesSent += src.BytesSent
 	dst.BytesEnqueued += src.BytesEnqueued
 	dst.BytesAcked += src.BytesAcked

@@ -42,7 +42,6 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 			Bytes: je.Bytes,
 			Queue: je.Queue,
 			Retx:  je.Retx,
-			Dup:   je.Dup,
 			Hop:   je.Hop,
 		})
 	}

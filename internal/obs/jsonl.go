@@ -16,7 +16,6 @@ type jsonEvent struct {
 	Bytes int    `json:"bytes"`
 	Queue int    `json:"queue"`
 	Retx  bool   `json:"retx,omitempty"`
-	Dup   bool   `json:"dup,omitempty"`
 	Hop   uint8  `json:"hop,omitempty"`
 }
 
@@ -48,7 +47,6 @@ func (jw *JSONLWriter) Emit(e Event) {
 		Bytes: e.Bytes,
 		Queue: e.Queue,
 		Retx:  e.Retx,
-		Dup:   e.Dup,
 		Hop:   e.Hop,
 	})
 	if err != nil {

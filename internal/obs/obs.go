@@ -53,17 +53,6 @@ const (
 	// EvRateSample: periodic per-flow throughput sample; Seq is the
 	// windowed delivery rate in bit/s, Queue the bottleneck depth.
 	EvRateSample
-	// EvDup: a duplication element emitted an extra copy of a packet. The
-	// copy's own lifecycle events (enqueue/drop/deliver) carry Dup=true.
-	EvDup
-	// EvReorder: a reordering element deferred a packet, letting packets
-	// sent after it overtake. Queue is -1 (the element sits before the
-	// bottleneck queue).
-	EvReorder
-	// EvLinkRate: the bottleneck's drain rate changed. Seq is the new rate
-	// in bit/s, Queue the depth at the change, and Flow is -1: the event is
-	// global, not owned by any flow.
-	EvLinkRate
 	// EvRTTSample: the sender took a valid RTT measurement (Karn's rule).
 	// Seq is the RTT in nanoseconds. Emitted only on the instrumented path;
 	// the ACK-paced cadence makes it the raw material for windowed
@@ -93,7 +82,6 @@ const (
 var eventTypeNames = [numEventTypes]string{
 	"enqueue", "drop", "mark", "dequeue", "deliver",
 	"ack_recv", "cwnd_update", "rate_sample",
-	"dup", "reorder", "link_rate",
 	"rtt_sample", "fault_state", "phase",
 	"starve_onset", "starve_end",
 }
@@ -150,10 +138,6 @@ type Event struct {
 	Queue int
 	// Retx marks events about retransmitted segments.
 	Retx bool
-	// Dup marks events about duplicate copies injected by a duplication
-	// element. Registries count such enqueues and drops into queue-level
-	// counters but not into PacketsSent, which tracks sender transmissions.
-	Dup bool
 	// Hop is the packet's position on a multi-link path when the event was
 	// emitted: 0 at the first bottleneck, 1 after it, and so on. Registries
 	// count hop > 0 enqueues and drops into queue-level counters but not

@@ -41,10 +41,6 @@ func WritePrometheus(w io.Writer, snap *Snapshot) error {
 			func(f *FlowCounters) int64 { return f.PacketsDequeued }},
 		{"starvesim_dropped_at_gate_total", "Segments discarded by pre-queue loss gates (Bernoulli or Gilbert-Elliott).", "counter",
 			func(f *FlowCounters) int64 { return f.DroppedAtGate }},
-		{"starvesim_packets_duplicated_total", "Extra copies injected by a duplication element.", "counter",
-			func(f *FlowCounters) int64 { return f.PacketsDuplicated }},
-		{"starvesim_packets_reordered_total", "Segments deliberately deferred by a reordering element.", "counter",
-			func(f *FlowCounters) int64 { return f.PacketsReordered }},
 	}
 	for _, m := range perFlow {
 		if err := WriteHeader(w, m.name, m.help, m.typ); err != nil {
@@ -107,7 +103,6 @@ func WritePrometheus(w io.Writer, snap *Snapshot) error {
 	}{
 		{"starvesim_queue_depth_max_bytes", "High-water mark of the bottleneck queue.", "gauge", snap.Global.MaxQueueBytes},
 		{"starvesim_queue_packets_dequeued_total", "Segments that completed bottleneck serialization.", "counter", snap.Global.PacketsDequeued},
-		{"starvesim_link_rate_changes_total", "Bottleneck drain-rate changes (schedules and flaps).", "counter", snap.Global.LinkRateChanges},
 		{"starvesim_sim_events_scheduled_total", "Discrete events scheduled on the virtual clock.", "counter", int64(snap.Global.SimEventsScheduled)},
 		{"starvesim_sim_events_fired_total", "Discrete events executed by the virtual clock.", "counter", int64(snap.Global.SimEventsFired)},
 	}

@@ -22,15 +22,11 @@ type FlowCounters struct {
 	Retransmits      int64 `json:"retransmits"`
 	AcksReceived     int64 `json:"acks_received"`
 
-	// Fault-element counters. PacketsDropped already includes gate drops;
+	// Loss-gate counters. PacketsDropped already includes gate drops;
 	// DroppedAtGate isolates the pre-queue share (Bernoulli and
-	// Gilbert–Elliott gates). PacketsDuplicated counts extra copies created
-	// by a duplicator (their enqueues/drops are excluded from PacketsSent);
-	// PacketsReordered counts deliberate deferrals by a reorder element.
-	PacketsDequeued   int64 `json:"packets_dequeued"`
-	DroppedAtGate     int64 `json:"dropped_at_gate"`
-	PacketsDuplicated int64 `json:"packets_duplicated"`
-	PacketsReordered  int64 `json:"packets_reordered"`
+	// Gilbert–Elliott gates).
+	PacketsDequeued int64 `json:"packets_dequeued"`
+	DroppedAtGate   int64 `json:"dropped_at_gate"`
 
 	BytesSent      int64 `json:"bytes_sent"`
 	BytesEnqueued  int64 `json:"bytes_enqueued"`
@@ -51,9 +47,6 @@ type Counters struct {
 	AcksReceived     int64 `json:"acks_received"`
 	BytesEnqueued    int64 `json:"bytes_enqueued"`
 	MaxQueueBytes    int64 `json:"max_queue_bytes"`
-
-	PacketsDuplicated int64 `json:"packets_duplicated"`
-	LinkRateChanges   int64 `json:"link_rate_changes"`
 
 	// Event-loop gauges, filled only by the emulator's end-of-run snapshot
 	// (the packet event stream does not carry them).
@@ -96,17 +89,14 @@ func NewRegistry() *Registry { return &Registry{} }
 func (r *Registry) Emit(e Event) {
 	g := &r.snap.Global
 	if e.Flow < 0 {
-		// Global events carry no owning flow; handle them before the
-		// per-flow lookup (Snapshot.Flow would panic on a negative id).
-		if e.Type == EvLinkRate {
-			g.LinkRateChanges++
-		}
+		// Global events (run phases) carry no owning flow and no count;
+		// Snapshot.Flow would panic on a negative id.
 		return
 	}
 	f := r.snap.Flow(e.Flow)
 	switch e.Type {
 	case EvEnqueue:
-		if !e.Dup && e.Hop == 0 {
+		if e.Hop == 0 {
 			f.PacketsSent++
 			f.BytesSent += int64(e.Bytes)
 			if e.Retx {
@@ -121,7 +111,7 @@ func (r *Registry) Emit(e Event) {
 			g.MaxQueueBytes = q
 		}
 	case EvDrop:
-		if !e.Dup && e.Hop == 0 {
+		if e.Hop == 0 {
 			f.PacketsSent++
 			f.BytesSent += int64(e.Bytes)
 			if e.Retx {
@@ -139,11 +129,6 @@ func (r *Registry) Emit(e Event) {
 	case EvDequeue:
 		f.PacketsDequeued++
 		g.PacketsDequeued++
-	case EvDup:
-		f.PacketsDuplicated++
-		g.PacketsDuplicated++
-	case EvReorder:
-		f.PacketsReordered++
 	case EvDeliver:
 		f.PacketsDelivered++
 		f.BytesDelivered += int64(e.Bytes)

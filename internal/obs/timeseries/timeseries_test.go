@@ -199,7 +199,7 @@ func TestSamplerFlushIdempotent(t *testing.T) {
 
 func TestSamplerIgnoresLinkEvents(t *testing.T) {
 	s := newTestSampler(1, nil)
-	s.Emit(obs.Event{Type: obs.EvLinkRate, At: time.Second, Flow: -1, Seq: 1_000_000})
+	s.Emit(obs.Event{Type: obs.EvPhase, At: time.Second, Flow: -1, Seq: obs.PhaseMeasure})
 	s.Flush(2 * time.Second)
 	if fs := s.Flow(0); fs.Len() != 0 {
 		t.Errorf("flow-less event opened a window")

@@ -24,11 +24,6 @@ type Packet struct {
 	Retx bool
 	// ECN is set by the bottleneck when the packet is marked (CE).
 	ECN bool
-	// Dup marks an extra copy created by a duplication element. Copies are
-	// real traffic (they occupy the bottleneck and reach the receiver, which
-	// ACKs them like any out-of-window arrival) but are excluded from
-	// sent-packet accounting so conservation checks still balance.
-	Dup bool
 	// Hop counts the bottleneck links the packet has already departed on a
 	// multi-link path (0 at the first link). Lifecycle events emitted past
 	// the first hop carry it so registries do not re-count the packet as a

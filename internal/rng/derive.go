@@ -9,8 +9,6 @@ type Stream uint8
 const (
 	Gate      Stream = iota // 17: Bernoulli loss gate
 	GE                      // 29: Gilbert–Elliott loss gate
-	Reorder                 // 31: reorderer
-	Dup                     // 37: duplicator
 	CCA                     // 43: the flow's congestion controller
 	FwdJitter               // 101: forward-path jitter policy
 	numStreams
@@ -19,7 +17,7 @@ const (
 // Changing a network stream's salt moves every lossy or faulted
 // realization. No two salts may differ by 4: 2⁶⁴ ≡ 4 (mod 2³¹−1), so such
 // a pair meets where the product wraps.
-var salts = [numStreams]int64{Gate: 17, GE: 29, Reorder: 31, Dup: 37, CCA: 43, FwdJitter: 101}
+var salts = [numStreams]int64{Gate: 17, GE: 29, CCA: 43, FwdJitter: 101}
 
 // Derive returns the seed of stream s of flow flow in the run seeded run:
 // run·1000003 + flow·7919 + salt(s). For any run seed and fewer than

@@ -41,10 +41,11 @@ func TestDeriveDistinct(t *testing.T) {
 	}
 }
 
-// TestDeriveKeepsNetworkSalts pins the salts of the impairment and jitter
-// streams: moving one moves every lossy, faulted or jittered realization.
+// TestDeriveKeepsNetworkSalts pins the salts of the loss, CCA and jitter
+// streams: moving one moves every lossy, randomized or jittered
+// realization.
 func TestDeriveKeepsNetworkSalts(t *testing.T) {
-	for s, salt := range map[Stream]int64{Gate: 17, GE: 29, Reorder: 31, Dup: 37, FwdJitter: 101} {
+	for s, salt := range map[Stream]int64{Gate: 17, GE: 29, CCA: 43, FwdJitter: 101} {
 		if got, want := Derive(5, 3, s), 5*int64(1000003)+3*7919+salt; got != want {
 			t.Errorf("stream %d: Derive(5, 3) = %d, want %d", s, got, want)
 		}

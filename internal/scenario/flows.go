@@ -8,6 +8,7 @@ import (
 
 	"starvation/internal/cca"
 	"starvation/internal/endpoint"
+	"starvation/internal/netem/faults"
 	"starvation/internal/netem/jitter"
 	"starvation/internal/network"
 	"starvation/internal/rng"
@@ -36,13 +37,18 @@ const defaultFlowRm = 40 * time.Millisecond
 //	stagger=<dur>     extra start delay per flow inside the group
 //	jitter=<spec>     forward-path jitter, jitter.Parse grammar (kind:value)
 //	loss=<p>          independent random loss probability in [0, 1)
+//	ge=<g2b>/<b2g>/<dropBad>[/<dropGood>]
+//	                  Gilbert–Elliott bursty loss: per-packet Good→Bad and
+//	                  Bad→Good transition probabilities and the drop
+//	                  probability in each state (Good defaults to 0), all
+//	                  in [0, 1]
 //	ackagg=<dur>      receiver ACK aggregation period
 //	delack=<n>/<dur>  receiver delayed ACKs: one per n packets (n >= 1),
 //	                  none held longer than dur (> 0)
 //	path=<i/j/..>     link indices the group traverses (topology-dependent)
 //	cohort=<name>     cohort label (default: the CCA name)
 //
-// Example: "vegas*8;copa*8:rm=80ms,cohort=copa-long;reno*2:loss=0.01".
+// Example: "vegas*8;copa*8:rm=80ms,cohort=copa-long;reno*2:loss=0.01,ge=0.008/0.2/0.5".
 //
 // Each flow gets its own CCA instance and rng seeded from seed and the
 // flow's global index (flowSeeds; stride selects the formula), so group
@@ -107,6 +113,8 @@ func parseFlows(spec string, seed, stride int64, topo *parsedTopology) ([]networ
 					if err == nil && (base.LossProb < 0 || base.LossProb >= 1) {
 						err = fmt.Errorf("loss %v outside [0, 1)", base.LossProb)
 					}
+				case "ge":
+					base.GE, err = parseGE(val)
 				case "ackagg":
 					base.Ack.AggregatePeriod, err = parseNonNegativeDuration(val)
 				case "delack":
@@ -119,7 +127,7 @@ func parseFlows(spec string, seed, stride int64, topo *parsedTopology) ([]networ
 					}
 					base.Cohort = val
 				default:
-					err = fmt.Errorf("unknown key (rm, start, stagger, jitter, loss, ackagg, delack, path, cohort)")
+					err = fmt.Errorf("unknown key (rm, start, stagger, jitter, loss, ge, ackagg, delack, path, cohort)")
 				}
 				if err != nil {
 					return nil, fmt.Errorf("flows: group %q: %s=%s: %v", g, key, val, err)
@@ -180,6 +188,25 @@ func parseDelack(val string) (int, time.Duration, error) {
 	}
 	d, err := parsePositiveDuration(timeoutStr)
 	return n, d, err
+}
+
+// parseGE parses a ge value, "<g2b>/<b2g>/<dropBad>[/<dropGood>]", into a
+// validated Gilbert–Elliott chain.
+func parseGE(val string) (*faults.GEConfig, error) {
+	parts := strings.Split(val, "/")
+	if len(parts) < 3 || len(parts) > 4 {
+		return nil, fmt.Errorf("want <g2b>/<b2g>/<dropBad>[/<dropGood>], got %d fields", len(parts))
+	}
+	var p [4]float64
+	for i, s := range parts {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad probability %q", s)
+		}
+		p[i] = v
+	}
+	ge := &faults.GEConfig{PGoodToBad: p[0], PBadToGood: p[1], PDropBad: p[2], PDropGood: p[3]}
+	return ge, ge.Validate()
 }
 
 // parsedTopology is a parsed -topology clause: the link list plus the policies

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"starvation/internal/endpoint"
+	"starvation/internal/netem/faults"
 	"starvation/internal/units"
 )
 
@@ -42,6 +43,30 @@ func TestParseFlowsGroups(t *testing.T) {
 				t.Fatalf("specs %d and %d share a CCA instance", i, j)
 			}
 		}
+	}
+}
+
+// TestParseFlowsGE: ge= gives every flow of its group the Gilbert–Elliott
+// chain it spells, the Good state's drop probability defaulting to 0, and
+// leaves the other groups without a gate.
+func TestParseFlowsGE(t *testing.T) {
+	specs, err := parseFlows("allegro:ge=0.008/0.2/0.5;reno*2:ge=0.01/0.3/1/0.001,loss=0.01;vegas", 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []*faults.GEConfig{
+		{PGoodToBad: 0.008, PBadToGood: 0.2, PDropBad: 0.5},
+		{PGoodToBad: 0.01, PBadToGood: 0.3, PDropBad: 1, PDropGood: 0.001},
+		{PGoodToBad: 0.01, PBadToGood: 0.3, PDropBad: 1, PDropGood: 0.001},
+		nil,
+	}
+	for i, w := range want {
+		if got := specs[i].GE; (got == nil) != (w == nil) || got != nil && *got != *w {
+			t.Errorf("flow %d: GE %+v, want %+v", i, got, w)
+		}
+	}
+	if specs[1].LossProb != 0.01 {
+		t.Errorf("flow 1: loss %g beside ge=, want 0.01", specs[1].LossProb)
 	}
 }
 
@@ -95,6 +120,12 @@ func TestParseFlowsErrors(t *testing.T) {
 		"reno:delack=4/-200ms",         // negative delack timeout
 		"reno:delack=0/200ms",          // delack count below 1
 		"reno:delack=x/200ms",          // malformed delack count
+		"allegro:ge=0.008/0.2",         // ge with too few fields
+		"allegro:ge=0.008/0.2/0.5/0/1", // ge with too many fields
+		"allegro:ge=0.008/x/0.5",       // non-number ge probability
+		"allegro:ge=0.008/0.2/1.5",     // ge probability above 1
+		"allegro:ge=-0.1/0.2/0.5",      // negative ge probability
+		"allegro:ge=0.01/0/0.5",        // ge chain absorbed in its Bad state
 	}
 	for _, spec := range cases {
 		if _, err := parseFlows(spec, 1, 0, nil); err == nil {

@@ -27,6 +27,7 @@ func FuzzParseFlows(f *testing.F) {
 	f.Add("copa:rm=59ms,jitter=dip:1ms/10s/500ms;copa:rm=59ms,jitter=const:1ms", "single")
 	f.Add("reno*2:rm=120ms,delack=4/200ms;vegas:jitter=step:10ms/10s", "parkinglot:2")
 	f.Add("cubic:delack=0/1ms;vegas:jitter=dip:1ms/2s", "")
+	f.Add("allegro:rm=40ms,ge=0.008/0.2/0.5;allegro*2:ge=1/1/1/0,loss=0.02", "parkinglot:2")
 	f.Fuzz(func(t *testing.T, flowsSpec, topoSpec string) {
 		topo, err := parseTopology(topoSpec, units.Mbps(10), 16*endpoint.DefaultMSS)
 		if err != nil {

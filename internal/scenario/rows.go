@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"starvation/internal/core"
 	"starvation/internal/endpoint"
 	"starvation/internal/network"
 	"starvation/internal/units"
@@ -28,7 +27,8 @@ import (
 // flowRow is a registered scenario stated as data: a flow-set spec, run
 // through the same parser and network as -flows and the daemon, plus how
 // its result is reported. The spec carries the published parameters (its
-// Duration the scenario's default).
+// Duration the scenario's default); a population row's statistics use
+// the default ε.
 type flowRow struct {
 	id, desc, claim string
 	spec            PopulationSpec
@@ -37,7 +37,8 @@ type flowRow struct {
 	names []string
 	// mbps names each flow's steady-state throughput observable, in flow
 	// order, and totals the whole-run observables (keys of totals). A
-	// row without mbps reports the population statistics.
+	// row without mbps reports the population statistics. A row whose
+	// flows carry a ge= gate also reports the gates (geObservables).
 	mbps, totals []string
 }
 
@@ -63,17 +64,18 @@ func (r flowRow) run(o Opts) *Result {
 	for i, name := range r.names {
 		cfg.Flows[i].Name, cfg.Flows[i].Cohort = name, ""
 	}
-	cfg.Guard, cfg.Probe, cfg.Ctx, cfg.Telemetry, cfg.Session = o.Guard, o.Probe, o.Ctx, o.Telemetry, o.Session
-	pr, err := core.RunPopulation(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("scenario %s: %v", r.id, err))
-	}
+	res := o.emulate(network.Config{
+		Links: cfg.Links, Bottleneck: cfg.Bottleneck,
+		Rate: cfg.Rate, BufferBytes: cfg.BufferBytes,
+	}, cfg.Flows...)
+	obsv := r.observe(res)
+	geObservables(obsv, cfg.Flows, res)
 	return &Result{
 		ID:          r.id,
 		Description: r.desc,
 		PaperClaim:  r.claim,
-		Net:         pr.Net,
-		Observables: r.observe(pr),
+		Net:         res,
+		Observables: obsv,
 	}
 }
 
@@ -81,18 +83,18 @@ func (r flowRow) run(o Opts) *Result {
 // and totals, or for a population row the population starvation
 // statistics (the starved fraction under the ε·fair-share threshold,
 // share quantiles, Jain's index, and the starved count per cohort).
-func (r flowRow) observe(pr *core.PopulationResult) map[string]float64 {
+func (r flowRow) observe(res *network.Result) map[string]float64 {
 	if r.mbps != nil {
 		obsv := map[string]float64{}
 		for i, k := range r.mbps {
-			obsv[k] = pr.Net.Flows[i].Stat.SteadyThpt.Mbit()
+			obsv[k] = res.Flows[i].Stat.SteadyThpt.Mbit()
 		}
 		for _, k := range r.totals {
-			obsv[k] = totals[k](pr.Net)
+			obsv[k] = totals[k](res)
 		}
 		return obsv
 	}
-	st := pr.Stats
+	st := res.Population(0)
 	obsv := map[string]float64{
 		"flows":           float64(st.N),
 		"starved":         float64(st.Starved),
@@ -101,7 +103,7 @@ func (r flowRow) observe(pr *core.PopulationResult) map[string]float64 {
 		"share_p5":        st.ShareP5,
 		"share_p50":       st.ShareP50,
 		"share_p95":       st.ShareP95,
-		"utilization_pct": 100 * pr.Net.Utilization(),
+		"utilization_pct": 100 * res.Utilization(),
 	}
 	// max/min is +Inf when a flow got nothing; observables are plain
 	// floats, so cap it to keep the table printable.
@@ -114,6 +116,37 @@ func (r flowRow) observe(pr *core.PopulationResult) map[string]float64 {
 		}
 	}
 	return obsv
+}
+
+// geObservables adds, when any flow carries a Gilbert–Elliott gate, the
+// gates' mean stationary loss (what their chains average out to), the
+// loss they realized over every packet they saw, and the loss bursts
+// they started.
+func geObservables(obsv map[string]float64, specs []network.FlowSpec, res *network.Result) {
+	var gates int
+	var mean float64
+	var passed, dropped, bursts int64
+	for i, f := range specs {
+		if f.GE == nil {
+			continue
+		}
+		gates++
+		mean += f.GE.MeanLoss()
+		fc := res.Flows[i].Faults
+		passed += fc.GEPassed
+		dropped += fc.GEDropped
+		bursts += fc.GEBursts
+	}
+	if gates == 0 {
+		return
+	}
+	var actual float64
+	if total := passed + dropped; total > 0 {
+		actual = float64(dropped) / float64(total)
+	}
+	obsv["ge_mean_loss"] = mean / float64(gates)
+	obsv["ge_actual_loss"] = actual
+	obsv["ge_bursts"] = float64(bursts)
 }
 
 // Seed strides of the randomized §5 rows (flowSeeds).
@@ -219,6 +252,24 @@ var rows = map[string]flowRow{
 		},
 		names: []string{"lossy", "clean"},
 		mbps:  []string{"lossy_mbps", "clean_mbps"}, totals: []string{"ratio"},
+	},
+	// §5.4 extended beyond the paper: the same two-Allegro path, but the
+	// lossy flow's ~2% average loss arrives in Gilbert–Elliott bursts
+	// (bad-state episodes of ~5 packets dropping half their packets)
+	// instead of independently. The chain's stationary loss,
+	// g2b/(g2b+b2g) × dropBad ≈ 1.9%, matches T5.4a's Bernoulli rate, so
+	// burstiness is the only variable. The bursty flow still loses, but
+	// by far less than under Bernoulli loss (EXPERIMENTS.md, T5.4d).
+	"allegro-burst": {
+		id:    "T5.4d",
+		desc:  "Allegro two flows, Gilbert–Elliott bursty loss (~2% mean) on one (extension)",
+		claim: "no paper row; T5.4a analogue — starvation should persist under bursty loss at matched mean rate",
+		spec: PopulationSpec{
+			Flows:    "allegro:rm=40ms,ge=0.008/0.2/0.5;allegro:rm=40ms",
+			RateMbps: 120, BufferPkts: allegroBufferPkts, Duration: 60 * time.Second, seedStride: allegroStride,
+		},
+		names: []string{"bursty", "clean"},
+		mbps:  []string{"bursty_mbps", "clean_mbps"}, totals: []string{"ratio"},
 	},
 	// §5.4's control: with both flows at 2% loss "they shared the link
 	// fairly and efficiently".

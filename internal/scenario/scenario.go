@@ -125,10 +125,9 @@ func (o Opts) emulate(cfg network.Config, specs ...network.FlowSpec) *network.Re
 }
 
 // Registry lists all scenarios by ID for the CLI: the flow-set rows, and
-// the four that need a knob the grammar does not have — algo1's Rm and A
-// and the ablation's AIAD and per-ACK switches (CCA parameters), Reno's
-// ECN reaction with a RED marker on the link, and a per-flow
-// Gilbert–Elliott gate.
+// the three that need a knob the grammar does not have — algo1's Rm and A
+// and the ablation's AIAD and per-ACK switches (CCA parameters), and
+// Reno's ECN reaction with a RED marker on the link.
 var Registry = registry()
 
 func registry() map[string]func(Opts) *Result {
@@ -136,7 +135,6 @@ func registry() map[string]func(Opts) *Result {
 		"algo1-fair":     algo1Fairness,
 		"algo1-ablation": algo1Ablation,
 		"ecn-fairness":   ecnAvoidsStarvation,
-		"allegro-burst":  allegroBurstLoss,
 	}
 	for name, r := range rows {
 		reg[name] = r.run

@@ -32,7 +32,7 @@ func init() {
 type gateDecisions map[int][]bool
 
 func (g gateDecisions) Emit(e obs.Event) {
-	if e.Hop == 0 && !e.Dup && (e.Type == obs.EvEnqueue || e.Type == obs.EvDrop) {
+	if e.Hop == 0 && (e.Type == obs.EvEnqueue || e.Type == obs.EvDrop) {
 		g[int(e.Flow)] = append(g[int(e.Flow)], e.Type == obs.EvDrop && e.Queue < 0)
 	}
 }

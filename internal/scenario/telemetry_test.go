@@ -14,7 +14,7 @@ import (
 // states, and the recorder attributes them via the fault-state stream.
 func TestAllegroBurstTelemetry(t *testing.T) {
 	run := func() *network.TelemetryResult {
-		r := allegroBurstLoss(Opts{Telemetry: &network.TelemetryConfig{}})
+		r := Registry["allegro-burst"](Opts{Telemetry: &network.TelemetryConfig{}})
 		if r.Net.Telemetry == nil {
 			t.Fatal("Opts.Telemetry did not reach the network config")
 		}

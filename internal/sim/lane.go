@@ -20,10 +20,6 @@ import "fmt"
 // from one pool, recycled last-freed-first like the event arena's records,
 // so a push writes the node the latest delivery released.
 //
-// A lane may be held (Hold): its head event is cancelled and payloads
-// pushed meanwhile take no ticket. Retime gives every queued payload a new
-// due time and a fresh ticket, in FIFO order, and releases the hold.
-//
 // A Lane is used in place, inside the element it serves: Init binds it,
 // and it must not be copied after that. Released nodes are not cleared
 // until reused, so T should be a plain value, such as a packet or an ACK,
@@ -34,13 +30,10 @@ type Lane[T any] struct {
 	fn     func(T)
 	fireFn func() // fire bound once, so scheduling the head never allocates
 
-	head        T      // the oldest payload, while n > 0
-	headAt      Time   // its due time (zero while held)
-	first, last int32  // the nodes of the payloads behind the head, while n > 1
-	n           int    // payloads queued, the head included
-	tail        Time   // the newest payload's time, while not held
-	h           Handle // the head's event, while n > 0 and not held
-	held        bool
+	head        T     // the oldest payload, while n > 0
+	first, last int32 // the nodes of the payloads behind the head, while n > 1
+	n           int   // payloads queued, the head included
+	tail        Time  // the newest payload's time
 }
 
 // lanePool is the node store a simulator's lanes of one payload type
@@ -103,18 +96,13 @@ func (l *Lane[T]) Init(s *Simulator, fn func(T)) {
 func (l *Lane[T]) Len() int { return l.n }
 
 // Push queues v to be delivered at at, which must not precede the time of
-// the payload pushed before it. On a held lane v waits, with no time and
-// no ticket, for Retime.
+// the payload pushed before it.
 func (l *Lane[T]) Push(at Time, v T) {
 	if l.n == 0 {
 		l.n = 1
 		l.head = v
-		if l.held {
-			l.headAt = 0
-			return
-		}
-		l.headAt, l.tail = at, at
-		l.h = l.s.atTicket(at, l.s.reserve(), l.fireFn)
+		l.tail = at
+		l.s.atTicket(at, l.s.reserve(), l.fireFn)
 		return
 	}
 	p := l.pool
@@ -133,10 +121,6 @@ func (l *Lane[T]) Push(at Time, v T) {
 	l.n++
 	nd := &p.nodes[i]
 	nd.v = v
-	if l.held {
-		nd.at = 0
-		return
-	}
 	if at < l.tail {
 		panic(fmt.Sprintf("sim: lane push at %v before its tail at %v", at, l.tail))
 	}
@@ -145,50 +129,11 @@ func (l *Lane[T]) Push(at Time, v T) {
 	nd.tk = l.s.reserve()
 }
 
-// Hold cancels the head's event: nothing in the lane fires until Retime.
-func (l *Lane[T]) Hold() {
-	if !l.held && l.n > 0 {
-		l.h.Cancel()
-	}
-	l.held = true
-}
-
-// Retime releases a hold, if any, and re-times every queued payload in
-// FIFO order: next receives each entry's position, current due time (zero
-// for a payload pushed while held) and payload, and returns its new due
-// time, which must not precede the previous entry's. Each entry takes a
-// fresh ticket as it is re-timed, as rescheduling it would.
-func (l *Lane[T]) Retime(next func(i int, at Time, v T) Time) {
-	if !l.held && l.n > 0 {
-		l.h.Cancel()
-	}
-	l.held = false
-	if l.n == 0 {
-		return
-	}
-	l.headAt = next(0, l.headAt, l.head)
-	l.tail = l.headAt
-	tk := l.s.reserve()
-	for i, j := 1, l.first; i < l.n; i++ {
-		nd := &l.pool.nodes[j]
-		at := next(i, nd.at, nd.v)
-		if at < l.tail {
-			panic(fmt.Sprintf("sim: lane retimed entry %d to %v before its predecessor at %v", i, at, l.tail))
-		}
-		l.tail = at
-		nd.at = at
-		nd.tk = l.s.reserve()
-		j = nd.next
-	}
-	l.h = l.s.atTicket(l.headAt, tk, l.fireFn)
-}
-
-// Reset empties the lane and releases any hold. The caller resets the
-// simulator first, which empties the pool: the lane's nodes and its
-// head's event are abandoned with it, not released one by one.
+// Reset empties the lane. The caller resets the simulator first, which
+// empties the pool: the lane's nodes and its head's event are abandoned
+// with it, not released one by one.
 func (l *Lane[T]) Reset() {
 	l.n, l.tail = 0, 0
-	l.held = false
 }
 
 // fire delivers the head. It first moves the next payload, if any, into
@@ -202,8 +147,8 @@ func (l *Lane[T]) fire() {
 		p := l.pool
 		i := l.first
 		nd := &p.nodes[i]
-		l.head, l.headAt = nd.v, nd.at
-		l.h = l.s.atTicket(nd.at, nd.tk, l.fireFn)
+		l.head = nd.v
+		l.s.atTicket(nd.at, nd.tk, l.fireFn)
 		l.first = nd.next
 		nd.next = p.free
 		p.free = i

@@ -18,8 +18,8 @@
 //
 // The queue holds elements, not packets, and network elements schedule
 // through two typed sources rather than through At. A FIFO delay element
-// — the bottleneck's departures, a delay box, the reorderer's deferral,
-// the hop between two links — keeps its packets in a Lane, of which only
+// — the bottleneck's departures, a delay box, the hop between two
+// links — keeps its packets in a Lane, of which only
 // the head is a live event. Each packet reserves its place in the
 // dispatch order (reserve, a ticket) when it enters the lane, and its
 // event is scheduled in that place (atTicket) when it reaches the head, so
