@@ -2,6 +2,7 @@ package network
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"starvation/internal/cca/vegas"
 	_ "starvation/internal/cca/vivace"
 	"starvation/internal/endpoint"
+	"starvation/internal/netem/faults"
 	"starvation/internal/netem/jitter"
 	"starvation/internal/rng"
 	"starvation/internal/units"
@@ -215,6 +217,34 @@ func TestInvalidConfigsPanic(t *testing.T) {
 	assertPanics("missing Rm", func() {
 		New(Config{Rate: units.Mbps(1)}, FlowSpec{Alg: vegas.New(vegas.Config{})})
 	})
+}
+
+// TestFlowSpecGEEmptyAndValidate pins the optional GE field of a FlowSpec:
+// nil is valid and puts no gate on the flow's path, a valid config puts
+// one there, and an invalid config is refused before any wiring.
+func TestFlowSpecGEEmptyAndValidate(t *testing.T) {
+	cfg := Config{Rate: units.Mbps(10)}
+	spec := FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 10 * time.Millisecond}
+	n, err := NewChecked(cfg, spec)
+	if err != nil {
+		t.Fatalf("nil GE refused: %v", err)
+	}
+	if n.Flows[0].ge != nil || chainOf(spec)&chainGE != 0 {
+		t.Errorf("nil GE must leave the gate out of the flow's path")
+	}
+
+	spec.GE = &faults.GEConfig{PGoodToBad: 0.01, PBadToGood: 0.2, PDropBad: 0.5}
+	if n, err = NewChecked(cfg, spec); err != nil {
+		t.Fatalf("valid GE refused: %v", err)
+	}
+	if n.Flows[0].ge == nil || chainOf(spec)&chainGE == 0 {
+		t.Errorf("valid GE must put a gate on the flow's path")
+	}
+
+	spec.GE = &faults.GEConfig{PGoodToBad: 2}
+	if _, err = NewChecked(cfg, spec); err == nil || !strings.Contains(err.Error(), "ge:") {
+		t.Errorf("invalid GE: err = %v, want a ge: error", err)
+	}
 }
 
 func TestDelayedAckKeepsThroughput(t *testing.T) {
