@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -54,6 +55,17 @@ func TestExitStatus(t *testing.T) {
 	badSpec := scenario.PopulationSpec{Flows: "nosuchcca*2"}.Validate().Error()
 	negSpec := scenario.PopulationSpec{Flows: "vegas*2", Duration: -5 * time.Second}.Validate().Error()
 	geSpec := scenario.PopulationSpec{Flows: "allegro:ge=0.008/0.2"}.Validate().Error()
+	// Degenerate numbers: a rate whose segment time overflows the clock
+	// or rounds to zero, a NaN threshold or loss probability. Each is
+	// refused before the run starts; the -deadline turns a regression
+	// into exit 1, not a hang.
+	degenerate := func(s scenario.PopulationSpec) string {
+		if s.Flows == "" {
+			s.Flows = "vegas;vegas"
+		}
+		return "starvesim: " + s.Validate().Error() + "\n"
+	}
+	short := []string{"-duration", "2s", "-deadline", "10s"}
 	for _, tc := range []struct {
 		args   []string
 		code   int
@@ -95,6 +107,12 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-scenario", "all", "-jobs", "-4", "-duration", "1s"}, 2,
 			"starvesim: -jobs -4: must not be negative (0 = GOMAXPROCS)\n"},
 		{[]string{"-flows", "vegas*2", "-duration", "-5s"}, 2, "starvesim: " + negSpec + "\n"},
+		{append([]string{"-flows", "vegas;vegas", "-rate", "NaN"}, short...), 2, degenerate(scenario.PopulationSpec{RateMbps: math.NaN()})},
+		{append([]string{"-flows", "vegas;vegas", "-rate", "1e-300"}, short...), 2, degenerate(scenario.PopulationSpec{RateMbps: 1e-300})},
+		{append([]string{"-flows", "vegas;vegas", "-rate", "+Inf"}, short...), 2, degenerate(scenario.PopulationSpec{RateMbps: math.Inf(1)})},
+		{append([]string{"-flows", "vegas;vegas", "-rate", "1e300"}, short...), 2, degenerate(scenario.PopulationSpec{RateMbps: 1e300})},
+		{append([]string{"-flows", "vegas;vegas", "-eps", "NaN"}, short...), 2, degenerate(scenario.PopulationSpec{Epsilon: math.NaN()})},
+		{append([]string{"-flows", "vegas:loss=NaN;vegas"}, short...), 2, degenerate(scenario.PopulationSpec{Flows: "vegas:loss=NaN;vegas"})},
 		// Everything after a stray word would be dropped: -duration here.
 		{[]string{"-scenario", "quickstart-vegas", "stray", "-duration", "1s"}, 2,
 			"starvesim: unexpected argument \"stray\"\n"},

@@ -30,8 +30,9 @@ const serverJobName = "cli"
 // Its error carries the local mode's exit contract: 1 on runtime failure
 // (unreachable daemon, failed batch, saturated queue), 2 when the daemon
 // rejects the spec as malformed (HTTP 400 carries the same message a
-// local run exits 2 with), 3 after an interrupt (the batch is cancelled
-// on the daemon best-effort).
+// local run exits 2 with) or a NaN or infinite field keeps it from being
+// sent, 3 after an interrupt (the batch is cancelled on the daemon
+// best-effort).
 func runServerPopulation(ctx context.Context, addr string, spec scenario.PopulationSpec) error {
 	base := addr
 	if !strings.Contains(base, "://") {
@@ -51,6 +52,11 @@ func runServerPopulation(ctx context.Context, addr string, spec scenario.Populat
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
+		// JSON has no NaN or infinity, so such a spec never reaches the
+		// daemon: refuse it with the line the daemon's 400 would carry.
+		if verr := spec.Validate(); verr != nil {
+			return usage("%v", verr)
+		}
 		return fmt.Errorf("starvesim: encoding batch: %v", err)
 	}
 

@@ -43,22 +43,34 @@ func TestServerClient(t *testing.T) {
 	badSpec := scenario.PopulationSpec{Flows: "nosuchcca*2"}.Validate().Error()
 	negSpec := scenario.PopulationSpec{Flows: "vegas*2", Duration: -5 * time.Second}.Validate().Error()
 	dipSpec := scenario.PopulationSpec{Flows: "copa:jitter=dip:1ms/10s"}.Validate().Error()
-	// The malformed ge= is refused with the line a local run exits 2 with.
-	geFlows := "allegro:ge=0.008/1.5/0.5;allegro"
-	code, _, geLocal := starvesim(t, "-flows", geFlows)
-	if code != 2 || !strings.HasPrefix(geLocal, "starvesim: flows: ") {
-		t.Fatalf("local malformed ge=: exit %d, stderr %q", code, geLocal)
-	}
-	for _, tc := range []struct {
+	type refusal struct {
 		args   []string
 		stderr string // all of standard error
-	}{
+	}
+	refusals := []refusal{
 		{[]string{"-server", ts.URL, "-flows", "nosuchcca*2"}, "starvesim: " + badSpec + "\n"},
 		// The daemon refuses a negative duration_sec as a local run refuses -duration.
 		{[]string{"-server", ts.URL, "-flows", "vegas*2", "-duration", "-5s"}, "starvesim: " + negSpec + "\n"},
 		{[]string{"-server", ts.URL, "-flows", "copa:jitter=dip:1ms/10s"}, "starvesim: " + dipSpec + "\n"},
-		{[]string{"-server", ts.URL, "-flows", geFlows}, geLocal},
+	}
+	// A malformed ge=, a NaN loss= and a rate no link can serialize at
+	// are refused with the line a local run exits 2 with. A NaN or
+	// infinite number has no JSON form, so the client refuses it with
+	// that line before it reaches the daemon.
+	for _, args := range [][]string{
+		{"-flows", "allegro:ge=0.008/1.5/0.5;allegro"},
+		{"-flows", "vegas:loss=NaN"},
+		{"-flows", "vegas;vegas", "-rate", "1e300"},
+		{"-flows", "vegas;vegas", "-rate", "NaN"},
+		{"-flows", "vegas;vegas", "-eps", "NaN"},
 	} {
+		code, _, local := starvesim(t, args...)
+		if code != 2 || !strings.HasPrefix(local, "starvesim: ") {
+			t.Fatalf("local starvesim %v: exit %d, stderr %q", args, code, local)
+		}
+		refusals = append(refusals, refusal{append([]string{"-server", ts.URL}, args...), local})
+	}
+	for _, tc := range refusals {
 		if code, _, errOut := starvesim(t, tc.args...); code != 2 || errOut != tc.stderr {
 			t.Errorf("starvesim %v: exit %d, stderr %q; want 2, %q", tc.args, code, errOut, tc.stderr)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -107,11 +108,8 @@ func (cfg PopulationConfig) networkConfig() network.Config {
 // HTTP 400. Link and flow specs go through network.Validate, the check
 // every run starts with, so nothing is wired to find out.
 func (cfg PopulationConfig) Validate() error {
-	if len(cfg.Flows) == 0 {
-		return fmt.Errorf("population: no flows")
-	}
-	if cfg.Duration <= 0 {
-		return fmt.Errorf("population: duration %v not positive", cfg.Duration)
+	if err := cfg.check(); err != nil {
+		return err
 	}
 	if err := network.Validate(cfg.networkConfig(), cfg.Flows...); err != nil {
 		return fmt.Errorf("population: %w", err)
@@ -119,14 +117,26 @@ func (cfg PopulationConfig) Validate() error {
 	return nil
 }
 
+// check reports the first problem with the fields network.Validate does
+// not see.
+func (cfg PopulationConfig) check() error {
+	if len(cfg.Flows) == 0 {
+		return fmt.Errorf("population: no flows")
+	}
+	if cfg.Duration <= 0 {
+		return fmt.Errorf("population: duration %v not positive", cfg.Duration)
+	}
+	if math.IsNaN(cfg.Epsilon) || math.IsInf(cfg.Epsilon, 0) {
+		return fmt.Errorf("population: starvation threshold %g not finite", cfg.Epsilon)
+	}
+	return nil
+}
+
 // RunPopulation runs one realization and computes its population
 // starvation statistics.
 func RunPopulation(cfg PopulationConfig) (*PopulationResult, error) {
-	if len(cfg.Flows) == 0 {
-		return nil, fmt.Errorf("population: no flows")
-	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("population: duration %v not positive", cfg.Duration)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	res, err := cfg.Session.Run(cfg.networkConfig(), cfg.Duration, cfg.Flows...)
 	if err != nil {

@@ -67,7 +67,7 @@ func (spec FlowSpec) validate() error {
 	if spec.Rm <= 0 {
 		return fmt.Errorf("has no Rm")
 	}
-	if spec.LossProb < 0 || spec.LossProb > 1 {
+	if !(spec.LossProb >= 0 && spec.LossProb <= 1) { // NaN fails too
 		return fmt.Errorf("loss probability %g outside [0, 1]", spec.LossProb)
 	}
 	if spec.StartAt < 0 {
@@ -235,8 +235,8 @@ func (cfg Config) validate() error {
 	if cfg.Bottleneck != 0 {
 		return fmt.Errorf("bottleneck index %d without Links", cfg.Bottleneck)
 	}
-	if cfg.Rate <= 0 {
-		return fmt.Errorf("bottleneck rate must be positive")
+	if err := checkRate("bottleneck", cfg.Rate); err != nil {
+		return err
 	}
 	if cfg.BufferBytes < 0 {
 		return fmt.Errorf("negative buffer %d bytes", cfg.BufferBytes)

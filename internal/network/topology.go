@@ -2,8 +2,10 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"time"
 
+	"starvation/internal/endpoint"
 	"starvation/internal/netem"
 	"starvation/internal/units"
 )
@@ -28,10 +30,25 @@ type LinkSpec struct {
 	HopDelay time.Duration
 }
 
+// checkRate refuses a link rate the event clock cannot serialize at: one
+// full-size segment must take at least 1 ns (a faster link drains in zero
+// time and the run never ends) and a representable time.Duration (a
+// slower one overflows the clock). It computes the time as
+// units.Rate.TxTime does; a zero, negative or NaN rate gives no time in
+// that range.
+func checkRate(what string, r units.Rate) error {
+	tx := float64(endpoint.DefaultMSS) * 8 / float64(r) * float64(time.Second)
+	if !(tx >= 1 && tx < math.MaxInt64) {
+		return fmt.Errorf("%s rate %g bit/s out of range: a %d-byte segment must take 1ns to %v to serialize",
+			what, float64(r), endpoint.DefaultMSS, time.Duration(math.MaxInt64))
+	}
+	return nil
+}
+
 // validate reports the first problem with the link spec.
 func (ls LinkSpec) validate() error {
-	if ls.Rate <= 0 {
-		return fmt.Errorf("link rate must be positive")
+	if err := checkRate("link", ls.Rate); err != nil {
+		return err
 	}
 	if ls.BufferBytes < 0 {
 		return fmt.Errorf("negative buffer %d bytes", ls.BufferBytes)

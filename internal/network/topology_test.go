@@ -1,12 +1,14 @@
 package network
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"starvation/internal/cca/reno"
 	"starvation/internal/cca/vegas"
+	"starvation/internal/endpoint"
 	"starvation/internal/guard"
 	"starvation/internal/units"
 )
@@ -163,5 +165,34 @@ func TestPathValidation(t *testing.T) {
 	}
 	if _, err := NewChecked(Config{Rate: units.Mbps(10), Bottleneck: 1}, base); err == nil {
 		t.Error("NewChecked accepted Bottleneck without Links")
+	}
+}
+
+// TestRateValidation pins the rates a link may have, on the legacy
+// bottleneck and in Links alike: one full-size segment must serialize in
+// 1 ns to the largest time.Duration. Outside that range the link drains
+// in zero time (the run never ends) or its departure time overflows.
+func TestRateValidation(t *testing.T) {
+	base := FlowSpec{Alg: vegas.New(vegas.Config{}), Rm: 10 * time.Millisecond}
+	fastest := units.Rate(endpoint.DefaultMSS * 8 * 1e9) // 1 ns per segment
+	for _, tc := range []struct {
+		rate units.Rate
+		ok   bool
+	}{
+		{units.Mbps(48), true},
+		{fastest * 0.999, true},
+		{fastest * 1.001, false},
+		{1e-5, true},  // 1.2e9 s per segment
+		{1e-6, false}, // 1.2e10 s: beyond time.Duration's ~292 years
+		{0, false},
+		{-1, false},
+		{units.Rate(math.Inf(1)), false},
+		{units.Rate(math.NaN()), false},
+	} {
+		for _, cfg := range []Config{{Rate: tc.rate}, {Links: ParkingLot(1, tc.rate, 0, 0)}} {
+			if err := Validate(cfg, base); (err == nil) != tc.ok {
+				t.Errorf("rate %g bit/s, links %v: Validate = %v, want ok %v", float64(tc.rate), cfg.Links != nil, err, tc.ok)
+			}
+		}
 	}
 }

@@ -110,7 +110,7 @@ func parseFlows(spec string, seed, stride int64, topo *parsedTopology) ([]networ
 					_, err = jitter.Parse(val, rng.New(1))
 				case "loss":
 					base.LossProb, err = strconv.ParseFloat(val, 64)
-					if err == nil && (base.LossProb < 0 || base.LossProb >= 1) {
+					if err == nil && !(base.LossProb >= 0 && base.LossProb < 1) { // NaN fails too
 						err = fmt.Errorf("loss %v outside [0, 1)", base.LossProb)
 					}
 				case "ge":

@@ -28,6 +28,7 @@ func FuzzParseFlows(f *testing.F) {
 	f.Add("reno*2:rm=120ms,delack=4/200ms;vegas:jitter=step:10ms/10s", "parkinglot:2")
 	f.Add("cubic:delack=0/1ms;vegas:jitter=dip:1ms/2s", "")
 	f.Add("allegro:rm=40ms,ge=0.008/0.2/0.5;allegro*2:ge=1/1/1/0,loss=0.02", "parkinglot:2")
+	f.Add("vegas:loss=NaN", "single")
 	f.Fuzz(func(t *testing.T, flowsSpec, topoSpec string) {
 		topo, err := parseTopology(topoSpec, units.Mbps(10), 16*endpoint.DefaultMSS)
 		if err != nil {
@@ -57,6 +58,9 @@ func FuzzParseFlows(f *testing.F) {
 			}
 			if s.Alg == nil {
 				t.Fatalf("flows %q: spec %d has no algorithm", flowsSpec, i)
+			}
+			if !(s.LossProb >= 0 && s.LossProb < 1) {
+				t.Fatalf("flows %q: spec %d has loss %g outside [0, 1)", flowsSpec, i, s.LossProb)
 			}
 			// path= link indices are topology-dependent, so out-of-range
 			// values surface at network construction, not parse time —

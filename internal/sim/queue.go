@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-
-	"starvation/internal/packet"
-)
+import "math/bits"
 
 // The event queue is a calendar wheel over a pooled arena of event records,
 // with an intrusive 4-ary min-heap behind it for the far future.
@@ -58,27 +54,17 @@ const (
 	wheelWords   = wheelBuckets / 64
 )
 
-// Payload kinds. A record carries either a plain thunk or a small typed
-// payload (packet or ACK) with a matching handler, which lets hot call
-// sites schedule without allocating a capturing closure per event.
-const (
-	kindFunc uint8 = iota
-	kindPacket
-	kindAck
-)
-
 const noSlot int32 = -1
 
-// eventRec is one pooled event record. Only the fields selected by kind
-// are meaningful; fn/pfn/afn are nilled when the slot is freed so the
-// arena never pins a closure (and whatever it captures) beyond dispatch.
-// The fields every queue operation touches come first, so that filing,
-// dispatching and freeing a plain event read one cache line of it; the
-// typed payloads follow.
+// eventRec is one pooled event record: 48 bytes, so filing, dispatching
+// and freeing an event read one cache line of it (TestHotPathBudget holds
+// it there). Every event is a plain handler; fn is nilled when the slot
+// is freed so the arena never pins a closure (and whatever it captures)
+// beyond dispatch.
 type eventRec struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among equal timestamps
-	fn  func() // kindFunc
+	fn  func()
 
 	// moved is the Timer whose record this is while the record waits
 	// under an earlier place (at, seq) than the timer's current one, and
@@ -90,12 +76,6 @@ type eventRec struct {
 	heapIdx int32  // position in Simulator.heap; noSlot when in the wheel or free
 	prev    int32  // bucket-list predecessor; meaningful only while in the wheel
 	next    int32  // bucket-list successor while in the wheel, free-list link while free
-	kind    uint8
-
-	pfn func(packet.Packet) // kindPacket
-	afn func(packet.Ack)    // kindAck
-	pkt packet.Packet
-	ack packet.Ack
 }
 
 // bucket is one wheel slot's list ends. They are meaningful only while the
@@ -133,14 +113,7 @@ func (s *Simulator) free(slot int32) {
 	if rec.moved != nil {
 		rec.moved = nil
 	}
-	switch rec.kind {
-	case kindFunc:
-		rec.fn = nil
-	case kindPacket:
-		rec.pfn = nil
-	case kindAck:
-		rec.afn = nil
-	}
+	rec.fn = nil
 	rec.next = s.freeHead
 	s.freeHead = slot
 }
@@ -385,20 +358,9 @@ func (s *Simulator) fire(slot int32) {
 		s.wheel[i].head = rec.next
 		s.arena[rec.next].prev = noSlot
 	}
-	// Copy out by kind before freeing: the handler may schedule new events
-	// that reuse this very slot (and growing the arena may move it).
-	switch rec.kind {
-	case kindFunc:
-		fn := rec.fn
-		s.free(slot)
-		fn()
-	case kindPacket:
-		pfn, p := rec.pfn, rec.pkt
-		s.free(slot)
-		pfn(p)
-	default: // kindAck
-		afn, a := rec.afn, rec.ack
-		s.free(slot)
-		afn(a)
-	}
+	// Copy the handler out before freeing: it may schedule new events that
+	// reuse this very slot (and growing the arena may move it).
+	fn := rec.fn
+	s.free(slot)
+	fn()
 }

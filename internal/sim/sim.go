@@ -16,8 +16,10 @@
 // pooled arena, ordered by a calendar wheel for the next 67 ms and by an
 // intrusive 4-ary min-heap beyond that (see queue.go).
 //
-// The queue holds elements, not packets, and network elements schedule
-// through two typed sources rather than through At. A FIFO delay element
+// Every queued event is a plain func() handler; a packet or ACK rides in
+// the element that schedules it, never in the event record. The queue
+// holds elements, not packets: network elements schedule through two
+// sources rather than through At. A FIFO delay element
 // — the bottleneck's departures, a delay box, the hop between two
 // links — keeps its packets in a Lane, of which only
 // the head is a live event. Each packet reserves its place in the
@@ -123,38 +125,27 @@ func (s *Simulator) Stats() Stats {
 	return Stats{Scheduled: s.seq, Fired: s.fired, Cancelled: s.cancelled, Live: s.live}
 }
 
-// schedule claims a pooled record for an event at t, taking the next
-// place in the dispatch order, and queues it. The caller fills the
-// kind-specific payload fields of the returned record; this is safe
-// because nothing can run between schedule and that fill.
-func (s *Simulator) schedule(t Time) (int32, *eventRec) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-	seq := s.seq
-	s.seq++
-	return s.scheduleSeq(t, seq)
-}
-
-// scheduleSeq claims a pooled record for an event at (t, seq) and files
-// it in the wheel or the overflow heap.
-func (s *Simulator) scheduleSeq(t Time, seq uint64) (int32, *eventRec) {
+// scheduleSeq claims a pooled record for fn at t in the place tk reserved
+// and files it in the wheel or the overflow heap.
+func (s *Simulator) scheduleSeq(t Time, tk ticket, fn func()) Handle {
 	slot := s.alloc()
 	rec := &s.arena[slot]
 	rec.at = t
-	rec.seq = seq
+	rec.seq = uint64(tk)
+	rec.fn = fn
 	s.live++
 	s.file(slot)
-	return slot, rec
+	return Handle{s, slot, rec.gen}
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: that is always a logic error in a network element.
+// At schedules fn to run at absolute virtual time t, taking the next
+// place in the dispatch order. Scheduling in the past panics: that is
+// always a logic error in a network element.
 func (s *Simulator) At(t Time, fn func()) Handle {
-	slot, rec := s.schedule(t)
-	rec.kind = kindFunc
-	rec.fn = fn
-	return Handle{s, slot, rec.gen}
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	}
+	return s.scheduleSeq(t, s.reserve(), fn)
 }
 
 // ticket is a place in the dispatch order reserved ahead of its event:
@@ -182,10 +173,7 @@ func (s *Simulator) atTicket(t Time, tk ticket, fn func()) Handle {
 		panic(fmt.Sprintf("sim: ticket %d at %v is not ahead of the dispatch cursor (now %v, next seq at now %d, reserved %d)",
 			tk, t, s.now, s.floor, s.seq))
 	}
-	slot, rec := s.scheduleSeq(t, uint64(tk))
-	rec.kind = kindFunc
-	rec.fn = fn
-	return Handle{s, slot, rec.gen}
+	return s.scheduleSeq(t, tk, fn)
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -196,32 +184,18 @@ func (s *Simulator) After(d time.Duration, fn func()) Handle {
 	return s.At(s.now+d, fn)
 }
 
-// AfterPacket schedules fn(p) to run d after the current virtual time.
-// The packet rides inline in the pooled event record, so a call site that
-// passes a stored handler (rather than constructing a closure) schedules
-// without allocating.
+// AfterPacket schedules fn(p) to run d after the current virtual time. It
+// is a closure wrapper over After, allocating one closure per call, kept
+// only for the bench module's per-layer ledger driver; network elements
+// schedule packets through a Lane.
 func (s *Simulator) AfterPacket(d time.Duration, fn func(packet.Packet), p packet.Packet) Handle {
-	if d < 0 {
-		d = 0
-	}
-	slot, rec := s.schedule(s.now + d)
-	rec.kind = kindPacket
-	rec.pfn = fn
-	rec.pkt = p
-	return Handle{s, slot, rec.gen}
+	return s.After(d, func() { fn(p) })
 }
 
 // AfterAck schedules fn(a) to run d after the current virtual time, the
-// ACK-path analogue of AfterPacket.
+// ACK-path analogue of AfterPacket, and like it kept only for bench.
 func (s *Simulator) AfterAck(d time.Duration, fn func(packet.Ack), a packet.Ack) Handle {
-	if d < 0 {
-		d = 0
-	}
-	slot, rec := s.schedule(s.now + d)
-	rec.kind = kindAck
-	rec.afn = fn
-	rec.ack = a
-	return Handle{s, slot, rec.gen}
+	return s.After(d, func() { fn(a) })
 }
 
 // ctxCheckEvery is the event-count cadence of the cancellation check:

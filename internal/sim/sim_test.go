@@ -2,11 +2,14 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"starvation/internal/packet"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -56,6 +59,60 @@ func TestNegativeAfterClamps(t *testing.T) {
 	s.Run(time.Millisecond)
 	if !fired {
 		t.Error("negative After never fired")
+	}
+}
+
+// TestPayloadWrappers pins what the bench module's ledger driver relies
+// on: AfterPacket and AfterAck hand their payload to fn unchanged at
+// now+d (at now for a negative d), and among events at one instant they
+// fire in scheduling order with At's.
+func TestPayloadWrappers(t *testing.T) {
+	const now = 2 * time.Millisecond
+	pkt := packet.Packet{Flow: 3, Seq: 42, Size: 1500, SentAt: time.Millisecond, Retx: true, ECN: true, Hop: 1}
+	ack := packet.Ack{Flow: 3, CumAck: 41, SackSeq: 42, EchoSentAt: time.Millisecond, EchoRetx: true,
+		RecvdAt: now, Count: 2, NewlyAcked: 1500, Delivered: 63000, ECE: true}
+	for _, tc := range []struct {
+		name string
+		d    time.Duration
+		want Time
+	}{
+		{"positive", 3 * time.Millisecond, now + 3*time.Millisecond},
+		{"zero", 0, now},
+		{"negative", -time.Second, now},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(1)
+			var got []string
+			mark := func(name string) func() {
+				return func() {
+					if s.Now() != tc.want {
+						t.Errorf("%s fired at %v, want %v", name, s.Now(), tc.want)
+					}
+					got = append(got, name)
+				}
+			}
+			s.At(now, func() {
+				s.At(tc.want, mark("at0"))
+				s.AfterPacket(tc.d, func(p packet.Packet) {
+					if p != pkt {
+						t.Errorf("AfterPacket delivered %+v, want %+v", p, pkt)
+					}
+					mark("packet")()
+				}, pkt)
+				s.At(tc.want, mark("at1"))
+				s.AfterAck(tc.d, func(a packet.Ack) {
+					if a != ack {
+						t.Errorf("AfterAck delivered %+v, want %+v", a, ack)
+					}
+					mark("ack")()
+				}, ack)
+				s.At(tc.want, mark("at2"))
+			})
+			s.Run(time.Second)
+			if want := []string{"at0", "packet", "at1", "ack", "at2"}; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("fired %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -49,10 +49,7 @@ func (t *Timer) Set(at Time) {
 	tk := s.reserve()
 	t.at, t.tk = at, tk
 	if !t.h.pending() {
-		slot, rec := s.scheduleSeq(at, uint64(tk))
-		rec.kind = kindFunc
-		rec.fn = t.fn
-		t.h = Handle{s, slot, rec.gen}
+		t.h = s.scheduleSeq(at, tk, t.fn)
 		return
 	}
 	s.cancelled++ // the deadline replaced, as Cancel would count it
